@@ -38,7 +38,7 @@ type Pool struct {
 	size        int
 	inUse       int
 	leaked      int
-	waiters     []*waiter
+	waiters     []*Conn
 	waitersDead int // timed-out waiters still occupying queue slots
 	maxWaiters  int
 
@@ -59,27 +59,26 @@ type Pool struct {
 	chk      *invariant.Checker
 }
 
-// waiter is one blocked acquisition: the outcome-aware callback plus the
-// deadline bookkeeping (timer, enqueue time, and the done flag marking
-// timed-out waiters that occupy a slot until lazily removed).
-type waiter struct {
-	fn        func(*Conn, metrics.Disposition)
-	req       uint64
-	enqueueAt sim.Time
-	deadline  sim.Time
-	timer     sim.Timer
-	done      bool
-}
-
 // poolWaitBounds is the shared bucket layout for acquisition-wait
 // histograms (seconds, 0.1 ms to ~52 s), matching the server layout so
 // per-tier reports line up.
 var poolWaitBounds = metrics.ExpBuckets(1e-4, 2, 20)
 
-// Conn is one acquired connection.
+// Conn is one acquisition of a connection. It is created when the
+// request asks and is its own waiter while blocked: the outcome-aware
+// callback plus the deadline bookkeeping (timer, enqueue time). Once
+// granted it is the held connection. A waiter that times out keeps its
+// slot, marked failed, until popped or compacted; it is never handed
+// out, so nothing reuses it while it sits there.
 type Conn struct {
-	p        *Pool
-	released bool
+	p         *Pool
+	fn        func(*Conn, metrics.Disposition) // nil once it fired
+	req       uint64
+	enqueueAt sim.Time
+	deadline  sim.Time
+	timer     sim.Timer
+	failed    bool // timed out while blocked; the slot is dropped lazily
+	released  bool
 }
 
 // New returns a pool with the given size.
@@ -203,22 +202,20 @@ func (p *Pool) Unleak(k int) {
 
 // Acquire requests a connection; fn runs as soon as one is available, in
 // FIFO order behind earlier waiters.
-func (p *Pool) Acquire(fn func(*Conn)) { p.AcquireFor(0, fn) }
-
-// AcquireFor is Acquire carrying the tracing request ID (0 = untraced).
-func (p *Pool) AcquireFor(req uint64, fn func(*Conn)) {
+func (p *Pool) Acquire(fn func(*Conn)) {
 	if fn == nil {
 		return
 	}
-	p.AcquireDeadline(req, 0, func(c *Conn, _ metrics.Disposition) { fn(c) })
+	p.AcquireDeadline(0, 0, func(c *Conn, _ metrics.Disposition) { fn(c) })
 }
 
-// AcquireDeadline is AcquireFor with resilience semantics: deadline (zero
-// = none) is the request's absolute deadline — a waiter still blocked when
-// it expires fails with DispositionTimeout and never consumes a
-// connection — and fn receives the disposition explaining a nil
-// connection (rejected by the waiter bound, or timeout). With a zero
-// deadline and no waiter bound this is exactly AcquireFor.
+// AcquireDeadline is Acquire with resilience semantics: req is the
+// tracing request ID (0 = untraced), and deadline (zero = none) is the
+// request's absolute deadline — a waiter still blocked when it expires
+// fails with DispositionTimeout and never consumes a connection — and fn
+// receives the disposition explaining a nil connection (rejected by the
+// waiter bound, or timeout). With a zero deadline and no waiter bound
+// this is exactly Acquire.
 func (p *Pool) AcquireDeadline(req uint64, deadline sim.Time, fn func(*Conn, metrics.Disposition)) {
 	if fn == nil {
 		return
@@ -231,7 +228,7 @@ func (p *Pool) AcquireDeadline(req uint64, deadline sim.Time, fn func(*Conn, met
 		return
 	}
 	p.tracer.Record(req, trace.EventPoolWait, p.tier, p.name, now)
-	w := &waiter{fn: fn, req: req, enqueueAt: now, deadline: deadline}
+	w := &Conn{p: p, fn: fn, req: req, enqueueAt: now, deadline: deadline}
 	if p.Free() > 0 && p.Waiting() == 0 {
 		p.grantWaiter(w)
 		return
@@ -243,13 +240,13 @@ func (p *Pool) AcquireDeadline(req uint64, deadline sim.Time, fn func(*Conn, met
 		return
 	}
 	if deadline > 0 {
-		w.timer = p.eng.Schedule(deadline-now, func() { p.timeoutWaiter(w) })
+		w.timer = p.eng.Schedule(deadline-now, w.expire)
 	}
 	p.waiters = append(p.waiters, w)
 }
 
 // grantWaiter hands one connection to a waiter, accounting the wait.
-func (p *Pool) grantWaiter(w *waiter) {
+func (p *Pool) grantWaiter(w *Conn) {
 	p.inUse++
 	p.grants.Inc(1)
 	now := p.eng.Now()
@@ -270,25 +267,30 @@ func (p *Pool) grantWaiter(w *waiter) {
 	p.waits.Observe((now - w.enqueueAt).Seconds())
 	p.waitHist.Observe((now - w.enqueueAt).Seconds())
 	p.tracer.Record(w.req, trace.EventPoolGrant, p.tier, p.name, now)
-	w.fn(&Conn{p: p}, metrics.DispositionOK)
+	fn := w.fn
+	w.fn = nil
+	fn(w, metrics.DispositionOK)
 }
 
 // failWaiter completes a waiter without a connection. The wait still
 // counts toward the mean-wait statistic; the grant histogram records
 // acquisitions only.
-func (p *Pool) failWaiter(w *waiter, disp metrics.Disposition) {
+func (p *Pool) failWaiter(w *Conn, disp metrics.Disposition) {
 	p.waits.Observe((p.eng.Now() - w.enqueueAt).Seconds())
-	w.fn(nil, disp)
+	fn := w.fn
+	w.fn = nil
+	fn(nil, disp)
 }
 
-// timeoutWaiter is the deadline timer body for a blocked waiter: it marks
-// the slot dead (lazily removed) and fails the acquisition. No connection
+// expire is the deadline timer body for a blocked waiter: it marks the
+// slot failed (lazily removed) and fails the acquisition. No connection
 // is consumed.
-func (p *Pool) timeoutWaiter(w *waiter) {
-	if w.done {
+func (w *Conn) expire() {
+	if w.failed {
 		return
 	}
-	w.done = true
+	p := w.p
+	w.failed = true
 	p.waitersDead++
 	p.timeouts.Inc(1)
 	p.tracer.Record(w.req, trace.EventTimeout, p.tier, p.name, p.eng.Now())
@@ -303,7 +305,7 @@ func (p *Pool) maybeCompact() {
 	}
 	live := p.waiters[:0]
 	for _, w := range p.waiters {
-		if !w.done {
+		if !w.failed {
 			live = append(live, w)
 		}
 	}
@@ -315,12 +317,12 @@ func (p *Pool) maybeCompact() {
 }
 
 // popWaiter removes and returns the first live waiter (nil when none).
-func (p *Pool) popWaiter() *waiter {
+func (p *Pool) popWaiter() *Conn {
 	for len(p.waiters) > 0 {
 		w := p.waiters[0]
 		p.waiters[0] = nil
 		p.waiters = p.waiters[1:]
-		if w.done {
+		if w.failed {
 			p.waitersDead--
 			continue
 		}

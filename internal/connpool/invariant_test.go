@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"dcm/internal/metrics"
 	"dcm/internal/sim"
 	"dcm/internal/trace"
 )
@@ -151,8 +152,8 @@ func TestPoolTracerRecordsWaits(t *testing.T) {
 	tr := trace.NewRequestTracer(0)
 	p.SetTracer(tr, "app")
 	var first *Conn
-	p.AcquireFor(tr.Begin(), func(c *Conn) { first = c })
-	p.AcquireFor(tr.Begin(), func(c *Conn) { c.Release() }) // waits 2s
+	p.AcquireDeadline(tr.Begin(), 0, func(c *Conn, _ metrics.Disposition) { first = c })
+	p.AcquireDeadline(tr.Begin(), 0, func(c *Conn, _ metrics.Disposition) { c.Release() }) // waits 2s
 	eng.Schedule(2*time.Second, func() { first.Release() })
 	if err := eng.Run(4 * time.Second); err != nil {
 		t.Fatal(err)

@@ -22,13 +22,14 @@ type asyncMsg struct {
 // fireAsync publishes the edge's visits and schedules their deliveries.
 // The publish is durable-ordered through internal/bus — the consumer
 // drains the topic in offset order — and the delivery itself is a normal
-// node visit with no deadline and no upstream to answer to.
+// node visit with no deadline and no upstream to answer to. Each
+// delivery runs under a request record of its own.
 func (a *App) fireAsync(e *edge, visits int, prof *resolvedProfile) {
 	for i := 0; i < visits; i++ {
 		a.asyncSpawned++
 		a.asyncInFlight++
 		msg := asyncMsg{Profile: prof.name, Seq: a.asyncSpawned}
-		if _, err := a.bs.Publish(e.topic, e.spec.key(), msg); err != nil {
+		if _, err := a.bs.Publish(e.topic, e.key, msg); err != nil {
 			// Topic was created at build time; a failed publish means the
 			// bus was closed under us. Account the delivery as errored so
 			// the async ledger still conserves.
@@ -36,25 +37,28 @@ func (a *App) fireAsync(e *edge, visits int, prof *resolvedProfile) {
 			a.asyncDisp.Observe(metrics.DispositionError)
 			continue
 		}
-		a.eng.Schedule(0, func() { a.deliverAsync(e, prof) })
+		r := a.newRequest()
+		r.async = e
+		r.prof = prof
+		if r.deliverFn == nil {
+			r.deliverFn = r.deliver
+		}
+		a.eng.Schedule(0, r.deliverFn)
 	}
 }
 
-// deliverAsync consumes one message from the edge's topic and runs the
+// deliver consumes one message from the edge's topic and runs the
 // downstream visit. Each delivery begins its own trace identity: the
 // parent request has already moved on.
-func (a *App) deliverAsync(e *edge, prof *resolvedProfile) {
-	recs, err := e.consumer.Poll(1)
+func (r *request) deliver() {
+	a := r.a
+	recs, err := r.async.consumer.Poll(1)
 	if err != nil || len(recs) == 0 {
 		// Nothing buffered (another delivery raced us to the record);
 		// conservation-wise this spawn still completes.
-		a.asyncInFlight--
-		a.asyncDisp.Observe(metrics.DispositionError)
+		r.finish(metrics.DispositionError)
 		return
 	}
-	req := a.reqTracer.Begin()
-	a.visitNode(req, 0, e.dst, 0, prof, false, nil, func(disp metrics.Disposition) {
-		a.asyncInFlight--
-		a.asyncDisp.Observe(disp)
-	})
+	r.id = a.reqTracer.Begin()
+	a.newHop(r, nil, 0, r.async.dst, nil).visit()
 }

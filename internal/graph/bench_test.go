@@ -9,13 +9,12 @@ import (
 	"dcm/internal/sim"
 )
 
-// BenchmarkGraphWalk measures end-to-end request cost through a 4-node
-// diamond — a parallel fan-out, a serial call and a pooled shared DB —
-// covering the walker's branch/join/pool machinery. Reported ns/op is
-// per completed request, queueing included.
-func BenchmarkGraphWalk(b *testing.B) {
+// benchDiamondSpec is the 4-node diamond BenchmarkGraphWalk drives: front
+// fans out to svcA twice in parallel and calls svcB once, and both
+// services make one pooled call to a shared db.
+func benchDiamondSpec() Spec {
 	law := model.Params{S0: 1e-4, Gamma: 1}
-	spec := Spec{
+	return Spec{
 		Name:  "bench-diamond",
 		Entry: "front",
 		Nodes: []NodeSpec{
@@ -31,6 +30,14 @@ func BenchmarkGraphWalk(b *testing.B) {
 			{From: "svcB", To: "db", Visits: 1, PoolSize: 8},
 		},
 	}
+}
+
+// BenchmarkGraphWalk measures end-to-end request cost through a 4-node
+// diamond — a parallel fan-out, a serial call and a pooled shared DB —
+// covering the walker's branch/join/pool machinery. Reported ns/op is
+// per completed request, queueing included.
+func BenchmarkGraphWalk(b *testing.B) {
+	spec := benchDiamondSpec()
 	eng := sim.NewEngine()
 	app, err := New(eng, rng.New(1).Split("app"), Config{Spec: spec})
 	if err != nil {

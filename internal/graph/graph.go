@@ -86,6 +86,7 @@ type edge struct {
 	pos      int // index into src.outs (and Member.pools)
 	src, dst *node
 	poolSize int
+	key      string // "from->to"
 	topic    string
 	consumer *bus.Consumer
 }
@@ -190,6 +191,10 @@ type App struct {
 	brownoutSheds  uint64
 	admissionScale float64
 
+	// Free lists of request records and hop frames (walk.go).
+	freeReqs *request
+	freeHops *hop
+
 	chk      *invariant.Checker
 	timedOut metrics.Counter
 	rejected metrics.Counter
@@ -259,18 +264,19 @@ func New(eng *sim.Engine, rnd *rng.Rand, cfg Config) (*App, error) {
 			src:      a.nodeByName[es.From],
 			dst:      a.nodeByName[es.To],
 			poolSize: es.PoolSize,
+			key:      es.key(),
 		}
 		e.pos = len(e.src.outs)
 		e.src.outs = append(e.src.outs, e)
 		e.dst.ins = append(e.dst.ins, e)
 		a.edges = append(a.edges, e)
-		a.edgeByKey[es.key()] = e
+		a.edgeByKey[e.key] = e
 		if es.Kind == EdgeAsync {
 			if a.bs == nil {
 				a.bs = bus.New()
 				a.ownBus = true
 			}
-			e.topic = "graph/async/" + es.key()
+			e.topic = "graph/async/" + e.key
 			if err := a.bs.CreateTopic(e.topic, 0); err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 			}

@@ -106,16 +106,3 @@ func (a *App) beginTrace(prof *resolvedProfile) *RequestTrace {
 	a.traces = append(a.traces, tr)
 	return tr
 }
-
-// span records one stage on a trace (no-op for nil traces).
-func (a *App) span(tr *RequestTrace, stage, server string, start time.Duration) {
-	if tr == nil {
-		return
-	}
-	tr.Spans = append(tr.Spans, Span{
-		Stage:    stage,
-		Server:   server,
-		Start:    start - tr.InjectedAt,
-		Duration: a.eng.Now() - start,
-	})
-}

@@ -20,6 +20,162 @@ import (
 // sequence of picks, acquisitions, bursts, releases and records is
 // bit-for-bit the same, which is what keeps every pre-refactor sha256
 // digest valid.
+//
+// A request is one request record plus one hop frame per node visit.
+// Both come from per-App free lists and carry generation stamps, the way
+// the sim arena recycles events. The callbacks a frame hands to the
+// server, the connection pool and the engine are method values bound once
+// when the frame is first built, so a hop allocates nothing.
+
+// request is the state every hop of one request shares. Async deliveries
+// use a record of their own: their outcome goes to the async ledger, not
+// to the request tallies.
+type request struct {
+	a        *App
+	id       uint64 // request-tracer ID (0 = untraced)
+	start    sim.Time
+	deadline sim.Time // zero = none
+	class    int      // index into Config.Classes, -1 for the classless flow
+	cls      *Class
+	mixed    *resolvedProfile // the drawn mix profile, nil without a mix
+	prof     *resolvedProfile // the profile the walk runs under
+	session  uint64
+	critical bool
+	tr       *RequestTrace
+	done     func(rt time.Duration, ok bool)
+	async    *edge // the async edge a delivery record consumes from
+
+	gen       uint64 // bumped on every recycle
+	next      *request
+	deliverFn func() // r.deliver, bound on first use
+}
+
+// hopWait is the one callback a hop frame awaits.
+type hopWait uint8
+
+const (
+	waitNone   hopWait = iota
+	waitConn           // a connection-pool grant
+	waitThread         // a server thread
+	waitBurst          // the CPU burst
+	waitCalls          // calls in flight on the current out-edge
+)
+
+var hopWaitNames = [...]string{"nothing", "a connection", "a thread", "a burst", "downstream calls"}
+
+func (w hopWait) String() string { return hopWaitNames[w] }
+
+// hop is one visit of a node: the member it picked, the thread and
+// upstream connection it holds, and the walk over the node's out-edges.
+// A frame belongs to the request from the moment it is issued until it
+// reports its disposition upward; it is recycled right before that
+// report, after its last callback fired. parent is nil for the entry
+// visit and for async deliveries, which report to their request record.
+type hop struct {
+	a      *App
+	r      *request
+	rgen   uint64
+	parent *hop
+	pgen   uint64
+	index  int   // branch index of a parallel call, call number-1 of a serial one
+	n      *node // the node visited
+	e      *edge // the edge the call came over; nil for entry and async visits
+	m      *Member
+	sess   *server.Session
+	conn   *connpool.Conn
+	start  sim.Time // opens the residence window (before any pool wait)
+	wait   hopWait
+
+	// The out-edge walk: the current edge, calls finished on a serial
+	// edge, branches still running on a parallel one and the lowest
+	// failing branch with its disposition.
+	pos      int
+	issued   int
+	pending  int
+	failAt   int
+	failDisp metrics.Disposition
+
+	gen        uint64 // bumped on every recycle
+	next       *hop
+	acquiredFn func(*server.Session, metrics.Disposition)
+	burstFn    func()
+	grantedFn  func(*connpool.Conn, metrics.Disposition)
+}
+
+// noBranch marks a parallel join with no failed branch.
+const noBranch = int(^uint(0) >> 1)
+
+// newRequest takes a request record from the free list.
+func (a *App) newRequest() *request {
+	r := a.freeReqs
+	if r == nil {
+		return &request{a: a, class: -1}
+	}
+	a.freeReqs = r.next
+	r.next = nil
+	return r
+}
+
+// freeRequest retires a record to the free list, invalidating every
+// handle to it.
+func (a *App) freeRequest(r *request) {
+	*r = request{a: a, class: -1, gen: r.gen + 1, next: a.freeReqs, deliverFn: r.deliverFn}
+	a.freeReqs = r
+}
+
+// newHop takes a frame from the free list for a visit of n on behalf of
+// r, reached over e (nil for entry and async visits) from parent.
+func (a *App) newHop(r *request, parent *hop, index int, n *node, e *edge) *hop {
+	f := a.freeHops
+	if f == nil {
+		f = &hop{a: a}
+		f.acquiredFn = f.acquired
+		f.burstFn = f.burstDone
+		f.grantedFn = f.granted
+	} else {
+		a.freeHops = f.next
+		f.next = nil
+	}
+	f.r, f.rgen = r, r.gen
+	if parent != nil {
+		f.parent, f.pgen = parent, parent.gen
+	}
+	f.index, f.n, f.e = index, n, e
+	f.start = a.eng.Now()
+	return f
+}
+
+// freeHop retires a frame to the free list, invalidating every handle to
+// it and keeping its bound callbacks.
+func (a *App) freeHop(f *hop) {
+	*f = hop{
+		a: a, gen: f.gen + 1, next: a.freeHops,
+		acquiredFn: f.acquiredFn, burstFn: f.burstFn, grantedFn: f.grantedFn,
+	}
+	a.freeHops = f
+}
+
+// misfire reports a callback that landed on a frame or record not
+// awaiting it — recycled, fired twice or behind a stale generation. It is
+// a conservation violation: the walk would count a visit twice or lose
+// it. Without a checker attached it panics, like a double Release.
+func (a *App) misfire(format string, args ...any) {
+	if a.chk == nil {
+		panic("graph: " + fmt.Sprintf(format, args...))
+	}
+	a.chk.Violatef(a.eng.Now(), invariant.RuleConservation, "graph", 0, format, args...)
+}
+
+// expect reports whether f awaits want, clearing the wait so a second
+// firing is caught.
+func (f *hop) expect(want hopWait, what string) bool {
+	if f.wait != want {
+		f.a.misfire("%s landed on a hop frame awaiting %v", what, f.wait)
+		return false
+	}
+	f.wait = waitNone
+	return true
+}
 
 // deadlineFor computes the absolute deadline for a request arriving at
 // start (zero when request timeouts are off).
@@ -82,19 +238,6 @@ func (a *App) tally(d metrics.Disposition) {
 	}
 }
 
-// ledger wraps a visit's completion in the target node's conservation
-// accounting: the visit is counted when it starts and its disposition
-// lands exactly once. Pure counting — no events, no draws.
-func (a *App) ledger(n *node, done func(metrics.Disposition)) func(metrics.Disposition) {
-	n.started++
-	n.inFlight++
-	return func(d metrics.Disposition) {
-		n.inFlight--
-		n.visits.Observe(d)
-		done(d)
-	}
-}
-
 // Inject sends one request through the graph's entry node. done
 // (optional) is invoked on completion with the end-to-end response time
 // and whether the request succeeded. With a mix configured, the request's
@@ -113,382 +256,406 @@ func (a *App) Inject(done func(rt time.Duration, ok bool)) {
 // backend instead of rotating. A classless, sessionless call is
 // byte-identical to Inject.
 func (a *App) InjectClass(class int, session uint64, done func(rt time.Duration, ok bool)) {
-	start := a.eng.Now()
-	deadline := a.deadlineFor(start)
+	r := a.newRequest()
+	r.start = a.eng.Now()
+	r.deadline = a.deadlineFor(r.start)
+	r.session = session
+	r.done = done
 	a.inFlight++
 	a.injected++
-	var mixed *resolvedProfile
 	if len(a.profiles) > 0 {
-		mixed = a.pickProfile()
+		r.mixed = a.pickProfile()
 	}
-	prof := mixed
-	var cls *Class
+	r.prof = r.mixed
 	if class >= 0 && class < len(a.cfg.Classes) {
-		cls = &a.cfg.Classes[class]
-		prof = &a.classProfiles[class]
+		r.class = class
+		r.cls = &a.cfg.Classes[class]
+		r.prof = &a.classProfiles[class]
 		a.classes[class].injected++
 		a.classes[class].inFlight++
-	} else {
-		class = -1
 	}
-	if prof == nil {
-		prof = &a.defaultPr
+	if r.prof == nil {
+		r.prof = &a.defaultPr
 	}
-	critical := cls != nil && cls.Priority > 0
-	tr := a.beginTrace(mixed)
-	req := a.reqTracer.Begin()
-	a.reqTracer.Record(req, trace.EventArrive, "", "", start)
-	if cls != nil {
-		a.reqTracer.RecordClass(req, cls.Name, start)
-	}
-	finish := func(disp metrics.Disposition) {
-		ok := disp == metrics.DispositionOK
-		a.inFlight--
-		if a.chk != nil && a.inFlight < 0 {
-			a.chk.Violatef(a.eng.Now(), invariant.RuleConservation, "graph", req,
-				"request finish drove in-flight negative (%d)", a.inFlight)
-		}
-		rt := a.eng.Now() - start
-		kind := trace.EventDone
-		if !ok {
-			kind = trace.EventFail
-		}
-		a.reqTracer.Record(req, kind, "", "", a.eng.Now())
-		a.tally(disp)
-		if ok {
-			a.completions.Inc(1)
-			a.rts.Observe(rt.Seconds())
-			a.rtWindow = append(a.rtWindow, rt.Seconds())
-			if a.res.Enabled() {
-				if sla := a.res.GoodputSLA(); sla <= 0 || rt <= sla {
-					a.good.Inc(1)
-				}
-			}
-		} else {
-			a.errored.Inc(1)
-		}
-		if cls != nil {
-			st := &a.classes[class]
-			st.inFlight--
-			a.classDisp.Observe(class, disp)
-			if ok {
-				st.completions++
-				st.rtSum += rt.Seconds()
-				// The class SLO overrides the global goodput SLA; without
-				// one, fall back to the resilience-wide threshold.
-				sla := cls.SLO
-				if sla <= 0 {
-					sla = a.res.GoodputSLA()
-				}
-				if sla <= 0 || rt <= sla {
-					st.good++
-				}
-			} else {
-				st.errored++
-			}
-		} else {
-			a.unclassedDisp.Observe(disp)
-		}
-		if mixed != nil {
-			acc := a.profStats[mixed.name]
-			if ok {
-				acc.completions.Inc(1)
-				acc.rtSum += rt.Seconds()
-			} else {
-				acc.errored.Inc(1)
-			}
-		}
-		if tr != nil {
-			tr.Total = rt
-			tr.OK = ok
-		}
-		if done != nil {
-			done(rt, ok)
-		}
+	r.critical = r.cls != nil && r.cls.Priority > 0
+	r.tr = a.beginTrace(r.mixed)
+	r.id = a.reqTracer.Begin()
+	a.reqTracer.Record(r.id, trace.EventArrive, "", "", r.start)
+	if r.cls != nil {
+		a.reqTracer.RecordClass(r.id, r.cls.Name, r.start)
 	}
 
 	// Brownout front-door shed: while the degrade controller holds a shed
 	// ratio, best-effort arrivals are dropped before they touch the entry
 	// node. Critical (Priority > 0) classes are never brownout-shed.
-	if a.brownoutShed > 0 && !critical && a.brownoutTake() {
+	if a.brownoutShed > 0 && !r.critical && a.brownoutTake() {
 		a.brownoutSheds++
-		if cls != nil {
+		if r.cls != nil {
 			a.classes[class].bshed++
 		}
-		a.reqTracer.Record(req, trace.EventShed, "", "", a.eng.Now())
-		finish(metrics.DispositionShed)
+		a.reqTracer.Record(r.id, trace.EventShed, "", "", a.eng.Now())
+		r.finish(metrics.DispositionShed)
 		return
 	}
 
-	a.visitNode(req, deadline, a.entry, session, prof, critical, tr, finish)
+	a.newHop(r, nil, 0, a.entry, nil).visit()
 }
 
-// visitNode runs one visit of node n reached without a connection pool:
-// pick a member, acquire a thread, run the burst, descend the out-edges
-// with the thread held, then release and report. It serves the entry node
-// (session-sticky picks) and async deliveries.
-func (a *App) visitNode(req uint64, deadline sim.Time, n *node, session uint64, prof *resolvedProfile, critical bool, tr *RequestTrace, done func(metrics.Disposition)) {
-	done = a.ledger(n, done)
+// finish tallies the request's outcome, recycles the record and runs the
+// caller's completion callback.
+func (r *request) finish(disp metrics.Disposition) {
+	a := r.a
+	if r.async != nil {
+		a.asyncInFlight--
+		a.asyncDisp.Observe(disp)
+		a.freeRequest(r)
+		return
+	}
+	ok := disp == metrics.DispositionOK
+	a.inFlight--
+	if a.chk != nil && a.inFlight < 0 {
+		a.chk.Violatef(a.eng.Now(), invariant.RuleConservation, "graph", r.id,
+			"request finish drove in-flight negative (%d)", a.inFlight)
+	}
+	rt := a.eng.Now() - r.start
+	kind := trace.EventDone
+	if !ok {
+		kind = trace.EventFail
+	}
+	a.reqTracer.Record(r.id, kind, "", "", a.eng.Now())
+	a.tally(disp)
+	if ok {
+		a.completions.Inc(1)
+		a.rts.Observe(rt.Seconds())
+		a.rtWindow = append(a.rtWindow, rt.Seconds())
+		if a.res.Enabled() {
+			if sla := a.res.GoodputSLA(); sla <= 0 || rt <= sla {
+				a.good.Inc(1)
+			}
+		}
+	} else {
+		a.errored.Inc(1)
+	}
+	if r.cls != nil {
+		st := &a.classes[r.class]
+		st.inFlight--
+		a.classDisp.Observe(r.class, disp)
+		if ok {
+			st.completions++
+			st.rtSum += rt.Seconds()
+			// The class SLO overrides the global goodput SLA; without
+			// one, fall back to the resilience-wide threshold.
+			sla := r.cls.SLO
+			if sla <= 0 {
+				sla = a.res.GoodputSLA()
+			}
+			if sla <= 0 || rt <= sla {
+				st.good++
+			}
+		} else {
+			st.errored++
+		}
+	} else {
+		a.unclassedDisp.Observe(disp)
+	}
+	if r.mixed != nil {
+		acc := a.profStats[r.mixed.name]
+		if ok {
+			acc.completions.Inc(1)
+			acc.rtSum += rt.Seconds()
+		} else {
+			acc.errored.Inc(1)
+		}
+	}
+	if r.tr != nil {
+		r.tr.Total = rt
+		r.tr.OK = ok
+	}
+	done := r.done
+	a.freeRequest(r)
+	if done != nil {
+		done(rt, ok)
+	}
+}
+
+// visit runs the visit of f's node: count it on the node's ledger, pick
+// a member and ask it for a thread. The entry node honours session
+// affinity. A call over a pooled edge arrives holding its connection,
+// which every exit gives back.
+func (f *hop) visit() {
+	a, n := f.a, f.n
+	n.started++
+	n.inFlight++
 	var be lb.Backend
 	var err error
-	if n.entry && session != 0 {
-		be, err = n.balancer.PickSession(session)
+	if f.e == nil && n.entry && f.r.session != 0 {
+		be, err = n.balancer.PickSession(f.r.session)
 	} else {
 		be, err = n.balancer.Pick()
 	}
 	if err != nil {
+		f.releaseConn()
 		if errors.Is(err, lb.ErrGuarded) {
-			a.reqTracer.Record(req, trace.EventBreakerOpen, n.spec.Name, "", a.eng.Now())
+			a.reqTracer.Record(f.r.id, trace.EventBreakerOpen, n.spec.Name, "", a.eng.Now())
 		}
-		done(pickDisposition(err))
+		f.end(pickDisposition(err))
 		return
 	}
 	m, ok := n.members[be.Name()]
 	if !ok {
-		done(metrics.DispositionError)
+		f.releaseConn()
+		f.end(metrics.DispositionError)
 		return
 	}
 	if !a.breakerAttempt(m) {
-		a.reqTracer.Record(req, trace.EventBreakerOpen, n.spec.Name, m.Name(), a.eng.Now())
-		done(metrics.DispositionBreakerOpen)
+		f.releaseConn()
+		a.reqTracer.Record(f.r.id, trace.EventBreakerOpen, n.spec.Name, m.Name(), a.eng.Now())
+		f.end(metrics.DispositionBreakerOpen)
 		return
 	}
-	start := a.eng.Now()
-	m.srv.AcquireDeadlineCritical(req, deadline, critical, func(sess *server.Session, acqDisp metrics.Disposition) {
-		if sess == nil {
-			a.breakerRecord(m, acqDisp)
-			done(acqDisp)
+	f.m = m
+	f.wait = waitThread
+	m.srv.AcquireDeadlineCritical(f.r.id, f.r.deadline, f.r.critical, f.acquiredFn)
+}
+
+// acquired is the server's answer: run the burst on the granted thread,
+// or end the visit with the refusal.
+func (f *hop) acquired(sess *server.Session, disp metrics.Disposition) {
+	if !f.expect(waitThread, "thread grant") {
+		return
+	}
+	if sess == nil {
+		f.releaseConn()
+		f.a.breakerRecord(f.m, disp)
+		f.end(disp)
+		return
+	}
+	f.sess = sess
+	f.wait = waitBurst
+	sess.ExecDemand(f.r.prof.demand[f.n.idx], f.burstFn)
+}
+
+// burstDone follows the burst: a leaf call reads its verdict on the
+// spot, a crashed backend taking precedence over a deadline preemption
+// (the chain's DB-query semantics); any other visit fails on a
+// preemption and otherwise descends its out-edges with the thread held.
+func (f *hop) burstDone() {
+	if !f.expect(waitBurst, "burst completion") {
+		return
+	}
+	sess := f.sess
+	if f.e != nil && len(f.n.outs) == 0 && !f.n.isCache() {
+		killed, timedOut := sess.Killed(), sess.TimedOut()
+		f.release()
+		switch {
+		case killed:
+			f.close(metrics.DispositionError)
+		case timedOut:
+			f.close(metrics.DispositionTimeout)
+		default:
+			f.close(metrics.DispositionOK)
+		}
+		return
+	}
+	if sess.TimedOut() {
+		f.release()
+		f.close(metrics.DispositionTimeout)
+		return
+	}
+	// A cache hit short-circuits: the reply is served locally and no
+	// out-edge is visited.
+	if f.n.isCache() && f.a.cacheLookup(f.n) {
+		f.descended(metrics.DispositionOK)
+		return
+	}
+	f.walk()
+}
+
+// walk runs the out-edges from f.pos in declaration order, each to
+// completion before the next starts. It returns as soon as an edge has
+// calls in flight; the last of them resumes it through childDone.
+func (f *hop) walk() {
+	for ; f.pos < len(f.n.outs); f.pos++ {
+		e := f.n.outs[f.pos]
+		visits := f.r.prof.visits[e.idx]
+		switch {
+		case e.spec.Kind == EdgeAsync:
+			f.a.fireAsync(e, visits, f.r.prof)
+			continue
+		case visits <= 0:
+			continue
+		case f.expired():
+			f.descended(metrics.DispositionTimeout)
 			return
 		}
-		sess.ExecDemand(prof.demand[n.idx], func() {
-			if sess.TimedOut() {
-				sess.Release()
-				n.res.Observe((a.eng.Now() - start).Seconds())
-				a.span(tr, n.spec.Name, m.Name(), start)
-				a.breakerRecord(m, metrics.DispositionTimeout)
-				done(metrics.DispositionTimeout)
+		f.wait = waitCalls
+		if e.spec.Kind == EdgeParallel {
+			// Every branch runs to completion, then the join reports the
+			// lowest failed branch's disposition, or OK.
+			f.pending, f.failAt = visits, noBranch
+			for i := 0; i < visits; i++ {
+				f.call(e, i)
+			}
+			return
+		}
+		// Serial: one call at a time, the deadline checked before each.
+		f.issued = 0
+		f.call(e, 0)
+		return
+	}
+	f.descended(metrics.DispositionOK)
+}
+
+// expired reports whether the request's deadline has passed.
+func (f *hop) expired() bool {
+	return f.r.deadline > 0 && f.a.eng.Now() >= f.r.deadline
+}
+
+// childDone takes the outcome of call index on the current out-edge. A
+// failed edge aborts the rest of the walk.
+func (f *hop) childDone(gen uint64, index int, disp metrics.Disposition) {
+	if f.gen != gen || f.wait != waitCalls {
+		f.a.misfire("call completion landed on a hop frame awaiting %v (generation %d, handle %d)",
+			f.wait, f.gen, gen)
+		return
+	}
+	e := f.n.outs[f.pos]
+	if e.spec.Kind == EdgeParallel {
+		if disp != metrics.DispositionOK && index < f.failAt {
+			f.failAt, f.failDisp = index, disp
+		}
+		if f.pending--; f.pending > 0 {
+			return
+		}
+		if f.failAt != noBranch {
+			f.descended(f.failDisp)
+			return
+		}
+	} else {
+		if disp != metrics.DispositionOK {
+			f.descended(disp)
+			return
+		}
+		if f.issued++; f.issued < f.r.prof.visits[e.idx] {
+			if f.expired() {
+				f.descended(metrics.DispositionTimeout)
 				return
 			}
-			a.descend(req, deadline, n, m, prof, critical, tr, func(disp metrics.Disposition) {
-				sess.Release()
-				n.res.Observe((a.eng.Now() - start).Seconds())
-				a.span(tr, n.spec.Name, m.Name(), start)
-				if disp == metrics.DispositionOK && sess.Killed() {
-					disp = metrics.DispositionError
-				}
-				a.breakerRecord(m, disp)
-				done(disp)
-			})
-		})
-	})
-}
-
-// descend walks a node's out-edges after its burst completed. A cache hit
-// short-circuits: the reply is served locally and no out-edge is visited.
-func (a *App) descend(req uint64, deadline sim.Time, n *node, m *Member, prof *resolvedProfile, critical bool, tr *RequestTrace, done func(metrics.Disposition)) {
-	if n.isCache() && a.cacheLookup(n) {
-		done(metrics.DispositionOK)
-		return
-	}
-	a.walkEdges(req, deadline, n, m, prof, critical, tr, 0, done)
-}
-
-// walkEdges runs the out-edges of n in declaration order, each to
-// completion before the next starts; a failed edge aborts the remainder.
-func (a *App) walkEdges(req uint64, deadline sim.Time, n *node, m *Member, prof *resolvedProfile, critical bool, tr *RequestTrace, pos int, done func(metrics.Disposition)) {
-	if pos >= len(n.outs) {
-		done(metrics.DispositionOK)
-		return
-	}
-	e := n.outs[pos]
-	visits := prof.visits[e.idx]
-	next := func(disp metrics.Disposition) {
-		if disp != metrics.DispositionOK {
-			done(disp)
+			f.call(e, f.issued)
 			return
 		}
-		a.walkEdges(req, deadline, n, m, prof, critical, tr, pos+1, done)
 	}
-	switch e.spec.Kind {
-	case EdgeAsync:
-		a.fireAsync(e, visits, prof)
-		next(metrics.DispositionOK)
-	case EdgeParallel:
-		a.visitParallel(req, deadline, e, m, prof, critical, tr, visits, next)
-	default:
-		a.visitSerial(req, deadline, e, m, prof, critical, tr, 0, visits, next)
-	}
+	f.pos++
+	f.walk()
 }
 
-// visitSerial issues the edge's visits sequentially, checking the
-// deadline before each call — the chain's DB-query loop, verbatim.
-func (a *App) visitSerial(req uint64, deadline sim.Time, e *edge, src *Member, prof *resolvedProfile, critical bool, tr *RequestTrace, issued, visits int, done func(metrics.Disposition)) {
-	if issued >= visits {
-		done(metrics.DispositionOK)
-		return
+// descended ends a visit whose out-edge walk finished: a member that
+// crashed under the visit turns an OK into an error.
+func (f *hop) descended(disp metrics.Disposition) {
+	f.wait = waitNone
+	sess := f.sess
+	f.release()
+	if disp == metrics.DispositionOK && sess.Killed() {
+		disp = metrics.DispositionError
 	}
-	if deadline > 0 && a.eng.Now() >= deadline {
-		done(metrics.DispositionTimeout)
-		return
-	}
-	spanName := e.dst.spec.Name
-	if e.pooled() {
-		spanName = fmt.Sprintf("%s-query-%d", e.dst.spec.Name, issued+1)
-	}
-	a.issueCall(req, deadline, e, src, spanName, prof, critical, tr, func(disp metrics.Disposition) {
-		if disp != metrics.DispositionOK {
-			done(disp)
-			return
-		}
-		a.visitSerial(req, deadline, e, src, prof, critical, tr, issued+1, visits, done)
-	})
+	f.close(disp)
 }
 
-// visitParallel fans the edge's visits out concurrently and joins them:
-// every branch runs to completion, then the join reports once — the first
-// failed branch's disposition, or OK when all branches succeeded.
-func (a *App) visitParallel(req uint64, deadline sim.Time, e *edge, src *Member, prof *resolvedProfile, critical bool, tr *RequestTrace, visits int, done func(metrics.Disposition)) {
-	if visits <= 0 {
-		done(metrics.DispositionOK)
-		return
-	}
-	if deadline > 0 && a.eng.Now() >= deadline {
-		done(metrics.DispositionTimeout)
-		return
-	}
-	disps := make([]metrics.Disposition, visits)
-	remaining := visits
-	for i := 0; i < visits; i++ {
-		i := i
-		spanName := fmt.Sprintf("%s-call-%d", e.dst.spec.Name, i+1)
-		a.issueCall(req, deadline, e, src, spanName, prof, critical, tr, func(disp metrics.Disposition) {
-			disps[i] = disp
-			remaining--
-			if remaining > 0 {
-				return
-			}
-			joined := metrics.DispositionOK
-			for _, d := range disps {
-				if d != metrics.DispositionOK {
-					joined = d
-					break
-				}
-			}
-			done(joined)
-		})
-	}
-}
-
-// issueCall makes one call over edge e from the src member: acquire a
-// connection when the edge is pooled (the residence window opens before
-// the pool wait), then visit the destination.
-func (a *App) issueCall(req uint64, deadline sim.Time, e *edge, src *Member, spanName string, prof *resolvedProfile, critical bool, tr *RequestTrace, done func(metrics.Disposition)) {
-	start := a.eng.Now()
+// call issues call index over edge e from f's member: acquire a
+// connection when the edge is pooled (the callee's residence window opens
+// before the pool wait), then visit the destination.
+func (f *hop) call(e *edge, index int) {
+	c := f.a.newHop(f.r, f, index, e.dst, e)
 	if !e.pooled() {
-		a.callTarget(req, deadline, e, nil, start, spanName, prof, critical, tr, done)
+		c.visit()
 		return
 	}
-	src.pools[e.pos].AcquireDeadline(req, deadline, func(conn *connpool.Conn, acqDisp metrics.Disposition) {
-		if conn == nil {
-			done(acqDisp)
-			return
-		}
-		a.callTarget(req, deadline, e, conn, start, spanName, prof, critical, tr, done)
-	})
+	c.wait = waitConn
+	f.m.pools[e.pos].AcquireDeadline(f.r.id, f.r.deadline, c.grantedFn)
 }
 
-// callTarget runs one visit of edge e's destination: pick a member,
-// acquire a thread, run the burst, descend, then release the thread (and
-// the upstream connection) and report. conn is nil for unpooled edges.
-func (a *App) callTarget(req uint64, deadline sim.Time, e *edge, conn *connpool.Conn, start sim.Time, spanName string, prof *resolvedProfile, critical bool, tr *RequestTrace, done func(metrics.Disposition)) {
-	n := e.dst
-	done = a.ledger(n, done)
-	be, err := n.balancer.Pick()
-	if err != nil {
-		if conn != nil {
-			conn.Release()
-		}
-		if errors.Is(err, lb.ErrGuarded) {
-			a.reqTracer.Record(req, trace.EventBreakerOpen, n.spec.Name, "", a.eng.Now())
-		}
-		done(pickDisposition(err))
+// granted is the connection pool's answer. A refused call never reached
+// its node, so it reports upward without touching the node's ledger.
+func (f *hop) granted(conn *connpool.Conn, disp metrics.Disposition) {
+	if !f.expect(waitConn, "connection grant") {
 		return
 	}
-	m, ok := n.members[be.Name()]
-	if !ok {
-		if conn != nil {
-			conn.Release()
-		}
-		done(metrics.DispositionError)
+	if conn == nil {
+		f.report(disp)
 		return
 	}
-	if !a.breakerAttempt(m) {
-		if conn != nil {
-			conn.Release()
-		}
-		a.reqTracer.Record(req, trace.EventBreakerOpen, n.spec.Name, m.Name(), a.eng.Now())
-		done(metrics.DispositionBreakerOpen)
+	f.conn = conn
+	f.visit()
+}
+
+// release gives back the visit's thread and upstream connection and
+// closes its residence window and span.
+func (f *hop) release() {
+	f.sess.Release()
+	f.releaseConn()
+	f.n.res.Observe((f.a.eng.Now() - f.start).Seconds())
+	f.span()
+}
+
+func (f *hop) releaseConn() {
+	if f.conn != nil {
+		f.conn.Release()
+		f.conn = nil
+	}
+}
+
+// close feeds the verdict to the member's breaker and ends the visit.
+func (f *hop) close(disp metrics.Disposition) {
+	f.a.breakerRecord(f.m, disp)
+	f.end(disp)
+}
+
+// end closes the visit on its node's ledger: counted when it started,
+// its disposition lands exactly once.
+func (f *hop) end(disp metrics.Disposition) {
+	f.n.inFlight--
+	f.n.visits.Observe(disp)
+	f.report(disp)
+}
+
+// report recycles the frame and hands disp to whoever issued it: the
+// parent frame, or the request record for entry and async visits. The
+// frame is never touched again.
+func (f *hop) report(disp metrics.Disposition) {
+	a, r, rgen, parent, pgen, index := f.a, f.r, f.rgen, f.parent, f.pgen, f.index
+	a.freeHop(f)
+	if parent != nil {
+		parent.childDone(pgen, index, disp)
 		return
 	}
-	m.srv.AcquireDeadlineCritical(req, deadline, critical, func(sess *server.Session, acqDisp metrics.Disposition) {
-		if sess == nil {
-			if conn != nil {
-				conn.Release()
-			}
-			a.breakerRecord(m, acqDisp)
-			done(acqDisp)
-			return
-		}
-		sess.ExecDemand(prof.demand[n.idx], func() {
-			if len(n.outs) == 0 && !n.isCache() {
-				// Leaf visit: the verdict is read right here, a crashed
-				// backend taking precedence over a deadline preemption —
-				// the chain's DB-query semantics.
-				killed := sess.Killed()
-				timedOut := sess.TimedOut()
-				sess.Release()
-				if conn != nil {
-					conn.Release()
-				}
-				n.res.Observe((a.eng.Now() - start).Seconds())
-				a.span(tr, spanName, m.Name(), start)
-				switch {
-				case killed:
-					a.breakerRecord(m, metrics.DispositionError)
-					done(metrics.DispositionError)
-				case timedOut:
-					a.breakerRecord(m, metrics.DispositionTimeout)
-					done(metrics.DispositionTimeout)
-				default:
-					a.breakerRecord(m, metrics.DispositionOK)
-					done(metrics.DispositionOK)
-				}
-				return
-			}
-			if sess.TimedOut() {
-				sess.Release()
-				if conn != nil {
-					conn.Release()
-				}
-				n.res.Observe((a.eng.Now() - start).Seconds())
-				a.span(tr, spanName, m.Name(), start)
-				a.breakerRecord(m, metrics.DispositionTimeout)
-				done(metrics.DispositionTimeout)
-				return
-			}
-			a.descend(req, deadline, n, m, prof, critical, tr, func(disp metrics.Disposition) {
-				sess.Release()
-				if conn != nil {
-					conn.Release()
-				}
-				n.res.Observe((a.eng.Now() - start).Seconds())
-				a.span(tr, spanName, m.Name(), start)
-				if disp == metrics.DispositionOK && sess.Killed() {
-					disp = metrics.DispositionError
-				}
-				a.breakerRecord(m, disp)
-				done(disp)
-			})
-		})
+	if r.gen != rgen {
+		a.misfire("request completion landed on a recycled record (generation %d, handle %d)", r.gen, rgen)
+		return
+	}
+	r.finish(disp)
+}
+
+// span records the visit's stage on the request's trace. The label is
+// built only here, so untraced requests never format one: the node name
+// for entry, async and unpooled serial hops, "<node>-call-<i>" for
+// parallel branches and "<node>-query-<i>" for pooled serial calls.
+func (f *hop) span() {
+	tr := f.r.tr
+	if tr == nil {
+		return
+	}
+	stage := f.n.spec.Name
+	switch {
+	case f.e == nil:
+	case f.e.spec.Kind == EdgeParallel:
+		stage = fmt.Sprintf("%s-call-%d", stage, f.index+1)
+	case f.e.pooled():
+		stage = fmt.Sprintf("%s-query-%d", stage, f.index+1)
+	}
+	tr.Spans = append(tr.Spans, Span{
+		Stage:    stage,
+		Server:   f.m.Name(),
+		Start:    f.start - tr.InjectedAt,
+		Duration: f.a.eng.Now() - f.start,
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"dcm/internal/invariant"
+	"dcm/internal/metrics"
 	"dcm/internal/resilience"
 	"dcm/internal/rng"
 	"dcm/internal/sim"
@@ -266,5 +267,109 @@ func TestLRUCache(t *testing.T) {
 	}
 	if c.Len() != 2 {
 		t.Fatalf("len %d, want capacity 2", c.Len())
+	}
+}
+
+// TestMisfiredCallbacksAreViolations wires the hop-frame ownership rule
+// into the invariant checker: each frame callback fires once, so a
+// callback landing on a recycled frame, or a completion carrying a stale
+// generation, is a conservation violation and is dropped. Without a
+// checker it panics, like a double Release.
+func TestMisfiredCallbacksAreViolations(t *testing.T) {
+	t.Parallel()
+	eng, app, chk := newTestApp(t, benchDiamondSpec(), resilience.Config{})
+	app.Inject(nil)
+	if err := eng.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	requireClean(t, app, chk)
+	f := app.freeHops
+	if f == nil || app.freeReqs == nil {
+		t.Fatal("finished request left no recycled frame or record")
+	}
+	stale := f.gen - 1
+	misfires := []func(){
+		func() { f.acquired(nil, metrics.DispositionError) },
+		f.burstDone,
+		func() { f.granted(nil, metrics.DispositionRejected) },
+		func() { f.childDone(stale, 0, metrics.DispositionOK) },
+		func() { f.childDone(f.gen, 0, metrics.DispositionOK) },
+		func() {
+			// An entry visit whose request record was recycled under it.
+			h := app.newHop(app.freeReqs, nil, 0, app.entry, nil)
+			h.rgen--
+			h.report(metrics.DispositionOK)
+		},
+	}
+	for _, fire := range misfires {
+		fire()
+	}
+	vs := chk.Violations()
+	if len(vs) != len(misfires) {
+		t.Fatalf("%d violation(s) for %d misfired callbacks:\n%s", len(vs), len(misfires), invariant.Render(vs))
+	}
+	for _, v := range vs {
+		if v.Rule != invariant.RuleConservation {
+			t.Errorf("misfire reported as %s, want %s", v.Rule, invariant.RuleConservation)
+		}
+	}
+	// The dropped callbacks left every ledger as it was.
+	if d := app.Dispositions(); d.OK != 1 || d.Total() != 1 {
+		t.Fatalf("dispositions %+v after misfires", d)
+	}
+
+	app.SetInvariantChecker(nil)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("misfire without a checker did not panic")
+		}
+	}()
+	f.burstDone()
+}
+
+// TestCrashDuringPreemptedBurst pins which verdict wins when a member
+// crashes during a burst the deadline then preempts. A leaf call reads
+// the crash first (the chain's DB-query semantics: Error); the entry
+// visit reads the preemption first (Timeout).
+func TestCrashDuringPreemptedBurst(t *testing.T) {
+	t.Parallel()
+	slow := testModel()
+	slow.S0 = 1 // one-second bursts, preempted at the 500 ms deadline
+	for _, tc := range []struct {
+		name  string
+		spec  Spec
+		crash string
+		want  metrics.DispositionCounts
+	}{
+		{"leaf call", Spec{
+			Name:  "leaf",
+			Entry: "a",
+			Nodes: []NodeSpec{
+				{Name: "a", Model: testModel(), Threads: 4},
+				{Name: "b", Model: slow, Threads: 4},
+			},
+			Edges: []EdgeSpec{{From: "a", To: "b", Visits: 1}},
+		}, "b", metrics.DispositionCounts{Errored: 1}},
+		{"entry visit", Spec{
+			Name:  "entry",
+			Entry: "a",
+			Nodes: []NodeSpec{{Name: "a", Model: slow, Threads: 4}},
+		}, "a", metrics.DispositionCounts{TimedOut: 1}},
+	} {
+		eng, app, chk := newTestApp(t, tc.spec, resilience.Config{RequestTimeout: 500 * time.Millisecond})
+		victim := app.Members(tc.crash)[0].Name()
+		app.Inject(nil)
+		eng.Schedule(300*time.Millisecond, func() {
+			if err := app.FailMember(tc.crash, victim); err != nil {
+				t.Error(err)
+			}
+		})
+		if err := eng.Run(time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		if d := app.NodeVisits()[tc.crash].Dispositions; d != tc.want {
+			t.Errorf("%s: %s visit %+v, want %+v", tc.name, tc.crash, d, tc.want)
+		}
+		requireClean(t, app, chk)
 	}
 }

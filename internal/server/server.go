@@ -132,8 +132,8 @@ type Server struct {
 	accepting bool
 	dead      bool
 	noise     float64
-	queue     []*waiter
-	queueDead int // timed-out waiters still occupying queue slots
+	queue     []*Session
+	queueDead int // failed waiters still occupying queue slots
 	maxQueue  int
 	// queueGrace grandfathers requests already queued when SetMaxQueue
 	// shrinks the cap below the live backlog: they were admitted legally,
@@ -167,6 +167,8 @@ type Server struct {
 
 	tracer *trace.RequestTracer
 	tier   string
+
+	freeBursts *burst
 
 	// granted and released are lifetime thread grants/returns; together
 	// with active they form the pool-accounting conservation law the
@@ -299,15 +301,39 @@ func (s *Server) SetDegradeFactor(f float64) {
 // DegradeFactor returns the current S0 multiplier (1 = healthy).
 func (s *Server) DegradeFactor() float64 { return s.degrade }
 
-// Session is one admitted request holding a server thread.
+// Session is one acquisition of a server thread. It is created when the
+// request arrives and is its own queue entry while it waits: the
+// outcome-aware callback plus the bookkeeping the resilience layer needs
+// (deadline timer, enqueue time for CoDel, criticality). Once granted it
+// is the admitted request holding the thread. A waiter that fails while
+// queued keeps its slot, marked failed, until popped or compacted; it is
+// never handed out, so nothing reuses it while it sits there.
 type Session struct {
 	s         *Server
 	req       uint64
+	fn        func(*Session, metrics.Disposition) // nil once it fired
+	enqueueAt sim.Time
+	deadline  sim.Time // zero = no deadline
+	timer     sim.Timer
+	failed    bool // failed while queued; the slot is dropped lazily
+	critical  bool
 	released  bool
 	executing bool
-	admitted  sim.Time
-	deadline  sim.Time // zero = no deadline
-	timedOut  bool     // a burst was preempted by the deadline
+	timedOut  bool // a burst was preempted by the deadline
+}
+
+// burst is one CPU burst in flight: its session, its callback, its Eq. 5
+// duration and whether the deadline cuts it short. Bursts are never
+// canceled, so each record goes back to the server's free list the
+// moment its event fires; fire is bound once, when the record is built,
+// so a burst allocates nothing at steady state.
+type burst struct {
+	sess    *Session
+	onDone  func()
+	d       time.Duration
+	preempt bool
+	fire    func()
+	next    *burst
 }
 
 // Deadline returns the request deadline carried by the session (zero
@@ -317,20 +343,6 @@ func (sess *Session) Deadline() sim.Time { return sess.deadline }
 // TimedOut reports whether a burst on this session was preempted by the
 // deadline; the caller must fail the request.
 func (sess *Session) TimedOut() bool { return sess.timedOut }
-
-// waiter is one queued acquisition: the outcome-aware callback plus the
-// bookkeeping the resilience layer needs (deadline timer, enqueue time for
-// CoDel, and the done flag marking timed-out waiters that still occupy a
-// queue slot until lazily removed).
-type waiter struct {
-	fn        func(*Session, metrics.Disposition)
-	req       uint64
-	enqueueAt sim.Time
-	deadline  sim.Time
-	timer     sim.Timer
-	done      bool
-	critical  bool
-}
 
 // Name returns the server name.
 func (s *Server) Name() string { return s.name }
@@ -370,10 +382,10 @@ func (s *Server) Kill() {
 	s.queue = nil
 	s.queueDead = 0
 	for _, w := range waiters {
-		if w.done {
+		if w.failed {
 			continue
 		}
-		w.done = true
+		w.failed = true
 		w.timer.Cancel()
 		s.failWaiter(w, metrics.DispositionError)
 	}
@@ -390,24 +402,21 @@ func (sess *Session) Killed() bool { return sess.s.dead }
 // thread is available — immediately if the pool has room, otherwise in FIFO
 // order as threads free up. On a dead server fn is invoked immediately
 // with a nil session: the caller must treat that as a failed request.
-func (s *Server) Acquire(fn func(*Session)) { s.AcquireFor(0, fn) }
-
-// AcquireFor is Acquire carrying the tracing request ID (0 = untraced).
-// The session remembers the ID so burst events attribute to the request.
-func (s *Server) AcquireFor(req uint64, fn func(*Session)) {
+func (s *Server) Acquire(fn func(*Session)) {
 	if fn == nil {
 		return
 	}
-	s.AcquireDeadline(req, 0, func(sess *Session, _ metrics.Disposition) { fn(sess) })
+	s.AcquireDeadline(0, 0, func(sess *Session, _ metrics.Disposition) { fn(sess) })
 }
 
-// AcquireDeadline is AcquireFor with resilience semantics: deadline (zero
-// = none) is the request's absolute deadline — a waiter still queued when
-// it expires fails with DispositionTimeout and never occupies a thread —
-// and fn receives the disposition explaining a nil session (error on a
-// dead server, rejected by the bounded queue, shed by CoDel, or timeout).
-// With a zero deadline and admission control off this is exactly
-// AcquireFor.
+// AcquireDeadline is Acquire with resilience semantics: req is the
+// tracing request ID (0 = untraced) the session attributes its events
+// to, and deadline (zero = none) is the request's absolute deadline — a
+// waiter still queued when it expires fails with DispositionTimeout and
+// never occupies a thread — and fn receives the disposition explaining a
+// nil session (error on a dead server, rejected by the bounded queue,
+// shed by CoDel, or timeout). With a zero deadline and admission control
+// off this is exactly Acquire.
 func (s *Server) AcquireDeadline(req uint64, deadline sim.Time, fn func(*Session, metrics.Disposition)) {
 	s.AcquireDeadlineCritical(req, deadline, false, fn)
 }
@@ -438,7 +447,7 @@ func (s *Server) AcquireDeadlineCritical(req uint64, deadline sim.Time, critical
 		return
 	}
 	s.queueDepth.Observe(float64(s.QueueLen()))
-	w := &waiter{fn: fn, req: req, enqueueAt: now, deadline: deadline, critical: critical}
+	w := &Session{s: s, req: req, fn: fn, enqueueAt: now, deadline: deadline, critical: critical}
 	if s.active < s.poolSize && s.QueueLen() == 0 {
 		s.tracer.Record(req, trace.EventQueueEnter, s.tier, s.name, now)
 		s.grantWaiter(w)
@@ -452,7 +461,7 @@ func (s *Server) AcquireDeadlineCritical(req uint64, deadline sim.Time, critical
 	}
 	s.tracer.Record(req, trace.EventQueueEnter, s.tier, s.name, now)
 	if deadline > 0 {
-		w.timer = s.eng.Schedule(deadline-now, func() { s.timeoutWaiter(w) })
+		w.timer = s.eng.Schedule(deadline-now, w.expire)
 	}
 	s.queue = append(s.queue, w)
 	if s.QueueLen() > s.queuePeak {
@@ -461,7 +470,7 @@ func (s *Server) AcquireDeadlineCritical(req uint64, deadline sim.Time, critical
 }
 
 // grantWaiter admits one request, accounting concurrency.
-func (s *Server) grantWaiter(w *waiter) {
+func (s *Server) grantWaiter(w *Session) {
 	s.active++
 	s.granted++
 	now := s.eng.Now()
@@ -480,24 +489,29 @@ func (s *Server) grantWaiter(w *waiter) {
 	s.concurrency.Set(now, float64(s.active))
 	s.queueWaits.Observe((now - w.enqueueAt).Seconds())
 	s.tracer.Record(w.req, trace.EventQueueExit, s.tier, s.name, now)
-	w.fn(&Session{s: s, req: w.req, admitted: now, deadline: w.deadline}, metrics.DispositionOK)
+	fn := w.fn
+	w.fn = nil
+	fn(w, metrics.DispositionOK)
 }
 
 // failWaiter completes a waiter without a session. The queue wait still
 // counts toward the wait statistics — a request that waited and then
 // failed waited all the same.
-func (s *Server) failWaiter(w *waiter, disp metrics.Disposition) {
+func (s *Server) failWaiter(w *Session, disp metrics.Disposition) {
 	s.queueWaits.Observe((s.eng.Now() - w.enqueueAt).Seconds())
-	w.fn(nil, disp)
+	fn := w.fn
+	w.fn = nil
+	fn(nil, disp)
 }
 
-// timeoutWaiter is the deadline timer body for a queued waiter: it marks
-// the slot dead (lazily removed) and fails the request.
-func (s *Server) timeoutWaiter(w *waiter) {
-	if w.done {
+// expire is the deadline timer body for a queued waiter: it marks the
+// slot failed (lazily removed) and fails the request.
+func (w *Session) expire() {
+	if w.failed {
 		return
 	}
-	w.done = true
+	s := w.s
+	w.failed = true
 	s.queueDead++
 	s.timeouts.Inc(1)
 	s.tracer.Record(w.req, trace.EventTimeout, s.tier, s.name, s.eng.Now())
@@ -513,7 +527,7 @@ func (s *Server) maybeCompactQueue() {
 	}
 	live := s.queue[:0]
 	for _, w := range s.queue {
-		if !w.done {
+		if !w.failed {
 			live = append(live, w)
 		}
 	}
@@ -525,12 +539,12 @@ func (s *Server) maybeCompactQueue() {
 }
 
 // popWaiter removes and returns the first live waiter (nil when none).
-func (s *Server) popWaiter() *waiter {
+func (s *Server) popWaiter() *Session {
 	for len(s.queue) > 0 {
 		w := s.queue[0]
 		s.queue[0] = nil
 		s.queue = s.queue[1:]
-		if w.done {
+		if w.failed {
 			s.queueDead--
 			continue
 		}
@@ -652,31 +666,47 @@ func (sess *Session) ExecDemand(demand float64, onDone func()) {
 	// deadline. The truncated burst counts as neither a completion nor a
 	// service-time observation; the caller sees TimedOut() and must fail the
 	// request.
-	preempt := sess.deadline > 0 && now+d > sess.deadline
+	b := s.freeBursts
+	if b == nil {
+		b = &burst{}
+		b.fire = b.end
+	} else {
+		s.freeBursts = b.next
+	}
+	b.sess, b.onDone, b.d = sess, onDone, d
+	b.preempt = sess.deadline > 0 && now+d > sess.deadline
 	run := d
-	if preempt {
+	if b.preempt {
 		run = sess.deadline - now
 	}
 	s.tracer.Record(sess.req, trace.EventServiceStart, s.tier, s.name, now)
 	s.cpu.Enter(now)
-	s.eng.Schedule(run, func() {
-		s.cpu.Exit(s.eng.Now())
-		sess.executing = false
-		s.executing--
-		if preempt {
-			sess.timedOut = true
-			s.timeouts.Inc(1)
-			s.tracer.Record(sess.req, trace.EventTimeout, s.tier, s.name, s.eng.Now())
-		} else {
-			s.completions.Inc(1)
-			s.execTimes.Observe(d.Seconds())
-			s.svcTimes.Observe(d.Seconds())
-			s.tracer.Record(sess.req, trace.EventServiceEnd, s.tier, s.name, s.eng.Now())
-		}
-		if onDone != nil {
-			onDone()
-		}
-	})
+	s.eng.Schedule(run, b.fire)
+}
+
+// end completes the burst, recycles the record and runs its callback.
+func (b *burst) end() {
+	sess, onDone, d, preempt := b.sess, b.onDone, b.d, b.preempt
+	s := sess.s
+	b.sess, b.onDone = nil, nil
+	b.next = s.freeBursts
+	s.freeBursts = b
+	s.cpu.Exit(s.eng.Now())
+	sess.executing = false
+	s.executing--
+	if preempt {
+		sess.timedOut = true
+		s.timeouts.Inc(1)
+		s.tracer.Record(sess.req, trace.EventTimeout, s.tier, s.name, s.eng.Now())
+	} else {
+		s.completions.Inc(1)
+		s.execTimes.Observe(d.Seconds())
+		s.svcTimes.Observe(d.Seconds())
+		s.tracer.Record(sess.req, trace.EventServiceEnd, s.tier, s.name, s.eng.Now())
+	}
+	if onDone != nil {
+		onDone()
+	}
 }
 
 // burstDuration samples the Equation 5 service time at current concurrency
