@@ -6,10 +6,12 @@
 // The package is a thin facade over the implementation packages:
 //
 //   - internal/sim, internal/rng — deterministic discrete-event engine;
-//   - internal/server, internal/connpool, internal/lb, internal/ntier —
-//     the simulated RUBBoS-style 3-tier application (Apache / Tomcat /
-//     MySQL) with thread pools, DB connection pools and HAProxy-style
-//     balancing;
+//   - internal/server, internal/connpool, internal/lb, internal/graph —
+//     the simulated service graph with thread pools, DB connection pools
+//     and HAProxy-style balancing;
+//   - internal/ntier — the paper's RUBBoS-style 3-tier chain (Apache /
+//     Tomcat / MySQL): its Table I calibration and its translation into a
+//     3-node graph;
 //   - internal/workload, internal/trace — the paper's three workload
 //     generators and bursty trace synthesis;
 //   - internal/bus, internal/monitor, internal/cloud — the Kafka-like

@@ -85,7 +85,7 @@ func run() error {
 		members := app.Members(ntier.TierApp)
 		if len(members) > 1 {
 			victim := members[len(members)-1].Name()
-			if err := app.FailServer(ntier.TierApp, victim); err == nil {
+			if err := app.FailMember(ntier.TierApp, victim); err == nil {
 				fmt.Printf("t=260s  injected crash of %s\n", victim)
 			}
 		}
@@ -103,7 +103,7 @@ func run() error {
 	correctedT, _ := ctrl.Models()
 	correctedN, _ := correctedT.OptimalConcurrencyInt()
 	fmt.Printf("online-corrected Tomcat N_b: %d (started at %d, true ~20)\n", correctedN, wrongN)
-	fmt.Printf("final allocation: %s\n", app.Allocation())
+	fmt.Printf("final allocation: %s\n", ntier.Allocation(app))
 	fmt.Printf("completed %d requests, %d failed (the crash's in-flight losses)\n",
 		app.TotalCompletions(), app.TotalErrors())
 	fmt.Println()
@@ -111,7 +111,7 @@ func run() error {
 	fmt.Println("per-servlet traffic:")
 	fmt.Printf("  %-26s %12s %12s\n", "servlet", "completions", "mean RT (ms)")
 	for _, s := range ntier.DefaultServlets() {
-		st := app.ServletStats()[s.Name]
+		st := app.ProfileStats()[s.Name]
 		fmt.Printf("  %-26s %12d %12.1f\n", s.Name, st.Completions, st.MeanRTms)
 	}
 	fmt.Println()

@@ -61,7 +61,7 @@ func run() error {
 	fmt.Printf("  throughput:     %.1f req/s\n", float64(st.Completions)/60)
 	fmt.Printf("  response time:  mean %.1f ms, p95 %.1f ms, p99 %.1f ms\n",
 		st.RT.Mean*1000, st.RT.P95*1000, st.RT.P99*1000)
-	fmt.Printf("  soft resources: %s (#W_T/#A_T/#A_C)\n", app.Allocation())
+	fmt.Printf("  soft resources: %s (#W_T/#A_T/#A_C)\n", ntier.Allocation(app))
 
 	// Per-tier view, the numbers a monitoring agent would report.
 	for _, tierName := range ntier.Tiers() {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"dcm/internal/cloud"
+	"dcm/internal/graph"
 	"dcm/internal/model"
 	"dcm/internal/ntier"
 	"dcm/internal/sim"
@@ -63,7 +64,7 @@ type pendingLaunch struct {
 type VMAgent struct {
 	eng     *sim.Engine
 	hv      *cloud.Hypervisor
-	app     *ntier.App
+	app     *graph.App
 	mon     AgentMonitor
 	pending map[string]int // tier -> launches not yet serving
 	records []Record
@@ -79,7 +80,7 @@ type VMAgent struct {
 // relaunched with bounded exponential backoff, and a serving VM that
 // crashes is torn out of the load balancer and monitoring fleet so
 // traffic stops routing to it.
-func NewVMAgent(eng *sim.Engine, hv *cloud.Hypervisor, app *ntier.App, mon AgentMonitor) (*VMAgent, error) {
+func NewVMAgent(eng *sim.Engine, hv *cloud.Hypervisor, app *graph.App, mon AgentMonitor) (*VMAgent, error) {
 	if eng == nil || hv == nil || app == nil {
 		return nil, fmt.Errorf("%w: nil dependency", ErrBadAgent)
 	}
@@ -157,7 +158,7 @@ func (va *VMAgent) launch(tier string, attempt int) (string, error) {
 		va.pending[tier]--
 		pl.watchdog.Cancel()
 		delete(va.launches, name)
-		if _, err := va.app.AddServer(tier, name); err != nil {
+		if _, err := va.app.AddMember(tier, name); err != nil {
 			va.record("ready", tier, name, "join failed: "+err.Error())
 			return
 		}
@@ -220,7 +221,7 @@ func (va *VMAgent) handleCrash(vm *cloud.VM) {
 	// and retire its monitoring agent. Re-provisioning the lost capacity
 	// is the controller's decision, made from the hypervisor census.
 	if _, err := va.app.Member(tier, name); err == nil {
-		_ = va.app.FailServer(tier, name)
+		_ = va.app.FailMember(tier, name)
 	}
 	if va.mon != nil {
 		va.mon.Detach(name)
@@ -253,7 +254,7 @@ func (va *VMAgent) ScaleIn(tier string) (string, error) {
 		return "", fmt.Errorf("actuator: scale in %s: no removable server", tier)
 	}
 	if err := va.app.StartDrain(tier, victim, func() {
-		if err := va.app.RemoveServer(tier, victim); err != nil {
+		if err := va.app.RemoveMember(tier, victim); err != nil {
 			va.record("remove", tier, victim, "remove failed: "+err.Error())
 			return
 		}
@@ -317,12 +318,14 @@ func (va *VMAgent) record(kind, tier, vm, detail string) {
 // AppAgent applies soft-resource allocations at runtime (§IV-B).
 type AppAgent struct {
 	eng     *sim.Engine
-	app     *ntier.App
+	app     *graph.App
 	records []Record
 }
 
-// NewAppAgent builds an APP-agent.
-func NewAppAgent(eng *sim.Engine, app *ntier.App) (*AppAgent, error) {
+// NewAppAgent builds an APP-agent for the paper's chain as ntier.New
+// builds it: Apply drives its web and app nodes' threads and its pooled
+// app→db edge.
+func NewAppAgent(eng *sim.Engine, app *graph.App) (*AppAgent, error) {
 	if eng == nil || app == nil {
 		return nil, fmt.Errorf("%w: nil dependency", ErrBadAgent)
 	}
@@ -333,23 +336,23 @@ func NewAppAgent(eng *sim.Engine, app *ntier.App) (*AppAgent, error) {
 // actually change are touched; in-flight requests are never interrupted
 // (pool shrinks drain gracefully).
 func (aa *AppAgent) Apply(target model.Allocation) {
-	current := aa.app.Allocation()
+	current := ntier.Allocation(aa.app)
 	if target == current {
 		return
 	}
 	if target.WebThreadsPerServer > 0 && target.WebThreadsPerServer != current.WebThreadsPerServer {
-		aa.app.SetWebThreads(target.WebThreadsPerServer)
+		_ = aa.app.SetNodeThreads(ntier.TierWeb, target.WebThreadsPerServer)
 	}
 	if target.AppThreadsPerServer > 0 && target.AppThreadsPerServer != current.AppThreadsPerServer {
-		aa.app.SetAppThreads(target.AppThreadsPerServer)
+		_ = aa.app.SetNodeThreads(ntier.TierApp, target.AppThreadsPerServer)
 	}
 	if target.DBConnsPerAppServer > 0 && target.DBConnsPerAppServer != current.DBConnsPerAppServer {
-		aa.app.SetDBConnsPerApp(target.DBConnsPerAppServer)
+		_ = aa.app.SetEdgePoolSize(ntier.TierApp, ntier.TierDB, target.DBConnsPerAppServer)
 	}
 	aa.records = append(aa.records, Record{
 		At:     aa.eng.Now(),
 		Kind:   "allocate",
-		Detail: fmt.Sprintf("%s -> %s", current, aa.app.Allocation()),
+		Detail: fmt.Sprintf("%s -> %s", current, ntier.Allocation(aa.app)),
 	})
 }
 

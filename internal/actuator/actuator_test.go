@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dcm/internal/cloud"
+	"dcm/internal/graph"
 	"dcm/internal/model"
 	"dcm/internal/ntier"
 	"dcm/internal/rng"
@@ -35,7 +36,7 @@ func (f *fakeMon) Detach(vm string) { f.detached = append(f.detached, vm) }
 
 var _ AgentMonitor = (*fakeMon)(nil)
 
-func setup(t *testing.T) (*sim.Engine, *cloud.Hypervisor, *ntier.App, *fakeMon, *VMAgent) {
+func setup(t *testing.T) (*sim.Engine, *cloud.Hypervisor, *graph.App, *fakeMon, *VMAgent) {
 	t.Helper()
 	eng := sim.NewEngine()
 	hv := cloud.NewHypervisor(eng, 15*time.Second)
@@ -75,19 +76,19 @@ func TestScaleOutJoinsAfterPrep(t *testing.T) {
 	if va.Pending(ntier.TierApp) != 1 {
 		t.Fatalf("pending = %d", va.Pending(ntier.TierApp))
 	}
-	if app.ServerCount(ntier.TierApp) != 1 {
+	if app.MemberCount(ntier.TierApp) != 1 {
 		t.Fatal("server joined before preparation period")
 	}
 	if err := eng.Run(14 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if app.ServerCount(ntier.TierApp) != 1 {
+	if app.MemberCount(ntier.TierApp) != 1 {
 		t.Fatal("server joined early")
 	}
 	if err := eng.Run(16 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if app.ServerCount(ntier.TierApp) != 2 {
+	if app.MemberCount(ntier.TierApp) != 2 {
 		t.Fatal("server did not join after prep")
 	}
 	if va.Pending(ntier.TierApp) != 0 {
@@ -132,8 +133,8 @@ func TestScaleInDrainsThenRemoves(t *testing.T) {
 	if err := eng.Run(25 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if app.ServerCount(ntier.TierApp) != 1 {
-		t.Fatalf("server count after drain = %d", app.ServerCount(ntier.TierApp))
+	if app.MemberCount(ntier.TierApp) != 1 {
+		t.Fatalf("server count after drain = %d", app.MemberCount(ntier.TierApp))
 	}
 	if len(mon.detached) != 1 || mon.detached[0] != victim {
 		t.Fatalf("monitor detach = %v", mon.detached)
@@ -173,7 +174,7 @@ func TestScaleInWaitsForInFlight(t *testing.T) {
 	if err := eng.Run(40 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if app.ServerCount(ntier.TierApp) != 1 {
+	if app.MemberCount(ntier.TierApp) != 1 {
 		t.Fatal("victim not removed after drain")
 	}
 	if app.TotalErrors() != 0 {
@@ -236,7 +237,7 @@ func TestAppAgentApply(t *testing.T) {
 	}
 	target := model.Allocation{WebThreadsPerServer: 500, AppThreadsPerServer: 20, DBConnsPerAppServer: 36}
 	aa.Apply(target)
-	if got := app.Allocation(); got != target {
+	if got := ntier.Allocation(app); got != target {
 		t.Fatalf("allocation = %v, want %v", got, target)
 	}
 	if len(aa.Records()) != 1 {
@@ -249,7 +250,7 @@ func TestAppAgentApply(t *testing.T) {
 	}
 	// Zero fields leave the knob untouched.
 	aa.Apply(model.Allocation{AppThreadsPerServer: 25})
-	got := app.Allocation()
+	got := ntier.Allocation(app)
 	if got.AppThreadsPerServer != 25 || got.WebThreadsPerServer != 500 || got.DBConnsPerAppServer != 36 {
 		t.Fatalf("partial apply = %v", got)
 	}
@@ -278,7 +279,7 @@ func TestLaunchCrashRetriesWithBackoff(t *testing.T) {
 	}
 	// Crash at 5s, first retry backoff 2s, relaunch at 7s, ready at 22s.
 	// The app seeds one server per tier, so the joined retry makes 2.
-	if got := app.ServerCount(ntier.TierApp); got != 2 {
+	if got := app.MemberCount(ntier.TierApp); got != 2 {
 		t.Fatalf("app servers = %d, want 2 (retried launch joined)", got)
 	}
 	if va.Pending(ntier.TierApp) != 0 {
@@ -326,7 +327,7 @@ func TestLaunchWatchdogAbandonsSlowBoot(t *testing.T) {
 	}
 	// The retried instance must be serving by the end, next to the seed
 	// server.
-	if got := app.ServerCount(ntier.TierApp); got != 2 {
+	if got := app.MemberCount(ntier.TierApp); got != 2 {
 		t.Fatalf("app servers = %d, want 2", got)
 	}
 	sawTimeout := false
@@ -361,7 +362,7 @@ func TestLaunchGivesUpAfterMaxRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	stop()
-	if got := app.ServerCount(ntier.TierApp); got != 1 {
+	if got := app.MemberCount(ntier.TierApp); got != 1 {
 		t.Fatalf("app servers = %d, want 1 (only the seed server; every launch crashed)", got)
 	}
 	if va.Pending(ntier.TierApp) != 0 {
@@ -388,7 +389,7 @@ func TestServingCrashTearsDownServer(t *testing.T) {
 	if err := eng.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if app.ServerCount(ntier.TierApp) != 2 {
+	if app.MemberCount(ntier.TierApp) != 2 {
 		t.Fatal("server never joined")
 	}
 	vm, err := hv.Get(name)
@@ -398,7 +399,7 @@ func TestServingCrashTearsDownServer(t *testing.T) {
 	if err := hv.Crash(vm); err != nil {
 		t.Fatal(err)
 	}
-	if got := app.ServerCount(ntier.TierApp); got != 1 {
+	if got := app.MemberCount(ntier.TierApp); got != 1 {
 		t.Fatalf("app servers = %d after serving crash, want 1", got)
 	}
 	if len(mon.detached) != 1 || mon.detached[0] != name {

@@ -9,6 +9,7 @@ import (
 
 	"dcm/internal/bus"
 	"dcm/internal/cloud"
+	"dcm/internal/graph"
 	"dcm/internal/monitor"
 	"dcm/internal/ntier"
 	"dcm/internal/rng"
@@ -115,7 +116,7 @@ func TestBuiltinsAreValid(t *testing.T) {
 
 // harness builds a minimal topology for injector tests: a 1/1/1 app, a
 // hypervisor with the seed servers adopted, and a monitoring fleet.
-func harness(t *testing.T) (*sim.Engine, *ntier.App, *cloud.Hypervisor, *monitor.Fleet) {
+func harness(t *testing.T) (*sim.Engine, *graph.App, *cloud.Hypervisor, *monitor.Fleet) {
 	t.Helper()
 	eng := sim.NewEngine()
 	cfg := ntier.DefaultConfig()
@@ -140,7 +141,7 @@ func harness(t *testing.T) (*sim.Engine, *ntier.App, *cloud.Hypervisor, *monitor
 	return eng, app, hv, fleet
 }
 
-func install(t *testing.T, eng *sim.Engine, app *ntier.App, hv *cloud.Hypervisor, fleet *monitor.Fleet, seed uint64, s Schedule) *Injector {
+func install(t *testing.T, eng *sim.Engine, app *graph.App, hv *cloud.Hypervisor, fleet *monitor.Fleet, seed uint64, s Schedule) *Injector {
 	t.Helper()
 	in, err := NewInjector(eng, rng.New(seed), app, hv, fleet, s)
 	if err != nil {
@@ -301,7 +302,7 @@ func TestInjectorDeterministicVictims(t *testing.T) {
 		for _, name := range []string{"app-2", "app-3"} {
 			name := name
 			if _, err := hv.Launch(name, ntier.TierApp, func(*cloud.VM) {
-				if _, err := app.AddServer(ntier.TierApp, name); err != nil {
+				if _, err := app.AddMember(ntier.TierApp, name); err != nil {
 					t.Error(err)
 				}
 			}); err != nil {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dcm/internal/cloud"
+	"dcm/internal/graph"
 	"dcm/internal/monitor"
 	"dcm/internal/ntier"
 	"dcm/internal/rng"
@@ -33,7 +34,7 @@ var ErrBadInjector = errors.New("chaos: invalid injector")
 // eng.Run; Install schedules every fault.
 type Injector struct {
 	eng   *sim.Engine
-	app   *ntier.App
+	app   *graph.App
 	hv    *cloud.Hypervisor
 	fleet *monitor.Fleet
 	sched Schedule
@@ -53,7 +54,7 @@ type Injector struct {
 // rnd is the scenario's root stream; each fault i of kind k draws from
 // Split("chaos/<i>/<k>"), so adding a fault never perturbs the draws of
 // the ones before it.
-func NewInjector(eng *sim.Engine, rnd *rng.Rand, app *ntier.App, hv *cloud.Hypervisor, fleet *monitor.Fleet, sched Schedule) (*Injector, error) {
+func NewInjector(eng *sim.Engine, rnd *rng.Rand, app *graph.App, hv *cloud.Hypervisor, fleet *monitor.Fleet, sched Schedule) (*Injector, error) {
 	if eng == nil || rnd == nil || app == nil || hv == nil {
 		return nil, fmt.Errorf("%w: nil dependency", ErrBadInjector)
 	}
@@ -178,10 +179,10 @@ func (in *Injector) injectCrash(i int, f Fault) {
 func (in *Injector) failAppServer(f Fault, tierName, name string) {
 	tiers := []string{tierName}
 	if tierName == "" {
-		tiers = ntier.Tiers()
+		tiers = in.app.NodeNames()
 	}
 	for _, t := range tiers {
-		if err := in.app.FailServer(t, name); err == nil {
+		if err := in.app.FailMember(t, name); err == nil {
 			if in.fleet != nil {
 				in.fleet.Detach(name)
 			}
@@ -212,7 +213,7 @@ func (in *Injector) injectSlowBoot(f Fault) {
 
 // injectDegrade inflates one server's base service time for the window.
 func (in *Injector) injectDegrade(i int, f Fault) {
-	var victims []*ntier.Member
+	var victims []*graph.Member
 	for _, m := range in.app.Members(f.Tier) {
 		if m.Accepting() {
 			victims = append(victims, m)
@@ -238,7 +239,7 @@ func (in *Injector) injectDegrade(i int, f Fault) {
 
 // pick selects the named victim, or draws one uniformly when no name was
 // given.
-func (in *Injector) pick(victims []*ntier.Member, name string, rnd *rng.Rand) (*ntier.Member, bool) {
+func (in *Injector) pick(victims []*graph.Member, name string, rnd *rng.Rand) (*graph.Member, bool) {
 	if name == "" {
 		return victims[rnd.Intn(len(victims))], true
 	}
@@ -253,7 +254,7 @@ func (in *Injector) pick(victims []*ntier.Member, name string, rnd *rng.Rand) (*
 // injectConnLeak consumes connections from one Tomcat's DB pool,
 // repairing after Duration if one was given.
 func (in *Injector) injectConnLeak(i int, f Fault) {
-	var victims []*ntier.Member
+	var victims []*graph.Member
 	for _, m := range in.app.Members(ntier.TierApp) {
 		if m.Accepting() && m.Pool() != nil {
 			victims = append(victims, m)

@@ -20,6 +20,7 @@ import (
 	"dcm/internal/bus"
 	"dcm/internal/cloud"
 	"dcm/internal/controller"
+	"dcm/internal/graph"
 	"dcm/internal/model"
 	"dcm/internal/monitor"
 	"dcm/internal/ntier"
@@ -78,7 +79,7 @@ var ErrBadFramework = errors.New("core: invalid framework")
 // Framework is the assembled DCM (or baseline) control plane.
 type Framework struct {
 	eng  *sim.Engine
-	app  *ntier.App
+	app  *graph.App
 	ctrl controller.Controller
 	cfg  Config
 
@@ -100,7 +101,7 @@ type Framework struct {
 }
 
 // New assembles a framework around app with the given controller.
-func New(eng *sim.Engine, app *ntier.App, ctrl controller.Controller, cfg Config) (*Framework, error) {
+func New(eng *sim.Engine, app *graph.App, ctrl controller.Controller, cfg Config) (*Framework, error) {
 	if eng == nil || app == nil || ctrl == nil {
 		return nil, fmt.Errorf("%w: nil dependency", ErrBadFramework)
 	}
@@ -131,7 +132,7 @@ func New(eng *sim.Engine, app *ntier.App, ctrl controller.Controller, cfg Config
 	// Adopt the application's seed servers into the hypervisor so every
 	// serving server is census-visible: a crashed seed server must show up
 	// in CountCrashedServing just like a crashed scaled-out VM.
-	for _, tierName := range ntier.Tiers() {
+	for _, tierName := range app.NodeNames() {
 		for _, m := range app.Members(tierName) {
 			if _, err := hv.Adopt(m.Name(), tierName); err != nil {
 				return nil, fmt.Errorf("core: adopt %s: %w", m.Name(), err)
@@ -243,14 +244,14 @@ func (f *Framework) buildView() controller.SystemView {
 	view := controller.SystemView{
 		At:         f.eng.Now(),
 		Tiers:      make(map[string]controller.TierStats, 3),
-		Allocation: f.app.Allocation(),
+		Allocation: ntier.Allocation(f.app),
 	}
 
 	// Which VMs count: only servers currently accepting traffic. Samples
 	// from draining or already-removed servers would bias the tier
 	// averages (e.g. a draining server's idle CPU suggesting scale-in).
 	accepting := make(map[string]string) // vm -> tier
-	for _, tierName := range ntier.Tiers() {
+	for _, tierName := range f.app.NodeNames() {
 		ready := 0
 		for _, m := range f.app.Members(tierName) {
 			if m.Accepting() {

@@ -7,6 +7,7 @@ import (
 
 	"dcm/internal/cloud"
 	"dcm/internal/controller"
+	"dcm/internal/graph"
 	"dcm/internal/model"
 	"dcm/internal/ntier"
 	"dcm/internal/rng"
@@ -14,7 +15,7 @@ import (
 	"dcm/internal/workload"
 )
 
-func newSystem(t *testing.T, ctrl controller.Controller) (*sim.Engine, *ntier.App, *Framework) {
+func newSystem(t *testing.T, ctrl controller.Controller) (*sim.Engine, *graph.App, *Framework) {
 	t.Helper()
 	eng := sim.NewEngine()
 	cfg := ntier.DefaultConfig()
@@ -106,7 +107,7 @@ func TestDCMAppliesOptimalAllocationAtFirstPeriod(t *testing.T) {
 	}
 	// Table I models on 1/1/1: 1000/20/36.
 	want := model.Allocation{WebThreadsPerServer: 1000, AppThreadsPerServer: 20, DBConnsPerAppServer: 36}
-	if got := app.Allocation(); got != want {
+	if got := ntier.Allocation(app); got != want {
 		t.Fatalf("allocation after first period = %v, want %v", got, want)
 	}
 	if len(fw.AppAgent().Records()) == 0 {
@@ -141,8 +142,8 @@ func TestHotSystemScalesOutAndJoins(t *testing.T) {
 	if !sawScaleOut {
 		t.Fatalf("no scale-out under saturation; actions = %+v", fw.Actions())
 	}
-	if app.ServerCount(ntier.TierApp) < 2 {
-		t.Fatalf("app servers = %d, want >= 2", app.ServerCount(ntier.TierApp))
+	if app.MemberCount(ntier.TierApp) < 2 {
+		t.Fatalf("app servers = %d, want >= 2", app.MemberCount(ntier.TierApp))
 	}
 	// The new server must appear in Ready counts of a later view.
 	hist := fw.History()
@@ -156,7 +157,7 @@ func TestQuietSystemScalesBackIn(t *testing.T) {
 	t.Parallel()
 	eng, app, fw := newSystem(t, ec2Controller(t))
 	// Pre-add a second app server so there is something to remove.
-	if _, err := app.AddServer(ntier.TierApp, ""); err != nil {
+	if _, err := app.AddMember(ntier.TierApp, ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := fw.Start(); err != nil {
@@ -175,8 +176,8 @@ func TestQuietSystemScalesBackIn(t *testing.T) {
 	if err := eng.Run(2 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if app.ServerCount(ntier.TierApp) != 1 {
-		t.Fatalf("app servers = %d, want scale-in to 1", app.ServerCount(ntier.TierApp))
+	if app.MemberCount(ntier.TierApp) != 1 {
+		t.Fatalf("app servers = %d, want scale-in to 1", app.MemberCount(ntier.TierApp))
 	}
 	var sawScaleIn bool
 	for _, rec := range fw.Actions() {
@@ -300,16 +301,16 @@ func TestControllerReplacesCrashedServer(t *testing.T) {
 	}
 	wl.Start()
 	eng.Schedule(40*time.Second, func() {
-		if err := app.FailServer(ntier.TierApp, "app-2"); err != nil {
+		if err := app.FailMember(ntier.TierApp, "app-2"); err != nil {
 			t.Errorf("fail: %v", err)
 		}
 	})
 	if err := eng.Run(4 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if app.ServerCount(ntier.TierApp) < 2 {
+	if app.MemberCount(ntier.TierApp) < 2 {
 		t.Fatalf("controller did not replace the crashed server: %d app servers",
-			app.ServerCount(ntier.TierApp))
+			app.MemberCount(ntier.TierApp))
 	}
 	var sawScaleOut bool
 	for _, rec := range fw.Actions() {

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"dcm/internal/controller"
+	"dcm/internal/graph"
 	"dcm/internal/ntier"
 	"dcm/internal/resilience"
 	"dcm/internal/sim"
@@ -15,7 +16,7 @@ import (
 // is given) retry-budget tightening, and every transition lands in the
 // audit log (when one is given) under the brownout reason codes. retrier
 // and audit may be nil.
-func ForApp(eng *sim.Engine, app *ntier.App, ret *resilience.Retrier,
+func ForApp(eng *sim.Engine, app *graph.App, ret *resilience.Retrier,
 	audit *controller.AuditLog, cfg Config) (*Supervisor, error) {
 	probes := Probes{
 		Injected:  app.TotalInjected,
@@ -23,7 +24,7 @@ func ForApp(eng *sim.Engine, app *ntier.App, ret *resilience.Retrier,
 		Completed: app.TotalCompletions,
 		Sheds:     app.BrownoutSheds,
 		QueueDepth: func() (float64, uint64) {
-			return app.TierQueueDepthTotals(ntier.TierApp)
+			return app.NodeQueueDepthTotals(ntier.TierApp)
 		},
 	}
 	if ret != nil {

@@ -193,9 +193,11 @@ func Fig2bScaleOutChecked(seed uint64, users int, phase time.Duration, chk *inva
 		if correct {
 			// §II-B's fix: 20 connections per Tomcat, so the maximum
 			// concurrency reaching MySQL is 40.
-			app.SetDBConnsPerApp(20)
+			if err := app.SetEdgePoolSize(ntier.TierApp, ntier.TierDB, 20); err != nil {
+				return 0, 0, nil, fmt.Errorf("experiments: fig2b pool resize: %w", err)
+			}
 		}
-		if _, err := app.AddServer(ntier.TierApp, ""); err != nil {
+		if _, err := app.AddMember(ntier.TierApp, ""); err != nil {
 			return 0, 0, nil, fmt.Errorf("experiments: fig2b scale out: %w", err)
 		}
 

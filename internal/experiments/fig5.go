@@ -9,6 +9,7 @@ import (
 	"dcm/internal/cloud"
 	"dcm/internal/controller"
 	"dcm/internal/core"
+	"dcm/internal/graph"
 	"dcm/internal/invariant"
 	"dcm/internal/metrics"
 	"dcm/internal/model"
@@ -401,7 +402,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	// identical with the checker on or off.
 	stopSampler := eng.Ticker(time.Second, func() {
 		for _, tierName := range ntier.Tiers() {
-			count := app.ServerCount(tierName) + fw.VMAgent().Pending(tierName)
+			count := app.MemberCount(tierName) + fw.VMAgent().Pending(tierName)
 			res.TierCounts[tierName] = append(res.TierCounts[tierName], count)
 		}
 		if chk != nil {
@@ -431,7 +432,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	res.VMEvents = fw.Hypervisor().Events()
 	res.TotalCompleted = app.TotalCompletions()
 	res.TotalErrors = app.TotalErrors()
-	res.FinalAllocation = app.Allocation()
+	res.FinalAllocation = ntier.Allocation(app)
 	if cfg.Resilience != nil {
 		res.Goodput = app.TotalGood()
 		res.Retries = totalRetries()
@@ -474,10 +475,10 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 // tierLatencySummaries condenses the per-tier histograms accumulated on
 // the application's current members (servers removed by scale-in take
 // their share of the counts with them).
-func tierLatencySummaries(app *ntier.App) []TierHistogramSummary {
+func tierLatencySummaries(app *graph.App) []TierHistogramSummary {
 	out := make([]TierHistogramSummary, 0, len(ntier.Tiers()))
 	for _, tierName := range ntier.Tiers() {
-		hs, err := app.TierHistograms(tierName)
+		hs, err := app.NodeHistograms(tierName)
 		if err != nil {
 			continue
 		}

@@ -13,15 +13,16 @@ import (
 	"dcm/internal/sim"
 )
 
-// The graph-equivalence differential suite. The ntier facade is required
-// to be a pure re-plumbing of the chain onto the graph engine: building
-// the application through ntier.New and building the same 3-node graph
-// directly through graph.New must produce byte-identical runs — same
-// event count, same rng consumption, same dispositions, same per-node
-// ledgers — across resilience, servlet-mix and traffic-class variants.
-// (The chain-mode sha256 digests themselves are re-asserted by the
-// policy-equivalence suite, which now runs entirely through the graph
-// engine; this suite pins the two construction paths to each other.)
+// The chain-translation differential suite. ntier.New validates a chain
+// config and translates it into a graph config; this suite checks that
+// translation. Building the application through ntier.New and building
+// the same 3-node graph directly through graph.New on an independently
+// written translation must produce byte-identical runs — same event
+// count, same rng consumption, same dispositions, same per-node ledgers —
+// across resilience, servlet-mix and traffic-class variants. (The
+// chain-mode sha256 digests themselves are re-asserted by the
+// policy-equivalence suite; this suite pins the two translations to each
+// other.)
 
 // equivChainConfig is a small chain that completes quickly but still
 // queues at the app and db tiers.
@@ -118,13 +119,20 @@ func TestGraphDirectMatchesFacade(t *testing.T) {
 			v.mutate(&cfg)
 			arrivals := equivArrivals(99, 600, 900, v.classes)
 
-			run := func(build func(eng *sim.Engine) (*graph.App, func(arrival, func(time.Duration, bool)))) graphSnapshot {
+			run := func(build func(eng *sim.Engine) (*graph.App, error)) graphSnapshot {
 				eng := sim.NewEngine()
-				g, inject := build(eng)
+				g, err := build(eng)
+				if err != nil {
+					t.Fatal(err)
+				}
 				for _, ar := range arrivals {
 					ar := ar
 					eng.Schedule(ar.at, func() {
-						inject(ar, func(time.Duration, bool) {})
+						if ar.class >= 0 {
+							g.InjectClass(ar.class, ar.session, func(time.Duration, bool) {})
+						} else {
+							g.Inject(func(time.Duration, bool) {})
+						}
 					})
 				}
 				if err := eng.Run(time.Minute); err != nil {
@@ -133,38 +141,18 @@ func TestGraphDirectMatchesFacade(t *testing.T) {
 				return snapshotGraph(eng, g)
 			}
 
-			facade := run(func(eng *sim.Engine) (*graph.App, func(arrival, func(time.Duration, bool))) {
-				app, err := ntier.New(eng, rng.New(42).Split("app"), cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return app.Graph(), func(ar arrival, done func(time.Duration, bool)) {
-					if ar.class >= 0 {
-						app.InjectClass(ar.class, ar.session, done)
-					} else {
-						app.Inject(done)
-					}
-				}
+			translated := run(func(eng *sim.Engine) (*graph.App, error) {
+				return ntier.New(eng, rng.New(42).Split("app"), cfg)
 			})
-			direct := run(func(eng *sim.Engine) (*graph.App, func(arrival, func(time.Duration, bool))) {
-				g, err := graph.New(eng, rng.New(42).Split("app"), directGraphConfig(cfg))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return g, func(ar arrival, done func(time.Duration, bool)) {
-					if ar.class >= 0 {
-						g.InjectClass(ar.class, ar.session, done)
-					} else {
-						g.Inject(done)
-					}
-				}
+			direct := run(func(eng *sim.Engine) (*graph.App, error) {
+				return graph.New(eng, rng.New(42).Split("app"), directGraphConfig(cfg))
 			})
 
-			if !reflect.DeepEqual(facade, direct) {
-				t.Fatalf("facade and direct-graph runs diverged:\nfacade: %+v\ndirect: %+v",
-					facade, direct)
+			if !reflect.DeepEqual(translated, direct) {
+				t.Fatalf("ntier.New and direct-graph runs diverged:\nntier:  %+v\ndirect: %+v",
+					translated, direct)
 			}
-			if facade.Completions == 0 {
+			if translated.Completions == 0 {
 				t.Fatal("degenerate run: nothing completed")
 			}
 		})
@@ -172,8 +160,8 @@ func TestGraphDirectMatchesFacade(t *testing.T) {
 }
 
 // directGraphConfig maps an ntier chain config onto graph.Config exactly
-// as the facade does — reimplemented here (not shared) so a facade
-// mapping bug cannot hide by symmetry.
+// as ntier.New does — reimplemented here (not shared) so a translation
+// bug cannot hide by symmetry.
 func directGraphConfig(cfg ntier.Config) graph.Config {
 	spec := graph.ChainSpec(
 		cfg.WebModel, cfg.AppModel, cfg.DBModel,
@@ -200,7 +188,7 @@ func directGraphConfig(cfg ntier.Config) graph.Config {
 		})
 	}
 	for _, c := range cfg.Classes {
-		// The facade fills class demand defaults during validation; mirror
+		// ntier.New fills class demand defaults during validation; mirror
 		// the filled values here.
 		appDemand, queries, queryDemand := c.AppDemand, c.Queries, c.QueryDemand
 		if appDemand == 0 {
@@ -227,8 +215,8 @@ func directGraphConfig(cfg ntier.Config) graph.Config {
 
 // TestGraphChainDigestPinned freezes the direct-graph chain run itself:
 // the digest below was captured when the graph engine landed and must
-// never drift — the graph walk is the byte-level contract the facade's
-// chain-mode digests (policyequiv) rest on.
+// never drift — the graph walk is the byte-level contract the chain-mode
+// digests (policyequiv) rest on.
 func TestGraphChainDigestPinned(t *testing.T) {
 	t.Parallel()
 	cfg := equivChainConfig()

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dcm/internal/degrade"
+	"dcm/internal/graph"
 	"dcm/internal/invariant"
 	"dcm/internal/metrics"
 	"dcm/internal/ntier"
@@ -129,7 +130,7 @@ type OpenLoopResult struct {
 	Errors       uint64                    `json:"errors"`
 	Dispositions metrics.DispositionCounts `json:"dispositions"`
 	// Classes is the per-class breakdown in class order.
-	Classes []ntier.ClassStat `json:"classes"`
+	Classes []graph.ClassStat `json:"classes"`
 	Events  uint64            `json:"events"`
 	Wall    time.Duration     `json:"wall"`
 
@@ -278,7 +279,7 @@ func RenderOpenLoop(r OpenLoopResult) string {
 // RenderClassStats renders the per-class breakdown table. The shed column
 // is the selective-degradation signal: a priority class must stay at zero
 // while best-effort classes absorb the overload.
-func RenderClassStats(classes []ntier.ClassStat) string {
+func RenderClassStats(classes []graph.ClassStat) string {
 	if len(classes) == 0 {
 		return ""
 	}

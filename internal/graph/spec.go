@@ -9,9 +9,9 @@
 // with a fixed hit ratio or a simulated LRU over a key population.
 //
 // The paper's three-tier application is the special case of a 3-node
-// linear graph (topologies/chain3.json); internal/ntier now builds exactly
-// that graph and forwards to it, so every calibrated experiment exercises
-// this engine.
+// linear graph (topologies/chain3.json); ntier.New translates the chain
+// config into exactly that graph and returns it, so every calibrated
+// experiment drives this engine directly.
 package graph
 
 import (

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"dcm/internal/bus"
+	"dcm/internal/graph"
 	"dcm/internal/ntier"
 	"dcm/internal/sim"
 )
@@ -67,7 +68,7 @@ type SystemSample struct {
 	P95RTSeconds  float64 `json:"p95RTSeconds"`
 	MaxRTSeconds  float64 `json:"maxRTSeconds"`
 	// MeanAppResidence and MeanDBResidence attribute latency to tiers
-	// (see ntier.Stats).
+	// (the app and db nodes' graph.Stats.NodeResidence).
 	MeanAppResidence float64 `json:"meanAppResidence"`
 	MeanDBResidence  float64 `json:"meanDBResidence"`
 	// Errors is failed requests in the interval.
@@ -84,7 +85,7 @@ var ErrBadFleet = errors.New("monitor: invalid fleet")
 type Fleet struct {
 	eng      *sim.Engine
 	b        *bus.Bus
-	app      *ntier.App
+	app      *graph.App
 	interval time.Duration
 
 	agents   map[string]func() // vm name -> stop
@@ -95,7 +96,7 @@ type Fleet struct {
 
 // NewFleet creates a monitoring fleet publishing to b every interval
 // (default 1 s, the paper's agent cadence).
-func NewFleet(eng *sim.Engine, b *bus.Bus, app *ntier.App, interval time.Duration) (*Fleet, error) {
+func NewFleet(eng *sim.Engine, b *bus.Bus, app *graph.App, interval time.Duration) (*Fleet, error) {
 	if eng == nil || b == nil || app == nil {
 		return nil, fmt.Errorf("%w: nil dependency", ErrBadFleet)
 	}
@@ -132,7 +133,7 @@ func (f *Fleet) Start() error {
 		return nil
 	}
 	f.started = true
-	for _, tierName := range ntier.Tiers() {
+	for _, tierName := range f.app.NodeNames() {
 		for _, m := range f.app.Members(tierName) {
 			if err := f.Attach(tierName, m.Name()); err != nil {
 				return err
@@ -213,8 +214,8 @@ func (f *Fleet) publishSystem() {
 		MeanRTSeconds:    st.MeanRTSeconds,
 		P95RTSeconds:     st.RT.P95,
 		MaxRTSeconds:     st.RT.Max,
-		MeanAppResidence: st.MeanAppResidence,
-		MeanDBResidence:  st.MeanDBResidence,
+		MeanAppResidence: st.NodeResidence[ntier.TierApp],
+		MeanDBResidence:  st.NodeResidence[ntier.TierDB],
 		Errors:           st.Errors,
 		InFlight:         st.InFlight,
 	}

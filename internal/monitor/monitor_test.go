@@ -6,12 +6,13 @@ import (
 	"time"
 
 	"dcm/internal/bus"
+	"dcm/internal/graph"
 	"dcm/internal/ntier"
 	"dcm/internal/rng"
 	"dcm/internal/sim"
 )
 
-func setup(t *testing.T) (*sim.Engine, *bus.Bus, *ntier.App, *Fleet) {
+func setup(t *testing.T) (*sim.Engine, *bus.Bus, *graph.App, *Fleet) {
 	t.Helper()
 	eng := sim.NewEngine()
 	b := bus.New()
@@ -158,7 +159,7 @@ func TestAttachDetach(t *testing.T) {
 	if err := fleet.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := app.AddServer(ntier.TierApp, "app-2"); err != nil {
+	if _, err := app.AddMember(ntier.TierApp, "app-2"); err != nil {
 		t.Fatal(err)
 	}
 	if err := fleet.Attach(ntier.TierApp, "app-2"); err != nil {

@@ -4,9 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"time"
-
-	"dcm/internal/graph"
-	"dcm/internal/metrics"
 )
 
 // RequestClass is one traffic class of a class-mixed workload: a named
@@ -15,7 +12,7 @@ import (
 // application (the generator picks a class per request and injects it via
 // InjectClass); they are coarser than servlets — a class says how a
 // request is treated, a servlet says what work it does — and the two mixes
-// are mutually exclusive in one App.
+// are mutually exclusive in one Config.
 type RequestClass struct {
 	// Name identifies the class (e.g. "premium").
 	Name string `json:"name"`
@@ -73,15 +70,3 @@ func validateClasses(classes []RequestClass, queriesDefault int) error {
 	}
 	return nil
 }
-
-// ClassStat summarizes one traffic class's lifetime traffic (the graph
-// engine's record, with identical JSON).
-type ClassStat = graph.ClassStat
-
-// ClassStats returns cumulative per-class statistics in class order
-// (empty when no classes are configured).
-func (a *App) ClassStats() []ClassStat { return a.g.ClassStats() }
-
-// ClassDispositions returns the per-class disposition tally (nil when no
-// classes are configured).
-func (a *App) ClassDispositions() *metrics.ClassDispositions { return a.g.ClassDispositions() }

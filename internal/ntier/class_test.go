@@ -51,12 +51,14 @@ func TestClassDefaultsFilled(t *testing.T) {
 	cfg.QueriesPerRequest = 3
 	cfg.Classes = []RequestClass{{Name: "a"}, {Name: "b", Queries: 1, AppDemand: 2}}
 	_, app := newApp(t, cfg)
+	// The filled defaults reach the graph as each class's demand profile.
 	got := app.Config().Classes
-	if got[0].AppDemand != 1 || got[0].Queries != 3 || got[0].QueryDemand != 1 {
-		t.Fatalf("class a defaults not filled: %+v", got[0])
+	const queries = TierApp + "->" + TierDB
+	if p := got[0].Profile; p.NodeDemand[TierApp] != 1 || p.EdgeVisits[queries] != 3 || p.NodeDemand[TierDB] != 1 {
+		t.Fatalf("class a defaults not filled: %+v", p)
 	}
-	if got[1].AppDemand != 2 || got[1].Queries != 1 {
-		t.Fatalf("class b overrides lost: %+v", got[1])
+	if p := got[1].Profile; p.NodeDemand[TierApp] != 2 || p.EdgeVisits[queries] != 1 {
+		t.Fatalf("class b overrides lost: %+v", p)
 	}
 }
 

@@ -34,7 +34,7 @@ func TestCheckInvariantsConservation(t *testing.T) {
 
 	// A phantom arrival breaks injected = dispositions + in-flight (and,
 	// since the graph refactor, the entry node's visit ledger too).
-	app.Graph().CorruptLedgerForTest(1)
+	app.CorruptLedgerForTest(1)
 	app.CheckInvariants()
 	vs := chk.Violations()
 	if len(vs) == 0 {
@@ -52,12 +52,12 @@ func TestCheckInvariantsConservation(t *testing.T) {
 	if !found {
 		t.Fatalf("no violation mentions the injected count: %+v", vs)
 	}
-	app.Graph().CorruptLedgerForTest(-1)
+	app.CorruptLedgerForTest(-1)
 	seen := chk.Total()
 
 	// A negative in-flight count is flagged on its own axis (and also
 	// breaks the ledger equation).
-	if err := app.Graph().CorruptNodeInFlightForTest(TierApp, -1); err != nil {
+	if err := app.CorruptNodeInFlightForTest(TierApp, -1); err != nil {
 		t.Fatal(err)
 	}
 	app.CheckInvariants()

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"dcm/internal/graph"
 	"dcm/internal/rng"
 	"dcm/internal/sim"
 )
@@ -13,10 +14,10 @@ import (
 func TestFailServerUnknown(t *testing.T) {
 	t.Parallel()
 	_, app := newApp(t, fastConfig())
-	if err := app.FailServer(TierApp, "ghost"); !errors.Is(err, ErrUnknownServer) {
+	if err := app.FailMember(TierApp, "ghost"); !errors.Is(err, graph.ErrUnknownMember) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := app.FailServer("ghost", "x"); !errors.Is(err, ErrUnknownTier) {
+	if err := app.FailMember("ghost", "x"); !errors.Is(err, graph.ErrUnknownNode) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -32,7 +33,7 @@ func TestFailServerFailsQueuedAndInFlight(t *testing.T) {
 		app.Inject(func(_ time.Duration, ok bool) { results[ok]++ })
 	}
 	eng.Schedule(time.Millisecond, func() {
-		if err := app.FailServer(TierApp, "app-1"); err != nil {
+		if err := app.FailMember(TierApp, "app-1"); err != nil {
 			t.Errorf("fail: %v", err)
 		}
 	})
@@ -58,11 +59,11 @@ func TestFailServerSurvivorsKeepServing(t *testing.T) {
 	cfg := fastConfig()
 	cfg.AppServers = 2
 	eng, app := newApp(t, cfg)
-	if err := app.FailServer(TierApp, "app-1"); err != nil {
+	if err := app.FailMember(TierApp, "app-1"); err != nil {
 		t.Fatal(err)
 	}
-	if app.ServerCount(TierApp) != 1 {
-		t.Fatalf("server count = %d", app.ServerCount(TierApp))
+	if app.MemberCount(TierApp) != 1 {
+		t.Fatalf("server count = %d", app.MemberCount(TierApp))
 	}
 	for i := 0; i < 10; i++ {
 		app.Inject(nil)
@@ -79,7 +80,7 @@ func TestFailServerSurvivorsKeepServing(t *testing.T) {
 func TestFailLastServerBlacksOutTier(t *testing.T) {
 	t.Parallel()
 	eng, app := newApp(t, fastConfig())
-	if err := app.FailServer(TierDB, "db-1"); err != nil {
+	if err := app.FailMember(TierDB, "db-1"); err != nil {
 		t.Fatal(err)
 	}
 	app.Inject(nil)
@@ -90,7 +91,7 @@ func TestFailLastServerBlacksOutTier(t *testing.T) {
 		t.Fatalf("request against dead tier: errs = %d", app.TotalErrors())
 	}
 	// A replacement restores service.
-	if _, err := app.AddServer(TierDB, ""); err != nil {
+	if _, err := app.AddMember(TierDB, ""); err != nil {
 		t.Fatal(err)
 	}
 	app.Inject(nil)
@@ -118,7 +119,7 @@ func TestFailDBServerMidQuery(t *testing.T) {
 		})
 	}
 	eng.Schedule(500*time.Microsecond, func() {
-		if err := app.FailServer(TierDB, "db-1"); err != nil {
+		if err := app.FailMember(TierDB, "db-1"); err != nil {
 			t.Errorf("fail: %v", err)
 		}
 	})
@@ -157,7 +158,7 @@ func TestCrashUnderSaturationNoLeak(t *testing.T) {
 		})
 	}
 	eng.Schedule(time.Second, func() {
-		if err := app.FailServer(TierApp, "app-2"); err != nil {
+		if err := app.FailMember(TierApp, "app-2"); err != nil {
 			t.Errorf("fail: %v", err)
 		}
 	})
@@ -221,23 +222,23 @@ func TestConservationUnderChurnProperty(t *testing.T) {
 				members := app.Members(tierName)
 				switch op % 5 {
 				case 0:
-					_, _ = app.AddServer(tierName, "")
+					_, _ = app.AddMember(tierName, "")
 				case 1:
 					if len(members) > 1 {
 						victim := members[r.Intn(len(members))].Name()
-						_ = app.FailServer(tierName, victim)
+						_ = app.FailMember(tierName, victim)
 					}
 				case 2:
 					if len(members) > 1 {
 						victim := members[len(members)-1].Name()
 						_ = app.StartDrain(tierName, victim, func() {
-							_ = app.RemoveServer(tierName, victim)
+							_ = app.RemoveMember(tierName, victim)
 						})
 					}
 				case 3:
-					app.SetAppThreads(int(op%29) + 1)
+					_ = app.SetNodeThreads(TierApp, int(op%29)+1)
 				case 4:
-					app.SetDBConnsPerApp(int(op%13) + 1)
+					_ = app.SetEdgePoolSize(TierApp, TierDB, int(op%13)+1)
 				}
 			})
 		}

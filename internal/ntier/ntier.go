@@ -11,28 +11,25 @@
 // bounds MySQL's request-processing concurrency from upstream (§IV-B).
 // Threads are held across downstream calls, exactly as in the real stack.
 //
-// Since the service-graph generalization the package is a facade: it
-// assembles the paper's chain as a 3-node linear graph (internal/graph's
-// ChainSpec) and forwards every operation to the graph engine. The facade
-// preserves the historical API and — bit for bit — the historical event
-// and rng stream: the chain walk is the 3-node special case of the graph
-// walk, which the sha256 digest regressions in internal/experiments pin.
+// The chain is the 3-node case of internal/graph (graph.ChainSpec). This
+// package holds only what is specific to the paper's chain: the tier
+// names, the Table I calibration, the servlet mix and traffic classes, and
+// their translation into a graph config. New returns the graph engine
+// itself; callers drive it through the graph API, naming the tiers as
+// nodes. The sha256 digest regressions in internal/experiments pin that
+// the translation reproduces the chain's event and rng stream bit for bit.
 package ntier
 
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"dcm/internal/graph"
-	"dcm/internal/invariant"
 	"dcm/internal/lb"
-	"dcm/internal/metrics"
 	"dcm/internal/model"
 	"dcm/internal/resilience"
 	"dcm/internal/rng"
 	"dcm/internal/sim"
-	"dcm/internal/trace"
 )
 
 // Tier names.
@@ -138,31 +135,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// Errors returned by the application. The tier/server/last-server errors
-// are the graph engine's own sentinels, re-exported under their historical
-// names so errors.Is keeps working across the facade.
-var (
-	ErrBadConfig     = errors.New("ntier: invalid config")
-	ErrUnknownTier   = graph.ErrUnknownNode
-	ErrUnknownServer = graph.ErrUnknownMember
-	ErrLastServer    = graph.ErrLastMember
-)
-
-// Member is one server of a tier, together with its tier-specific soft
-// resources (app members own a DB connection pool). It is the graph
-// engine's member type: Pool returns the member's first pooled out-edge —
-// for the chain, exactly the app tier's DB connection pool.
-type Member = graph.Member
-
-// TierHistogramSet is the merged always-on histogram view of one tier.
-type TierHistogramSet = graph.NodeHistogramSet
-
-// App is the assembled n-tier application: a thin facade over the 3-node
-// linear service graph.
-type App struct {
-	g   *graph.App
-	cfg Config
-}
+// ErrBadConfig is returned for invalid chain configs.
+var ErrBadConfig = errors.New("ntier: invalid config")
 
 // chainSpec translates the chain config into the graph topology.
 func chainSpec(cfg Config) graph.Spec {
@@ -211,9 +185,9 @@ func classProfiles(classes []RequestClass) []graph.Class {
 	return out
 }
 
-// New builds the application with cfg's initial topology. rnd must be a
-// dedicated stream.
-func New(eng *sim.Engine, rnd *rng.Rand, cfg Config) (*App, error) {
+// New validates cfg and builds the chain as a 3-node service graph with
+// cfg's initial topology. rnd must be a dedicated stream.
+func New(eng *sim.Engine, rnd *rng.Rand, cfg Config) (*graph.App, error) {
 	if eng == nil || rnd == nil {
 		return nil, fmt.Errorf("%w: nil engine or rng", ErrBadConfig)
 	}
@@ -259,7 +233,7 @@ func New(eng *sim.Engine, rnd *rng.Rand, cfg Config) (*App, error) {
 		}
 	}
 
-	g, err := graph.New(eng, rnd, graph.Config{
+	return graph.New(eng, rnd, graph.Config{
 		Spec:       chainSpec(cfg),
 		NoiseSigma: cfg.NoiseSigma,
 		Policy:     cfg.Policy,
@@ -267,223 +241,20 @@ func New(eng *sim.Engine, rnd *rng.Rand, cfg Config) (*App, error) {
 		Mix:        servletProfiles(cfg.Servlets),
 		Classes:    classProfiles(cfg.Classes),
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &App{g: g, cfg: cfg}, nil
 }
 
-// Config returns the application's current configuration (soft-resource
-// fields reflect runtime adjustments).
-func (a *App) Config() Config { return a.cfg }
-
-// Graph returns the underlying service-graph engine the facade drives —
-// the 3-node chain. It exists for callers that speak the graph API
-// (topology experiments, conservation tests); chain-shaped code should
-// stay on the facade.
-func (a *App) Graph() *graph.App { return a.g }
-
-// AddServer creates a new server in the tier with the tier's current
-// per-server soft allocation and registers it with the load balancer. An
-// empty name auto-generates one ("app-2"). It returns the new member.
-func (a *App) AddServer(tierName, name string) (*Member, error) {
-	return a.g.AddMember(tierName, name)
-}
-
-// SetRequestTracer attaches a request tracer to every current and future
-// server and connection pool of the application (nil detaches). Requests
-// injected afterwards carry tracer-assigned IDs through every tier hop.
-func (a *App) SetRequestTracer(tr *trace.RequestTracer) { a.g.SetRequestTracer(tr) }
-
-// SetInvariantChecker attaches an invariant checker to the application
-// and every current and future server, connection pool and circuit
-// breaker (nil detaches). Like tracing, checking is read-only: it draws
-// no randomness and schedules no events, so checked and unchecked runs
-// are byte-identical.
-func (a *App) SetInvariantChecker(c *invariant.Checker) { a.g.SetInvariantChecker(c) }
-
-// CheckInvariants sweeps the application's structural laws into the
-// attached checker (no-op without one): request conservation (arrivals =
-// dispositions + in-flight), agreement between the disposition taxonomy
-// and the completion/error counters, per-node visit ledgers, and every
-// current member's pool accounting. Removed or crashed members are no
-// longer swept; their accounting froze when they left the tier.
-func (a *App) CheckInvariants() { a.g.CheckInvariants() }
-
-// TierHistograms merges every current member's lifetime histograms into
-// one per-tier view. Members removed earlier (drained or crashed) are not
-// included.
-func (a *App) TierHistograms(tierName string) (TierHistogramSet, error) {
-	return a.g.NodeHistograms(tierName)
-}
-
-// Member returns the named server of a tier.
-func (a *App) Member(tierName, name string) (*Member, error) {
-	return a.g.Member(tierName, name)
-}
-
-// Members returns the tier's members in balancer registration order.
-func (a *App) Members(tierName string) []*Member { return a.g.Members(tierName) }
-
-// ServerCount returns the number of servers in the tier (including
-// draining ones still attached).
-func (a *App) ServerCount(tierName string) int { return a.g.MemberCount(tierName) }
-
-// StartDrain marks a server as draining (no new work) and invokes
-// onDrained once it is idle, after which the server may be removed.
-// Draining the last accepting server of a tier is rejected — it would
-// black-hole all traffic.
-func (a *App) StartDrain(tierName, name string, onDrained func()) error {
-	return a.g.StartDrain(tierName, name, onDrained)
-}
-
-// RemoveServer detaches a drained server from the tier. Removing a server
-// that is still accepting or busy is an error; callers should StartDrain
-// first.
-func (a *App) RemoveServer(tierName, name string) error {
-	return a.g.RemoveMember(tierName, name)
-}
-
-// FailServer crashes a server abruptly (failure injection): it is removed
-// from the load balancer immediately, queued requests fail, and in-flight
-// requests on it are lost. Unlike StartDrain, failing the last server of a
-// tier is allowed — crashes do not ask permission — after which requests
-// needing that tier fail until a replacement joins.
-func (a *App) FailServer(tierName, name string) error {
-	return a.g.FailMember(tierName, name)
-}
-
-// SetWebThreads resizes every web server's thread pool and updates the
-// allocation used for future servers.
-func (a *App) SetWebThreads(n int) {
-	if n < 1 {
-		n = 1
-	}
-	a.cfg.WebThreads = n
-	_ = a.g.SetNodeThreads(TierWeb, n)
-}
-
-// SetAppThreads resizes every app server's thread pool (the APP-agent's
-// Tomcat STP knob, §IV-B) and updates the allocation for future servers.
-func (a *App) SetAppThreads(n int) {
-	if n < 1 {
-		n = 1
-	}
-	a.cfg.AppThreads = n
-	_ = a.g.SetNodeThreads(TierApp, n)
-}
-
-// SetDBConnsPerApp resizes every app server's DB connection pool (the
-// APP-agent's MySQL-concurrency knob, §IV-B) and updates the allocation
-// for future servers.
-func (a *App) SetDBConnsPerApp(n int) {
-	if n < 1 {
-		n = 1
-	}
-	a.cfg.DBConnsPerApp = n
-	_ = a.g.SetEdgePoolSize(TierApp, TierDB, n)
-}
-
-// Allocation returns the current soft-resource allocation in the paper's
-// #W_T/#A_T/#A_C form.
-func (a *App) Allocation() model.Allocation {
+// Allocation returns g's current soft-resource allocation in the paper's
+// #W_T/#A_T/#A_C form: the web and app nodes' per-replica threads and the
+// app→db edge's per-replica connection-pool size. It is the one place that
+// maps the paper's three knobs onto the chain's nodes. A knob whose node
+// or edge g lacks reads 0.
+func Allocation(g *graph.App) model.Allocation {
+	web, _ := g.NodeThreads(TierWeb)
+	app, _ := g.NodeThreads(TierApp)
+	conns, _ := g.EdgePoolSize(TierApp, TierDB)
 	return model.Allocation{
-		WebThreadsPerServer: a.cfg.WebThreads,
-		AppThreadsPerServer: a.cfg.AppThreads,
-		DBConnsPerAppServer: a.cfg.DBConnsPerApp,
-	}
-}
-
-// InFlight returns the number of requests currently inside the system.
-func (a *App) InFlight() int { return a.g.InFlight() }
-
-// TotalCompletions returns the lifetime number of completed requests.
-func (a *App) TotalCompletions() uint64 { return a.g.TotalCompletions() }
-
-// TotalErrors returns the lifetime number of failed requests (no backend
-// available).
-func (a *App) TotalErrors() uint64 { return a.g.TotalErrors() }
-
-// TotalGood returns the lifetime number of good completions — requests
-// that finished within the resilience config's goodput SLA. Zero when
-// resilience is disabled (every completion is then merely "completed").
-func (a *App) TotalGood() uint64 { return a.g.TotalGood() }
-
-// Dispositions returns the lifetime disposition tally of finished
-// requests (ok, error, timeout, rejected, shed, breaker-open).
-func (a *App) Dispositions() metrics.DispositionCounts { return a.g.Dispositions() }
-
-// Breaker returns the named server's circuit breaker, nil when breakers
-// are disabled or the server is unknown.
-func (a *App) Breaker(name string) *resilience.Breaker { return a.g.Breaker(name) }
-
-// Inject sends one HTTP request through the system. done (optional) is
-// invoked on completion with the end-to-end response time and whether the
-// request succeeded. With a servlet mix configured, the request's class is
-// drawn by weight. When resilience is configured the request carries an
-// absolute deadline across every tier hop; its outcome is tallied as a
-// disposition (Dispositions) and, when it completes within the goodput
-// SLA, as a good completion (TotalGood).
-func (a *App) Inject(done func(rt time.Duration, ok bool)) { a.g.Inject(done) }
-
-// InjectClass is Inject for class-mixed workloads: class indexes the
-// configured Classes (any out-of-range value, canonically -1, injects the
-// classless single-class flow, which is what Inject does), and session,
-// when non-zero, is a session-affinity key — the web tier then picks the
-// session's rendezvous-hashed home backend instead of rotating, so a
-// user's requests stick to one Apache while it stays ready. The class's
-// priority (criticality), demand profile and SLO ride the request through
-// every tier, and its outcome lands in the per-class disposition tally.
-// A classless, sessionless call is byte-identical to Inject.
-func (a *App) InjectClass(class int, session uint64, done func(rt time.Duration, ok bool)) {
-	a.g.InjectClass(class, session, done)
-}
-
-// Stats is one monitoring interval of whole-system metrics.
-type Stats struct {
-	// Completions and Errors are counts in the interval.
-	Completions uint64 `json:"completions"`
-	Errors      uint64 `json:"errors"`
-	// MeanRTSeconds is the mean response time of requests completed in the
-	// interval.
-	MeanRTSeconds float64 `json:"meanRTSeconds"`
-	// MeanAppResidence is the mean time a request occupied an app-tier
-	// thread (queue wait + servlet CPU + its DB visits); MeanDBResidence
-	// is the mean per-query time including connection-pool wait. Together
-	// they attribute end-to-end latency to tiers.
-	MeanAppResidence float64 `json:"meanAppResidence"`
-	MeanDBResidence  float64 `json:"meanDBResidence"`
-	// RT is the full response-time summary for the interval.
-	RT metrics.Summary `json:"rt"`
-	// InFlight is the instantaneous number of requests in the system.
-	InFlight int `json:"inFlight"`
-	// Resilience outcome counts for requests finished in the interval
-	// (subsets of Errors, except Good which is the subset of Completions
-	// within the goodput SLA). All zero — and absent from JSON — when
-	// resilience is disabled.
-	Good        uint64 `json:"good,omitempty"`
-	TimedOut    uint64 `json:"timedOut,omitempty"`
-	Rejected    uint64 `json:"rejected,omitempty"`
-	Shed        uint64 `json:"shed,omitempty"`
-	BreakerOpen uint64 `json:"breakerOpen,omitempty"`
-}
-
-// TakeStats returns system metrics accumulated since the previous call and
-// starts a new interval.
-func (a *App) TakeStats() Stats {
-	gs := a.g.TakeStats()
-	return Stats{
-		Completions:      gs.Completions,
-		Errors:           gs.Errors,
-		MeanRTSeconds:    gs.MeanRTSeconds,
-		MeanAppResidence: gs.NodeResidence[TierApp],
-		MeanDBResidence:  gs.NodeResidence[TierDB],
-		RT:               gs.RT,
-		InFlight:         gs.InFlight,
-		Good:             gs.Good,
-		TimedOut:         gs.TimedOut,
-		Rejected:         gs.Rejected,
-		Shed:             gs.Shed,
-		BreakerOpen:      gs.BreakerOpen,
+		WebThreadsPerServer: web,
+		AppThreadsPerServer: app,
+		DBConnsPerAppServer: conns,
 	}
 }

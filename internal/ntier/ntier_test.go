@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"dcm/internal/graph"
 	"dcm/internal/model"
 	"dcm/internal/rng"
 	"dcm/internal/sim"
@@ -19,7 +20,7 @@ func fastConfig() Config {
 	return cfg
 }
 
-func newApp(t *testing.T, cfg Config) (*sim.Engine, *App) {
+func newApp(t *testing.T, cfg Config) (*sim.Engine, *graph.App) {
 	t.Helper()
 	eng := sim.NewEngine()
 	app, err := New(eng, rng.New(1).Split("app"), cfg)
@@ -59,13 +60,13 @@ func TestInitialTopology(t *testing.T) {
 	cfg.AppServers = 2
 	cfg.DBServers = 3
 	_, app := newApp(t, cfg)
-	if got := app.ServerCount(TierWeb); got != 1 {
+	if got := app.MemberCount(TierWeb); got != 1 {
 		t.Fatalf("web servers = %d", got)
 	}
-	if got := app.ServerCount(TierApp); got != 2 {
+	if got := app.MemberCount(TierApp); got != 2 {
 		t.Fatalf("app servers = %d", got)
 	}
-	if got := app.ServerCount(TierDB); got != 3 {
+	if got := app.MemberCount(TierDB); got != 3 {
 		t.Fatalf("db servers = %d", got)
 	}
 	members := app.Members(TierApp)
@@ -180,7 +181,7 @@ func TestConnPoolBoundsDBConcurrency(t *testing.T) {
 func TestAddServerSpreadsLoad(t *testing.T) {
 	t.Parallel()
 	eng, app := newApp(t, fastConfig())
-	if _, err := app.AddServer(TierApp, ""); err != nil {
+	if _, err := app.AddMember(TierApp, ""); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
@@ -199,13 +200,13 @@ func TestAddServerSpreadsLoad(t *testing.T) {
 func TestAddServerDuplicateName(t *testing.T) {
 	t.Parallel()
 	_, app := newApp(t, fastConfig())
-	if _, err := app.AddServer(TierApp, "x"); err != nil {
+	if _, err := app.AddMember(TierApp, "x"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := app.AddServer(TierApp, "x"); err == nil {
+	if _, err := app.AddMember(TierApp, "x"); err == nil {
 		t.Fatal("duplicate accepted")
 	}
-	if _, err := app.AddServer("ghost", ""); !errors.Is(err, ErrUnknownTier) {
+	if _, err := app.AddMember("ghost", ""); !errors.Is(err, graph.ErrUnknownNode) {
 		t.Fatalf("unknown tier err = %v", err)
 	}
 }
@@ -215,9 +216,18 @@ func TestSoftResourceActuation(t *testing.T) {
 	cfg := fastConfig()
 	cfg.AppServers = 2
 	_, app := newApp(t, cfg)
-	app.SetAppThreads(7)
-	app.SetDBConnsPerApp(4)
-	app.SetWebThreads(33)
+	if got := Allocation(app).String(); got != "50/10/10" {
+		t.Fatalf("initial allocation = %q", got)
+	}
+	if err := app.SetNodeThreads(TierApp, 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := app.SetEdgePoolSize(TierApp, TierDB, 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := app.SetNodeThreads(TierWeb, 33); err != nil {
+		t.Fatal(err)
+	}
 	for _, m := range app.Members(TierApp) {
 		if m.Server().PoolSize() != 7 {
 			t.Fatalf("app pool = %d", m.Server().PoolSize())
@@ -229,16 +239,39 @@ func TestSoftResourceActuation(t *testing.T) {
 	if app.Members(TierWeb)[0].Server().PoolSize() != 33 {
 		t.Fatal("web threads not applied")
 	}
-	if got := app.Allocation().String(); got != "33/7/4" {
+	if got := Allocation(app).String(); got != "33/7/4" {
 		t.Fatalf("allocation = %q", got)
 	}
 	// New servers inherit the adjusted allocation.
-	m, err := app.AddServer(TierApp, "")
+	m, err := app.AddMember(TierApp, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Server().PoolSize() != 7 || m.Pool().Size() != 4 {
 		t.Fatal("new server did not inherit current allocation")
+	}
+
+	// A request below 1 is clamped to 1, and Allocation reports the clamp.
+	if err := app.SetNodeThreads(TierApp, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := app.SetEdgePoolSize(TierApp, TierDB, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := Allocation(app).String(); got != "33/1/1" {
+		t.Fatalf("clamped allocation = %q", got)
+	}
+	for _, m := range app.Members(TierApp) {
+		if m.Server().PoolSize() != 1 || m.Pool().Size() != 1 {
+			t.Fatalf("%s: pools = %d/%d, want clamped 1/1", m.Name(), m.Server().PoolSize(), m.Pool().Size())
+		}
+	}
+	m, err = app.AddMember(TierApp, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Server().PoolSize() != 1 || m.Pool().Size() != 1 {
+		t.Fatal("new server did not inherit the clamped allocation")
 	}
 }
 
@@ -260,7 +293,7 @@ func TestDrainAndRemove(t *testing.T) {
 		t.Fatal(err)
 	}
 	if target.Server().Active() > 0 {
-		if err := app.RemoveServer(TierApp, "app-2"); err == nil {
+		if err := app.RemoveMember(TierApp, "app-2"); err == nil {
 			t.Fatal("removed a busy server")
 		}
 	}
@@ -270,11 +303,11 @@ func TestDrainAndRemove(t *testing.T) {
 	if !drained {
 		t.Fatal("drain callback never fired")
 	}
-	if err := app.RemoveServer(TierApp, "app-2"); err != nil {
+	if err := app.RemoveMember(TierApp, "app-2"); err != nil {
 		t.Fatal(err)
 	}
-	if app.ServerCount(TierApp) != 1 {
-		t.Fatalf("server count = %d", app.ServerCount(TierApp))
+	if app.MemberCount(TierApp) != 1 {
+		t.Fatalf("server count = %d", app.MemberCount(TierApp))
 	}
 	// Traffic continues on the remaining server.
 	app.Inject(nil)
@@ -289,8 +322,8 @@ func TestDrainAndRemove(t *testing.T) {
 func TestDrainLastServerRejected(t *testing.T) {
 	t.Parallel()
 	_, app := newApp(t, fastConfig())
-	if err := app.StartDrain(TierApp, "app-1", nil); !errors.Is(err, ErrLastServer) {
-		t.Fatalf("err = %v, want ErrLastServer", err)
+	if err := app.StartDrain(TierApp, "app-1", nil); !errors.Is(err, graph.ErrLastMember) {
+		t.Fatalf("err = %v, want graph.ErrLastMember", err)
 	}
 }
 
@@ -299,7 +332,7 @@ func TestRemoveAcceptingServerRejected(t *testing.T) {
 	cfg := fastConfig()
 	cfg.DBServers = 2
 	_, app := newApp(t, cfg)
-	if err := app.RemoveServer(TierDB, "db-1"); err == nil {
+	if err := app.RemoveMember(TierDB, "db-1"); err == nil {
 		t.Fatal("removed an accepting server without drain")
 	}
 }
@@ -307,17 +340,17 @@ func TestRemoveAcceptingServerRejected(t *testing.T) {
 func TestMemberLookupErrors(t *testing.T) {
 	t.Parallel()
 	_, app := newApp(t, fastConfig())
-	if _, err := app.Member(TierApp, "nope"); !errors.Is(err, ErrUnknownServer) {
+	if _, err := app.Member(TierApp, "nope"); !errors.Is(err, graph.ErrUnknownMember) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := app.Member("ghost", "x"); !errors.Is(err, ErrUnknownTier) {
+	if _, err := app.Member("ghost", "x"); !errors.Is(err, graph.ErrUnknownNode) {
 		t.Fatalf("err = %v", err)
 	}
 	if app.Members("ghost") != nil {
 		t.Fatal("Members on unknown tier returned data")
 	}
-	if app.ServerCount("ghost") != 0 {
-		t.Fatal("ServerCount on unknown tier nonzero")
+	if app.MemberCount("ghost") != 0 {
+		t.Fatal("MemberCount on unknown tier nonzero")
 	}
 }
 

@@ -50,9 +50,9 @@ func TestRequestTracerEndToEnd(t *testing.T) {
 			t.Errorf("tier %s has no service spans", tier)
 		}
 	}
-	if byTier[TierApp].PoolWait.Count != n*app.Config().QueriesPerRequest {
+	if byTier[TierApp].PoolWait.Count != n*fastConfig().QueriesPerRequest {
 		t.Errorf("app pool waits = %d, want %d",
-			byTier[TierApp].PoolWait.Count, n*app.Config().QueriesPerRequest)
+			byTier[TierApp].PoolWait.Count, n*fastConfig().QueriesPerRequest)
 	}
 	if byTier[TierWeb].PoolWait.Count != 0 {
 		t.Errorf("web tier has pool waits: %d", byTier[TierWeb].PoolWait.Count)
@@ -106,7 +106,7 @@ func TestTierHistogramsMergeMembers(t *testing.T) {
 	if err := eng.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	hs, err := app.TierHistograms(TierApp)
+	hs, err := app.NodeHistograms(TierApp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,14 +127,14 @@ func TestTierHistogramsMergeMembers(t *testing.T) {
 	if sum != hs.ServiceTime.Count() {
 		t.Fatalf("member sum %d != tier %d", sum, hs.ServiceTime.Count())
 	}
-	web, err := app.TierHistograms(TierWeb)
+	web, err := app.NodeHistograms(TierWeb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if web.PoolWait != nil {
 		t.Fatal("web tier has a pool-wait histogram")
 	}
-	if _, err := app.TierHistograms("bogus"); err == nil {
+	if _, err := app.NodeHistograms("bogus"); err == nil {
 		t.Fatal("unknown tier accepted")
 	}
 }
@@ -161,7 +161,7 @@ func TestDrainCompletesUnderConnLeak(t *testing.T) {
 	if !drained {
 		t.Fatal("drain never completed under an unrepaired conn leak")
 	}
-	if err := app.RemoveServer(TierApp, victim.Name()); err != nil {
+	if err := app.RemoveMember(TierApp, victim.Name()); err != nil {
 		t.Fatalf("remove after drain: %v", err)
 	}
 }

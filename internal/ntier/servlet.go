@@ -3,8 +3,6 @@ package ntier
 import (
 	"errors"
 	"fmt"
-
-	"dcm/internal/graph"
 )
 
 // Servlet is one request class of the application. RUBBoS provides 24
@@ -70,27 +68,3 @@ func validateServlets(servlets []Servlet) (total float64, err error) {
 	}
 	return total, nil
 }
-
-// MixMeans returns the weighted mean app demand and mean query count of a
-// mix — useful for checking a custom mix against a calibration.
-func MixMeans(servlets []Servlet) (meanAppDemand, meanQueries float64) {
-	var totalW float64
-	for _, s := range servlets {
-		totalW += s.Weight
-		meanAppDemand += s.Weight * s.AppDemand
-		meanQueries += s.Weight * float64(s.Queries)
-	}
-	if totalW > 0 {
-		meanAppDemand /= totalW
-		meanQueries /= totalW
-	}
-	return meanAppDemand, meanQueries
-}
-
-// ServletStat summarizes one request class's traffic (the graph engine's
-// per-profile statistic, with identical JSON).
-type ServletStat = graph.ProfileStat
-
-// ServletStats returns cumulative per-class statistics (empty when the
-// single-class flow is active).
-func (a *App) ServletStats() map[string]ServletStat { return a.g.ProfileStats() }

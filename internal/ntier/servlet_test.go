@@ -15,10 +15,15 @@ func TestDefaultServletsNormalized(t *testing.T) {
 	if len(mix) != 10 {
 		t.Fatalf("mix size = %d", len(mix))
 	}
-	if _, err := validateServlets(mix); err != nil {
+	total, err := validateServlets(mix)
+	if err != nil {
 		t.Fatal(err)
 	}
-	meanDemand, meanQueries := MixMeans(mix)
+	var meanDemand, meanQueries float64
+	for _, s := range mix {
+		meanDemand += s.Weight * s.AppDemand / total
+		meanQueries += s.Weight * float64(s.Queries) / total
+	}
 	// The mix must match the single-class calibration in the mean.
 	if math.Abs(meanDemand-1.0) > 0.03 {
 		t.Fatalf("mean app demand = %v, want ~1.0", meanDemand)
@@ -70,7 +75,7 @@ func TestServletMixDistribution(t *testing.T) {
 	if err := eng.Run(5 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	stats := app.ServletStats()
+	stats := app.ProfileStats()
 	light, heavy := stats["light"], stats["heavy"]
 	if light.Completions+heavy.Completions != total {
 		t.Fatalf("per-class totals %d + %d != %d", light.Completions, heavy.Completions, total)
@@ -156,13 +161,5 @@ func TestServletMixPreservesMeanThroughput(t *testing.T) {
 	mixed := measure(true)
 	if rel := mixed/single - 1; rel < -0.15 || rel > 0.15 {
 		t.Fatalf("mix shifted throughput by %.0f%%: single=%v mixed=%v", rel*100, single, mixed)
-	}
-}
-
-func TestMixMeansEmpty(t *testing.T) {
-	t.Parallel()
-	d, q := MixMeans(nil)
-	if d != 0 || q != 0 {
-		t.Fatalf("empty mix means = %v, %v", d, q)
 	}
 }

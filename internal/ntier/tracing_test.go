@@ -40,7 +40,7 @@ func TestTraceRequestsCapturesSpans(t *testing.T) {
 		if tr.Spans[3].Duration > tr.Total || tr.Spans[3].Duration < tr.Total/2 {
 			t.Fatalf("web span %v vs total %v", tr.Spans[3].Duration, tr.Total)
 		}
-		// Span starts are non-negative offsets within the request.
+		// graph.Span starts are non-negative offsets within the request.
 		for _, sp := range tr.Spans {
 			if sp.Start < 0 || sp.Start > tr.Total {
 				t.Fatalf("span start out of range: %+v", sp)
@@ -95,7 +95,7 @@ func TestTraceDisarmedByDefault(t *testing.T) {
 func TestTraceFailedRequest(t *testing.T) {
 	t.Parallel()
 	eng, app := newApp(t, fastConfig())
-	if err := app.FailServer(TierDB, "db-1"); err != nil {
+	if err := app.FailMember(TierDB, "db-1"); err != nil {
 		t.Fatal(err)
 	}
 	app.TraceRequests(1)

@@ -11,7 +11,7 @@ import (
 )
 
 // ClassTarget is a Target that also accepts class-tagged requests (matched
-// structurally by *ntier.App). class indexes the target's configured class
+// structurally by *graph.App). class indexes the target's configured class
 // list; session is a stable key for load-balancer affinity (0 = none).
 type ClassTarget interface {
 	Target
@@ -28,7 +28,7 @@ type Class struct {
 	Weight float64
 	// Priority > 0 marks the class critical: its retries debit the
 	// critical share of a class-aware retry budget and the brownout
-	// front door never sheds it (mirrors ntier.RequestClass.Priority).
+	// front door never sheds it (mirrors graph.Class.Priority).
 	Priority int
 	// Think overrides the generator think-time law for this class
 	// (closed-loop only; nil = the generator default).

@@ -51,7 +51,7 @@ func expDelay(rnd *rng.Rand, mean time.Duration) time.Duration {
 	return delayFromSeconds(rnd.Exp(mean.Seconds()))
 }
 
-// Target is anything that can process a request (normally *ntier.App).
+// Target is anything that can process a request (normally *graph.App).
 type Target interface {
 	Inject(done func(rt time.Duration, ok bool))
 }
