@@ -45,7 +45,7 @@ func report(key, body string) {
 // Expected shape: peak near N≈36–40, steep decline afterwards.
 func BenchmarkFig2aMySQLConcurrencySweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig2aMySQLSweep(benchSeed, nil, 20*time.Second)
+		rows, err := experiments.Fig2aMySQLSweep(benchSeed, nil, 20*time.Second, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func BenchmarkFig2aMySQLConcurrencySweep(b *testing.B) {
 // avoids it.
 func BenchmarkFig2bScaleOutDegradation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig2bScaleOut(benchSeed, 3000, 60*time.Second)
+		res, err := experiments.Fig2bScaleOut(benchSeed, 3000, 60*time.Second, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func BenchmarkTable1ModelTraining(b *testing.B) {
 // plateau, ≈30% over the 1000/100/80 default.
 func BenchmarkFig4aTomcatValidation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, allocs, err := experiments.Fig4a(benchSeed, nil, 20*time.Second)
+		rows, allocs, err := experiments.Fig4a(benchSeed, nil, 20*time.Second, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func BenchmarkFig4aTomcatValidation(b *testing.B) {
 // the 1000/100/80 default collapses.
 func BenchmarkFig4bMySQLValidation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, allocs, err := experiments.Fig4b(benchSeed, nil, 20*time.Second)
+		rows, allocs, err := experiments.Fig4b(benchSeed, nil, 20*time.Second, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -220,7 +220,7 @@ func run(args []string) error {
 	fmt.Fprintf(&b, "Seed %d. Generated by `cmd/report`.\n\n", *seed)
 
 	fmt.Println("running Fig. 2(a)...")
-	fig2a, err := experiments.Fig2aMySQLSweep(*seed, nil, measure)
+	fig2a, err := experiments.Fig2aMySQLSweep(*seed, nil, measure, nil)
 	if err != nil {
 		return err
 	}
@@ -229,7 +229,7 @@ func run(args []string) error {
 	b.WriteString("```\n\n")
 
 	fmt.Println("running Fig. 2(b)...")
-	fig2b, err := experiments.Fig2bScaleOut(*seed, 3000, measure*3)
+	fig2b, err := experiments.Fig2bScaleOut(*seed, 3000, measure*3, nil)
 	if err != nil {
 		return err
 	}
@@ -247,7 +247,7 @@ func run(args []string) error {
 	b.WriteString("```\n\n")
 
 	fmt.Println("running Fig. 4(a)...")
-	rows4a, allocs4a, err := experiments.Fig4a(*seed, nil, measure)
+	rows4a, allocs4a, err := experiments.Fig4a(*seed, nil, measure, nil)
 	if err != nil {
 		return err
 	}
@@ -256,7 +256,7 @@ func run(args []string) error {
 	b.WriteString("```\n\n")
 
 	fmt.Println("running Fig. 4(b)...")
-	rows4b, allocs4b, err := experiments.Fig4b(*seed, nil, measure)
+	rows4b, allocs4b, err := experiments.Fig4b(*seed, nil, measure, nil)
 	if err != nil {
 		return err
 	}

@@ -65,7 +65,7 @@ func run(args []string) error {
 
 	switch *experiment {
 	case "fig2a":
-		rows, err := experiments.Fig2aMySQLSweepChecked(*seed, nil, *measure, chk)
+		rows, err := experiments.Fig2aMySQLSweep(*seed, nil, *measure, chk)
 		if err != nil {
 			return err
 		}
@@ -73,7 +73,7 @@ func run(args []string) error {
 		fmt.Println()
 		fmt.Print(experiments.RenderFig2a(rows))
 	case "fig2b":
-		res, err := experiments.Fig2bScaleOutChecked(*seed, *users, 60*time.Second, chk)
+		res, err := experiments.Fig2bScaleOut(*seed, *users, 60*time.Second, chk)
 		if err != nil {
 			return err
 		}
@@ -83,7 +83,7 @@ func run(args []string) error {
 		printWindow(res.SeriesDefault, res.ScaleAtSecond, "default  ")
 		printWindow(res.SeriesCorrected, res.ScaleAtSecond, "corrected")
 	case "fig4a":
-		rows, allocs, err := experiments.Fig4aChecked(*seed, nil, *measure, chk)
+		rows, allocs, err := experiments.Fig4a(*seed, nil, *measure, chk)
 		if err != nil {
 			return err
 		}
@@ -91,7 +91,7 @@ func run(args []string) error {
 		fmt.Println()
 		fmt.Print(experiments.RenderFig4(rows, allocs))
 	case "fig4b":
-		rows, allocs, err := experiments.Fig4bChecked(*seed, nil, *measure, chk)
+		rows, allocs, err := experiments.Fig4b(*seed, nil, *measure, chk)
 		if err != nil {
 			return err
 		}

@@ -42,7 +42,7 @@ func run() error {
 
 	// The application serves the ten-class RUBBoS-style servlet mix.
 	cfg := ntier.DefaultConfig()
-	cfg.Servlets = ntier.DefaultServlets()
+	cfg.Classes = ntier.DefaultServlets()
 	cfg.AppThreads = 200 // Fig. 5's deliberately oversized starting pool
 	cfg.DBConnsPerApp = 40
 	app, err := ntier.New(eng, root.Split("app"), cfg)
@@ -110,9 +110,8 @@ func run() error {
 
 	fmt.Println("per-servlet traffic:")
 	fmt.Printf("  %-26s %12s %12s\n", "servlet", "completions", "mean RT (ms)")
-	for _, s := range ntier.DefaultServlets() {
-		st := app.ProfileStats()[s.Name]
-		fmt.Printf("  %-26s %12d %12.1f\n", s.Name, st.Completions, st.MeanRTms)
+	for _, st := range app.ClassStats() {
+		fmt.Printf("  %-26s %12d %12.1f\n", st.Name, st.Completions, st.MeanRTms)
 	}
 	fmt.Println()
 

@@ -28,7 +28,7 @@ func run() error {
 	fmt.Println("then adding a second Tomcat at runtime...")
 	fmt.Println()
 
-	res, err := experiments.Fig2bScaleOut(42, 3000, 60*time.Second)
+	res, err := experiments.Fig2bScaleOut(42, 3000, 60*time.Second, nil)
 	if err != nil {
 		return err
 	}

@@ -16,7 +16,7 @@ const testMeasure = 8 * time.Second
 
 func TestFig2aShape(t *testing.T) {
 	t.Parallel()
-	rows, err := Fig2aMySQLSweep(1, nil, testMeasure)
+	rows, err := Fig2aMySQLSweep(1, nil, testMeasure, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestFig2aShape(t *testing.T) {
 
 func TestFig2bScaleOutTrap(t *testing.T) {
 	t.Parallel()
-	res, err := Fig2bScaleOut(1, 3000, 30*time.Second)
+	res, err := Fig2bScaleOut(1, 3000, 30*time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestVerifyTrainedModels(t *testing.T) {
 
 func TestFig4aOptimalWins(t *testing.T) {
 	t.Parallel()
-	rows, allocs, err := Fig4a(1, []int{2000, 3000}, testMeasure)
+	rows, allocs, err := Fig4a(1, []int{2000, 3000}, testMeasure, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestFig4aOptimalWins(t *testing.T) {
 
 func TestFig4bOptimalWins(t *testing.T) {
 	t.Parallel()
-	rows, allocs, err := Fig4b(1, []int{2500, 3000}, testMeasure)
+	rows, allocs, err := Fig4b(1, []int{2500, 3000}, testMeasure, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestFig4bOptimalWins(t *testing.T) {
 
 func TestFig4ValidationErrors(t *testing.T) {
 	t.Parallel()
-	if _, err := Fig4Validation(1, 0, nil, nil, 0); err == nil {
+	if _, err := Fig4Validation(1, 0, nil, nil, 0, nil); err == nil {
 		t.Fatal("zero app servers accepted")
 	}
 }

@@ -32,15 +32,10 @@ func DefaultFig2aConcurrencies() []int {
 // level with a matching thread pool and zero-think closed-loop load —
 // reproducing Fig. 2(a). The expected shape: throughput peaks near N≈40
 // and declines steeply afterwards while per-query latency grows
-// superlinearly.
-func Fig2aMySQLSweep(seed uint64, concurrencies []int, measure time.Duration) ([]Fig2aRow, error) {
-	return Fig2aMySQLSweepChecked(seed, concurrencies, measure, nil)
-}
-
-// Fig2aMySQLSweepChecked is Fig2aMySQLSweep with the runtime invariant
-// checker attached to every sweep point (chk may be nil; the checker is
-// mutex-protected, so sharing it across the fanned-out points is safe).
-func Fig2aMySQLSweepChecked(seed uint64, concurrencies []int, measure time.Duration, chk *invariant.Checker) ([]Fig2aRow, error) {
+// superlinearly. chk, when non-nil, is the runtime invariant checker
+// attached to every sweep point (it is mutex-protected, so sharing it
+// across the fanned-out points is safe).
+func Fig2aMySQLSweep(seed uint64, concurrencies []int, measure time.Duration, chk *invariant.Checker) ([]Fig2aRow, error) {
 	if len(concurrencies) == 0 {
 		concurrencies = DefaultFig2aConcurrencies()
 	}
@@ -138,14 +133,10 @@ type Fig2bResult struct {
 
 // Fig2bScaleOut runs the dynamic scale-out experiment at the given
 // sustained user population (default 3000, which saturates the 1/1/1
-// system). phase is how long each phase runs (default 60 s).
-func Fig2bScaleOut(seed uint64, users int, phase time.Duration) (Fig2bResult, error) {
-	return Fig2bScaleOutChecked(seed, users, phase, nil)
-}
-
-// Fig2bScaleOutChecked is Fig2bScaleOut with the runtime invariant
-// checker attached to both variants' apps and engines (chk may be nil).
-func Fig2bScaleOutChecked(seed uint64, users int, phase time.Duration, chk *invariant.Checker) (Fig2bResult, error) {
+// system). phase is how long each phase runs (default 60 s). chk, when
+// non-nil, is the runtime invariant checker attached to both variants'
+// apps and engines.
+func Fig2bScaleOut(seed uint64, users int, phase time.Duration, chk *invariant.Checker) (Fig2bResult, error) {
 	if users <= 0 {
 		users = 3000
 	}

@@ -65,16 +65,11 @@ func Fig4bAllocations() []Allocation {
 
 // Fig4Validation measures the RUBBoS-client workload (3 s think time)
 // against each allocation at each user level. appServers selects the
-// topology: 1 reproduces Fig. 4(a), 2 reproduces Fig. 4(b).
-func Fig4Validation(seed uint64, appServers int, allocations []Allocation, users []int, measure time.Duration) ([]Fig4Row, error) {
-	return Fig4ValidationChecked(seed, appServers, allocations, users, measure, nil)
-}
-
-// Fig4ValidationChecked is Fig4Validation with the runtime invariant
-// checker attached to every grid cell's app and engine (chk may be nil;
-// the checker is mutex-protected, so sharing it across the fanned-out
-// cells is safe).
-func Fig4ValidationChecked(seed uint64, appServers int, allocations []Allocation, users []int, measure time.Duration, chk *invariant.Checker) ([]Fig4Row, error) {
+// topology: 1 reproduces Fig. 4(a), 2 reproduces Fig. 4(b). chk, when
+// non-nil, is the runtime invariant checker attached to every grid cell's
+// app and engine (it is mutex-protected, so sharing it across the
+// fanned-out cells is safe).
+func Fig4Validation(seed uint64, appServers int, allocations []Allocation, users []int, measure time.Duration, chk *invariant.Checker) ([]Fig4Row, error) {
 	if appServers < 1 {
 		return nil, fmt.Errorf("experiments: fig4: app servers %d", appServers)
 	}
@@ -132,27 +127,19 @@ func Fig4ValidationChecked(seed uint64, appServers int, allocations []Allocation
 	return rows, nil
 }
 
-// Fig4a runs the Fig. 4(a) validation (1/1/1, Tomcat thread pool sweep).
-func Fig4a(seed uint64, users []int, measure time.Duration) ([]Fig4Row, []Allocation, error) {
-	return Fig4aChecked(seed, users, measure, nil)
-}
-
-// Fig4aChecked is Fig4a with the runtime invariant checker attached.
-func Fig4aChecked(seed uint64, users []int, measure time.Duration, chk *invariant.Checker) ([]Fig4Row, []Allocation, error) {
+// Fig4a runs the Fig. 4(a) validation (1/1/1, Tomcat thread pool sweep);
+// chk (may be nil) is passed to Fig4Validation.
+func Fig4a(seed uint64, users []int, measure time.Duration, chk *invariant.Checker) ([]Fig4Row, []Allocation, error) {
 	allocs := Fig4aAllocations()
-	rows, err := Fig4ValidationChecked(seed, 1, allocs, users, measure, chk)
+	rows, err := Fig4Validation(seed, 1, allocs, users, measure, chk)
 	return rows, allocs, err
 }
 
-// Fig4b runs the Fig. 4(b) validation (1/2/1, DB connection pool sweep).
-func Fig4b(seed uint64, users []int, measure time.Duration) ([]Fig4Row, []Allocation, error) {
-	return Fig4bChecked(seed, users, measure, nil)
-}
-
-// Fig4bChecked is Fig4b with the runtime invariant checker attached.
-func Fig4bChecked(seed uint64, users []int, measure time.Duration, chk *invariant.Checker) ([]Fig4Row, []Allocation, error) {
+// Fig4b runs the Fig. 4(b) validation (1/2/1, DB connection pool sweep);
+// chk (may be nil) is passed to Fig4Validation.
+func Fig4b(seed uint64, users []int, measure time.Duration, chk *invariant.Checker) ([]Fig4Row, []Allocation, error) {
 	allocs := Fig4bAllocations()
-	rows, err := Fig4ValidationChecked(seed, 2, allocs, users, measure, chk)
+	rows, err := Fig4Validation(seed, 2, allocs, users, measure, chk)
 	return rows, allocs, err
 }
 

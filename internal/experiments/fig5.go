@@ -279,7 +279,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	appCfg.DBConnsPerApp = cfg.InitialAllocation.DBConnsPerAppServer
 	appCfg.NoiseSigma = cfg.NoiseSigma
 	if cfg.ServletMix {
-		appCfg.Servlets = ntier.DefaultServlets()
+		appCfg.Classes = ntier.DefaultServlets()
 	}
 	if cfg.AppServers > 0 {
 		appCfg.AppServers = cfg.AppServers

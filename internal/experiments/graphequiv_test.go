@@ -100,7 +100,7 @@ func TestGraphDirectMatchesFacade(t *testing.T) {
 		{name: "plain", mutate: func(*ntier.Config) {}},
 		{name: "resilience-servlet-mix", mutate: func(c *ntier.Config) {
 			c.Resilience = *full
-			c.Servlets = ntier.DefaultServlets()
+			c.Classes = ntier.DefaultServlets()
 			c.NoiseSigma = 0.1
 		}},
 		{name: "traffic-classes", mutate: func(c *ntier.Config) {
@@ -175,21 +175,10 @@ func directGraphConfig(cfg ntier.Config) graph.Config {
 		Policy:     cfg.Policy,
 		Resilience: cfg.Resilience,
 	}
-	for _, s := range cfg.Servlets {
-		nd := map[string]float64{"app": s.AppDemand}
-		if s.QueryDemand > 0 {
-			nd["db"] = s.QueryDemand
-		}
-		gc.Mix = append(gc.Mix, graph.Profile{
-			Name:       s.Name,
-			Weight:     s.Weight,
-			NodeDemand: nd,
-			EdgeVisits: map[string]int{"app->db": s.Queries},
-		})
-	}
 	for _, c := range cfg.Classes {
-		// ntier.New fills class demand defaults during validation; mirror
-		// the filled values here.
+		// ntier.New fills class demand defaults during translation; mirror
+		// the filled values here. Weighted classes (the servlet mix) keep
+		// their weights, so Inject draws them.
 		appDemand, queries, queryDemand := c.AppDemand, c.Queries, c.QueryDemand
 		if appDemand == 0 {
 			appDemand = 1
@@ -204,6 +193,7 @@ func directGraphConfig(cfg ntier.Config) graph.Config {
 			Name:     c.Name,
 			Priority: c.Priority,
 			SLO:      c.SLO,
+			Weight:   c.Weight,
 			Profile: graph.Profile{
 				NodeDemand: map[string]float64{"app": appDemand, "db": queryDemand},
 				EdgeVisits: map[string]int{"app->db": queries},

@@ -74,12 +74,12 @@ func TestInvariantsFig2ByteIdentical(t *testing.T) {
 	t.Run("fig2a", func(t *testing.T) {
 		t.Parallel()
 		conc := []int{5, 36, 120}
-		plain, err := Fig2aMySQLSweep(7, conc, 3*time.Second)
+		plain, err := Fig2aMySQLSweep(7, conc, 3*time.Second, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		chk := invariant.New()
-		checked, err := Fig2aMySQLSweepChecked(7, conc, 3*time.Second, chk)
+		checked, err := Fig2aMySQLSweep(7, conc, 3*time.Second, chk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,12 +88,12 @@ func TestInvariantsFig2ByteIdentical(t *testing.T) {
 	})
 	t.Run("fig2b", func(t *testing.T) {
 		t.Parallel()
-		plain, err := Fig2bScaleOut(7, 3000, 20*time.Second)
+		plain, err := Fig2bScaleOut(7, 3000, 20*time.Second, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		chk := invariant.New()
-		checked, err := Fig2bScaleOutChecked(7, 3000, 20*time.Second, chk)
+		checked, err := Fig2bScaleOut(7, 3000, 20*time.Second, chk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,12 +109,12 @@ func TestInvariantsFig4ByteIdentical(t *testing.T) {
 	users := []int{3000}
 	t.Run("fig4a", func(t *testing.T) {
 		t.Parallel()
-		plain, _, err := Fig4a(7, users, 2*time.Second)
+		plain, _, err := Fig4a(7, users, 2*time.Second, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		chk := invariant.New()
-		checked, _, err := Fig4aChecked(7, users, 2*time.Second, chk)
+		checked, _, err := Fig4a(7, users, 2*time.Second, chk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,12 +123,12 @@ func TestInvariantsFig4ByteIdentical(t *testing.T) {
 	})
 	t.Run("fig4b", func(t *testing.T) {
 		t.Parallel()
-		plain, _, err := Fig4b(7, users, 2*time.Second)
+		plain, _, err := Fig4b(7, users, 2*time.Second, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		chk := invariant.New()
-		checked, _, err := Fig4bChecked(7, users, 2*time.Second, chk)
+		checked, _, err := Fig4b(7, users, 2*time.Second, chk)
 		if err != nil {
 			t.Fatal(err)
 		}

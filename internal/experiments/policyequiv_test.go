@@ -82,7 +82,7 @@ func TestPolicyEquivalenceFigures(t *testing.T) {
 	}
 	t.Run("fig2a", func(t *testing.T) {
 		t.Parallel()
-		out, err := Fig2aMySQLSweep(7, []int{5, 36, 120}, 3*time.Second)
+		out, err := Fig2aMySQLSweep(7, []int{5, 36, 120}, 3*time.Second, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestPolicyEquivalenceFigures(t *testing.T) {
 	})
 	t.Run("fig2b", func(t *testing.T) {
 		t.Parallel()
-		out, err := Fig2bScaleOut(7, 3000, 20*time.Second)
+		out, err := Fig2bScaleOut(7, 3000, 20*time.Second, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestPolicyEquivalenceFigures(t *testing.T) {
 	})
 	t.Run("fig4a", func(t *testing.T) {
 		t.Parallel()
-		rows, _, err := Fig4a(7, []int{3000}, 2*time.Second)
+		rows, _, err := Fig4a(7, []int{3000}, 2*time.Second, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestPolicyEquivalenceFigures(t *testing.T) {
 	})
 	t.Run("fig4b", func(t *testing.T) {
 		t.Parallel()
-		rows, _, err := Fig4b(7, []int{3000}, 2*time.Second)
+		rows, _, err := Fig4b(7, []int{3000}, 2*time.Second, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -39,12 +39,9 @@ type Config struct {
 	// deadlines propagated across every hop, per-backend circuit breakers
 	// at the non-entry nodes, bounded admission queues and CoDel shedding.
 	Resilience resilience.Config
-	// Mix, when non-empty, enables the weighted request mix: each
-	// injected request draws a profile by weight. Mutually exclusive with
-	// Classes.
-	Mix []Profile
-	// Classes, when non-empty, enables workload-driven traffic classes
-	// injected by index through InjectClass.
+	// Classes, when non-empty, enables request classes: injected by index
+	// through InjectClass when every Weight is zero, drawn by weight on
+	// Inject when every Weight is positive.
 	Classes []Class
 }
 
@@ -150,10 +147,7 @@ type App struct {
 	rtWindow    []float64
 	inFlight    int
 
-	profiles   []resolvedProfile
-	profWeight float64
-	profStats  map[string]*profileAccum
-	defaultPr  resolvedProfile
+	defaultPr resolvedProfile
 
 	traceRemaining int
 	traces         []*RequestTrace
@@ -169,6 +163,7 @@ type App struct {
 	// Per-class accounting (empty / nil without Classes).
 	classes       []classState
 	classProfiles []resolvedProfile
+	classWeight   float64 // total weight, zero for unweighted classes
 	classDisp     *metrics.ClassDispositions
 	unclassedDisp metrics.DispositionCounts
 
@@ -204,7 +199,7 @@ type App struct {
 }
 
 // New builds the application with cfg's topology. rnd must be a dedicated
-// stream: member creation order and the mix draw consume from it, so the
+// stream: member creation order and the class draw consume from it, so the
 // same seed and the same call sequence reproduce a run bit for bit.
 func New(eng *sim.Engine, rnd *rng.Rand, cfg Config) (*App, error) {
 	if eng == nil || rnd == nil {
@@ -216,9 +211,6 @@ func New(eng *sim.Engine, rnd *rng.Rand, cfg Config) (*App, error) {
 	if err := cfg.Resilience.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
-	if len(cfg.Classes) > 0 && len(cfg.Mix) > 0 {
-		return nil, fmt.Errorf("%w: classes and mix are mutually exclusive", ErrBadClass)
-	}
 
 	a := &App{
 		eng:        eng,
@@ -227,7 +219,6 @@ func New(eng *sim.Engine, rnd *rng.Rand, cfg Config) (*App, error) {
 		nodeByName: make(map[string]*node, len(cfg.Spec.Nodes)),
 		edgeByKey:  make(map[string]*edge, len(cfg.Spec.Edges)),
 		nameSeq:    make(map[string]int, len(cfg.Spec.Nodes)),
-		profStats:  make(map[string]*profileAccum, len(cfg.Mix)),
 		res:        cfg.Resilience,
 		breakers:   make(map[string]*resilience.Breaker),
 
@@ -284,19 +275,12 @@ func New(eng *sim.Engine, rnd *rng.Rand, cfg Config) (*App, error) {
 		}
 	}
 
-	if len(cfg.Mix) > 0 {
-		w, err := a.resolveMix(cfg.Mix)
-		if err != nil {
-			return nil, err
-		}
-		a.profWeight = w
-	}
 	if len(cfg.Classes) > 0 {
 		if err := a.resolveClasses(cfg.Classes); err != nil {
 			return nil, err
 		}
 	}
-	a.defaultPr, _ = a.resolveProfile(Profile{Name: ""}, ErrBadProfile)
+	a.defaultPr, _ = a.resolveProfile("", Profile{})
 
 	// Members are created node by node in declaration order, replica by
 	// replica — the creation order (and so the rng split order) the chain

@@ -10,14 +10,8 @@ import (
 
 // Profile is one request class's demand shape over the graph: a demand
 // multiplier per node (1.0 = the node's base S0) and a visit-ratio
-// override per edge. Profiles appear in two roles: as a weighted Mix the
-// application draws from per request (the servlet mix of §II-A), and as
-// the demand shape of an injected traffic Class.
+// override per edge.
 type Profile struct {
-	// Name identifies the profile (e.g. "ViewStory").
-	Name string `json:"name"`
-	// Weight is the profile's relative share when used in a mix.
-	Weight float64 `json:"weight,omitempty"`
 	// NodeDemand scales each named node's base work (absent = 1.0).
 	NodeDemand map[string]float64 `json:"nodeDemand,omitempty"`
 	// EdgeVisits overrides the named edge's visit ratio, keyed "from->to"
@@ -25,11 +19,14 @@ type Profile struct {
 	EdgeVisits map[string]int `json:"edgeVisits,omitempty"`
 }
 
-// Class is one traffic class of a class-mixed workload: a named slice of
-// the request stream with its own admission priority, goodput SLO and
-// demand profile, injected by index through InjectClass.
+// Class is one request type: a named slice of the request stream with its
+// own admission priority, goodput SLO, demand profile and share of the
+// traffic. A class set takes one of two forms. With every Weight zero the
+// workload picks the class per request and injects it through
+// InjectClass. With every Weight positive, Inject draws the class by
+// weight: the weighted servlet mix of §II-A.
 type Class struct {
-	// Name identifies the class (e.g. "premium").
+	// Name identifies the class (e.g. "premium", "ViewStory").
 	Name string `json:"name"`
 	// Priority > 0 marks the class critical: never brownout- or
 	// CoDel-shed. Bounded-queue rejection and deadlines still apply.
@@ -37,18 +34,18 @@ type Class struct {
 	// SLO is the class's goodput threshold; zero falls back to the
 	// resilience config's global SLA.
 	SLO time.Duration `json:"slo,omitempty"`
-	// Profile is the class's demand shape (Weight is ignored).
+	// Weight is the class's relative share of the traffic Inject draws.
+	Weight float64 `json:"weight,omitempty"`
+	// Profile is the class's demand shape.
 	Profile Profile `json:"profile"`
 }
 
-// Profile and class validation errors.
-var (
-	ErrBadProfile = errors.New("graph: invalid profile mix")
-	ErrBadClass   = errors.New("graph: invalid request classes")
-)
+// ErrBadClass is returned for invalid request classes.
+var ErrBadClass = errors.New("graph: invalid request classes")
 
-// resolvedProfile is a profile compiled against a topology: demand by
-// node index, visits by edge index — no map lookups on the request path.
+// resolvedProfile is a class's profile compiled against a topology:
+// demand by node index, visits by edge index — no map lookups on the
+// request path.
 type resolvedProfile struct {
 	name   string
 	weight float64
@@ -56,12 +53,11 @@ type resolvedProfile struct {
 	visits []int
 }
 
-// resolveProfile compiles p against the app's topology, rejecting
-// references to unknown nodes or edges.
-func (a *App) resolveProfile(p Profile, wrap error) (resolvedProfile, error) {
+// resolveProfile compiles the profile p of the class named name against
+// the app's topology, rejecting references to unknown nodes or edges.
+func (a *App) resolveProfile(name string, p Profile) (resolvedProfile, error) {
 	rp := resolvedProfile{
-		name:   p.Name,
-		weight: p.Weight,
+		name:   name,
 		demand: make([]float64, len(a.nodes)),
 		visits: make([]int, len(a.edges)),
 	}
@@ -69,63 +65,39 @@ func (a *App) resolveProfile(p Profile, wrap error) (resolvedProfile, error) {
 		rp.demand[i] = 1
 		if d, ok := p.NodeDemand[n.spec.Name]; ok {
 			if d <= 0 {
-				return rp, fmt.Errorf("%w: profile %q node %q demand %v", wrap, p.Name, n.spec.Name, d)
+				return rp, fmt.Errorf("%w: class %q node %q demand %v", ErrBadClass, name, n.spec.Name, d)
 			}
 			rp.demand[i] = d
 		}
 	}
-	for name := range p.NodeDemand {
-		if _, ok := a.nodeByName[name]; !ok {
-			return rp, fmt.Errorf("%w: profile %q references unknown node %q", wrap, p.Name, name)
+	for node := range p.NodeDemand {
+		if _, ok := a.nodeByName[node]; !ok {
+			return rp, fmt.Errorf("%w: class %q references unknown node %q", ErrBadClass, name, node)
 		}
 	}
 	for i, e := range a.edges {
 		rp.visits[i] = e.spec.visitsOrDefault()
 		if v, ok := p.EdgeVisits[e.spec.key()]; ok {
 			if v < 0 {
-				return rp, fmt.Errorf("%w: profile %q edge %s visits %d", wrap, p.Name, e.spec.key(), v)
+				return rp, fmt.Errorf("%w: class %q edge %s visits %d", ErrBadClass, name, e.spec.key(), v)
 			}
 			rp.visits[i] = v
 		}
 	}
 	for key := range p.EdgeVisits {
 		if _, ok := a.edgeByKey[key]; !ok {
-			return rp, fmt.Errorf("%w: profile %q references unknown edge %q", wrap, p.Name, key)
+			return rp, fmt.Errorf("%w: class %q references unknown edge %q", ErrBadClass, name, key)
 		}
 	}
 	return rp, nil
 }
 
-// resolveMix compiles the weighted mix, returning the total weight.
-func (a *App) resolveMix(mix []Profile) (float64, error) {
-	seen := make(map[string]bool, len(mix))
-	total := 0.0
-	for i, p := range mix {
-		if p.Name == "" {
-			return 0, fmt.Errorf("%w: profile %d has no name", ErrBadProfile, i)
-		}
-		if seen[p.Name] {
-			return 0, fmt.Errorf("%w: duplicate profile %q", ErrBadProfile, p.Name)
-		}
-		seen[p.Name] = true
-		if p.Weight <= 0 {
-			return 0, fmt.Errorf("%w: profile %q weight %v", ErrBadProfile, p.Name, p.Weight)
-		}
-		rp, err := a.resolveProfile(p, ErrBadProfile)
-		if err != nil {
-			return 0, err
-		}
-		a.profiles = append(a.profiles, rp)
-		a.profStats[p.Name] = &profileAccum{}
-		total += p.Weight
-	}
-	return total, nil
-}
-
-// resolveClasses compiles the traffic classes.
+// resolveClasses compiles the classes and sums their weights in
+// declaration order.
 func (a *App) resolveClasses(classes []Class) error {
 	seen := make(map[string]bool, len(classes))
 	names := make([]string, len(classes))
+	weighted := len(classes) > 0 && classes[0].Weight > 0
 	for i, c := range classes {
 		if c.Name == "" {
 			return fmt.Errorf("%w: class %d has no name", ErrBadClass, i)
@@ -140,13 +112,17 @@ func (a *App) resolveClasses(classes []Class) error {
 		if c.SLO < 0 {
 			return fmt.Errorf("%w: class %q slo %v", ErrBadClass, c.Name, c.SLO)
 		}
-		p := c.Profile
-		p.Name = c.Name
-		rp, err := a.resolveProfile(p, ErrBadClass)
+		if c.Weight < 0 || (c.Weight > 0) != weighted {
+			return fmt.Errorf("%w: class %q weight %v (weights must be all zero or all positive)",
+				ErrBadClass, c.Name, c.Weight)
+		}
+		rp, err := a.resolveProfile(c.Name, c.Profile)
 		if err != nil {
 			return err
 		}
+		rp.weight = c.Weight
 		a.classProfiles = append(a.classProfiles, rp)
+		a.classWeight += c.Weight
 		names[i] = c.Name
 	}
 	a.classes = make([]classState, len(classes))
@@ -154,50 +130,19 @@ func (a *App) resolveClasses(classes []Class) error {
 	return nil
 }
 
-// pickProfile draws a mix profile by weight: one Float64 against the
+// pickClass draws a class index by weight: one Float64 against the
 // cumulative weights, exactly the draw the chain's servlet mix has always
 // made.
-func (a *App) pickProfile() *resolvedProfile {
-	u := a.rnd.Float64() * a.profWeight
+func (a *App) pickClass() int {
+	u := a.rnd.Float64() * a.classWeight
 	acc := 0.0
-	for i := range a.profiles {
-		acc += a.profiles[i].weight
+	for i := range a.classProfiles {
+		acc += a.classProfiles[i].weight
 		if u < acc {
-			return &a.profiles[i]
+			return i
 		}
 	}
-	return &a.profiles[len(a.profiles)-1]
-}
-
-// ProfileStat summarizes one mix profile's traffic.
-type ProfileStat struct {
-	Completions uint64  `json:"completions"`
-	Errors      uint64  `json:"errors"`
-	MeanRTms    float64 `json:"meanRTms"`
-}
-
-// profileAccum is the mutable per-profile accumulator.
-type profileAccum struct {
-	completions metrics.Counter
-	errored     metrics.Counter
-	rtSum       float64
-}
-
-// ProfileStats returns cumulative per-profile statistics (empty when no
-// mix is configured).
-func (a *App) ProfileStats() map[string]ProfileStat {
-	out := make(map[string]ProfileStat, len(a.profStats))
-	for name, acc := range a.profStats {
-		st := ProfileStat{
-			Completions: acc.completions.Total(),
-			Errors:      acc.errored.Total(),
-		}
-		if st.Completions > 0 {
-			st.MeanRTms = acc.rtSum / float64(st.Completions) * 1000
-		}
-		out[name] = st
-	}
-	return out
+	return len(a.classProfiles) - 1
 }
 
 // classState is the mutable per-class accumulator.
@@ -257,7 +202,3 @@ func (a *App) ClassStats() []ClassStat {
 	}
 	return out
 }
-
-// ClassDispositions returns the per-class disposition tally (nil when no
-// classes are configured).
-func (a *App) ClassDispositions() *metrics.ClassDispositions { return a.classDisp }

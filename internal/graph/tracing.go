@@ -30,11 +30,8 @@ type RequestTrace struct {
 	Total time.Duration `json:"total"`
 	// OK reports whether the request completed successfully.
 	OK bool `json:"ok"`
-	// Servlet is the mix profile the request drew ("" for the single-class
-	// flow). The name — and the JSON key — predate the graph engine: the
-	// chain's weighted request mix called its profiles servlets, and the
-	// serialized form is pinned by the trace goldens.
-	Servlet string `json:"servlet,omitempty"`
+	// Class is the request's class ("" for the classless flow).
+	Class string `json:"class,omitempty"`
 	// Spans are the per-stage records in execution order.
 	Spans []Span `json:"spans"`
 }
@@ -46,7 +43,7 @@ func (rt RequestTrace) String() string {
 	if !rt.OK {
 		status = "FAILED"
 	}
-	name := rt.Servlet
+	name := rt.Class
 	if name == "" {
 		name = "request"
 	}
@@ -91,7 +88,7 @@ func (a *App) Traces() []RequestTrace {
 
 // beginTrace claims a trace slot for a new request, returning nil when
 // tracing is disarmed.
-func (a *App) beginTrace(prof *resolvedProfile) *RequestTrace {
+func (a *App) beginTrace(cls *Class) *RequestTrace {
 	if a.traceRemaining <= 0 {
 		return nil
 	}
@@ -100,8 +97,8 @@ func (a *App) beginTrace(prof *resolvedProfile) *RequestTrace {
 		ID:         len(a.traces) + 1,
 		InjectedAt: a.eng.Now(),
 	}
-	if prof != nil {
-		tr.Servlet = prof.name
+	if cls != nil {
+		tr.Class = cls.Name
 	}
 	a.traces = append(a.traces, tr)
 	return tr

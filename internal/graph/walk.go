@@ -37,7 +37,6 @@ type request struct {
 	deadline sim.Time // zero = none
 	class    int      // index into Config.Classes, -1 for the classless flow
 	cls      *Class
-	mixed    *resolvedProfile // the drawn mix profile, nil without a mix
 	prof     *resolvedProfile // the profile the walk runs under
 	session  uint64
 	critical bool
@@ -240,22 +239,26 @@ func (a *App) tally(d metrics.Disposition) {
 
 // Inject sends one request through the graph's entry node. done
 // (optional) is invoked on completion with the end-to-end response time
-// and whether the request succeeded. With a mix configured, the request's
-// profile is drawn by weight. When resilience is configured the request
-// carries an absolute deadline across every hop; its outcome is tallied
-// as a disposition and, when it completes within the goodput SLA, as a
-// good completion.
+// and whether the request succeeded. With weighted classes configured,
+// the request's class is drawn by weight. When resilience is configured
+// the request carries an absolute deadline across every hop; its outcome
+// is tallied as a disposition and, when it completes within the goodput
+// SLA, as a good completion.
 func (a *App) Inject(done func(rt time.Duration, ok bool)) {
 	a.InjectClass(-1, 0, done)
 }
 
 // InjectClass is Inject for class-mixed workloads: class indexes the
-// configured Classes (any out-of-range value, canonically -1, injects the
+// configured Classes (any out-of-range value, canonically -1, draws the
+// class by weight when the classes are weighted and otherwise injects the
 // classless flow), and session, when non-zero, is a session-affinity key
 // — the entry node then picks the session's rendezvous-hashed home
 // backend instead of rotating. A classless, sessionless call is
 // byte-identical to Inject.
 func (a *App) InjectClass(class int, session uint64, done func(rt time.Duration, ok bool)) {
+	if a.classWeight > 0 && (class < 0 || class >= len(a.classProfiles)) {
+		class = a.pickClass()
+	}
 	r := a.newRequest()
 	r.start = a.eng.Now()
 	r.deadline = a.deadlineFor(r.start)
@@ -263,10 +266,7 @@ func (a *App) InjectClass(class int, session uint64, done func(rt time.Duration,
 	r.done = done
 	a.inFlight++
 	a.injected++
-	if len(a.profiles) > 0 {
-		r.mixed = a.pickProfile()
-	}
-	r.prof = r.mixed
+	r.prof = &a.defaultPr
 	if class >= 0 && class < len(a.cfg.Classes) {
 		r.class = class
 		r.cls = &a.cfg.Classes[class]
@@ -274,11 +274,8 @@ func (a *App) InjectClass(class int, session uint64, done func(rt time.Duration,
 		a.classes[class].injected++
 		a.classes[class].inFlight++
 	}
-	if r.prof == nil {
-		r.prof = &a.defaultPr
-	}
 	r.critical = r.cls != nil && r.cls.Priority > 0
-	r.tr = a.beginTrace(r.mixed)
+	r.tr = a.beginTrace(r.cls)
 	r.id = a.reqTracer.Begin()
 	a.reqTracer.Record(r.id, trace.EventArrive, "", "", r.start)
 	if r.cls != nil {
@@ -357,15 +354,6 @@ func (r *request) finish(disp metrics.Disposition) {
 		}
 	} else {
 		a.unclassedDisp.Observe(disp)
-	}
-	if r.mixed != nil {
-		acc := a.profStats[r.mixed.name]
-		if ok {
-			acc.completions.Inc(1)
-			acc.rtSum += rt.Seconds()
-		} else {
-			acc.errored.Inc(1)
-		}
 	}
 	if r.tr != nil {
 		r.tr.Total = rt

@@ -6,8 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"dcm/internal/graph"
 	"dcm/internal/invariant"
-	"dcm/internal/metrics"
 	"dcm/internal/resilience"
 	"dcm/internal/rng"
 	"dcm/internal/sim"
@@ -29,19 +29,18 @@ func TestClassValidation(t *testing.T) {
 	for i, classes := range bad {
 		cfg := fastConfig()
 		cfg.Classes = classes
-		if _, err := New(eng, r, cfg); !errors.Is(err, ErrBadClasses) {
-			t.Errorf("case %d: err = %v, want ErrBadClasses", i, err)
+		if _, err := New(eng, r, cfg); !errors.Is(err, graph.ErrBadClass) {
+			t.Errorf("case %d: err = %v, want graph.ErrBadClass", i, err)
 		}
 	}
 
-	// Classes and servlets describe the same axis (what a request does /
-	// how it is treated) and are mutually exclusive.
+	// A class set is either picked by the workload (no weights) or drawn
+	// by weight (the servlet mix); mixing the two forms is rejected.
 	cfg := fastConfig()
-	cfg.Classes = []RequestClass{{Name: "a"}}
-	cfg.Servlets = []Servlet{{Name: "s", Weight: 1}}
-	if _, err := New(eng, r, cfg); !errors.Is(err, ErrBadClasses) ||
-		!strings.Contains(err.Error(), "mutually exclusive") {
-		t.Errorf("classes+servlets: err = %v, want mutual-exclusion ErrBadClasses", err)
+	cfg.Classes = []RequestClass{{Name: "a"}, {Name: "s", Weight: 1}}
+	if _, err := New(eng, r, cfg); !errors.Is(err, graph.ErrBadClass) ||
+		!strings.Contains(err.Error(), "all zero or all positive") {
+		t.Errorf("unweighted+weighted: err = %v, want mixed-weights graph.ErrBadClass", err)
 	}
 }
 
@@ -113,10 +112,8 @@ func TestInjectClassTallies(t *testing.T) {
 		t.Errorf("premium good %d of %d completions", stats[0].Good, stats[0].Completions)
 	}
 
-	// The split conserves against the whole-app tally.
-	if err := app.ClassDispositions().CheckConservation(metrics.DispositionCounts{}, app.Dispositions()); err != nil {
-		t.Error(err)
-	}
+	// The split conserves against the whole-app tally: CheckInvariants
+	// runs the per-class conservation check.
 	app.CheckInvariants()
 	if vs := chk.Violations(); len(vs) > 0 {
 		t.Fatalf("invariant violations:\n%s", invariant.Render(vs))

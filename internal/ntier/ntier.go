@@ -13,10 +13,10 @@
 //
 // The chain is the 3-node case of internal/graph (graph.ChainSpec). This
 // package holds only what is specific to the paper's chain: the tier
-// names, the Table I calibration, the servlet mix and traffic classes, and
-// their translation into a graph config. New returns the graph engine
-// itself; callers drive it through the graph API, naming the tiers as
-// nodes. The sha256 digest regressions in internal/experiments pin that
+// names, the Table I calibration, the request classes (the servlet mix
+// among them), and their translation into a graph config. New returns the
+// graph engine itself; callers drive it through the graph API, naming the
+// tiers as nodes. The sha256 digest regressions in internal/experiments pin that
 // the translation reproduces the chain's event and rng stream bit for bit.
 package ntier
 
@@ -56,19 +56,15 @@ type Config struct {
 	// paper controls MySQL concurrency from upstream pools instead.
 	DBMaxConns int
 	// QueriesPerRequest is the DB visit ratio V_db (the paper's example
-	// workload issues 2 queries per HTTP request). It is used by the
-	// single-class flow; a non-empty Servlets mix overrides it per class.
+	// workload issues 2 queries per HTTP request). It is the classless
+	// flow's visit ratio and the default for a class with 0 Queries.
 	QueriesPerRequest int
-	// Servlets, when non-empty, enables the multi-class request mix
-	// (§II-A's RUBBoS servlets): each request is drawn from the mix and
-	// carries its class's CPU demand and query behaviour. Empty keeps the
+	// Classes, when non-empty, enables request classes, each with its own
+	// priority, SLO and demand profile and its own per-class tallies.
+	// Unweighted classes are picked per request by the workload and
+	// injected through InjectClass; weighted ones are drawn by Inject
+	// (§II-A's RUBBoS servlet mix, DefaultServlets). Empty keeps the
 	// single uniform class the calibration uses.
-	Servlets []Servlet
-	// Classes, when non-empty, enables workload-driven traffic classes:
-	// the generator picks the class per request and injects it through
-	// InjectClass, which applies the class's priority, SLO and demand
-	// profile and tallies per-class dispositions. Mutually exclusive with
-	// Servlets (a class carries its own demand profile).
 	Classes []RequestClass
 	// WebServers, AppServers, DBServers are the initial #W/#A/#D.
 	WebServers, AppServers, DBServers int
@@ -148,34 +144,27 @@ func chainSpec(cfg Config) graph.Spec {
 		cfg.DBThrashKnee, cfg.DBThrashCoef, cfg.DBThrashCap)
 }
 
-// servletProfiles translates the servlet mix into graph demand profiles:
-// a servlet's app demand scales the app node, its query demand the db
-// node, and its query count the app→db visit ratio.
-func servletProfiles(servlets []Servlet) []graph.Profile {
-	out := make([]graph.Profile, len(servlets))
-	for i, s := range servlets {
-		nd := map[string]float64{TierApp: s.AppDemand}
-		if s.QueryDemand > 0 {
-			nd[TierDB] = s.QueryDemand
-		}
-		out[i] = graph.Profile{
-			Name:       s.Name,
-			Weight:     s.Weight,
-			NodeDemand: nd,
-			EdgeVisits: map[string]int{TierApp + "->" + TierDB: s.Queries},
-		}
-	}
-	return out
-}
-
-// classProfiles translates validated (default-filled) traffic classes.
-func classProfiles(classes []RequestClass) []graph.Class {
+// classProfiles translates the request classes into graph classes,
+// filling the demand defaults: a class's app demand scales the app node,
+// its query demand the db node, and its query count the app→db visit
+// ratio. graph.New validates the result.
+func classProfiles(classes []RequestClass, queriesDefault int) []graph.Class {
 	out := make([]graph.Class, len(classes))
 	for i, c := range classes {
+		if c.AppDemand == 0 {
+			c.AppDemand = 1
+		}
+		if c.Queries == 0 {
+			c.Queries = queriesDefault
+		}
+		if c.QueryDemand == 0 {
+			c.QueryDemand = 1
+		}
 		out[i] = graph.Class{
 			Name:     c.Name,
 			Priority: c.Priority,
 			SLO:      c.SLO,
+			Weight:   c.Weight,
 			Profile: graph.Profile{
 				NodeDemand: map[string]float64{TierApp: c.AppDemand, TierDB: c.QueryDemand},
 				EdgeVisits: map[string]int{TierApp + "->" + TierDB: c.Queries},
@@ -210,36 +199,13 @@ func New(eng *sim.Engine, rnd *rng.Rand, cfg Config) (*graph.App, error) {
 	if err := cfg.Resilience.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
-	if len(cfg.Classes) > 0 {
-		if len(cfg.Servlets) > 0 {
-			return nil, fmt.Errorf("%w: classes and servlets are mutually exclusive", ErrBadClasses)
-		}
-		// Copy the classes so later caller mutations cannot skew demand,
-		// then validate and fill demand defaults on the copy.
-		classes := make([]RequestClass, len(cfg.Classes))
-		copy(classes, cfg.Classes)
-		cfg.Classes = classes
-		if err := validateClasses(cfg.Classes, cfg.QueriesPerRequest); err != nil {
-			return nil, err
-		}
-	}
-	if len(cfg.Servlets) > 0 {
-		// Copy the mix so later caller mutations cannot skew the weights.
-		servlets := make([]Servlet, len(cfg.Servlets))
-		copy(servlets, cfg.Servlets)
-		cfg.Servlets = servlets
-		if _, err := validateServlets(cfg.Servlets); err != nil {
-			return nil, err
-		}
-	}
 
 	return graph.New(eng, rnd, graph.Config{
 		Spec:       chainSpec(cfg),
 		NoiseSigma: cfg.NoiseSigma,
 		Policy:     cfg.Policy,
 		Resilience: cfg.Resilience,
-		Mix:        servletProfiles(cfg.Servlets),
-		Classes:    classProfiles(cfg.Classes),
+		Classes:    classProfiles(cfg.Classes, cfg.QueriesPerRequest),
 	})
 }
 

@@ -1,10 +1,12 @@
 package ntier
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
 
+	"dcm/internal/graph"
 	"dcm/internal/rng"
 	"dcm/internal/sim"
 )
@@ -15,9 +17,14 @@ func TestDefaultServletsNormalized(t *testing.T) {
 	if len(mix) != 10 {
 		t.Fatalf("mix size = %d", len(mix))
 	}
-	total, err := validateServlets(mix)
-	if err != nil {
+	cfg := fastConfig()
+	cfg.Classes = mix
+	if _, err := New(sim.NewEngine(), rng.New(1), cfg); err != nil {
 		t.Fatal(err)
+	}
+	var total float64
+	for _, s := range mix {
+		total += s.Weight
 	}
 	var meanDemand, meanQueries float64
 	for _, s := range mix {
@@ -35,17 +42,19 @@ func TestDefaultServletsNormalized(t *testing.T) {
 
 func TestValidateServletsRejectsBadMixes(t *testing.T) {
 	t.Parallel()
-	bad := [][]Servlet{
+	bad := [][]RequestClass{
 		{{Name: "", Weight: 1, AppDemand: 1}},
-		{{Name: "a", Weight: 0, AppDemand: 1}},
-		{{Name: "a", Weight: 1, AppDemand: 0}},
+		{{Name: "a", Weight: 1, AppDemand: 1}, {Name: "b", Weight: 0, AppDemand: 1}},
+		{{Name: "a", Weight: 1, AppDemand: -1}},
 		{{Name: "a", Weight: 1, AppDemand: 1, Queries: -1}},
-		{{Name: "a", Weight: 1, AppDemand: 1, Queries: 2, QueryDemand: 0}},
+		{{Name: "a", Weight: 1, AppDemand: 1, Queries: 2, QueryDemand: -1}},
 		{{Name: "a", Weight: 1, AppDemand: 1}, {Name: "a", Weight: 1, AppDemand: 1}},
 	}
 	for i, mix := range bad {
-		if _, err := validateServlets(mix); err == nil {
-			t.Errorf("mix %d accepted", i)
+		cfg := fastConfig()
+		cfg.Classes = mix
+		if _, err := New(sim.NewEngine(), rng.New(1), cfg); !errors.Is(err, graph.ErrBadClass) {
+			t.Errorf("mix %d: err = %v, want graph.ErrBadClass", i, err)
 		}
 	}
 }
@@ -53,7 +62,7 @@ func TestValidateServletsRejectsBadMixes(t *testing.T) {
 func TestNewRejectsBadServletMix(t *testing.T) {
 	t.Parallel()
 	cfg := fastConfig()
-	cfg.Servlets = []Servlet{{Name: "x", Weight: -1, AppDemand: 1}}
+	cfg.Classes = []RequestClass{{Name: "x", Weight: -1, AppDemand: 1}}
 	eng := sim.NewEngine()
 	if _, err := New(eng, rng.New(1), cfg); err == nil {
 		t.Fatal("bad mix accepted")
@@ -63,7 +72,7 @@ func TestNewRejectsBadServletMix(t *testing.T) {
 func TestServletMixDistribution(t *testing.T) {
 	t.Parallel()
 	cfg := fastConfig()
-	cfg.Servlets = []Servlet{
+	cfg.Classes = []RequestClass{
 		{Name: "light", Weight: 3, AppDemand: 0.5, Queries: 1, QueryDemand: 1},
 		{Name: "heavy", Weight: 1, AppDemand: 2.0, Queries: 3, QueryDemand: 1},
 	}
@@ -75,8 +84,8 @@ func TestServletMixDistribution(t *testing.T) {
 	if err := eng.Run(5 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	stats := app.ProfileStats()
-	light, heavy := stats["light"], stats["heavy"]
+	stats := app.ClassStats()
+	light, heavy := stats[0], stats[1]
 	if light.Completions+heavy.Completions != total {
 		t.Fatalf("per-class totals %d + %d != %d", light.Completions, heavy.Completions, total)
 	}
@@ -93,7 +102,7 @@ func TestServletMixDistribution(t *testing.T) {
 func TestServletQueriesRouteToDB(t *testing.T) {
 	t.Parallel()
 	cfg := fastConfig()
-	cfg.Servlets = []Servlet{
+	cfg.Classes = []RequestClass{
 		{Name: "q3", Weight: 1, AppDemand: 1, Queries: 3, QueryDemand: 1},
 	}
 	eng, app := newApp(t, cfg)
@@ -108,25 +117,6 @@ func TestServletQueriesRouteToDB(t *testing.T) {
 	}
 }
 
-func TestServletZeroQueriesSkipsDB(t *testing.T) {
-	t.Parallel()
-	cfg := fastConfig()
-	cfg.Servlets = []Servlet{
-		{Name: "static", Weight: 1, AppDemand: 1, Queries: 0},
-	}
-	eng, app := newApp(t, cfg)
-	app.Inject(nil)
-	if err := eng.Run(time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if app.TotalCompletions() != 1 {
-		t.Fatal("request did not complete")
-	}
-	if got := app.Members(TierDB)[0].Server().TotalCompletions(); got != 0 {
-		t.Fatalf("db bursts = %d", got)
-	}
-}
-
 // TestServletMixPreservesMeanThroughput: a saturated system under the
 // normalized default mix sustains roughly the same throughput as the
 // single-class flow, because the mix's weighted means match.
@@ -137,7 +127,7 @@ func TestServletMixPreservesMeanThroughput(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.AppThreads = 20
 		if useMix {
-			cfg.Servlets = DefaultServlets()
+			cfg.Classes = DefaultServlets()
 		}
 		app, err := New(eng, rng.New(5).Split("app"), cfg)
 		if err != nil {

@@ -118,14 +118,14 @@ func TestTraceFailedRequest(t *testing.T) {
 func TestTraceServletName(t *testing.T) {
 	t.Parallel()
 	cfg := fastConfig()
-	cfg.Servlets = []Servlet{{Name: "OnlyOne", Weight: 1, AppDemand: 1, Queries: 1, QueryDemand: 1}}
+	cfg.Classes = []RequestClass{{Name: "OnlyOne", Weight: 1, AppDemand: 1, Queries: 1, QueryDemand: 1}}
 	eng, app := newApp(t, cfg)
 	app.TraceRequests(1)
 	app.Inject(nil)
 	if err := eng.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if got := app.Traces()[0].Servlet; got != "OnlyOne" {
-		t.Fatalf("servlet = %q", got)
+	if got := app.Traces()[0].Class; got != "OnlyOne" {
+		t.Fatalf("class = %q", got)
 	}
 }
