@@ -84,17 +84,24 @@ func run(args []string) error {
 	if *parallel < 0 {
 		return fmt.Errorf("-parallel must be >= 0, got %d", *parallel)
 	}
-	parallelSet, seedsSet := false, false
+	parallelSet, seedsSet, fileSet := false, false, false
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "parallel":
 			parallelSet = true
 		case "seeds":
 			seedsSet = true
+		case "file":
+			fileSet = true
 		}
 	})
 	if seedsSet && *seeds == "" {
 		return fmt.Errorf("-seeds needs at least one seed")
+	}
+	// An explicitly empty -file (an unset variable in a script) must not
+	// fall through to the bundled default scenario.
+	if fileSet && *scenarioFile == "" {
+		return fmt.Errorf("-file needs a scenario path")
 	}
 	if parallelSet && *seeds == "" {
 		return fmt.Errorf("-parallel only applies to multi-seed runs: pass -seeds as well")

@@ -127,6 +127,7 @@ func TestFlagValidation(t *testing.T) {
 		{"-seeds", "1,2", "-audit", "/tmp/x"}, // detail flag with -seeds
 		{"-seeds", ""},                        // empty seed list
 		{"-seeds", "1,notanumber"},            // unparseable seed
+		{"-file", ""},                         // empty scenario path
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {

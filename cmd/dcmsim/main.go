@@ -3,11 +3,8 @@
 // time series and summary. Run with -h for flags; -compare adds the
 // EC2-AutoScale baseline next to the chosen controller.
 //
-// With -topology the command instead drives the named service-graph
-// topology (see topologies/) through the graph experiment: bursty
-// arrivals, per-node DCM controllers on armed nodes, and the per-node
-// ledger report. -seed, -timeout and -invariants apply; the
-// chain-scenario flags do not.
+// Service-graph topologies (see topologies/) run through the sweep
+// command: go run ./cmd/sweep -experiment graph -topology <spec>.
 package main
 
 import (
@@ -69,7 +66,6 @@ func run(args []string) error {
 		resil          = fs.String("resilience", "off", "data-plane resilience preset: off | timeout | retries | full")
 		reqTimeout     = fs.Duration("timeout", 0, "per-request deadline for the resilience presets (0 = preset default)")
 		invariants     = fs.Bool("invariants", false, "run the runtime invariant checker alongside the simulation and fail on any structural-law violation (results are byte-identical)")
-		topologyFile   = fs.String("topology", "", "run a service-graph topology spec instead of the chain scenario (see topologies/)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -79,27 +75,6 @@ func run(args []string) error {
 		return err
 	}
 	defer stopProfile()
-
-	if *topologyFile != "" {
-		res, err := experiments.RunGraph(experiments.GraphConfig{
-			Seed:        *seed,
-			Topology:    *topologyFile,
-			Timeout:     *reqTimeout,
-			Controllers: true,
-			Invariants:  *invariants,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("service graph %s\n\n", *topologyFile)
-		fmt.Print(experiments.RenderGraph(res))
-		if vs := res.InvariantViolations; len(vs) > 0 {
-			fmt.Println("invariant violations:")
-			fmt.Print(invariant.Render(vs))
-			return fmt.Errorf("%d invariant violation(s)", len(vs))
-		}
-		return nil
-	}
 
 	var tr *trace.Trace
 	if *traceFile != "" {

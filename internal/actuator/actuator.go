@@ -99,27 +99,6 @@ func NewVMAgent(eng *sim.Engine, hv *cloud.Hypervisor, app *graph.App, mon Agent
 	return va, nil
 }
 
-// SetLaunchRetry tunes the launch-failure policy: maxRetries bounds
-// relaunch attempts after a crash or watchdog timeout (0 disables
-// retries), backoff is the first retry delay (doubled per attempt), and
-// watchdogFactor × PrepDelay is how long a launch may stay provisioning
-// before the agent abandons the instance and retries (0 disables the
-// watchdog).
-func (va *VMAgent) SetLaunchRetry(maxRetries int, backoff time.Duration, watchdogFactor float64) {
-	if maxRetries < 0 {
-		maxRetries = 0
-	}
-	if backoff <= 0 {
-		backoff = defaultRetryBackoff
-	}
-	if watchdogFactor < 0 {
-		watchdogFactor = 0
-	}
-	va.maxRetries = maxRetries
-	va.retryBackoff = backoff
-	va.watchdogFactor = watchdogFactor
-}
-
 // Pending returns the number of VMs launched for tier that are not yet
 // serving.
 func (va *VMAgent) Pending(tier string) int { return va.pending[tier] }
@@ -144,7 +123,7 @@ func (va *VMAgent) nextName(tier string) string {
 // period the new server joins the tier's load balancer with the tier's
 // current soft-resource allocation and gets a monitoring agent. The VM
 // name is returned immediately. If the VM crashes or stalls during its
-// preparation period the agent relaunches it (see SetLaunchRetry).
+// preparation period the agent relaunches it with bounded backoff.
 func (va *VMAgent) ScaleOut(tier string) (string, error) {
 	return va.launch(tier, 0)
 }
@@ -285,17 +264,6 @@ func (va *VMAgent) pickVictim(tier string) string {
 		}
 	}
 	return ""
-}
-
-// Serving returns the number of accepting servers in tier.
-func (va *VMAgent) Serving(tier string) int {
-	n := 0
-	for _, m := range va.app.Members(tier) {
-		if m.Accepting() {
-			n++
-		}
-	}
-	return n
 }
 
 // Records returns a copy of the actuation log.

@@ -116,8 +116,8 @@ func TestScaleInDrainsThenRemoves(t *testing.T) {
 	if err := eng.Run(20 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if va.Serving(ntier.TierApp) != 2 {
-		t.Fatalf("serving = %d", va.Serving(ntier.TierApp))
+	if serving(va, ntier.TierApp) != 2 {
+		t.Fatalf("serving = %d", serving(va, ntier.TierApp))
 	}
 	victim, err := va.ScaleIn(ntier.TierApp)
 	if err != nil {
@@ -127,8 +127,8 @@ func TestScaleInDrainsThenRemoves(t *testing.T) {
 	if victim != "app-2" {
 		t.Fatalf("victim = %q, want app-2 (newest)", victim)
 	}
-	if va.Serving(ntier.TierApp) != 1 {
-		t.Fatalf("serving during drain = %d", va.Serving(ntier.TierApp))
+	if serving(va, ntier.TierApp) != 1 {
+		t.Fatalf("serving during drain = %d", serving(va, ntier.TierApp))
 	}
 	if err := eng.Run(25 * time.Second); err != nil {
 		t.Fatal(err)
@@ -344,7 +344,7 @@ func TestLaunchWatchdogAbandonsSlowBoot(t *testing.T) {
 func TestLaunchGivesUpAfterMaxRetries(t *testing.T) {
 	t.Parallel()
 	eng, hv, app, _, va := setup(t)
-	va.SetLaunchRetry(1, 2*time.Second, 4)
+	va.maxRetries, va.retryBackoff, va.watchdogFactor = 1, 2*time.Second, 4
 	if _, err := va.ScaleOut(ntier.TierApp); err != nil {
 		t.Fatal(err)
 	}
@@ -410,4 +410,15 @@ func TestServingCrashTearsDownServer(t *testing.T) {
 	if va.Pending(ntier.TierApp) != 0 {
 		t.Fatalf("pending = %d, serving crash must not auto-relaunch", va.Pending(ntier.TierApp))
 	}
+}
+
+// serving counts the accepting servers in tier.
+func serving(va *VMAgent, tier string) int {
+	n := 0
+	for _, m := range va.app.Members(tier) {
+		if m.Accepting() {
+			n++
+		}
+	}
+	return n
 }

@@ -11,7 +11,7 @@ import (
 )
 
 func TestKnobRegistry(t *testing.T) {
-	ks := Knobs()
+	ks := knobs
 	if len(ks) < 8 {
 		t.Fatalf("registry has %d knobs, want >= 8", len(ks))
 	}

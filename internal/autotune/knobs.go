@@ -46,13 +46,6 @@ var knobs = []Knob{
 		Apply: func(r *policy.Rules, v float64) { r.Retry.BudgetRatio = v }},
 }
 
-// Knobs returns the registry in stable order.
-func Knobs() []Knob {
-	out := make([]Knob, len(knobs))
-	copy(out, knobs)
-	return out
-}
-
 // KnobByName looks a knob up.
 func KnobByName(name string) (Knob, bool) {
 	for _, k := range knobs {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"dcm/internal/policy"
 	"dcm/internal/rng"
 	"dcm/internal/runner"
 )
@@ -251,20 +250,4 @@ func ParetoFrontier(pts []Point) []Point {
 		return out[i].Key() < out[j].Key()
 	})
 	return out
-}
-
-// BestRules returns the frontier point with the highest attainment
-// (cheapest on ties), or false when the report is empty — a convenience
-// for "give me the tuned policy" consumers.
-func (r *ControllerReport) BestRules() (policy.Rules, bool) {
-	if len(r.Frontier) == 0 {
-		return policy.Rules{}, false
-	}
-	best := r.Frontier[0]
-	for _, p := range r.Frontier[1:] {
-		if p.Attainment > best.Attainment {
-			best = p
-		}
-	}
-	return best.Rules, true
 }

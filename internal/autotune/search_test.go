@@ -105,9 +105,6 @@ func TestSearchReportShape(t *testing.T) {
 			}
 		}
 	}
-	if _, ok := cr.BestRules(); !ok {
-		t.Fatal("BestRules found nothing on a non-empty frontier")
-	}
 
 	out := RenderReport(rep)
 	for _, want := range []string{"portfolio: steady (seed 7, quick)", "target-tracking:", "serverHours", "targetCPU"} {

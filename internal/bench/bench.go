@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -286,12 +285,4 @@ func sp(s string) string {
 		return ""
 	}
 	return "  " + s
-}
-
-// Sort orders a suite's benchmarks by name — handy before Save when the
-// input order is nondeterministic (e.g. merged from several files).
-func Sort(s *Suite) {
-	sort.Slice(s.Benchmarks, func(i, j int) bool {
-		return s.Benchmarks[i].Name < s.Benchmarks[j].Name
-	})
 }

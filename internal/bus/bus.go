@@ -168,29 +168,6 @@ func (b *Bus) Fetch(topic string, offset int64, limit int) ([]Message, error) {
 	return out, nil
 }
 
-// EndOffset returns the offset one past the last message in topic
-// (0 for an unknown or empty topic).
-func (b *Bus) EndOffset(topic string) int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	t, ok := b.topics[topic]
-	if !ok {
-		return 0
-	}
-	return t.dropped + int64(len(t.messages)-t.head)
-}
-
-// Topics returns the names of all topics, in unspecified order.
-func (b *Bus) Topics() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]string, 0, len(b.topics))
-	for name := range b.topics {
-		out = append(out, name)
-	}
-	return out
-}
-
 // Close shuts the bus down; subsequent operations return ErrClosed.
 func (b *Bus) Close() {
 	b.mu.Lock()
@@ -208,7 +185,7 @@ type Consumer struct {
 }
 
 // NewConsumer returns a consumer positioned at the given offset of topic.
-// Use offset 0 to read from the beginning, or Bus.EndOffset to tail.
+// Use offset 0 to read from the beginning.
 func (b *Bus) NewConsumer(topic string, offset int64) *Consumer {
 	if offset < 0 {
 		offset = 0
@@ -235,11 +212,3 @@ func (c *Consumer) Poll(limit int) ([]Message, error) {
 
 // Offset returns the consumer's next-read position.
 func (c *Consumer) Offset() int64 { return c.offset }
-
-// SeekTo repositions the consumer.
-func (c *Consumer) SeekTo(offset int64) {
-	if offset < 0 {
-		offset = 0
-	}
-	c.offset = offset
-}

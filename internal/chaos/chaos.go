@@ -49,11 +49,6 @@ const (
 	KindBlackout Kind = "monitor-blackout"
 )
 
-// Kinds lists all fault kinds.
-func Kinds() []Kind {
-	return []Kind{KindVMCrash, KindSlowBoot, KindDegrade, KindConnLeak, KindBlackout}
-}
-
 // Fault is one declarative fault.
 type Fault struct {
 	// Kind selects the fault type.

@@ -349,7 +349,7 @@ func TestAnalyzeRecovery(t *testing.T) {
 		in.Throughput = append(in.Throughput, tp)
 		in.MeanRTSec = append(in.MeanRTSec, rt)
 	}
-	rep := Analyze(in, AnalysisConfig{})
+	rep := Analyze(in)
 	if len(rep.Faults) != 1 {
 		t.Fatalf("fault reports = %d", len(rep.Faults))
 	}
@@ -389,7 +389,7 @@ func TestAnalyzeUnrecovered(t *testing.T) {
 		in.Throughput = append(in.Throughput, tp)
 		in.MeanRTSec = append(in.MeanRTSec, 0.1)
 	}
-	rep := Analyze(in, AnalysisConfig{})
+	rep := Analyze(in)
 	fr := rep.Faults[0]
 	if !fr.Impacted || fr.Recovered || fr.TTRSeconds != -1 {
 		t.Fatalf("verdict = %+v", fr)
@@ -410,7 +410,7 @@ func TestAnalyzeBlindSeconds(t *testing.T) {
 		in.Throughput = append(in.Throughput, 100)
 		in.MeanRTSec = append(in.MeanRTSec, 0.1)
 	}
-	rep := Analyze(in, AnalysisConfig{})
+	rep := Analyze(in)
 	if rep.BlindSeconds != 20 {
 		t.Fatalf("blind seconds = %v, want 20", rep.BlindSeconds)
 	}

@@ -69,9 +69,6 @@ func NewInjector(eng *sim.Engine, rnd *rng.Rand, app *graph.App, hv *cloud.Hyper
 	return in, nil
 }
 
-// Schedule returns the installed schedule.
-func (in *Injector) Schedule() Schedule { return in.sched }
-
 // Install schedules every fault on the engine in one batch. Install is
 // idempotent.
 func (in *Injector) Install() {

@@ -7,37 +7,18 @@ import (
 	"dcm/internal/metrics"
 )
 
-// AnalysisConfig parameterizes the post-hoc recovery analysis.
-type AnalysisConfig struct {
-	// BaselineWindowSec is how far before each fault the pre-fault
-	// throughput baseline averages over (default 30 s).
-	BaselineWindowSec float64
-	// RecoveryWindowSec is the trailing window whose mean throughput must
-	// clear the recovery bar (default 5 s).
-	RecoveryWindowSec float64
-	// RecoveryFraction of the baseline counts as recovered (default 0.9).
-	RecoveryFraction float64
-	// SLORTSeconds is the response-time SLO (default 1 s, the knee the
-	// paper's Fig. 5 commentary treats as unacceptable).
-	SLORTSeconds float64
-}
-
-// withDefaults fills zero fields.
-func (c AnalysisConfig) withDefaults() AnalysisConfig {
-	if c.BaselineWindowSec <= 0 {
-		c.BaselineWindowSec = 30
-	}
-	if c.RecoveryWindowSec <= 0 {
-		c.RecoveryWindowSec = 5
-	}
-	if c.RecoveryFraction <= 0 || c.RecoveryFraction > 1 {
-		c.RecoveryFraction = 0.9
-	}
-	if c.SLORTSeconds <= 0 {
-		c.SLORTSeconds = 1
-	}
-	return c
-}
+// The recovery analysis's parameters. A fault's pre-fault throughput
+// baseline averages over baselineWindowSec before it; the fault counts as
+// recovered once the mean throughput over a trailing recoveryWindowSec
+// clears recoveryFraction of that baseline. A second whose mean response
+// time exceeds sloRTSeconds (the knee the paper's Fig. 5 commentary treats
+// as unacceptable) counts toward the SLO violation.
+const (
+	baselineWindowSec = 30
+	recoveryWindowSec = 5
+	recoveryFraction  = 0.9
+	sloRTSeconds      = 1
+)
 
 // Input is the measured run a Report is computed from: aligned per-second
 // series (Seconds is the time axis; gaps in it are monitoring blackouts)
@@ -86,17 +67,16 @@ type Report struct {
 }
 
 // Analyze computes the chaos report for a finished run.
-func Analyze(in Input, cfg AnalysisConfig) Report {
-	cfg = cfg.withDefaults()
+func Analyze(in Input) Report {
 	rep := Report{
 		Scenario:        in.Schedule.Name,
 		ErroredRequests: in.ErroredRequests,
 		Injections:      in.Injections,
 	}
 	for _, f := range in.Schedule.sorted() {
-		rep.Faults = append(rep.Faults, analyzeFault(f, in, cfg))
+		rep.Faults = append(rep.Faults, analyzeFault(f, in))
 	}
-	rep.SLOViolationSeconds = sloViolation(in, cfg)
+	rep.SLOViolationSeconds = sloViolation(in)
 	rep.BlindSeconds = blindSeconds(in.Seconds)
 	return rep
 }
@@ -117,17 +97,17 @@ func windowMean(axis, v []float64, from, to float64) (float64, bool) {
 }
 
 // analyzeFault computes one fault's baseline/impact/recovery verdict.
-func analyzeFault(f Fault, in Input, cfg AnalysisConfig) FaultReport {
+func analyzeFault(f Fault, in Input) FaultReport {
 	at := f.At.Seconds()
 	fr := FaultReport{Fault: f}
-	baseline, ok := windowMean(in.Seconds, in.Throughput, at-cfg.BaselineWindowSec, at)
+	baseline, ok := windowMean(in.Seconds, in.Throughput, at-baselineWindowSec, at)
 	if !ok || baseline <= 0 {
 		// No pre-fault traffic to compare against: nothing measurable.
 		fr.Recovered = true
 		return fr
 	}
 	fr.BaselineThroughput = baseline
-	bar := cfg.RecoveryFraction * baseline
+	bar := recoveryFraction * baseline
 
 	// Walk forward from the injection: the first trailing window below the
 	// bar marks impact, the first window back at the bar after that marks
@@ -136,7 +116,7 @@ func analyzeFault(f Fault, in Input, cfg AnalysisConfig) FaultReport {
 		if t < at {
 			continue
 		}
-		mean, ok := windowMean(in.Seconds, in.Throughput, t-cfg.RecoveryWindowSec, t+1e-9)
+		mean, ok := windowMean(in.Seconds, in.Throughput, t-recoveryWindowSec, t+1e-9)
 		if !ok {
 			continue
 		}
@@ -161,11 +141,11 @@ func analyzeFault(f Fault, in Input, cfg AnalysisConfig) FaultReport {
 }
 
 // sloViolation sums the seconds whose mean RT exceeded the SLO.
-func sloViolation(in Input, cfg AnalysisConfig) float64 {
+func sloViolation(in Input) float64 {
 	spacing := axisSpacing(in.Seconds)
 	total := 0.0
 	for i, rt := range in.MeanRTSec {
-		if i < len(in.Seconds) && rt > cfg.SLORTSeconds {
+		if i < len(in.Seconds) && rt > sloRTSeconds {
 			total += spacing
 		}
 	}

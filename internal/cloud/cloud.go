@@ -68,13 +68,6 @@ func (v *VM) Tier() string { return v.tier }
 // State returns the current lifecycle state.
 func (v *VM) State() State { return v.state }
 
-// LaunchedAt returns when the VM was requested.
-func (v *VM) LaunchedAt() sim.Time { return v.launched }
-
-// ReadyAt returns when the VM entered (or will enter) service mode; it is
-// meaningful once the VM has left StateProvisioning.
-func (v *VM) ReadyAt() sim.Time { return v.readyAt }
-
 // CrashedFrom returns the state the VM was in when it crashed; zero unless
 // the VM is in StateCrashed.
 func (v *VM) CrashedFrom() State { return v.crashedFrom }
@@ -145,12 +138,6 @@ func (h *Hypervisor) OnCrash(fn func(*VM)) {
 	if fn != nil {
 		h.onCrash = append(h.onCrash, fn)
 	}
-}
-
-// NextName generates a unique VM name for a tier ("app-3").
-func (h *Hypervisor) NextName(tier string) string {
-	h.seq++
-	return fmt.Sprintf("%s-%d", tier, h.seq)
 }
 
 // Launch starts a VM for tier. After the preparation period the VM becomes
@@ -271,31 +258,6 @@ func (h *Hypervisor) Live(tier string) []*VM {
 	}
 	sortVMs(out)
 	return out
-}
-
-// CountReady returns the number of ready (serving) VMs in tier.
-func (h *Hypervisor) CountReady(tier string) int {
-	n := 0
-	for _, vm := range h.vms {
-		if vm.tier == tier && vm.state == StateReady {
-			n++
-		}
-	}
-	return n
-}
-
-// CountLive returns the number of non-terminated VMs in tier, including
-// those still provisioning — the count scaling decisions must consider so
-// a burst does not launch a new VM every control period while the first
-// one boots.
-func (h *Hypervisor) CountLive(tier string) int {
-	n := 0
-	for _, vm := range h.vms {
-		if vm.tier == tier && !vm.state.gone() {
-			n++
-		}
-	}
-	return n
 }
 
 // CountCrashedServing returns the number of the tier's VMs that crashed

@@ -194,22 +194,6 @@ func PlanRulesFromAllocation(a policy.AllocationRules) model.PlanRules {
 	}
 }
 
-// DCMConfigFromRules builds a DCM configuration from a declarative rule
-// set plus the trained tier models. Online training, predictive scaling and
-// the refit period are orthogonal to the rule set and stay at their zero
-// values; callers flip them afterwards as needed.
-func DCMConfigFromRules(r policy.Rules, tomcat, mysql model.Params) DCMConfig {
-	pr := PlanRulesFromAllocation(r.Allocation)
-	return DCMConfig{
-		Policy:      PolicyFromRules(r.Scaling),
-		TomcatModel: tomcat,
-		MySQLModel:  mysql,
-		Headroom:    r.Allocation.Headroom,
-		WebThreads:  r.Allocation.WebThreads,
-		PlanRules:   &pr,
-	}
-}
-
 // ErrBadPolicy is returned for invalid policies.
 var ErrBadPolicy = errors.New("controller: invalid policy")
 
@@ -322,10 +306,9 @@ func NewEC2AutoScale(policy Policy) (*EC2AutoScale, error) {
 }
 
 // NewPredictiveEC2AutoScale builds the baseline with Holt-forecast
-// scale-out (see predict.go). horizon is the lookahead in control periods
-// (0 selects the default of 2).
-func NewPredictiveEC2AutoScale(policy Policy, horizon float64) (*EC2AutoScale, error) {
-	vm, err := newPredictiveVMLevel(policy, horizon, 0, 0)
+// scale-out (see predict.go).
+func NewPredictiveEC2AutoScale(policy Policy) (*EC2AutoScale, error) {
+	vm, err := newPredictiveVMLevel(policy)
 	if err != nil {
 		return nil, err
 	}
@@ -381,10 +364,8 @@ type DCMConfig struct {
 	OnlineRefitPeriods int
 	// Predictive switches the VM level to Holt-forecast scale-out (see
 	// predict.go): the §VI extension that hides the setup delay behind a
-	// burst's ramp. PredictiveHorizon is the lookahead in control periods
-	// (0 selects 2: one preparation period plus one control period).
-	Predictive        bool
-	PredictiveHorizon float64
+	// burst's ramp.
+	Predictive bool
 }
 
 // DCM is the paper's two-level controller.
@@ -429,7 +410,7 @@ func NewDCM(cfg DCMConfig) (*DCM, error) {
 	}
 	c := &DCM{vm: vm, cfg: cfg}
 	if cfg.Predictive {
-		pvm, err := newPredictiveVMLevel(cfg.Policy, cfg.PredictiveHorizon, 0, 0)
+		pvm, err := newPredictiveVMLevel(cfg.Policy)
 		if err != nil {
 			return nil, err
 		}
@@ -597,10 +578,6 @@ func (c *DCM) trainerFor(m map[epoch]*model.OnlineTrainer, key epoch) *model.Onl
 	}
 	return t
 }
-
-// TrainerCount reports how many configuration epochs have accumulated
-// online observations — diagnostics for tests and tools.
-func (c *DCM) TrainerCount() int { return len(c.appTrainers) }
 
 // Models returns the models the planner currently uses (online fits once
 // available, the configured ones otherwise).

@@ -418,7 +418,7 @@ func TestNewHoltClampsParameters(t *testing.T) {
 
 func TestPredictiveScalesOutOnRisingTrend(t *testing.T) {
 	t.Parallel()
-	c, err := NewPredictiveEC2AutoScale(DefaultPolicy(), 2)
+	c, err := NewPredictiveEC2AutoScale(DefaultPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +444,7 @@ func TestPredictiveScalesOutOnRisingTrend(t *testing.T) {
 
 func TestPredictiveDoesNotAccelerateScaleIn(t *testing.T) {
 	t.Parallel()
-	c, err := NewPredictiveEC2AutoScale(DefaultPolicy(), 2)
+	c, err := NewPredictiveEC2AutoScale(DefaultPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +461,7 @@ func TestPredictiveDoesNotAccelerateScaleIn(t *testing.T) {
 
 func TestPredictiveDelaysScaleInWhileForecastHigh(t *testing.T) {
 	t.Parallel()
-	c, err := NewPredictiveEC2AutoScale(DefaultPolicy(), 2)
+	c, err := NewPredictiveEC2AutoScale(DefaultPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}

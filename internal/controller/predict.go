@@ -56,32 +56,22 @@ func (h *holt) forecast(steps float64) float64 {
 	return h.level + steps*h.trend
 }
 
+// predictiveHorizon is the forecast lookahead in control periods: one
+// preparation period plus one control period.
+const predictiveHorizon = 2
+
 // predictiveVMLevel wraps the threshold VM level with Holt forecasting.
 type predictiveVMLevel struct {
-	vm *vmLevel
-	// horizon is the lookahead in control periods — normally
-	// (prep delay + one control period) / control period.
-	horizon   float64
+	vm        *vmLevel
 	smoothers map[string]*holt
-	alpha     float64
-	beta      float64
 }
 
-func newPredictiveVMLevel(policy Policy, horizon, alpha, beta float64) (*predictiveVMLevel, error) {
+func newPredictiveVMLevel(policy Policy) (*predictiveVMLevel, error) {
 	vm, err := newVMLevel(policy)
 	if err != nil {
 		return nil, err
 	}
-	if horizon <= 0 {
-		horizon = 2 // one prep period plus one control period, in periods
-	}
-	return &predictiveVMLevel{
-		vm:        vm,
-		horizon:   horizon,
-		smoothers: make(map[string]*holt),
-		alpha:     alpha,
-		beta:      beta,
-	}, nil
+	return &predictiveVMLevel{vm: vm, smoothers: make(map[string]*holt)}, nil
 }
 
 // evaluate runs the reactive policy on a view whose per-tier CPU has been
@@ -105,11 +95,11 @@ func (p *predictiveVMLevel) evaluate(view SystemView) ([]Action, []Hold) {
 		}
 		sm := p.smoothers[name]
 		if sm == nil {
-			sm = newHolt(p.alpha, p.beta)
+			sm = newHolt(0, 0) // the default smoothing, alpha 0.5 and beta 0.3
 			p.smoothers[name] = sm
 		}
 		sm.observe(ts.MeanCPU)
-		if f := sm.forecast(p.horizon); f > ts.MeanCPU {
+		if f := sm.forecast(predictiveHorizon); f > ts.MeanCPU {
 			ts.MeanCPU = f
 		}
 		adjusted.Tiers[name] = ts

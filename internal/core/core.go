@@ -6,9 +6,8 @@
 // Every control period (the paper uses 15 s) the framework consumes the
 // monitoring samples accumulated on the bus, aggregates them into a
 // SystemView, asks the controller for decisions, and carries the decisions
-// out through the VM-agent and APP-agent. The full view history and action
-// log are retained so experiments can reconstruct every time series in
-// Fig. 5.
+// out through the VM-agent and APP-agent. The action log is retained so
+// experiments can report every scaling decision.
 package core
 
 import (
@@ -94,7 +93,6 @@ type Framework struct {
 
 	guard *monitor.Guard
 
-	history     []controller.SystemView
 	actions     []ActionRecord
 	stop        func()
 	prevCrashed map[string]int // tier -> crashed-serving census at last view
@@ -213,7 +211,6 @@ func (f *Framework) Stop() {
 // controlStep runs one control period: consume, aggregate, decide, act.
 func (f *Framework) controlStep() {
 	view := f.buildView()
-	f.history = append(f.history, view)
 	for _, action := range f.ctrl.Evaluate(view) {
 		rec := ActionRecord{At: f.eng.Now(), Action: action}
 		switch action.Type {
@@ -385,13 +382,6 @@ func (f *Framework) buildView() controller.SystemView {
 		view.P95RTSeconds = p95
 	}
 	return view
-}
-
-// History returns a copy of every control-period view so far.
-func (f *Framework) History() []controller.SystemView {
-	out := make([]controller.SystemView, len(f.history))
-	copy(out, f.history)
-	return out
 }
 
 // Actions returns a copy of the dispatched-action log.

@@ -53,6 +53,18 @@ func ec2Controller(t *testing.T) *controller.EC2AutoScale {
 	return c
 }
 
+// viewRecorder wraps a controller and keeps every view the framework asks
+// it to evaluate.
+type viewRecorder struct {
+	controller.Controller
+	views []controller.SystemView
+}
+
+func (r *viewRecorder) Evaluate(view controller.SystemView) []controller.Action {
+	r.views = append(r.views, view)
+	return r.Controller.Evaluate(view)
+}
+
 func TestNewValidation(t *testing.T) {
 	t.Parallel()
 	eng := sim.NewEngine()
@@ -70,14 +82,15 @@ func TestNewValidation(t *testing.T) {
 
 func TestViewReflectsIdleSystem(t *testing.T) {
 	t.Parallel()
-	eng, _, fw := newSystem(t, ec2Controller(t))
+	rec := &viewRecorder{Controller: ec2Controller(t)}
+	eng, _, fw := newSystem(t, rec)
 	if err := fw.Start(); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Run(31 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	hist := fw.History()
+	hist := rec.views
 	if len(hist) != 2 {
 		t.Fatalf("history = %d views, want 2 (15s period over 31s)", len(hist))
 	}
@@ -117,7 +130,8 @@ func TestDCMAppliesOptimalAllocationAtFirstPeriod(t *testing.T) {
 
 func TestHotSystemScalesOutAndJoins(t *testing.T) {
 	t.Parallel()
-	eng, app, fw := newSystem(t, ec2Controller(t))
+	rec := &viewRecorder{Controller: ec2Controller(t)}
+	eng, app, fw := newSystem(t, rec)
 	if err := fw.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +160,7 @@ func TestHotSystemScalesOutAndJoins(t *testing.T) {
 		t.Fatalf("app servers = %d, want >= 2", app.MemberCount(ntier.TierApp))
 	}
 	// The new server must appear in Ready counts of a later view.
-	hist := fw.History()
+	hist := rec.views
 	last := hist[len(hist)-1]
 	if last.Tiers[ntier.TierApp].Ready < 2 {
 		t.Fatalf("last view ready = %d", last.Tiers[ntier.TierApp].Ready)
@@ -192,7 +206,8 @@ func TestQuietSystemScalesBackIn(t *testing.T) {
 
 func TestStartStopIdempotent(t *testing.T) {
 	t.Parallel()
-	eng, _, fw := newSystem(t, ec2Controller(t))
+	rec := &viewRecorder{Controller: ec2Controller(t)}
+	eng, _, fw := newSystem(t, rec)
 	if err := fw.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -202,14 +217,14 @@ func TestStartStopIdempotent(t *testing.T) {
 	if err := eng.Run(31 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if len(fw.History()) != 2 {
-		t.Fatalf("double start duplicated control loop: %d views", len(fw.History()))
+	if len(rec.views) != 2 {
+		t.Fatalf("double start duplicated control loop: %d views", len(rec.views))
 	}
 	fw.Stop()
 	if err := eng.Run(2 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if len(fw.History()) != 2 {
+	if len(rec.views) != 2 {
 		t.Fatal("control loop ran after Stop")
 	}
 }
@@ -230,7 +245,8 @@ func TestBusRetentionConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fw, err := New(eng, app, ec2Controller(t), Config{BusRetention: 5})
+	rec := &viewRecorder{Controller: ec2Controller(t)}
+	fw, err := New(eng, app, rec, Config{BusRetention: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +266,7 @@ func TestBusRetentionConfig(t *testing.T) {
 	}
 	// The control loop still works off its consumer (offsets reset to
 	// earliest): views exist and have tier data.
-	if len(fw.History()) == 0 {
+	if len(rec.views) == 0 {
 		t.Fatal("no views with retention enabled")
 	}
 }

@@ -292,28 +292,6 @@ func AblationBurstyWorkload(seed uint64) ([]*ScenarioResult, error) {
 		})
 }
 
-// VerifyTrainedModels re-trains both tier models and checks the frozen
-// TrainedModels constants still agree on the planning-relevant quantity
-// N_b. It returns the freshly trained rows for reporting.
-func VerifyTrainedModels(seed uint64, measure time.Duration) (tomcat, mysql Table1Row, err error) {
-	tomcat, mysql, err = Table1(seed, measure)
-	if err != nil {
-		return tomcat, mysql, err
-	}
-	frozenT, frozenM := TrainedModels()
-	ftN, _ := frozenT.OptimalConcurrencyInt()
-	fmN, _ := frozenM.OptimalConcurrencyInt()
-	if diff := ftN - tomcat.OptimalN; diff < -2 || diff > 2 {
-		return tomcat, mysql, fmt.Errorf(
-			"experiments: frozen tomcat N_b %d drifted from trained %d", ftN, tomcat.OptimalN)
-	}
-	if diff := fmN - mysql.OptimalN; diff < -2 || diff > 2 {
-		return tomcat, mysql, fmt.Errorf(
-			"experiments: frozen mysql N_b %d drifted from trained %d", fmN, mysql.OptimalN)
-	}
-	return tomcat, mysql, nil
-}
-
 // SeedSummary aggregates one controller's headline metrics across seeds.
 type SeedSummary struct {
 	Kind ControllerKind `json:"kind"`

@@ -507,16 +507,6 @@ func TestWriteCSVExports(t *testing.T) {
 	if got := strings.Count(lines[1], ","); got != 12 {
 		t.Fatalf("row has %d commas, want 12", got)
 	}
-	var actions strings.Builder
-	if err := res.WriteActionsCSV(&actions); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(actions.String(), "t,type,tier") {
-		t.Fatalf("actions header wrong: %q", actions.String()[:20])
-	}
-	if strings.Count(actions.String(), "\n") != len(res.Actions)+1 {
-		t.Fatal("actions row count wrong")
-	}
 }
 
 func TestScenarioWithServletMix(t *testing.T) {

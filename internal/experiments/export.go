@@ -42,25 +42,3 @@ func (r *ScenarioResult) WriteSeriesCSV(w io.Writer) error {
 	}
 	return nil
 }
-
-// WriteActionsCSV writes the dispatched-action log as CSV:
-//
-//	t,type,tier,vm,code,reason,error
-func (r *ScenarioResult) WriteActionsCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("t,type,tier,vm,code,reason,error\n"); err != nil {
-		return fmt.Errorf("experiments: write actions header: %w", err)
-	}
-	for _, rec := range r.Actions {
-		row := fmt.Sprintf("%.0f,%s,%s,%s,%s,%q,%q\n",
-			rec.At.Seconds(), rec.Action.Type, rec.Action.Tier, rec.VM,
-			rec.Action.Code, rec.Action.Reason, rec.Err)
-		if _, err := bw.WriteString(row); err != nil {
-			return fmt.Errorf("experiments: write actions row: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("experiments: flush actions: %w", err)
-	}
-	return nil
-}

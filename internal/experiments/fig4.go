@@ -143,21 +143,6 @@ func Fig4b(seed uint64, users []int, measure time.Duration, chk *invariant.Check
 	return rows, allocs, err
 }
 
-// PlateauThroughput returns each allocation's throughput at the highest
-// user level — the saturated plateau the paper's claim ("the optimal
-// allocation outperforms the others") is about.
-func PlateauThroughput(rows []Fig4Row) map[string]float64 {
-	if len(rows) == 0 {
-		return nil
-	}
-	last := rows[len(rows)-1]
-	out := make(map[string]float64, len(last.Throughput))
-	for k, v := range last.Throughput {
-		out[k] = v
-	}
-	return out
-}
-
 // RenderFig4 renders the validation as an aligned table.
 func RenderFig4(rows []Fig4Row, allocs []Allocation) string {
 	header := make([]string, 0, len(allocs)+1)

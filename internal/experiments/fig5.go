@@ -99,16 +99,12 @@ type ScenarioConfig struct {
 	// scenario seed's "chaos" split, so the same seed replays the same
 	// failure trace.
 	Chaos *chaos.Schedule
-	// ChaosAnalysis overrides the recovery-analysis parameters (zero
-	// values select the defaults).
-	ChaosAnalysis chaos.AnalysisConfig
 	// CaptureTrace attaches a request tracer to the application: every
 	// request records one span per tier hop, and the result carries the
 	// per-tier latency breakdown plus the raw event log (RequestTrace).
-	// Tracing never perturbs the simulation. TraceLimit caps the retained
-	// events (0 selects trace.DefaultEventLimit).
+	// Tracing never perturbs the simulation; the tracer retains at most
+	// trace.DefaultEventLimit events.
 	CaptureTrace bool
-	TraceLimit   int
 	// Audit attaches a decision audit log to the controller (when it
 	// implements controller.Audited): every control period records its
 	// inputs, actions and holds with machine-readable reason codes.
@@ -201,9 +197,8 @@ type ScenarioResult struct {
 	// only; nil otherwise).
 	SensorStats *monitor.GuardStats `json:"sensorStats,omitempty"`
 
-	tracer  *trace.RequestTracer
-	audit   *controller.AuditLog
-	checker *invariant.Checker
+	tracer *trace.RequestTracer
+	audit  *controller.AuditLog
 }
 
 // RequestTrace returns the run's request tracer (nil unless CaptureTrace
@@ -214,10 +209,6 @@ func (r *ScenarioResult) RequestTrace() *trace.RequestTracer { return r.tracer }
 // the controller implements controller.Audited), for JSONL export and
 // summary rendering.
 func (r *ScenarioResult) DecisionLog() *controller.AuditLog { return r.audit }
-
-// InvariantChecker returns the run's invariant checker (nil unless
-// Invariants was set).
-func (r *ScenarioResult) InvariantChecker() *invariant.Checker { return r.checker }
 
 // TierHistogramSummary condenses one tier's latency histograms.
 type TierHistogramSummary struct {
@@ -294,7 +285,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 
 	var reqTracer *trace.RequestTracer
 	if cfg.CaptureTrace {
-		reqTracer = trace.NewRequestTracer(cfg.TraceLimit)
+		reqTracer = trace.NewRequestTracer(0)
 		app.SetRequestTracer(reqTracer)
 	}
 
@@ -455,7 +446,6 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	if chk != nil {
 		app.CheckInvariants()
 		invariant.CheckEngine(chk, eng)
-		res.checker = chk
 		res.InvariantViolations = chk.Violations()
 	}
 	if injector != nil {
@@ -466,7 +456,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 			Throughput:      res.Throughput,
 			MeanRTSec:       res.MeanRTSec,
 			ErroredRequests: res.TotalErrors,
-		}, cfg.ChaosAnalysis)
+		})
 		res.Chaos = &rep
 	}
 	return res, nil
@@ -524,7 +514,7 @@ func buildController(cfg ScenarioConfig) (controller.Controller, error) {
 	case ControllerEC2:
 		return controller.NewEC2AutoScale(pol)
 	case ControllerEC2Predictive:
-		return controller.NewPredictiveEC2AutoScale(pol, 0)
+		return controller.NewPredictiveEC2AutoScale(pol)
 	case ControllerTargetTracking:
 		return controller.NewTargetTracking(pol, target)
 	case ControllerDCM, ControllerDCMPredictive:

@@ -47,11 +47,9 @@ type GraphConfig struct {
 	// 2*Horizon/3.
 	Chaos bool
 	// Controllers arms the per-node DCM loop on every node whose spec sets
-	// Controller: each period the node's thread pool is steered to the
-	// Equation 7 optimum of its burst law.
+	// Controller: every graphControlPeriod the node's thread pool is
+	// steered to the Equation 7 optimum of its burst law.
 	Controllers bool
-	// ControlPeriod is the controller actuation period (default 5 s).
-	ControlPeriod time.Duration
 	// Invariants attaches the runtime invariant checker (whole-graph and
 	// per-node conservation, async ledger, pool accounting) and sweeps once
 	// at the end.
@@ -68,10 +66,10 @@ func (c *GraphConfig) defaults() {
 	if c.Timeout <= 0 {
 		c.Timeout = time.Second
 	}
-	if c.ControlPeriod <= 0 {
-		c.ControlPeriod = 5 * time.Second
-	}
 }
+
+// graphControlPeriod is the per-node controllers' actuation period.
+const graphControlPeriod = 5 * time.Second
 
 // Fanout5Spec is the built-in 5-node fan-out microservice app: a gateway
 // fans out to a search service (two parallel lookups) and a catalog
@@ -260,7 +258,7 @@ func RunGraph(cfg GraphConfig) (GraphResult, error) {
 				continue
 			}
 			name, m := ns.Name, ns.Model
-			_ = eng.Ticker(cfg.ControlPeriod, func() {
+			_ = eng.Ticker(graphControlPeriod, func() {
 				nb, ok := m.OptimalConcurrencyInt()
 				if !ok || nb < 1 {
 					return

@@ -18,30 +18,28 @@ import (
 // heap at the scale the event core is built for. It deliberately does
 // NOT build an n-tier app — the smoke measures the event core, so the
 // target costs one timer per request and nothing else.
+//
+// Each user thinks 3 s on average (the paper's RUBBoS client emulator
+// setting), the target answers in a fixed 1 ms, and an invariant run
+// sweeps the engine's structural laws every 10 s of virtual time (each
+// sweep is O(pending events)) plus once at the end.
 type MillionSmokeConfig struct {
 	Seed uint64
-	// Trace is the users-over-time profile. Nil synthesizes a sine ramp
-	// peaking at PeakUsers over Horizon.
+	// Trace is the users-over-time profile; the run lasts its duration.
+	// Nil synthesizes a 40 s sine ramp peaking at PeakUsers.
 	Trace *trace.Trace
 	// PeakUsers sizes the synthesized trace when Trace is nil. Defaults
 	// to 1,000,000.
 	PeakUsers int
-	// Horizon is the virtual run length. Defaults to the trace duration
-	// (or 40 s for a synthesized trace).
-	Horizon time.Duration
-	// ThinkTime is each user's mean think time (default 3 s, the paper's
-	// RUBBoS client emulator setting).
-	ThinkTime time.Duration
-	// ServiceTime is the target's fixed response latency (default 1 ms).
-	ServiceTime time.Duration
-	// Invariants attaches the runtime invariant checker and sweeps the
-	// engine's structural laws every CheckEvery of virtual time plus once
-	// at the end of the run.
+	// Invariants attaches the runtime invariant checker.
 	Invariants bool
-	// CheckEvery is the invariant sweep period (default 10 s; each sweep
-	// is O(pending events)).
-	CheckEvery time.Duration
 }
+
+const (
+	millionThinkTime   = 3 * time.Second
+	millionServiceTime = time.Millisecond
+	millionCheckEvery  = 10 * time.Second
+)
 
 // MillionSmokeResult reports what the smoke run did.
 type MillionSmokeResult struct {
@@ -73,27 +71,15 @@ func (t *fixedLatencyTarget) Inject(done func(rt time.Duration, ok bool)) {
 }
 
 // RunMillionSmoke runs the smoke and returns its statistics. The run is
-// deterministic in (Seed, Trace, Horizon, ThinkTime, ServiceTime);
+// deterministic in (Seed, Trace, PeakUsers);
 // wall-clock fields are the only nondeterministic outputs.
 func RunMillionSmoke(cfg MillionSmokeConfig) (MillionSmokeResult, error) {
 	if cfg.PeakUsers <= 0 {
 		cfg.PeakUsers = 1_000_000
 	}
-	if cfg.ThinkTime <= 0 {
-		cfg.ThinkTime = 3 * time.Second
-	}
-	if cfg.ServiceTime <= 0 {
-		cfg.ServiceTime = time.Millisecond
-	}
-	if cfg.CheckEvery <= 0 {
-		cfg.CheckEvery = 10 * time.Second
-	}
 	tr := cfg.Trace
 	if tr == nil {
-		total := cfg.Horizon
-		if total <= 0 {
-			total = 40 * time.Second
-		}
+		const total = 40 * time.Second
 		// Sine with amplitude 2/3 of mean: ramps from a third of peak up
 		// to PeakUsers and back, so growth, steady state and shrink are
 		// all exercised.
@@ -105,15 +91,12 @@ func RunMillionSmoke(cfg MillionSmokeConfig) (MillionSmokeResult, error) {
 			return MillionSmokeResult{}, fmt.Errorf("experiments: million smoke trace: %w", err)
 		}
 	}
-	horizon := cfg.Horizon
-	if horizon <= 0 {
-		horizon = tr.Duration()
-	}
+	horizon := tr.Duration()
 
 	eng := sim.NewEngine()
 	root := rng.New(cfg.Seed)
-	target := &fixedLatencyTarget{eng: eng, lat: cfg.ServiceTime}
-	wl, err := workload.NewTraceDriven(eng, root.Split("wl"), target, tr, cfg.ThinkTime, time.Second)
+	target := &fixedLatencyTarget{eng: eng, lat: millionServiceTime}
+	wl, err := workload.NewTraceDriven(eng, root.Split("wl"), target, tr, millionThinkTime, time.Second)
 	if err != nil {
 		return MillionSmokeResult{}, fmt.Errorf("experiments: million smoke workload: %w", err)
 	}
@@ -139,7 +122,7 @@ func RunMillionSmoke(cfg MillionSmokeConfig) (MillionSmokeResult, error) {
 	})
 	var stopSweep func()
 	if chk != nil {
-		stopSweep = eng.Ticker(cfg.CheckEvery, func() {
+		stopSweep = eng.Ticker(millionCheckEvery, func() {
 			invariant.CheckEngine(chk, eng)
 			res.Sweeps++
 		})

@@ -28,6 +28,15 @@ import (
 // CoDel-shed) and a basic class, so overload shows up as *selective*
 // degradation — basic absorbs the shedding while premium goodput holds.
 
+// The open-loop runs' fixed shape: the per-request deadline and basic-class
+// SLA (the premium class's SLO is half of it), the premium class's share of
+// arrivals, and the flash crowd's plateau as a multiple of the base rate.
+const (
+	openLoopTimeout      = time.Second
+	openLoopPremiumShare = 0.2
+	flashPeakFactor      = 6
+)
+
 // OpenLoopConfig parameterizes the open-loop experiments. The zero value
 // selects calibrated defaults (see defaults).
 type OpenLoopConfig struct {
@@ -36,37 +45,24 @@ type OpenLoopConfig struct {
 	// Rate is the base arrival rate in requests per second (default 300,
 	// around the default two-Tomcat deployment's knee).
 	Rate float64
-	// PeakRate is the flash crowd's plateau (default 6x Rate; flashcrowd
-	// experiment only).
-	PeakRate float64
 	// Horizon bounds the run (default 120 s constant, 240 s flashcrowd).
 	Horizon time.Duration
-	// Timeout is the per-request deadline and the basic class's SLA
-	// (default 1 s). The premium class's SLO is half of it.
-	Timeout time.Duration
 	// AppServers sizes the Tomcat tier (default 2).
 	AppServers int
-	// PremiumWeight is the premium class's share of arrivals (default 0.2).
-	PremiumWeight float64
 	// Invariants attaches the runtime invariant checker (including the
 	// per-class conservation laws) and sweeps once at the end.
 	Invariants bool
 	// Degrade attaches the self-healing overload layer: on detected
 	// collapse the brownout sheds best-effort arrivals at the front door
 	// (premium stays exempt) and lowers admission caps, restoring through
-	// hysteresis. Off (the default) leaves the run byte-identical.
+	// hysteresis, under policy.Default().Degrade. Off (the default) leaves
+	// the run byte-identical.
 	Degrade bool
-	// DegradeRules overrides the degrade policy knobs (nil selects
-	// policy.Default().Degrade).
-	DegradeRules *policy.DegradeRules
 }
 
 func (c *OpenLoopConfig) defaults(flash bool) {
 	if c.Rate <= 0 {
 		c.Rate = 300
-	}
-	if c.PeakRate <= c.Rate {
-		c.PeakRate = 6 * c.Rate
 	}
 	if c.Horizon <= 0 {
 		if flash {
@@ -75,14 +71,8 @@ func (c *OpenLoopConfig) defaults(flash bool) {
 			c.Horizon = 120 * time.Second
 		}
 	}
-	if c.Timeout <= 0 {
-		c.Timeout = time.Second
-	}
 	if c.AppServers <= 0 {
 		c.AppServers = 2
-	}
-	if c.PremiumWeight <= 0 || c.PremiumWeight >= 1 {
-		c.PremiumWeight = 0.2
 	}
 }
 
@@ -96,7 +86,7 @@ func (c OpenLoopConfig) spec(flash bool) workload.WorkloadSpec {
 		arr = &workload.RateSpec{
 			Curve:       workload.CurveFlashCrowd,
 			Rate:        c.Rate,
-			PeakRate:    c.PeakRate,
+			PeakRate:    flashPeakFactor * c.Rate,
 			AtSeconds:   (c.Horizon / 4).Seconds(),
 			RampSeconds: 15,
 			HoldSeconds: (c.Horizon / 4).Seconds(),
@@ -107,9 +97,9 @@ func (c OpenLoopConfig) spec(flash bool) workload.WorkloadSpec {
 		Kind:     workload.KindOpen,
 		Arrivals: arr,
 		Classes: []workload.ClassSpec{
-			{Name: "premium", Weight: c.PremiumWeight, Priority: 1,
-				SLOSeconds: (c.Timeout / 2).Seconds()},
-			{Name: "basic", Weight: 1 - c.PremiumWeight},
+			{Name: "premium", Weight: openLoopPremiumShare, Priority: 1,
+				SLOSeconds: (openLoopTimeout / 2).Seconds()},
+			{Name: "basic", Weight: 1 - openLoopPremiumShare},
 		},
 	}
 }
@@ -160,7 +150,7 @@ func runOpenLoop(cfg OpenLoopConfig, flash bool) (OpenLoopResult, error) {
 	eng := sim.NewEngine()
 	root := rng.New(cfg.Seed)
 
-	res, err := resilience.Preset("full", cfg.Timeout)
+	res, err := resilience.Preset("full", openLoopTimeout)
 	if err != nil {
 		return OpenLoopResult{}, fmt.Errorf("experiments: open loop resilience: %w", err)
 	}
@@ -199,14 +189,7 @@ func runOpenLoop(cfg OpenLoopConfig, flash bool) (OpenLoopResult, error) {
 	// draws, no effect until its detectors fire.
 	var sup *degrade.Supervisor
 	if cfg.Degrade {
-		rules := policy.Default().Degrade
-		if cfg.DegradeRules != nil {
-			rules = *cfg.DegradeRules
-		}
-		if err := rules.Validate(); err != nil {
-			return OpenLoopResult{}, fmt.Errorf("experiments: open loop degrade rules: %w", err)
-		}
-		sup, err = degrade.ForApp(eng, app, nil, nil, degrade.FromRules(rules))
+		sup, err = degrade.ForApp(eng, app, nil, nil, degrade.FromRules(policy.Default().Degrade))
 		if err != nil {
 			return OpenLoopResult{}, fmt.Errorf("experiments: open loop degrade: %w", err)
 		}
@@ -236,7 +219,7 @@ func runOpenLoop(cfg OpenLoopConfig, flash bool) (OpenLoopResult, error) {
 		Wall:         time.Since(start),
 	}
 	if flash {
-		out.PeakRate = cfg.PeakRate
+		out.PeakRate = spec.Arrivals.PeakRate
 	}
 	if sup != nil {
 		sup.Stop()

@@ -34,28 +34,32 @@ import (
 // is what actually restores goodput. RunRetryStorm measures the three
 // rungs under one seed so the ordering is directly comparable.
 
+// The storm's fixed shape: the users' think time, and how far the fault
+// slows the degraded Tomcat's base service time. With the default 500
+// users, a 500 ms think offers roughly one healthy Tomcat's capacity —
+// comfortable for the pair, a genuine overload once one server is degraded
+// to a fraction of its throughput.
+const (
+	retryStormThinkTime     = 500 * time.Millisecond
+	retryStormDegradeFactor = 12
+)
+
 // RetryStormConfig parameterizes the experiment. The zero value selects
 // calibrated defaults that produce the storm (see defaults).
 type RetryStormConfig struct {
 	// Seed drives all randomness (topology, fault victim draw, workload,
 	// retry jitter).
 	Seed uint64
-	// Users and ThinkTime shape the closed-loop population. The defaults
-	// (500 users, 500 ms think) offer roughly one healthy Tomcat's
-	// capacity — comfortable for the pair, a genuine overload once one
-	// server is degraded to a fraction of its throughput.
-	Users     int
-	ThinkTime time.Duration
+	// Users sizes the closed-loop population (default 500).
+	Users int
 	// Timeout is the per-request deadline shared by the resilient rungs;
 	// it doubles as the goodput SLA for every rung including the
 	// resilience-free baseline (default 1 s).
 	Timeout time.Duration
-	// DegradeAt, DegradeFor and DegradeFactor shape the degraded-server
-	// fault on Tomcat "app-1" (defaults: 20 s into the run, lasting 100 s,
-	// base service time x12).
-	DegradeAt     time.Duration
-	DegradeFor    time.Duration
-	DegradeFactor float64
+	// DegradeAt and DegradeFor time the degraded-server fault on Tomcat
+	// "app-1" (defaults: 20 s into the run, lasting 100 s).
+	DegradeAt  time.Duration
+	DegradeFor time.Duration
 	// Horizon bounds the run (default 140 s: the fault window plus a
 	// short recovery tail).
 	Horizon time.Duration
@@ -67,20 +71,15 @@ type RetryStormConfig struct {
 	// *retries* preset plus the self-healing overload layer
 	// (internal/degrade) — detectors on a 1 s tick, brownout shed / retry
 	// tightening / admission scaling on detection, hysteresis restore on
-	// recovery. The classic three rungs are untouched, so a Degrade run's
-	// first three results stay byte-identical to a plain run's.
+	// recovery, under policy.Default().Degrade. The classic three rungs
+	// are untouched, so a Degrade run's first three results stay
+	// byte-identical to a plain run's.
 	Degrade bool
-	// DegradeRules overrides the degrade policy knobs (nil selects
-	// policy.Default().Degrade).
-	DegradeRules *policy.DegradeRules
 }
 
 func (c *RetryStormConfig) defaults() {
 	if c.Users <= 0 {
 		c.Users = 500
-	}
-	if c.ThinkTime <= 0 {
-		c.ThinkTime = 500 * time.Millisecond
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = time.Second
@@ -90,9 +89,6 @@ func (c *RetryStormConfig) defaults() {
 	}
 	if c.DegradeFor <= 0 {
 		c.DegradeFor = 100 * time.Second
-	}
-	if c.DegradeFactor <= 0 {
-		c.DegradeFactor = 12
 	}
 	if c.Horizon <= 0 {
 		c.Horizon = 140 * time.Second
@@ -193,7 +189,7 @@ func RunRetryStormVariant(cfg RetryStormConfig, variant string) (RetryStormResul
 		Duration: cfg.DegradeFor,
 		Tier:     ntier.TierApp,
 		VM:       "app-1",
-		Factor:   cfg.DegradeFactor,
+		Factor:   retryStormDegradeFactor,
 	}}}
 	hv := cloud.NewHypervisor(eng, 15*time.Second)
 	inj, err := chaos.NewInjector(eng, root.Split("chaos"), app, hv, nil, sched)
@@ -204,7 +200,7 @@ func RunRetryStormVariant(cfg RetryStormConfig, variant string) (RetryStormResul
 
 	wl, err := workload.NewClosedLoop(eng, root.Split("wl"), app, workload.ClosedLoopConfig{
 		Users:     cfg.Users,
-		ThinkTime: cfg.ThinkTime,
+		ThinkTime: retryStormThinkTime,
 	})
 	if err != nil {
 		return RetryStormResult{}, fmt.Errorf("experiments: retry storm workload: %w", err)
@@ -223,15 +219,8 @@ func RunRetryStormVariant(cfg RetryStormConfig, variant string) (RetryStormResul
 	var sup *degrade.Supervisor
 	var audit *controller.AuditLog
 	if variant == RetryStormDegradeVariant {
-		rules := policy.Default().Degrade
-		if cfg.DegradeRules != nil {
-			rules = *cfg.DegradeRules
-		}
-		if err := rules.Validate(); err != nil {
-			return RetryStormResult{}, fmt.Errorf("experiments: retry storm degrade rules: %w", err)
-		}
 		audit = controller.NewAuditLog()
-		sup, err = degrade.ForApp(eng, app, ret, audit, degrade.FromRules(rules))
+		sup, err = degrade.ForApp(eng, app, ret, audit, degrade.FromRules(policy.Default().Degrade))
 		if err != nil {
 			return RetryStormResult{}, fmt.Errorf("experiments: retry storm degrade: %w", err)
 		}

@@ -10,7 +10,6 @@ import (
 	"dcm/internal/invariant"
 	"dcm/internal/lb"
 	"dcm/internal/metrics"
-	"dcm/internal/model"
 	"dcm/internal/resilience"
 	"dcm/internal/rng"
 	"dcm/internal/server"
@@ -121,10 +120,6 @@ func (m *Member) Pool() *connpool.Pool {
 	}
 	return nil
 }
-
-// Pools returns the member's out-edge connection pools in out-edge order;
-// entries for unpooled edges are nil.
-func (m *Member) Pools() []*connpool.Pool { return m.pools }
 
 var _ lb.Backend = (*Member)(nil)
 
@@ -304,9 +299,6 @@ func New(eng *sim.Engine, rnd *rng.Rand, cfg Config) (*App, error) {
 // and EdgePoolSize.
 func (a *App) Config() Config { return a.cfg }
 
-// Spec returns the topology the application was built from.
-func (a *App) Spec() Spec { return a.cfg.Spec }
-
 // Bus returns the bus backing the async edges (nil when the topology has
 // none).
 func (a *App) Bus() *bus.Bus { return a.bs }
@@ -327,15 +319,6 @@ func (a *App) nodeOf(name string) (*node, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, name)
 	}
 	return n, nil
-}
-
-// NodeModel returns the named node's Equation 5 law.
-func (a *App) NodeModel(name string) (model.Params, error) {
-	n, err := a.nodeOf(name)
-	if err != nil {
-		return model.Params{}, err
-	}
-	return n.spec.Model, nil
 }
 
 // NodeThreads returns the named node's per-replica thread allocation.
@@ -727,10 +710,6 @@ func (a *App) TotalInjected() uint64 { return a.injected }
 // Dispositions returns the lifetime disposition tally of finished
 // requests (ok, error, timeout, rejected, shed, breaker-open).
 func (a *App) Dispositions() metrics.DispositionCounts { return a.disp }
-
-// Breaker returns the named member's circuit breaker, nil when breakers
-// are disabled or the member is unknown.
-func (a *App) Breaker(name string) *resilience.Breaker { return a.breakers[name] }
 
 // AsyncLedger returns the async fire-and-forget ledger: deliveries
 // spawned, their finished dispositions, and the in-flight count.

@@ -64,7 +64,6 @@ type Balancer struct {
 	policy   Policy
 	backends []Backend
 	next     int
-	picks    map[string]uint64
 	guard    func(Backend) bool
 }
 
@@ -73,7 +72,7 @@ func New(policy Policy) *Balancer {
 	if policy != LeastConnections {
 		policy = RoundRobin
 	}
-	return &Balancer{policy: policy, picks: make(map[string]uint64)}
+	return &Balancer{policy: policy}
 }
 
 // Policy returns the balancing policy.
@@ -176,7 +175,6 @@ func (b *Balancer) Pick() (Backend, error) {
 			return nil, ErrNoBackends
 		}
 		b.next = (b.next + 1) % n
-		b.picks[best.Name()]++
 		return best, nil
 	default: // RoundRobin
 		for i := 0; i < n; i++ {
@@ -189,7 +187,6 @@ func (b *Balancer) Pick() (Backend, error) {
 				guarded = true
 				continue
 			}
-			b.picks[cand.Name()]++
 			return cand, nil
 		}
 		if guarded {
@@ -235,7 +232,6 @@ func (b *Balancer) PickSession(key uint64) (Backend, error) {
 		}
 		return nil, ErrNoBackends
 	}
-	b.picks[best.Name()]++
 	return best, nil
 }
 
@@ -252,14 +248,4 @@ func rendezvousScore(key uint64, name string) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
-}
-
-// PickCounts returns a copy of the per-backend pick counters (including
-// backends that have since been removed).
-func (b *Balancer) PickCounts() map[string]uint64 {
-	out := make(map[string]uint64, len(b.picks))
-	for k, v := range b.picks {
-		out[k] = v
-	}
-	return out
 }

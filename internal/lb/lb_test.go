@@ -216,12 +216,14 @@ func TestPickCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	counts := map[string]uint64{}
 	for i := 0; i < 4; i++ {
-		if _, err := b.Pick(); err != nil {
+		be, err := b.Pick()
+		if err != nil {
 			t.Fatal(err)
 		}
+		counts[be.Name()]++
 	}
-	counts := b.PickCounts()
 	if counts["a"] != 2 || counts["b"] != 2 {
 		t.Fatalf("counts = %v", counts)
 	}
@@ -258,12 +260,15 @@ func TestRoundRobinFairnessProperty(t *testing.T) {
 				return false
 			}
 		}
+		counts := map[string]uint64{}
 		for i := 0; i < n*k; i++ {
-			if _, err := b.Pick(); err != nil {
+			be, err := b.Pick()
+			if err != nil {
 				return false
 			}
+			counts[be.Name()]++
 		}
-		for _, c := range b.PickCounts() {
+		for _, c := range counts {
 			if c != uint64(k) {
 				return false
 			}
@@ -347,19 +352,19 @@ func TestAddRemoveChurnStaysFair(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := b.PickCounts()
 	const rounds = 5
+	counts := map[string]int{}
 	for i := 0; i < rounds*4; i++ {
-		if _, err := b.Pick(); err != nil {
+		be, err := b.Pick()
+		if err != nil {
 			t.Fatal(err)
 		}
+		counts[be.Name()]++
 	}
-	after := b.PickCounts()
 	for _, be := range b.Backends() {
-		got := after[be.Name()] - before[be.Name()]
-		if got != rounds {
-			t.Fatalf("backend %s picked %d times over %d rounds (counts %v -> %v)",
-				be.Name(), got, rounds, before, after)
+		if got := counts[be.Name()]; got != rounds {
+			t.Fatalf("backend %s picked %d times over %d rounds (counts %v)",
+				be.Name(), got, rounds, counts)
 		}
 	}
 }

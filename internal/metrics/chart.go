@@ -6,36 +6,6 @@ import (
 	"strings"
 )
 
-// sparkTicks are the eighth-block characters used by Sparkline.
-var sparkTicks = []rune("▁▂▃▄▅▆▇█")
-
-// Sparkline renders values as a single-line Unicode sparkline scaled to
-// [min, max]. width caps the number of cells (0 keeps one cell per value);
-// longer series are downsampled by taking the maximum of each bucket so
-// spikes stay visible.
-func Sparkline(values []float64, width int) string {
-	if len(values) == 0 {
-		return ""
-	}
-	vals := downsampleMax(values, width)
-	lo, hi := minMax(vals)
-	var b strings.Builder
-	for _, v := range vals {
-		idx := 0
-		if hi > lo {
-			idx = int((v - lo) / (hi - lo) * float64(len(sparkTicks)-1))
-		}
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(sparkTicks) {
-			idx = len(sparkTicks) - 1
-		}
-		b.WriteRune(sparkTicks[idx])
-	}
-	return b.String()
-}
-
 // Chart renders values as a column chart of the given height with a
 // labeled y-axis — enough to see the shape of a Fig. 5 series in a
 // terminal. width caps the number of columns (downsampled by bucket

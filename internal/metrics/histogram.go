@@ -49,19 +49,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// LinearBuckets returns n ascending bounds start, start+width, ... — the
-// usual layout for small-integer distributions such as queue depths.
-func LinearBuckets(start, width float64, n int) []float64 {
-	if n <= 0 || width <= 0 {
-		panic(fmt.Sprintf("metrics: bad LinearBuckets(%v, %v, %d)", start, width, n))
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
 	i := 0

@@ -83,30 +83,12 @@ func (s *Series) Samples() []Sample {
 	return out
 }
 
-// Last returns the most recent sample and whether one exists.
-func (s *Series) Last() (Sample, bool) {
-	if len(s.samples) == 0 {
-		return Sample{}, false
-	}
-	return s.samples[len(s.samples)-1], true
-}
-
 // Window returns the samples with from <= At < to.
 func (s *Series) Window(from, to time.Duration) []Sample {
 	lo := sort.Search(len(s.samples), func(i int) bool { return s.samples[i].At >= from })
 	hi := sort.Search(len(s.samples), func(i int) bool { return s.samples[i].At >= to })
 	out := make([]Sample, hi-lo)
 	copy(out, s.samples[lo:hi])
-	return out
-}
-
-// WindowValues returns just the values with from <= At < to.
-func (s *Series) WindowValues(from, to time.Duration) []float64 {
-	w := s.Window(from, to)
-	out := make([]float64, len(w))
-	for i, sm := range w {
-		out[i] = sm.Value
-	}
 	return out
 }
 
@@ -248,9 +230,6 @@ func (w *TimeWeighted) Set(now time.Duration, v float64) {
 	w.since = now
 }
 
-// Value returns the current value of the step function.
-func (w *TimeWeighted) Value() float64 { return w.value }
-
 // TakeAverage returns the time-weighted average over [areaFrom, now) and
 // starts a new averaging interval. A zero-length interval yields the
 // current value.
@@ -298,9 +277,6 @@ func (b *BusyTracker) Exit(now time.Duration) {
 		b.busy += now - b.busyAt
 	}
 }
-
-// Busy reports whether the resource is busy now.
-func (b *BusyTracker) Busy() bool { return b.nesting > 0 }
 
 // TakeUtilization returns the busy fraction over [from, now) and starts a
 // new measurement interval. The result is clamped to [0, 1].

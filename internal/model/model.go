@@ -1,8 +1,11 @@
 // Package model implements the paper's concurrency-aware performance model
-// (§III, Equations 1–8): the multi-threaded service-time law, the resulting
-// throughput-vs-concurrency curve, its closed-form optimum N_b, parameter
-// training by nonlinear least squares, and the soft-resource allocation plan
-// DCM derives from the trained models.
+// (§III): the multi-threaded service-time law (Equation 5), the resulting
+// throughput-vs-concurrency curve (Equation 7), its closed-form optimum N_b
+// (Equation 8), parameter training by nonlinear least squares, and the
+// soft-resource allocation plan DCM derives from the trained models. The
+// simulator needs no Forced Flow bottleneck law (Equations 1–4) or
+// effective service time (Equation 6); the package's tests keep both as
+// checks on the model.
 package model
 
 import (
@@ -51,15 +54,6 @@ func (p Params) ServiceTime(n float64) float64 {
 		n = 1
 	}
 	return p.S0 + p.Alpha*(n-1) + p.Beta*n*(n-1)
-}
-
-// EffectiveServiceTime returns S_b of Equation 6: the average service time
-// per completed request in a multi-threaded server, S*(N)/N.
-func (p Params) EffectiveServiceTime(n float64) float64 {
-	if n < 1 {
-		n = 1
-	}
-	return p.ServiceTime(n) / n
 }
 
 // Throughput returns X_max of Equation 7: the saturated throughput of a
@@ -238,46 +232,4 @@ func Train(obs []Observation, opts TrainOptions) (TrainResult, error) {
 	}
 	out.MaxThroughput = params.Throughput(nb, servers)
 	return out, nil
-}
-
-// Demand is the per-tier service demand V_m·S_m of the Forced Flow Law
-// (Equations 1–3), used to identify the bottleneck tier.
-type Demand struct {
-	Tier        string  `json:"tier"`
-	VisitRatio  float64 `json:"visitRatio"`
-	ServiceTime float64 `json:"serviceTime"` // per-visit, seconds
-	Servers     int     `json:"servers"`
-}
-
-// PerServerDemand returns V·S/K: the demand an HTTP request places on each
-// server of the tier.
-func (d Demand) PerServerDemand() float64 {
-	k := d.Servers
-	if k < 1 {
-		k = 1
-	}
-	return d.VisitRatio * d.ServiceTime / float64(k)
-}
-
-// Bottleneck returns the index of the tier with the largest per-server
-// demand — the tier whose saturation caps system throughput (Equation 3) —
-// and that demand. It returns -1 for an empty slice.
-func Bottleneck(demands []Demand) (idx int, demand float64) {
-	idx = -1
-	for i, d := range demands {
-		if pd := d.PerServerDemand(); pd > demand || idx == -1 {
-			idx, demand = i, pd
-		}
-	}
-	return idx, demand
-}
-
-// MaxSystemThroughput returns 1/max(V·S/K) (Equations 2–4 with U_b = 1 and
-// γ = 1): the throughput at which the bottleneck tier saturates.
-func MaxSystemThroughput(demands []Demand) float64 {
-	idx, demand := Bottleneck(demands)
-	if idx < 0 || demand <= 0 {
-		return 0
-	}
-	return 1 / demand
 }

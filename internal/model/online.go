@@ -166,8 +166,3 @@ func (t *OnlineTrainer) TryFit() (TrainResult, bool) {
 	t.trained = true
 	return res, true
 }
-
-// Latest returns the most recent successful fit.
-func (t *OnlineTrainer) Latest() (TrainResult, bool) {
-	return t.latest, t.trained
-}

@@ -66,11 +66,6 @@ type GuardStats struct {
 	Smoothed uint64 `json:"smoothed,omitempty"`
 }
 
-// Any reports whether the guard intervened at all.
-func (s GuardStats) Any() bool {
-	return s.Stale > 0 || s.NonMonotonic > 0 || s.Outliers > 0 || s.Smoothed > 0
-}
-
 // TierAggregate is the per-tier slice of a control window the guard holds
 // for blackout smoothing.
 type TierAggregate struct {

@@ -112,9 +112,6 @@ func NewFleet(eng *sim.Engine, b *bus.Bus, app *graph.App, interval time.Duratio
 	}, nil
 }
 
-// Interval returns the sampling cadence.
-func (f *Fleet) Interval() time.Duration { return f.interval }
-
 // SetBlackout suppresses (true) or restores (false) all sample publishing
 // — the chaos monitor-blackout fault. Agents keep sampling on their
 // cadence so server-side interval accumulators are still drained; the
@@ -199,9 +196,6 @@ func (f *Fleet) Detach(vmName string) {
 		delete(f.agents, vmName)
 	}
 }
-
-// AgentCount returns the number of attached per-VM agents.
-func (f *Fleet) AgentCount() int { return len(f.agents) }
 
 func (f *Fleet) publishSystem() {
 	st := f.app.TakeStats()

@@ -182,7 +182,7 @@ func TestAttachDetach(t *testing.T) {
 	if fleet.AgentCount() != 3 {
 		t.Fatalf("agents after detach = %d", fleet.AgentCount())
 	}
-	before := b.EndOffset(TopicServerMetrics)
+	before := endOffset(b, TopicServerMetrics)
 	if err := eng.Run(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -210,12 +210,12 @@ func TestStopHaltsPublishing(t *testing.T) {
 	if fleet.AgentCount() != 0 {
 		t.Fatalf("agents after stop = %d", fleet.AgentCount())
 	}
-	before := b.EndOffset(TopicServerMetrics)
-	beforeSys := b.EndOffset(TopicSystemMetrics)
+	before := endOffset(b, TopicServerMetrics)
+	beforeSys := endOffset(b, TopicSystemMetrics)
 	if err := eng.Run(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if b.EndOffset(TopicServerMetrics) != before || b.EndOffset(TopicSystemMetrics) != beforeSys {
+	if endOffset(b, TopicServerMetrics) != before || endOffset(b, TopicSystemMetrics) != beforeSys {
 		t.Fatal("fleet published after Stop")
 	}
 }
@@ -273,4 +273,13 @@ func TestBlackoutSuppressesPublishing(t *testing.T) {
 			t.Errorf("server sample for %s published at %ds during the blackout", s.VM, sec)
 		}
 	}
+}
+
+// endOffset is the offset one past the last message published to topic.
+func endOffset(b *bus.Bus, topic string) int64 {
+	c := b.NewConsumer(topic, 0)
+	if _, err := c.Poll(0); err != nil {
+		panic(err)
+	}
+	return c.Offset()
 }

@@ -92,9 +92,6 @@ func NewScalingEvaluator(rules ScalingRules) (*ScalingEvaluator, error) {
 	return &ScalingEvaluator{rules: rules, lowRun: make(map[string]int)}, nil
 }
 
-// Rules returns the evaluator's rule set.
-func (e *ScalingEvaluator) Rules() ScalingRules { return e.rules }
-
 // Evaluate returns the period's verdicts in tier order: scaling decisions
 // plus a hold for every tier explicitly left alone, so inaction is as
 // explainable as action.

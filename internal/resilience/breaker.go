@@ -160,9 +160,6 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 // via Ready, but stays open until an Attempt transitions it).
 func (b *Breaker) State() BreakerState { return b.state }
 
-// Opened returns the lifetime number of open transitions.
-func (b *Breaker) Opened() uint64 { return b.opened }
-
 // advance rotates the window to now, clearing buckets that aged out.
 func (b *Breaker) advance(now time.Duration) {
 	abs := int64(now / b.bucket)

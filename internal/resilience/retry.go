@@ -201,9 +201,6 @@ func (r *Retrier) SetBudgetScale(s float64) {
 	}
 }
 
-// BudgetScale returns the current brownout budget multiplier.
-func (r *Retrier) BudgetScale() float64 { return r.scale }
-
 // EnableClassAccounting splits the retry budget into a critical bucket
 // holding critShare of the capacity and a best-effort bucket holding the
 // rest. Once split, a best-effort retry storm can at worst drain its own
@@ -290,11 +287,4 @@ func (r *Retrier) OnSuccessClass(critical bool) {
 	if cap := r.beCap(); r.beTokens > cap {
 		r.beTokens = cap
 	}
-}
-
-// ClassDebits returns the audited per-class budget debits (critical,
-// best-effort). The sum equals every budget token ever consumed through
-// Allow/AllowClass on a class-attributed path.
-func (r *Retrier) ClassDebits() (critical, bestEffort uint64) {
-	return r.critDebits, r.beDebits
 }

@@ -8,7 +8,6 @@
 package rng
 
 import (
-	"errors"
 	"math"
 	"math/bits"
 	"strconv"
@@ -135,35 +134,4 @@ func (r *Rand) BoundedPareto(alpha, lo, hi float64) float64 {
 	la := math.Pow(lo, alpha)
 	ha := math.Pow(hi, alpha)
 	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
-}
-
-// Perm returns a deterministic pseudo-random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle permutes the n elements addressed by swap in place.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
-	}
-}
-
-// ErrBadSeed is returned by ParseSeed for inputs that are not unsigned
-// integers.
-var ErrBadSeed = errors.New("rng: seed must be an unsigned integer")
-
-// ParseSeed converts a command-line seed string into a seed value.
-func ParseSeed(s string) (uint64, error) {
-	v, err := strconv.ParseUint(s, 10, 64)
-	if err != nil {
-		return 0, ErrBadSeed
-	}
-	return v, nil
 }

@@ -114,43 +114,3 @@ func safeCall[T, R any](fn func(i int, item T) (R, error), i int, item T) (r R, 
 	}()
 	return fn(i, item)
 }
-
-// Spec describes one independent simulation run for RunMany.
-type Spec struct {
-	// Name labels the run in its Result.
-	Name string
-	// Run executes the simulation and returns its result. It must be
-	// self-contained (own engine, own rng).
-	Run func() (any, error)
-}
-
-// Result is one RunMany outcome.
-type Result struct {
-	Name  string
-	Value any
-	Err   error
-}
-
-// RunMany executes every spec with up to workers goroutines (<= 0 selects
-// the default) and returns one Result per spec in input order. Unlike
-// Map, RunMany does not stop at the first failure: sweeps want the
-// per-run error next to the runs that succeeded. A panicking Run becomes
-// that spec's Result.Err without disturbing the other runs.
-func RunMany(specs []Spec, workers int) []Result {
-	out, _ := Map(specs, workers, func(i int, s Spec) (Result, error) {
-		v, err := runSpec(i, s)
-		return Result{Name: s.Name, Value: v, Err: err}, nil
-	})
-	return out
-}
-
-// runSpec invokes one spec, recovering a panic into its error so it stays
-// local to the spec instead of failing the whole Map.
-func runSpec(i int, s Spec) (v any, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("runner: run %d (%s) panicked: %v", i, s.Name, p)
-		}
-	}()
-	return s.Run()
-}

@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -127,29 +126,6 @@ func TestMapActuallyRunsConcurrently(t *testing.T) {
 	}
 }
 
-func TestRunMany(t *testing.T) {
-	t.Parallel()
-	boom := errors.New("boom")
-	specs := []Spec{
-		{Name: "a", Run: func() (any, error) { return 1, nil }},
-		{Name: "b", Run: func() (any, error) { return nil, boom }},
-		{Name: "c", Run: func() (any, error) { return 3, nil }},
-	}
-	results := RunMany(specs, 2)
-	if len(results) != 3 {
-		t.Fatalf("got %d results", len(results))
-	}
-	if results[0].Name != "a" || results[0].Value != 1 || results[0].Err != nil {
-		t.Fatalf("result a = %+v", results[0])
-	}
-	if results[1].Name != "b" || !errors.Is(results[1].Err, boom) {
-		t.Fatalf("result b = %+v", results[1])
-	}
-	if results[2].Name != "c" || results[2].Value != 3 {
-		t.Fatalf("result c = %+v", results[2])
-	}
-}
-
 func TestWorkersResolution(t *testing.T) {
 	// Not parallel: mutates the process-wide default.
 	defer SetDefaultWorkers(0)
@@ -192,33 +168,6 @@ func TestMapRecoversPanics(t *testing.T) {
 		want := "runner: run 4 panicked: poisoned input 4"
 		if err.Error() != want {
 			t.Fatalf("workers=%d: err = %q, want %q", workers, err, want)
-		}
-	}
-}
-
-// TestRunManyRecoversPanics: a panicking spec gets its own Result.Err;
-// the other specs' results are unaffected.
-func TestRunManyRecoversPanics(t *testing.T) {
-	t.Parallel()
-	specs := []Spec{
-		{Name: "ok", Run: func() (any, error) { return 1, nil }},
-		{Name: "bad", Run: func() (any, error) { panic("kaboom") }},
-		{Name: "also-ok", Run: func() (any, error) { return 3, nil }},
-	}
-	for _, workers := range []int{1, 3} {
-		results := RunMany(specs, workers)
-		if len(results) != 3 {
-			t.Fatalf("got %d results", len(results))
-		}
-		if results[0].Err != nil || results[0].Value != 1 {
-			t.Fatalf("result ok = %+v", results[0])
-		}
-		if results[1].Err == nil ||
-			results[1].Err.Error() != "runner: run 1 (bad) panicked: kaboom" {
-			t.Fatalf("result bad = %+v", results[1])
-		}
-		if results[2].Err != nil || results[2].Value != 3 {
-			t.Fatalf("result also-ok = %+v", results[2])
 		}
 	}
 }

@@ -336,10 +336,6 @@ type burst struct {
 	next    *burst
 }
 
-// Deadline returns the request deadline carried by the session (zero
-// when none was set at acquisition).
-func (sess *Session) Deadline() sim.Time { return sess.deadline }
-
 // TimedOut reports whether a burst on this session was preempted by the
 // deadline; the caller must fail the request.
 func (sess *Session) TimedOut() bool { return sess.timedOut }
@@ -390,9 +386,6 @@ func (s *Server) Kill() {
 		s.failWaiter(w, metrics.DispositionError)
 	}
 }
-
-// Dead reports whether Kill was called.
-func (s *Server) Dead() bool { return s.dead }
 
 // Killed reports whether the session's server crashed; work completed on a
 // killed session is lost and the request must be failed.
@@ -764,9 +757,6 @@ func (s *Server) SetConfiguredConcurrency(n int) {
 	s.configured = n
 }
 
-// ConfiguredConcurrency returns the value set by SetConfiguredConcurrency.
-func (s *Server) ConfiguredConcurrency() int { return s.configured }
-
 // Release returns the session's thread to the pool and admits the next
 // waiter. Releasing twice panics: a double release would inflate the
 // pool's effective size.
@@ -854,6 +844,3 @@ func (s *Server) TotalTimeouts() uint64 { return s.timeouts.Total() }
 
 // TotalRejections returns the lifetime number of bounded-queue rejections.
 func (s *Server) TotalRejections() uint64 { return s.rejections.Total() }
-
-// TotalSheds returns the lifetime number of CoDel sheds.
-func (s *Server) TotalSheds() uint64 { return s.sheds.Total() }

@@ -44,13 +44,11 @@ const (
 	EventFail         EventKind = "fail"
 	// Resilience dispositions: a request can additionally record a deadline
 	// expiry (in a queue, waiting on a pool, or mid-burst), a bounded-queue
-	// rejection, a CoDel shed, a breaker refusal at a tier boundary, or a
-	// client-side retry of the whole request.
+	// rejection, a CoDel shed, or a breaker refusal at a tier boundary.
 	EventTimeout     EventKind = "timeout"
 	EventReject      EventKind = "reject"
 	EventShed        EventKind = "shed"
 	EventBreakerOpen EventKind = "breaker-open"
-	EventRetry       EventKind = "retry"
 	// EventClass tags a request with its traffic class at injection; the
 	// class name rides in the event's Class field. Class-free flows never
 	// record it.
@@ -258,80 +256,6 @@ func (t *RequestTracer) Breakdown() []TierBreakdown {
 			QueueWait: metrics.Summarize(a.queue),
 			PoolWait:  metrics.Summarize(a.pool),
 			Service:   metrics.Summarize(a.service),
-		})
-	}
-	return out
-}
-
-// ClassBreakdown aggregates end-to-end outcomes of one traffic class.
-type ClassBreakdown struct {
-	Class     string `json:"class"`
-	Requests  int    `json:"requests"`
-	Completed int    `json:"completed"`
-	Failed    int    `json:"failed"`
-	// RT summarizes end-to-end response times (seconds) of requests that
-	// reached a terminal done/fail event.
-	RT metrics.Summary `json:"rt"`
-}
-
-// ClassBreakdowns folds the event stream into per-class end-to-end
-// summaries by pairing each class-tagged request's arrive event with its
-// terminal done or fail event. Classes are returned in sorted order;
-// untagged requests are ignored (the class-free flow records no class
-// events).
-func (t *RequestTracer) ClassBreakdowns() []ClassBreakdown {
-	if t == nil || len(t.events) == 0 {
-		return nil
-	}
-	classOf := map[uint64]string{}
-	arriveAt := map[uint64]time.Duration{}
-	type agg struct {
-		requests, completed, failed int
-		rts                         []float64
-	}
-	classes := map[string]*agg{}
-	for _, ev := range t.events {
-		switch ev.Kind {
-		case EventClass:
-			classOf[ev.Req] = ev.Class
-			a := classes[ev.Class]
-			if a == nil {
-				a = &agg{}
-				classes[ev.Class] = a
-			}
-			a.requests++
-		case EventArrive:
-			arriveAt[ev.Req] = ev.At
-		case EventDone, EventFail:
-			name, ok := classOf[ev.Req]
-			if !ok {
-				continue
-			}
-			a := classes[name]
-			if ev.Kind == EventDone {
-				a.completed++
-			} else {
-				a.failed++
-			}
-			if start, ok := arriveAt[ev.Req]; ok {
-				a.rts = append(a.rts, (ev.At - start).Seconds())
-			}
-		}
-	}
-	names := make([]string, 0, len(classes))
-	for name := range classes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]ClassBreakdown, 0, len(names))
-	for _, name := range names {
-		a := classes[name]
-		out = append(out, ClassBreakdown{
-			Class:     name,
-			Requests:  a.requests,
-			Completed: a.completed,
-			Failed:    a.failed,
-			RT:        metrics.Summarize(a.rts),
 		})
 	}
 	return out

@@ -38,12 +38,11 @@ type BurstyLoop struct {
 	target Target
 	cfg    BurstyConfig
 
-	stopped   bool
-	started   bool
-	completed metrics.Counter
-	retries   metrics.Counter
-	surge     bool
-	retrier   *resilience.Retrier
+	stopped bool
+	started bool
+	retries metrics.Counter
+	surge   bool
+	retrier *resilience.Retrier
 }
 
 // NewBurstyLoop returns an unstarted generator.
@@ -99,12 +98,6 @@ func (b *BurstyLoop) scheduleSwitch() {
 // Stop retires all users after their in-flight requests complete.
 func (b *BurstyLoop) Stop() { b.stopped = true }
 
-// Surging reports whether the shared modulating state is in a surge.
-func (b *BurstyLoop) Surging() bool { return b.surge }
-
-// TotalCompleted returns the lifetime completed-request count.
-func (b *BurstyLoop) TotalCompleted() uint64 { return b.completed.Total() }
-
 // TotalRetries returns the lifetime number of retry attempts issued.
 func (b *BurstyLoop) TotalRetries() uint64 { return b.retries.Total() }
 
@@ -125,7 +118,6 @@ func (b *BurstyLoop) cycle() {
 func (b *BurstyLoop) startRequest(attempt int) {
 	b.target.Inject(func(_ time.Duration, ok bool) {
 		if ok {
-			b.completed.Inc(1)
 			if b.retrier != nil {
 				b.retrier.OnSuccess()
 			}
@@ -146,25 +138,4 @@ func (b *BurstyLoop) startRequest(attempt int) {
 		think := expDelay(b.rnd, mean)
 		b.eng.Schedule(think, b.cycle)
 	})
-}
-
-// IndexOfDispersion computes the variance-to-mean ratio of per-interval
-// counts — the burstiness metric Mi et al. control. A Poisson-like stream
-// has IoD ≈ 1; bursty streams are far above.
-func IndexOfDispersion(counts []float64) float64 {
-	if len(counts) == 0 {
-		return 0
-	}
-	var sum, sumSq float64
-	for _, c := range counts {
-		sum += c
-		sumSq += c * c
-	}
-	n := float64(len(counts))
-	mean := sum / n
-	if mean == 0 {
-		return 0
-	}
-	variance := sumSq/n - mean*mean
-	return variance / mean
 }

@@ -37,7 +37,7 @@ func TestBurstyZeroLengthBurst(t *testing.T) {
 	}
 	// ~10 users / 100ms think over 30s: the zero-length surges must not
 	// distort throughput beyond noise (nor hang the run).
-	if n := bl.TotalCompleted(); n < 1000 {
+	if n := tgt.completed; n < 1000 {
 		t.Fatalf("completed = %d, want ≳ normal-rate completions", n)
 	}
 }
@@ -67,7 +67,7 @@ func TestBurstySurgeNoFasterThanNormal(t *testing.T) {
 	if err := eng.Run(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if bl.TotalCompleted() == 0 {
+	if tgt.completed == 0 {
 		t.Fatal("degenerate (equal-rate) burst config served nothing")
 	}
 }
@@ -90,7 +90,7 @@ func TestBurstySingleTickBurst(t *testing.T) {
 	bl.Start()
 	surged, recovered := false, false
 	stop := eng.Ticker(time.Millisecond, func() {
-		if bl.Surging() {
+		if bl.surge {
 			surged = true
 		} else if surged {
 			recovered = true
@@ -103,7 +103,7 @@ func TestBurstySingleTickBurst(t *testing.T) {
 	if !surged || !recovered {
 		t.Fatalf("surged = %v, recovered = %v: single-tick burst stuck", surged, recovered)
 	}
-	if bl.TotalCompleted() == 0 {
+	if tgt.completed == 0 {
 		t.Fatal("no completions")
 	}
 }
@@ -113,12 +113,18 @@ type failNTarget struct {
 	eng  *sim.Engine
 	fail int
 	seen int
+	ok   int
 }
 
 func (f *failNTarget) Inject(done func(rt time.Duration, ok bool)) {
 	f.seen++
 	ok := f.seen > f.fail
-	f.eng.Schedule(time.Millisecond, func() { done(time.Millisecond, ok) })
+	f.eng.Schedule(time.Millisecond, func() {
+		if ok {
+			f.ok++
+		}
+		done(time.Millisecond, ok)
+	})
 }
 
 // TestBurstyLoopRetries checks the retry wiring on the bursty generator:
@@ -149,7 +155,7 @@ func TestBurstyLoopRetries(t *testing.T) {
 	if bl.TotalRetries() != 3 {
 		t.Fatalf("retries = %d, want 3", bl.TotalRetries())
 	}
-	if bl.TotalCompleted() == 0 {
+	if tgt.ok == 0 {
 		t.Fatal("retried request never completed")
 	}
 }

@@ -50,8 +50,7 @@ func measureIoD(t *testing.T, bursty bool) float64 {
 	r := rng.New(77).Split("wl")
 
 	var counts []float64
-	var lastTotal uint64
-	var total func() uint64
+	var lastTotal int
 
 	if bursty {
 		bl, err := NewBurstyLoop(eng, r, tgt, BurstyConfig{
@@ -65,7 +64,6 @@ func measureIoD(t *testing.T, bursty bool) float64 {
 			t.Fatal(err)
 		}
 		bl.Start()
-		total = bl.TotalCompleted
 	} else {
 		cl, err := NewClosedLoop(eng, r, tgt, ClosedLoopConfig{
 			Users: 200, ThinkTime: 2 * time.Second,
@@ -74,10 +72,9 @@ func measureIoD(t *testing.T, bursty bool) float64 {
 			t.Fatal(err)
 		}
 		cl.Start()
-		total = cl.TotalCompleted
 	}
 	stop := eng.Ticker(time.Second, func() {
-		tt := total()
+		tt := tgt.completed
 		counts = append(counts, float64(tt-lastTotal))
 		lastTotal = tt
 	})
@@ -86,7 +83,7 @@ func measureIoD(t *testing.T, bursty bool) float64 {
 		t.Fatal(err)
 	}
 	// Drop the warmup minute.
-	return IndexOfDispersion(counts[60:])
+	return indexOfDispersion(counts[60:])
 }
 
 // TestBurstinessInjection: the Markov-modulated users must produce a far
@@ -121,33 +118,53 @@ func TestBurstyLoopStops(t *testing.T) {
 	if err := eng.Run(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	after := bl.TotalCompleted()
+	after := tgt.completed
 	if after == 0 {
 		t.Fatal("no requests before stop")
 	}
 	if err := eng.Run(20 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if bl.TotalCompleted() != after {
+	if tgt.completed != after {
 		t.Fatal("requests after Stop")
 	}
-	_ = bl.Surging() // state remains queryable after stop
 }
 
 func TestIndexOfDispersion(t *testing.T) {
 	t.Parallel()
-	if got := IndexOfDispersion(nil); got != 0 {
+	if got := indexOfDispersion(nil); got != 0 {
 		t.Fatalf("empty IoD = %v", got)
 	}
-	if got := IndexOfDispersion([]float64{0, 0, 0}); got != 0 {
+	if got := indexOfDispersion([]float64{0, 0, 0}); got != 0 {
 		t.Fatalf("zero-mean IoD = %v", got)
 	}
 	// Constant counts: variance 0.
-	if got := IndexOfDispersion([]float64{5, 5, 5, 5}); got != 0 {
+	if got := indexOfDispersion([]float64{5, 5, 5, 5}); got != 0 {
 		t.Fatalf("constant IoD = %v", got)
 	}
 	// Hand-computed: counts {0, 10}: mean 5, var 25, IoD 5.
-	if got := IndexOfDispersion([]float64{0, 10}); math.Abs(got-5) > 1e-9 {
+	if got := indexOfDispersion([]float64{0, 10}); math.Abs(got-5) > 1e-9 {
 		t.Fatalf("IoD = %v, want 5", got)
 	}
+}
+
+// indexOfDispersion computes the variance-to-mean ratio of per-interval
+// counts — the burstiness metric Mi et al. control. A Poisson-like stream
+// has IoD ≈ 1; bursty streams are far above.
+func indexOfDispersion(counts []float64) float64 {
+	if len(counts) == 0 {
+		return 0
+	}
+	var sum, sumSq float64
+	for _, c := range counts {
+		sum += c
+		sumSq += c * c
+	}
+	n := float64(len(counts))
+	mean := sum / n
+	if mean == 0 {
+		return 0
+	}
+	variance := sumSq/n - mean*mean
+	return variance / mean
 }

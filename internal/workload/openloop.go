@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"dcm/internal/metrics"
 	"dcm/internal/rng"
 	"dcm/internal/sim"
 )
@@ -152,23 +151,15 @@ type OpenLoopGen struct {
 	max     float64
 	thin    bool // curve is time-varying: thin candidates
 
-	classes []Class
-	picker  *classPicker
+	picker *classPicker
 
 	stopped   bool
 	scheduled uint64 // accepted arrivals over the lifetime
 	thinned   uint64 // candidates rejected by thinning
-	byClass   []uint64
 
-	issued    metrics.Counter
-	completed metrics.Counter
-	errored   metrics.Counter
-	rts       metrics.MeanAccumulator
-
-	// Preallocated hot-path callbacks (method values escape once, here,
+	// Preallocated hot-path callback (the method value escapes once, here,
 	// instead of once per arrival).
 	arriveFn func()
-	doneFn   func(rt time.Duration, ok bool)
 }
 
 // NewOpenLoopGen returns an unstarted open-loop generator driving the
@@ -191,7 +182,6 @@ func NewOpenLoopGen(eng *sim.Engine, rnd *rng.Rand, target Target, curve RateCur
 		thin:   !constant,
 	}
 	o.arriveFn = o.arrive
-	o.doneFn = o.onDone
 	return o, nil
 }
 
@@ -207,10 +197,8 @@ func (o *OpenLoopGen) SetClasses(classes []Class) error {
 	if err != nil {
 		return err
 	}
-	o.classes = classes
 	o.picker = picker
 	o.ctarget = ct
-	o.byClass = make([]uint64, len(classes))
 	return nil
 }
 
@@ -242,66 +230,21 @@ func (o *OpenLoopGen) arrive() {
 		return
 	}
 	o.scheduled++
-	o.issued.Inc(1)
 	if o.picker != nil {
-		cls := o.picker.pick(o.rnd)
-		o.byClass[cls]++
-		o.ctarget.InjectClass(cls, 0, o.doneFn)
+		o.ctarget.InjectClass(o.picker.pick(o.rnd), 0, ignoreOutcome)
 	} else {
-		o.target.Inject(o.doneFn)
+		o.target.Inject(ignoreOutcome)
 	}
 	o.scheduleGap()
 }
 
-// onDone tallies one completed request. Per-class outcome tallies live in
-// the target (the class travels with the request there); keeping the
-// generator's callback class-free is what keeps the hot path
-// allocation-free.
-func (o *OpenLoopGen) onDone(rt time.Duration, ok bool) {
-	if ok {
-		o.completed.Inc(1)
-		o.rts.Observe(rt.Seconds())
-	} else {
-		o.errored.Inc(1)
-	}
-}
-
-// Curve returns the generator's rate curve.
-func (o *OpenLoopGen) Curve() RateCurve { return o.curve }
+// ignoreOutcome is the open loop's done callback. Arrivals never wait on
+// responses, and outcomes (per class too) are tallied in the target, so
+// the generator has nothing to record.
+func ignoreOutcome(time.Duration, bool) {}
 
 // Scheduled returns the lifetime number of accepted (injected) arrivals.
 func (o *OpenLoopGen) Scheduled() uint64 { return o.scheduled }
 
 // Thinned returns the lifetime number of candidates rejected by thinning.
 func (o *OpenLoopGen) Thinned() uint64 { return o.thinned }
-
-// ClassArrivals returns per-class lifetime arrival counts in class order
-// (nil without classes).
-func (o *OpenLoopGen) ClassArrivals() []uint64 {
-	if o.byClass == nil {
-		return nil
-	}
-	out := make([]uint64, len(o.byClass))
-	copy(out, o.byClass)
-	return out
-}
-
-// Classes returns the configured class mix (nil without classes).
-func (o *OpenLoopGen) Classes() []Class { return o.classes }
-
-// TakeStats returns interval metrics and resets the interval.
-func (o *OpenLoopGen) TakeStats() Stats {
-	mean, _ := o.rts.TakeMean()
-	return Stats{
-		Issued:        o.issued.TakeDelta(),
-		Completed:     o.completed.TakeDelta(),
-		Errors:        o.errored.TakeDelta(),
-		MeanRTSeconds: mean,
-	}
-}
-
-// TotalCompleted returns the lifetime number of completed requests.
-func (o *OpenLoopGen) TotalCompleted() uint64 { return o.completed.Total() }
-
-// TotalErrors returns the lifetime number of failed requests.
-func (o *OpenLoopGen) TotalErrors() uint64 { return o.errored.Total() }

@@ -121,7 +121,7 @@ func TestFlashCrowdRateCurve(t *testing.T) {
 // TestOpenLoopGenDeterminism: two runs under one seed are identical in
 // every counter, including the class split.
 func TestOpenLoopGenDeterminism(t *testing.T) {
-	run := func() (uint64, uint64, []uint64) {
+	run := func() (uint64, uint64, []int) {
 		eng := sim.NewEngine()
 		target := &classFakeTarget{fakeTarget: fakeTarget{eng: eng, delay: 2 * time.Millisecond}}
 		curve := &DiurnalRate{Base: 400, Amplitude: 0.8, Period: 40 * time.Second}
@@ -137,7 +137,7 @@ func TestOpenLoopGenDeterminism(t *testing.T) {
 		if err := eng.Run(120 * time.Second); err != nil {
 			t.Fatal(err)
 		}
-		return gen.Scheduled(), gen.Thinned(), gen.ClassArrivals()
+		return gen.Scheduled(), gen.Thinned(), []int{target.byClass[0], target.byClass[1]}
 	}
 	s1, t1, c1 := run()
 	s2, t2, c2 := run()

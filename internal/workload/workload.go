@@ -10,7 +10,8 @@
 //     concurrent users over time according to a trace file, used for the
 //     bursty-workload evaluation (§V-B);
 //
-// plus an open-loop Poisson generator for ablations.
+// plus OpenLoopGen, an open-loop Poisson generator whose rate follows a
+// curve (constant, diurnal or flash crowd), for overload past saturation.
 package workload
 
 import (
@@ -97,11 +98,8 @@ type ClosedLoop struct {
 	think    Sampler // think-law override (nil = exponential ThinkTime)
 	sessions uint64  // next session id
 
-	issued    metrics.Counter
 	completed metrics.Counter
-	errored   metrics.Counter
 	retries   metrics.Counter
-	rts       metrics.MeanAccumulator
 }
 
 // NewClosedLoop returns an unstarted closed-loop generator.
@@ -129,9 +127,6 @@ func NewClosedLoop(eng *sim.Engine, rnd *rng.Rand, target Target, cfg ClosedLoop
 // and leaves the cycle byte-identical to the retry-free generator.
 func (c *ClosedLoop) SetRetrier(r *resilience.Retrier) { c.retrier = r }
 
-// Retrier returns the attached retrier (nil when retries are off).
-func (c *ClosedLoop) Retrier() *resilience.Retrier { return c.retrier }
-
 // SetThinkSampler overrides the exponential think-time law with an
 // arbitrary sampler (heavy-tailed think times). nil (the default) keeps
 // the exponential ThinkTime law. Must be called before Start.
@@ -155,9 +150,6 @@ func (c *ClosedLoop) SetClasses(classes []Class) error {
 	c.ctarget = ct
 	return nil
 }
-
-// Classes returns the configured class mix (nil without classes).
-func (c *ClosedLoop) Classes() []Class { return c.classes }
 
 // Start launches the initial user population. Start is idempotent.
 func (c *ClosedLoop) Start() {
@@ -254,11 +246,9 @@ func (c *ClosedLoop) userCycle() {
 // allows; the user thinks and cycles once the request succeeds or is
 // abandoned.
 func (c *ClosedLoop) startRequest(attempt int) {
-	c.issued.Inc(1)
-	c.target.Inject(func(rt time.Duration, ok bool) {
+	c.target.Inject(func(_ time.Duration, ok bool) {
 		if ok {
 			c.completed.Inc(1)
-			c.rts.Observe(rt.Seconds())
 			if c.retrier != nil {
 				c.retrier.OnSuccess()
 			}
@@ -274,8 +264,6 @@ func (c *ClosedLoop) startRequest(attempt int) {
 				c.startRequest(attempt + 1)
 			})
 			return
-		} else {
-			c.errored.Inc(1)
 		}
 		think := c.thinkDelay(-1)
 		c.eng.Schedule(think, c.userCycle)
@@ -312,11 +300,9 @@ func (c *ClosedLoop) classCycle(cls int, session uint64) {
 // the other's retries during a storm.
 func (c *ClosedLoop) startClassRequest(cls int, session uint64, attempt int) {
 	critical := cls >= 0 && cls < len(c.classes) && c.classes[cls].Priority > 0
-	c.issued.Inc(1)
-	c.ctarget.InjectClass(cls, session, func(rt time.Duration, ok bool) {
+	c.ctarget.InjectClass(cls, session, func(_ time.Duration, ok bool) {
 		if ok {
 			c.completed.Inc(1)
-			c.rts.Observe(rt.Seconds())
 			if c.retrier != nil {
 				c.retrier.OnSuccessClass(critical)
 			}
@@ -330,40 +316,10 @@ func (c *ClosedLoop) startClassRequest(cls int, session uint64, attempt int) {
 				c.startClassRequest(cls, session, attempt+1)
 			})
 			return
-		} else {
-			c.errored.Inc(1)
 		}
 		think := c.thinkDelay(cls)
 		c.eng.Schedule(think, func() { c.classCycle(cls, session) })
 	})
-}
-
-// Stats is one interval of generator-side metrics.
-type Stats struct {
-	// Issued, Completed, Errors are counts in the interval.
-	Issued    uint64 `json:"issued"`
-	Completed uint64 `json:"completed"`
-	Errors    uint64 `json:"errors"`
-	// MeanRTSeconds is the client-observed mean response time.
-	MeanRTSeconds float64 `json:"meanRTSeconds"`
-	// Users is the desired population at sampling time.
-	Users int `json:"users"`
-	// Retries counts retry attempts issued in the interval (a subset of
-	// Issued). Zero — and absent from JSON — without a retrier.
-	Retries uint64 `json:"retries,omitempty"`
-}
-
-// TakeStats returns interval metrics and resets the interval.
-func (c *ClosedLoop) TakeStats() Stats {
-	mean, _ := c.rts.TakeMean()
-	return Stats{
-		Issued:        c.issued.TakeDelta(),
-		Completed:     c.completed.TakeDelta(),
-		Errors:        c.errored.TakeDelta(),
-		MeanRTSeconds: mean,
-		Users:         c.want,
-		Retries:       c.retries.TakeDelta(),
-	}
 }
 
 // TotalCompleted returns the lifetime number of completed requests.
@@ -425,81 +381,3 @@ func (t *TraceDriven) Loop() *ClosedLoop { return t.loop }
 
 // Trace returns the trace being replayed.
 func (t *TraceDriven) Trace() *trace.Trace { return t.trace }
-
-// OpenLoop issues requests in a Poisson stream at a configurable rate,
-// independent of responses — unlike the paper's closed-loop clients it can
-// overload the system without bound, which the ablation benchmarks use to
-// probe behaviour past saturation.
-type OpenLoop struct {
-	eng       *sim.Engine
-	rnd       *rng.Rand
-	target    Target
-	rate      float64 // requests per second
-	stopped   bool
-	issued    metrics.Counter
-	completed metrics.Counter
-	errored   metrics.Counter
-	rts       metrics.MeanAccumulator
-}
-
-// NewOpenLoop returns an unstarted open-loop generator at rate requests/s.
-func NewOpenLoop(eng *sim.Engine, rnd *rng.Rand, target Target, rate float64) (*OpenLoop, error) {
-	if eng == nil || rnd == nil || target == nil {
-		return nil, fmt.Errorf("%w: nil dependency", ErrBadWorkload)
-	}
-	if rate <= 0 {
-		return nil, fmt.Errorf("%w: rate %v", ErrBadWorkload, rate)
-	}
-	return &OpenLoop{eng: eng, rnd: rnd, target: target, rate: rate}, nil
-}
-
-// SetRate changes the arrival rate at runtime.
-func (o *OpenLoop) SetRate(rate float64) {
-	if rate > 0 {
-		o.rate = rate
-	}
-}
-
-// Start begins the Poisson arrival stream.
-func (o *OpenLoop) Start() {
-	if o.stopped {
-		return
-	}
-	o.scheduleNext()
-}
-
-func (o *OpenLoop) scheduleNext() {
-	gap := delayFromSeconds(o.rnd.Exp(1 / o.rate))
-	o.eng.Schedule(gap, func() {
-		if o.stopped {
-			return
-		}
-		o.issued.Inc(1)
-		o.target.Inject(func(rt time.Duration, ok bool) {
-			if ok {
-				o.completed.Inc(1)
-				o.rts.Observe(rt.Seconds())
-			} else {
-				o.errored.Inc(1)
-			}
-		})
-		o.scheduleNext()
-	})
-}
-
-// Stop halts the arrival stream.
-func (o *OpenLoop) Stop() { o.stopped = true }
-
-// TakeStats returns interval metrics and resets the interval.
-func (o *OpenLoop) TakeStats() Stats {
-	mean, _ := o.rts.TakeMean()
-	return Stats{
-		Issued:        o.issued.TakeDelta(),
-		Completed:     o.completed.TakeDelta(),
-		Errors:        o.errored.TakeDelta(),
-		MeanRTSeconds: mean,
-	}
-}
-
-// TotalCompleted returns the lifetime number of completed requests.
-func (o *OpenLoop) TotalCompleted() uint64 { return o.completed.Total() }

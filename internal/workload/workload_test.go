@@ -13,11 +13,12 @@ import (
 
 // fakeTarget completes every request after a fixed delay.
 type fakeTarget struct {
-	eng      *sim.Engine
-	delay    time.Duration
-	inFlight int
-	peak     int
-	total    int
+	eng       *sim.Engine
+	delay     time.Duration
+	inFlight  int
+	peak      int
+	total     int
+	completed int
 }
 
 func (f *fakeTarget) Inject(done func(rt time.Duration, ok bool)) {
@@ -29,6 +30,7 @@ func (f *fakeTarget) Inject(done func(rt time.Duration, ok bool)) {
 	start := f.eng.Now()
 	f.eng.Schedule(f.delay, func() {
 		f.inFlight--
+		f.completed++
 		if done != nil {
 			done(f.eng.Now()-start, true)
 		}
@@ -191,7 +193,9 @@ func TestStopRetiresUsers(t *testing.T) {
 	}
 }
 
-func TestTakeStats(t *testing.T) {
+// TestClosedLoopCompletionCounts checks the generator's completion count
+// against the target's own tallies.
+func TestClosedLoopCompletionCounts(t *testing.T) {
 	t.Parallel()
 	eng, tgt := setup(t, 10*time.Millisecond)
 	wl, err := NewClosedLoop(eng, rng.New(7).Split("wl"), tgt, ClosedLoopConfig{
@@ -204,15 +208,18 @@ func TestTakeStats(t *testing.T) {
 	if err := eng.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	st := wl.TakeStats()
-	if st.Completed == 0 || st.Issued == 0 {
-		t.Fatalf("stats = %+v", st)
+	if tgt.completed == 0 || tgt.total == 0 {
+		t.Fatalf("target saw %d issued, %d completed", tgt.total, tgt.completed)
 	}
-	if math.Abs(st.MeanRTSeconds-0.010) > 0.001 {
-		t.Fatalf("mean rt = %v", st.MeanRTSeconds)
+	if got := wl.TotalCompleted(); got != uint64(tgt.completed) {
+		t.Fatalf("TotalCompleted = %d, target completed %d", got, tgt.completed)
 	}
-	if st.Users != 5 {
-		t.Fatalf("users = %d", st.Users)
+	// Zero think time keeps every user in flight: issued = completed + users.
+	if tgt.total != tgt.completed+5 {
+		t.Fatalf("issued %d, completed %d, want a gap of 5 in-flight users", tgt.total, tgt.completed)
+	}
+	if wl.Users() != 5 {
+		t.Fatalf("users = %d", wl.Users())
 	}
 }
 
@@ -291,10 +298,25 @@ func TestTraceDrivenStartIdempotent(t *testing.T) {
 	}
 }
 
+// arrivalLog records when each request reaches the wrapped target.
+type arrivalLog struct {
+	*fakeTarget
+	at []time.Duration
+}
+
+func (a *arrivalLog) Inject(done func(rt time.Duration, ok bool)) {
+	a.at = append(a.at, a.eng.Now())
+	a.fakeTarget.Inject(done)
+}
+
+// TestOpenLoopRate runs a constant-rate open loop: completions match the
+// rate, and the arrival times are exactly the exponential gaps
+// delayFromSeconds(Exp(1/rate)) drawn in order from the generator's split.
 func TestOpenLoopRate(t *testing.T) {
 	t.Parallel()
 	eng, tgt := setup(t, time.Millisecond)
-	ol, err := NewOpenLoop(eng, rng.New(10).Split("wl"), tgt, 200)
+	log := &arrivalLog{fakeTarget: tgt}
+	ol, err := NewOpenLoopGen(eng, rng.New(10).Split("wl"), log, ConstantRate(200))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,23 +324,30 @@ func TestOpenLoopRate(t *testing.T) {
 	if err := eng.Run(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	rate := float64(ol.TotalCompleted()) / 30.0
+	rate := float64(tgt.completed) / 30.0
 	if math.Abs(rate-200)/200 > 0.05 {
 		t.Fatalf("rate = %v, want ~200", rate)
 	}
-	st := ol.TakeStats()
-	if st.Completed == 0 {
-		t.Fatalf("stats = %+v", st)
+	if ol.Scheduled() != uint64(len(log.at)) {
+		t.Fatalf("scheduled %d, target saw %d arrivals", ol.Scheduled(), len(log.at))
+	}
+	rnd := rng.New(10).Split("wl")
+	var at time.Duration
+	for i, got := range log.at {
+		at += delayFromSeconds(rnd.Exp(1 / 200.0))
+		if got != at {
+			t.Fatalf("arrival %d at %v, want %v", i, got, at)
+		}
 	}
 }
 
 func TestOpenLoopValidationAndStop(t *testing.T) {
 	t.Parallel()
 	eng, tgt := setup(t, time.Millisecond)
-	if _, err := NewOpenLoop(eng, rng.New(1), tgt, 0); !errors.Is(err, ErrBadWorkload) {
+	if _, err := NewOpenLoopGen(eng, rng.New(1), tgt, ConstantRate(0)); !errors.Is(err, ErrBadWorkload) {
 		t.Fatalf("zero rate: %v", err)
 	}
-	ol, err := NewOpenLoop(eng, rng.New(11).Split("wl"), tgt, 100)
+	ol, err := NewOpenLoopGen(eng, rng.New(11).Split("wl"), tgt, ConstantRate(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,16 +356,16 @@ func TestOpenLoopValidationAndStop(t *testing.T) {
 	if err := eng.Run(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	after := ol.TotalCompleted()
+	after := tgt.completed
+	if after == 0 || ol.Scheduled() != uint64(after) {
+		t.Fatalf("scheduled %d, completed %d before the stop settled", ol.Scheduled(), after)
+	}
 	if err := eng.Run(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if ol.TotalCompleted() != after {
+	if tgt.completed != after {
 		t.Fatal("arrivals after Stop")
 	}
-	// SetRate guards non-positive values.
-	ol.SetRate(-5)
-	ol.SetRate(50)
 }
 
 // TestDelayFromSecondsRounding pins the sample-to-delay conversion: draws
