@@ -8,6 +8,10 @@
 //	sweep -experiment openloop   open-loop two-class saturation run (see -rate)
 //	sweep -experiment flashcrowd open-loop flash-crowd spike (see -rate)
 //	sweep -experiment graph      service-graph topology run (see -topology, -chaos)
+//	sweep -experiment retrystorm retry-storm resilience ladder (see -degrade)
+//
+// Every experiment reads -seed, -parallel, -pprof and -invariants; any
+// other flag it does not read is rejected rather than silently ignored.
 package main
 
 import (
@@ -15,6 +19,8 @@ import (
 	"fmt"
 	"os"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"time"
 
 	"dcm/internal/experiments"
@@ -30,10 +36,47 @@ func main() {
 	}
 }
 
+// experimentFlags lists the flags each experiment reads beyond the
+// -experiment, -seed, -parallel, -pprof and -invariants every one takes.
+var experimentFlags = map[string][]string{
+	"fig2a":      {"measure"},
+	"fig2b":      {"users"},
+	"fig4a":      {"measure"},
+	"fig4b":      {"measure"},
+	"smoke":      {"peak", "trace"},
+	"openloop":   {"rate", "horizon", "degrade"},
+	"flashcrowd": {"rate", "horizon", "degrade"},
+	"graph":      {"topology", "rate", "horizon", "chaos"},
+	"retrystorm": {"degrade"},
+}
+
+// checkFlags rejects an unknown experiment and any flag in set that the
+// experiment does not read, so no flag is silently ignored.
+func checkFlags(experiment string, set []string) error {
+	own, ok := experimentFlags[experiment]
+	if !ok {
+		return fmt.Errorf("unknown experiment %q", experiment)
+	}
+	var stray []string
+	for _, name := range set {
+		switch name {
+		case "experiment", "seed", "parallel", "pprof", "invariants":
+		default:
+			if !slices.Contains(own, name) {
+				stray = append(stray, "-"+name)
+			}
+		}
+	}
+	if len(stray) > 0 {
+		return fmt.Errorf("-experiment %s does not read %s", experiment, strings.Join(stray, ", "))
+	}
+	return nil
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	var (
-		experiment = fs.String("experiment", "fig2a", "fig2a | fig2b | fig4a | fig4b | smoke | openloop | flashcrowd | graph")
+		experiment = fs.String("experiment", "fig2a", "fig2a | fig2b | fig4a | fig4b | smoke | openloop | flashcrowd | graph | retrystorm")
 		seed       = fs.Uint64("seed", 42, "random seed")
 		measure    = fs.Duration("measure", 20*time.Second, "measurement window per point")
 		users      = fs.Int("users", 3000, "sustained user population (fig2b)")
@@ -44,11 +87,16 @@ func run(args []string) error {
 		traceCSV   = fs.String("trace", "", "users-over-time CSV driving the smoke run (default: synthesized sine ramp to -peak)")
 		rate       = fs.Float64("rate", 0, "base arrival rate in req/s for the open-loop experiments (0 = default)")
 		horizon    = fs.Duration("horizon", 0, "virtual run length for the open-loop experiments (0 = default)")
-		degrade    = fs.Bool("degrade", false, "arm the self-healing brownout layer for the open-loop experiments (default policy knobs)")
+		degrade    = fs.Bool("degrade", false, "arm the self-healing brownout layer for the open-loop experiments (default policy knobs); with retrystorm, append the self-healing rung and fail unless it detects the collapse and recovers >= 80% of pre-fault goodput")
 		topology   = fs.String("topology", "", "topology spec file for the graph experiment (empty = built-in fanout5)")
 		chaos      = fs.Bool("chaos", false, "inject a mid-run replica crash and later replacement (graph experiment)")
 	)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	var set []string
+	fs.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if err := checkFlags(*experiment, set); err != nil {
 		return err
 	}
 	runner.SetDefaultWorkers(*parallel)
@@ -190,8 +238,39 @@ func run(args []string) error {
 			fmt.Print(invariant.Render(vs))
 			return fmt.Errorf("%d invariant violation(s)", len(vs))
 		}
-	default:
-		return fmt.Errorf("unknown experiment %q", *experiment)
+	case "retrystorm":
+		results, err := experiments.RunRetryStorm(experiments.RetryStormConfig{
+			Seed: *seed, Invariants: *invariants, Degrade: *degrade,
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Printf("retry-storm ladder (seed %d): degraded Tomcat under closed-loop overload\n\n", *seed)
+		fmt.Print(experiments.RenderRetryStorm(results))
+		last := results[len(results)-1]
+		if *degrade {
+			fmt.Println()
+			fmt.Print(experiments.RenderDegradeSummary(last))
+		}
+		bad := 0
+		for _, r := range results {
+			if len(r.InvariantViolations) > 0 {
+				bad += len(r.InvariantViolations)
+				fmt.Printf("invariant violations (%s):\n%s", r.Variant, invariant.Render(r.InvariantViolations))
+			}
+		}
+		if bad > 0 {
+			return fmt.Errorf("%d invariant violation(s)", bad)
+		}
+		if *degrade {
+			if last.Degrade == nil || len(last.Degrade.Episodes) == 0 {
+				return fmt.Errorf("self-healing rung detected no collapse")
+			}
+			if last.RecoveryRatio < 0.8 {
+				return fmt.Errorf("self-healing rung recovered only %.0f%% of pre-fault goodput (want >= 80%%)",
+					100*last.RecoveryRatio)
+			}
+		}
 	}
 	if chk != nil {
 		if vs := chk.Violations(); len(vs) > 0 {

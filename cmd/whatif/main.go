@@ -22,12 +22,10 @@ import (
 	"time"
 
 	"dcm/internal/autotune"
+	"dcm/internal/experiments"
 	"dcm/internal/metrics"
 	"dcm/internal/mva"
 	"dcm/internal/ntier"
-	"dcm/internal/rng"
-	"dcm/internal/sim"
-	"dcm/internal/workload"
 )
 
 func main() {
@@ -64,10 +62,11 @@ func run(args []string) error {
 	cfg.AppThreads = *appThreads
 	cfg.DBConnsPerApp = *dbConns
 
-	simX, simRT, err := simulate(cfg, *users, *think, *measure, *seed)
+	m, err := experiments.SteadyState(*seed, cfg, *users, *think, 10*time.Second, *measure, nil)
 	if err != nil {
 		return err
 	}
+	simX, simRT := m.Throughput, m.RT.Mean
 	mvaX, mvaRT, err := analyze(cfg, *users, *think)
 	if err != nil {
 		return err
@@ -114,34 +113,6 @@ func evaluation(source string, x, rt, slo float64) autotune.Evaluation {
 		ThroughputRPS: x,
 		MeanRTSec:     rt,
 	}
-}
-
-// simulate measures the configuration's steady state.
-func simulate(cfg ntier.Config, users int, think, measure time.Duration, seed uint64) (x float64, rt float64, err error) {
-	eng := sim.NewEngine()
-	root := rng.New(seed)
-	app, err := ntier.New(eng, root.Split("app"), cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	wl, err := workload.NewClosedLoop(eng, root.Split("wl"), app, workload.ClosedLoopConfig{
-		Users:     users,
-		ThinkTime: think,
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	wl.Start()
-	warmup := 10 * time.Second
-	if err := eng.Run(warmup); err != nil {
-		return 0, 0, err
-	}
-	app.TakeStats()
-	if err := eng.Run(warmup + measure); err != nil {
-		return 0, 0, err
-	}
-	st := app.TakeStats()
-	return float64(st.Completions) / measure.Seconds(), st.RT.Mean, nil
 }
 
 // analyze solves the approximate closed network: web, app and db as

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"dcm/internal/experiments"
 	"dcm/internal/ntier"
 )
 
@@ -79,10 +80,11 @@ func TestAnalysisTracksSimulation(t *testing.T) {
 	cfg.AppThreads = 20
 	cfg.DBConnsPerApp = 36
 	for _, users := range []int{300, 1200, 2200} {
-		simX, _, err := simulate(cfg, users, 3*time.Second, 8*time.Second, 42)
+		m, err := experiments.SteadyState(42, cfg, users, 3*time.Second, 10*time.Second, 8*time.Second, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		simX := m.Throughput
 		mvaX, _, err := analyze(cfg, users, 3*time.Second)
 		if err != nil {
 			t.Fatal(err)

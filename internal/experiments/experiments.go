@@ -30,13 +30,13 @@ type Measurement struct {
 	Errors uint64 `json:"errors"`
 }
 
-// steadyState builds an app from cfg, drives it with a closed loop of
+// SteadyState builds an app from cfg, drives it with a closed loop of
 // users (think time think), discards warmup, and measures for measure.
 // A non-nil chk attaches the runtime invariant checker to the app and
 // engine and sweeps the structural laws once at the end of the run; the
 // checker is read-only and draws no randomness, so the measurement is
 // byte-identical either way.
-func steadyState(seed uint64, cfg ntier.Config, users int, think, warmup, measure time.Duration, chk *invariant.Checker) (Measurement, error) {
+func SteadyState(seed uint64, cfg ntier.Config, users int, think, warmup, measure time.Duration, chk *invariant.Checker) (Measurement, error) {
 	eng := sim.NewEngine()
 	root := rng.New(seed)
 	app, err := ntier.New(eng, root.Split("app"), cfg)

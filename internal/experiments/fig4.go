@@ -101,7 +101,7 @@ func Fig4Validation(seed uint64, appServers int, allocations []Allocation, users
 		cfg.AppServers = appServers
 		cfg.AppThreads = c.alloc.AppThreads
 		cfg.DBConnsPerApp = c.alloc.DBConnsPerApp
-		m, err := steadyState(seed, cfg, c.users, think, warmup, measure, chk)
+		m, err := SteadyState(seed, cfg, c.users, think, warmup, measure, chk)
 		if err != nil {
 			return Measurement{}, fmt.Errorf("experiments: fig4 %s at %d users: %w", c.alloc.Label, c.users, err)
 		}

@@ -44,6 +44,11 @@ const (
 	retryStormDegradeFactor = 12
 )
 
+// retryStormTimeout is the per-request deadline shared by the resilient
+// rungs; it doubles as the goodput SLA for every rung including the
+// resilience-free baseline.
+const retryStormTimeout = time.Second
+
 // RetryStormConfig parameterizes the experiment. The zero value selects
 // calibrated defaults that produce the storm (see defaults).
 type RetryStormConfig struct {
@@ -52,10 +57,6 @@ type RetryStormConfig struct {
 	Seed uint64
 	// Users sizes the closed-loop population (default 500).
 	Users int
-	// Timeout is the per-request deadline shared by the resilient rungs;
-	// it doubles as the goodput SLA for every rung including the
-	// resilience-free baseline (default 1 s).
-	Timeout time.Duration
 	// DegradeAt and DegradeFor time the degraded-server fault on Tomcat
 	// "app-1" (defaults: 20 s into the run, lasting 100 s).
 	DegradeAt  time.Duration
@@ -80,9 +81,6 @@ type RetryStormConfig struct {
 func (c *RetryStormConfig) defaults() {
 	if c.Users <= 0 {
 		c.Users = 500
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = time.Second
 	}
 	if c.DegradeAt <= 0 {
 		c.DegradeAt = 20 * time.Second
@@ -109,14 +107,14 @@ const RetryStormDegradeVariant = "degrade"
 // metastable configuration — so the run demonstrates the self-healing
 // layer rescuing a collapse that static defenses were not armed against,
 // rather than riding on a stack that never collapses in the first place.
-func retryStormResilience(variant string, timeout time.Duration) (*resilience.Config, error) {
+func retryStormResilience(variant string) (*resilience.Config, error) {
 	switch variant {
 	case "none":
-		return &resilience.Config{SLA: timeout}, nil
+		return &resilience.Config{SLA: retryStormTimeout}, nil
 	case "retries", RetryStormDegradeVariant:
-		return resilience.Preset("retries", timeout)
+		return resilience.Preset("retries", retryStormTimeout)
 	case "full":
-		return resilience.Preset("full", timeout)
+		return resilience.Preset("full", retryStormTimeout)
 	default:
 		return nil, fmt.Errorf("experiments: unknown retry-storm variant %q (have %v)",
 			variant, RetryStormVariants())
@@ -159,7 +157,7 @@ type RetryStormResult struct {
 // RunRetryStormVariant executes one rung of the ladder.
 func RunRetryStormVariant(cfg RetryStormConfig, variant string) (RetryStormResult, error) {
 	cfg.defaults()
-	res, err := retryStormResilience(variant, cfg.Timeout)
+	res, err := retryStormResilience(variant)
 	if err != nil {
 		return RetryStormResult{}, err
 	}

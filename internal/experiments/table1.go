@@ -45,7 +45,7 @@ func TrainTomcatModel(seed uint64, concurrencies []int, measure time.Duration) (
 	for _, n := range concurrencies {
 		cfg := ntier.DefaultConfig()
 		cfg.AppThreads = n
-		m, err := steadyState(seed, cfg, n, 0, 5*time.Second, measure, nil)
+		m, err := SteadyState(seed, cfg, n, 0, 5*time.Second, measure, nil)
 		if err != nil {
 			return Table1Row{}, fmt.Errorf("experiments: tomcat training at N=%d: %w", n, err)
 		}

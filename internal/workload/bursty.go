@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"dcm/internal/metrics"
-	"dcm/internal/resilience"
 	"dcm/internal/rng"
 	"dcm/internal/sim"
 )
@@ -31,25 +29,16 @@ type BurstyConfig struct {
 	Stagger time.Duration
 }
 
-// BurstyLoop is the burstiness-injected closed-loop generator.
+// BurstyLoop is the burstiness-injected closed-loop generator: a
+// ClosedLoop whose think-time law follows the shared modulating state.
 type BurstyLoop struct {
-	eng    *sim.Engine
-	rnd    *rng.Rand
-	target Target
-	cfg    BurstyConfig
-
-	stopped bool
-	started bool
-	retries metrics.Counter
-	surge   bool
-	retrier *resilience.Retrier
+	*ClosedLoop
+	cfg   BurstyConfig
+	surge bool
 }
 
 // NewBurstyLoop returns an unstarted generator.
 func NewBurstyLoop(eng *sim.Engine, rnd *rng.Rand, target Target, cfg BurstyConfig) (*BurstyLoop, error) {
-	if eng == nil || rnd == nil || target == nil {
-		return nil, fmt.Errorf("%w: nil dependency", ErrBadWorkload)
-	}
 	if cfg.Users < 1 {
 		return nil, fmt.Errorf("%w: users %d", ErrBadWorkload, cfg.Users)
 	}
@@ -62,20 +51,28 @@ func NewBurstyLoop(eng *sim.Engine, rnd *rng.Rand, target Target, cfg BurstyConf
 	if cfg.Stagger <= 0 {
 		cfg.Stagger = time.Second
 	}
-	return &BurstyLoop{eng: eng, rnd: rnd, target: target, cfg: cfg}, nil
+	loop, err := NewClosedLoop(eng, rnd, target, ClosedLoopConfig{Users: cfg.Users, Stagger: cfg.Stagger})
+	if err != nil {
+		return nil, err
+	}
+	b := &BurstyLoop{ClosedLoop: loop, cfg: cfg}
+	loop.SetThinkSampler(func(r *rng.Rand) time.Duration {
+		if b.surge {
+			return expDelay(r, cfg.SurgeThink)
+		}
+		return expDelay(r, cfg.NormalThink)
+	})
+	return b, nil
 }
 
 // Start launches the population and the shared modulating process.
-// Start is idempotent.
+// Start is idempotent; the embedded ClosedLoop's Stop retires the users
+// and ends the modulating process.
 func (b *BurstyLoop) Start() {
 	if b.started {
 		return
 	}
-	b.started = true
-	for i := 0; i < b.cfg.Users; i++ {
-		delay := time.Duration(b.rnd.Uniform(0, float64(b.cfg.Stagger)))
-		b.eng.Schedule(delay, b.cycle)
-	}
+	b.ClosedLoop.Start()
 	b.scheduleSwitch()
 }
 
@@ -92,50 +89,5 @@ func (b *BurstyLoop) scheduleSwitch() {
 		}
 		b.surge = !b.surge
 		b.scheduleSwitch()
-	})
-}
-
-// Stop retires all users after their in-flight requests complete.
-func (b *BurstyLoop) Stop() { b.stopped = true }
-
-// TotalRetries returns the lifetime number of retry attempts issued.
-func (b *BurstyLoop) TotalRetries() uint64 { return b.retries.Total() }
-
-// SetRetrier attaches a client-side retrier (see ClosedLoop.SetRetrier);
-// nil disables retries.
-func (b *BurstyLoop) SetRetrier(r *resilience.Retrier) { b.retrier = r }
-
-// cycle is one user's request loop; think times follow the shared state.
-func (b *BurstyLoop) cycle() {
-	if b.stopped {
-		return
-	}
-	b.startRequest(1)
-}
-
-// startRequest issues one attempt of a user's request, retrying failures
-// after backoff while the retrier allows.
-func (b *BurstyLoop) startRequest(attempt int) {
-	b.target.Inject(func(_ time.Duration, ok bool) {
-		if ok {
-			if b.retrier != nil {
-				b.retrier.OnSuccess()
-			}
-		} else if b.retrier != nil && b.retrier.Allow(attempt) {
-			b.retries.Inc(1)
-			b.eng.Schedule(b.retrier.Backoff(attempt), func() {
-				if b.stopped {
-					return
-				}
-				b.startRequest(attempt + 1)
-			})
-			return
-		}
-		mean := b.cfg.NormalThink
-		if b.surge {
-			mean = b.cfg.SurgeThink
-		}
-		think := expDelay(b.rnd, mean)
-		b.eng.Schedule(think, b.cycle)
 	})
 }
