@@ -25,7 +25,7 @@ var apiAllowlist = map[string]string{
 	"server.BasisActive":                      "zero value of server.Basis; configs select it by leaving the field unset",
 	"server.(*Server).DegradeFactor":          "chaos tests read a degrade fault's live factor on the victim server",
 	"monitor.(*Fleet).Blackout":               "chaos tests read whether overlapping blackout faults keep monitoring dark",
-	"trace.(*Trace).Scale":                    "the root package's Example scales the bursty trace through the public facade",
+	"trace.(*Trace).Scale":                    "experiments.ExampleRunScenario scales the bursty trace to half its users",
 	"experiments.MultiSeedComparison":         "multi-seed harness the root benchmarks print and EXPERIMENTS.md reports",
 	"experiments.RenderMultiSeed":             "renders the multi-seed harness's table for the root benchmarks",
 }

@@ -19,6 +19,7 @@ import (
 
 	"dcm/internal/experiments"
 	"dcm/internal/metrics"
+	"dcm/internal/model"
 	"dcm/internal/ntier"
 	"dcm/internal/rng"
 	"dcm/internal/server"
@@ -327,7 +328,7 @@ func BenchmarkServerRequestPath(b *testing.B) {
 	eng := sim.NewEngine()
 	srv, err := server.New(eng, rng.New(1).Split("bench"), server.Config{
 		Name:     "s",
-		Model:    Params{S0: 1e-5, Alpha: 1e-7, Beta: 1e-10, Gamma: 1},
+		Model:    model.Params{S0: 1e-5, Alpha: 1e-7, Beta: 1e-10, Gamma: 1},
 		PoolSize: 16,
 	})
 	if err != nil {

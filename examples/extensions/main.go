@@ -23,6 +23,7 @@ import (
 	"dcm/internal/core"
 	"dcm/internal/experiments"
 	"dcm/internal/ntier"
+	"dcm/internal/policy"
 	"dcm/internal/rng"
 	"dcm/internal/sim"
 	"dcm/internal/trace"
@@ -57,7 +58,7 @@ func run() error {
 	wrong.Beta /= 16
 	wrongN, _ := wrong.OptimalConcurrencyInt()
 	ctrl, err := controller.NewDCM(controller.DCMConfig{
-		Policy:         controller.DefaultPolicy(),
+		Policy:         policy.Default().Scaling,
 		TomcatModel:    wrong,
 		MySQLModel:     mysql,
 		OnlineTraining: true,

@@ -14,6 +14,7 @@ import (
 
 	"dcm/internal/experiments"
 	"dcm/internal/model"
+	"dcm/internal/policy"
 )
 
 func main() {
@@ -52,13 +53,13 @@ func run() error {
 		{1, 3, 2},
 		{1, 4, 2},
 	} {
-		alloc, err := model.PlanAllocation(model.AllocationInput{
+		alloc, _, err := model.PlanAllocation(model.AllocationInput{
 			Tomcat:     tomcat.Params,
 			MySQL:      mysql.Params,
 			WebServers: topo.web,
 			AppServers: topo.app,
 			DBServers:  topo.db,
-		})
+		}, policy.Default().Allocation)
 		if err != nil {
 			return err
 		}

@@ -10,6 +10,7 @@ import (
 
 	"dcm/internal/model"
 	"dcm/internal/ntier"
+	"dcm/internal/policy"
 )
 
 func findHold(holds []Hold, code ReasonCode, tier string) *Hold {
@@ -309,7 +310,7 @@ func TestAuditNilLogSafe(t *testing.T) {
 // audit path: coded actions and holds, same header fields.
 func TestTargetTrackingAudit(t *testing.T) {
 	t.Parallel()
-	c, err := NewTargetTracking(DefaultPolicy(), 0.6)
+	c, err := NewTargetTracking(DefaultPolicy(), policy.Default().Target)
 	if err != nil {
 		t.Fatal(err)
 	}

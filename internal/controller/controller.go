@@ -121,97 +121,10 @@ type Controller interface {
 	Evaluate(view SystemView) []Action
 }
 
-// Policy holds the threshold parameters shared by both controllers,
-// matching §V-B.
-type Policy struct {
-	// UpperCPU triggers scale-out when a tier's CPU exceeds it during one
-	// control period (paper: 0.80).
-	UpperCPU float64
-	// LowerCPU and LowerConsecutive trigger scale-in when the tier's CPU
-	// stays below LowerCPU for LowerConsecutive consecutive periods
-	// (paper: 0.40 and 3).
-	LowerCPU         float64
-	LowerConsecutive int
-	// MinServers and MaxServers bound each scalable tier's size.
-	MinServers, MaxServers int
-	// ScalableTiers lists the tiers the VM-level controller manages
-	// (paper: Tomcat and MySQL; Apache is never scaled).
-	ScalableTiers []string
-}
-
-// DefaultPolicy returns the paper's §V-B parameters.
-func DefaultPolicy() Policy {
-	return Policy{
-		UpperCPU:         0.80,
-		LowerCPU:         0.40,
-		LowerConsecutive: 3,
-		MinServers:       1,
-		MaxServers:       10,
-		ScalableTiers:    []string{ntier.TierApp, ntier.TierDB},
-	}
-}
-
-// PolicyFromRules converts a declarative scaling rule set into the
-// controller's threshold policy.
-func PolicyFromRules(r policy.ScalingRules) Policy {
-	tiers := make([]string, len(r.ScalableTiers))
-	copy(tiers, r.ScalableTiers)
-	return Policy{
-		UpperCPU:         r.UpperCPU,
-		LowerCPU:         r.LowerCPU,
-		LowerConsecutive: r.LowerConsecutive,
-		MinServers:       r.MinServers,
-		MaxServers:       r.MaxServers,
-		ScalableTiers:    tiers,
-	}
-}
-
-// ScalingRules renders the policy as its declarative rule form.
-func (p Policy) ScalingRules() policy.ScalingRules {
-	tiers := make([]string, len(p.ScalableTiers))
-	copy(tiers, p.ScalableTiers)
-	return policy.ScalingRules{
-		UpperCPU:         p.UpperCPU,
-		LowerCPU:         p.LowerCPU,
-		LowerConsecutive: p.LowerConsecutive,
-		MinServers:       p.MinServers,
-		MaxServers:       p.MaxServers,
-		ScalableTiers:    tiers,
-	}
-}
-
-// PlanRulesFromAllocation converts declarative allocation rules into the
-// planner's rule set: the policy headroom and web-thread count become the
-// planner defaults, the clamps carry over directly.
-func PlanRulesFromAllocation(a policy.AllocationRules) model.PlanRules {
-	return model.PlanRules{
-		DefaultHeadroom:   a.Headroom,
-		DefaultWebThreads: a.WebThreads,
-		AppThreadsFloor:   a.AppThreadsFloor,
-		DBConnsFloor:      a.DBConnsFloor,
-		AppThreadsCap:     a.AppThreadsCap,
-		DBConnsCap:        a.DBConnsCap,
-	}
-}
-
-// ErrBadPolicy is returned for invalid policies.
-var ErrBadPolicy = errors.New("controller: invalid policy")
-
-func (p Policy) validate() error {
-	switch {
-	case p.UpperCPU <= 0 || p.UpperCPU > 1:
-		return fmt.Errorf("%w: upper cpu %v", ErrBadPolicy, p.UpperCPU)
-	case p.LowerCPU < 0 || p.LowerCPU >= p.UpperCPU:
-		return fmt.Errorf("%w: lower cpu %v", ErrBadPolicy, p.LowerCPU)
-	case p.LowerConsecutive < 1:
-		return fmt.Errorf("%w: lower consecutive %d", ErrBadPolicy, p.LowerConsecutive)
-	case p.MinServers < 1 || p.MaxServers < p.MinServers:
-		return fmt.Errorf("%w: server bounds %d..%d", ErrBadPolicy, p.MinServers, p.MaxServers)
-	case len(p.ScalableTiers) == 0:
-		return fmt.Errorf("%w: no scalable tiers", ErrBadPolicy)
-	}
-	return nil
-}
+// DefaultPolicy returns policy.Default().Scaling, the paper's §V-B
+// VM-level rules. The benchmark module's controller replay builds its DCM
+// from it.
+func DefaultPolicy() policy.ScalingRules { return policy.Default().Scaling }
 
 // observationsOf converts a SystemView's tier stats into the policy
 // evaluators' input form. Presence in the map is what marks a tier Seen.
@@ -260,19 +173,15 @@ func splitVerdicts(verdicts []policy.Verdict) ([]Action, []Hold) {
 // lives in internal/policy as a declarative rule evaluator; this adapter
 // only translates between SystemView and the evaluator's observation form.
 type vmLevel struct {
-	policy Policy
-	eval   *policy.ScalingEvaluator
+	eval *policy.ScalingEvaluator
 }
 
-func newVMLevel(pol Policy) (*vmLevel, error) {
-	if err := pol.validate(); err != nil {
+func newVMLevel(rules policy.ScalingRules) (*vmLevel, error) {
+	eval, err := policy.NewScalingEvaluator(rules)
+	if err != nil {
 		return nil, err
 	}
-	eval, err := policy.NewScalingEvaluator(pol.ScalingRules())
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadPolicy, err)
-	}
-	return &vmLevel{policy: pol, eval: eval}, nil
+	return &vmLevel{eval: eval}, nil
 }
 
 // evaluate returns VM-level scaling actions for one period, plus a Hold
@@ -297,8 +206,8 @@ type EC2AutoScale struct {
 var _ Controller = (*EC2AutoScale)(nil)
 
 // NewEC2AutoScale builds the baseline controller.
-func NewEC2AutoScale(policy Policy) (*EC2AutoScale, error) {
-	vm, err := newVMLevel(policy)
+func NewEC2AutoScale(rules policy.ScalingRules) (*EC2AutoScale, error) {
+	vm, err := newVMLevel(rules)
 	if err != nil {
 		return nil, err
 	}
@@ -307,8 +216,8 @@ func NewEC2AutoScale(policy Policy) (*EC2AutoScale, error) {
 
 // NewPredictiveEC2AutoScale builds the baseline with Holt-forecast
 // scale-out (see predict.go).
-func NewPredictiveEC2AutoScale(policy Policy) (*EC2AutoScale, error) {
-	vm, err := newPredictiveVMLevel(policy)
+func NewPredictiveEC2AutoScale(rules policy.ScalingRules) (*EC2AutoScale, error) {
+	vm, err := newPredictiveVMLevel(rules)
 	if err != nil {
 		return nil, err
 	}
@@ -339,18 +248,15 @@ func (c *EC2AutoScale) Evaluate(view SystemView) []Action {
 
 // DCMConfig parameterizes the DCM controller.
 type DCMConfig struct {
-	// Policy is the shared VM-level policy.
-	Policy Policy
+	// Policy is the shared VM-level rule set.
+	Policy policy.ScalingRules
 	// TomcatModel and MySQLModel are the trained concurrency-aware models
 	// (§III); DCM derives soft allocations from them.
 	TomcatModel, MySQLModel model.Params
-	// Headroom scales N_b up to a practical pool size (§III-C); default 1.
-	Headroom float64
-	// WebThreads is the fixed Apache pool size (default 1000).
-	WebThreads int
-	// PlanRules overrides the soft-resource planner's defaults and clamps
-	// (nil selects model.DefaultPlanRules, the historical behaviour).
-	PlanRules *model.PlanRules
+	// Allocation is the soft-resource planner's rule set: headroom, Apache
+	// pool size, and the concurrency floors and caps. The zero value
+	// selects policy.Default().Allocation.
+	Allocation policy.AllocationRules
 	// OnlineTraining enables §III-C's online estimation: every control
 	// period the controller feeds the monitored (per-server concurrency,
 	// per-server throughput) points into rolling trainers and, once the
@@ -359,14 +265,15 @@ type DCMConfig struct {
 	// the fallback until then — and the safety net if the online fit ever
 	// degenerates.
 	OnlineTraining bool
-	// OnlineRefitPeriods is how many control periods pass between refits
-	// (default 4).
-	OnlineRefitPeriods int
 	// Predictive switches the VM level to Holt-forecast scale-out (see
 	// predict.go): the §VI extension that hides the setup delay behind a
 	// burst's ramp.
 	Predictive bool
 }
+
+// onlineRefitPeriods is how many control periods pass between online
+// refits.
+const onlineRefitPeriods = 4
 
 // DCM is the paper's two-level controller.
 type DCM struct {
@@ -399,14 +306,17 @@ func NewDCM(cfg DCMConfig) (*DCM, error) {
 	if err != nil {
 		return nil, err
 	}
+	if cfg.Allocation == (policy.AllocationRules{}) {
+		cfg.Allocation = policy.Default().Allocation
+	}
+	if err := cfg.Allocation.Validate(); err != nil {
+		return nil, err
+	}
 	if _, ok := cfg.TomcatModel.OptimalConcurrency(); !ok {
 		return nil, fmt.Errorf("controller: tomcat model: %w", model.ErrNoOptimum)
 	}
 	if _, ok := cfg.MySQLModel.OptimalConcurrency(); !ok {
 		return nil, fmt.Errorf("controller: mysql model: %w", model.ErrNoOptimum)
-	}
-	if cfg.OnlineRefitPeriods <= 0 {
-		cfg.OnlineRefitPeriods = 4
 	}
 	c := &DCM{vm: vm, cfg: cfg}
 	if cfg.Predictive {
@@ -452,7 +362,7 @@ func (c *DCM) Evaluate(view SystemView) []Action {
 		planned = &alloc
 		d := diag
 		plannedDiag = &d
-		rules := c.planRules()
+		rules := c.cfg.Allocation
 		if diag.AppClamped || diag.DBClamped {
 			floorDesc := fmt.Sprintf("floor %d", rules.AppThreadsFloor)
 			if rules.AppThreadsFloor != rules.DBConnsFloor {
@@ -501,7 +411,7 @@ func (c *DCM) Evaluate(view SystemView) []Action {
 
 // observeAndRefit implements §III-C's online estimation: per-server
 // (concurrency, throughput) points flow into rolling trainers; every
-// OnlineRefitPeriods periods the models are regressed afresh. A refit only
+// onlineRefitPeriods periods the models are regressed afresh. A refit only
 // replaces the working model when its optimum lies inside the observed
 // range and the fit quality is reasonable (model.Train's own guards plus
 // an R² floor).
@@ -554,7 +464,7 @@ func (c *DCM) observeAndRefit(view SystemView) {
 	feed(appTrainer, appTS, appLimit)
 	feed(dbTrainer, dbTS, dbLimit)
 	c.periods++
-	if c.periods%c.cfg.OnlineRefitPeriods != 0 {
+	if c.periods%onlineRefitPeriods != 0 {
 		return
 	}
 	const minR2 = 0.9
@@ -605,23 +515,13 @@ func (c *DCM) desiredAllocation(view SystemView) (model.Allocation, model.PlanDi
 		return model.Allocation{}, model.PlanDiag{}, errors.New("controller: tier counts unavailable")
 	}
 	tomcat, mysql := c.Models()
-	return model.PlanAllocationWithRules(model.AllocationInput{
+	return model.PlanAllocation(model.AllocationInput{
 		Tomcat:     tomcat,
 		MySQL:      mysql,
 		WebServers: web,
 		AppServers: app,
 		DBServers:  db,
-		Headroom:   c.cfg.Headroom,
-		WebThreads: c.cfg.WebThreads,
-	}, c.planRules())
-}
-
-// planRules returns the planner rule set in force (configured or default).
-func (c *DCM) planRules() model.PlanRules {
-	if c.cfg.PlanRules != nil {
-		return *c.cfg.PlanRules
-	}
-	return model.DefaultPlanRules()
+	}, c.cfg.Allocation)
 }
 
 func readyOf(view SystemView, tier string) int {

@@ -6,6 +6,7 @@ import (
 
 	"dcm/internal/model"
 	"dcm/internal/ntier"
+	"dcm/internal/policy"
 )
 
 // view builds a SystemView with the given per-tier CPU and counts.
@@ -54,20 +55,68 @@ func findAction(actions []Action, typ ActionType, tier string) *Action {
 
 func TestPolicyValidation(t *testing.T) {
 	t.Parallel()
-	bad := []func(*Policy){
-		func(p *Policy) { p.UpperCPU = 0 },
-		func(p *Policy) { p.UpperCPU = 1.5 },
-		func(p *Policy) { p.LowerCPU = 0.9 },
-		func(p *Policy) { p.LowerConsecutive = 0 },
-		func(p *Policy) { p.MinServers = 0 },
-		func(p *Policy) { p.MaxServers = 0 },
-		func(p *Policy) { p.ScalableTiers = nil },
+	bad := []func(*policy.ScalingRules){
+		func(p *policy.ScalingRules) { p.UpperCPU = 0 },
+		func(p *policy.ScalingRules) { p.UpperCPU = 1.5 },
+		func(p *policy.ScalingRules) { p.LowerCPU = 0.9 },
+		func(p *policy.ScalingRules) { p.LowerConsecutive = 0 },
+		func(p *policy.ScalingRules) { p.MinServers = 0 },
+		func(p *policy.ScalingRules) { p.MaxServers = 0 },
+		func(p *policy.ScalingRules) { p.ScalableTiers = nil },
+		func(p *policy.ScalingRules) { p.ScalableTiers = []string{ntier.TierApp, ""} },
+		func(p *policy.ScalingRules) { p.ScalableTiers = []string{ntier.TierApp, ntier.TierApp} },
 	}
+	tomcat, mysql := model.TableI()
 	for i, mutate := range bad {
 		p := DefaultPolicy()
 		mutate(&p)
-		if _, err := NewEC2AutoScale(p); !errors.Is(err, ErrBadPolicy) {
-			t.Errorf("case %d: err = %v, want ErrBadPolicy", i, err)
+		constructors := map[string]func() error{
+			"ec2": func() error { _, err := NewEC2AutoScale(p); return err },
+			"ec2-predictive": func() error {
+				_, err := NewPredictiveEC2AutoScale(p)
+				return err
+			},
+			"target-tracking": func() error {
+				_, err := NewTargetTracking(p, policy.Default().Target)
+				return err
+			},
+			"dcm": func() error {
+				_, err := NewDCM(DCMConfig{Policy: p, TomcatModel: tomcat, MySQLModel: mysql})
+				return err
+			},
+		}
+		for name, build := range constructors {
+			if err := build(); !errors.Is(err, policy.ErrBadRules) {
+				t.Errorf("case %d, %s: err = %v, want policy.ErrBadRules", i, name, err)
+			}
+		}
+	}
+}
+
+func TestNewDCMRejectsBadAllocation(t *testing.T) {
+	t.Parallel()
+	tomcat, mysql := model.TableI()
+	cases := []struct {
+		name   string
+		mutate func(*policy.AllocationRules)
+	}{
+		{"zero headroom", func(a *policy.AllocationRules) { a.Headroom = 0 }},
+		{"zero app floor", func(a *policy.AllocationRules) { a.AppThreadsFloor = 0 }},
+		{"zero db floor", func(a *policy.AllocationRules) { a.DBConnsFloor = 0 }},
+		{"app cap below floor", func(a *policy.AllocationRules) { a.AppThreadsFloor, a.AppThreadsCap = 5, 4 }},
+		{"negative db cap", func(a *policy.AllocationRules) { a.DBConnsCap = -1 }},
+	}
+	for _, tc := range cases {
+		alloc := policy.Default().Allocation
+		tc.mutate(&alloc)
+		_, err := NewDCM(DCMConfig{
+			Policy:      DefaultPolicy(),
+			TomcatModel: tomcat,
+			MySQLModel:  mysql,
+			Allocation:  alloc,
+		})
+		if !errors.Is(err, policy.ErrBadRules) {
+			t.Errorf("%s: err = %v, want policy.ErrBadRules", tc.name, err)
 		}
 	}
 }
@@ -255,11 +304,13 @@ func TestNewDCMRejectsDegenerateModels(t *testing.T) {
 func TestDCMHeadroom(t *testing.T) {
 	t.Parallel()
 	tomcat, mysql := model.TableI()
+	alloc := policy.Default().Allocation
+	alloc.Headroom = 1.5
 	c, err := NewDCM(DCMConfig{
 		Policy:      DefaultPolicy(),
 		TomcatModel: tomcat,
 		MySQLModel:  mysql,
-		Headroom:    1.5,
+		Allocation:  alloc,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -294,11 +345,10 @@ func onlineDCM(t *testing.T) *DCM {
 	wrong := tomcat
 	wrong.Beta /= 16
 	c, err := NewDCM(DCMConfig{
-		Policy:             DefaultPolicy(),
-		TomcatModel:        wrong,
-		MySQLModel:         mysql,
-		OnlineTraining:     true,
-		OnlineRefitPeriods: 1,
+		Policy:         DefaultPolicy(),
+		TomcatModel:    wrong,
+		MySQLModel:     mysql,
+		OnlineTraining: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -497,7 +547,7 @@ func TestPredictiveDCMConstruction(t *testing.T) {
 
 func TestTargetTrackingScalesToDesiredCapacity(t *testing.T) {
 	t.Parallel()
-	c, err := NewTargetTracking(DefaultPolicy(), 0.6)
+	c, err := NewTargetTracking(DefaultPolicy(), policy.Default().Target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +568,7 @@ func TestTargetTrackingScalesToDesiredCapacity(t *testing.T) {
 
 func TestTargetTrackingScaleInIsConservative(t *testing.T) {
 	t.Parallel()
-	c, err := NewTargetTracking(DefaultPolicy(), 0.6)
+	c, err := NewTargetTracking(DefaultPolicy(), policy.Default().Target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,20 +586,19 @@ func TestTargetTrackingScaleInIsConservative(t *testing.T) {
 
 func TestTargetTrackingGuards(t *testing.T) {
 	t.Parallel()
-	if _, err := NewTargetTracking(DefaultPolicy(), 1.5); err == nil {
-		t.Fatal("target > 1 accepted")
+	for _, target := range []float64{0, 1.5} {
+		if _, err := NewTargetTracking(DefaultPolicy(), policy.TargetRules{TargetCPU: target}); !errors.Is(err, policy.ErrBadRules) {
+			t.Fatalf("target %v: err = %v, want policy.ErrBadRules", target, err)
+		}
 	}
 	bad := DefaultPolicy()
 	bad.MinServers = 0
-	if _, err := NewTargetTracking(bad, 0.6); err == nil {
+	if _, err := NewTargetTracking(bad, policy.Default().Target); err == nil {
 		t.Fatal("bad policy accepted")
 	}
-	c, err := NewTargetTracking(DefaultPolicy(), 0)
+	c, err := NewTargetTracking(DefaultPolicy(), policy.Default().Target)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if c.eval.Target() != 0.6 {
-		t.Fatalf("default target = %v", c.eval.Target())
 	}
 	// No stacked launches while provisioning.
 	actions := c.Evaluate(view(0.95, 0.3, 1, 2, 1, 1, model.Allocation{}))
@@ -559,7 +608,7 @@ func TestTargetTrackingGuards(t *testing.T) {
 	// Never exceeds MaxServers.
 	p := DefaultPolicy()
 	p.MaxServers = 2
-	c2, err := NewTargetTracking(p, 0.6)
+	c2, err := NewTargetTracking(p, policy.Default().Target)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,8 @@ package controller
 // is unchanged, so predictive DCM isolates exactly the value of
 // anticipation.
 
+import "dcm/internal/policy"
+
 // holt is Holt's linear (double) exponential smoothing.
 type holt struct {
 	alpha, beta  float64
@@ -66,8 +68,8 @@ type predictiveVMLevel struct {
 	smoothers map[string]*holt
 }
 
-func newPredictiveVMLevel(policy Policy) (*predictiveVMLevel, error) {
-	vm, err := newVMLevel(policy)
+func newPredictiveVMLevel(rules policy.ScalingRules) (*predictiveVMLevel, error) {
+	vm, err := newVMLevel(rules)
 	if err != nil {
 		return nil, err
 	}

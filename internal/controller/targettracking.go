@@ -1,10 +1,6 @@
 package controller
 
-import (
-	"fmt"
-
-	"dcm/internal/policy"
-)
+import "dcm/internal/policy"
 
 // TargetTracking is a stronger hardware-only baseline than the paper's
 // threshold policy: the modern EC2 Auto Scaling "target tracking" strategy.
@@ -21,30 +17,20 @@ import (
 // procedure lives in policy.TargetEvaluator; this type adapts views and
 // records the audit trail.
 type TargetTracking struct {
-	policy Policy
-	eval   *policy.TargetEvaluator
-	audit  *AuditLog
+	eval  *policy.TargetEvaluator
+	audit *AuditLog
 }
 
 var _ Controller = (*TargetTracking)(nil)
 
-// NewTargetTracking builds the target-tracking baseline. target is the CPU
-// setpoint in (0, 1); zero selects 0.6.
-func NewTargetTracking(pol Policy, target float64) (*TargetTracking, error) {
-	if err := pol.validate(); err != nil {
+// NewTargetTracking builds the target-tracking baseline from the shared
+// VM-level rules and the CPU setpoint.
+func NewTargetTracking(scaling policy.ScalingRules, target policy.TargetRules) (*TargetTracking, error) {
+	eval, err := policy.NewTargetEvaluator(scaling, target)
+	if err != nil {
 		return nil, err
 	}
-	if target == 0 {
-		target = 0.6
-	}
-	if target <= 0 || target >= 1 {
-		return nil, fmt.Errorf("%w: target %v", ErrBadPolicy, target)
-	}
-	eval, err := policy.NewTargetEvaluator(pol.ScalingRules(), policy.TargetRules{TargetCPU: target})
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadPolicy, err)
-	}
-	return &TargetTracking{policy: pol, eval: eval}, nil
+	return &TargetTracking{eval: eval}, nil
 }
 
 // Name implements Controller.

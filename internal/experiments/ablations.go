@@ -7,6 +7,7 @@ import (
 	"dcm/internal/controller"
 	"dcm/internal/metrics"
 	"dcm/internal/model"
+	"dcm/internal/policy"
 	"dcm/internal/runner"
 	"dcm/internal/workload"
 )
@@ -112,12 +113,12 @@ func AblationScalePolicy(seed uint64) ([]PolicyRow, error) {
 		label       string
 		consecutive int
 	}) (PolicyRow, error) {
-		policy := controller.DefaultPolicy()
-		policy.LowerConsecutive = v.consecutive
+		rules := policy.Default()
+		rules.Scaling.LowerConsecutive = v.consecutive
 		res, err := RunScenario(ScenarioConfig{
-			Seed:   seed,
-			Kind:   ControllerDCM,
-			Policy: &policy,
+			Seed:  seed,
+			Kind:  ControllerDCM,
+			Rules: &rules,
 		})
 		if err != nil {
 			return PolicyRow{}, fmt.Errorf("experiments: ablation policy %q: %w", v.label, err)

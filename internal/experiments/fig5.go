@@ -63,15 +63,11 @@ type ScenarioConfig struct {
 	ThinkTime time.Duration
 	// ControlPeriod and PrepDelay default to the paper's 15 s each.
 	ControlPeriod, PrepDelay time.Duration
-	// Policy overrides the threshold policy (zero value selects
-	// controller.DefaultPolicy()).
-	Policy *controller.Policy
-	// Rules, when non-nil, derives the whole controller configuration from
-	// a declarative policy rule set: thresholds and server bounds, the
-	// planner's headroom/web-threads/clamps, the target-tracking setpoint,
-	// and (on resilience runs) the retry-knob overrides. An explicit Policy
-	// still wins over Rules.Scaling. With policy.Default() the run is
-	// byte-identical to Rules == nil (pinned by the equivalence tests).
+	// Rules is the declarative policy the whole controller configuration
+	// comes from: thresholds and server bounds, the planner's
+	// headroom/web-threads/clamps, the target-tracking setpoint, and (on
+	// resilience runs) the retry-knob overrides. nil selects
+	// policy.Default().
 	Rules *policy.Rules
 	// TomcatModel and MySQLModel are the trained models for DCM; zero
 	// values select TrainedModels().
@@ -491,58 +487,44 @@ func tierLatencySummaries(app *graph.App) []TierHistogramSummary {
 
 // buildController constructs the scenario's policy.
 func buildController(cfg ScenarioConfig) (controller.Controller, error) {
-	pol := controller.DefaultPolicy()
-	target := 0.0
-	var planRules *model.PlanRules
-	headroom, webThreads := 0.0, 0
+	rules := policy.Default()
 	if cfg.Rules != nil {
-		pol = controller.PolicyFromRules(cfg.Rules.Scaling)
-		target = cfg.Rules.Target.TargetCPU
-		pr := controller.PlanRulesFromAllocation(cfg.Rules.Allocation)
-		planRules = &pr
-		headroom = cfg.Rules.Allocation.Headroom
-		webThreads = cfg.Rules.Allocation.WebThreads
+		rules = *cfg.Rules
 	}
-	if cfg.Policy != nil {
-		pol = *cfg.Policy
-	}
+	scaling := rules.Scaling
 	tomcat, mysql := cfg.TomcatModel, cfg.MySQLModel
 	if tomcat == (model.Params{}) || mysql == (model.Params{}) {
 		tomcat, mysql = TrainedModels()
 	}
 	switch cfg.Kind {
 	case ControllerEC2:
-		return controller.NewEC2AutoScale(pol)
+		return controller.NewEC2AutoScale(scaling)
 	case ControllerEC2Predictive:
-		return controller.NewPredictiveEC2AutoScale(pol)
+		return controller.NewPredictiveEC2AutoScale(scaling)
 	case ControllerTargetTracking:
-		return controller.NewTargetTracking(pol, target)
+		return controller.NewTargetTracking(scaling, rules.Target)
 	case ControllerDCM, ControllerDCMPredictive:
 		return controller.NewDCM(controller.DCMConfig{
-			Policy:         pol,
+			Policy:         scaling,
 			TomcatModel:    tomcat,
 			MySQLModel:     mysql,
-			Headroom:       headroom,
-			WebThreads:     webThreads,
-			PlanRules:      planRules,
+			Allocation:     rules.Allocation,
 			OnlineTraining: cfg.OnlineTraining,
 			Predictive:     cfg.Kind == ControllerDCMPredictive,
 		})
 	case ControllerDCMSoftOnly:
-		pol.MaxServers = 1
-		pol.MinServers = 1
+		scaling.MaxServers = 1
+		scaling.MinServers = 1
 		return controller.NewDCM(controller.DCMConfig{
-			Policy:      pol,
+			Policy:      scaling,
 			TomcatModel: tomcat,
 			MySQLModel:  mysql,
-			Headroom:    headroom,
-			WebThreads:  webThreads,
-			PlanRules:   planRules,
+			Allocation:  rules.Allocation,
 		})
 	case ControllerNone:
-		pol.MaxServers = 1
-		pol.MinServers = 1
-		return controller.NewEC2AutoScale(pol)
+		scaling.MaxServers = 1
+		scaling.MinServers = 1
+		return controller.NewEC2AutoScale(scaling)
 	default:
 		return nil, fmt.Errorf("experiments: unknown controller kind %q", cfg.Kind)
 	}

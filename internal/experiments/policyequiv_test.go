@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"dcm/internal/controller"
 	"dcm/internal/model"
 	"dcm/internal/policy"
 )
@@ -33,9 +32,9 @@ func equivDigest(t *testing.T, v any) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// TestPolicyDefaultMatchesHandCoded pins the three faces of the default
-// policy to each other: the checked-in policy file, the constructed
-// Default() rule set, and the controllers' historical DefaultPolicy().
+// TestPolicyDefaultMatchesHandCoded pins the checked-in policy file to the
+// constructed Default() rule set, the one policy every controller and the
+// planner read.
 func TestPolicyDefaultMatchesHandCoded(t *testing.T) {
 	t.Parallel()
 	rules, err := policy.Load("../../policies/default.policy.json")
@@ -57,19 +56,6 @@ func TestPolicyDefaultMatchesHandCoded(t *testing.T) {
 	}
 	if !bytes.Equal(disk, data) {
 		t.Error("policies/default.policy.json differs from policy.Default().Marshal()")
-	}
-	if got := controller.PolicyFromRules(rules.Scaling); !reflect.DeepEqual(got, controller.DefaultPolicy()) {
-		t.Errorf("PolicyFromRules(default) = %+v, want DefaultPolicy() = %+v",
-			got, controller.DefaultPolicy())
-	}
-	// Round trip: the controller policy renders back to the same rules.
-	if got := controller.DefaultPolicy().ScalingRules(); !reflect.DeepEqual(got, rules.Scaling) {
-		t.Errorf("DefaultPolicy().ScalingRules() = %+v, want %+v", got, rules.Scaling)
-	}
-	// The planner rules derived from the default allocation rules must be
-	// the planner's own historical defaults.
-	if got := controller.PlanRulesFromAllocation(rules.Allocation); got != model.DefaultPlanRules() {
-		t.Errorf("PlanRulesFromAllocation(default) = %+v, want %+v", got, model.DefaultPlanRules())
 	}
 }
 
@@ -128,7 +114,9 @@ func TestPolicyEquivalenceFigures(t *testing.T) {
 
 // TestPolicyEquivalencePlannerGrid sweeps the planner across every
 // topology, headroom and model pair (plus the degenerate clamp path) and
-// pins the whole grid to its pre-refactor digest.
+// pins the whole grid to its pre-refactor digest. A headroom or web-thread
+// count of 0 in the grid stands for policy.Default()'s value, which is
+// what the planner used to substitute for an unset input.
 func TestPolicyEquivalencePlannerGrid(t *testing.T) {
 	t.Parallel()
 	type planOut struct {
@@ -137,6 +125,15 @@ func TestPolicyEquivalencePlannerGrid(t *testing.T) {
 		Err   string
 	}
 	var plans []planOut
+	plan := func(in model.AllocationInput, rules policy.AllocationRules) {
+		alloc, diag, err := model.PlanAllocation(in, rules)
+		out := planOut{Alloc: alloc, Diag: diag}
+		if err != nil {
+			out.Err = err.Error()
+		}
+		plans = append(plans, out)
+	}
+	defaults := policy.Default().Allocation
 	tomcatT, mysqlT := model.TableI()
 	tomcatF, mysqlF := TrainedModels()
 	for _, pair := range [][2]model.Params{{tomcatT, mysqlT}, {tomcatF, mysqlF}} {
@@ -145,16 +142,17 @@ func TestPolicyEquivalencePlannerGrid(t *testing.T) {
 				for _, db := range []int{1, 2, 4} {
 					for _, hr := range []float64{0, 0.5, 1, 1.3, 2} {
 						for _, wt := range []int{0, 500} {
-							alloc, diag, err := model.PlanAllocationDetailed(model.AllocationInput{
+							rules := defaults
+							if hr != 0 {
+								rules.Headroom = hr
+							}
+							if wt != 0 {
+								rules.WebThreads = wt
+							}
+							plan(model.AllocationInput{
 								Tomcat: pair[0], MySQL: pair[1],
 								WebServers: web, AppServers: app, DBServers: db,
-								Headroom: hr, WebThreads: wt,
-							})
-							out := planOut{Alloc: alloc, Diag: diag}
-							if err != nil {
-								out.Err = err.Error()
-							}
-							plans = append(plans, out)
+							}, rules)
 						}
 					}
 				}
@@ -164,59 +162,14 @@ func TestPolicyEquivalencePlannerGrid(t *testing.T) {
 	// Degenerate models whose optimum rounds below 1 (clamp path).
 	degenerate := model.Params{S0: 1e-3, Alpha: 9.9e-4, Beta: 1e-2, Gamma: 1}
 	for _, app := range []int{1, 4} {
-		alloc, diag, err := model.PlanAllocationDetailed(model.AllocationInput{
+		plan(model.AllocationInput{
 			Tomcat: degenerate, MySQL: degenerate,
 			WebServers: 1, AppServers: app, DBServers: 1,
-		})
-		out := planOut{Alloc: alloc, Diag: diag}
-		if err != nil {
-			out.Err = err.Error()
-		}
-		plans = append(plans, out)
+		}, defaults)
 	}
 	const want = "a10083733a284d13308f6d44efb4a7411e57126547984ce434b83fae760b242a"
 	if got := equivDigest(t, plans); got != want {
 		t.Errorf("planner grid digest = %s, want %s", got, want)
-	}
-
-	// The same grid, driven through PlanAllocationWithRules with the
-	// declarative default rules, must agree entry for entry.
-	planRules := controller.PlanRulesFromAllocation(policy.Default().Allocation)
-	i := 0
-	check := func(in model.AllocationInput) {
-		t.Helper()
-		alloc, diag, err := model.PlanAllocationWithRules(in, planRules)
-		out := planOut{Alloc: alloc, Diag: diag}
-		if err != nil {
-			out.Err = err.Error()
-		}
-		if out != plans[i] {
-			t.Errorf("entry %d: rules-driven plan %+v != hand-coded %+v", i, out, plans[i])
-		}
-		i++
-	}
-	for _, pair := range [][2]model.Params{{tomcatT, mysqlT}, {tomcatF, mysqlF}} {
-		for _, web := range []int{1, 2} {
-			for _, app := range []int{1, 2, 3, 5, 10} {
-				for _, db := range []int{1, 2, 4} {
-					for _, hr := range []float64{0, 0.5, 1, 1.3, 2} {
-						for _, wt := range []int{0, 500} {
-							check(model.AllocationInput{
-								Tomcat: pair[0], MySQL: pair[1],
-								WebServers: web, AppServers: app, DBServers: db,
-								Headroom: hr, WebThreads: wt,
-							})
-						}
-					}
-				}
-			}
-		}
-	}
-	for _, app := range []int{1, 4} {
-		check(model.AllocationInput{
-			Tomcat: degenerate, MySQL: degenerate,
-			WebServers: 1, AppServers: app, DBServers: 1,
-		})
 	}
 }
 

@@ -3,6 +3,8 @@ package model
 import (
 	"fmt"
 	"math"
+
+	"dcm/internal/policy"
 )
 
 // TableI returns the paper's published model parameters (Table I), used as
@@ -28,13 +30,6 @@ type AllocationInput struct {
 	Tomcat, MySQL Params
 	// WebServers, AppServers, DBServers are the current #W/#A/#D.
 	WebServers, AppServers, DBServers int
-	// Headroom scales the theoretical N_b up to a practical pool size,
-	// because "not all threads will be in Active state during the
-	// operation" (§III-C). 1.0 uses N_b directly; defaults to 1.0.
-	Headroom float64
-	// WebThreads is the (generous) Apache thread pool size; Apache is never
-	// the concurrency-sensitive tier in the paper. Defaults to 1000.
-	WebThreads int
 }
 
 // Allocation is a complete soft-resource plan: the #W_T/#A_T/#A_C setting
@@ -57,22 +52,6 @@ func (a Allocation) String() string {
 		a.WebThreadsPerServer, a.AppThreadsPerServer, a.DBConnsPerAppServer)
 }
 
-// PlanAllocation computes the near-optimal soft-resource allocation for the
-// given hardware configuration:
-//
-//   - each Tomcat's thread pool is set to N_b(Tomcat)·headroom, so the tier
-//     processes at its per-server optimum;
-//   - the Tomcat DB connection pools are sized so the *total* concurrency
-//     reaching the MySQL tier is N_b(MySQL)·K_db, split evenly across the
-//     K_app Tomcats (the "each Tomcat shares half of the optimal connection
-//     pool size" rule behind the 1000/100/18 setting in Fig. 4(b)).
-//
-// Every pool is at least 1 so a tier can never be starved completely.
-func PlanAllocation(in AllocationInput) (Allocation, error) {
-	alloc, _, err := PlanAllocationDetailed(in)
-	return alloc, err
-}
-
 // PlanDiag reports how the planner arrived at an allocation — in
 // particular whether either concurrency knob was clamped to a floor or
 // ceiling, which the decision audit log surfaces as an explainable
@@ -92,68 +71,27 @@ type PlanDiag struct {
 	DBCapped  bool `json:"dbCapped,omitempty"`
 }
 
-// PlanRules are the declarative planner parameters: the defaults and
-// clamps that used to be hard-coded in PlanAllocationDetailed. The policy
-// layer (internal/policy) produces them from a loaded rule set; the zero
-// value is NOT valid — use DefaultPlanRules.
-type PlanRules struct {
-	// DefaultHeadroom applies when AllocationInput.Headroom is unset.
-	DefaultHeadroom float64
-	// DefaultWebThreads applies when AllocationInput.WebThreads is unset.
-	DefaultWebThreads int
-	// AppThreadsFloor and DBConnsFloor are the concurrency clamps: no pool
-	// is ever planned below them, so a degenerate fit cannot starve a tier.
-	AppThreadsFloor, DBConnsFloor int
-	// AppThreadsCap and DBConnsCap are optional ceilings (0 = uncapped).
-	AppThreadsCap, DBConnsCap int
-}
-
-// DefaultPlanRules returns the planner's historical parameters: headroom
-// 1.0, 1000 Apache threads, both concurrency floors at 1, no ceilings.
-func DefaultPlanRules() PlanRules {
-	return PlanRules{
-		DefaultHeadroom:   1.0,
-		DefaultWebThreads: 1000,
-		AppThreadsFloor:   1,
-		DBConnsFloor:      1,
-	}
-}
-
-// PlanAllocationDetailed is PlanAllocation returning clamp diagnostics,
-// under the historical default rules.
-func PlanAllocationDetailed(in AllocationInput) (Allocation, PlanDiag, error) {
-	return PlanAllocationWithRules(in, DefaultPlanRules())
-}
-
-// PlanAllocationWithRules computes the near-optimal allocation under an
-// explicit planner rule set: the model-derived per-server optima scaled by
-// headroom, clamped into [floor, cap] per knob.
-func PlanAllocationWithRules(in AllocationInput, rules PlanRules) (Allocation, PlanDiag, error) {
+// PlanAllocation computes the near-optimal soft-resource allocation for the
+// given hardware configuration under the planner rules:
+//
+//   - each Tomcat's thread pool is set to N_b(Tomcat)·headroom, so the tier
+//     processes at its per-server optimum;
+//   - the Tomcat DB connection pools are sized so the *total* concurrency
+//     reaching the MySQL tier is N_b(MySQL)·headroom·K_db, split evenly
+//     across the K_app Tomcats (the "each Tomcat shares half of the optimal
+//     connection pool size" rule behind the 1000/100/18 setting in
+//     Fig. 4(b));
+//   - each knob is clamped into [floor, cap], and the diagnostics report
+//     which clamps fired.
+//
+// Invalid rules are rejected with an error wrapping policy.ErrBadRules.
+func PlanAllocation(in AllocationInput, rules policy.AllocationRules) (Allocation, PlanDiag, error) {
 	if in.AppServers < 1 || in.DBServers < 1 || in.WebServers < 1 {
 		return Allocation{}, PlanDiag{}, fmt.Errorf("model: invalid topology %d/%d/%d",
 			in.WebServers, in.AppServers, in.DBServers)
 	}
-	appFloor := rules.AppThreadsFloor
-	if appFloor < 1 {
-		appFloor = 1
-	}
-	dbFloor := rules.DBConnsFloor
-	if dbFloor < 1 {
-		dbFloor = 1
-	}
-	headroom := in.Headroom
-	if headroom <= 0 {
-		headroom = rules.DefaultHeadroom
-	}
-	if headroom <= 0 {
-		headroom = 1.0
-	}
-	webThreads := in.WebThreads
-	if webThreads <= 0 {
-		webThreads = rules.DefaultWebThreads
-	}
-	if webThreads <= 0 {
-		webThreads = 1000
+	if err := rules.Validate(); err != nil {
+		return Allocation{}, PlanDiag{}, err
 	}
 
 	appN, ok := in.Tomcat.OptimalConcurrency()
@@ -165,18 +103,18 @@ func PlanAllocationWithRules(in AllocationInput, rules PlanRules) (Allocation, P
 		return Allocation{}, PlanDiag{}, fmt.Errorf("model: mysql model: %w", ErrNoOptimum)
 	}
 
-	appThreads := int(math.Round(appN * headroom))
-	dbTotal := dbN * headroom * float64(in.DBServers)
+	appThreads := int(math.Round(appN * rules.Headroom))
+	dbTotal := dbN * rules.Headroom * float64(in.DBServers)
 	dbPerApp := int(math.Round(dbTotal / float64(in.AppServers)))
 
 	diag := PlanDiag{
 		RawAppThreads:    appThreads,
 		RawDBConnsPerApp: dbPerApp,
-		AppClamped:       appThreads < appFloor,
-		DBClamped:        dbPerApp < dbFloor,
+		AppClamped:       appThreads < rules.AppThreadsFloor,
+		DBClamped:        dbPerApp < rules.DBConnsFloor,
 	}
-	appThreads = maxInt(appFloor, appThreads)
-	dbPerApp = maxInt(dbFloor, dbPerApp)
+	appThreads = max(rules.AppThreadsFloor, appThreads)
+	dbPerApp = max(rules.DBConnsFloor, dbPerApp)
 	if rules.AppThreadsCap > 0 && appThreads > rules.AppThreadsCap {
 		appThreads = rules.AppThreadsCap
 		diag.AppCapped = true
@@ -186,15 +124,8 @@ func PlanAllocationWithRules(in AllocationInput, rules PlanRules) (Allocation, P
 		diag.DBCapped = true
 	}
 	return Allocation{
-		WebThreadsPerServer: webThreads,
+		WebThreadsPerServer: rules.WebThreads,
 		AppThreadsPerServer: appThreads,
 		DBConnsPerAppServer: dbPerApp,
 	}, diag, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dcm/internal/policy"
 	"dcm/internal/rng"
 )
 
@@ -319,10 +320,10 @@ func TestPerServerDemandClampsServers(t *testing.T) {
 func TestPlanAllocation111(t *testing.T) {
 	t.Parallel()
 	tomcat, mysql := TableI()
-	alloc, err := PlanAllocation(AllocationInput{
+	alloc, _, err := PlanAllocation(AllocationInput{
 		Tomcat: tomcat, MySQL: mysql,
 		WebServers: 1, AppServers: 1, DBServers: 1,
-	})
+	}, policy.Default().Allocation)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,10 +343,10 @@ func TestPlanAllocation111(t *testing.T) {
 func TestPlanAllocation121SplitsConnPool(t *testing.T) {
 	t.Parallel()
 	tomcat, mysql := TableI()
-	alloc, err := PlanAllocation(AllocationInput{
+	alloc, _, err := PlanAllocation(AllocationInput{
 		Tomcat: tomcat, MySQL: mysql,
 		WebServers: 1, AppServers: 2, DBServers: 1,
-	})
+	}, policy.Default().Allocation)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,10 +359,10 @@ func TestPlanAllocation121SplitsConnPool(t *testing.T) {
 func TestPlanAllocationScalesWithDBServers(t *testing.T) {
 	t.Parallel()
 	tomcat, mysql := TableI()
-	alloc, err := PlanAllocation(AllocationInput{
+	alloc, _, err := PlanAllocation(AllocationInput{
 		Tomcat: tomcat, MySQL: mysql,
 		WebServers: 1, AppServers: 2, DBServers: 2,
-	})
+	}, policy.Default().Allocation)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,11 +375,12 @@ func TestPlanAllocationScalesWithDBServers(t *testing.T) {
 func TestPlanAllocationHeadroom(t *testing.T) {
 	t.Parallel()
 	tomcat, mysql := TableI()
-	alloc, err := PlanAllocation(AllocationInput{
+	rules := policy.Default().Allocation
+	rules.Headroom = 1.5
+	alloc, _, err := PlanAllocation(AllocationInput{
 		Tomcat: tomcat, MySQL: mysql,
 		WebServers: 1, AppServers: 1, DBServers: 1,
-		Headroom: 1.5,
-	})
+	}, rules)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,16 +392,25 @@ func TestPlanAllocationHeadroom(t *testing.T) {
 func TestPlanAllocationErrors(t *testing.T) {
 	t.Parallel()
 	tomcat, mysql := TableI()
-	if _, err := PlanAllocation(AllocationInput{Tomcat: tomcat, MySQL: mysql}); err == nil {
+	rules := policy.Default().Allocation
+	if _, _, err := PlanAllocation(AllocationInput{Tomcat: tomcat, MySQL: mysql}, rules); err == nil {
 		t.Fatal("zero topology accepted")
 	}
 	flat := Params{S0: 0.01, Alpha: 0, Beta: 0, Gamma: 1}
-	_, err := PlanAllocation(AllocationInput{
+	_, _, err := PlanAllocation(AllocationInput{
 		Tomcat: flat, MySQL: mysql,
 		WebServers: 1, AppServers: 1, DBServers: 1,
-	})
+	}, rules)
 	if !errors.Is(err, ErrNoOptimum) {
 		t.Fatalf("err = %v, want ErrNoOptimum", err)
+	}
+	rules.AppThreadsFloor = 0
+	_, _, err = PlanAllocation(AllocationInput{
+		Tomcat: tomcat, MySQL: mysql,
+		WebServers: 1, AppServers: 1, DBServers: 1,
+	}, rules)
+	if !errors.Is(err, policy.ErrBadRules) {
+		t.Fatalf("err = %v, want policy.ErrBadRules", err)
 	}
 }
 
@@ -417,10 +428,10 @@ func TestPlanAllocationNeverZeroPools(t *testing.T) {
 		app := int(appRaw%20) + 1
 		db := int(dbRaw%20) + 1
 		tomcat, mysql := TableI()
-		alloc, err := PlanAllocation(AllocationInput{
+		alloc, _, err := PlanAllocation(AllocationInput{
 			Tomcat: tomcat, MySQL: mysql,
 			WebServers: 1, AppServers: app, DBServers: db,
-		})
+		}, policy.Default().Allocation)
 		if err != nil {
 			return false
 		}

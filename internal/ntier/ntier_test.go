@@ -30,6 +30,14 @@ func newApp(t *testing.T, cfg Config) (*sim.Engine, *graph.App) {
 	return eng, app
 }
 
+func TestDefaultAppConfigUsable(t *testing.T) {
+	t.Parallel()
+	cfg := DefaultConfig()
+	if cfg.AppThreads != 100 || cfg.DBConnsPerApp != 80 || cfg.WebThreads != 1000 {
+		t.Fatalf("default allocation = %d/%d/%d", cfg.WebThreads, cfg.AppThreads, cfg.DBConnsPerApp)
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	t.Parallel()
 	eng := sim.NewEngine()

@@ -211,24 +211,17 @@ type TargetEvaluator struct {
 	lowRun map[string]int
 }
 
-// NewTargetEvaluator validates the rules and returns a fresh evaluator.
-// target 0 selects the default setpoint of 0.6.
+// NewTargetEvaluator validates the rules and the setpoint and returns a
+// fresh evaluator.
 func NewTargetEvaluator(rules ScalingRules, target TargetRules) (*TargetEvaluator, error) {
 	if err := rules.Validate(); err != nil {
 		return nil, err
 	}
-	setpoint := target.TargetCPU
-	if setpoint == 0 {
-		setpoint = 0.6
-	}
-	if err := (TargetRules{TargetCPU: setpoint}).Validate(); err != nil {
+	if err := target.Validate(); err != nil {
 		return nil, err
 	}
-	return &TargetEvaluator{rules: rules, target: setpoint, lowRun: make(map[string]int)}, nil
+	return &TargetEvaluator{rules: rules, target: target.TargetCPU, lowRun: make(map[string]int)}, nil
 }
-
-// Target returns the effective CPU setpoint.
-func (e *TargetEvaluator) Target() float64 { return e.target }
 
 // Evaluate returns the period's verdicts in tier order.
 func (e *TargetEvaluator) Evaluate(obs map[string]TierObservation) []Verdict {

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 )
@@ -14,7 +15,7 @@ func TestScalingEvaluatorRejectsBadRules(t *testing.T) {
 	if _, err := NewScalingEvaluator(bad); err == nil {
 		t.Fatal("bad rules accepted")
 	}
-	if _, err := NewTargetEvaluator(bad, TargetRules{}); err == nil {
+	if _, err := NewTargetEvaluator(bad, Default().Target); err == nil {
 		t.Fatal("bad rules accepted by target evaluator")
 	}
 }
@@ -83,12 +84,12 @@ func TestScalingEvaluatorCrashAndBlackout(t *testing.T) {
 
 func TestTargetEvaluatorSetpoint(t *testing.T) {
 	t.Parallel()
-	e, err := NewTargetEvaluator(scalingRules(), TargetRules{})
+	if _, err := NewTargetEvaluator(scalingRules(), TargetRules{}); !errors.Is(err, ErrBadRules) {
+		t.Fatalf("zero setpoint: err = %v, want ErrBadRules", err)
+	}
+	e, err := NewTargetEvaluator(scalingRules(), Default().Target)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if e.Target() != 0.6 {
-		t.Fatalf("default setpoint = %v, want 0.6", e.Target())
 	}
 	// cpu 0.9 at 2 ready → desired ceil(2·0.9/0.6) = 3 → scale out.
 	obs := map[string]TierObservation{

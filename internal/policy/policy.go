@@ -1,23 +1,21 @@
 // Package policy is the declarative allocation-policy layer: every
-// hand-tunable rule the controllers and the soft-resource planner used to
-// hard-code — CPU thresholds with consecutive-window guards, capacity
-// floors and ceilings, spare-headroom scaling, concurrency clamps,
-// target-tracking setpoints and retry-budget knobs — expressed as typed
-// rule structs that load from JSON, validate with actionable errors, and
-// evaluate deterministically.
+// hand-tunable rule of the controllers and the soft-resource planner — CPU
+// thresholds with consecutive-window guards, capacity floors and ceilings,
+// spare-headroom scaling, concurrency clamps, target-tracking setpoints and
+// retry-budget knobs — expressed as typed rule structs that load from JSON,
+// validate with actionable errors, and evaluate deterministically.
 //
-// The package is a leaf below internal/controller: the controllers consume
-// Rules (and the evaluators in eval.go), never the other way around, so a
-// policy file is sufficient to reconstruct a controller's entire decision
-// surface. Default() reproduces the paper's §V-B parameters exactly; the
-// checked-in policies/default.policy.json round-trips to Default() and is
-// pinned byte-identical to the pre-refactor hand-coded behaviour by the
-// equivalence tests in internal/experiments.
+// The package is a leaf below internal/controller and internal/model: the
+// controllers and the planner read these rule types directly, and there is
+// no second copy of the policy anywhere else. Default() holds the paper's
+// §V-B parameters and the planner's defaults, and is the only place they
+// are written down; the checked-in policies/default.policy.json round-trips
+// to Default(), and the equivalence tests in internal/experiments pin the
+// behaviour it produces.
 //
-// Rules are also the search space of internal/autotune: every scalar field
-// here is addressable by name as a tunable (see autotune.Knobs), which is
-// what turns the controller from a fixed artifact into a searchable design
-// space.
+// Rules are also the search space of internal/autotune: its knobs address
+// the scalar fields here by name, which turns the controller from a fixed
+// artifact into a searchable design space.
 package policy
 
 import (
@@ -94,7 +92,7 @@ type AllocationRules struct {
 // TargetRules parameterizes the target-tracking baseline controller.
 type TargetRules struct {
 	// TargetCPU is the utilization setpoint in (0, 1) the controller sizes
-	// capacity toward (default 0.6).
+	// capacity toward (Default: 0.6).
 	TargetCPU float64 `json:"targetCPU"`
 }
 
@@ -163,10 +161,11 @@ func (d DegradeRules) Enabled() bool {
 	return d.CollapseRatio > 0 || d.RetryAmplification > 0 || d.QueueGradient > 0
 }
 
-// Default returns the rule set matching the paper's §V-B parameters and
-// the planner's historical clamps — the policy the hand-coded controllers
-// implemented before this package existed. ScalableTiers names the app
-// and db tiers of internal/ntier.
+// Default returns the paper's §V-B scaling parameters, the planner's
+// headroom, web-thread count and clamps, and the target-tracking setpoint.
+// It is the one place these defaults are written; every controller and the
+// planner read them from here. ScalableTiers names the app and db tiers of
+// internal/ntier.
 func Default() Rules {
 	return Rules{
 		Name: "default",
