@@ -431,6 +431,10 @@ func (t instantTarget) Inject(done func(rt time.Duration, ok bool)) {
 	})
 }
 
+func (t instantTarget) InjectClass(_ int, _ uint64, done func(rt time.Duration, ok bool)) {
+	t.Inject(done)
+}
+
 // BenchmarkMillionUserSmoke drives the event core to a million
 // simultaneous users via the trace-driven sine ramp: one full 40-virtual-
 // second run per iteration, peaking at 10⁶ live timers in the wheel. Run

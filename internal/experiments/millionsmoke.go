@@ -66,6 +66,10 @@ type fixedLatencyTarget struct {
 }
 
 func (t *fixedLatencyTarget) Inject(done func(rt time.Duration, ok bool)) {
+	t.InjectClass(-1, 0, done)
+}
+
+func (t *fixedLatencyTarget) InjectClass(_ int, _ uint64, done func(rt time.Duration, ok bool)) {
 	lat := t.lat
 	t.eng.Schedule(lat, func() { done(lat, true) })
 }

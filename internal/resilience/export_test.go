@@ -9,8 +9,8 @@ func (b *Breaker) Opened() uint64 { return b.opened }
 func (r *Retrier) BudgetScale() float64 { return r.scale }
 
 // ClassDebits returns the audited per-class budget debits (critical,
-// best-effort). The sum equals every budget token ever consumed through
-// Allow/AllowClass on a class-attributed path.
+// best-effort). The sum equals every budget token Allow has ever
+// consumed; a classless request counts as best-effort.
 func (r *Retrier) ClassDebits() (critical, bestEffort uint64) {
 	return r.critDebits, r.beDebits
 }

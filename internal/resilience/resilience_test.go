@@ -217,11 +217,11 @@ func TestRetrierBackoffAndCap(t *testing.T) {
 	}
 	// Attempt cap: 3 retries allowed after the first attempt.
 	for attempts := 1; attempts < 4; attempts++ {
-		if !r.Allow(attempts) {
+		if !r.Allow(attempts, false) {
 			t.Errorf("retry after %d attempts refused", attempts)
 		}
 	}
-	if r.Allow(4) {
+	if r.Allow(4, false) {
 		t.Error("retry past MaxAttempts allowed")
 	}
 	st := r.Stats()
@@ -271,19 +271,19 @@ func TestRetrierBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Burst of 2 tokens, then empty.
-	if !r.Allow(1) || !r.Allow(1) {
+	if !r.Allow(1, false) || !r.Allow(1, false) {
 		t.Fatal("burst tokens refused")
 	}
-	if r.Allow(1) {
+	if r.Allow(1, false) {
 		t.Fatal("retry allowed with empty budget")
 	}
 	// Two successes earn one token back.
-	r.OnSuccess()
-	r.OnSuccess()
-	if !r.Allow(1) {
+	r.OnSuccess(false)
+	r.OnSuccess(false)
+	if !r.Allow(1, false) {
 		t.Fatal("earned token refused")
 	}
-	if r.Allow(1) {
+	if r.Allow(1, false) {
 		t.Fatal("budget over-granted")
 	}
 	st := r.Stats()

@@ -115,8 +115,11 @@ func (r *Retrier) Stats() RetryStats { return r.stats }
 
 // Allow reports whether a request that has already made `attempts`
 // attempts may retry, consuming one budget token on success. Suppressed
-// retries (cap or budget) are counted.
-func (r *Retrier) Allow(attempts int) bool {
+// retries (cap or budget) are counted. critical names the request's class
+// for the budget: the token comes from the shared bucket, or, once
+// EnableClassAccounting has split the budget, from the critical or the
+// best-effort bucket. Either way the debit is audited per class.
+func (r *Retrier) Allow(attempts int, critical bool) bool {
 	if !r.pol.Enabled() || attempts < 1 {
 		return false
 	}
@@ -125,11 +128,17 @@ func (r *Retrier) Allow(attempts int) bool {
 		return false
 	}
 	if r.pol.BudgetRatio > 0 {
-		if r.tokens < 1 {
+		bucket, _ := r.bucket(critical)
+		if *bucket < 1 {
 			r.stats.Suppressed++
 			return false
 		}
-		r.tokens--
+		*bucket--
+		if critical {
+			r.critDebits++
+		} else {
+			r.beDebits++
+		}
 	}
 	r.stats.Retries++
 	return true
@@ -158,14 +167,30 @@ func (r *Retrier) Backoff(retry int) time.Duration {
 	return d
 }
 
-// OnSuccess earns retry budget back for one successful request.
-func (r *Retrier) OnSuccess() {
+// OnSuccess earns retry budget back for one successful request, into the
+// bucket Allow would debit for the same class, capped at that bucket's
+// (possibly brownout-scaled) capacity.
+func (r *Retrier) OnSuccess(critical bool) {
 	if r.pol.BudgetRatio <= 0 {
 		return
 	}
-	r.tokens += r.pol.BudgetRatio
-	if cap := r.burstCap(); r.tokens > cap {
-		r.tokens = cap
+	bucket, cap := r.bucket(critical)
+	*bucket += r.pol.BudgetRatio
+	if *bucket > cap {
+		*bucket = cap
+	}
+}
+
+// bucket is the token bucket a request of the given class draws on, and
+// its capacity: the shared bucket until EnableClassAccounting splits it.
+func (r *Retrier) bucket(critical bool) (tokens *float64, cap float64) {
+	switch {
+	case !r.classAware:
+		return &r.tokens, r.burstCap()
+	case critical:
+		return &r.critTokens, r.critCap()
+	default:
+		return &r.beTokens, r.beCap()
 	}
 }
 
@@ -221,70 +246,3 @@ func (r *Retrier) EnableClassAccounting(critShare float64) {
 
 // ClassAware reports whether the budget is split per class.
 func (r *Retrier) ClassAware() bool { return r.classAware }
-
-// AllowClass is Allow with class attribution: critical requests debit the
-// critical bucket, best-effort ones the best-effort bucket. Without
-// EnableClassAccounting it behaves exactly like Allow against the shared
-// bucket, but still audits which class each debit came from.
-func (r *Retrier) AllowClass(attempts int, critical bool) bool {
-	if !r.classAware {
-		before := r.tokens
-		ok := r.Allow(attempts)
-		if ok && r.tokens < before {
-			r.debit(critical)
-		}
-		return ok
-	}
-	if !r.pol.Enabled() || attempts < 1 {
-		return false
-	}
-	if attempts >= r.pol.MaxAttempts {
-		r.stats.Suppressed++
-		return false
-	}
-	if r.pol.BudgetRatio > 0 {
-		bucket := &r.beTokens
-		if critical {
-			bucket = &r.critTokens
-		}
-		if *bucket < 1 {
-			r.stats.Suppressed++
-			return false
-		}
-		*bucket--
-		r.debit(critical)
-	}
-	r.stats.Retries++
-	return true
-}
-
-func (r *Retrier) debit(critical bool) {
-	if critical {
-		r.critDebits++
-	} else {
-		r.beDebits++
-	}
-}
-
-// OnSuccessClass earns budget back into the succeeding class's bucket,
-// capped at that class's share of the (possibly brownout-scaled) burst.
-func (r *Retrier) OnSuccessClass(critical bool) {
-	if !r.classAware {
-		r.OnSuccess()
-		return
-	}
-	if r.pol.BudgetRatio <= 0 {
-		return
-	}
-	if critical {
-		r.critTokens += r.pol.BudgetRatio
-		if cap := r.critCap(); r.critTokens > cap {
-			r.critTokens = cap
-		}
-		return
-	}
-	r.beTokens += r.pol.BudgetRatio
-	if cap := r.beCap(); r.beTokens > cap {
-		r.beTokens = cap
-	}
-}

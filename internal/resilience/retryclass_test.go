@@ -32,7 +32,7 @@ func TestClassSplitReservesCriticalShare(t *testing.T) {
 	// Best-effort storm: the 6-token best-effort bucket allows exactly 6.
 	storm := 0
 	for i := 0; i < 20; i++ {
-		if r.AllowClass(1, false) {
+		if r.Allow(1, false) {
 			storm++
 		}
 	}
@@ -43,7 +43,7 @@ func TestClassSplitReservesCriticalShare(t *testing.T) {
 	// The critical share was never touched: exactly 4 critical retries.
 	crit := 0
 	for i := 0; i < 20; i++ {
-		if r.AllowClass(1, true) {
+		if r.Allow(1, true) {
 			crit++
 		}
 	}
@@ -65,24 +65,24 @@ func TestClassSplitReservesCriticalShare(t *testing.T) {
 func TestClassSplitRefillsPerClass(t *testing.T) {
 	r := budgetedRetrier(t, 10)
 	r.EnableClassAccounting(0.4)
-	for r.AllowClass(1, false) {
+	for r.Allow(1, false) {
 	}
 	// Two best-effort successes earn 2 * 0.5 = 1 token: one more retry.
-	r.OnSuccessClass(false)
-	r.OnSuccessClass(false)
-	if !r.AllowClass(1, false) {
+	r.OnSuccess(false)
+	r.OnSuccess(false)
+	if !r.Allow(1, false) {
 		t.Fatal("refilled best-effort bucket refused a retry")
 	}
-	if r.AllowClass(1, false) {
+	if r.Allow(1, false) {
 		t.Fatal("best-effort bucket allowed more than it earned")
 	}
 	// Critical successes must not leak into the best-effort bucket.
-	r.OnSuccessClass(true)
-	r.OnSuccessClass(true)
-	if r.AllowClass(1, false) {
+	r.OnSuccess(true)
+	r.OnSuccess(true)
+	if r.Allow(1, false) {
 		t.Fatal("critical refill leaked into the best-effort bucket")
 	}
-	if !r.AllowClass(1, true) {
+	if !r.Allow(1, true) {
 		t.Fatal("critical bucket lost its refill")
 	}
 }
@@ -93,16 +93,16 @@ func TestClassSplitRefillsPerClass(t *testing.T) {
 func TestSharedBucketStillAuditsDebits(t *testing.T) {
 	r := budgetedRetrier(t, 10)
 	for i := 0; i < 3; i++ {
-		if !r.AllowClass(1, true) {
+		if !r.Allow(1, true) {
 			t.Fatalf("critical retry %d refused with budget available", i)
 		}
 	}
 	for i := 0; i < 7; i++ {
-		if !r.AllowClass(1, false) {
+		if !r.Allow(1, false) {
 			t.Fatalf("best-effort retry %d refused with budget available", i)
 		}
 	}
-	if r.AllowClass(1, false) {
+	if r.Allow(1, false) {
 		t.Fatal("shared bucket exceeded its burst")
 	}
 	critDebits, beDebits := r.ClassDebits()
@@ -123,7 +123,7 @@ func TestBudgetScaleTightensAndRestores(t *testing.T) {
 	}
 	// Bucket clamped from 10 to 2.5 tokens: exactly 2 retries.
 	n := 0
-	for r.Allow(1) {
+	for r.Allow(1, false) {
 		n++
 	}
 	if n != 2 {
@@ -131,15 +131,15 @@ func TestBudgetScaleTightensAndRestores(t *testing.T) {
 	}
 	// Restore: cap back to 10, but the balance is NOT refunded.
 	r.SetBudgetScale(1)
-	if r.Allow(1) {
+	if r.Allow(1, false) {
 		t.Fatal("restore refunded tokens")
 	}
 	// Successes earn it back up to the full cap again.
 	for i := 0; i < 4; i++ {
-		r.OnSuccess()
+		r.OnSuccess(false)
 	}
 	n = 0
-	for r.Allow(1) {
+	for r.Allow(1, false) {
 		n++
 	}
 	if n != 2 {
@@ -157,8 +157,8 @@ func TestBudgetScaleTightensAndRestores(t *testing.T) {
 	}
 }
 
-// TestClassPathsOnUnbudgetedRetrier pins that the class-aware calls stay
-// honest no-ops without a budget: retries are capped by MaxAttempts only
+// TestClassPathsOnUnbudgetedRetrier pins that the class argument stays an
+// honest no-op without a budget: retries are capped by MaxAttempts only
 // and scaling changes nothing.
 func TestClassPathsOnUnbudgetedRetrier(t *testing.T) {
 	r, err := NewRetrier(RetryPolicy{MaxAttempts: 3, BaseBackoff: 10 * time.Millisecond}, nil)
@@ -166,13 +166,13 @@ func TestClassPathsOnUnbudgetedRetrier(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.SetBudgetScale(0.25)
-	if !r.AllowClass(1, false) || !r.AllowClass(2, true) {
+	if !r.Allow(1, false) || !r.Allow(2, true) {
 		t.Fatal("unbudgeted retrier refused attempts under the cap")
 	}
-	if r.AllowClass(3, false) {
+	if r.Allow(3, false) {
 		t.Fatal("attempt cap ignored")
 	}
-	r.OnSuccessClass(true) // must not panic or mint tokens
+	r.OnSuccess(true) // must not panic or mint tokens
 	critDebits, beDebits := r.ClassDebits()
 	if critDebits != 0 || beDebits != 0 {
 		t.Fatalf("unbudgeted debits = %d/%d, want 0/0", critDebits, beDebits)

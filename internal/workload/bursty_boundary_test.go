@@ -127,6 +127,10 @@ func (f *failNTarget) Inject(done func(rt time.Duration, ok bool)) {
 	})
 }
 
+func (f *failNTarget) InjectClass(_ int, _ uint64, done func(rt time.Duration, ok bool)) {
+	f.Inject(done)
+}
+
 // TestBurstyLoopRetries checks the retry wiring on the bursty generator:
 // failed requests retry through the shared retrier and the retry counter
 // advances.

@@ -9,14 +9,6 @@ import (
 	"dcm/internal/sim"
 )
 
-// ClassTarget is a Target that also accepts class-tagged requests (matched
-// structurally by *graph.App). class indexes the target's configured class
-// list; session is a stable key for load-balancer affinity (0 = none).
-type ClassTarget interface {
-	Target
-	InjectClass(class int, session uint64, done func(rt time.Duration, ok bool))
-}
-
 // Class is one traffic class as the generators see it: a weighted slice of
 // the stream, optionally with its own think-time law. The class at index i
 // is injected as class i — the spec keeps generator classes and the
@@ -143,16 +135,16 @@ func (f *FlashCrowdRate) Max() float64 { return f.Peak }
 // in steady state (callbacks are preallocated), so the generator can
 // sustain millions of scheduled arrivals.
 type OpenLoopGen struct {
-	eng     *sim.Engine
-	rnd     *rng.Rand
-	target  Target
-	ctarget ClassTarget
-	curve   RateCurve
-	max     float64
-	thin    bool // curve is time-varying: thin candidates
+	eng    *sim.Engine
+	rnd    *rng.Rand
+	target Target
+	curve  RateCurve
+	max    float64
+	thin   bool // curve is time-varying: thin candidates
 
 	picker *classPicker
 
+	started   bool
 	stopped   bool
 	scheduled uint64 // accepted arrivals over the lifetime
 	thinned   uint64 // candidates rejected by thinning
@@ -186,27 +178,23 @@ func NewOpenLoopGen(eng *sim.Engine, rnd *rng.Rand, target Target, curve RateCur
 }
 
 // SetClasses installs a traffic-class mix: each accepted arrival draws a
-// class by weight and is injected via InjectClass. The target must
-// implement ClassTarget. Must be called before Start.
+// class by weight and carries it as its class. Must be called before
+// Start.
 func (o *OpenLoopGen) SetClasses(classes []Class) error {
-	ct, ok := o.target.(ClassTarget)
-	if !ok {
-		return fmt.Errorf("%w: target does not accept classes", ErrBadWorkload)
-	}
 	picker, err := newClassPicker(classes)
 	if err != nil {
 		return err
 	}
 	o.picker = picker
-	o.ctarget = ct
 	return nil
 }
 
-// Start begins the arrival stream.
+// Start begins the arrival stream. Start is idempotent.
 func (o *OpenLoopGen) Start() {
-	if o.stopped {
+	if o.started || o.stopped {
 		return
 	}
+	o.started = true
 	o.scheduleGap()
 }
 
@@ -230,11 +218,11 @@ func (o *OpenLoopGen) arrive() {
 		return
 	}
 	o.scheduled++
+	cls := -1
 	if o.picker != nil {
-		o.ctarget.InjectClass(o.picker.pick(o.rnd), 0, ignoreOutcome)
-	} else {
-		o.target.Inject(ignoreOutcome)
+		cls = o.picker.pick(o.rnd)
 	}
+	o.target.InjectClass(cls, 0, ignoreOutcome)
 	o.scheduleGap()
 }
 

@@ -203,6 +203,10 @@ func (t *countTarget) Inject(done func(rt time.Duration, ok bool)) {
 	done(time.Millisecond, true)
 }
 
+func (t *countTarget) InjectClass(_ int, _ uint64, done func(rt time.Duration, ok bool)) {
+	t.Inject(done)
+}
+
 // BenchmarkOpenLoopArrivals measures the open-loop hot path: one scheduled
 // arrival through the thinning check, injection and rearm. It must run
 // allocation-free in steady state — the generator exists to sustain

@@ -69,7 +69,7 @@ type WorkloadSpec struct {
 	Bursty *BurstySpec `json:"bursty,omitempty"`
 
 	// Classes is the traffic-class mix (closed and open kinds). Empty
-	// means single-class traffic through the plain Inject path.
+	// means classless traffic: every request carries class -1.
 	Classes []ClassSpec `json:"classes,omitempty"`
 }
 
@@ -366,7 +366,7 @@ func (s WorkloadSpec) BuildClasses() ([]Class, error) {
 }
 
 // Build constructs the generator the spec describes against the given
-// target. Specs with classes need a target that implements ClassTarget.
+// target.
 func (s WorkloadSpec) Build(eng *sim.Engine, rnd *rng.Rand, target Target) (Generator, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err

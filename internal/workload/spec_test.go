@@ -137,22 +137,48 @@ func TestLoadSpecFile(t *testing.T) {
 	}
 }
 
-// classFakeTarget extends fakeTarget with the class inject hook.
+// classFakeTarget extends fakeTarget by recording the class and session
+// each request carries.
 type classFakeTarget struct {
 	fakeTarget
-	byClass    map[int]int
-	bySession  map[uint64]int
-	lastFailed bool
+	byClass   map[int]int
+	bySession map[uint64]int
+	// sessionClass is the class each non-zero session first carried, and
+	// sessionOpen its requests in flight; classSwitches and sessionShared
+	// count requests that broke "one user, one class, one session".
+	sessionClass  map[uint64]int
+	sessionOpen   map[uint64]int
+	classSwitches int
+	sessionShared int
 }
 
 func (f *classFakeTarget) InjectClass(class int, session uint64, done func(rt time.Duration, ok bool)) {
 	if f.byClass == nil {
 		f.byClass = make(map[int]int)
 		f.bySession = make(map[uint64]int)
+		f.sessionClass = make(map[uint64]int)
+		f.sessionOpen = make(map[uint64]int)
 	}
 	f.byClass[class]++
 	f.bySession[session]++
-	f.Inject(done)
+	if session == 0 {
+		f.fakeTarget.Inject(done)
+		return
+	}
+	if first, seen := f.sessionClass[session]; !seen {
+		f.sessionClass[session] = class
+	} else if first != class {
+		f.classSwitches++
+	}
+	// A closed-loop user has at most one request in flight, so a second
+	// open request on a session means two users share it.
+	if f.sessionOpen[session]++; f.sessionOpen[session] > 1 {
+		f.sessionShared++
+	}
+	f.fakeTarget.Inject(func(rt time.Duration, ok bool) {
+		f.sessionOpen[session]--
+		done(rt, ok)
+	})
 }
 
 // TestSpecBuildKinds builds one generator of each kind through the spec
@@ -181,6 +207,13 @@ func TestSpecBuildKinds(t *testing.T) {
 			gen.Stop()
 			if target.total == 0 {
 				t.Fatal("generator issued no requests")
+			}
+			// Classless traffic takes the one class path as class -1 with
+			// no session.
+			if len(target.byClass) != 1 || target.byClass[-1] != target.total ||
+				len(target.bySession) != 1 || target.bySession[0] != target.total {
+				t.Fatalf("classless %d requests: by class %v, by session %v, want all (-1, 0)",
+					target.total, target.byClass, target.bySession)
 			}
 		})
 	}
@@ -246,27 +279,9 @@ func TestSpecBuildClassMix(t *testing.T) {
 				t.Fatalf("session %d issued nothing", sid)
 			}
 		}
+		if target.classSwitches != 0 || target.sessionShared != 0 {
+			t.Fatalf("%d requests switched class and %d shared a session, want 0 and 0",
+				target.classSwitches, target.sessionShared)
+		}
 	})
-}
-
-// TestSetClassesRequiresClassTarget pins the error for a class mix against
-// a target without the InjectClass hook.
-func TestSetClassesRequiresClassTarget(t *testing.T) {
-	eng, target := setup(t, time.Millisecond)
-	loop, err := NewClosedLoop(eng, rng.New(1).Split("wl"), target, ClosedLoopConfig{Users: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := loop.SetClasses([]Class{{Name: "a", Weight: 1}}); err == nil ||
-		!strings.Contains(err.Error(), "target does not accept classes") {
-		t.Fatalf("got %v, want target-does-not-accept-classes error", err)
-	}
-	gen, err := NewOpenLoopGen(eng, rng.New(1).Split("wl"), target, ConstantRate(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gen.SetClasses([]Class{{Name: "a", Weight: 1}}); err == nil ||
-		!strings.Contains(err.Error(), "target does not accept classes") {
-		t.Fatalf("got %v, want target-does-not-accept-classes error", err)
-	}
 }

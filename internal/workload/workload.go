@@ -53,8 +53,14 @@ func expDelay(rnd *rng.Rand, mean time.Duration) time.Duration {
 }
 
 // Target is anything that can process a request (normally *graph.App).
+// The generators call only InjectClass. class indexes the target's
+// configured class list, and -1 means classless; session is a stable key
+// for load-balancer affinity, and 0 means no affinity. Classless traffic
+// is InjectClass(-1, 0, done). Inject is that same call, kept only
+// because perfbench's request rung calls it directly.
 type Target interface {
 	Inject(done func(rt time.Duration, ok bool))
+	InjectClass(class int, session uint64, done func(rt time.Duration, ok bool))
 }
 
 // ErrBadWorkload is returned for invalid generator configurations.
@@ -90,13 +96,13 @@ type ClosedLoop struct {
 
 	retrier *resilience.Retrier
 
-	// Class-mix state (nil/zero without classes — the class-free cycle is
-	// byte-identical to the original generator).
-	classes  []Class
-	picker   *classPicker
-	ctarget  ClassTarget
-	think    Sampler // think-law override (nil = exponential ThinkTime)
-	sessions uint64  // next session id
+	// Class-mix state (nil/zero without classes). Classless users all
+	// share the one record in classless.
+	classes   []Class
+	picker    *classPicker
+	classless user
+	think     Sampler // think-law override (nil = exponential ThinkTime)
+	sessions  uint64  // next session id
 
 	completed metrics.Counter
 	retries   metrics.Counter
@@ -116,7 +122,9 @@ func NewClosedLoop(eng *sim.Engine, rnd *rng.Rand, target Target, cfg ClosedLoop
 			cfg.Stagger = time.Second
 		}
 	}
-	return &ClosedLoop{eng: eng, rnd: rnd, target: target, cfg: cfg, want: cfg.Users}, nil
+	c := &ClosedLoop{eng: eng, rnd: rnd, target: target, cfg: cfg, want: cfg.Users}
+	c.classless = user{c: c, cls: -1}
+	return c, nil
 }
 
 // SetRetrier attaches a client-side retrier: a user whose request fails
@@ -134,20 +142,14 @@ func (c *ClosedLoop) SetThinkSampler(s Sampler) { c.think = s }
 
 // SetClasses installs a traffic-class mix: each spawned user draws a class
 // by weight and keeps it (and a stable session id, for load-balancer
-// affinity) for life. The target must implement ClassTarget. Must be
-// called before Start.
+// affinity) for life. Must be called before Start.
 func (c *ClosedLoop) SetClasses(classes []Class) error {
-	ct, ok := c.target.(ClassTarget)
-	if !ok {
-		return fmt.Errorf("%w: target does not accept classes", ErrBadWorkload)
-	}
 	picker, err := newClassPicker(classes)
 	if err != nil {
 		return err
 	}
 	c.classes = classes
 	c.picker = picker
-	c.ctarget = ct
 	return nil
 }
 
@@ -217,56 +219,71 @@ func (c *ClosedLoop) SetUsers(n int) {
 	for c.live < c.want {
 		c.live++
 		delay := time.Duration(c.rnd.Uniform(0, float64(c.cfg.Stagger)))
-		if c.picker == nil {
-			c.eng.Schedule(delay, c.userCycle)
-			continue
+		u := &c.classless
+		if c.picker != nil {
+			// Class mode: the user draws a class and a session id at spawn
+			// and keeps both for life — a premium user stays premium, and
+			// the session key pins their requests to one backend.
+			cls := c.picker.pick(c.rnd)
+			c.sessions++
+			u = &user{c: c, cls: cls, session: c.sessions, critical: c.classes[cls].Priority > 0}
 		}
-		// Class mode: the user draws a class and a session id at spawn and
-		// keeps both for life — a premium user stays premium, and the
-		// session key pins their requests to one backend.
-		cls := c.picker.pick(c.rnd)
-		c.sessions++
-		session := c.sessions
-		c.eng.Schedule(delay, func() { c.classCycle(cls, session) })
+		c.eng.Schedule(delay, u.cycle)
 	}
 }
 
-// userCycle is one user's request loop. The user retires whenever the live
+// user is one emulated user as its request loop sees it: its class (-1
+// classless) and session key (0 none), and whether the class is critical
+// for the retry budget. The callbacks below capture only the record and
+// the attempt number, which keeps each closure at three words.
+type user struct {
+	c        *ClosedLoop
+	cls      int
+	session  uint64
+	critical bool
+}
+
+// cycle is one user's request loop. The user retires whenever the live
 // population exceeds the desired one.
-func (c *ClosedLoop) userCycle() {
+func (u *user) cycle() {
+	c := u.c
 	if c.stopped || c.live > c.want {
 		c.live--
 		return
 	}
-	c.startRequest(1)
+	u.request(1)
 }
 
-// startRequest issues one attempt of a user's request (attempt 1 is the
+// request issues one attempt of a user's request (attempt 1 is the
 // original). A failed attempt retries after backoff while the retrier
 // allows; the user thinks and cycles once the request succeeds or is
-// abandoned.
-func (c *ClosedLoop) startRequest(attempt int) {
-	c.target.Inject(func(_ time.Duration, ok bool) {
+// abandoned. Retry-budget traffic is class-attributed: critical
+// (Priority > 0) classes debit and refill their own share of a
+// class-aware budget so neither class can starve the other's retries
+// during a storm.
+func (u *user) request(attempt int) {
+	u.c.target.InjectClass(u.cls, u.session, func(_ time.Duration, ok bool) {
+		c := u.c
 		if ok {
 			c.completed.Inc(1)
 			if c.retrier != nil {
-				c.retrier.OnSuccess()
+				c.retrier.OnSuccess(u.critical)
 			}
-		} else if c.retrier != nil && c.retrier.Allow(attempt) {
+		} else if c.retrier != nil && c.retrier.Allow(attempt, u.critical) {
 			c.retries.Inc(1)
 			c.eng.Schedule(c.retrier.Backoff(attempt), func() {
 				// The user may have been retired (or the run stopped) while
 				// backing off.
+				c := u.c
 				if c.stopped || c.live > c.want {
 					c.live--
 					return
 				}
-				c.startRequest(attempt + 1)
+				u.request(attempt + 1)
 			})
 			return
 		}
-		think := c.thinkDelay(-1)
-		c.eng.Schedule(think, c.userCycle)
+		c.eng.Schedule(c.thinkDelay(u.cls), u.cycle)
 	})
 }
 
@@ -281,45 +298,6 @@ func (c *ClosedLoop) thinkDelay(cls int) time.Duration {
 		return c.think(c.rnd)
 	}
 	return expDelay(c.rnd, c.cfg.ThinkTime)
-}
-
-// classCycle is one class-mode user's request loop (the class-mode twin of
-// userCycle).
-func (c *ClosedLoop) classCycle(cls int, session uint64) {
-	if c.stopped || c.live > c.want {
-		c.live--
-		return
-	}
-	c.startClassRequest(cls, session, 1)
-}
-
-// startClassRequest issues one attempt of a class-mode user's request
-// (the class-mode twin of startRequest). Retry-budget traffic is
-// class-attributed: critical (Priority > 0) classes debit and refill
-// their own share of a class-aware budget so neither class can starve
-// the other's retries during a storm.
-func (c *ClosedLoop) startClassRequest(cls int, session uint64, attempt int) {
-	critical := cls >= 0 && cls < len(c.classes) && c.classes[cls].Priority > 0
-	c.ctarget.InjectClass(cls, session, func(_ time.Duration, ok bool) {
-		if ok {
-			c.completed.Inc(1)
-			if c.retrier != nil {
-				c.retrier.OnSuccessClass(critical)
-			}
-		} else if c.retrier != nil && c.retrier.AllowClass(attempt, critical) {
-			c.retries.Inc(1)
-			c.eng.Schedule(c.retrier.Backoff(attempt), func() {
-				if c.stopped || c.live > c.want {
-					c.live--
-					return
-				}
-				c.startClassRequest(cls, session, attempt+1)
-			})
-			return
-		}
-		think := c.thinkDelay(cls)
-		c.eng.Schedule(think, func() { c.classCycle(cls, session) })
-	})
 }
 
 // TotalCompleted returns the lifetime number of completed requests.

@@ -3,6 +3,7 @@ package workload
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -35,6 +36,10 @@ func (f *fakeTarget) Inject(done func(rt time.Duration, ok bool)) {
 			done(f.eng.Now()-start, true)
 		}
 	})
+}
+
+func (f *fakeTarget) InjectClass(_ int, _ uint64, done func(rt time.Duration, ok bool)) {
+	f.Inject(done)
 }
 
 var _ Target = (*fakeTarget)(nil)
@@ -106,19 +111,47 @@ func TestThinkTimeThroughput(t *testing.T) {
 
 func TestStartIdempotent(t *testing.T) {
 	t.Parallel()
-	eng, tgt := setup(t, time.Millisecond)
-	wl, err := NewClosedLoop(eng, rng.New(4).Split("wl"), tgt, ClosedLoopConfig{Users: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wl.Start()
-	wl.Start()
-	if err := eng.Run(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if tgt.peak > 5 {
-		t.Fatalf("double Start spawned extra users: peak %d", tgt.peak)
-	}
+	t.Run("closed", func(t *testing.T) {
+		eng, tgt := setup(t, time.Millisecond)
+		wl, err := NewClosedLoop(eng, rng.New(4).Split("wl"), tgt, ClosedLoopConfig{Users: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wl.Start()
+		wl.Start()
+		if err := eng.Run(2 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if tgt.peak > 5 {
+			t.Fatalf("double Start spawned extra users: peak %d", tgt.peak)
+		}
+	})
+	// A second Start must not begin a second Poisson chain: two calls
+	// schedule exactly the arrivals one call does.
+	t.Run("open", func(t *testing.T) {
+		arrivals := func(starts int) []time.Duration {
+			eng, tgt := setup(t, time.Millisecond)
+			log := &arrivalLog{fakeTarget: tgt}
+			ol, err := NewOpenLoopGen(eng, rng.New(1).Split("wl"), log, ConstantRate(100))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < starts; i++ {
+				ol.Start()
+			}
+			if err := eng.Run(10 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if ol.Scheduled() != uint64(len(log.at)) {
+				t.Fatalf("scheduled %d, target saw %d arrivals", ol.Scheduled(), len(log.at))
+			}
+			return log.at
+		}
+		once, twice := arrivals(1), arrivals(2)
+		if len(once) == 0 || !slices.Equal(once, twice) {
+			t.Fatalf("double Start scheduled %d arrivals, one Start %d", len(twice), len(once))
+		}
+	})
 }
 
 func TestSetUsersGrowAndShrink(t *testing.T) {
@@ -309,6 +342,10 @@ func (a *arrivalLog) Inject(done func(rt time.Duration, ok bool)) {
 	a.fakeTarget.Inject(done)
 }
 
+func (a *arrivalLog) InjectClass(_ int, _ uint64, done func(rt time.Duration, ok bool)) {
+	a.Inject(done)
+}
+
 // TestOpenLoopRate runs a constant-rate open loop: completions match the
 // rate, and the arrival times are exactly the exponential gaps
 // delayFromSeconds(Exp(1/rate)) drawn in order from the generator's split.
@@ -412,5 +449,37 @@ func TestExpDelayNeverZeroForPositiveMean(t *testing.T) {
 	}
 	if *rnd != before {
 		t.Fatal("expDelay(0) consumed randomness; zero-think draw parity broken")
+	}
+}
+
+// BenchmarkClosedLoopCycle measures one classless closed-loop cycle: the
+// request, its synchronous completion, the think-time draw and the
+// reschedule, for 1000 users with a 1 ms mean think time against the
+// cheapest target. A cycle allocates the done callback and the think-time
+// reschedule's method value; the gate (BENCH_engine.baseline.json) fails
+// if it ever gains an allocation.
+func BenchmarkClosedLoopCycle(b *testing.B) {
+	eng := sim.NewEngine()
+	target := &countTarget{}
+	loop, err := NewClosedLoop(eng, rng.New(1).Split("wl"), target,
+		ClosedLoopConfig{Users: 1000, ThinkTime: time.Millisecond})
+	if err != nil {
+		b.Fatal(err)
+	}
+	loop.Start()
+	// Warm past the 1 s stagger so every user is cycling and the engine's
+	// arena is grown.
+	horizon := 2 * time.Second
+	if err := eng.Run(horizon); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	goal := target.n + uint64(b.N)
+	for target.n < goal {
+		horizon += time.Millisecond
+		if err := eng.Run(horizon); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
