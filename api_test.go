@@ -18,6 +18,7 @@ import (
 // declarations and "<package dir>.(<receiver>).<Name>" for methods.
 var apiAllowlist = map[string]string{
 	"chaos.(*Fault).UnmarshalJSON":            "encoding/json calls it to decode a fault's duration strings",
+	"chaos.(Fault).MarshalJSON":               "encoding/json calls it to encode a fault's duration strings",
 	"graph.(*App).CorruptLedgerForTest":       "test hook: invariant tests corrupt the graph-wide ledger from another package",
 	"graph.(*App).CorruptNodeInFlightForTest": "test hook: invariant tests corrupt one node's ledger from another package",
 	"sim.(*Engine).SetHeapOnly":               "the heap reference tests run the engine without its timer wheel",

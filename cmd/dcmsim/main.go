@@ -211,7 +211,7 @@ func run(args []string) error {
 	}
 
 	if *reqTrace != "" {
-		if err := writeRequestTrace(res, *reqTrace); err != nil {
+		if err := writeRequestEvents(res, *reqTrace); err != nil {
 			return err
 		}
 	}
@@ -358,10 +358,10 @@ func reportInvariants(results ...*experiments.ScenarioResult) error {
 	return nil
 }
 
-// writeRequestTrace exports the run's raw span events as JSONL and prints
+// writeRequestEvents exports the run's raw span events as JSONL and prints
 // the per-tier latency breakdown reconstructed from them.
-func writeRequestTrace(res *experiments.ScenarioResult, path string) error {
-	rt := res.RequestTrace()
+func writeRequestEvents(res *experiments.ScenarioResult, path string) error {
+	rt := res.RequestTracer()
 	if rt == nil {
 		return fmt.Errorf("no request trace captured")
 	}

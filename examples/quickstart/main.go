@@ -1,6 +1,6 @@
 // Quickstart: build the simulated 3-tier application, drive it with a
 // closed-loop RUBBoS-style workload for one simulated minute, and print
-// throughput and response-time statistics.
+// throughput, response-time statistics and a per-tier latency breakdown.
 //
 //	go run ./examples/quickstart
 package main
@@ -13,6 +13,7 @@ import (
 	"dcm/internal/ntier"
 	"dcm/internal/rng"
 	"dcm/internal/sim"
+	"dcm/internal/trace"
 	"dcm/internal/workload"
 )
 
@@ -72,15 +73,15 @@ func run() error {
 		}
 	}
 
-	// Trace one request through the tiers.
-	app.TraceRequests(1)
+	// Trace every request of the next five seconds and break their
+	// latency down per tier.
+	tr := trace.NewRequestTracer(0)
+	app.SetRequestTracer(tr)
 	if err := eng.Run(eng.Now() + 5*time.Second); err != nil {
 		return err
 	}
-	if traces := app.Traces(); len(traces) > 0 {
-		fmt.Println()
-		fmt.Println("one request, traced:")
-		fmt.Print(traces[0].String())
-	}
+	fmt.Println()
+	fmt.Println("every request of the next 5 s, traced:")
+	fmt.Print(trace.RenderBreakdown(tr.Breakdown()))
 	return nil
 }

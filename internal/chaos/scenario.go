@@ -97,6 +97,11 @@ func Parse(data []byte) (Schedule, error) {
 	if err := dec.Decode(&s); err != nil {
 		return Schedule{}, fmt.Errorf("chaos: parse scenario: %w", err)
 	}
+	// Trailing data after the scenario object means the file holds more
+	// than the one schedule it is read as.
+	if dec.More() {
+		return Schedule{}, fmt.Errorf("chaos: parse scenario: unexpected data after scenario object")
+	}
 	if err := s.Validate(); err != nil {
 		return Schedule{}, err
 	}

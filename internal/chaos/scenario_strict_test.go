@@ -53,6 +53,11 @@ func TestParseRejectsBadScenarios(t *testing.T) {
 			wantErr:  "no faults",
 			badSched: true,
 		},
+		{
+			name:    "trailing document",
+			json:    `{"name":"a","faults":[{"kind":"vm-crash","at":"10s","tier":"app"}]} {"name":"b"}`,
+			wantErr: "unexpected data after scenario object",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -97,7 +97,7 @@ type ScenarioConfig struct {
 	Chaos *chaos.Schedule
 	// CaptureTrace attaches a request tracer to the application: every
 	// request records one span per tier hop, and the result carries the
-	// per-tier latency breakdown plus the raw event log (RequestTrace).
+	// per-tier latency breakdown plus the raw event log (RequestTracer).
 	// Tracing never perturbs the simulation; the tracer retains at most
 	// trace.DefaultEventLimit events.
 	CaptureTrace bool
@@ -197,9 +197,9 @@ type ScenarioResult struct {
 	audit  *controller.AuditLog
 }
 
-// RequestTrace returns the run's request tracer (nil unless CaptureTrace
+// RequestTracer returns the run's request tracer (nil unless CaptureTrace
 // was set), for JSONL export of the raw event log.
-func (r *ScenarioResult) RequestTrace() *trace.RequestTracer { return r.tracer }
+func (r *ScenarioResult) RequestTracer() *trace.RequestTracer { return r.tracer }
 
 // DecisionLog returns the run's audit log (nil unless Audit was set and
 // the controller implements controller.Audited), for JSONL export and

@@ -68,11 +68,11 @@ func TestScenarioObservabilityByteIdentical(t *testing.T) {
 
 	// The plain run carries no observation artifacts; the observed run
 	// carries both.
-	if plain.RequestTrace() != nil || plain.DecisionLog() != nil ||
+	if plain.RequestTracer() != nil || plain.DecisionLog() != nil ||
 		plain.LatencyBreakdown != nil || plain.Decisions != nil {
 		t.Fatal("plain run has observation artifacts")
 	}
-	if observed.RequestTrace() == nil || observed.DecisionLog() == nil {
+	if observed.RequestTracer() == nil || observed.DecisionLog() == nil {
 		t.Fatal("observed run lost its artifacts")
 	}
 }
@@ -164,11 +164,11 @@ func TestScenarioTraceReconstructsBreakdown(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := res.RequestTrace().WriteJSONL(&buf); err != nil {
+	if err := res.RequestTracer().WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Count(buf.String(), "\n"); got != res.RequestTrace().Len() {
-		t.Fatalf("jsonl lines = %d, want %d", got, res.RequestTrace().Len())
+	if got := strings.Count(buf.String(), "\n"); got != res.RequestTracer().Len() {
+		t.Fatalf("jsonl lines = %d, want %d", got, res.RequestTracer().Len())
 	}
 	// The always-on tier histograms are populated too, and the renderer
 	// shows every tier.

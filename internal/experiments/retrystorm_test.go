@@ -115,7 +115,7 @@ func TestDeadlinePropagation(t *testing.T) {
 	}
 	arrive := map[uint64]time.Duration{}
 	checked := 0
-	for _, ev := range res.RequestTrace().Events() {
+	for _, ev := range res.RequestTracer().Events() {
 		if ev.Kind == trace.EventArrive {
 			arrive[ev.Req] = ev.At
 			continue

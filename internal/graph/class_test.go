@@ -101,3 +101,28 @@ func TestClassZeroVisitsSkipsNode(t *testing.T) {
 	}
 	requireClean(t, app, chk)
 }
+
+// TestClassConservationCatchesDrift: the per-class disposition tallies
+// plus the unclassed remainder must sum to the whole-graph tally, so one
+// class counting a request the graph never finished is a metrics
+// violation on "graph/classes".
+func TestClassConservationCatchesDrift(t *testing.T) {
+	t.Parallel()
+	eng, app, chk := newClassApp(t, []Class{{Name: "a", Weight: 1}, {Name: "b", Weight: 1}})
+	for i := 0; i < 20; i++ {
+		app.Inject(nil)
+	}
+	if err := eng.Run(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	requireClean(t, app, chk)
+	app.classes[0].disp.OK++
+	app.CheckInvariants()
+	for _, v := range chk.Violations() {
+		if v.Where == "graph/classes" && v.Rule == invariant.RuleMetrics {
+			return
+		}
+	}
+	t.Fatalf("no class-conservation violation after corrupting class a:\n%s",
+		invariant.Render(chk.Violations()))
+}

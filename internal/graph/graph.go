@@ -144,9 +144,6 @@ type App struct {
 
 	defaultPr resolvedProfile
 
-	traceRemaining int
-	traces         []*RequestTrace
-
 	reqTracer *trace.RequestTracer
 
 	// Resilience state. breakers is keyed by server name and empty unless
@@ -159,7 +156,6 @@ type App struct {
 	classes       []classState
 	classProfiles []resolvedProfile
 	classWeight   float64 // total weight, zero for unweighted classes
-	classDisp     *metrics.ClassDispositions
 	unclassedDisp metrics.DispositionCounts
 
 	// injected counts lifetime request arrivals; with the disposition

@@ -39,6 +39,7 @@ func (a *App) CheckInvariants() {
 	a.chk.Check(now, invariant.RuleMetrics, "graph",
 		a.disp.CheckConsistent(a.completions.Total(), a.errored.Total()))
 	if len(a.classes) > 0 {
+		sum := a.unclassedDisp
 		for i := range a.classes {
 			st := &a.classes[i]
 			name := "graph/class/" + a.cfg.Classes[i].Name
@@ -46,16 +47,19 @@ func (a *App) CheckInvariants() {
 				a.chk.Violatef(now, invariant.RuleConservation, name, 0,
 					"in-flight count negative (%d)", st.inFlight)
 			}
-			if total := a.classDisp.Counts(i).Total(); st.injected != total+uint64(st.inFlight) {
+			if total := st.disp.Total(); st.injected != total+uint64(st.inFlight) {
 				a.chk.Violatef(now, invariant.RuleConservation, name, 0,
 					"injected %d != %d finished dispositions + %d in-flight",
 					st.injected, total, st.inFlight)
 			}
 			a.chk.Check(now, invariant.RuleMetrics, name,
-				a.classDisp.Counts(i).CheckConsistent(st.completions, st.errored))
+				st.disp.CheckConsistent(st.completions, st.errored))
+			sum.Add(st.disp)
 		}
-		a.chk.Check(now, invariant.RuleMetrics, "graph/classes",
-			a.classDisp.CheckConservation(a.unclassedDisp, a.disp))
+		if sum != a.disp {
+			a.chk.Violatef(now, invariant.RuleMetrics, "graph/classes", 0,
+				"per-class dispositions %+v != system tally %+v", sum, a.disp)
+		}
 	}
 	for _, n := range a.nodes {
 		name := "graph/node/" + n.spec.Name

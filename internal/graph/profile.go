@@ -96,7 +96,6 @@ func (a *App) resolveProfile(name string, p Profile) (resolvedProfile, error) {
 // declaration order.
 func (a *App) resolveClasses(classes []Class) error {
 	seen := make(map[string]bool, len(classes))
-	names := make([]string, len(classes))
 	weighted := len(classes) > 0 && classes[0].Weight > 0
 	for i, c := range classes {
 		if c.Name == "" {
@@ -123,10 +122,8 @@ func (a *App) resolveClasses(classes []Class) error {
 		rp.weight = c.Weight
 		a.classProfiles = append(a.classProfiles, rp)
 		a.classWeight += c.Weight
-		names[i] = c.Name
 	}
 	a.classes = make([]classState, len(classes))
-	a.classDisp = metrics.NewClassDispositions(names)
 	return nil
 }
 
@@ -153,6 +150,7 @@ type classState struct {
 	errored     uint64
 	good        uint64
 	rtSum       float64
+	disp        metrics.DispositionCounts
 	// bshed counts the class's brownout front-door sheds (a subset of the
 	// class's Shed dispositions).
 	bshed uint64
@@ -193,7 +191,7 @@ func (a *App) ClassStats() []ClassStat {
 			Completions:  st.completions,
 			Errors:       st.errored,
 			Good:         st.good,
-			Dispositions: a.classDisp.Counts(i),
+			Dispositions: st.disp,
 			BrownoutShed: st.bshed,
 		}
 		if st.completions > 0 {

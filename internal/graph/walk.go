@@ -40,7 +40,6 @@ type request struct {
 	prof     *resolvedProfile // the profile the walk runs under
 	session  uint64
 	critical bool
-	tr       *RequestTrace
 	done     func(rt time.Duration, ok bool)
 	async    *edge // the async edge a delivery record consumes from
 
@@ -275,7 +274,6 @@ func (a *App) InjectClass(class int, session uint64, done func(rt time.Duration,
 		a.classes[class].inFlight++
 	}
 	r.critical = r.cls != nil && r.cls.Priority > 0
-	r.tr = a.beginTrace(r.cls)
 	r.id = a.reqTracer.Begin()
 	a.reqTracer.Record(r.id, trace.EventArrive, "", "", r.start)
 	if r.cls != nil {
@@ -336,7 +334,7 @@ func (r *request) finish(disp metrics.Disposition) {
 	if r.cls != nil {
 		st := &a.classes[r.class]
 		st.inFlight--
-		a.classDisp.Observe(r.class, disp)
+		st.disp.Observe(disp)
 		if ok {
 			st.completions++
 			st.rtSum += rt.Seconds()
@@ -354,10 +352,6 @@ func (r *request) finish(disp metrics.Disposition) {
 		}
 	} else {
 		a.unclassedDisp.Observe(disp)
-	}
-	if r.tr != nil {
-		r.tr.Total = rt
-		r.tr.OK = ok
 	}
 	done := r.done
 	a.freeRequest(r)
@@ -577,12 +571,11 @@ func (f *hop) granted(conn *connpool.Conn, disp metrics.Disposition) {
 }
 
 // release gives back the visit's thread and upstream connection and
-// closes its residence window and span.
+// closes its residence window.
 func (f *hop) release() {
 	f.sess.Release()
 	f.releaseConn()
 	f.n.res.Observe((f.a.eng.Now() - f.start).Seconds())
-	f.span()
 }
 
 func (f *hop) releaseConn() {
@@ -621,29 +614,4 @@ func (f *hop) report(disp metrics.Disposition) {
 		return
 	}
 	r.finish(disp)
-}
-
-// span records the visit's stage on the request's trace. The label is
-// built only here, so untraced requests never format one: the node name
-// for entry, async and unpooled serial hops, "<node>-call-<i>" for
-// parallel branches and "<node>-query-<i>" for pooled serial calls.
-func (f *hop) span() {
-	tr := f.r.tr
-	if tr == nil {
-		return
-	}
-	stage := f.n.spec.Name
-	switch {
-	case f.e == nil:
-	case f.e.spec.Kind == EdgeParallel:
-		stage = fmt.Sprintf("%s-call-%d", stage, f.index+1)
-	case f.e.pooled():
-		stage = fmt.Sprintf("%s-query-%d", stage, f.index+1)
-	}
-	tr.Spans = append(tr.Spans, Span{
-		Stage:    stage,
-		Server:   f.m.Name(),
-		Start:    f.start - tr.InjectedAt,
-		Duration: f.a.eng.Now() - f.start,
-	})
 }

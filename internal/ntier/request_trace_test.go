@@ -59,6 +59,66 @@ func TestRequestTracerEndToEnd(t *testing.T) {
 	}
 }
 
+// kinds returns the event kinds recorded for request req, in order.
+func kinds(tr *trace.RequestTracer, req uint64) []trace.EventKind {
+	var out []trace.EventKind
+	for _, ev := range tr.Events() {
+		if ev.Req == req {
+			out = append(out, ev.Kind)
+		}
+	}
+	return out
+}
+
+// TestTraceFailedRequest: with the only database member failed, the
+// traced request ends in a Fail event and never records Done.
+func TestTraceFailedRequest(t *testing.T) {
+	t.Parallel()
+	eng, app := newApp(t, fastConfig())
+	if err := app.FailMember(TierDB, "db-1"); err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.NewRequestTracer(0)
+	app.SetRequestTracer(tr)
+	app.Inject(nil)
+	if err := eng.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	got := kinds(tr, 1)
+	if len(got) == 0 || got[len(got)-1] != trace.EventFail {
+		t.Fatalf("events %v, want a trailing %s", got, trace.EventFail)
+	}
+	for _, k := range got {
+		if k == trace.EventDone {
+			t.Fatalf("failed request recorded %s: %v", trace.EventDone, got)
+		}
+	}
+}
+
+// TestTraceServletName: a weighted single-class config tags every traced
+// request with its class name.
+func TestTraceServletName(t *testing.T) {
+	t.Parallel()
+	cfg := fastConfig()
+	cfg.Classes = []RequestClass{{Name: "OnlyOne", Weight: 1, AppDemand: 1, Queries: 1, QueryDemand: 1}}
+	eng, app := newApp(t, cfg)
+	tr := trace.NewRequestTracer(0)
+	app.SetRequestTracer(tr)
+	app.Inject(nil)
+	if err := eng.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range tr.Events() {
+		if ev.Kind == trace.EventClass {
+			if ev.Req != 1 || ev.Class != "OnlyOne" {
+				t.Fatalf("class event %+v, want request 1 tagged OnlyOne", ev)
+			}
+			return
+		}
+	}
+	t.Fatalf("no %s event in %v", trace.EventClass, tr.Events())
+}
+
 // TestTracingDoesNotPerturbSimulation is the unit-level determinism check
 // behind the tentpole's "byte-identical with tracing on" requirement: the
 // same seed with and without a tracer must complete the same requests in

@@ -8,7 +8,7 @@ package trace
 //
 // The tracer is built to be free when unused: a nil *RequestTracer is a
 // valid receiver for every Record* method and does nothing, so the hot
-// paths in server, connpool and ntier pay one nil check and zero
+// paths in server, connpool and graph pay one nil check and zero
 // allocations when tracing is off. Like the rest of this package it is
 // simulation-agnostic — timestamps are plain time.Duration offsets passed
 // in by the caller.

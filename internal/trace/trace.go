@@ -286,8 +286,7 @@ func SynthesizeLargeVariation(seed uint64) *Trace {
 	return tr
 }
 
-// SynthesizeStep generates a simple two-level step trace, useful in tests
-// and for the quickstart example.
+// SynthesizeStep generates a simple two-level step trace, useful in tests.
 func SynthesizeStep(name string, low, high int, stepAt, total time.Duration) (*Trace, error) {
 	if total <= 0 || stepAt < 0 || stepAt > total {
 		return nil, fmt.Errorf("trace: bad step trace bounds stepAt=%v total=%v", stepAt, total)
