@@ -187,6 +187,9 @@ func loadAutotuneReport(path string) (*autotune.Report, error) {
 	if err := dec.Decode(&rep); err != nil {
 		return nil, fmt.Errorf("autotune report %s: %w", path, err)
 	}
+	if dec.More() {
+		return nil, fmt.Errorf("autotune report %s: unexpected data after the report object", path)
+	}
 	return &rep, nil
 }
 

@@ -153,6 +153,13 @@ func TestAutotuneSectionGolden(t *testing.T) {
 	if _, err := loadAutotuneReport(bad); err == nil {
 		t.Fatal("non-report JSON accepted")
 	}
+	two := filepath.Join(t.TempDir(), "two.json")
+	if err := os.WriteFile(two, append(append(b, '\n'), b...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loadAutotuneReport(two); err == nil {
+		t.Fatal("report followed by a second document accepted")
+	}
 	if _, err := loadAutotuneReport(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("missing file accepted")
 	}

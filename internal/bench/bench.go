@@ -112,8 +112,9 @@ func ParseText(r io.Reader) (Suite, error) {
 	return s, nil
 }
 
-// Load reads a suite from a JSON file, rejecting unknown fields so a
-// malformed or hand-edited artifact fails loudly.
+// Load reads a suite from a JSON file, rejecting unknown fields and
+// trailing data so a malformed or hand-edited artifact fails loudly
+// instead of loading half-read.
 func Load(path string) (Suite, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -125,6 +126,9 @@ func Load(path string) (Suite, error) {
 	var s Suite
 	if err := dec.Decode(&s); err != nil {
 		return Suite{}, fmt.Errorf("bench: parsing %s: %v", path, err)
+	}
+	if dec.More() {
+		return Suite{}, fmt.Errorf("bench: parsing %s: unexpected data after the suite object", path)
 	}
 	return s, nil
 }

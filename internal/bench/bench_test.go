@@ -99,6 +99,29 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsTrailingDocument pins that a file holding a valid suite
+// followed by a second JSON document (a hand-edited baseline with an
+// entry pasted after the closing brace) fails instead of loading only the
+// first document.
+func TestLoadRejectsTrailingDocument(t *testing.T) {
+	t.Parallel()
+	path := filepath.Join(t.TempDir(), "two.json")
+	doc := `{"benchmarks":[{"name":"BenchmarkA","iters":1,"ns_per_op":1,"b_per_op":0,"allocs_per_op":0}]}`
+	if err := os.WriteFile(path, []byte(doc+"\n"+doc+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "after the suite") {
+		t.Fatalf("trailing document: err = %v, want an unexpected-data error", err)
+	}
+	// The same document alone, trailing whitespace included, still loads.
+	if err := os.WriteFile(path, []byte(doc+"\n\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := Load(path); err != nil || len(s.Benchmarks) != 1 {
+		t.Fatalf("single document: %d benchmarks, err %v", len(s.Benchmarks), err)
+	}
+}
+
 func suiteOf(results ...Result) Suite { return Suite{Benchmarks: results} }
 
 func TestCompareTolerance(t *testing.T) {

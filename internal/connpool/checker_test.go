@@ -17,15 +17,15 @@ func TestCheckInvariantLedgerAndCap(t *testing.T) {
 		corrupt func(p *Pool)
 		want    string
 	}{
-		{"release-ledger-drift", func(p *Pool) { p.releases++ }, "grants"},
-		{"grant-ledger-drift", func(p *Pool) { p.grants.Inc(1) }, "grants"},
+		{"release-ledger-drift", func(p *Pool) { p.l.Releases++ }, "grants"},
+		{"grant-ledger-drift", func(p *Pool) { p.l.Grants.Inc(1) }, "grants"},
 		{"waiter-cap-overflow", func(p *Pool) {
 			// Acquire rejects new waiters beyond the cap, so the only way
 			// Waiting() > maxWaiters is the cap shrinking under live
 			// waiters — which SetMaxWaiters must never allow silently.
 			p.maxWaiters = 1
 		}, "exceed cap"},
-		{"dead-waiter-overflow", func(p *Pool) { p.waitersDead = len(p.waiters) + 1 }, "dead-waiter"},
+		{"dead-waiter-overflow", func(p *Pool) { p.l.Dead = len(p.queue) + 1 }, "dead-waiter"},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -72,7 +72,7 @@ func TestCheckerRecordsNegativeInUseOnRelease(t *testing.T) {
 	if conn == nil {
 		t.Fatal("no grant")
 	}
-	p.inUse = 0 // corrupt: the ledger forgets the grant
+	p.l.Held = 0 // corrupt: the ledger forgets the grant
 	conn.Release()
 	vs := chk.Violations()
 	if len(vs) != 1 || vs[0].Rule != invariant.RulePoolAccounting {

@@ -6,7 +6,4 @@ package server
 func (s *Server) ConfiguredConcurrency() int { return s.configured }
 
 // Dead reports whether Kill was called.
-func (s *Server) Dead() bool { return s.dead }
-
-// TotalSheds returns the lifetime number of CoDel sheds.
-func (s *Server) TotalSheds() uint64 { return s.sheds.Total() }
+func (s *Server) Dead() bool { return s.threads.Killed() }

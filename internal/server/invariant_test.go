@@ -35,7 +35,7 @@ func TestCheckInvariantCleanLifecycle(t *testing.T) {
 	for len(sessions) > 0 {
 		sess := sessions[0]
 		sessions = sessions[1:]
-		if !sess.released {
+		if !sess.w.Released() {
 			sess.Exec(func() { sess.Release() })
 		}
 	}
@@ -57,12 +57,15 @@ func TestCheckInvariantDetectsCorruption(t *testing.T) {
 		corrupt func(s *Server)
 		want    string
 	}{
-		{"negative-active", func(s *Server) { s.active = -1 }, "negative"},
-		{"executing-above-active", func(s *Server) { s.executing = s.active + 1 }, "executing"},
-		{"zero-pool", func(s *Server) { s.poolSize = 0 }, "pool size"},
-		{"grant-ledger-drift", func(s *Server) { s.granted++ }, "grants"},
-		{"release-ledger-drift", func(s *Server) { s.released++ }, "grants"},
-		{"queue-dead-overflow", func(s *Server) { s.queueDead = len(s.queue) + 1 }, "queueDead"},
+		{"negative-active", func(s *Server) { s.threads.Ledger().Held = -1 }, "negative"},
+		{"executing-above-active", func(s *Server) { s.executing = s.Active() + 1 }, "executing"},
+		{"zero-pool", func(s *Server) { s.threads.Ledger().Size = 0 }, "pool size"},
+		{"grant-ledger-drift", func(s *Server) { s.threads.Ledger().Grants.Inc(1) }, "grants"},
+		{"release-ledger-drift", func(s *Server) { s.threads.Ledger().Releases++ }, "grants"},
+		{"queue-dead-overflow", func(s *Server) {
+			l := s.threads.Ledger()
+			l.Dead += s.QueueLen() + 1 // one more dead slot than the queue has
+		}, "queueDead"},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -96,7 +99,7 @@ func TestCheckerRecordsNegativeActiveOnRelease(t *testing.T) {
 	srv.SetInvariantChecker(chk)
 	var sess *Session
 	srv.Acquire(func(s *Session) { sess = s })
-	srv.active = 0 // corrupt: the ledger forgets the grant
+	srv.threads.Ledger().Held = 0 // corrupt: the ledger forgets the grant
 	sess.Release()
 	vs := chk.Violations()
 	if len(vs) != 1 || vs[0].Rule != invariant.RulePoolAccounting {

@@ -36,14 +36,14 @@ func TestQueuedDeadlineTimesOutWithoutThread(t *testing.T) {
 	srv.Acquire(func(sess *Session) { held = sess })
 
 	var expired metrics.Disposition
-	srv.AcquireDeadline(0, time.Second, func(sess *Session, d metrics.Disposition) {
+	srv.AcquireDeadlineCritical(0, time.Second, false, func(sess *Session, d metrics.Disposition) {
 		if sess != nil {
 			t.Error("expired waiter granted a thread")
 		}
 		expired = d
 	})
 	granted := false
-	srv.AcquireDeadline(0, 0, func(sess *Session, d metrics.Disposition) {
+	srv.AcquireDeadlineCritical(0, 0, false, func(sess *Session, d metrics.Disposition) {
 		if sess == nil {
 			t.Errorf("live waiter failed with %v", d)
 			return
@@ -81,7 +81,7 @@ func TestBoundedQueueRejects(t *testing.T) {
 	srv.Acquire(func(sess *Session) { held = sess })
 	served := 0
 	for i := 0; i < 2; i++ {
-		srv.AcquireDeadline(0, 0, func(sess *Session, d metrics.Disposition) {
+		srv.AcquireDeadlineCritical(0, 0, false, func(sess *Session, d metrics.Disposition) {
 			if sess == nil {
 				t.Errorf("queued request failed: %v", d)
 				return
@@ -91,7 +91,7 @@ func TestBoundedQueueRejects(t *testing.T) {
 		})
 	}
 	rejected := false
-	srv.AcquireDeadline(0, 0, func(sess *Session, d metrics.Disposition) {
+	srv.AcquireDeadlineCritical(0, 0, false, func(sess *Session, d metrics.Disposition) {
 		if sess != nil || d != metrics.DispositionRejected {
 			t.Errorf("sess = %v, disposition = %v, want rejection", sess, d)
 		}
@@ -127,7 +127,7 @@ func TestCoDelShedsStandingQueue(t *testing.T) {
 	// 200 requests at t=0 against a ~10ms/burst single thread: the queue
 	// delay ramps far past the 20ms target.
 	for i := 0; i < 200; i++ {
-		srv.AcquireDeadline(0, 0, func(sess *Session, d metrics.Disposition) {
+		srv.AcquireDeadlineCritical(0, 0, false, func(sess *Session, d metrics.Disposition) {
 			if sess == nil {
 				if d != metrics.DispositionShed {
 					t.Errorf("failure disposition = %v, want shed", d)
@@ -148,8 +148,9 @@ func TestCoDelShedsStandingQueue(t *testing.T) {
 	if ok+shed != 200 {
 		t.Fatalf("ok %d + shed %d != 200", ok, shed)
 	}
-	if srv.TotalSheds() != uint64(shed) {
-		t.Fatalf("TotalSheds = %d, callbacks saw %d", srv.TotalSheds(), shed)
+	// No sample was taken before, so the first one covers the whole run.
+	if got := srv.TakeSample().Shed; got != uint64(shed) {
+		t.Fatalf("sampled sheds = %d, callbacks saw %d", got, shed)
 	}
 	// Shedding is a safety valve, not a drop-all: even against this
 	// instantaneous 200-request burst — 2 s of standing delay against a
@@ -167,7 +168,7 @@ func TestBurstPreemptedAtDeadline(t *testing.T) {
 	t.Parallel()
 	eng, srv := newResilientServer(t, Config{PoolSize: 1})
 	var done sim.Time
-	srv.AcquireDeadline(0, 5*time.Millisecond, func(sess *Session, d metrics.Disposition) {
+	srv.AcquireDeadlineCritical(0, 5*time.Millisecond, false, func(sess *Session, d metrics.Disposition) {
 		if sess == nil {
 			t.Fatalf("acquire failed: %v", d)
 		}
@@ -204,8 +205,8 @@ func TestDeadlineSampleCounts(t *testing.T) {
 	eng, srv := newResilientServer(t, Config{PoolSize: 1, MaxQueue: 1})
 	var held *Session
 	srv.Acquire(func(sess *Session) { held = sess })
-	srv.AcquireDeadline(0, time.Millisecond, func(*Session, metrics.Disposition) {})
-	srv.AcquireDeadline(0, 0, func(sess *Session, _ metrics.Disposition) {
+	srv.AcquireDeadlineCritical(0, time.Millisecond, false, func(*Session, metrics.Disposition) {})
+	srv.AcquireDeadlineCritical(0, 0, false, func(sess *Session, _ metrics.Disposition) {
 		if sess != nil {
 			sess.Release()
 		}

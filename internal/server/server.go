@@ -2,21 +2,21 @@
 // an Apache, Tomcat or MySQL instance — as a thread-pooled station on a
 // discrete-event engine.
 //
-// The server's thread pool is the paper's central soft resource: at most
-// PoolSize requests are processed concurrently; the rest wait in a FIFO
-// queue. An admitted request holds its thread until released, including
-// while it waits on downstream tiers (exactly how Apache worker threads and
-// Tomcat threads behave). CPU bursts executed on a held thread follow the
-// multi-threading service-time law of Equation 5,
+// The server's thread pool is the paper's central soft resource, a
+// connpool.Gate: at most PoolSize requests hold a thread, the rest wait in
+// a FIFO queue with deadlines, a bound and CoDel, exactly like DB
+// connections, and the pool resizes at runtime without disturbing
+// in-flight requests (the APP-agent's actuation primitive, §IV-B). A
+// request holds its thread until released, including while it waits on
+// downstream tiers (as Apache and Tomcat threads do). CPU bursts executed
+// on a held thread follow the multi-threading service-time law of
+// Equation 5,
 //
 //	S*(N) = S0 + α(N−1) + βN(N−1)
 //
 // evaluated at the server's current concurrency N, so both throughput
 // collapse at high concurrency and under-utilization at low concurrency
 // emerge from the simulation just as they do on the paper's testbed.
-//
-// The pool can be resized at runtime without disturbing in-flight requests;
-// that is the APP-agent's actuation primitive (§IV-B).
 package server
 
 import (
@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"time"
 
+	"dcm/internal/connpool"
 	"dcm/internal/invariant"
 	"dcm/internal/metrics"
 	"dcm/internal/model"
@@ -122,25 +123,14 @@ var (
 // Server is a simulated component server. It must only be used from the
 // simulation goroutine.
 type Server struct {
-	eng    *sim.Engine
-	rnd    *rng.Rand
-	name   string
-	params model.Params
+	eng     *sim.Engine
+	rnd     *rng.Rand
+	name    string
+	params  model.Params
+	threads *connpool.Gate[Session, sessionFlags]
 
-	poolSize  int
-	active    int
 	accepting bool
-	dead      bool
 	noise     float64
-	queue     []*Session
-	queueDead int // failed waiters still occupying queue slots
-	maxQueue  int
-	// queueGrace grandfathers requests already queued when SetMaxQueue
-	// shrinks the cap below the live backlog: they were admitted legally,
-	// so the invariant allows the old depth until the queue drains back
-	// under the new cap. New arrivals are judged against maxQueue alone.
-	queueGrace int
-	codel      *resilience.CoDel
 
 	thrashKnee int
 	thrashCoef float64
@@ -153,37 +143,29 @@ type Server struct {
 	dist       ServiceDistribution
 
 	cpu         metrics.BusyTracker
-	concurrency metrics.TimeWeighted
 	completions metrics.Counter
 	execTimes   metrics.MeanAccumulator
-	queueWaits  metrics.MeanAccumulator
-	queuePeak   int
-	timeouts    metrics.Counter
-	rejections  metrics.Counter
-	sheds       metrics.Counter
-
-	queueDepth *metrics.Histogram
-	svcTimes   *metrics.Histogram
+	preempts    metrics.Counter // bursts cut short by the deadline
+	svcTimes    *metrics.Histogram
 
 	tracer *trace.RequestTracer
 	tier   string
 
 	freeBursts *burst
-
-	// granted and released are lifetime thread grants/returns; together
-	// with active they form the pool-accounting conservation law the
-	// invariant checker asserts (granted = released + active).
-	granted  uint64
-	released uint64
-	chk      *invariant.Checker
 }
 
-// Histogram bucket layouts shared by every server so per-tier merges are
-// well defined: queue depths on a coarse exponential grid, burst durations
-// from 0.1 ms to ~52 s.
+// threadKind is the Kind of every server's thread pool. Bucket layouts
+// are shared by every server so per-tier merges are well defined.
 var (
-	queueDepthBounds = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
-	svcTimeBounds    = metrics.ExpBuckets(1e-4, 2, 20)
+	threadKind = connpool.Kind[Session, sessionFlags]{
+		Noun:        "server",
+		Enter:       trace.EventQueueEnter,
+		Exit:        trace.EventQueueExit,
+		DepthBounds: []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024},
+		Header:      func(sess *Session) *connpool.Waiter[Session, sessionFlags] { return &sess.w },
+		Timer:       func(sess *Session) func() { return sess.w.Expire },
+	}
+	svcTimeBounds = metrics.ExpBuckets(1e-4, 2, 20)
 )
 
 // New constructs a server on the given engine. rnd must be a dedicated
@@ -207,12 +189,11 @@ func New(eng *sim.Engine, rnd *rng.Rand, cfg Config) (*Server, error) {
 	if cfg.MaxQueue < 0 || cfg.CoDelTarget < 0 || cfg.CoDelInterval < 0 {
 		return nil, fmt.Errorf("%w: negative admission-control parameters", ErrBadConfig)
 	}
-	return &Server{
+	s := &Server{
 		eng:        eng,
 		rnd:        rnd,
 		name:       cfg.Name,
 		params:     cfg.Model,
-		poolSize:   cfg.PoolSize,
 		accepting:  true,
 		noise:      cfg.NoiseSigma,
 		thrashKnee: cfg.ThrashKnee,
@@ -222,64 +203,41 @@ func New(eng *sim.Engine, rnd *rng.Rand, cfg Config) (*Server, error) {
 		basis:      cfg.Basis,
 		betaOnConf: cfg.BetaOnConfigured,
 		dist:       cfg.Distribution,
-		maxQueue:   cfg.MaxQueue,
-		codel:      resilience.NewCoDel(cfg.CoDelTarget, cfg.CoDelInterval),
-		queueDepth: metrics.NewHistogram(queueDepthBounds),
 		svcTimes:   metrics.NewHistogram(svcTimeBounds),
-	}, nil
+	}
+	s.threads = connpool.NewGate(eng, &threadKind, cfg.Name, cfg.PoolSize,
+		resilience.NewCoDel(cfg.CoDelTarget, cfg.CoDelInterval), s)
+	s.threads.SetMaxWaiters(cfg.MaxQueue)
+	return s, nil
 }
 
 // SetTracer attaches a request tracer (nil detaches) and the tier label
-// recorded on this server's events. Tracing changes only what is recorded,
-// never how requests are scheduled.
+// of this server's events. Tracing never changes scheduling.
 func (s *Server) SetTracer(tr *trace.RequestTracer, tier string) {
 	s.tracer = tr
 	s.tier = tier
+	s.threads.SetTracer(tr, tier)
 }
 
-// SetInvariantChecker attaches an invariant checker (nil detaches). Like
-// tracing, checking is read-only: it never changes how requests are
-// scheduled, so enabled and disabled runs are byte-identical.
-func (s *Server) SetInvariantChecker(c *invariant.Checker) { s.chk = c }
+// SetInvariantChecker attaches an invariant checker (nil detaches). It is
+// read-only, so checked and unchecked runs are byte-identical.
+func (s *Server) SetInvariantChecker(c *invariant.Checker) { s.threads.SetInvariantChecker(c) }
 
-// CheckInvariant sweeps the server's structural laws and returns the
-// first breach found (nil when all hold): occupancy and queue accounting
-// never negative, executing bursts bounded by held threads, lifetime
-// grants = releases + active, the bounded queue's cap respected, and
-// work conservation (no request waiting while a thread is free).
+// CheckInvariant returns the first breach of the thread pool's accounting
+// (connpool.Gate.CheckInvariant) or of executing bursts <= held threads.
 func (s *Server) CheckInvariant() error {
-	if s.active < 0 {
-		return fmt.Errorf("server %s: active %d negative", s.name, s.active)
+	if err := s.threads.CheckInvariant(); err != nil {
+		return err
 	}
-	if s.executing < 0 || s.executing > s.active {
-		return fmt.Errorf("server %s: executing %d outside [0, active %d]", s.name, s.executing, s.active)
-	}
-	if s.poolSize < 1 {
-		return fmt.Errorf("server %s: pool size %d below 1", s.name, s.poolSize)
-	}
-	if s.queueDead < 0 || s.queueDead > len(s.queue) {
-		return fmt.Errorf("server %s: queueDead %d outside [0, %d]", s.name, s.queueDead, len(s.queue))
-	}
-	if s.granted != s.released+uint64(s.active) {
-		return fmt.Errorf("server %s: grants %d != releases %d + active %d",
-			s.name, s.granted, s.released, s.active)
-	}
-	if cap := s.queueCap(); cap > 0 && s.QueueLen() > cap {
-		return fmt.Errorf("server %s: queue length %d exceeds cap %d", s.name, s.QueueLen(), cap)
-	}
-	// Note active > poolSize is legal after a pool shrink (in-flight
-	// requests drain down to the new size), so it is checked at grant
-	// time, not here.
-	if s.active < s.poolSize && s.QueueLen() > 0 {
-		return fmt.Errorf("server %s: %d request(s) queued while %d thread(s) free",
-			s.name, s.QueueLen(), s.poolSize-s.active)
+	if s.executing < 0 || s.executing > s.Active() {
+		return fmt.Errorf("server %s: executing %d outside [0, active %d]", s.name, s.executing, s.Active())
 	}
 	return nil
 }
 
 // QueueDepthHistogram returns the histogram of queue depths observed by
 // arriving requests over the server's lifetime.
-func (s *Server) QueueDepthHistogram() *metrics.Histogram { return s.queueDepth }
+func (s *Server) QueueDepthHistogram() *metrics.Histogram { return s.threads.DepthHistogram() }
 
 // ServiceTimeHistogram returns the histogram of completed burst durations
 // (seconds) over the server's lifetime.
@@ -301,26 +259,20 @@ func (s *Server) SetDegradeFactor(f float64) {
 // DegradeFactor returns the current S0 multiplier (1 = healthy).
 func (s *Server) DegradeFactor() float64 { return s.degrade }
 
-// Session is one acquisition of a server thread. It is created when the
-// request arrives and is its own queue entry while it waits: the
-// outcome-aware callback plus the bookkeeping the resilience layer needs
-// (deadline timer, enqueue time for CoDel, criticality). Once granted it
-// is the admitted request holding the thread. A waiter that fails while
-// queued keeps its slot, marked failed, until popped or compacted; it is
-// never handed out, so nothing reuses it while it sits there.
+// Session is one acquisition of a server thread: the waiter while queued,
+// the admitted request holding the thread once granted. It is the gate's
+// header alone; its own flags ride in the header's spare word.
 type Session struct {
-	s         *Server
-	req       uint64
-	fn        func(*Session, metrics.Disposition) // nil once it fired
-	enqueueAt sim.Time
-	deadline  sim.Time // zero = no deadline
-	timer     sim.Timer
-	failed    bool // failed while queued; the slot is dropped lazily
-	critical  bool
-	released  bool
+	w connpool.Waiter[Session, sessionFlags]
+}
+
+type sessionFlags struct {
 	executing bool
 	timedOut  bool // a burst was preempted by the deadline
 }
+
+// server returns the server whose thread the session holds.
+func (sess *Session) server() *Server { return sess.w.Owner().(*Server) }
 
 // burst is one CPU burst in flight: its session, its callback, its Eq. 5
 // duration and whether the deadline cuts it short. Bursts are never
@@ -338,7 +290,7 @@ type burst struct {
 
 // TimedOut reports whether a burst on this session was preempted by the
 // deadline; the caller must fail the request.
-func (sess *Session) TimedOut() bool { return sess.timedOut }
+func (sess *Session) TimedOut() bool { return sess.w.Ext.timedOut }
 
 // Name returns the server name.
 func (s *Server) Name() string { return s.name }
@@ -347,14 +299,14 @@ func (s *Server) Name() string { return s.name }
 func (s *Server) Params() model.Params { return s.params }
 
 // PoolSize returns the current thread pool size.
-func (s *Server) PoolSize() int { return s.poolSize }
+func (s *Server) PoolSize() int { return s.threads.Size() }
 
 // Active returns the number of admitted (thread-holding) requests.
-func (s *Server) Active() int { return s.active }
+func (s *Server) Active() int { return s.threads.InUse() }
 
 // QueueLen returns the number of requests waiting for a thread. Timed-out
 // waiters whose slots have not been compacted yet do not count.
-func (s *Server) QueueLen() int { return len(s.queue) - s.queueDead }
+func (s *Server) QueueLen() int { return s.threads.Waiting() }
 
 // Accepting reports whether the server is taking new work (load balancers
 // skip non-accepting servers; in-flight work is unaffected).
@@ -364,32 +316,20 @@ func (s *Server) Accepting() bool { return s.accepting }
 func (s *Server) SetAccepting(v bool) { s.accepting = v }
 
 // Kill crashes the server: it stops accepting work, every queued request
-// is failed immediately (its Acquire callback runs with a nil session),
-// and in-flight requests are marked killed — their bursts "complete" but
+// fails with a nil session, and in-flight bursts "complete" but
 // Session.Killed reports true so the request flow can fail them, modeling
 // connections torn down by a crashed process. Kill is idempotent.
 func (s *Server) Kill() {
-	if s.dead {
+	if s.threads.Killed() {
 		return
 	}
-	s.dead = true
 	s.accepting = false
-	waiters := s.queue
-	s.queue = nil
-	s.queueDead = 0
-	for _, w := range waiters {
-		if w.failed {
-			continue
-		}
-		w.failed = true
-		w.timer.Cancel()
-		s.failWaiter(w, metrics.DispositionError)
-	}
+	s.threads.Kill()
 }
 
 // Killed reports whether the session's server crashed; work completed on a
 // killed session is lost and the request must be failed.
-func (sess *Session) Killed() bool { return sess.s.dead }
+func (sess *Session) Killed() bool { return sess.server().threads.Killed() }
 
 // Acquire requests a thread. fn is invoked with the session as soon as a
 // thread is available — immediately if the pool has room, otherwise in FIFO
@@ -399,228 +339,30 @@ func (s *Server) Acquire(fn func(*Session)) {
 	if fn == nil {
 		return
 	}
-	s.AcquireDeadline(0, 0, func(sess *Session, _ metrics.Disposition) { fn(sess) })
+	// Not s.threads.Acquire: its closure, made in generic code, would
+	// also capture the dictionary (24 bytes instead of 16).
+	s.AcquireDeadlineCritical(0, 0, false, func(sess *Session, _ metrics.Disposition) { fn(sess) })
 }
 
-// AcquireDeadline is Acquire with resilience semantics: req is the
-// tracing request ID (0 = untraced) the session attributes its events
-// to, and deadline (zero = none) is the request's absolute deadline — a
-// waiter still queued when it expires fails with DispositionTimeout and
-// never occupies a thread — and fn receives the disposition explaining a
-// nil session (error on a dead server, rejected by the bounded queue,
-// shed by CoDel, or timeout). With a zero deadline and admission control
-// off this is exactly Acquire.
-func (s *Server) AcquireDeadline(req uint64, deadline sim.Time, fn func(*Session, metrics.Disposition)) {
-	s.AcquireDeadlineCritical(req, deadline, false, fn)
-}
-
-// AcquireDeadlineCritical is AcquireDeadline with a criticality flag:
-// critical requests (high-priority traffic classes) are never shed by the
-// CoDel dequeue check — load shedding sacrifices best-effort traffic
-// first. Criticality is admission priority only: critical requests still
-// queue FIFO behind earlier arrivals, still bounce off a full bounded
-// queue and still time out against their deadline, so a flood of critical
-// traffic degrades like any overload instead of bypassing admission
-// control entirely. With critical == false this is exactly
-// AcquireDeadline, and a critical request never touches the CoDel state,
-// so class-free runs are byte-identical.
+// AcquireDeadlineCritical is Acquire with the resilience semantics of
+// connpool.Gate.AcquireDeadlineCritical. Critical requests (high-priority
+// traffic classes) are never shed by CoDel, so load shedding sacrifices
+// best-effort traffic first.
 func (s *Server) AcquireDeadlineCritical(req uint64, deadline sim.Time, critical bool, fn func(*Session, metrics.Disposition)) {
-	if fn == nil {
-		return
-	}
-	if s.dead {
-		fn(nil, metrics.DispositionError)
-		return
-	}
-	now := s.eng.Now()
-	if deadline > 0 && now >= deadline {
-		s.timeouts.Inc(1)
-		s.tracer.Record(req, trace.EventTimeout, s.tier, s.name, now)
-		fn(nil, metrics.DispositionTimeout)
-		return
-	}
-	s.queueDepth.Observe(float64(s.QueueLen()))
-	w := &Session{s: s, req: req, fn: fn, enqueueAt: now, deadline: deadline, critical: critical}
-	if s.active < s.poolSize && s.QueueLen() == 0 {
-		s.tracer.Record(req, trace.EventQueueEnter, s.tier, s.name, now)
-		s.grantWaiter(w)
-		return
-	}
-	if s.maxQueue > 0 && s.QueueLen() >= s.maxQueue {
-		s.rejections.Inc(1)
-		s.tracer.Record(req, trace.EventReject, s.tier, s.name, now)
-		fn(nil, metrics.DispositionRejected)
-		return
-	}
-	s.tracer.Record(req, trace.EventQueueEnter, s.tier, s.name, now)
-	if deadline > 0 {
-		w.timer = s.eng.Schedule(deadline-now, w.expire)
-	}
-	s.queue = append(s.queue, w)
-	if s.QueueLen() > s.queuePeak {
-		s.queuePeak = s.QueueLen()
-	}
+	s.threads.AcquireDeadlineCritical(req, deadline, critical, fn)
 }
 
-// grantWaiter admits one request, accounting concurrency.
-func (s *Server) grantWaiter(w *Session) {
-	s.active++
-	s.granted++
-	now := s.eng.Now()
-	if s.chk != nil {
-		// A grant may never push occupancy past the pool (shrinks drain,
-		// they do not grant) nor admit an already-expired request.
-		if s.active > s.poolSize {
-			s.chk.Violatef(now, invariant.RulePoolAccounting, "server "+s.name, w.req,
-				"grant raised active to %d with pool size %d", s.active, s.poolSize)
-		}
-		if w.deadline > 0 && now >= w.deadline {
-			s.chk.Violatef(now, invariant.RuleDeadline, "server "+s.name, w.req,
-				"granted a thread %v past the deadline", now-w.deadline)
-		}
-	}
-	s.concurrency.Set(now, float64(s.active))
-	s.queueWaits.Observe((now - w.enqueueAt).Seconds())
-	s.tracer.Record(w.req, trace.EventQueueExit, s.tier, s.name, now)
-	fn := w.fn
-	w.fn = nil
-	fn(w, metrics.DispositionOK)
-}
-
-// failWaiter completes a waiter without a session. The queue wait still
-// counts toward the wait statistics — a request that waited and then
-// failed waited all the same.
-func (s *Server) failWaiter(w *Session, disp metrics.Disposition) {
-	s.queueWaits.Observe((s.eng.Now() - w.enqueueAt).Seconds())
-	fn := w.fn
-	w.fn = nil
-	fn(nil, disp)
-}
-
-// expire is the deadline timer body for a queued waiter: it marks the
-// slot failed (lazily removed) and fails the request.
-func (w *Session) expire() {
-	if w.failed {
-		return
-	}
-	s := w.s
-	w.failed = true
-	s.queueDead++
-	s.timeouts.Inc(1)
-	s.tracer.Record(w.req, trace.EventTimeout, s.tier, s.name, s.eng.Now())
-	s.failWaiter(w, metrics.DispositionTimeout)
-	s.maybeCompactQueue()
-}
-
-// maybeCompactQueue drops dead waiter slots once they dominate the queue,
-// keeping QueueLen O(1) without paying O(n) per timeout.
-func (s *Server) maybeCompactQueue() {
-	if s.queueDead < 64 || s.queueDead*2 < len(s.queue) {
-		return
-	}
-	live := s.queue[:0]
-	for _, w := range s.queue {
-		if !w.failed {
-			live = append(live, w)
-		}
-	}
-	for i := len(live); i < len(s.queue); i++ {
-		s.queue[i] = nil
-	}
-	s.queue = live
-	s.queueDead = 0
-}
-
-// popWaiter removes and returns the first live waiter (nil when none).
-func (s *Server) popWaiter() *Session {
-	for len(s.queue) > 0 {
-		w := s.queue[0]
-		s.queue[0] = nil
-		s.queue = s.queue[1:]
-		if w.failed {
-			s.queueDead--
-			continue
-		}
-		return w
-	}
-	return nil
-}
-
-// admitWaiters grants queued requests while threads are available,
-// applying grant-time deadline checks and CoDel shedding.
-func (s *Server) admitWaiters() {
-	for s.active < s.poolSize {
-		w := s.popWaiter()
-		if w == nil {
-			return
-		}
-		w.timer.Cancel()
-		now := s.eng.Now()
-		// The deadline may expire at the very timestamp of the grant, with
-		// the timer event still pending behind this one: the waiter must
-		// fail, not occupy a thread it would have to give straight back.
-		if w.deadline > 0 && now >= w.deadline {
-			s.timeouts.Inc(1)
-			s.tracer.Record(w.req, trace.EventTimeout, s.tier, s.name, now)
-			s.failWaiter(w, metrics.DispositionTimeout)
-			continue
-		}
-		if !w.critical && s.codel.Enabled() && s.codel.OnDequeue(now, w.enqueueAt) {
-			s.sheds.Inc(1)
-			s.tracer.Record(w.req, trace.EventShed, s.tier, s.name, now)
-			s.failWaiter(w, metrics.DispositionShed)
-			continue
-		}
-		s.grantWaiter(w)
-	}
-}
-
-// SetPoolSize resizes the thread pool at runtime. Growing admits waiting
-// requests immediately; shrinking never interrupts in-flight requests —
-// the pool drains down to the new size as they complete. Sizes below 1 are
-// clamped to 1.
-func (s *Server) SetPoolSize(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.poolSize = n
-	s.admitWaiters()
-}
-
-// queueCap is the bound CheckInvariant holds the queue to: the admission
-// cap, or the grandfathered backlog while a SetMaxQueue shrink drains.
-// The grace expires the moment the queue is back under the cap.
-func (s *Server) queueCap() int {
-	if s.queueGrace > 0 && s.QueueLen() <= s.maxQueue {
-		s.queueGrace = 0
-	}
-	if s.queueGrace > s.maxQueue {
-		return s.queueGrace
-	}
-	return s.maxQueue
-}
+// SetPoolSize resizes the thread pool at runtime (clamped to >= 1).
+// Growing admits waiters at once; shrinking never interrupts in-flight
+// requests, the pool drains down to the new size as they complete.
+func (s *Server) SetPoolSize(n int) { s.threads.Resize(n) }
 
 // MaxQueue returns the current admission cap (0 = unbounded).
-func (s *Server) MaxQueue() int { return s.maxQueue }
+func (s *Server) MaxQueue() int { return s.threads.MaxWaiters() }
 
-// SetMaxQueue changes the bounded queue's admission cap at runtime
-// (0 = unbounded). Shrinking below the live backlog never evicts queued
-// requests — they were admitted legally and are grandfathered until the
-// queue drains under the new cap — but new arrivals are rejected against
-// the new cap immediately.
-func (s *Server) SetMaxQueue(n int) {
-	if n < 0 {
-		n = 0
-	}
-	if n > 0 && s.QueueLen() > n {
-		if s.QueueLen() > s.queueGrace {
-			s.queueGrace = s.QueueLen()
-		}
-	} else {
-		s.queueGrace = 0
-	}
-	s.maxQueue = n
-}
+// SetMaxQueue changes the admission cap at runtime (0 = unbounded). A cap
+// below the live backlog evicts nobody; new arrivals meet it at once.
+func (s *Server) SetMaxQueue(n int) { s.threads.SetMaxWaiters(n) }
 
 // Exec runs one CPU burst on the session's thread and invokes onDone when
 // it completes. The burst duration is the Equation 5 service time at the
@@ -638,17 +380,17 @@ func (sess *Session) Exec(onDone func()) {
 // request — stay as they are. Non-positive demands are clamped to a
 // negligible positive amount.
 func (sess *Session) ExecDemand(demand float64, onDone func()) {
-	if sess.released {
+	if sess.w.Released() {
 		panic("server: Exec on released session")
 	}
-	if sess.executing {
+	if sess.w.Ext.executing {
 		panic("server: Exec on session already executing")
 	}
 	if demand <= 0 {
 		demand = 1e-9
 	}
-	s := sess.s
-	sess.executing = true
+	s := sess.server()
+	sess.w.Ext.executing = true
 	s.executing++
 	d := s.burstDuration(demand)
 	now := s.eng.Now()
@@ -667,12 +409,13 @@ func (sess *Session) ExecDemand(demand float64, onDone func()) {
 		s.freeBursts = b.next
 	}
 	b.sess, b.onDone, b.d = sess, onDone, d
-	b.preempt = sess.deadline > 0 && now+d > sess.deadline
+	deadline := sess.w.Deadline()
+	b.preempt = deadline > 0 && now+d > deadline
 	run := d
 	if b.preempt {
-		run = sess.deadline - now
+		run = deadline - now
 	}
-	s.tracer.Record(sess.req, trace.EventServiceStart, s.tier, s.name, now)
+	s.tracer.Record(sess.w.Req(), trace.EventServiceStart, s.tier, s.name, now)
 	s.cpu.Enter(now)
 	s.eng.Schedule(run, b.fire)
 }
@@ -680,22 +423,22 @@ func (sess *Session) ExecDemand(demand float64, onDone func()) {
 // end completes the burst, recycles the record and runs its callback.
 func (b *burst) end() {
 	sess, onDone, d, preempt := b.sess, b.onDone, b.d, b.preempt
-	s := sess.s
+	s := sess.server()
 	b.sess, b.onDone = nil, nil
 	b.next = s.freeBursts
 	s.freeBursts = b
 	s.cpu.Exit(s.eng.Now())
-	sess.executing = false
+	sess.w.Ext.executing = false
 	s.executing--
 	if preempt {
-		sess.timedOut = true
-		s.timeouts.Inc(1)
-		s.tracer.Record(sess.req, trace.EventTimeout, s.tier, s.name, s.eng.Now())
+		sess.w.Ext.timedOut = true
+		s.preempts.Inc(1)
+		s.tracer.Record(sess.w.Req(), trace.EventTimeout, s.tier, s.name, s.eng.Now())
 	} else {
 		s.completions.Inc(1)
 		s.execTimes.Observe(d.Seconds())
 		s.svcTimes.Observe(d.Seconds())
-		s.tracer.Record(sess.req, trace.EventServiceEnd, s.tier, s.name, s.eng.Now())
+		s.tracer.Record(sess.w.Req(), trace.EventServiceEnd, s.tier, s.name, s.eng.Now())
 	}
 	if onDone != nil {
 		onDone()
@@ -706,7 +449,7 @@ func (b *burst) end() {
 // (plus the thrash penalty past the knee), with optional mean-one lognormal
 // noise. demand scales the S0 work term.
 func (s *Server) burstDuration(demand float64) time.Duration {
-	n := s.active
+	n := s.Active()
 	if s.basis == BasisExecuting {
 		n = s.executing // includes the burst being started
 	}
@@ -757,58 +500,37 @@ func (s *Server) SetConfiguredConcurrency(n int) {
 	s.configured = n
 }
 
-// Release returns the session's thread to the pool and admits the next
-// waiter. Releasing twice panics: a double release would inflate the
-// pool's effective size.
+// Release returns the session's thread and admits the next waiter.
+// Releasing twice, or while executing, panics.
 func (sess *Session) Release() {
-	if sess.released {
-		panic("server: session released twice")
-	}
-	if sess.executing {
+	if sess.w.Ext.executing {
 		panic("server: Release while executing")
 	}
-	sess.released = true
-	s := sess.s
-	s.active--
-	s.released++
-	if s.chk != nil && s.active < 0 {
-		s.chk.Violatef(s.eng.Now(), invariant.RulePoolAccounting, "server "+s.name, sess.req,
-			"release drove active negative (%d)", s.active)
-	}
-	s.concurrency.Set(s.eng.Now(), float64(s.active))
-	s.admitWaiters()
+	sess.w.Release()
 }
 
 // Sample is one monitoring interval's worth of server metrics — what the
-// paper's fine-grained monitoring agent reports every second.
+// paper's fine-grained monitoring agent reports every second. Completions
+// counts the interval's finished CPU bursts and MeanExecSeconds is their
+// mean duration (0 when none); Utilization is the CPU busy fraction. The
+// thread fields are the pool's connpool.Sample under their server names:
+// MeanQueueWaitSeconds, MeanConcurrency (time-weighted active threads),
+// Active, QueueLen, QueuePeak and PoolSize. TimedOut (queued, at grant or
+// mid-burst), Rejected and Shed count resilience outcomes and are absent
+// from JSON when zero.
 type Sample struct {
-	// Completions is the number of CPU bursts finished in the interval.
-	Completions uint64 `json:"completions"`
-	// MeanExecSeconds is the mean burst duration in the interval (0 when no
-	// bursts completed).
-	MeanExecSeconds float64 `json:"meanExecSeconds"`
-	// MeanQueueWaitSeconds is the mean time requests admitted in the
-	// interval spent waiting for a thread.
+	Completions          uint64  `json:"completions"`
+	MeanExecSeconds      float64 `json:"meanExecSeconds"`
 	MeanQueueWaitSeconds float64 `json:"meanQueueWaitSeconds"`
-	// Utilization is the CPU busy fraction over the interval.
-	Utilization float64 `json:"utilization"`
-	// MeanConcurrency is the time-weighted mean number of active threads.
-	MeanConcurrency float64 `json:"meanConcurrency"`
-	// Active is the instantaneous number of active threads.
-	Active int `json:"active"`
-	// QueueLen is the instantaneous queue length.
-	QueueLen int `json:"queueLen"`
-	// QueuePeak is the peak queue length since the previous sample.
-	QueuePeak int `json:"queuePeak"`
-	// PoolSize is the thread pool size at sampling time.
-	PoolSize int `json:"poolSize"`
-	// TimedOut, Rejected and Shed count the interval's resilience outcomes:
-	// deadline expiries (queued, at grant, or mid-burst), bounded-queue
-	// rejections, and CoDel sheds. All zero — and absent from JSON — when
-	// resilience features are off.
-	TimedOut uint64 `json:"timedOut,omitempty"`
-	Rejected uint64 `json:"rejected,omitempty"`
-	Shed     uint64 `json:"shed,omitempty"`
+	Utilization          float64 `json:"utilization"`
+	MeanConcurrency      float64 `json:"meanConcurrency"`
+	Active               int     `json:"active"`
+	QueueLen             int     `json:"queueLen"`
+	QueuePeak            int     `json:"queuePeak"`
+	PoolSize             int     `json:"poolSize"`
+	TimedOut             uint64  `json:"timedOut,omitempty"`
+	Rejected             uint64  `json:"rejected,omitempty"`
+	Shed                 uint64  `json:"shed,omitempty"`
 }
 
 // TakeSample returns the metrics accumulated since the previous TakeSample
@@ -816,31 +538,29 @@ type Sample struct {
 func (s *Server) TakeSample() Sample {
 	now := s.eng.Now()
 	execMean, _ := s.execTimes.TakeMean()
-	waitMean, _ := s.queueWaits.TakeMean()
-	sample := Sample{
+	t := s.threads.TakeSample()
+	return Sample{
 		Completions:          s.completions.TakeDelta(),
 		MeanExecSeconds:      execMean,
-		MeanQueueWaitSeconds: waitMean,
+		MeanQueueWaitSeconds: t.MeanWaitSeconds,
 		Utilization:          s.cpu.TakeUtilization(now),
-		MeanConcurrency:      s.concurrency.TakeAverage(now),
-		Active:               s.active,
-		QueueLen:             s.QueueLen(),
-		QueuePeak:            s.queuePeak,
-		PoolSize:             s.poolSize,
-		TimedOut:             s.timeouts.TakeDelta(),
-		Rejected:             s.rejections.TakeDelta(),
-		Shed:                 s.sheds.TakeDelta(),
+		MeanConcurrency:      t.MeanHeld,
+		Active:               t.InUse,
+		QueueLen:             t.Waiting,
+		QueuePeak:            t.Peak,
+		PoolSize:             t.Size,
+		TimedOut:             t.TimedOut + s.preempts.TakeDelta(),
+		Rejected:             t.Rejected,
+		Shed:                 t.Shed,
 	}
-	s.queuePeak = s.QueueLen()
-	return sample
 }
 
 // TotalCompletions returns the lifetime number of completed CPU bursts.
 func (s *Server) TotalCompletions() uint64 { return s.completions.Total() }
 
-// TotalTimeouts returns the lifetime number of deadline expiries observed
-// by this server (queued waiters, grant-time checks and preempted bursts).
-func (s *Server) TotalTimeouts() uint64 { return s.timeouts.Total() }
+// TotalTimeouts returns the lifetime number of deadline expiries (queued,
+// at grant, or mid-burst).
+func (s *Server) TotalTimeouts() uint64 { return s.threads.TotalTimeouts() + s.preempts.Total() }
 
 // TotalRejections returns the lifetime number of bounded-queue rejections.
-func (s *Server) TotalRejections() uint64 { return s.rejections.Total() }
+func (s *Server) TotalRejections() uint64 { return s.threads.TotalRejections() }
