@@ -9,6 +9,14 @@
 // paper's modified RUBBoS shares among all servlets "in order to
 // precisely control the number of concurrent requests flowing to the
 // downstream MySQL", resized at runtime by the APP-agent.
+//
+// An acquisition's record (a server Session, a Conn) is owned by the
+// caller from its grant until Release; the gate then resets it and keeps
+// it on a per-gate free list for a later acquisition, so a warm gate
+// allocates nothing. A holder must read what it needs of a record before
+// Release and never touch it after. Each recycle bumps the record's
+// generation (Waiter.Gen), so a long-lived holder can check that the
+// record it releases is still its own.
 package connpool
 
 import (
@@ -31,8 +39,12 @@ type Conn struct {
 	w Waiter[Conn, struct{}]
 }
 
-// Release returns the connection; releasing twice panics.
-func (c *Conn) Release() { c.w.Release() }
+// Release returns the connection; releasing twice panics. The pool then
+// recycles c, so the caller must not touch it again.
+func (c *Conn) Release() { c.w.Release(c) }
+
+// Gen returns the connection record's generation (see Waiter.Gen).
+func (c *Conn) Gen() uint64 { return c.w.Gen() }
 
 // connections is the Kind of every Pool. Grant waits share the server's
 // service-time buckets (0.1 ms to ~52 s) so per-tier reports line up.

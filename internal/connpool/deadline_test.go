@@ -62,8 +62,8 @@ func TestDeadlineWaiterNeverConsumesConnection(t *testing.T) {
 	if p.InUse() != 0 || p.Free() != 1 {
 		t.Fatalf("inUse = %d, free = %d after drain", p.InUse(), p.Free())
 	}
-	if p.TotalTimeouts() != 1 {
-		t.Fatalf("timeouts = %d, want 1", p.TotalTimeouts())
+	if got := p.TakeSample().TimedOut; got != 1 {
+		t.Fatalf("timeouts = %d, want 1", got)
 	}
 	check()
 }
@@ -166,8 +166,8 @@ func TestMaxWaitersRejects(t *testing.T) {
 	if grantedBehind != 2 {
 		t.Fatalf("granted = %d of 2 queued waiters", grantedBehind)
 	}
-	if p.TotalRejections() != 1 {
-		t.Fatalf("rejections = %d, want 1", p.TotalRejections())
+	if got := p.TakeSample().Rejected; got != 1 {
+		t.Fatalf("rejections = %d, want 1", got)
 	}
 	if err := p.CheckInvariant(); err != nil {
 		t.Fatal(err)

@@ -17,10 +17,13 @@ import (
 // are both Gates and differ only in data: their Kind, shedder and owner.
 //
 // E is the owner's acquisition record, which holds a Waiter[E, X] header,
-// so one allocation is both the queue entry and the held unit; X is the
-// record's own state (Waiter.Ext). Free() = Size - Held - Leaked may go
-// negative after a leak or a shrink, and the gate never admits while it
-// is <= 0. A Gate must only be used from the simulation goroutine.
+// so one record is both the queue entry and the held unit; X is the
+// record's own state (Waiter.Ext). Records are recycled through the
+// gate's free list: a caller owns the record from its grant until
+// Release, after which the gate may hand it to a later acquisition.
+// Free() = Size - Held - Leaked may go negative after a leak or a shrink,
+// and the gate never admits while it is <= 0. A Gate must only be used
+// from the simulation goroutine.
 type Gate[E, X any] struct {
 	eng   *sim.Engine
 	kind  *Kind[E, X]
@@ -28,9 +31,13 @@ type Gate[E, X any] struct {
 	owner any
 	codel *resilience.CoDel // nil: no shedding
 
-	l          Ledger
-	dead       bool
+	l    Ledger
+	dead bool
+	// queue[head:] are the waiters in FIFO order. admit pops by advancing
+	// head, so the array is kept and reused, not regrown.
 	queue      []*E
+	head       int
+	free       []*E // recycled records, reused last-in first-out
 	maxWaiters int
 	// grace is the backlog a SetMaxWaiters shrink grandfathered: legal
 	// until the queue drains under the cap (see queueCap).
@@ -56,8 +63,9 @@ type Kind[E, X any] struct {
 	DepthBounds, WaitBounds []float64
 	Header                  func(*E) *Waiter[E, X] // the record's header
 	// Timer returns the header's Expire method value, a queued waiter's
-	// deadline timer body. The owner binds it: a method value made in
-	// generic code also captures the dictionary (24 bytes, not 16).
+	// deadline timer body, bound once per record. The owner binds it: a
+	// method value made in generic code also captures the dictionary (24
+	// bytes, not 16).
 	Timer func(*E) func()
 }
 
@@ -73,7 +81,10 @@ type Ledger struct {
 // Waiter is the header of one acquisition record: the outcome callback
 // and the admission bookkeeping (deadline timer, enqueue time for CoDel,
 // criticality). A waiter that fails while queued keeps its slot, marked
-// failed, until popped or compacted, and is never handed out.
+// failed, until popped or compacted, and is never handed out. Every
+// record that leaves the gate is reset and goes to the free list; it
+// keeps only its gate, its bound timer body and its generation, which is
+// bumped, so a holder can tell its grant from a later one.
 type Waiter[E, X any] struct {
 	gate      *Gate[E, X]
 	fn        func(*E, metrics.Disposition) // nil once it fired
@@ -83,8 +94,10 @@ type Waiter[E, X any] struct {
 	timer     sim.Timer
 	failed    bool // failed while queued; the slot is dropped lazily
 	critical  bool
-	released  bool
-	Ext       X // the record's own state: a few flags fit the last word
+	released  bool // also set while the record is on the free list
+	Ext       X    // the record's own state: a few flags fit the last word
+	gen       uint64
+	expire    func() // Kind.Timer's method value, bound when the record is built
 }
 
 // NewGate returns a gate of size >= 1 named name. codel (nil for none)
@@ -111,7 +124,7 @@ func (g *Gate[E, X]) Size() int { return g.l.Size }
 func (g *Gate[E, X]) InUse() int { return g.l.Held }
 
 // Waiting returns the number of live queued acquisitions.
-func (g *Gate[E, X]) Waiting() int { return len(g.queue) - g.l.Dead }
+func (g *Gate[E, X]) Waiting() int { return len(g.queue) - g.head - g.l.Dead }
 
 // Leaked returns the number of units currently consumed by Leak.
 func (g *Gate[E, X]) Leaked() int { return g.l.Leaked }
@@ -153,8 +166,8 @@ func (g *Gate[E, X]) CheckInvariant() error {
 	if l.Size < 1 {
 		return fmt.Errorf("%s: pool size %d below 1", g.subject(), l.Size)
 	}
-	if l.Dead < 0 || l.Dead > len(g.queue) {
-		return fmt.Errorf("%s: dead-waiter accounting broken: queueDead %d outside [0, %d]", g.subject(), l.Dead, len(g.queue))
+	if slots := len(g.queue) - g.head; l.Dead < 0 || l.Dead > slots {
+		return fmt.Errorf("%s: dead-waiter accounting broken: queueDead %d outside [0, %d]", g.subject(), l.Dead, slots)
 	}
 	if l.Grants.Total() != l.Releases+uint64(l.Held) {
 		return fmt.Errorf("%s: grants %d != releases %d + held %d", g.subject(), l.Grants.Total(), l.Releases, l.Held)
@@ -178,17 +191,16 @@ func (g *Gate[E, X]) Kill() {
 		return
 	}
 	g.dead = true
-	waiters := g.queue
-	g.queue = nil
+	waiters := g.queue[g.head:]
+	g.queue, g.head = nil, 0
 	g.l.Dead = 0
 	for _, rec := range waiters {
 		w := g.kind.Header(rec)
-		if w.failed {
-			continue
+		if !w.failed {
+			w.timer.Cancel()
+			g.fail(w, metrics.DispositionError)
 		}
-		w.failed = true
-		w.timer.Cancel()
-		g.fail(w, metrics.DispositionError)
+		g.recycle(rec, w)
 	}
 }
 
@@ -231,10 +243,8 @@ func (g *Gate[E, X]) AcquireDeadlineCritical(req uint64, deadline sim.Time, crit
 	if g.depths != nil {
 		g.depths.Observe(float64(g.Waiting()))
 	}
-	rec := new(E)
-	w := g.kind.Header(rec)
-	w.gate, w.fn, w.req, w.enqueueAt, w.deadline, w.critical = g, fn, req, now, deadline, critical
 	if g.Free() > 0 && g.Waiting() == 0 {
+		rec, w := g.take(fn, req, now, deadline, critical)
 		g.tracer.Record(req, g.kind.Enter, g.tier, g.name, now)
 		g.grant(rec, w)
 		return
@@ -245,14 +255,54 @@ func (g *Gate[E, X]) AcquireDeadlineCritical(req uint64, deadline sim.Time, crit
 		fn(nil, metrics.DispositionRejected)
 		return
 	}
+	rec, w := g.take(fn, req, now, deadline, critical)
 	g.tracer.Record(req, g.kind.Enter, g.tier, g.name, now)
 	if deadline > 0 {
-		w.timer = g.eng.Schedule(deadline-now, g.kind.Timer(rec))
+		w.timer = g.eng.Schedule(deadline-now, w.expire)
 	}
-	g.queue = append(g.queue, rec)
+	g.enqueue(rec)
 	if g.Waiting() > g.peak {
 		g.peak = g.Waiting()
 	}
+}
+
+// take returns a record for a new acquisition, from the free list when
+// it has one. Only a record built here allocates, and it binds its timer
+// body once.
+func (g *Gate[E, X]) take(fn func(*E, metrics.Disposition), req uint64, now, deadline sim.Time, critical bool) (*E, *Waiter[E, X]) {
+	var rec *E
+	var w *Waiter[E, X]
+	if n := len(g.free) - 1; n >= 0 {
+		rec = g.free[n]
+		g.free = g.free[:n]
+		w = g.kind.Header(rec)
+	} else {
+		rec = new(E)
+		w = g.kind.Header(rec)
+		w.gate, w.expire = g, g.kind.Timer(rec)
+	}
+	w.fn, w.req, w.enqueueAt, w.deadline, w.critical, w.released = fn, req, now, deadline, critical, false
+	return rec, w
+}
+
+// recycle resets a record that left the gate and puts it on the free
+// list. It keeps the gate, the bound timer body and the generation,
+// bumped, and stays released, so a second Release still panics.
+func (g *Gate[E, X]) recycle(rec *E, w *Waiter[E, X]) {
+	*w = Waiter[E, X]{gate: g, released: true, gen: w.gen + 1, expire: w.expire}
+	g.free = append(g.free, rec)
+}
+
+// enqueue appends rec to the queue. When the array is full and the popped
+// prefix is at least half of it, the live waiters slide to the front
+// instead of the array growing.
+func (g *Gate[E, X]) enqueue(rec *E) {
+	if g.head > 0 && len(g.queue) == cap(g.queue) && 2*g.head >= len(g.queue) {
+		n := copy(g.queue, g.queue[g.head:])
+		clear(g.queue[n:])
+		g.queue, g.head = g.queue[:n], 0
+	}
+	g.queue = append(g.queue, rec)
 }
 
 // grant hands one unit to a waiter, accounting the wait.
@@ -309,33 +359,39 @@ func (w *Waiter[E, X]) Expire() {
 }
 
 // maybeCompact drops dead waiter slots once they dominate the queue,
-// keeping Waiting O(1) without paying O(n) per timeout.
+// keeping Waiting O(1) without paying O(n) per timeout, and recycles
+// their records.
 func (g *Gate[E, X]) maybeCompact() {
-	if g.l.Dead < 64 || g.l.Dead*2 < len(g.queue) {
+	if g.l.Dead < 64 || g.l.Dead*2 < len(g.queue)-g.head {
 		return
 	}
 	live := g.queue[:0]
-	for _, rec := range g.queue {
-		if !g.kind.Header(rec).failed {
+	for _, rec := range g.queue[g.head:] {
+		if w := g.kind.Header(rec); w.failed {
+			g.recycle(rec, w)
+		} else {
 			live = append(live, rec)
 		}
 	}
 	clear(g.queue[len(live):])
-	g.queue = live
+	g.queue, g.head = live, 0
 	g.l.Dead = 0
 }
 
 // admit grants queued acquisitions while units are free, dropping the
 // dead slots it meets and applying the grant-time deadline check and
-// CoDel shedding.
+// CoDel shedding. Every record it pops without a grant is recycled.
 func (g *Gate[E, X]) admit() {
-	for g.Free() > 0 && len(g.queue) > 0 {
-		rec := g.queue[0]
-		g.queue[0] = nil
-		g.queue = g.queue[1:]
+	for g.Free() > 0 && g.head < len(g.queue) {
+		rec := g.queue[g.head]
+		g.queue[g.head] = nil
+		if g.head++; g.head == len(g.queue) {
+			g.queue, g.head = g.queue[:0], 0
+		}
 		w := g.kind.Header(rec)
 		if w.failed {
 			g.l.Dead--
+			g.recycle(rec, w)
 			continue
 		}
 		w.timer.Cancel()
@@ -347,21 +403,24 @@ func (g *Gate[E, X]) admit() {
 			g.timeouts.Inc(1)
 			g.tracer.Record(w.req, trace.EventTimeout, g.tier, g.name, now)
 			g.fail(w, metrics.DispositionTimeout)
+			g.recycle(rec, w)
 			continue
 		}
 		if !w.critical && g.codel.Enabled() && g.codel.OnDequeue(now, w.enqueueAt) {
 			g.sheds.Inc(1)
 			g.tracer.Record(w.req, trace.EventShed, g.tier, g.name, now)
 			g.fail(w, metrics.DispositionShed)
+			g.recycle(rec, w)
 			continue
 		}
 		g.grant(rec, w)
 	}
 }
 
-// Release returns the held unit and admits the next waiter. Releasing
-// twice panics: the gate would admit more than its size.
-func (w *Waiter[E, X]) Release() {
+// Release returns the unit rec holds, admits the next waiter and
+// recycles rec; w must be rec's header. Releasing twice panics: the gate
+// would admit more than its size.
+func (w *Waiter[E, X]) Release(rec *E) {
 	g := w.gate
 	if w.released {
 		panic(g.kind.Noun + ": released twice")
@@ -375,6 +434,7 @@ func (w *Waiter[E, X]) Release() {
 	}
 	g.occupancy.Set(g.eng.Now(), float64(g.l.Held+g.l.Leaked))
 	g.admit()
+	g.recycle(rec, w)
 }
 
 // Released reports whether Release was called.
@@ -382,6 +442,11 @@ func (w *Waiter[E, X]) Released() bool { return w.released }
 
 // Req returns the acquisition's tracing request ID.
 func (w *Waiter[E, X]) Req() uint64 { return w.req }
+
+// Gen returns the record's generation, bumped each time it is recycled:
+// a holder that kept the generation of its grant can tell a record handed
+// on since from its own.
+func (w *Waiter[E, X]) Gen() uint64 { return w.gen }
 
 // Deadline returns the acquisition's deadline (zero = none).
 func (w *Waiter[E, X]) Deadline() sim.Time { return w.deadline }
@@ -471,9 +536,3 @@ func (g *Gate[E, X]) TakeSample() Sample {
 	g.peak = g.Waiting()
 	return s
 }
-
-// TotalTimeouts returns the lifetime number of deadline expiries.
-func (g *Gate[E, X]) TotalTimeouts() uint64 { return g.timeouts.Total() }
-
-// TotalRejections returns the lifetime number of waiter-cap rejections.
-func (g *Gate[E, X]) TotalRejections() uint64 { return g.rejections.Total() }

@@ -66,3 +66,76 @@ func BenchmarkGraphWalk(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkGraphWalkSteady is BenchmarkGraphWalk at a bounded in-flight
+// count: 16 requests run through the diamond at a time, and each
+// completion injects the next, so after warm-up every request record, hop
+// frame, session and connection comes from a free list. BenchmarkGraphWalk
+// injects its whole batch at once and so measures cold free lists; this
+// rung measures the steady state. Reported ns/op is per completed request.
+func BenchmarkGraphWalkSteady(b *testing.B) {
+	const inFlight = 16
+	eng := sim.NewEngine()
+	app, err := New(eng, rng.New(1).Split("app"), Config{Spec: benchDiamondSpec()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	done, goal, issued := 0, 0, 0
+	var cb func(time.Duration, bool)
+	cb = func(time.Duration, bool) {
+		done++
+		if issued < goal {
+			issued++
+			app.Inject(cb)
+		}
+	}
+	horizon := time.Duration(0)
+	run := func(n int) {
+		goal += n
+		for i := 0; i < inFlight && issued < goal; i++ {
+			issued++
+			app.Inject(cb)
+		}
+		for done < goal {
+			horizon += time.Second
+			if err := eng.Run(horizon); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	run(1000) // warm the free lists and the engine's arena
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(b.N)
+}
+
+// BenchmarkGraphHop measures a single hop: one request through a one-node
+// graph (thread grant, burst, release), run to completion before the next.
+func BenchmarkGraphHop(b *testing.B) {
+	eng := sim.NewEngine()
+	app, err := New(eng, rng.New(1).Split("app"), Config{Spec: Spec{
+		Name:  "hop",
+		Entry: "node",
+		Nodes: []NodeSpec{{Name: "node", Model: model.Params{S0: 1e-4, Gamma: 1}, Threads: 1}},
+	}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	done := 0
+	cb := func(time.Duration, bool) { done++ }
+	hop := func() {
+		app.Inject(cb)
+		if err := eng.Run(eng.Now() + time.Second); err != nil {
+			b.Fatal(err)
+		}
+	}
+	hop() // warm the free lists
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hop()
+	}
+	if done != b.N+1 {
+		b.Fatalf("completed %d of %d hops", done, b.N+1)
+	}
+}

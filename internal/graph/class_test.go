@@ -93,7 +93,7 @@ func TestClassZeroVisitsSkipsNode(t *testing.T) {
 	if app.TotalCompletions() != 1 {
 		t.Fatal("request did not complete")
 	}
-	if got := app.Members("b")[0].Server().TotalCompletions(); got != 0 {
+	if got := app.Members("b")[0].Server().TakeSample().Completions; got != 0 {
 		t.Fatalf("b bursts = %d", got)
 	}
 	if got := app.NodeVisits()["b"].Started; got != 0 {

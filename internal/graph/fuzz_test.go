@@ -28,8 +28,15 @@ func (c *fuzzCursor) next() byte {
 	return b
 }
 
+// fuzzKill crashes the first member of node index node at time at; node
+// 0 (the entry) means no crash.
+type fuzzKill struct {
+	node int
+	at   time.Duration
+}
+
 // decodeTopology turns a byte stream into a valid-by-construction DAG
-// spec plus a resilience config and an injection count. Nodes are
+// spec plus a resilience config, an injection count and a crash. Nodes are
 // generated in topological order and node i > 0 always receives an
 // in-edge from an earlier node, so acyclicity and reachability hold by
 // construction; Validate acceptance is asserted by the fuzzer, not
@@ -39,8 +46,12 @@ func (c *fuzzCursor) next() byte {
 //	then per node: threads, model, kind, cacheParam,
 //	then per node i >= 1: parent, edgeKind, visits, poolSize,
 //	then: extraEdges, then per extra edge: src, dst, kind, visits, pool,
-//	then: injectCount.
-func decodeTopology(data []byte) (Spec, resilience.Config, int) {
+//	then: injectCount, then: kill.
+//
+// A non-zero kill byte crashes one member of a non-entry node at a time
+// within the first 32 ms; zero, or an input that ends before it, crashes
+// nothing.
+func decodeTopology(data []byte) (Spec, resilience.Config, int, fuzzKill) {
 	c := &fuzzCursor{data: data}
 	n := 2 + int(c.next()%5)
 	var res resilience.Config
@@ -120,7 +131,11 @@ func decodeTopology(data []byte) (Spec, resilience.Config, int) {
 		addEdge(e)
 	}
 	inject := 1 + int(c.next()%15)
-	return spec, res, inject
+	var kill fuzzKill
+	if b := c.next(); b != 0 {
+		kill = fuzzKill{node: 1 + int(b)%(n-1), at: time.Duration(b>>3) * time.Millisecond}
+	}
+	return spec, res, inject, kill
 }
 
 func nodeName(i int) string { return string(rune('n')) + string(rune('0'+i)) }
@@ -128,7 +143,8 @@ func nodeName(i int) string { return string(rune('n')) + string(rune('0'+i)) }
 // FuzzTopology generates bounded random DAG topologies from the fuzz
 // input, runs a short scenario against each, and fails on any validation
 // surprise, JSON round-trip drift or invariant violation. The seeds cover
-// the four structural shapes: chain, diamond, cache tier, async edge.
+// the four structural shapes (chain, diamond, cache tier, async edge) and
+// that diamond with its pooled leaf crashing mid-run.
 func FuzzTopology(f *testing.F) {
 	// chain: 3 serial nodes, the last pooled.
 	f.Add([]byte{1, 0, 4, 10, 1, 0, 4, 10, 1, 0, 4, 10, 1, 0, 0, 0, 1, 1, 1, 0, 1, 2, 0, 9})
@@ -139,9 +155,13 @@ func FuzzTopology(f *testing.F) {
 	f.Add([]byte{1, 0, 4, 10, 1, 0, 4, 10, 0, 128, 4, 10, 1, 0, 0, 0, 2, 1, 1, 0, 2, 0, 0, 5})
 	// async: a fire-and-forget edge off the entry.
 	f.Add([]byte{0, 0, 4, 10, 1, 0, 2, 10, 1, 0, 0, 2, 2, 0, 0, 3})
+	// the diamond with a crash: 15 requests, then n3, behind a pooled
+	// parallel edge, dies at 5 ms with 13 of them in flight.
+	f.Add([]byte{2, 1, 4, 20, 1, 0, 3, 9, 1, 0, 3, 9, 1, 0, 2, 30, 1, 0,
+		0, 0, 1, 1, 0, 1, 2, 0, 1, 1, 1, 2, 1, 3, 0, 0, 1, 0, 14, 41})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		spec, res, inject := decodeTopology(data)
+		spec, res, inject, kill := decodeTopology(data)
 		if err := spec.Validate(); err != nil {
 			t.Fatalf("generated spec failed validation: %v\nspec: %+v", err, spec)
 		}
@@ -164,6 +184,14 @@ func FuzzTopology(f *testing.F) {
 		invariant.AttachEngine(chk, eng)
 		for i := 0; i < inject; i++ {
 			app.Inject(func(time.Duration, bool) {})
+		}
+		if kill.node > 0 {
+			victim := nodeName(kill.node)
+			eng.Schedule(kill.at, func() {
+				if err := app.FailMember(victim, app.Members(victim)[0].Name()); err != nil {
+					t.Error(err)
+				}
+			})
 		}
 		if err := eng.Run(5 * time.Second); err != nil {
 			t.Fatal(err)

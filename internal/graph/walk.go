@@ -79,10 +79,15 @@ type hop struct {
 	n      *node // the node visited
 	e      *edge // the edge the call came over; nil for entry and async visits
 	m      *Member
-	sess   *server.Session
-	conn   *connpool.Conn
-	start  sim.Time // opens the residence window (before any pool wait)
-	wait   hopWait
+	// The thread and upstream connection the visit holds, with the
+	// generations of their grants: the gates recycle both records on
+	// Release, so a release behind a stale generation is caught.
+	sess    *server.Session
+	sessGen uint64
+	conn    *connpool.Conn
+	connGen uint64
+	start   sim.Time // opens the residence window (before any pool wait)
+	wait    hopWait
 
 	// The out-edge walk: the current edge, calls finished on a serial
 	// edge, branches still running on a parallel one and the lowest
@@ -412,7 +417,7 @@ func (f *hop) acquired(sess *server.Session, disp metrics.Disposition) {
 		f.end(disp)
 		return
 	}
-	f.sess = sess
+	f.sess, f.sessGen = sess, sess.Gen()
 	f.wait = waitBurst
 	sess.ExecDemand(f.r.prof.demand[f.n.idx], f.burstFn)
 }
@@ -535,9 +540,9 @@ func (f *hop) childDone(gen uint64, index int, disp metrics.Disposition) {
 // crashed under the visit turns an OK into an error.
 func (f *hop) descended(disp metrics.Disposition) {
 	f.wait = waitNone
-	sess := f.sess
+	killed := f.sess.Killed()
 	f.release()
-	if disp == metrics.DispositionOK && sess.Killed() {
+	if disp == metrics.DispositionOK && killed {
 		disp = metrics.DispositionError
 	}
 	f.close(disp)
@@ -566,23 +571,33 @@ func (f *hop) granted(conn *connpool.Conn, disp metrics.Disposition) {
 		f.report(disp)
 		return
 	}
-	f.conn = conn
+	f.conn, f.connGen = conn, conn.Gen()
 	f.visit()
 }
 
 // release gives back the visit's thread and upstream connection and
-// closes its residence window.
+// closes its residence window. The records are recycled, so the frame
+// reads what it needs of them first.
 func (f *hop) release() {
-	f.sess.Release()
+	if f.sess.Gen() != f.sessGen {
+		f.a.misfire("thread release behind a recycled session (generation %d, handle %d)", f.sess.Gen(), f.sessGen)
+	} else {
+		f.sess.Release()
+	}
 	f.releaseConn()
 	f.n.res.Observe((f.a.eng.Now() - f.start).Seconds())
 }
 
 func (f *hop) releaseConn() {
-	if f.conn != nil {
-		f.conn.Release()
-		f.conn = nil
+	if f.conn == nil {
+		return
 	}
+	if f.conn.Gen() != f.connGen {
+		f.a.misfire("connection release behind a recycled connection (generation %d, handle %d)", f.conn.Gen(), f.connGen)
+	} else {
+		f.conn.Release()
+	}
+	f.conn = nil
 }
 
 // close feeds the verdict to the member's breaker and ends the visit.

@@ -4,10 +4,12 @@ import (
 	"testing"
 	"time"
 
+	"dcm/internal/connpool"
 	"dcm/internal/invariant"
 	"dcm/internal/metrics"
 	"dcm/internal/resilience"
 	"dcm/internal/rng"
+	"dcm/internal/server"
 	"dcm/internal/sim"
 )
 
@@ -325,6 +327,59 @@ func TestMisfiredCallbacksAreViolations(t *testing.T) {
 		}
 	}()
 	f.burstDone()
+}
+
+// TestStaleReleaseIsViolation pins the resource-record ownership rule:
+// the gates recycle a session or connection on Release, so a frame whose
+// handle outlived its grant would release the record's next holder. The
+// frame compares the generation it kept at the grant, reports a mismatch
+// as a conservation violation and drops the release; without a checker
+// it panics.
+func TestStaleReleaseIsViolation(t *testing.T) {
+	t.Parallel()
+	_, app, chk := newTestApp(t, benchDiamondSpec(), resilience.Config{})
+	m := app.Members("svcA")[0]
+	srv, pool := m.Server(), m.Pool()
+	var sess *server.Session
+	var conn *connpool.Conn
+	srv.Acquire(func(s *server.Session) { sess = s })
+	pool.Acquire(func(c *connpool.Conn) { conn = c })
+	oldSess, oldConn := sess, conn
+	sessGen, connGen := sess.Gen(), conn.Gen()
+	sess.Release()
+	conn.Release()
+	// The next grants reuse the records under new generations.
+	srv.Acquire(func(s *server.Session) { sess = s })
+	pool.Acquire(func(c *connpool.Conn) { conn = c })
+	if sess != oldSess || conn != oldConn || sess.Gen() == sessGen || conn.Gen() == connGen {
+		t.Fatal("released records were not recycled under a new generation")
+	}
+	stale := func() *hop {
+		f := app.newHop(app.newRequest(), nil, 0, m.node, nil)
+		f.sess, f.sessGen, f.conn, f.connGen = sess, sessGen, conn, connGen
+		return f
+	}
+	stale().release()
+	vs := chk.Violations()
+	if len(vs) != 2 {
+		t.Fatalf("%d violation(s) for two stale releases:\n%s", len(vs), invariant.Render(vs))
+	}
+	for _, v := range vs {
+		if v.Rule != invariant.RuleConservation {
+			t.Errorf("stale release reported as %s, want %s", v.Rule, invariant.RuleConservation)
+		}
+	}
+	if srv.Active() != 1 || pool.InUse() != 1 {
+		t.Fatalf("stale releases freed the next holders' units: active %d, connections %d", srv.Active(), pool.InUse())
+	}
+
+	app.SetInvariantChecker(nil)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("stale release without a checker did not panic")
+		}
+	}()
+	stale().release()
 }
 
 // TestCrashDuringPreemptedBurst pins which verdict wins when a member

@@ -136,7 +136,7 @@ func TestQueriesHitDBTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := app.Members(TierDB)[0].Server()
-	if got := db.TotalCompletions(); got != 12 {
+	if got := db.TakeSample().Completions; got != 12 {
 		t.Fatalf("db bursts = %d, want 4 requests x 3 queries", got)
 	}
 }
@@ -153,7 +153,7 @@ func TestZeroQueriesSkipsDB(t *testing.T) {
 	if app.TotalCompletions() != 1 {
 		t.Fatal("request did not complete")
 	}
-	if got := app.Members(TierDB)[0].Server().TotalCompletions(); got != 0 {
+	if got := app.Members(TierDB)[0].Server().TakeSample().Completions; got != 0 {
 		t.Fatalf("db bursts = %d, want 0", got)
 	}
 }
@@ -199,7 +199,7 @@ func TestAddServerSpreadsLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := app.Members(TierApp)
-	a, b := m[0].Server().TotalCompletions(), m[1].Server().TotalCompletions()
+	a, b := m[0].Server().TakeSample().Completions, m[1].Server().TakeSample().Completions
 	if a != 10 || b != 10 {
 		t.Fatalf("round robin split = %d/%d, want 10/10", a, b)
 	}

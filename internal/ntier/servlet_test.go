@@ -112,7 +112,7 @@ func TestServletQueriesRouteToDB(t *testing.T) {
 	if err := eng.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if got := app.Members(TierDB)[0].Server().TotalCompletions(); got != 30 {
+	if got := app.Members(TierDB)[0].Server().TakeSample().Completions; got != 30 {
 		t.Fatalf("db bursts = %d, want 10 requests x 3 queries", got)
 	}
 }

@@ -13,61 +13,69 @@ import (
 )
 
 // gateHarness drives one soft resource through its connpool.Gate: a
-// server's thread pool or a connection pool. acquire's callback gets the
-// unit's release func, or nil with the refusal's disposition.
+// server's thread pool or a connection pool. Records (a *Session or a
+// *connpool.Conn) are passed as any; acquire's rec is nil on a refusal.
 type gateHarness struct {
-	acquire func(req uint64, deadline sim.Time, fn func(release func(), d metrics.Disposition))
+	acquire func(req uint64, deadline sim.Time, critical bool, fn func(rec any, d metrics.Disposition))
+	release func(rec any)
+	kill    func()
 	waiting func() int
 	ledger  *connpool.Ledger
 	check   func() error
 }
 
-// gateKinds builds each resource with size units, a waiter cap of
-// maxWaiters (0 = unbounded) and tr attached; enter is the event the
+// gateKinds builds each resource from cfg, with tr attached: PoolSize
+// units and a waiter cap of MaxQueue (0 = unbounded); the CoDel fields
+// apply to the server only, a pool has no shedder. enter is the event the
 // resource records when an acquisition is granted at once or queued.
 var gateKinds = []struct {
 	name  string
 	enter trace.EventKind
-	build func(t *testing.T, eng *sim.Engine, size, maxWaiters int, tr *trace.RequestTracer) gateHarness
+	build func(t *testing.T, eng *sim.Engine, cfg Config, tr *trace.RequestTracer) gateHarness
 }{
-	{"server", trace.EventQueueEnter, func(t *testing.T, eng *sim.Engine, size, maxWaiters int, tr *trace.RequestTracer) gateHarness {
-		srv, err := New(eng, rng.New(1).Split("srv"), Config{Name: "s1", Model: linearParams, PoolSize: size, MaxQueue: maxWaiters})
+	{"server", trace.EventQueueEnter, func(t *testing.T, eng *sim.Engine, cfg Config, tr *trace.RequestTracer) gateHarness {
+		cfg.Name, cfg.Model = "s1", linearParams
+		srv, err := New(eng, rng.New(1).Split("srv"), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		srv.SetTracer(tr, "app")
 		return gateHarness{
-			acquire: func(req uint64, deadline sim.Time, fn func(func(), metrics.Disposition)) {
-				srv.AcquireDeadlineCritical(req, deadline, false, func(sess *Session, d metrics.Disposition) {
+			acquire: func(req uint64, deadline sim.Time, critical bool, fn func(any, metrics.Disposition)) {
+				srv.AcquireDeadlineCritical(req, deadline, critical, func(sess *Session, d metrics.Disposition) {
 					if sess == nil {
 						fn(nil, d)
 						return
 					}
-					fn(sess.Release, d)
+					fn(sess, d)
 				})
 			},
+			release: func(rec any) { rec.(*Session).Release() },
+			kill:    srv.Kill,
 			waiting: srv.QueueLen,
 			ledger:  srv.threads.Ledger(),
 			check:   srv.CheckInvariant,
 		}
 	}},
-	{"pool", trace.EventPoolWait, func(t *testing.T, eng *sim.Engine, size, maxWaiters int, tr *trace.RequestTracer) gateHarness {
-		p, err := connpool.New(eng, "p1", size)
+	{"pool", trace.EventPoolWait, func(t *testing.T, eng *sim.Engine, cfg Config, tr *trace.RequestTracer) gateHarness {
+		p, err := connpool.New(eng, "p1", cfg.PoolSize)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.SetMaxWaiters(maxWaiters)
+		p.SetMaxWaiters(cfg.MaxQueue)
 		p.SetTracer(tr, "app")
 		return gateHarness{
-			acquire: func(req uint64, deadline sim.Time, fn func(func(), metrics.Disposition)) {
-				p.AcquireDeadline(req, deadline, func(c *connpool.Conn, d metrics.Disposition) {
+			acquire: func(req uint64, deadline sim.Time, critical bool, fn func(any, metrics.Disposition)) {
+				p.AcquireDeadlineCritical(req, deadline, critical, func(c *connpool.Conn, d metrics.Disposition) {
 					if c == nil {
 						fn(nil, d)
 						return
 					}
-					fn(c.Release, d)
+					fn(c, d)
 				})
 			},
+			release: func(rec any) { rec.(*connpool.Conn).Release() },
+			kill:    p.Kill,
 			waiting: p.Waiting,
 			ledger:  p.Ledger(),
 			check:   p.CheckInvariant,
@@ -99,11 +107,11 @@ func TestGateRejectionRecordsNoOpeningEvent(t *testing.T) {
 			t.Parallel()
 			eng := sim.NewEngine()
 			tr := trace.NewRequestTracer(0)
-			g := k.build(t, eng, 1, 1, tr)
+			g := k.build(t, eng, Config{PoolSize: 1, MaxQueue: 1}, tr)
 			var refused []metrics.Disposition
 			for req := uint64(1); req <= 3; req++ { // granted, queued, rejected
-				g.acquire(req, 0, func(release func(), d metrics.Disposition) {
-					if release == nil {
+				g.acquire(req, 0, false, func(rec any, d metrics.Disposition) {
+					if rec == nil {
 						refused = append(refused, d)
 					}
 				})
@@ -137,9 +145,9 @@ func TestGateCompactsDeadWaiters(t *testing.T) {
 		t.Run(k.name, func(t *testing.T) {
 			t.Parallel()
 			eng := sim.NewEngine()
-			g := k.build(t, eng, 1, 0, nil)
-			var hold func()
-			g.acquire(1000, 0, func(release func(), _ metrics.Disposition) { hold = release })
+			g := k.build(t, eng, Config{PoolSize: 1}, nil)
+			var hold any
+			g.acquire(1000, 0, false, func(rec any, _ metrics.Disposition) { hold = rec })
 			if hold == nil {
 				t.Fatal("first acquisition not granted")
 			}
@@ -151,8 +159,8 @@ func TestGateCompactsDeadWaiters(t *testing.T) {
 					deadline = 0
 					live = append(live, i)
 				}
-				g.acquire(i, deadline, func(release func(), d metrics.Disposition) {
-					if release == nil {
+				g.acquire(i, deadline, false, func(rec any, d metrics.Disposition) {
+					if rec == nil {
 						if d != metrics.DispositionTimeout {
 							t.Errorf("waiter %d refused with %v", i, d)
 						}
@@ -160,7 +168,7 @@ func TestGateCompactsDeadWaiters(t *testing.T) {
 						return
 					}
 					granted = append(granted, i)
-					release()
+					g.release(rec)
 				})
 			}
 			if g.waiting() != 150 {
@@ -178,7 +186,7 @@ func TestGateCompactsDeadWaiters(t *testing.T) {
 			if err := g.check(); err != nil {
 				t.Fatalf("after expiries: %v", err)
 			}
-			hold()
+			g.release(hold)
 			if !slices.Equal(granted, live) {
 				t.Fatalf("survivors granted in order %v, want %v", granted, live)
 			}

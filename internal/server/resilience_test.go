@@ -66,8 +66,8 @@ func TestQueuedDeadlineTimesOutWithoutThread(t *testing.T) {
 	if !granted {
 		t.Fatal("live waiter behind the expired one never granted")
 	}
-	if srv.Active() != 0 || srv.TotalTimeouts() != 1 {
-		t.Fatalf("active = %d, timeouts = %d", srv.Active(), srv.TotalTimeouts())
+	if timeouts := srv.TakeSample().TimedOut; srv.Active() != 0 || timeouts != 1 {
+		t.Fatalf("active = %d, timeouts = %d", srv.Active(), timeouts)
 	}
 }
 
@@ -107,8 +107,8 @@ func TestBoundedQueueRejects(t *testing.T) {
 	if err := eng.Run(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if served != 2 || srv.TotalRejections() != 1 {
-		t.Fatalf("served = %d, rejections = %d", served, srv.TotalRejections())
+	if rejections := srv.TakeSample().Rejected; served != 2 || rejections != 1 {
+		t.Fatalf("served = %d, rejections = %d", served, rejections)
 	}
 }
 
@@ -187,11 +187,12 @@ func TestBurstPreemptedAtDeadline(t *testing.T) {
 	if done != 5*time.Millisecond {
 		t.Fatalf("burst ended at %v, want the 5ms deadline", done)
 	}
-	if srv.TotalCompletions() != 0 {
+	s := srv.TakeSample()
+	if s.Completions != 0 {
 		t.Fatalf("preempted burst counted as completion")
 	}
-	if srv.TotalTimeouts() != 1 {
-		t.Fatalf("timeouts = %d, want 1", srv.TotalTimeouts())
+	if s.TimedOut != 1 {
+		t.Fatalf("timeouts = %d, want 1", s.TimedOut)
 	}
 	if srv.Active() != 0 {
 		t.Fatalf("active = %d after release", srv.Active())

@@ -8,9 +8,11 @@
 // connections, and the pool resizes at runtime without disturbing
 // in-flight requests (the APP-agent's actuation primitive, §IV-B). A
 // request holds its thread until released, including while it waits on
-// downstream tiers (as Apache and Tomcat threads do). CPU bursts executed
-// on a held thread follow the multi-threading service-time law of
-// Equation 5,
+// downstream tiers (as Apache and Tomcat threads do). The gate recycles a
+// released Session for a later acquisition, so a caller reads Killed and
+// TimedOut before Release and never touches the session after. CPU bursts
+// executed on a held thread follow the multi-threading service-time law
+// of Equation 5,
 //
 //	S*(N) = S0 + α(N−1) + βN(N−1)
 //
@@ -292,6 +294,9 @@ type burst struct {
 // deadline; the caller must fail the request.
 func (sess *Session) TimedOut() bool { return sess.w.Ext.timedOut }
 
+// Gen returns the session record's generation (see connpool.Waiter.Gen).
+func (sess *Session) Gen() uint64 { return sess.w.Gen() }
+
 // Name returns the server name.
 func (s *Server) Name() string { return s.name }
 
@@ -500,13 +505,14 @@ func (s *Server) SetConfiguredConcurrency(n int) {
 	s.configured = n
 }
 
-// Release returns the session's thread and admits the next waiter.
-// Releasing twice, or while executing, panics.
+// Release returns the session's thread and admits the next waiter. The
+// gate then recycles the session for a later acquisition, so the caller
+// must not touch it again. Releasing twice, or while executing, panics.
 func (sess *Session) Release() {
 	if sess.w.Ext.executing {
 		panic("server: Release while executing")
 	}
-	sess.w.Release()
+	sess.w.Release(sess)
 }
 
 // Sample is one monitoring interval's worth of server metrics — what the
@@ -554,13 +560,3 @@ func (s *Server) TakeSample() Sample {
 		Shed:                 t.Shed,
 	}
 }
-
-// TotalCompletions returns the lifetime number of completed CPU bursts.
-func (s *Server) TotalCompletions() uint64 { return s.completions.Total() }
-
-// TotalTimeouts returns the lifetime number of deadline expiries (queued,
-// at grant, or mid-burst).
-func (s *Server) TotalTimeouts() uint64 { return s.threads.TotalTimeouts() + s.preempts.Total() }
-
-// TotalRejections returns the lifetime number of bounded-queue rejections.
-func (s *Server) TotalRejections() uint64 { return s.threads.TotalRejections() }

@@ -146,8 +146,8 @@ func TestPoolLimitEnforced(t *testing.T) {
 	if peak > 3 {
 		t.Fatalf("active exceeded pool: %d", peak)
 	}
-	if srv.TotalCompletions() != 10 {
-		t.Fatalf("completions = %d", srv.TotalCompletions())
+	if srv.TakeSample().Completions != 10 {
+		t.Fatalf("completions = %d", srv.TakeSample().Completions)
 	}
 }
 
@@ -415,7 +415,7 @@ func TestThroughputCurveMatchesModel(t *testing.T) {
 		if err := eng.Run(horizon); err != nil {
 			t.Fatal(err)
 		}
-		got := float64(srv.TotalCompletions()) / horizon.Seconds()
+		got := float64(srv.TakeSample().Completions) / horizon.Seconds()
 		want := params.Throughput(float64(n), 1)
 		if math.Abs(got-want)/want > 0.02 {
 			t.Errorf("N=%d: throughput %.1f, model predicts %.1f", n, got, want)
@@ -448,7 +448,7 @@ func TestThroughputPeaksNearOptimum(t *testing.T) {
 		if err := eng.Run(10 * time.Second); err != nil {
 			t.Fatal(err)
 		}
-		return float64(srv.TotalCompletions())
+		return float64(srv.TakeSample().Completions)
 	}
 	x36 := measure(36)
 	if x5, x600 := measure(5), measure(600); x36 <= x5 || x36 <= x600 {
@@ -477,7 +477,7 @@ func TestNoiseIsMeanPreserving(t *testing.T) {
 	}
 	// Mean burst 10ms → ~10000 completions in 100s; lognormal noise with
 	// mean 1 should keep the rate within a few percent.
-	got := float64(srv.TotalCompletions())
+	got := float64(srv.TakeSample().Completions)
 	if math.Abs(got-10000)/10000 > 0.05 {
 		t.Fatalf("noisy throughput = %v, want ~10000", got)
 	}
@@ -788,7 +788,7 @@ func TestExponentialDistributionPreservesMean(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Mean 10ms bursts: ~20000 completions over 200s within a few percent.
-	got := float64(srv.TotalCompletions())
+	got := float64(srv.TakeSample().Completions)
 	if math.Abs(got-20000)/20000 > 0.05 {
 		t.Fatalf("exponential service mean drifted: %v completions", got)
 	}
