@@ -151,21 +151,29 @@ func (b *Bus) Fetch(topic string, offset int64, limit int) ([]Message, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTopic, topic)
 	}
+	live := t.from(offset)
+	if len(live) == 0 {
+		return nil, nil
+	}
+	if limit > 0 && limit < len(live) {
+		live = live[:limit]
+	}
+	out := make([]Message, len(live))
+	copy(out, live)
+	return out, nil
+}
+
+// from returns the retained messages at and after offset, advancing an
+// offset below the retention horizon as Fetch documents.
+func (t *topicLog) from(offset int64) []Message {
 	if offset < t.dropped {
 		offset = t.dropped
 	}
 	live := t.retained()
-	start := int(offset - t.dropped)
-	if start >= len(live) {
-		return nil, nil
+	if start := offset - t.dropped; start < int64(len(live)) {
+		return live[start:]
 	}
-	end := len(live)
-	if limit > 0 && start+limit < end {
-		end = start + limit
-	}
-	out := make([]Message, end-start)
-	copy(out, live[start:end])
-	return out, nil
+	return nil
 }
 
 // Close shuts the bus down; subsequent operations return ErrClosed.
@@ -208,6 +216,29 @@ func (c *Consumer) Poll(limit int) ([]Message, error) {
 		c.offset = msgs[len(msgs)-1].Offset + 1
 	}
 	return msgs, nil
+}
+
+// Next returns the next message and advances the consumer offset past
+// it, as Poll(1) does but without building a slice. ok is false when no
+// new message is buffered, including on an as-yet-unknown topic.
+func (c *Consumer) Next() (msg Message, ok bool, err error) {
+	b := c.bus
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return Message{}, false, ErrClosed
+	}
+	t, known := b.topics[c.topic]
+	if !known {
+		return Message{}, false, nil
+	}
+	live := t.from(c.offset)
+	if len(live) == 0 {
+		return Message{}, false, nil
+	}
+	msg = live[0]
+	c.offset = msg.Offset + 1
+	return msg, true, nil
 }
 
 // Offset returns the consumer's next-read position.

@@ -342,3 +342,83 @@ func TestOffsetsContiguousProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestConsumerNextMatchesPoll drives two consumers over one topic with a
+// retention limit, one by Next and one by Poll(1), interleaving publishes
+// that push both past the retention horizon: every read must return the
+// same message and leave both at the same offset, and Next must allocate
+// nothing.
+func TestConsumerNextMatchesPoll(t *testing.T) {
+	t.Parallel()
+	b := New()
+	if err := b.CreateTopic("m", 3); err != nil {
+		t.Fatal(err)
+	}
+	next, poll := b.NewConsumer("m", 0), b.NewConsumer("m", 0)
+	skipped := false // some read fell behind the horizon
+	check := func(step string) {
+		t.Helper()
+		from := next.Offset()
+		got, ok, err := next.Next()
+		if err != nil {
+			t.Fatalf("%s: Next: %v", step, err)
+		}
+		msgs, err := poll.Poll(1)
+		if err != nil {
+			t.Fatalf("%s: Poll: %v", step, err)
+		}
+		if ok != (len(msgs) == 1) {
+			t.Fatalf("%s: Next ok=%v, Poll returned %d messages", step, ok, len(msgs))
+		}
+		if ok && got != msgs[0] {
+			t.Fatalf("%s: Next = %+v, Poll = %+v", step, got, msgs[0])
+		}
+		skipped = skipped || (ok && got.Offset > from)
+		if next.Offset() != poll.Offset() {
+			t.Fatalf("%s: offsets Next %d, Poll %d", step, next.Offset(), poll.Offset())
+		}
+	}
+	check("empty topic")
+	for i := 0; i < 20; i++ {
+		// Publish a varying burst so some reads fall behind the
+		// three-message horizon and some catch up to the end.
+		for j := 0; j < i%5; j++ {
+			if _, err := b.Publish("m", "k", i*10+j); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check("read")
+		check("read again")
+	}
+	for next.Offset() < b.EndOffset("m") {
+		check("drain")
+	}
+	check("drained")
+	if !skipped {
+		t.Fatal("no read fell behind the retention horizon; the test lost its point")
+	}
+	if next.Offset() != b.EndOffset("m") {
+		t.Fatalf("Next consumer at %d, topic end %d", next.Offset(), b.EndOffset("m"))
+	}
+	if _, ok, err := b.NewConsumer("absent", 0).Next(); ok || err != nil {
+		t.Fatalf("unknown topic: ok=%v err=%v, want nothing", ok, err)
+	}
+	for i := 0; i < 200; i++ {
+		if _, err := b.Publish("all", "k", i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	all := b.NewConsumer("all", 0)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, ok, err := all.Next(); !ok || err != nil {
+			t.Fatalf("Next: ok=%v err=%v", ok, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Next allocates %.1f/op, want 0", allocs)
+	}
+	b.Close()
+	if _, _, err := next.Next(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Next on closed bus: %v, want ErrClosed", err)
+	}
+}

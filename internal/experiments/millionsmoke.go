@@ -60,9 +60,26 @@ type MillionSmokeResult struct {
 // fixedLatencyTarget completes every request after a constant delay —
 // the cheapest possible workload.Target, so the smoke run's cost is the
 // event core itself.
+//
+// The pending done callbacks wait in a FIFO, and every request schedules
+// the same pre-bound complete, so a request costs one timer and no
+// allocation. FIFO order is exact: every request has the same latency, so
+// completion times are ordered as injection times are, and the engine
+// fires equal-time events in schedule order.
 type fixedLatencyTarget struct {
 	eng *sim.Engine
 	lat time.Duration
+	// pending[head:] are the in-flight done callbacks in injection order.
+	// complete pops by advancing head, so the array is kept and reused.
+	pending    []func(rt time.Duration, ok bool)
+	head       int
+	completeFn func()
+}
+
+func newFixedLatencyTarget(eng *sim.Engine, lat time.Duration) *fixedLatencyTarget {
+	t := &fixedLatencyTarget{eng: eng, lat: lat}
+	t.completeFn = t.complete
+	return t
 }
 
 func (t *fixedLatencyTarget) Inject(done func(rt time.Duration, ok bool)) {
@@ -70,8 +87,27 @@ func (t *fixedLatencyTarget) Inject(done func(rt time.Duration, ok bool)) {
 }
 
 func (t *fixedLatencyTarget) InjectClass(_ int, _ uint64, done func(rt time.Duration, ok bool)) {
-	lat := t.lat
-	t.eng.Schedule(lat, func() { done(lat, true) })
+	// When the array is full and the popped prefix is at least half of
+	// it, the pending callbacks slide to the front instead of the array
+	// growing.
+	if t.head > 0 && len(t.pending) == cap(t.pending) && 2*t.head >= len(t.pending) {
+		n := copy(t.pending, t.pending[t.head:])
+		clear(t.pending[n:])
+		t.pending, t.head = t.pending[:n], 0
+	}
+	t.pending = append(t.pending, done)
+	t.eng.Schedule(t.lat, t.completeFn)
+}
+
+// complete answers the oldest pending request. The callback is popped
+// before it runs, so a done that injects again sees a consistent queue.
+func (t *fixedLatencyTarget) complete() {
+	done := t.pending[t.head]
+	t.pending[t.head] = nil
+	if t.head++; t.head == len(t.pending) {
+		t.pending, t.head = t.pending[:0], 0
+	}
+	done(t.lat, true)
 }
 
 // RunMillionSmoke runs the smoke and returns its statistics. The run is
@@ -99,7 +135,7 @@ func RunMillionSmoke(cfg MillionSmokeConfig) (MillionSmokeResult, error) {
 
 	eng := sim.NewEngine()
 	root := rng.New(cfg.Seed)
-	target := &fixedLatencyTarget{eng: eng, lat: millionServiceTime}
+	target := newFixedLatencyTarget(eng, millionServiceTime)
 	wl, err := workload.NewTraceDriven(eng, root.Split("wl"), target, tr, millionThinkTime, time.Second)
 	if err != nil {
 		return MillionSmokeResult{}, fmt.Errorf("experiments: million smoke workload: %w", err)

@@ -10,7 +10,9 @@ import (
 // request's disposition. Deliveries are conserved in a separate ledger
 // (AsyncLedger) so the whole-graph sweep still balances.
 
-// asyncMsg is the payload published per fire-and-forget delivery.
+// asyncMsg is the payload published per fire-and-forget delivery. The
+// bus carries a pointer into a chunk of these (App.asyncMsgs), so a
+// publish boxes nothing of its own.
 type asyncMsg struct {
 	// Profile names the demand profile the delivery runs under ("" = the
 	// topology defaults).
@@ -28,8 +30,7 @@ func (a *App) fireAsync(e *edge, visits int, prof *resolvedProfile) {
 	for i := 0; i < visits; i++ {
 		a.asyncSpawned++
 		a.asyncInFlight++
-		msg := asyncMsg{Profile: prof.name, Seq: a.asyncSpawned}
-		if _, err := a.bs.Publish(e.topic, e.key, msg); err != nil {
+		if _, err := a.bs.Publish(e.topic, e.key, a.newAsyncMsg(prof.name)); err != nil {
 			// Topic was created at build time; a failed publish means the
 			// bus was closed under us. Account the delivery as errored so
 			// the async ledger still conserves.
@@ -47,13 +48,26 @@ func (a *App) fireAsync(e *edge, visits int, prof *resolvedProfile) {
 	}
 }
 
+// asyncMsgChunk is how many payloads one App.asyncMsgs chunk holds.
+const asyncMsgChunk = 256
+
+// newAsyncMsg records the payload of spawn asyncSpawned in the current
+// chunk, starting a new chunk when it is full. Published payloads are
+// never written again, and the topic log keeps its chunks alive.
+func (a *App) newAsyncMsg(profile string) *asyncMsg {
+	if len(a.asyncMsgs) == cap(a.asyncMsgs) {
+		a.asyncMsgs = make([]asyncMsg, 0, asyncMsgChunk)
+	}
+	a.asyncMsgs = append(a.asyncMsgs, asyncMsg{Profile: profile, Seq: a.asyncSpawned})
+	return &a.asyncMsgs[len(a.asyncMsgs)-1]
+}
+
 // deliver consumes one message from the edge's topic and runs the
 // downstream visit. Each delivery begins its own trace identity: the
 // parent request has already moved on.
 func (r *request) deliver() {
 	a := r.a
-	recs, err := r.async.consumer.Poll(1)
-	if err != nil || len(recs) == 0 {
+	if _, ok, err := r.async.consumer.Next(); err != nil || !ok {
 		// Nothing buffered (another delivery raced us to the record);
 		// conservation-wise this spawn still completes.
 		r.finish(metrics.DispositionError)

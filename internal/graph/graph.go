@@ -168,6 +168,7 @@ type App struct {
 	bs            *bus.Bus
 	ownBus        bool
 	asyncSpawned  uint64
+	asyncMsgs     []asyncMsg // current payload chunk (async.go)
 	asyncInFlight int
 	asyncDisp     metrics.DispositionCounts
 

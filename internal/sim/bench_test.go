@@ -9,9 +9,10 @@ import (
 // population of self-rescheduling events with pseudo-random delays, so
 // every op is one fire plus one schedule. This is the access pattern of a
 // busy simulation — thousands of in-flight timers, each firing and
-// rearming. heapOnly pins the engine to the pre-wheel baseline so the
-// wheel's gain is measured against it (see BENCH_engine.baseline.json).
-func benchScheduleFire(b *testing.B, population int, heapOnly bool) {
+// rearming. Delays are uniform over spread in whole microseconds.
+// heapOnly pins the engine to the pre-wheel baseline so the wheel's gain
+// is measured against it (see BENCH_engine.baseline.json).
+func benchScheduleFire(b *testing.B, population int, spread time.Duration, heapOnly bool) {
 	eng := NewEngine()
 	eng.SetHeapOnly(heapOnly)
 	eng.SetEventLimit(uint64(b.N) + uint64(population) + 10)
@@ -21,7 +22,7 @@ func benchScheduleFire(b *testing.B, population int, heapOnly bool) {
 	lcg := uint64(0x9E3779B97F4A7C15)
 	nextDelay := func() time.Duration {
 		lcg = lcg*6364136223846793005 + 1442695040888963407
-		return time.Duration(lcg%1000) * time.Microsecond
+		return time.Duration(lcg%uint64(spread/time.Microsecond)) * time.Microsecond
 	}
 	var rearm func()
 	rearm = func() {
@@ -46,13 +47,21 @@ func benchScheduleFire(b *testing.B, population int, heapOnly bool) {
 // BenchmarkEngineScheduleFire is the headline event-core benchmark
 // (wheel-backed, 512-event population).
 func BenchmarkEngineScheduleFire(b *testing.B) {
-	benchScheduleFire(b, 512, false)
+	benchScheduleFire(b, 512, time.Millisecond, false)
 }
 
 // BenchmarkEngineScheduleFireHeapOnly is the same workload pinned to the
 // 4-ary heap — the pre-wheel engine — for direct comparison.
 func BenchmarkEngineScheduleFireHeapOnly(b *testing.B) {
-	benchScheduleFire(b, 512, true)
+	benchScheduleFire(b, 512, time.Millisecond, true)
+}
+
+// BenchmarkEngineScheduleFireStanding1M is the same workload at the
+// million-user smoke's scale: 10⁶ standing events spread over 1 s, so the
+// timer store is far larger than the CPU caches and each cascade step is
+// a cache miss. It must stay allocation-free.
+func BenchmarkEngineScheduleFireStanding1M(b *testing.B) {
+	benchScheduleFire(b, 1_000_000, time.Second, false)
 }
 
 // benchScheduleFireMixed is the timer-heavy mix the wheel is built for: a

@@ -228,63 +228,77 @@ func (c *ClosedLoop) SetUsers(n int) {
 			c.sessions++
 			u = &user{c: c, cls: cls, session: c.sessions, critical: c.classes[cls].Priority > 0}
 		}
-		c.eng.Schedule(delay, u.cycle)
+		c.eng.Schedule(delay, u.bound(1).resume)
 	}
 }
 
 // user is one emulated user as its request loop sees it: its class (-1
-// classless) and session key (0 none), and whether the class is critical
-// for the retry budget. The callbacks below capture only the record and
-// the attempt number, which keeps each closure at three words.
+// classless) and session key (0 none), whether the class is critical for
+// the retry budget, and its callbacks bound once per attempt number.
+// Classless users share one record, so a whole classless population
+// shares one short attempts slice; a class-mode user binds its own on
+// first use.
 type user struct {
 	c        *ClosedLoop
 	cls      int
 	session  uint64
 	critical bool
+	attempts []attemptFns // attempts[n-1] serves attempt n
 }
 
-// cycle is one user's request loop. The user retires whenever the live
-// population exceeds the desired one.
-func (u *user) cycle() {
+// attemptFns are one attempt number's callbacks: done receives the
+// attempt's response, and resume starts the attempt (resume of attempt 1
+// is the user's cycle; resume of attempt n > 1 fires after a backoff).
+// Attempts are bounded by the retrier's MaxAttempts, and are always 1
+// without a retrier.
+type attemptFns struct {
+	done   func(rt time.Duration, ok bool)
+	resume func()
+}
+
+// bound returns attempt's callbacks, binding them on first use — the
+// OpenLoopGen.arriveFn idiom, so a cycle allocates nothing.
+func (u *user) bound(attempt int) *attemptFns {
+	for n := len(u.attempts) + 1; n <= attempt; n++ {
+		u.attempts = append(u.attempts, attemptFns{
+			done:   func(_ time.Duration, ok bool) { u.finish(n, ok) },
+			resume: func() { u.resume(n) },
+		})
+	}
+	return &u.attempts[attempt-1]
+}
+
+// resume issues attempt of the user's request unless the user has been
+// retired: the live population exceeds the desired one, or the run
+// stopped (possibly while the user was thinking or backing off).
+func (u *user) resume(attempt int) {
 	c := u.c
 	if c.stopped || c.live > c.want {
 		c.live--
 		return
 	}
-	u.request(1)
+	c.target.InjectClass(u.cls, u.session, u.bound(attempt).done)
 }
 
-// request issues one attempt of a user's request (attempt 1 is the
-// original). A failed attempt retries after backoff while the retrier
-// allows; the user thinks and cycles once the request succeeds or is
-// abandoned. Retry-budget traffic is class-attributed: critical
-// (Priority > 0) classes debit and refill their own share of a
-// class-aware budget so neither class can starve the other's retries
-// during a storm.
-func (u *user) request(attempt int) {
-	u.c.target.InjectClass(u.cls, u.session, func(_ time.Duration, ok bool) {
-		c := u.c
-		if ok {
-			c.completed.Inc(1)
-			if c.retrier != nil {
-				c.retrier.OnSuccess(u.critical)
-			}
-		} else if c.retrier != nil && c.retrier.Allow(attempt, u.critical) {
-			c.retries.Inc(1)
-			c.eng.Schedule(c.retrier.Backoff(attempt), func() {
-				// The user may have been retired (or the run stopped) while
-				// backing off.
-				c := u.c
-				if c.stopped || c.live > c.want {
-					c.live--
-					return
-				}
-				u.request(attempt + 1)
-			})
-			return
+// finish handles the response to attempt (attempt 1 is the original).
+// A failed attempt retries after backoff while the retrier allows; the
+// user thinks and cycles once the request succeeds or is abandoned.
+// Retry-budget traffic is class-attributed: critical (Priority > 0)
+// classes debit and refill their own share of a class-aware budget so
+// neither class can starve the other's retries during a storm.
+func (u *user) finish(attempt int, ok bool) {
+	c := u.c
+	if ok {
+		c.completed.Inc(1)
+		if c.retrier != nil {
+			c.retrier.OnSuccess(u.critical)
 		}
-		c.eng.Schedule(c.thinkDelay(u.cls), u.cycle)
-	})
+	} else if c.retrier != nil && c.retrier.Allow(attempt, u.critical) {
+		c.retries.Inc(1)
+		c.eng.Schedule(c.retrier.Backoff(attempt), u.bound(attempt+1).resume)
+		return
+	}
+	c.eng.Schedule(c.thinkDelay(u.cls), u.bound(1).resume)
 }
 
 // thinkDelay draws one think time: the class law if the class has one,

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"dcm/internal/resilience"
 	"dcm/internal/rng"
 	"dcm/internal/sim"
 	"dcm/internal/trace"
@@ -455,9 +456,9 @@ func TestExpDelayNeverZeroForPositiveMean(t *testing.T) {
 // BenchmarkClosedLoopCycle measures one classless closed-loop cycle: the
 // request, its synchronous completion, the think-time draw and the
 // reschedule, for 1000 users with a 1 ms mean think time against the
-// cheapest target. A cycle allocates the done callback and the think-time
-// reschedule's method value; the gate (BENCH_engine.baseline.json) fails
-// if it ever gains an allocation.
+// cheapest target. The user's callbacks are bound once, so a cycle
+// allocates nothing; the gate (BENCH_engine.baseline.json) fails if it
+// ever gains an allocation.
 func BenchmarkClosedLoopCycle(b *testing.B) {
 	eng := sim.NewEngine()
 	target := &countTarget{}
@@ -481,5 +482,89 @@ func BenchmarkClosedLoopCycle(b *testing.B) {
 		if err := eng.Run(horizon); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// flakyTarget answers every request synchronously; with fail set, every
+// other request fails.
+type flakyTarget struct {
+	n    uint64
+	fail bool
+}
+
+func (t *flakyTarget) Inject(done func(rt time.Duration, ok bool)) {
+	t.n++
+	done(time.Millisecond, !t.fail || t.n%2 == 0)
+}
+
+func (t *flakyTarget) InjectClass(_ int, _ uint64, done func(rt time.Duration, ok bool)) {
+	t.Inject(done)
+}
+
+// TestClosedLoopCycleAllocatesNothing pins the closed loop's steady state
+// at zero allocations: once every user has cycled (and, with a retrier,
+// retried), the callbacks bound per (user record, attempt) are reused, so
+// requests, retries and think-time reschedules allocate nothing — for
+// classless users sharing one record and for class-mode users with a
+// record each.
+func TestClosedLoopCycleAllocatesNothing(t *testing.T) {
+	classes := []Class{{Name: "browse", Weight: 3}, {Name: "buy", Weight: 1, Priority: 1}}
+	cases := []struct {
+		name    string
+		classes []Class
+		retry   bool
+	}{
+		{"classless", nil, false},
+		{"classes", classes, false},
+		{"classless-retrier", nil, true},
+		{"classes-retrier", classes, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			target := &flakyTarget{fail: tc.retry}
+			loop, err := NewClosedLoop(eng, rng.New(1).Split("wl"), target,
+				ClosedLoopConfig{Users: 100, ThinkTime: time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.classes != nil {
+				if err := loop.SetClasses(tc.classes); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.retry {
+				ret, err := resilience.NewRetrier(resilience.RetryPolicy{
+					MaxAttempts: 3, BaseBackoff: time.Millisecond,
+				}, rng.New(2))
+				if err != nil {
+					t.Fatal(err)
+				}
+				loop.SetRetrier(ret)
+			}
+			loop.Start()
+			// Warm past the 1 s stagger so every user has cycled and
+			// every attempt number has been bound.
+			horizon := 2 * time.Second
+			if err := eng.Run(horizon); err != nil {
+				t.Fatal(err)
+			}
+			before, retries := loop.TotalCompleted(), loop.TotalRetries()
+			allocs := testing.AllocsPerRun(100, func() {
+				horizon += time.Millisecond
+				if err := eng.Run(horizon); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("steady closed loop allocates %.2f per 1 ms step, want 0", allocs)
+			}
+			if loop.TotalCompleted() == before {
+				t.Fatal("no request completed during the measured steps")
+			}
+			if tc.retry && loop.TotalRetries() == retries {
+				t.Fatal("no retry issued during the measured steps")
+			}
+		})
 	}
 }
