@@ -1,7 +1,8 @@
 // benchgate converts `go test -bench` output into the BENCH_engine.json
 // artifact and gates it against a checked-in baseline: the CI bench job
 // fails when any baselined benchmark regresses more than the tolerance
-// band in ns/op, grows its allocs/op at all, or disappears.
+// band in ns/op, grows its allocs/op at all, allocates any bytes per op
+// where its baseline allocates none, or disappears.
 //
 // Usage:
 //
@@ -79,7 +80,7 @@ func run(args []string, out *os.File) error {
 		return err
 	}
 	deltas := bench.Compare(base, current, *tolerance)
-	fmt.Fprintf(out, "benchmark trajectory vs %s (tolerance %.0f%% ns/op, 0 allocs/op):\n",
+	fmt.Fprintf(out, "benchmark trajectory vs %s (tolerance %.0f%% ns/op, 0 allocs/op, 0 B/op on 0 B/op rungs):\n",
 		*baseline, *tolerance*100)
 	bench.Render(out, deltas)
 	if regs := bench.Regressions(deltas); len(regs) > 0 {

@@ -5,10 +5,12 @@
 //
 // The comparison treats the baseline as a floor on throughput, not a
 // target: a fresh run may be arbitrarily faster, but a >tolerance ns/op
-// regression or any allocs/op increase on a baselined benchmark fails.
-// Allocations get zero tolerance because the event core's steady-state
-// contract is exactly zero allocs/op — a single new allocation per op is
-// a real leak, never measurement noise.
+// regression, any allocs/op increase, or any B/op on a benchmark whose
+// baseline is 0 B/op fails. Allocations get zero tolerance because the
+// event core's steady-state contract is exactly zero allocs/op — a single
+// new allocation per op is a real leak, never measurement noise. Bytes
+// get the same on the 0 B/op rungs because amortized slice growth can
+// hold B/op above zero while allocs/op rounds down to 0.
 package bench
 
 import (
@@ -160,8 +162,9 @@ type Delta struct {
 
 // Compare evaluates current against baseline with the given ns/op
 // tolerance (<= 0 selects DefaultTolerance). Every baselined benchmark
-// must be present and within band; benchmarks new in current are
-// reported but never regress. Deltas keep baseline order, then new
+// must be present and within band, allocate no more per op, and allocate
+// no bytes per op when its baseline allocates none; benchmarks new in
+// current are reported but never regress. Deltas keep baseline order, then new
 // benchmarks in current order.
 func Compare(baseline, current Suite, tolerance float64) []Delta {
 	if tolerance <= 0 {
@@ -199,6 +202,10 @@ func Compare(baseline, current Suite, tolerance float64) []Delta {
 			d.Regressed = true
 			d.Reason = fmt.Sprintf("allocs/op grew %g -> %g (zero tolerance)",
 				base.AllocsPerOp, cur.AllocsPerOp)
+		case base.BPerOp == 0 && cur.BPerOp > 0:
+			d.Regressed = true
+			d.Reason = fmt.Sprintf("B/op grew 0 -> %g (zero tolerance on a 0 B/op baseline)",
+				cur.BPerOp)
 		}
 		deltas = append(deltas, d)
 	}

@@ -153,6 +153,53 @@ func TestCompareTolerance(t *testing.T) {
 	}
 }
 
+// TestCompareBytesGate: a rung whose baseline is 0 B/op fails on any
+// byte per op, even at 0 allocs/op (amortized growth); a rung that
+// already allocates may move its B/op freely.
+func TestCompareBytesGate(t *testing.T) {
+	t.Parallel()
+	base := suiteOf(
+		Result{Name: "Zero", NsPerOp: 100},
+		Result{Name: "Some", NsPerOp: 100, BPerOp: 40, AllocsPerOp: 1},
+	)
+	cases := []struct {
+		name      string
+		cur       []Result
+		regressed []bool
+	}{
+		{"unchanged", []Result{
+			{Name: "Zero", NsPerOp: 100},
+			{Name: "Some", NsPerOp: 100, BPerOp: 40, AllocsPerOp: 1},
+		}, []bool{false, false}},
+		{"zero-rung-grows-bytes", []Result{
+			{Name: "Zero", NsPerOp: 100, BPerOp: 1},
+			{Name: "Some", NsPerOp: 100, BPerOp: 40, AllocsPerOp: 1},
+		}, []bool{true, false}},
+		{"nonzero-rung-moves-bytes", []Result{
+			{Name: "Zero", NsPerOp: 100},
+			{Name: "Some", NsPerOp: 100, BPerOp: 64, AllocsPerOp: 1},
+		}, []bool{false, false}},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			deltas := Compare(base, suiteOf(tc.cur...), 0.15)
+			if len(deltas) != len(tc.regressed) {
+				t.Fatalf("got %d deltas", len(deltas))
+			}
+			for i, d := range deltas {
+				if d.Regressed != tc.regressed[i] {
+					t.Fatalf("%s regressed = %v (%s), want %v", d.Name, d.Regressed, d.Reason, tc.regressed[i])
+				}
+				if d.Regressed && !strings.Contains(d.Reason, "B/op") {
+					t.Fatalf("%s reason %q does not name B/op", d.Name, d.Reason)
+				}
+			}
+		})
+	}
+}
+
 func TestCompareMissingAndNew(t *testing.T) {
 	t.Parallel()
 	base := suiteOf(

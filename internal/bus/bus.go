@@ -6,6 +6,24 @@
 // append-only logs, offset-based consumption, and independent consumer
 // positions.
 //
+// Each topic log is one power-of-two ring of messages with dense offsets.
+// Like a Kafka topic, a topic has a retention policy, chosen when it is
+// declared with CreateTopic:
+//
+//   - unbounded (0, and every topic created implicitly by Publish): the
+//     ring doubles when full and keeps every message, so a reader can
+//     re-read the whole log from offset 0 after a run;
+//   - bounded (n > 0): the ring keeps the newest n messages and each
+//     publish past n overwrites the oldest in place;
+//   - retain-until-read (RetainUntilRead): the ring keeps only messages
+//     some consumer of the topic has not yet read. The consumers act as
+//     the gating sequences of a Disruptor-style ring buffer: every read
+//     trims the log up to the lowest offset among them, so the log holds
+//     what is in flight, not everything that was ever published.
+//
+// Reading an offset below a topic's retention horizon resumes at the
+// first retained message, as Kafka's auto.offset.reset=earliest does.
+//
 // The bus is safe for concurrent use. Inside the deterministic simulation
 // it is driven from a single goroutine, but the tests also exercise it
 // under real concurrency so it can back a live deployment of the
@@ -36,6 +54,13 @@ var (
 	ErrUnknownTopic = errors.New("bus: unknown topic")
 )
 
+// RetainUntilRead is the retention argument to CreateTopic that keeps a
+// message only until every consumer registered on the topic has read it.
+// A consumer is registered when it is created on a declared topic, or on
+// its first read once the topic exists; a topic with no registered
+// consumer keeps everything.
+const RetainUntilRead = -1
+
 // Bus is an in-memory, multi-topic, append-only message log.
 // The zero value is ready to use.
 type Bus struct {
@@ -44,30 +69,34 @@ type Bus struct {
 	closed bool
 }
 
+// topicLog is one topic's retained messages, held in a ring.
 type topicLog struct {
-	messages []Message
-	// head indexes the first retained message within messages; dropping is
-	// done by advancing head, with occasional amortized compaction.
+	// ring holds the retained messages from ring[head] on, wrapping at
+	// the end; its length is zero or a power of two.
+	ring []Message
 	head int
-	// retention bounds the retained length; 0 keeps everything.
+	// n is the retained count.
+	n int
+	// base is the offset of the first retained message, i.e. the number
+	// of messages retention has discarded.
+	base int64
+	// retention is a retained-length bound (> 0), 0 for unbounded, or
+	// RetainUntilRead.
 	retention int
-	// dropped counts messages discarded by retention, i.e. the offset of
-	// the first retained message.
-	dropped int64
+	// consumers gate a RetainUntilRead topic.
+	consumers []*Consumer
 }
-
-// retained returns the live slice of the log.
-func (t *topicLog) retained() []Message { return t.messages[t.head:] }
 
 // New returns an empty bus.
 func New() *Bus {
 	return &Bus{topics: make(map[string]*topicLog)}
 }
 
-// CreateTopic declares a topic with a retention limit of retain messages
-// (0 = unlimited). Creating an existing topic only tightens or loosens its
-// retention. Publishing to an undeclared topic creates it implicitly with
-// unlimited retention.
+// CreateTopic declares a topic's retention: retain > 0 keeps the newest
+// retain messages, 0 keeps everything and RetainUntilRead keeps what its
+// consumers have not read (any other negative value means 0). Creating an
+// existing topic only tightens or loosens its retention. Publishing to an
+// undeclared topic creates it implicitly with unlimited retention.
 func (b *Bus) CreateTopic(topic string, retain int) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -75,11 +104,14 @@ func (b *Bus) CreateTopic(topic string, retain int) error {
 		return ErrClosed
 	}
 	t := b.topic(topic)
-	if retain < 0 {
+	if retain < 0 && retain != RetainUntilRead {
 		retain = 0
 	}
 	t.retention = retain
-	t.enforceRetention()
+	if retain > 0 && t.n > retain {
+		t.drop(t.n - retain)
+	}
+	t.trim()
 	return nil
 }
 
@@ -97,25 +129,87 @@ func (b *Bus) topic(name string) *topicLog {
 	return t
 }
 
-func (t *topicLog) enforceRetention() {
-	if t.retention <= 0 {
+// end is the offset the next published message gets.
+func (t *topicLog) end() int64 { return t.base + int64(t.n) }
+
+// slot returns the i-th retained message's place in the ring.
+func (t *topicLog) slot(i int) *Message { return &t.ring[(t.head+i)&(len(t.ring)-1)] }
+
+// push appends m, dropping the oldest message of a full bounded topic and
+// doubling a full ring otherwise.
+func (t *topicLog) push(m Message) {
+	if t.retention > 0 && t.n == t.retention {
+		t.drop(1)
+	}
+	if t.n == len(t.ring) {
+		ring := make([]Message, max(2*len(t.ring), 1))
+		t.copyTo(ring[:t.n], 0)
+		t.ring, t.head = ring, 0
+	}
+	*t.slot(t.n) = m
+	t.n++
+}
+
+// drop discards the k oldest retained messages, clearing their slots so
+// the ring holds no payload it no longer retains.
+func (t *topicLog) drop(k int) {
+	for i := 0; i < k; i++ {
+		*t.slot(i) = Message{}
+	}
+	t.head = (t.head + k) & (len(t.ring) - 1)
+	t.n -= k
+	t.base += int64(k)
+}
+
+// trim drops what every registered consumer of a RetainUntilRead topic
+// has read.
+func (t *topicLog) trim() {
+	if t.retention != RetainUntilRead || len(t.consumers) == 0 {
 		return
 	}
-	live := len(t.messages) - t.head
-	if live <= t.retention {
+	low := t.end()
+	for _, c := range t.consumers {
+		low = min(low, c.offset)
+	}
+	if low > t.base {
+		t.drop(int(low - t.base))
+	}
+}
+
+// index returns the retained index of offset, advancing an offset below
+// the retention horizon to the first retained message; it is t.n when
+// offset is at or past the end.
+func (t *topicLog) index(offset int64) int {
+	if offset <= t.base {
+		return 0
+	}
+	return int(min(offset-t.base, int64(t.n)))
+}
+
+// copyTo copies the retained messages from index i into dst, across the
+// ring's seam. len(dst) must not exceed t.n-i.
+func (t *topicLog) copyTo(dst []Message, i int) {
+	if len(dst) == 0 {
 		return
 	}
-	drop := live - t.retention
-	t.head += drop
-	t.dropped += int64(drop)
-	// Amortized compaction releases the array's dead head for garbage
-	// collection without copying on every publish.
-	if t.head > 1024 && t.head > len(t.messages)/2 {
-		kept := make([]Message, len(t.messages)-t.head)
-		copy(kept, t.messages[t.head:])
-		t.messages = kept
-		t.head = 0
+	k := copy(dst, t.ring[(t.head+i)&(len(t.ring)-1):])
+	copy(dst[k:], t.ring)
+}
+
+// fetch copies up to limit messages at and after offset (limit <= 0
+// means no limit). The caller must hold the bus lock.
+func (t *topicLog) fetch(offset int64, limit int) []Message {
+	i := t.index(offset)
+	k := t.n - i
+	if limit > 0 && limit < k {
+		k = limit
 	}
+	if k == 0 {
+		return nil
+	}
+	out := make([]Message, k)
+	t.copyTo(out, i)
+	return out
 }
 
 // Publish appends a message to topic and returns its offset.
@@ -126,14 +220,13 @@ func (b *Bus) Publish(topic, key string, value any) (int64, error) {
 		return 0, ErrClosed
 	}
 	t := b.topic(topic)
-	offset := t.dropped + int64(len(t.messages)-t.head)
-	t.messages = append(t.messages, Message{
+	offset := t.end()
+	t.push(Message{
 		Topic:  topic,
 		Offset: offset,
 		Key:    key,
 		Value:  value,
 	})
-	t.enforceRetention()
 	return offset, nil
 }
 
@@ -151,29 +244,7 @@ func (b *Bus) Fetch(topic string, offset int64, limit int) ([]Message, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTopic, topic)
 	}
-	live := t.from(offset)
-	if len(live) == 0 {
-		return nil, nil
-	}
-	if limit > 0 && limit < len(live) {
-		live = live[:limit]
-	}
-	out := make([]Message, len(live))
-	copy(out, live)
-	return out, nil
-}
-
-// from returns the retained messages at and after offset, advancing an
-// offset below the retention horizon as Fetch documents.
-func (t *topicLog) from(offset int64) []Message {
-	if offset < t.dropped {
-		offset = t.dropped
-	}
-	live := t.retained()
-	if start := offset - t.dropped; start < int64(len(live)) {
-		return live[start:]
-	}
-	return nil
+	return t.fetch(offset, limit), nil
 }
 
 // Close shuts the bus down; subsequent operations return ErrClosed.
@@ -187,33 +258,54 @@ func (b *Bus) Close() {
 // Consumer reads a topic sequentially, tracking its own offset — the
 // analogue of a Kafka consumer-group member for one topic.
 type Consumer struct {
-	bus    *Bus
-	topic  string
+	bus   *Bus
+	topic string
+	// log is the topic's log once the consumer has registered on it.
+	log    *topicLog
 	offset int64
 }
 
 // NewConsumer returns a consumer positioned at the given offset of topic.
 // Use offset 0 to read from the beginning.
 func (b *Bus) NewConsumer(topic string, offset int64) *Consumer {
-	if offset < 0 {
-		offset = 0
+	c := &Consumer{bus: b, topic: topic, offset: max(offset, 0)}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	c.attach()
+	return c
+}
+
+// attach registers the consumer on its topic's log once the topic exists
+// and reports whether it has. The caller must hold the bus lock.
+func (c *Consumer) attach() bool {
+	if c.log == nil {
+		t, ok := c.bus.topics[c.topic]
+		if !ok {
+			return false
+		}
+		c.log = t
+		t.consumers = append(t.consumers, c)
 	}
-	return &Consumer{bus: b, topic: topic, offset: offset}
+	return true
 }
 
 // Poll returns up to limit new messages (limit <= 0 for all available) and
 // advances the consumer offset past them. A consumer on an as-yet-unknown
 // topic simply reads nothing.
 func (c *Consumer) Poll(limit int) ([]Message, error) {
-	msgs, err := c.bus.Fetch(c.topic, c.offset, limit)
-	if err != nil {
-		if errors.Is(err, ErrUnknownTopic) {
-			return nil, nil
-		}
-		return nil, err
+	b := c.bus
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return nil, ErrClosed
 	}
+	if !c.attach() {
+		return nil, nil
+	}
+	msgs := c.log.fetch(c.offset, limit)
 	if len(msgs) > 0 {
 		c.offset = msgs[len(msgs)-1].Offset + 1
+		c.log.trim()
 	}
 	return msgs, nil
 }
@@ -228,16 +320,17 @@ func (c *Consumer) Next() (msg Message, ok bool, err error) {
 	if b.closed {
 		return Message{}, false, ErrClosed
 	}
-	t, known := b.topics[c.topic]
-	if !known {
+	if !c.attach() {
 		return Message{}, false, nil
 	}
-	live := t.from(c.offset)
-	if len(live) == 0 {
+	t := c.log
+	i := t.index(c.offset)
+	if i == t.n {
 		return Message{}, false, nil
 	}
-	msg = live[0]
+	msg = *t.slot(i)
 	c.offset = msg.Offset + 1
+	t.trim()
 	return msg, true, nil
 }
 

@@ -307,118 +307,325 @@ func TestConcurrentConsumerAndProducer(t *testing.T) {
 	}
 }
 
+// retentionModes are the three retention policies a topic can have;
+// TestConsumerNextMatchesPoll runs over each.
+var retentionModes = []struct {
+	name   string
+	retain int
+}{
+	{"unbounded", 0},
+	{"bounded", 3},
+	{"until-read", RetainUntilRead},
+}
+
 // TestOffsetsContiguousProperty: published offsets are dense and fetchable
-// in order regardless of retention configuration.
+// in order under every retention mode, with reads interleaved, and each
+// mode retains exactly what it promises: everything, the newest retain
+// messages, or what the consumer has not read.
 func TestOffsetsContiguousProperty(t *testing.T) {
 	t.Parallel()
-	prop := func(countRaw, retainRaw uint8) bool {
+	prop := func(countRaw, modeRaw, readRaw uint8) bool {
 		count := int(countRaw%64) + 1
-		retain := int(retainRaw % 16)
+		retain := 0
+		switch modeRaw % 3 {
+		case 1:
+			retain = int(modeRaw/3%15) + 1
+		case 2:
+			retain = RetainUntilRead
+		}
 		b := New()
 		if err := b.CreateTopic("t", retain); err != nil {
 			return false
 		}
+		c := b.NewConsumer("t", 0)
+		read := 0
 		for i := 0; i < count; i++ {
 			off, err := b.Publish("t", "", i)
 			if err != nil || off != int64(i) {
 				return false
 			}
+			// readRaw's bits pick which publishes a read follows.
+			if readRaw>>(i%8)&1 == 1 {
+				if _, ok, err := c.Next(); ok && err == nil {
+					read++
+				}
+			}
 		}
 		msgs, err := b.Fetch("t", 0, 0)
-		if err != nil {
+		if err != nil || len(msgs) == 0 && retain != RetainUntilRead {
 			return false
 		}
-		for i := 1; i < len(msgs); i++ {
-			if msgs[i].Offset != msgs[i-1].Offset+1 {
+		for i, m := range msgs {
+			if m.Offset != int64(count-len(msgs)+i) || m.Value != int(m.Offset) {
 				return false
 			}
 		}
-		if retain > 0 && len(msgs) > retain {
-			return false
+		want := count
+		switch {
+		case retain > 0:
+			want = min(count, retain)
+		case retain == RetainUntilRead:
+			want = count - int(c.Offset())
 		}
-		return true
+		return len(msgs) == want
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestConsumerNextMatchesPoll drives two consumers over one topic with a
-// retention limit, one by Next and one by Poll(1), interleaving publishes
-// that push both past the retention horizon: every read must return the
-// same message and leave both at the same offset, and Next must allocate
-// nothing.
+// TestConsumerNextMatchesPoll drives two consumers over one topic, one by
+// Next and one by Poll(1), under each retention mode. Publishes come in
+// varying bursts, so on the bounded topic some reads fall behind the
+// three-message horizon. Every read must return the same message and
+// leave both consumers at the same offset, and Next must allocate
+// nothing. Neither the test nor its modes run in parallel, so no other
+// test's allocations reach the allocation count.
 func TestConsumerNextMatchesPoll(t *testing.T) {
+	for _, mode := range retentionModes {
+		t.Run(mode.name, func(t *testing.T) {
+			b := New()
+			if err := b.CreateTopic("m", mode.retain); err != nil {
+				t.Fatal(err)
+			}
+			next, poll := b.NewConsumer("m", 0), b.NewConsumer("m", 0)
+			skipped := false // some read fell behind the horizon
+			check := func(step string) {
+				t.Helper()
+				from := next.Offset()
+				got, ok, err := next.Next()
+				if err != nil {
+					t.Fatalf("%s: Next: %v", step, err)
+				}
+				msgs, err := poll.Poll(1)
+				if err != nil {
+					t.Fatalf("%s: Poll: %v", step, err)
+				}
+				if ok != (len(msgs) == 1) {
+					t.Fatalf("%s: Next ok=%v, Poll returned %d messages", step, ok, len(msgs))
+				}
+				if ok && got != msgs[0] {
+					t.Fatalf("%s: Next = %+v, Poll = %+v", step, got, msgs[0])
+				}
+				skipped = skipped || (ok && got.Offset > from)
+				if next.Offset() != poll.Offset() {
+					t.Fatalf("%s: offsets Next %d, Poll %d", step, next.Offset(), poll.Offset())
+				}
+			}
+			check("empty topic")
+			for i := 0; i < 20; i++ {
+				for j := 0; j < i%5; j++ {
+					if _, err := b.Publish("m", "k", i*10+j); err != nil {
+						t.Fatal(err)
+					}
+				}
+				check("read")
+				check("read again")
+			}
+			for next.Offset() < b.EndOffset("m") {
+				check("drain")
+			}
+			check("drained")
+			if bounded := mode.retain > 0; skipped != bounded {
+				t.Fatalf("a read fell behind the horizon: %v, want %v", skipped, bounded)
+			}
+			if next.Offset() != b.EndOffset("m") {
+				t.Fatalf("Next consumer at %d, topic end %d", next.Offset(), b.EndOffset("m"))
+			}
+			if _, ok, err := b.NewConsumer("absent", 0).Next(); ok || err != nil {
+				t.Fatalf("unknown topic: ok=%v err=%v, want nothing", ok, err)
+			}
+			allRetain := mode.retain
+			if allRetain > 0 {
+				allRetain = 200 // room for every read below
+			}
+			if err := b.CreateTopic("all", allRetain); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 200; i++ {
+				if _, err := b.Publish("all", "k", i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			all := b.NewConsumer("all", 0)
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, ok, err := all.Next(); !ok || err != nil {
+					t.Fatalf("Next: ok=%v err=%v", ok, err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("Next allocates %.1f/op, want 0", allocs)
+			}
+			b.Close()
+			if _, _, err := next.Next(); !errors.Is(err, ErrClosed) {
+				t.Fatalf("Next on closed bus: %v, want ErrClosed", err)
+			}
+		})
+	}
+}
+
+// TestRingWrapsUnderRetention publishes far past a bounded topic's
+// retention and keeps a until-read topic's consumer a few messages
+// behind, so both rings wrap many times without growing. Offsets stay
+// contiguous, and Fetch and Poll read in order across the seam.
+func TestRingWrapsUnderRetention(t *testing.T) {
 	t.Parallel()
 	b := New()
-	if err := b.CreateTopic("m", 3); err != nil {
+	if err := b.CreateTopic("bounded", 5); err != nil {
 		t.Fatal(err)
 	}
-	next, poll := b.NewConsumer("m", 0), b.NewConsumer("m", 0)
-	skipped := false // some read fell behind the horizon
-	check := func(step string) {
-		t.Helper()
-		from := next.Offset()
-		got, ok, err := next.Next()
-		if err != nil {
-			t.Fatalf("%s: Next: %v", step, err)
+	if err := b.CreateTopic("lagged", RetainUntilRead); err != nil {
+		t.Fatal(err)
+	}
+	lagged := b.NewConsumer("lagged", 0)
+	poller := b.NewConsumer("bounded", 0)
+	const total = 100
+	nextPoll := int64(0)
+	for i := 0; i < total; i++ {
+		for _, topic := range []string{"bounded", "lagged"} {
+			if off, err := b.Publish(topic, "", i); err != nil || off != int64(i) {
+				t.Fatalf("%s publish %d: offset %d, err %v", topic, i, off, err)
+			}
 		}
-		msgs, err := poll.Poll(1)
-		if err != nil {
-			t.Fatalf("%s: Poll: %v", step, err)
+		// The lagged consumer reads one message every other publish
+		// until it is three behind, then keeps pace.
+		if i%2 == 0 || b.EndOffset("lagged")-lagged.Offset() > 3 {
+			if m, ok, err := lagged.Next(); !ok || err != nil || m.Value != int(m.Offset) {
+				t.Fatalf("lagged read after %d: %+v ok=%v err=%v", i, m, ok, err)
+			}
 		}
-		if ok != (len(msgs) == 1) {
-			t.Fatalf("%s: Next ok=%v, Poll returned %d messages", step, ok, len(msgs))
+		for topic, lo := range map[string]int64{
+			"bounded": max(0, int64(i)-4),
+			"lagged":  lagged.Offset(),
+		} {
+			msgs, err := b.Fetch(topic, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int64(len(msgs)) != int64(i)+1-lo {
+				t.Fatalf("%s after %d: retained %d, want %d", topic, i, len(msgs), int64(i)+1-lo)
+			}
+			for j, m := range msgs {
+				if m.Offset != lo+int64(j) || m.Value != int(m.Offset) {
+					t.Fatalf("%s after %d: message %d is %+v, want offset %d", topic, i, j, m, lo+int64(j))
+				}
+			}
+			// A limited fetch from the middle crosses the seam too.
+			if len(msgs) >= 3 {
+				mid, err := b.Fetch(topic, lo+1, 2)
+				if err != nil || len(mid) != 2 || mid[0] != msgs[1] || mid[1] != msgs[2] {
+					t.Fatalf("%s after %d: Fetch(%d, 2) = %+v, %v", topic, i, lo+1, mid, err)
+				}
+			}
 		}
-		if ok && got != msgs[0] {
-			t.Fatalf("%s: Next = %+v, Poll = %+v", step, got, msgs[0])
-		}
-		skipped = skipped || (ok && got.Offset > from)
-		if next.Offset() != poll.Offset() {
-			t.Fatalf("%s: offsets Next %d, Poll %d", step, next.Offset(), poll.Offset())
+		// Poll the bounded topic in batches of three; when it falls
+		// behind the horizon it resumes at the oldest retained message.
+		if i%7 == 6 {
+			msgs, err := poller.Poll(3)
+			if err != nil || len(msgs) != 3 {
+				t.Fatalf("poll after %d: %d messages, err %v", i, len(msgs), err)
+			}
+			first := max(nextPoll, int64(i)-4)
+			for j, m := range msgs {
+				if m.Offset != first+int64(j) || m.Value != int(m.Offset) {
+					t.Fatalf("poll after %d: message %d is %+v, want offset %d", i, j, m, first+int64(j))
+				}
+			}
+			nextPoll = poller.Offset()
 		}
 	}
-	check("empty topic")
-	for i := 0; i < 20; i++ {
-		// Publish a varying burst so some reads fall behind the
-		// three-message horizon and some catch up to the end.
-		for j := 0; j < i%5; j++ {
-			if _, err := b.Publish("m", "k", i*10+j); err != nil {
+	if got := b.ringLen("bounded"); got != 8 {
+		t.Fatalf("bounded ring grew to %d slots, want 8 for retention 5", got)
+	}
+	if got := b.ringLen("lagged"); got != 4 {
+		t.Fatalf("until-read ring grew to %d slots, want 4 for a backlog of at most 4", got)
+	}
+}
+
+// TestRetainUntilReadLowWaterMark: a retain-until-read topic keeps
+// everything its slowest registered consumer has not read, trims as that
+// consumer catches up, and keeps everything while no consumer is
+// registered. A consumer made before the topic exists registers on its
+// first read.
+func TestRetainUntilReadLowWaterMark(t *testing.T) {
+	t.Parallel()
+	b := New()
+	early := b.NewConsumer("q", 0) // the topic does not exist yet
+	if err := b.CreateTopic("q", RetainUntilRead); err != nil {
+		t.Fatal(err)
+	}
+	publish := func(k int) {
+		t.Helper()
+		for i := 0; i < k; i++ {
+			if _, err := b.Publish("q", "", i); err != nil {
 				t.Fatal(err)
 			}
 		}
-		check("read")
-		check("read again")
 	}
-	for next.Offset() < b.EndOffset("m") {
-		check("drain")
-	}
-	check("drained")
-	if !skipped {
-		t.Fatal("no read fell behind the retention horizon; the test lost its point")
-	}
-	if next.Offset() != b.EndOffset("m") {
-		t.Fatalf("Next consumer at %d, topic end %d", next.Offset(), b.EndOffset("m"))
-	}
-	if _, ok, err := b.NewConsumer("absent", 0).Next(); ok || err != nil {
-		t.Fatalf("unknown topic: ok=%v err=%v, want nothing", ok, err)
-	}
-	for i := 0; i < 200; i++ {
-		if _, err := b.Publish("all", "k", i); err != nil {
+	retained := func() (int, int64) {
+		t.Helper()
+		msgs, err := b.Fetch("q", 0, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	all := b.NewConsumer("all", 0)
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, ok, err := all.Next(); !ok || err != nil {
-			t.Fatalf("Next: ok=%v err=%v", ok, err)
+		if len(msgs) == 0 {
+			return 0, b.EndOffset("q")
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("Next allocates %.1f/op, want 0", allocs)
+		return len(msgs), msgs[0].Offset
 	}
-	b.Close()
-	if _, _, err := next.Next(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Next on closed bus: %v, want ErrClosed", err)
+	publish(6)
+	if n, _ := retained(); n != 6 {
+		t.Fatalf("no consumer registered: retained %d, want all 6", n)
+	}
+	fast, slow := b.NewConsumer("q", 0), b.NewConsumer("q", 0)
+	for i := 0; i < 5; i++ {
+		if _, ok, err := fast.Next(); !ok || err != nil {
+			t.Fatalf("fast read %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	if _, ok, _ := slow.Next(); !ok {
+		t.Fatal("slow read failed")
+	}
+	if n, lo := retained(); n != 5 || lo != 1 {
+		t.Fatalf("slow consumer at 1: retained %d from %d, want 5 from 1", n, lo)
+	}
+	if _, err := slow.Poll(3); err != nil {
+		t.Fatal(err)
+	}
+	if n, lo := retained(); n != 2 || lo != 4 {
+		t.Fatalf("slow at 4, fast at 5: retained %d from %d, want 2 from 4", n, lo)
+	}
+	// The early consumer registers at its first read and resumes at the
+	// oldest retained message (offset 4); from then on it gates the
+	// topic as well.
+	if m, ok, _ := early.Next(); !ok || m.Offset != 4 {
+		t.Fatalf("early consumer read %+v ok=%v, want offset 4", m, ok)
+	}
+	publish(4) // offsets 6..9
+	if _, err := fast.Poll(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := slow.Poll(0); err != nil {
+		t.Fatal(err)
+	}
+	if n, lo := retained(); n != 5 || lo != 5 {
+		t.Fatalf("early at 5: retained %d from %d, want 5 from 5", n, lo)
+	}
+	if _, err := early.Poll(0); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := retained(); n != 0 {
+		t.Fatalf("all consumers drained: retained %d, want 0", n)
+	}
+	// Loosening the topic to unbounded stops the trimming.
+	if err := b.CreateTopic("q", 0); err != nil {
+		t.Fatal(err)
+	}
+	publish(3)
+	if _, err := fast.Poll(0); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := retained(); n != 3 {
+		t.Fatalf("unbounded again: retained %d, want 3", n)
 	}
 }

@@ -11,7 +11,7 @@ func (b *Bus) EndOffset(topic string) int64 {
 	if !ok {
 		return 0
 	}
-	return t.dropped + int64(len(t.messages)-t.head)
+	return t.end()
 }
 
 // Topics returns the names of all topics, in unspecified order.
@@ -31,4 +31,14 @@ func (c *Consumer) SeekTo(offset int64) {
 		offset = 0
 	}
 	c.offset = offset
+}
+
+// ringLen returns the length of topic's ring (0 for an unknown topic).
+func (b *Bus) ringLen(topic string) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if t, ok := b.topics[topic]; ok {
+		return len(t.ring)
+	}
+	return 0
 }

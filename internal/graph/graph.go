@@ -166,9 +166,10 @@ type App struct {
 	// Async ledger: fire-and-forget deliveries spawned over async edges
 	// are conserved separately from the requests that spawned them.
 	bs            *bus.Bus
-	ownBus        bool
 	asyncSpawned  uint64
 	asyncMsgs     []asyncMsg // current payload chunk (async.go)
+	freeAsyncMsgs *asyncMsg  // delivered payloads, ready for reuse
+	asyncChunks   int        // payload chunks carved so far
 	asyncInFlight int
 	asyncDisp     metrics.DispositionCounts
 
@@ -257,10 +258,11 @@ func New(eng *sim.Engine, rnd *rng.Rand, cfg Config) (*App, error) {
 		if es.Kind == EdgeAsync {
 			if a.bs == nil {
 				a.bs = bus.New()
-				a.ownBus = true
 			}
+			// The edge's consumer is the topic's only reader, so the
+			// topic holds exactly the undelivered messages.
 			e.topic = "graph/async/" + e.key
-			if err := a.bs.CreateTopic(e.topic, 0); err != nil {
+			if err := a.bs.CreateTopic(e.topic, bus.RetainUntilRead); err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 			}
 			e.consumer = a.bs.NewConsumer(e.topic, 0)
@@ -295,10 +297,6 @@ func New(eng *sim.Engine, rnd *rng.Rand, cfg Config) (*App, error) {
 // state (threads, pool sizes) is on the nodes and edges; see NodeThreads
 // and EdgePoolSize.
 func (a *App) Config() Config { return a.cfg }
-
-// Bus returns the bus backing the async edges (nil when the topology has
-// none).
-func (a *App) Bus() *bus.Bus { return a.bs }
 
 // NodeNames lists the node names in declaration order.
 func (a *App) NodeNames() []string {

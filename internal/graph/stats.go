@@ -41,7 +41,7 @@ func (a *App) TakeStats() Stats {
 		Errors:        a.errored.TakeDelta(),
 		MeanRTSeconds: mean,
 		NodeResidence: make(map[string]float64, len(a.nodes)),
-		RT:            metrics.Summarize(a.rtWindow),
+		RT:            metrics.SummarizeInPlace(a.rtWindow),
 		InFlight:      a.inFlight,
 		Good:          a.good.TakeDelta(),
 		TimedOut:      a.timedOut.TakeDelta(),
@@ -53,6 +53,7 @@ func (a *App) TakeStats() Stats {
 		m, _ := n.res.TakeMean()
 		st.NodeResidence[n.spec.Name] = m
 	}
+	// SummarizeInPlace sorted the window; it starts the next interval empty.
 	a.rtWindow = a.rtWindow[:0]
 	return st
 }

@@ -114,11 +114,33 @@ func TestParallelJoinAllBranchesOK(t *testing.T) {
 	requireClean(t, app, chk)
 }
 
+// requireAsyncRetained checks that the async edge key's bus topic holds
+// exactly the messages published on it that no delivery has read yet,
+// and that there are want of them.
+func requireAsyncRetained(t *testing.T, a *App, key string, want int) {
+	t.Helper()
+	e := a.edgeByKey[key]
+	msgs, err := a.bs.Fetch(e.topic, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spawned, _, _ := a.AsyncLedger()
+	if undelivered := int64(spawned) - e.consumer.Offset(); int64(len(msgs)) != undelivered {
+		t.Fatalf("topic %s retains %d messages, but %d are undelivered", e.topic, len(msgs), undelivered)
+	}
+	if len(msgs) != want {
+		t.Fatalf("topic %s retains %d messages, want %d", e.topic, len(msgs), want)
+	}
+}
+
 // TestAsyncEdgeAccounting pins the fire-and-forget ledger: async
 // deliveries never touch the caller's disposition, and every spawn is
 // eventually accounted done with the async in-flight gauge back at zero.
+// It also pins the bounded log behind the ledger: the edge's topic keeps
+// only undelivered messages, delivered payloads are reused, and a steady
+// stream of deliveries allocates nothing. It is not parallel, so no other
+// test's allocations reach the allocation count.
 func TestAsyncEdgeAccounting(t *testing.T) {
-	t.Parallel()
 	spec := Spec{
 		Name:  "async",
 		Entry: "front",
@@ -155,13 +177,48 @@ func TestAsyncEdgeAccounting(t *testing.T) {
 	if audit := app.NodeVisits()["audit"]; audit.Started != 2*n || audit.Dispositions.OK != 2*n {
 		t.Fatalf("audit ledger %+v, want %d delivered visits", audit, 2*n)
 	}
+	requireAsyncRetained(t, app, "front->audit", 0)
+	requireClean(t, app, chk)
+
+	// One request at a time, many chunks' worth of deliveries. A delivery
+	// reads its message in the instant of its publish, so the backlog
+	// peaked above, at 2 visits x 5 simultaneous requests: every payload
+	// since must come from the free list, and one chunk covers the run.
+	noop := func(time.Duration, bool) {}
+	spaced := func(requests int) {
+		for i := 0; i < requests; i++ {
+			app.Inject(noop)
+			if err := eng.Run(eng.Now() + 50*time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			// rtWindow holds one float per OK request until TakeStats;
+			// emptying it keeps its growth out of the count below.
+			app.rtWindow = app.rtWindow[:0]
+		}
+	}
+	spaced(2 * asyncMsgChunk)
+	const peakBacklog = 2 * n
+	if spawned, _, _ := app.AsyncLedger(); spawned <= 4*asyncMsgChunk {
+		t.Fatalf("spawned %d deliveries, want more than %d chunks' worth", spawned, 4)
+	}
+	if maxChunks := (peakBacklog + asyncMsgChunk - 1) / asyncMsgChunk; app.asyncChunks > maxChunks {
+		t.Fatalf("carved %d payload chunks for a peak backlog of %d, want at most %d",
+			app.asyncChunks, peakBacklog, maxChunks)
+	}
+	requireAsyncRetained(t, app, "front->audit", 0)
+	if allocs := testing.AllocsPerRun(1, func() { spaced(asyncMsgChunk) }); allocs != 0 {
+		t.Fatalf("%d steady-state requests with async deliveries allocated %v times, want 0",
+			asyncMsgChunk, allocs)
+	}
 	requireClean(t, app, chk)
 }
 
 // TestAsyncInFlightAtHorizon stops the clock while deliveries are still
 // queued behind the slow audit node: the ledger must show the outstanding
 // work, and the conservation sweep must stay clean (spawned = done +
-// in-flight is the async invariant, not spawned = done).
+// in-flight is the async invariant, not spawned = done). The backlog is
+// at the audit node, not on the bus: each delivery read its message when
+// it was published, so the topic must retain nothing.
 func TestAsyncInFlightAtHorizon(t *testing.T) {
 	t.Parallel()
 	slow := testModel()
@@ -193,6 +250,12 @@ func TestAsyncInFlightAtHorizon(t *testing.T) {
 	}
 	if done.Total()+uint64(inFlight) != uint64(n) {
 		t.Fatalf("async ledger leak: spawned=%d done=%d inFlight=%d", spawned, done.Total(), inFlight)
+	}
+	requireAsyncRetained(t, app, "front->audit", 0)
+	// No more than the n spawned payloads were ever undelivered at once.
+	if maxChunks := (n + asyncMsgChunk - 1) / asyncMsgChunk; app.asyncChunks > maxChunks {
+		t.Fatalf("carved %d payload chunks for a peak backlog of %d, want at most %d",
+			app.asyncChunks, n, maxChunks)
 	}
 	requireClean(t, app, chk)
 }

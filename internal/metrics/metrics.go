@@ -108,12 +108,17 @@ type Summary struct {
 // Summarize computes a Summary over values. An empty input yields a zero
 // Summary.
 func Summarize(values []float64) Summary {
+	return SummarizeInPlace(append([]float64(nil), values...))
+}
+
+// SummarizeInPlace is Summarize for a caller that no longer needs the
+// order of values: it sorts values in place instead of copying them.
+func SummarizeInPlace(values []float64) Summary {
 	if len(values) == 0 {
 		return Summary{}
 	}
-	sorted := make([]float64, len(values))
-	copy(sorted, values)
-	sort.Float64s(sorted)
+	sort.Float64s(values)
+	sorted := values
 
 	var sum, sumSq float64
 	for _, v := range sorted {

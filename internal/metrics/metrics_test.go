@@ -128,6 +128,30 @@ func TestSummarizeDoesNotMutateInput(t *testing.T) {
 	}
 }
 
+// TestSummarizeInPlaceMatchesSummarize: the in-place variant returns the
+// same Summary bit for bit (the sum runs over the same sorted values) and
+// leaves its input sorted.
+func TestSummarizeInPlaceMatchesSummarize(t *testing.T) {
+	t.Parallel()
+	prop := func(in []float64) bool {
+		want := Summarize(in)
+		vals := append([]float64(nil), in...)
+		got := SummarizeInPlace(vals)
+		same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+		return got.Count == want.Count && same(got.Mean, want.Mean) &&
+			same(got.Min, want.Min) && same(got.Max, want.Max) &&
+			same(got.Stddev, want.Stddev) && same(got.P50, want.P50) &&
+			same(got.P90, want.P90) && same(got.P95, want.P95) &&
+			same(got.P99, want.P99) && sort.Float64sAreSorted(vals)
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Fatal(err)
+	}
+	if s := SummarizeInPlace(nil); s != (Summary{}) {
+		t.Fatalf("empty summary = %+v", s)
+	}
+}
+
 func TestPercentile(t *testing.T) {
 	t.Parallel()
 	sorted := []float64{10, 20, 30, 40}
