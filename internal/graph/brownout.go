@@ -63,7 +63,7 @@ func (a *App) ScaleAdmission(f float64) {
 	}
 	cap := a.scaledMaxQueue()
 	for _, n := range a.nodes {
-		for _, m := range a.Members(n.spec.Name) {
+		for _, m := range n.balancer.Backends() {
 			m.srv.SetMaxQueue(cap)
 		}
 	}

@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"dcm/internal/bus"
@@ -45,13 +46,14 @@ type Config struct {
 }
 
 // node is one service of the graph: a balancer over replicas plus the
-// node's out-edges and ledger.
+// node's out-edges and ledger. The balancer is the node's only registry
+// of its members, kept in registration order.
 type node struct {
 	spec     NodeSpec
 	idx      int
 	entry    bool
-	balancer *lb.Balancer
-	members  map[string]*Member
+	balancer *lb.Balancer[*Member]
+	nameSeq  int // auto-named members created so far ("app-1", "app-2", …)
 	outs     []*edge
 	ins      []*edge
 	threads  int
@@ -90,11 +92,13 @@ type edge struct {
 func (e *edge) pooled() bool { return e.poolSize > 0 }
 
 // Member is one replica of a node, together with the connection pools
-// guarding its pooled out-edges.
+// guarding its pooled out-edges and the circuit breaker guarding calls
+// into it.
 type Member struct {
-	srv   *server.Server
-	node  *node
-	pools []*connpool.Pool // parallel to node.outs; nil for unpooled edges
+	srv     *server.Server
+	node    *node
+	pools   []*connpool.Pool    // parallel to node.outs; nil for unpooled edges
+	breaker *resilience.Breaker // nil at the entry node or with breakers off
 }
 
 // Name returns the member's server name.
@@ -121,8 +125,6 @@ func (m *Member) Pool() *connpool.Pool {
 	return nil
 }
 
-var _ lb.Backend = (*Member)(nil)
-
 // App is the assembled service-graph application.
 type App struct {
 	eng *sim.Engine
@@ -134,7 +136,6 @@ type App struct {
 	edges      []*edge
 	edgeByKey  map[string]*edge
 	entry      *node
-	nameSeq    map[string]int
 
 	completions metrics.Counter
 	errored     metrics.Counter
@@ -146,11 +147,9 @@ type App struct {
 
 	reqTracer *trace.RequestTracer
 
-	// Resilience state. breakers is keyed by server name and empty unless
-	// the breaker feature is on.
-	res      resilience.Config
-	breakers map[string]*resilience.Breaker
-	disp     metrics.DispositionCounts
+	// Resilience state; each member carries its own breaker.
+	res  resilience.Config
+	disp metrics.DispositionCounts
 
 	// Per-class accounting (empty / nil without Classes).
 	classes       []classState
@@ -211,9 +210,7 @@ func New(eng *sim.Engine, rnd *rng.Rand, cfg Config) (*App, error) {
 		cfg:        cfg,
 		nodeByName: make(map[string]*node, len(cfg.Spec.Nodes)),
 		edgeByKey:  make(map[string]*edge, len(cfg.Spec.Edges)),
-		nameSeq:    make(map[string]int, len(cfg.Spec.Nodes)),
 		res:        cfg.Resilience,
-		breakers:   make(map[string]*resilience.Breaker),
 
 		admissionScale: 1,
 	}
@@ -222,8 +219,7 @@ func New(eng *sim.Engine, rnd *rng.Rand, cfg Config) (*App, error) {
 			spec:     ns,
 			idx:      i,
 			entry:    ns.Name == cfg.Spec.Entry,
-			balancer: lb.New(cfg.Policy),
-			members:  make(map[string]*Member),
+			balancer: lb.New[*Member](cfg.Policy),
 			threads:  ns.Threads,
 		}
 		if ns.Kind == KindCache && ns.CacheSize > 0 {
@@ -232,9 +228,8 @@ func New(eng *sim.Engine, rnd *rng.Rand, cfg Config) (*App, error) {
 		if a.res.Breaker.Enabled() {
 			// Breaker guard: a backend whose breaker is open (and not yet
 			// cooled down) is skipped like a draining one.
-			n.balancer.SetGuard(func(be lb.Backend) bool {
-				br := a.breakers[be.Name()]
-				return br == nil || br.Ready(a.eng.Now())
+			n.balancer.SetGuard(func(m *Member) bool {
+				return m.breaker == nil || m.breaker.Ready(a.eng.Now())
 			})
 		}
 		a.nodes = append(a.nodes, n)
@@ -344,10 +339,10 @@ func (a *App) AddMember(nodeName, name string) (*Member, error) {
 		return nil, err
 	}
 	if name == "" {
-		a.nameSeq[nodeName]++
-		name = fmt.Sprintf("%s-%d", nodeName, a.nameSeq[nodeName])
+		n.nameSeq++
+		name = fmt.Sprintf("%s-%d", nodeName, n.nameSeq)
 	}
-	if _, exists := n.members[name]; exists {
+	if n.member(name) != nil {
 		return nil, fmt.Errorf("graph: member %q already exists in %s", name, nodeName)
 	}
 
@@ -395,12 +390,11 @@ func (a *App) AddMember(nodeName, name string) (*Member, error) {
 	// system's front door: opening a breaker there is a self-inflicted
 	// outage, so it relies on admission control instead.
 	if a.res.Breaker.Enabled() && !n.entry {
-		a.breakers[name] = resilience.NewBreaker(a.res.Breaker)
+		m.breaker = resilience.NewBreaker(a.res.Breaker)
 	}
 	if err := n.balancer.Add(m); err != nil {
 		return nil, fmt.Errorf("graph: register %q: %w", name, err)
 	}
-	n.members[name] = m
 	if a.reqTracer != nil {
 		m.srv.SetTracer(a.reqTracer, nodeName)
 		for _, p := range m.pools {
@@ -410,15 +404,7 @@ func (a *App) AddMember(nodeName, name string) (*Member, error) {
 		}
 	}
 	if a.chk != nil {
-		m.srv.SetInvariantChecker(a.chk)
-		for _, p := range m.pools {
-			if p != nil {
-				p.SetInvariantChecker(a.chk)
-			}
-		}
-		if br := a.breakers[name]; br != nil {
-			br.SetStateHook(a.breakerTransitionHook(name))
-		}
+		a.checkMember(m)
 	}
 	a.refreshConfigured()
 	return m, nil
@@ -429,7 +415,7 @@ func (a *App) AddMember(nodeName, name string) (*Member, error) {
 func (a *App) SetRequestTracer(tr *trace.RequestTracer) {
 	a.reqTracer = tr
 	for _, n := range a.nodes {
-		for _, m := range n.members {
+		for _, m := range n.balancer.Backends() {
 			m.srv.SetTracer(tr, n.spec.Name)
 			for _, p := range m.pools {
 				if p != nil {
@@ -437,14 +423,6 @@ func (a *App) SetRequestTracer(tr *trace.RequestTracer) {
 				}
 			}
 		}
-	}
-}
-
-// breakerTransitionHook returns the state-change observer validating the
-// named member's breaker transitions against the legal state machine.
-func (a *App) breakerTransitionHook(name string) func(from, to resilience.BreakerState) {
-	return func(from, to resilience.BreakerState) {
-		a.chk.BreakerTransition(a.eng.Now(), "breaker "+name, from.String(), to.String())
 	}
 }
 
@@ -456,22 +434,34 @@ func (a *App) breakerTransitionHook(name string) func(from, to resilience.Breake
 func (a *App) SetInvariantChecker(c *invariant.Checker) {
 	a.chk = c
 	for _, n := range a.nodes {
-		for _, m := range n.members {
-			m.srv.SetInvariantChecker(c)
-			for _, p := range m.pools {
-				if p != nil {
-					p.SetInvariantChecker(c)
-				}
-			}
+		for _, m := range n.balancer.Backends() {
+			a.checkMember(m)
 		}
 	}
-	for name, br := range a.breakers {
-		if c == nil {
-			br.SetStateHook(nil)
-		} else {
-			br.SetStateHook(a.breakerTransitionHook(name))
+}
+
+// checkMember attaches the app's checker (nil detaches) to the member's
+// server, pools and breaker. The breaker hook validates each transition
+// against the legal state machine.
+func (a *App) checkMember(m *Member) {
+	c := a.chk
+	m.srv.SetInvariantChecker(c)
+	for _, p := range m.pools {
+		if p != nil {
+			p.SetInvariantChecker(c)
 		}
 	}
+	if m.breaker == nil {
+		return
+	}
+	var hook func(from, to resilience.BreakerState)
+	if c != nil {
+		subject := "breaker " + m.Name()
+		hook = func(from, to resilience.BreakerState) {
+			c.BreakerTransition(a.eng.Now(), subject, from.String(), to.String())
+		}
+	}
+	m.breaker.SetStateHook(hook)
 }
 
 // refreshConfigured re-derives the configured concurrency of every node
@@ -487,31 +477,31 @@ func (a *App) refreshConfigured() {
 				continue
 			}
 			fed = true
-			srcs := 0
-			for _, m := range e.src.members {
-				if m.srv.Accepting() {
-					srcs++
-				}
-			}
-			total += e.poolSize * srcs
+			total += e.poolSize * e.src.balancer.ReadyCount()
 		}
 		if !fed {
 			continue
 		}
-		dsts := 0
-		for _, m := range n.members {
-			if m.srv.Accepting() {
-				dsts++
-			}
-		}
+		dsts := n.balancer.ReadyCount()
 		if dsts == 0 {
 			continue
 		}
 		per := (total + dsts - 1) / dsts
-		for _, m := range n.members {
+		for _, m := range n.balancer.Backends() {
 			m.srv.SetConfiguredConcurrency(per)
 		}
 	}
+}
+
+// member finds the named replica of n, nil when there is none. Replica
+// counts are small and no caller is on the request path, so it scans.
+func (n *node) member(name string) *Member {
+	for _, m := range n.balancer.Backends() {
+		if m.Name() == name {
+			return m
+		}
+	}
+	return nil
 }
 
 // Member returns the named replica of a node.
@@ -520,27 +510,22 @@ func (a *App) Member(nodeName, name string) (*Member, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, ok := n.members[name]
-	if !ok {
+	m := n.member(name)
+	if m == nil {
 		return nil, fmt.Errorf("%w: %s/%s", ErrUnknownMember, nodeName, name)
 	}
 	return m, nil
 }
 
-// Members returns the node's members in balancer registration order.
+// Members returns a copy of the node's members in balancer registration
+// order, so the caller may drain, remove or crash members while it
+// iterates.
 func (a *App) Members(nodeName string) []*Member {
 	n, err := a.nodeOf(nodeName)
 	if err != nil {
 		return nil
 	}
-	backends := n.balancer.Backends()
-	out := make([]*Member, 0, len(backends))
-	for _, b := range backends {
-		if m, ok := n.members[b.Name()]; ok {
-			out = append(out, m)
-		}
-	}
-	return out
+	return slices.Clone(n.balancer.Backends())
 }
 
 // MemberCount returns the number of replicas of the node (including
@@ -550,7 +535,7 @@ func (a *App) MemberCount(nodeName string) int {
 	if err != nil {
 		return 0
 	}
-	return len(n.members)
+	return len(n.balancer.Backends())
 }
 
 // StartDrain marks a member as draining (no new work) and invokes
@@ -558,15 +543,11 @@ func (a *App) MemberCount(nodeName string) int {
 // Draining the last accepting member of a node is rejected — it would
 // black-hole all traffic.
 func (a *App) StartDrain(nodeName, name string, onDrained func()) error {
-	n, err := a.nodeOf(nodeName)
+	m, err := a.Member(nodeName, name)
 	if err != nil {
 		return err
 	}
-	m, ok := n.members[name]
-	if !ok {
-		return fmt.Errorf("%w: %s/%s", ErrUnknownMember, nodeName, name)
-	}
-	if m.srv.Accepting() && n.balancer.ReadyCount() <= 1 {
+	if m.srv.Accepting() && m.node.balancer.ReadyCount() <= 1 {
 		return fmt.Errorf("%w: %s", ErrLastMember, nodeName)
 	}
 	m.srv.SetAccepting(false)
@@ -598,13 +579,9 @@ func (m *Member) poolsIdle() bool {
 // that is still accepting or busy is an error; callers should StartDrain
 // first.
 func (a *App) RemoveMember(nodeName, name string) error {
-	n, err := a.nodeOf(nodeName)
+	m, err := a.Member(nodeName, name)
 	if err != nil {
 		return err
-	}
-	m, ok := n.members[name]
-	if !ok {
-		return fmt.Errorf("%w: %s/%s", ErrUnknownMember, nodeName, name)
 	}
 	if m.srv.Accepting() {
 		return fmt.Errorf("graph: remove %s/%s: still accepting (drain first)", nodeName, name)
@@ -612,11 +589,9 @@ func (a *App) RemoveMember(nodeName, name string) error {
 	if m.srv.Active() > 0 || m.srv.QueueLen() > 0 {
 		return fmt.Errorf("graph: remove %s/%s: still busy", nodeName, name)
 	}
-	if err := n.balancer.Remove(name); err != nil {
+	if err := m.node.balancer.Remove(name); err != nil {
 		return fmt.Errorf("graph: remove %s/%s: %w", nodeName, name, err)
 	}
-	delete(n.members, name)
-	delete(a.breakers, name)
 	a.refreshConfigured()
 	return nil
 }
@@ -626,19 +601,13 @@ func (a *App) RemoveMember(nodeName, name string) error {
 // requests on it are lost. Unlike StartDrain, failing the last member of
 // a node is allowed — crashes do not ask permission.
 func (a *App) FailMember(nodeName, name string) error {
-	n, err := a.nodeOf(nodeName)
+	m, err := a.Member(nodeName, name)
 	if err != nil {
 		return err
 	}
-	m, ok := n.members[name]
-	if !ok {
-		return fmt.Errorf("%w: %s/%s", ErrUnknownMember, nodeName, name)
-	}
-	if err := n.balancer.Remove(name); err != nil {
+	if err := m.node.balancer.Remove(name); err != nil {
 		return fmt.Errorf("graph: fail %s/%s: %w", nodeName, name, err)
 	}
-	delete(n.members, name)
-	delete(a.breakers, name)
 	m.srv.Kill()
 	a.refreshConfigured()
 	return nil
@@ -655,7 +624,7 @@ func (a *App) SetNodeThreads(nodeName string, v int) error {
 		v = 1
 	}
 	n.threads = v
-	for _, m := range a.Members(nodeName) {
+	for _, m := range n.balancer.Backends() {
 		m.srv.SetPoolSize(v)
 	}
 	return nil
@@ -676,7 +645,7 @@ func (a *App) SetEdgePoolSize(from, to string, v int) error {
 		v = 1
 	}
 	e.poolSize = v
-	for _, m := range a.Members(e.src.spec.Name) {
+	for _, m := range e.src.balancer.Backends() {
 		if p := m.pools[e.pos]; p != nil {
 			p.Resize(v)
 		}
@@ -732,11 +701,12 @@ type NodeHistogramSet struct {
 // one per-node view. Members removed earlier (drained or crashed) are not
 // included.
 func (a *App) NodeHistograms(nodeName string) (NodeHistogramSet, error) {
-	if _, err := a.nodeOf(nodeName); err != nil {
+	n, err := a.nodeOf(nodeName)
+	if err != nil {
 		return NodeHistogramSet{}, err
 	}
 	var out NodeHistogramSet
-	for _, m := range a.Members(nodeName) {
+	for _, m := range n.balancer.Backends() {
 		if out.QueueDepth == nil {
 			out.QueueDepth = m.srv.QueueDepthHistogram().CloneEmpty()
 			out.ServiceTime = m.srv.ServiceTimeHistogram().CloneEmpty()
@@ -759,7 +729,11 @@ func (a *App) NodeHistograms(nodeName string) (NodeHistogramSet, error) {
 // NodeQueueDepthTotals returns the lifetime sum and count of queue-depth
 // observations across the node's current members, in balancer order.
 func (a *App) NodeQueueDepthTotals(nodeName string) (sum float64, count uint64) {
-	for _, m := range a.Members(nodeName) {
+	n, err := a.nodeOf(nodeName)
+	if err != nil {
+		return 0, 0
+	}
+	for _, m := range n.balancer.Backends() {
 		h := m.srv.QueueDepthHistogram()
 		sum += h.Sum()
 		count += h.Count()

@@ -90,7 +90,7 @@ func (a *App) CheckInvariants() {
 			"async in-flight count negative (%d)", a.asyncInFlight)
 	}
 	for _, n := range a.nodes {
-		for _, m := range a.Members(n.spec.Name) {
+		for _, m := range n.balancer.Backends() {
 			a.chk.Check(now, invariant.RulePoolAccounting, n.spec.Name+"/"+m.Name(),
 				m.srv.CheckInvariant())
 			for _, p := range m.pools {

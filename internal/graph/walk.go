@@ -202,8 +202,7 @@ func pickDisposition(err error) metrics.Disposition {
 // probe accounting); true when the call may proceed. Always true when
 // breakers are off.
 func (a *App) breakerAttempt(m *Member) bool {
-	br := a.breakers[m.Name()]
-	return br == nil || br.Attempt(a.eng.Now())
+	return m.breaker == nil || m.breaker.Attempt(a.eng.Now())
 }
 
 // breakerRecord feeds a call outcome to the member's breaker. Only
@@ -212,7 +211,7 @@ func (a *App) breakerAttempt(m *Member) bool {
 // breaker refusing) bypass the failure window — shedding is the admission
 // layer doing its job, not evidence this backend is sick.
 func (a *App) breakerRecord(m *Member, disp metrics.Disposition) {
-	br := a.breakers[m.Name()]
+	br := m.breaker
 	if br == nil {
 		return
 	}
@@ -373,12 +372,12 @@ func (f *hop) visit() {
 	a, n := f.a, f.n
 	n.started++
 	n.inFlight++
-	var be lb.Backend
+	var m *Member
 	var err error
 	if f.e == nil && n.entry && f.r.session != 0 {
-		be, err = n.balancer.PickSession(f.r.session)
+		m, err = n.balancer.PickSession(f.r.session)
 	} else {
-		be, err = n.balancer.Pick()
+		m, err = n.balancer.Pick()
 	}
 	if err != nil {
 		f.releaseConn()
@@ -386,12 +385,6 @@ func (f *hop) visit() {
 			a.reqTracer.Record(f.r.id, trace.EventBreakerOpen, n.spec.Name, "", a.eng.Now())
 		}
 		f.end(pickDisposition(err))
-		return
-	}
-	m, ok := n.members[be.Name()]
-	if !ok {
-		f.releaseConn()
-		f.end(metrics.DispositionError)
 		return
 	}
 	if !a.breakerAttempt(m) {

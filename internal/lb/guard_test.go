@@ -11,13 +11,13 @@ import (
 func TestGuardSkipsRefusedBackends(t *testing.T) {
 	t.Parallel()
 	for _, policy := range []Policy{RoundRobin, LeastConnections} {
-		b := New(policy)
+		b := New[*fake](policy)
 		for _, n := range []string{"a", "b", "c"} {
 			if err := b.Add(&fake{name: n, accepting: true}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		b.SetGuard(func(be Backend) bool { return be.Name() != "b" })
+		b.SetGuard(func(be *fake) bool { return be.Name() != "b" })
 		for i := 0; i < 6; i++ {
 			picked, err := b.Pick()
 			if err != nil {
@@ -36,12 +36,12 @@ func TestGuardSkipsRefusedBackends(t *testing.T) {
 func TestGuardAllRefusedReturnsErrGuarded(t *testing.T) {
 	t.Parallel()
 	for _, policy := range []Policy{RoundRobin, LeastConnections} {
-		b := New(policy)
+		b := New[*fake](policy)
 		up := &fake{name: "a", accepting: true}
 		if err := b.Add(up); err != nil {
 			t.Fatal(err)
 		}
-		b.SetGuard(func(Backend) bool { return false })
+		b.SetGuard(func(*fake) bool { return false })
 		if _, err := b.Pick(); !errors.Is(err, ErrGuarded) {
 			t.Errorf("%v: err = %v, want ErrGuarded", policy, err)
 		}
@@ -56,7 +56,7 @@ func TestGuardAllRefusedReturnsErrGuarded(t *testing.T) {
 // restores the exact unguarded rotation.
 func TestNilGuardIsIdentity(t *testing.T) {
 	t.Parallel()
-	b := New(RoundRobin)
+	b := New[*fake](RoundRobin)
 	for _, n := range []string{"a", "b"} {
 		if err := b.Add(&fake{name: n, accepting: true}); err != nil {
 			t.Fatal(err)

@@ -2,11 +2,18 @@
 // front of the Tomcat and MySQL tiers (§IV-A): it spreads requests across
 // the ready servers of a tier and supports runtime changes to the backend
 // set, which is how the VM-agent rebalances load after scaling.
+//
+// A Balancer is generic over its backend type and hands back the backend
+// it holds, so it is the caller's only registry of replicas: each node of
+// the service graph (internal/graph) registers its *Member values here,
+// each member carrying its own circuit breaker, and keeps no other index
+// of them.
 package lb
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Backend is one balanceable server.
@@ -57,26 +64,24 @@ var (
 	ErrUnknown   = errors.New("lb: unknown backend")
 )
 
-// Balancer distributes work over a mutable set of backends. The zero value
-// is not usable; construct with New. Balancer is not safe for concurrent
-// use (the simulation is single-threaded).
-type Balancer struct {
+// Balancer distributes work over a mutable set of backends of type B and
+// hands back the B it holds. The zero value is not usable; construct with
+// New. Balancer is not safe for concurrent use (the simulation is
+// single-threaded).
+type Balancer[B Backend] struct {
 	policy   Policy
-	backends []Backend
+	backends []B
 	next     int
-	guard    func(Backend) bool
+	guard    func(B) bool
 }
 
 // New returns a balancer with the given policy.
-func New(policy Policy) *Balancer {
+func New[B Backend](policy Policy) *Balancer[B] {
 	if policy != LeastConnections {
 		policy = RoundRobin
 	}
-	return &Balancer{policy: policy}
+	return &Balancer[B]{policy: policy}
 }
-
-// Policy returns the balancing policy.
-func (b *Balancer) Policy() Policy { return b.policy }
 
 // SetGuard installs a per-pick admission predicate consulted alongside
 // Accepting: a backend for which guard returns false is skipped as if it
@@ -84,10 +89,10 @@ func (b *Balancer) Policy() Policy { return b.policy }
 // each backend with its breaker's Ready check. A nil guard (the default)
 // admits every accepting backend and leaves Pick byte-identical to the
 // unguarded balancer.
-func (b *Balancer) SetGuard(guard func(Backend) bool) { b.guard = guard }
+func (b *Balancer[B]) SetGuard(guard func(B) bool) { b.guard = guard }
 
 // Add registers a backend.
-func (b *Balancer) Add(backend Backend) error {
+func (b *Balancer[B]) Add(backend B) error {
 	for _, existing := range b.backends {
 		if existing.Name() == backend.Name() {
 			return fmt.Errorf("%w: %q", ErrDuplicate, backend.Name())
@@ -99,10 +104,10 @@ func (b *Balancer) Add(backend Backend) error {
 
 // Remove deregisters the named backend. In-flight requests on it are not
 // affected; it simply receives no new picks.
-func (b *Balancer) Remove(name string) error {
+func (b *Balancer[B]) Remove(name string) error {
 	for i, existing := range b.backends {
 		if existing.Name() == name {
-			b.backends = append(b.backends[:i], b.backends[i+1:]...)
+			b.backends = slices.Delete(b.backends, i, i+1)
 			if b.next > i {
 				b.next--
 			}
@@ -120,18 +125,14 @@ func (b *Balancer) Remove(name string) error {
 	return fmt.Errorf("%w: %q", ErrUnknown, name)
 }
 
-// Backends returns the registered backends in registration order.
-func (b *Balancer) Backends() []Backend {
-	out := make([]Backend, len(b.backends))
-	copy(out, b.backends)
-	return out
-}
-
-// Len returns the number of registered backends.
-func (b *Balancer) Len() int { return len(b.backends) }
+// Backends returns the registered backends in registration order. The
+// slice is the balancer's own: callers read it in place and must not
+// modify it, and a caller that may Add or Remove while iterating copies
+// it first.
+func (b *Balancer[B]) Backends() []B { return b.backends }
 
 // ReadyCount returns the number of accepting backends.
-func (b *Balancer) ReadyCount() int {
+func (b *Balancer[B]) ReadyCount() int {
 	n := 0
 	for _, backend := range b.backends {
 		if backend.Accepting() {
@@ -145,18 +146,21 @@ func (b *Balancer) ReadyCount() int {
 // backends. When ready backends exist but the guard refuses all of them,
 // Pick returns ErrGuarded; when no backend is accepting at all it returns
 // ErrNoBackends.
-func (b *Balancer) Pick() (Backend, error) {
+func (b *Balancer[B]) Pick() (B, error) {
+	var none B
 	n := len(b.backends)
 	if n == 0 {
-		return nil, ErrNoBackends
+		return none, ErrNoBackends
 	}
 	guarded := false
 	switch b.policy {
 	case LeastConnections:
-		var best Backend
+		best := -1
+		bestLoad := 0
 		// Scan starting at the rotation point so ties rotate.
 		for i := 0; i < n; i++ {
-			cand := b.backends[(b.next+i)%n]
+			j := (b.next + i) % n
+			cand := b.backends[j]
 			if !cand.Accepting() {
 				continue
 			}
@@ -164,18 +168,15 @@ func (b *Balancer) Pick() (Backend, error) {
 				guarded = true
 				continue
 			}
-			if best == nil || cand.Load() < best.Load() {
-				best = cand
+			if load := cand.Load(); best < 0 || load < bestLoad {
+				best, bestLoad = j, load
 			}
 		}
-		if best == nil {
-			if guarded {
-				return nil, ErrGuarded
-			}
-			return nil, ErrNoBackends
+		if best < 0 {
+			return none, noPick(guarded)
 		}
 		b.next = (b.next + 1) % n
-		return best, nil
+		return b.backends[best], nil
 	default: // RoundRobin
 		for i := 0; i < n; i++ {
 			cand := b.backends[b.next%n]
@@ -189,11 +190,17 @@ func (b *Balancer) Pick() (Backend, error) {
 			}
 			return cand, nil
 		}
-		if guarded {
-			return nil, ErrGuarded
-		}
-		return nil, ErrNoBackends
+		return none, noPick(guarded)
 	}
+}
+
+// noPick is the error of a pick that found no backend: ErrGuarded when
+// the guard refused a ready one, ErrNoBackends otherwise.
+func noPick(guarded bool) error {
+	if guarded {
+		return ErrGuarded
+	}
+	return ErrNoBackends
 }
 
 // PickSession selects a ready backend for a session key via rendezvous
@@ -206,14 +213,15 @@ func (b *Balancer) Pick() (Backend, error) {
 // backend and returns home when the backend recovers. PickSession does
 // not advance the round-robin cursor; sessionless traffic through Pick is
 // unaffected.
-func (b *Balancer) PickSession(key uint64) (Backend, error) {
+func (b *Balancer[B]) PickSession(key uint64) (B, error) {
+	var none B
 	if len(b.backends) == 0 {
-		return nil, ErrNoBackends
+		return none, ErrNoBackends
 	}
-	var best Backend
+	best := -1
 	var bestScore uint64
 	guarded := false
-	for _, cand := range b.backends {
+	for i, cand := range b.backends {
 		if !cand.Accepting() {
 			continue
 		}
@@ -222,17 +230,14 @@ func (b *Balancer) PickSession(key uint64) (Backend, error) {
 			continue
 		}
 		score := rendezvousScore(key, cand.Name())
-		if best == nil || score > bestScore {
-			best, bestScore = cand, score
+		if best < 0 || score > bestScore {
+			best, bestScore = i, score
 		}
 	}
-	if best == nil {
-		if guarded {
-			return nil, ErrGuarded
-		}
-		return nil, ErrNoBackends
+	if best < 0 {
+		return none, noPick(guarded)
 	}
-	return best, nil
+	return b.backends[best], nil
 }
 
 // rendezvousScore mixes a session key with a backend name into the

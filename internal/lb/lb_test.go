@@ -18,11 +18,9 @@ func (f *fake) Name() string    { return f.name }
 func (f *fake) Accepting() bool { return f.accepting }
 func (f *fake) Load() int       { return f.load }
 
-var _ Backend = (*fake)(nil)
-
 func TestRoundRobinRotation(t *testing.T) {
 	t.Parallel()
-	b := New(RoundRobin)
+	b := New[*fake](RoundRobin)
 	for _, n := range []string{"a", "b", "c"} {
 		if err := b.Add(&fake{name: n, accepting: true}); err != nil {
 			t.Fatal(err)
@@ -46,7 +44,7 @@ func TestRoundRobinRotation(t *testing.T) {
 
 func TestRoundRobinSkipsDraining(t *testing.T) {
 	t.Parallel()
-	b := New(RoundRobin)
+	b := New[*fake](RoundRobin)
 	down := &fake{name: "down", accepting: false}
 	up := &fake{name: "up", accepting: true}
 	if err := b.Add(down); err != nil {
@@ -68,7 +66,7 @@ func TestRoundRobinSkipsDraining(t *testing.T) {
 
 func TestPickNoBackends(t *testing.T) {
 	t.Parallel()
-	b := New(RoundRobin)
+	b := New[*fake](RoundRobin)
 	if _, err := b.Pick(); !errors.Is(err, ErrNoBackends) {
 		t.Fatalf("err = %v", err)
 	}
@@ -82,7 +80,7 @@ func TestPickNoBackends(t *testing.T) {
 
 func TestLeastConnections(t *testing.T) {
 	t.Parallel()
-	b := New(LeastConnections)
+	b := New[*fake](LeastConnections)
 	heavy := &fake{name: "heavy", accepting: true, load: 10}
 	light := &fake{name: "light", accepting: true, load: 2}
 	if err := b.Add(heavy); err != nil {
@@ -104,7 +102,7 @@ func TestLeastConnections(t *testing.T) {
 
 func TestLeastConnectionsSkipsDraining(t *testing.T) {
 	t.Parallel()
-	b := New(LeastConnections)
+	b := New[*fake](LeastConnections)
 	idle := &fake{name: "idle", accepting: false, load: 0}
 	busy := &fake{name: "busy", accepting: true, load: 100}
 	if err := b.Add(idle); err != nil {
@@ -127,7 +125,7 @@ func TestLeastConnectionsSkipsDraining(t *testing.T) {
 
 func TestAddDuplicate(t *testing.T) {
 	t.Parallel()
-	b := New(RoundRobin)
+	b := New[*fake](RoundRobin)
 	if err := b.Add(&fake{name: "a", accepting: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +136,7 @@ func TestAddDuplicate(t *testing.T) {
 
 func TestRemove(t *testing.T) {
 	t.Parallel()
-	b := New(RoundRobin)
+	b := New[*fake](RoundRobin)
 	for _, n := range []string{"a", "b"} {
 		if err := b.Add(&fake{name: n, accepting: true}); err != nil {
 			t.Fatal(err)
@@ -147,8 +145,8 @@ func TestRemove(t *testing.T) {
 	if err := b.Remove("a"); err != nil {
 		t.Fatal(err)
 	}
-	if b.Len() != 1 {
-		t.Fatalf("len = %d", b.Len())
+	if n := len(b.Backends()); n != 1 {
+		t.Fatalf("len = %d", n)
 	}
 	picked, err := b.Pick()
 	if err != nil {
@@ -164,7 +162,7 @@ func TestRemove(t *testing.T) {
 
 func TestRemoveDuringRotationStaysFair(t *testing.T) {
 	t.Parallel()
-	b := New(RoundRobin)
+	b := New[*fake](RoundRobin)
 	for _, n := range []string{"a", "b", "c"} {
 		if err := b.Add(&fake{name: n, accepting: true}); err != nil {
 			t.Fatal(err)
@@ -192,7 +190,7 @@ func TestRemoveDuringRotationStaysFair(t *testing.T) {
 
 func TestReadyCountAndBackends(t *testing.T) {
 	t.Parallel()
-	b := New(RoundRobin)
+	b := New[*fake](RoundRobin)
 	if err := b.Add(&fake{name: "a", accepting: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +208,7 @@ func TestReadyCountAndBackends(t *testing.T) {
 
 func TestPickCounts(t *testing.T) {
 	t.Parallel()
-	b := New(RoundRobin)
+	b := New[*fake](RoundRobin)
 	for _, n := range []string{"a", "b"} {
 		if err := b.Add(&fake{name: n, accepting: true}); err != nil {
 			t.Fatal(err)
@@ -231,9 +229,9 @@ func TestPickCounts(t *testing.T) {
 
 func TestUnknownPolicyFallsBackToRoundRobin(t *testing.T) {
 	t.Parallel()
-	b := New(Policy(99))
-	if b.Policy() != RoundRobin {
-		t.Fatalf("policy = %v", b.Policy())
+	b := New[*fake](Policy(99))
+	if b.policy != RoundRobin {
+		t.Fatalf("policy = %v", b.policy)
 	}
 }
 
@@ -254,7 +252,7 @@ func TestRoundRobinFairnessProperty(t *testing.T) {
 	prop := func(nRaw, kRaw uint8) bool {
 		n := int(nRaw%8) + 1
 		k := int(kRaw%16) + 1
-		b := New(RoundRobin)
+		b := New[*fake](RoundRobin)
 		for i := 0; i < n; i++ {
 			if err := b.Add(&fake{name: string(rune('a' + i)), accepting: true}); err != nil {
 				return false
@@ -288,7 +286,7 @@ func TestRoundRobinFairnessProperty(t *testing.T) {
 // back to the first backend was skipped.
 func TestAddAfterRemoveLastResumesRotation(t *testing.T) {
 	t.Parallel()
-	b := New(RoundRobin)
+	b := New[*fake](RoundRobin)
 	for _, n := range []string{"a", "b", "c"} {
 		if err := b.Add(&fake{name: n, accepting: true}); err != nil {
 			t.Fatal(err)
@@ -329,7 +327,7 @@ func TestAddAfterRemoveLastResumesRotation(t *testing.T) {
 // over k*len picks every backend must be picked exactly k times.
 func TestAddRemoveChurnStaysFair(t *testing.T) {
 	t.Parallel()
-	b := New(RoundRobin)
+	b := New[*fake](RoundRobin)
 	names := []string{"s0", "s1", "s2", "s3"}
 	for _, n := range names {
 		if err := b.Add(&fake{name: n, accepting: true}); err != nil {
@@ -344,7 +342,8 @@ func TestAddRemoveChurnStaysFair(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		last := b.Backends()[b.Len()-1].Name()
+		bs := b.Backends()
+		last := bs[len(bs)-1].Name()
 		if err := b.Remove(last); err != nil {
 			t.Fatal(err)
 		}
@@ -372,7 +371,7 @@ func TestAddRemoveChurnStaysFair(t *testing.T) {
 // TestPickSessionStability: one key always lands on the same backend
 // while the set is stable, and distinct keys spread across backends.
 func TestPickSessionStability(t *testing.T) {
-	b := New(RoundRobin)
+	b := New[*fake](RoundRobin)
 	for _, name := range []string{"a", "b", "c"} {
 		if err := b.Add(&fake{name: name, accepting: true}); err != nil {
 			t.Fatal(err)
@@ -414,7 +413,7 @@ func TestPickSessionStability(t *testing.T) {
 // its sessions back (rendezvous hashing is stateless).
 func TestPickSessionMinimalDisruption(t *testing.T) {
 	backends := map[string]*fake{}
-	b := New(RoundRobin)
+	b := New[*fake](RoundRobin)
 	for _, name := range []string{"a", "b", "c"} {
 		f := &fake{name: name, accepting: true}
 		backends[name] = f
@@ -469,7 +468,7 @@ func TestPickSessionMinimalDisruption(t *testing.T) {
 // when the guard refuses every ready backend, ErrNoBackends otherwise, and
 // guarded homes fail over.
 func TestPickSessionGuardAndErrors(t *testing.T) {
-	b := New(RoundRobin)
+	b := New[*fake](RoundRobin)
 	if _, err := b.PickSession(42); !errors.Is(err, ErrNoBackends) {
 		t.Fatalf("empty set: err = %v, want ErrNoBackends", err)
 	}
@@ -487,7 +486,7 @@ func TestPickSessionGuardAndErrors(t *testing.T) {
 	} else {
 		home = bk.Name()
 	}
-	b.SetGuard(func(bk Backend) bool { return bk.Name() != home })
+	b.SetGuard(func(bk *fake) bool { return bk.Name() != home })
 	bk, err := b.PickSession(42)
 	if err != nil {
 		t.Fatal(err)
@@ -495,7 +494,7 @@ func TestPickSessionGuardAndErrors(t *testing.T) {
 	if bk.Name() == home {
 		t.Fatalf("guarded home %q still picked", home)
 	}
-	b.SetGuard(func(Backend) bool { return false })
+	b.SetGuard(func(*fake) bool { return false })
 	if _, err := b.PickSession(42); !errors.Is(err, ErrGuarded) {
 		t.Fatalf("all guarded: err = %v, want ErrGuarded", err)
 	}
@@ -510,7 +509,7 @@ func TestPickSessionGuardAndErrors(t *testing.T) {
 // TestPickSessionDoesNotDisturbRotation: session picks must not advance
 // the round-robin cursor.
 func TestPickSessionDoesNotDisturbRotation(t *testing.T) {
-	b := New(RoundRobin)
+	b := New[*fake](RoundRobin)
 	for _, name := range []string{"a", "b", "c"} {
 		if err := b.Add(&fake{name: name, accepting: true}); err != nil {
 			t.Fatal(err)

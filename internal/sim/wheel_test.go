@@ -282,16 +282,24 @@ func runDifferential(t *testing.T, seed int64) {
 // level, plus same-timestamp runs — through a wheel-backed and a
 // heap-only engine, advancing in stages that stop exactly on boundary
 // ticks. The firing sequences must be byte-for-byte identical: this is
-// the determinism contract that keeps every digest test stable.
+// the determinism contract that keeps every digest test stable. The
+// boundaries derive from the wheel's geometry, so the test follows any
+// level count or level width.
 func TestWheelHeapEquivalenceBoundaries(t *testing.T) {
 	t.Parallel()
-	boundaryTicks := []uint64{
-		0, 1, 2,
-		wheelSlots - 1, wheelSlots, wheelSlots + 1, // level-0 → level-1 edge
-		2*wheelSlots - 1, 2 * wheelSlots,
-		1<<(2*wheelLevelBits) - 1, 1 << (2 * wheelLevelBits), 1<<(2*wheelLevelBits) + 1, // level-2 edge
-		1<<(3*wheelLevelBits) - 1, 1 << (3 * wheelLevelBits), 1<<(3*wheelLevelBits) + 1, // level-3 edge
-		wheelMaxTick - 1, wheelMaxTick, wheelMaxTick + 1, // wheel horizon → overflow
+	// Level lvl's span starts at tick 1<<(lvl*wheelLevelBits); past the
+	// top level that is wheelMaxTick, the horizon where events overflow
+	// to the heap. Each edge is bracketed, its second block is marked,
+	// and the run stops once on every edge.
+	boundaryTicks := []uint64{0, 1, 2}
+	var stops []uint64
+	for lvl := 1; lvl <= wheelLevels; lvl++ {
+		edge := uint64(1) << (lvl * wheelLevelBits)
+		boundaryTicks = append(boundaryTicks, edge-1, edge, edge+1, 2*edge-1, 2*edge)
+		stops = append(stops, edge)
+	}
+	if last := stops[len(stops)-1]; last != wheelMaxTick {
+		t.Fatalf("top edge %d, want wheelMaxTick %d", last, uint64(wheelMaxTick))
 	}
 	build := func(e *Engine) []int {
 		var fired []int
@@ -310,7 +318,7 @@ func TestWheelHeapEquivalenceBoundaries(t *testing.T) {
 		}
 		// Advance in stages that stop exactly on boundaries, forcing
 		// cascades mid-workload rather than in one final sweep.
-		for _, ti := range []uint64{wheelSlots, 1 << (2 * wheelLevelBits), 1 << (3 * wheelLevelBits), wheelMaxTick} {
+		for _, ti := range stops {
 			if err := e.Run(Time(ti << wheelTickShift)); err != nil {
 				t.Fatal(err)
 			}
