@@ -190,7 +190,7 @@ func degradationSection(storm experiments.RetryStormResult, fc *experiments.Open
 }
 
 // topologySection renders the service-graph topology run: the fanout5
-// DAG under bursty arrivals with chaos and the per-node DCM controllers
+// DAG under bursty arrivals with chaos and the per-node threads ticker
 // armed, summarized by the per-node visit ledger. RenderGraph is
 // deterministic for a fixed seed (wall time is JSON-only), so the section
 // goldens cleanly.

@@ -12,16 +12,29 @@ import (
 	"dcm/internal/workload"
 )
 
-// runKinds executes one scenario per controller kind concurrently (each
-// run has its own engine and rng) and returns the results in kind order.
-func runKinds(seed uint64, kinds []ControllerKind, label string) ([]*ScenarioResult, error) {
-	return runner.Map(kinds, 0, func(_ int, kind ControllerKind) (*ScenarioResult, error) {
-		res, err := RunScenario(ScenarioConfig{Seed: seed, Kind: kind})
+// runScenarios executes one scenario per config concurrently (each run
+// has its own engine and rng) and returns the results in config order.
+// name and labels[i] name run i in its error.
+func runScenarios(name string, labels []string, cfgs []ScenarioConfig) ([]*ScenarioResult, error) {
+	return runner.Map(cfgs, 0, func(i int, cfg ScenarioConfig) (*ScenarioResult, error) {
+		res, err := RunScenario(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s %s: %w", label, kind, err)
+			return nil, fmt.Errorf("experiments: %s %s: %w", name, labels[i], err)
 		}
 		return res, nil
 	})
+}
+
+// runKinds runs base once per controller kind, in kind order.
+func runKinds(name string, base ScenarioConfig, kinds []ControllerKind) ([]*ScenarioResult, error) {
+	labels := make([]string, len(kinds))
+	cfgs := make([]ScenarioConfig, len(kinds))
+	for i, kind := range kinds {
+		labels[i] = string(kind)
+		cfgs[i] = base
+		cfgs[i].Kind = kind
+	}
+	return runScenarios(name, labels, cfgs)
 }
 
 // AblationSoftOnly (A1) isolates the two levels of DCM: the full
@@ -30,12 +43,12 @@ func runKinds(seed uint64, kinds []ControllerKind, label string) ([]*ScenarioRes
 // do-nothing run — answering how much of Fig. 5's stability comes from
 // soft-resource adaptation versus VM scaling.
 func AblationSoftOnly(seed uint64) ([]*ScenarioResult, error) {
-	return runKinds(seed, []ControllerKind{
+	return runKinds("ablation soft-only", ScenarioConfig{Seed: seed}, []ControllerKind{
 		ControllerDCM,
 		ControllerEC2,
 		ControllerDCMSoftOnly,
 		ControllerNone,
-	}, "ablation soft-only")
+	})
 }
 
 // SensitivityRow reports one model-misestimation variant (A2).
@@ -54,40 +67,55 @@ type SensitivityRow struct {
 // to roughly half and double the true N_b — quantifying how much a wrong
 // model costs.
 func AblationModelSensitivity(seed uint64) ([]SensitivityRow, error) {
-	tomcat, mysql := TrainedModels()
-	variants := []struct {
-		label string
-		scale float64 // multiplier on beta
-	}{
-		{"beta x4 (under-provision threads)", 4},
-		{"trained model", 1},
-		{"beta /4 (over-provision threads)", 0.25},
-	}
-	return runner.Map(variants, 0, func(_ int, v struct {
-		label string
-		scale float64
-	}) (SensitivityRow, error) {
-		perturbed := tomcat
-		perturbed.Beta *= v.scale
-		plannedN, ok := perturbed.OptimalConcurrencyInt()
-		if !ok {
-			return SensitivityRow{}, fmt.Errorf("experiments: ablation sensitivity %q: no optimum", v.label)
-		}
-		res, err := RunScenario(ScenarioConfig{
-			Seed:        seed,
-			Kind:        ControllerDCM,
-			TomcatModel: perturbed,
-			MySQLModel:  mysql,
-		})
-		if err != nil {
-			return SensitivityRow{}, fmt.Errorf("experiments: ablation sensitivity %q: %w", v.label, err)
-		}
-		return SensitivityRow{
-			Label:    v.label,
-			PlannedN: plannedN,
-			Summary:  res.Summarize(),
-		}, nil
+	tomcat, _ := TrainedModels()
+	under, over := tomcat, tomcat
+	under.Beta *= 4
+	over.Beta *= 0.25
+	return sensitivityRows("ablation sensitivity", seed, []modelVariant{
+		{"beta x4 (under-provision threads)", under, false},
+		{"trained model", tomcat, false},
+		{"beta /4 (over-provision threads)", over, false},
 	})
+}
+
+// modelVariant is one Tomcat model the A2 and A5 ablations run DCM with,
+// with or without online re-training.
+type modelVariant struct {
+	label  string
+	model  model.Params
+	online bool
+}
+
+// sensitivityRows runs DCM once per variant, against the trained MySQL
+// model, and reports each variant's planned N_b and scenario summary.
+func sensitivityRows(name string, seed uint64, variants []modelVariant) ([]SensitivityRow, error) {
+	_, mysql := TrainedModels()
+	rows := make([]SensitivityRow, len(variants))
+	labels := make([]string, len(variants))
+	cfgs := make([]ScenarioConfig, len(variants))
+	for i, v := range variants {
+		plannedN, ok := v.model.OptimalConcurrencyInt()
+		if !ok {
+			return nil, fmt.Errorf("experiments: %s %q: no optimum", name, v.label)
+		}
+		rows[i] = SensitivityRow{Label: v.label, PlannedN: plannedN}
+		labels[i] = fmt.Sprintf("%q", v.label)
+		cfgs[i] = ScenarioConfig{
+			Seed:           seed,
+			Kind:           ControllerDCM,
+			TomcatModel:    v.model,
+			MySQLModel:     mysql,
+			OnlineTraining: v.online,
+		}
+	}
+	results, err := runScenarios(name, labels, cfgs)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range results {
+		rows[i].Summary = res.Summarize()
+	}
+	return rows, nil
 }
 
 // PolicyRow reports one scaling-policy variant (A3/A4).
@@ -102,64 +130,42 @@ type PolicyRow struct {
 // off" (3 consecutive quiet periods before scale-in) against a symmetric
 // trigger-happy policy (1 period), on the DCM controller.
 func AblationScalePolicy(seed uint64) ([]PolicyRow, error) {
-	variants := []struct {
-		label       string
-		consecutive int
-	}{
-		{"slow turn off (3 periods)", 3},
-		{"symmetric (1 period)", 1},
-	}
-	return runner.Map(variants, 0, func(_ int, v struct {
-		label       string
-		consecutive int
-	}) (PolicyRow, error) {
+	labels := []string{"slow turn off (3 periods)", "symmetric (1 period)"}
+	cfgs := make([]ScenarioConfig, len(labels))
+	for i, consecutive := range []int{3, 1} {
 		rules := policy.Default()
-		rules.Scaling.LowerConsecutive = v.consecutive
-		res, err := RunScenario(ScenarioConfig{
-			Seed:  seed,
-			Kind:  ControllerDCM,
-			Rules: &rules,
-		})
-		if err != nil {
-			return PolicyRow{}, fmt.Errorf("experiments: ablation policy %q: %w", v.label, err)
-		}
-		return PolicyRow{
-			Label:        v.label,
-			Summary:      res.Summarize(),
-			ScaleActions: countScaleActions(res),
-		}, nil
-	})
+		rules.Scaling.LowerConsecutive = consecutive
+		cfgs[i] = ScenarioConfig{Seed: seed, Kind: ControllerDCM, Rules: &rules}
+	}
+	return policyRows("ablation policy", labels, cfgs)
 }
 
 // AblationControlPeriod (A4) sweeps the control period (5 s / 15 s / 30 s)
 // for both controllers, probing the paper's choice of 15 s.
 func AblationControlPeriod(seed uint64) ([]PolicyRow, error) {
-	periods := []time.Duration{5 * time.Second, 15 * time.Second, 30 * time.Second}
-	type cell struct {
-		kind   ControllerKind
-		period time.Duration
-	}
-	var cells []cell
+	var labels []string
+	var cfgs []ScenarioConfig
 	for _, kind := range []ControllerKind{ControllerDCM, ControllerEC2} {
-		for _, period := range periods {
-			cells = append(cells, cell{kind: kind, period: period})
+		for _, period := range []time.Duration{5 * time.Second, 15 * time.Second, 30 * time.Second} {
+			labels = append(labels, fmt.Sprintf("%s @ %v", kind, period))
+			cfgs = append(cfgs, ScenarioConfig{Seed: seed, Kind: kind, ControlPeriod: period})
 		}
 	}
-	return runner.Map(cells, 0, func(_ int, c cell) (PolicyRow, error) {
-		res, err := RunScenario(ScenarioConfig{
-			Seed:          seed,
-			Kind:          c.kind,
-			ControlPeriod: c.period,
-		})
-		if err != nil {
-			return PolicyRow{}, fmt.Errorf("experiments: ablation period %v %s: %w", c.period, c.kind, err)
-		}
-		return PolicyRow{
-			Label:        fmt.Sprintf("%s @ %v", c.kind, c.period),
-			Summary:      res.Summarize(),
-			ScaleActions: countScaleActions(res),
-		}, nil
-	})
+	return policyRows("ablation period", labels, cfgs)
+}
+
+// policyRows runs each config and reports its summary and its count of
+// VM-level scaling actions, labelled by labels.
+func policyRows(name string, labels []string, cfgs []ScenarioConfig) ([]PolicyRow, error) {
+	results, err := runScenarios(name, labels, cfgs)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]PolicyRow, len(results))
+	for i, res := range results {
+		rows[i] = PolicyRow{Label: labels[i], Summary: res.Summarize(), ScaleActions: countScaleActions(res)}
+	}
+	return rows, nil
 }
 
 func countScaleActions(res *ScenarioResult) int {
@@ -199,12 +205,12 @@ func RenderPolicyRows(rows []PolicyRow) string {
 // quantifying how much of the remaining transient the §VI extension
 // removes.
 func AblationPredictive(seed uint64) ([]*ScenarioResult, error) {
-	return runKinds(seed, []ControllerKind{
+	return runKinds("ablation predictive", ScenarioConfig{Seed: seed}, []ControllerKind{
 		ControllerDCM,
 		ControllerDCMPredictive,
 		ControllerEC2,
 		ControllerEC2Predictive,
-	}, "ablation predictive")
+	})
 }
 
 // AblationBaselines (A7) compares DCM against the full baseline ladder:
@@ -212,12 +218,12 @@ func AblationPredictive(seed uint64) ([]*ScenarioResult, error) {
 // variant — all hardware-only. No matter how sophisticated the VM-level
 // policy, the concurrency misallocation remains.
 func AblationBaselines(seed uint64) ([]*ScenarioResult, error) {
-	return runKinds(seed, []ControllerKind{
+	return runKinds("ablation baselines", ScenarioConfig{Seed: seed}, []ControllerKind{
 		ControllerDCM,
 		ControllerEC2,
 		ControllerTargetTracking,
 		ControllerEC2Predictive,
-	}, "ablation baselines")
+	})
 }
 
 // AblationOnlineTraining (A5) starts DCM from a deliberately wrong Tomcat
@@ -226,43 +232,13 @@ func AblationBaselines(seed uint64) ([]*ScenarioResult, error) {
 // online re-estimation enabled, and the correctly trained static model.
 // Online training should close most of the gap to the correct model.
 func AblationOnlineTraining(seed uint64) ([]SensitivityRow, error) {
-	tomcat, mysql := TrainedModels()
+	tomcat, _ := TrainedModels()
 	wrong := tomcat
 	wrong.Beta /= 16
-
-	variants := []struct {
-		label  string
-		model  model.Params
-		online bool
-	}{
+	return sensitivityRows("ablation online", seed, []modelVariant{
 		{"wrong model, static", wrong, false},
 		{"wrong model, online re-training", wrong, true},
 		{"trained model, static", tomcat, false},
-	}
-	return runner.Map(variants, 0, func(_ int, v struct {
-		label  string
-		model  model.Params
-		online bool
-	}) (SensitivityRow, error) {
-		plannedN, ok := v.model.OptimalConcurrencyInt()
-		if !ok {
-			return SensitivityRow{}, fmt.Errorf("experiments: ablation online %q: no optimum", v.label)
-		}
-		res, err := RunScenario(ScenarioConfig{
-			Seed:           seed,
-			Kind:           ControllerDCM,
-			TomcatModel:    v.model,
-			MySQLModel:     mysql,
-			OnlineTraining: v.online,
-		})
-		if err != nil {
-			return SensitivityRow{}, fmt.Errorf("experiments: ablation online %q: %w", v.label, err)
-		}
-		return SensitivityRow{
-			Label:    v.label,
-			PlannedN: plannedN,
-			Summary:  res.Summarize(),
-		}, nil
 	})
 }
 
@@ -271,26 +247,17 @@ func AblationOnlineTraining(seed uint64) ([]SensitivityRow, error) {
 // abrupt and unpredictable rather than ramped — and compares both
 // controllers.
 func AblationBurstyWorkload(seed uint64) ([]*ScenarioResult, error) {
-	bursty := &workload.BurstyConfig{
-		Users:       2600,
-		NormalThink: 12 * time.Second,
-		SurgeThink:  2 * time.Second,
-		NormalDwell: 60 * time.Second,
-		SurgeDwell:  40 * time.Second,
-	}
-	return runner.Map([]ControllerKind{ControllerDCM, ControllerEC2}, 0,
-		func(_ int, kind ControllerKind) (*ScenarioResult, error) {
-			res, err := RunScenario(ScenarioConfig{
-				Seed:    seed,
-				Kind:    kind,
-				Bursty:  bursty,
-				Horizon: 600 * time.Second,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("experiments: ablation bursty %s: %w", kind, err)
-			}
-			return res, nil
-		})
+	return runKinds("ablation bursty", ScenarioConfig{
+		Seed: seed,
+		Bursty: &workload.BurstyConfig{
+			Users:       2600,
+			NormalThink: 12 * time.Second,
+			SurgeThink:  2 * time.Second,
+			NormalDwell: 60 * time.Second,
+			SurgeDwell:  40 * time.Second,
+		},
+		Horizon: 600 * time.Second,
+	}, []ControllerKind{ControllerDCM, ControllerEC2})
 }
 
 // SeedSummary aggregates one controller's headline metrics across seeds.
@@ -315,37 +282,24 @@ func MultiSeedComparison(seeds []uint64, noise float64) (dcmS, ec2S SeedSummary,
 
 	// Flatten the (seed × kind) grid into one batch — this is the heaviest
 	// sweep in the repo, and every cell is an independent simulation. The
-	// worker pool returns summaries in input order, so the per-seed slices
-	// are assembled exactly as the serial nested loops built them.
-	type cell struct {
-		seed uint64
-		kind ControllerKind
-	}
-	kinds := []ControllerKind{ControllerDCM, ControllerEC2}
-	cells := make([]cell, 0, len(seeds)*len(kinds))
+	// results come back in input order, so the per-seed slices are
+	// assembled exactly as the serial nested loops built them.
+	var labels []string
+	var cfgs []ScenarioConfig
 	for _, seed := range seeds {
-		for _, kind := range kinds {
-			cells = append(cells, cell{seed: seed, kind: kind})
+		for _, kind := range []ControllerKind{ControllerDCM, ControllerEC2} {
+			labels = append(labels, fmt.Sprintf("%d %s", seed, kind))
+			cfgs = append(cfgs, ScenarioConfig{Seed: seed, Kind: kind, NoiseSigma: noise})
 		}
 	}
-	summaries, err := runner.Map(cells, 0, func(_ int, c cell) (ScenarioSummary, error) {
-		res, err := RunScenario(ScenarioConfig{
-			Seed:       c.seed,
-			Kind:       c.kind,
-			NoiseSigma: noise,
-		})
-		if err != nil {
-			return ScenarioSummary{}, fmt.Errorf("experiments: multi-seed %d %s: %w", c.seed, c.kind, err)
-		}
-		return res.Summarize(), nil
-	})
+	results, err := runScenarios("multi-seed", labels, cfgs)
 	if err != nil {
 		return dcmS, ec2S, err
 	}
-	for i, c := range cells {
-		s := summaries[i]
+	for i, res := range results {
+		s := res.Summarize()
 		agg := &dcmS
-		if c.kind == ControllerEC2 {
+		if cfgs[i].Kind == ControllerEC2 {
 			agg = &ec2S
 		}
 		agg.MeanRT = append(agg.MeanRT, s.MeanRTSec)

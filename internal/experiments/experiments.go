@@ -15,7 +15,6 @@ import (
 	"dcm/internal/metrics"
 	"dcm/internal/ntier"
 	"dcm/internal/rng"
-	"dcm/internal/sim"
 	"dcm/internal/workload"
 )
 
@@ -37,36 +36,27 @@ type Measurement struct {
 // checker is read-only and draws no randomness, so the measurement is
 // byte-identical either way.
 func SteadyState(seed uint64, cfg ntier.Config, users int, think, warmup, measure time.Duration, chk *invariant.Checker) (Measurement, error) {
-	eng := sim.NewEngine()
-	root := rng.New(seed)
-	app, err := ntier.New(eng, root.Split("app"), cfg)
-	if err != nil {
-		return Measurement{}, fmt.Errorf("experiments: %w", err)
-	}
-	if chk != nil {
-		app.SetInvariantChecker(chk)
-		invariant.AttachEngine(chk, eng)
-	}
-	wl, err := workload.NewClosedLoop(eng, root.Split("wl"), app, workload.ClosedLoopConfig{
-		Users:     users,
-		ThinkTime: think,
+	r, err := assemble(runPlan{
+		seed:  seed,
+		chain: &cfg,
+		chk:   chk,
+		load: func(r *run, src *rng.Rand) (workload.Generator, error) {
+			return workload.NewClosedLoop(r.eng, src, r.app, workload.ClosedLoopConfig{
+				Users:     users,
+				ThinkTime: think,
+			})
+		},
+		midAt: warmup,
+		mid: func(r *run) error {
+			r.app.TakeStats() // discard warmup interval
+			return nil
+		},
+		horizon: warmup + measure,
 	})
 	if err != nil {
-		return Measurement{}, fmt.Errorf("experiments: %w", err)
+		return Measurement{}, fmt.Errorf("experiments: steady state: %w", err)
 	}
-	wl.Start()
-	if err := eng.Run(warmup); err != nil {
-		return Measurement{}, fmt.Errorf("experiments: warmup: %w", err)
-	}
-	app.TakeStats() // discard warmup interval
-	if err := eng.Run(warmup + measure); err != nil {
-		return Measurement{}, fmt.Errorf("experiments: measure: %w", err)
-	}
-	st := app.TakeStats()
-	if chk != nil {
-		app.CheckInvariants()
-		invariant.CheckEngine(chk, eng)
-	}
+	st := r.app.TakeStats()
 	return Measurement{
 		Throughput: float64(st.Completions) / measure.Seconds(),
 		RT:         st.RT,

@@ -72,7 +72,7 @@ func fig2aPoint(seed uint64, cfg ntier.Config, n int, measure time.Duration, chk
 	var cycle func()
 	cycle = func() {
 		start := eng.Now()
-		srv.Acquire(func(sess *server.Session) {
+		srv.AcquireDeadlineCritical(0, 0, false, func(sess *server.Session, _ metrics.Disposition) {
 			sess.Exec(func() {
 				rts.Observe((eng.Now() - start).Seconds())
 				sess.Release()
@@ -145,74 +145,54 @@ func Fig2bScaleOut(seed uint64, users int, phase time.Duration, chk *invariant.C
 	}
 	res := Fig2bResult{Users: users, ScaleAtSecond: int(phase.Seconds())}
 
-	runOnce := func(correct bool) (before, after float64, series []float64, err error) {
-		eng := sim.NewEngine()
-		root := rng.New(seed)
-		cfg := ntier.DefaultConfig() // 1/1/1, 1000/100/80
-		app, err := ntier.New(eng, root.Split("app"), cfg)
-		if err != nil {
-			return 0, 0, nil, fmt.Errorf("experiments: fig2b: %w", err)
-		}
-		if chk != nil {
-			app.SetInvariantChecker(chk)
-			invariant.AttachEngine(chk, eng)
-		}
-		wl, err := workload.NewClosedLoop(eng, root.Split("wl"), app, workload.ClosedLoopConfig{
-			Users:     users,
-			ThinkTime: 3 * time.Second,
-		})
-		if err != nil {
-			return 0, 0, nil, fmt.Errorf("experiments: fig2b: %w", err)
-		}
-		wl.Start()
-		series = make([]float64, 0, int(4*phase/time.Second)+1)
-		stopSeries := eng.Ticker(time.Second, func() {
-			st := app.TakeStats()
-			series = append(series, float64(st.Completions))
-		})
-		defer stopSeries()
-
-		// Phase A: settle and measure 1/1/1.
-		if err := eng.Run(phase); err != nil {
-			return 0, 0, nil, fmt.Errorf("experiments: fig2b phase A: %w", err)
-		}
-		before = meanTail(series, int(phase.Seconds())/2)
-
-		// Scale out: the second Tomcat joins at runtime. The corrected
-		// variant reallocates the DB connection pools at the same moment,
-		// exactly as §II-B prescribes (40 total at MySQL).
-		if correct {
-			// §II-B's fix: 20 connections per Tomcat, so the maximum
-			// concurrency reaching MySQL is 40.
-			if err := app.SetEdgePoolSize(ntier.TierApp, ntier.TierDB, 20); err != nil {
-				return 0, 0, nil, fmt.Errorf("experiments: fig2b pool resize: %w", err)
-			}
-		}
-		if _, err := app.AddMember(ntier.TierApp, ""); err != nil {
-			return 0, 0, nil, fmt.Errorf("experiments: fig2b scale out: %w", err)
-		}
-
-		// Phase B: measure the scaled system's steady state.
-		if err := eng.Run(3 * phase); err != nil {
-			return 0, 0, nil, fmt.Errorf("experiments: fig2b phase B: %w", err)
-		}
-		after = meanTail(series, int(phase.Seconds()))
-		if chk != nil {
-			app.CheckInvariants()
-			invariant.CheckEngine(chk, eng)
-		}
-		return before, after, series, nil
-	}
-
 	// The default and corrected variants are independent runs; execute
 	// them concurrently.
-	type variantResult struct {
+	type variant struct {
 		before, after float64
 		series        []float64
 	}
-	variants, err := runner.Map([]bool{false, true}, 0, func(_ int, correct bool) (variantResult, error) {
-		before, after, series, err := runOnce(correct)
-		return variantResult{before: before, after: after, series: series}, err
+	variants, err := runner.Map([]bool{false, true}, 0, func(_ int, correct bool) (variant, error) {
+		v := variant{series: make([]float64, 0, int(3*phase/time.Second)+1)}
+		cfg := ntier.DefaultConfig() // 1/1/1, 1000/100/80
+		_, err := assemble(runPlan{
+			seed:  seed,
+			chain: &cfg,
+			chk:   chk,
+			load: func(r *run, src *rng.Rand) (workload.Generator, error) {
+				return workload.NewClosedLoop(r.eng, src, r.app, workload.ClosedLoopConfig{
+					Users:     users,
+					ThinkTime: 3 * time.Second,
+				})
+			},
+			sample: func(r *run) {
+				v.series = append(v.series, float64(r.app.TakeStats().Completions))
+			},
+			// Phase A settles and measures 1/1/1. Then the second Tomcat
+			// joins at runtime, and phase B measures the scaled system's
+			// steady state.
+			midAt: phase,
+			mid: func(r *run) error {
+				v.before = meanTail(v.series, int(phase.Seconds())/2)
+				// The corrected variant reallocates the DB connection pools
+				// at the same moment, as §II-B prescribes: 20 connections
+				// per Tomcat, so the maximum concurrency reaching MySQL is 40.
+				if correct {
+					if err := r.app.SetEdgePoolSize(ntier.TierApp, ntier.TierDB, 20); err != nil {
+						return fmt.Errorf("pool resize: %w", err)
+					}
+				}
+				if _, err := r.app.AddMember(ntier.TierApp, ""); err != nil {
+					return fmt.Errorf("scale out: %w", err)
+				}
+				return nil
+			},
+			horizon: 3 * phase,
+		})
+		if err != nil {
+			return v, fmt.Errorf("experiments: fig2b: %w", err)
+		}
+		v.after = meanTail(v.series, int(phase.Seconds()))
+		return v, nil
 	})
 	if err != nil {
 		return res, err

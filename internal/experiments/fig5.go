@@ -18,7 +18,6 @@ import (
 	"dcm/internal/policy"
 	"dcm/internal/resilience"
 	"dcm/internal/rng"
-	"dcm/internal/sim"
 	"dcm/internal/trace"
 	"dcm/internal/workload"
 )
@@ -229,16 +228,6 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		if err := cfg.Rules.Validate(); err != nil {
 			return nil, fmt.Errorf("experiments: scenario rules: %w", err)
 		}
-		// Retry-knob override: only on resilience runs, and on a copy — the
-		// caller's config (often shared across a portfolio) stays untouched.
-		if cfg.Rules.Retry.Override() && cfg.Resilience != nil {
-			rc := *cfg.Resilience
-			rc.Retry.MaxAttempts = cfg.Rules.Retry.MaxAttempts
-			rc.Retry.BudgetRatio = cfg.Rules.Retry.BudgetRatio
-			rc.Retry.BudgetBurst = float64(cfg.Rules.Retry.BudgetBurst)
-			rc.Retry.Jitter = cfg.Rules.Retry.Jitter
-			cfg.Resilience = &rc
-		}
 	}
 	if cfg.Trace == nil {
 		cfg.Trace = trace.SynthesizeLargeVariation(cfg.Seed)
@@ -257,9 +246,6 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		}
 	}
 
-	eng := sim.NewEngine()
-	root := rng.New(cfg.Seed)
-
 	appCfg := ntier.DefaultConfig()
 	appCfg.WebThreads = cfg.InitialAllocation.WebThreadsPerServer
 	appCfg.AppThreads = cfg.InitialAllocation.AppThreadsPerServer
@@ -271,100 +257,20 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	if cfg.AppServers > 0 {
 		appCfg.AppServers = cfg.AppServers
 	}
+	var retry *resilience.RetryPolicy
 	if cfg.Resilience != nil {
 		appCfg.Resilience = *cfg.Resilience
-	}
-	app, err := ntier.New(eng, root.Split("app"), appCfg)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: scenario app: %w", err)
-	}
-
-	var reqTracer *trace.RequestTracer
-	if cfg.CaptureTrace {
-		reqTracer = trace.NewRequestTracer(0)
-		app.SetRequestTracer(reqTracer)
-	}
-
-	var chk *invariant.Checker
-	if cfg.Invariants {
-		chk = invariant.New()
-		app.SetInvariantChecker(chk)
-		invariant.AttachEngine(chk, eng)
-	}
-
-	ctrl, err := buildController(cfg)
-	if err != nil {
-		return nil, err
-	}
-	var auditLog *controller.AuditLog
-	if cfg.Audit {
-		if a, ok := ctrl.(controller.Audited); ok {
-			auditLog = controller.NewAuditLog()
-			a.EnableAudit(auditLog)
+		retry = &appCfg.Resilience.Retry
+		// Retry-knob override: only on resilience runs, and on appCfg's
+		// copy — the caller's config (often shared across a portfolio)
+		// stays untouched.
+		if cfg.Rules != nil && cfg.Rules.Retry.Override() {
+			retry.MaxAttempts = cfg.Rules.Retry.MaxAttempts
+			retry.BudgetRatio = cfg.Rules.Retry.BudgetRatio
+			retry.BudgetBurst = float64(cfg.Rules.Retry.BudgetBurst)
+			retry.Jitter = cfg.Rules.Retry.Jitter
 		}
 	}
-	fw, err := core.New(eng, app, ctrl, core.Config{
-		ControlPeriod:   cfg.ControlPeriod,
-		MonitorInterval: time.Second,
-		PrepDelay:       cfg.PrepDelay,
-		Guard:           cfg.Sensor,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: scenario framework: %w", err)
-	}
-	if err := fw.Start(); err != nil {
-		return nil, fmt.Errorf("experiments: scenario start: %w", err)
-	}
-
-	var injector *chaos.Injector
-	if cfg.Chaos != nil {
-		injector, err = chaos.NewInjector(eng, root.Split("chaos"), app,
-			fw.Hypervisor(), fw.Fleet(), *cfg.Chaos)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: scenario chaos: %w", err)
-		}
-		injector.Install()
-	}
-
-	// The "retry" split is drawn only on retry-enabled runs, and after
-	// every unconditional split, so disabled runs consume exactly the
-	// same rng stream as before the resilience layer existed.
-	newRetrier := func() (*resilience.Retrier, error) {
-		if cfg.Resilience == nil || !cfg.Resilience.Retry.Enabled() {
-			return nil, nil
-		}
-		return resilience.NewRetrier(cfg.Resilience.Retry, root.Split("retry"))
-	}
-	var stopWorkload func()
-	var totalRetries func() uint64
-	if cfg.Bursty != nil {
-		bl, err := workload.NewBurstyLoop(eng, root.Split("wl"), app, *cfg.Bursty)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: scenario workload: %w", err)
-		}
-		ret, err := newRetrier()
-		if err != nil {
-			return nil, fmt.Errorf("experiments: scenario retrier: %w", err)
-		}
-		bl.SetRetrier(ret)
-		bl.Start()
-		stopWorkload = bl.Stop
-		totalRetries = bl.TotalRetries
-	} else {
-		wl, err := workload.NewTraceDriven(eng, root.Split("wl"), app, cfg.Trace, cfg.ThinkTime, time.Second)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: scenario workload: %w", err)
-		}
-		ret, err := newRetrier()
-		if err != nil {
-			return nil, fmt.Errorf("experiments: scenario retrier: %w", err)
-		}
-		wl.Loop().SetRetrier(ret)
-		wl.Start()
-		stopWorkload = wl.Stop
-		totalRetries = wl.Loop().TotalRetries
-	}
-
 	horizon := cfg.Trace.Duration() + cfg.Tail
 	if cfg.Bursty != nil {
 		horizon = cfg.Horizon
@@ -377,34 +283,85 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		TierCounts: map[string][]int{},
 		TierCPU:    map[string][]float64{},
 	}
-	// The samplers below fire once per second for the whole horizon, so the
+	// The sampler below fires once per second for the whole horizon, so the
 	// series lengths are known now — size the buffers once up front.
 	expectSamples := int(horizon/time.Second) + 1
 	for _, tierName := range ntier.Tiers() {
 		res.TierCounts[tierName] = make([]int, 0, expectSamples)
 	}
-	// Per-second topology sampler (server counts incl. provisioning VMs).
-	// The invariant sweep piggybacks on this existing tick so checking adds
-	// no events of its own — the event stream (and so the result bytes) is
-	// identical with the checker on or off.
-	stopSampler := eng.Ticker(time.Second, func() {
-		for _, tierName := range ntier.Tiers() {
-			count := app.MemberCount(tierName) + fw.VMAgent().Pending(tierName)
-			res.TierCounts[tierName] = append(res.TierCounts[tierName], count)
-		}
-		if chk != nil {
-			app.CheckInvariants()
-			invariant.CheckEngine(chk, eng)
-		}
+
+	var fw *core.Framework
+	var loop *workload.ClosedLoop
+	r, err := assemble(runPlan{
+		seed:  cfg.Seed,
+		chain: &appCfg,
+		chk:   checker(cfg.Invariants),
+		wire: func(r *run) error {
+			if cfg.CaptureTrace {
+				res.tracer = trace.NewRequestTracer(0)
+				r.app.SetRequestTracer(res.tracer)
+			}
+			ctrl, err := buildController(cfg)
+			if err != nil {
+				return err
+			}
+			if a, ok := ctrl.(controller.Audited); ok && cfg.Audit {
+				res.audit = controller.NewAuditLog()
+				a.EnableAudit(res.audit)
+			}
+			if fw, err = core.New(r.eng, r.app, ctrl, core.Config{
+				ControlPeriod:   cfg.ControlPeriod,
+				MonitorInterval: time.Second,
+				PrepDelay:       cfg.PrepDelay,
+				Guard:           cfg.Sensor,
+			}); err != nil {
+				return fmt.Errorf("framework: %w", err)
+			}
+			if err := fw.Start(); err != nil {
+				return fmt.Errorf("start: %w", err)
+			}
+			r.hv, r.fleet = fw.Hypervisor(), fw.Fleet()
+			return nil
+		},
+		chaos: cfg.Chaos,
+		retry: retry,
+		load: func(r *run, src *rng.Rand) (workload.Generator, error) {
+			if cfg.Bursty != nil {
+				bl, err := workload.NewBurstyLoop(r.eng, src, r.app, *cfg.Bursty)
+				if err != nil {
+					return nil, err
+				}
+				loop = bl.ClosedLoop
+				loop.SetRetrier(r.ret)
+				return bl, nil
+			}
+			wl, err := workload.NewTraceDriven(r.eng, src, r.app, cfg.Trace, cfg.ThinkTime, time.Second)
+			if err != nil {
+				return nil, err
+			}
+			loop = wl.Loop()
+			loop.SetRetrier(r.ret)
+			return wl, nil
+		},
+		// Per-second topology sampler (server counts incl. provisioning
+		// VMs). The invariant sweep piggybacks on this existing tick so
+		// checking adds no events of its own — the event stream (and so the
+		// result bytes) is identical with the checker on or off.
+		sample: func(r *run) {
+			for _, tierName := range ntier.Tiers() {
+				count := r.app.MemberCount(tierName) + fw.VMAgent().Pending(tierName)
+				res.TierCounts[tierName] = append(res.TierCounts[tierName], count)
+			}
+			r.sweep()
+		},
+		horizon: horizon,
 	})
-	if err := eng.Run(horizon); err != nil {
-		return nil, fmt.Errorf("experiments: scenario run: %w", err)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: scenario: %w", err)
 	}
-	stopSampler()
-	stopWorkload()
 	fw.Stop()
 
-	if err := collectSeries(fw, res, horizon); err != nil {
+	if err := collectSeries(fw, res); err != nil {
 		return nil, err
 	}
 	res.Users = make([]int, len(res.Seconds))
@@ -417,37 +374,31 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	}
 	res.Actions = fw.Actions()
 	res.VMEvents = fw.Hypervisor().Events()
-	res.TotalCompleted = app.TotalCompletions()
-	res.TotalErrors = app.TotalErrors()
-	res.FinalAllocation = ntier.Allocation(app)
+	res.TotalCompleted = r.app.TotalCompletions()
+	res.TotalErrors = r.app.TotalErrors()
+	res.FinalAllocation = ntier.Allocation(r.app)
 	if cfg.Resilience != nil {
-		res.Goodput = app.TotalGood()
-		res.Retries = totalRetries()
-		disp := app.Dispositions()
+		res.Goodput = r.app.TotalGood()
+		res.Retries = loop.TotalRetries()
+		disp := r.app.Dispositions()
 		res.Dispositions = &disp
 	}
-	res.TierLatency = tierLatencySummaries(app)
-	if reqTracer != nil {
-		res.tracer = reqTracer
-		res.LatencyBreakdown = reqTracer.Breakdown()
+	res.TierLatency = tierLatencySummaries(r.app)
+	if res.tracer != nil {
+		res.LatencyBreakdown = res.tracer.Breakdown()
 	}
-	if auditLog != nil {
-		res.audit = auditLog
-		res.Decisions = auditLog.Decisions()
+	if res.audit != nil {
+		res.Decisions = res.audit.Decisions()
 	}
 	if cfg.Sensor != nil {
 		stats := fw.GuardStats()
 		res.SensorStats = &stats
 	}
-	if chk != nil {
-		app.CheckInvariants()
-		invariant.CheckEngine(chk, eng)
-		res.InvariantViolations = chk.Violations()
-	}
-	if injector != nil {
+	res.InvariantViolations = r.violations
+	if r.inj != nil {
 		rep := chaos.Analyze(chaos.Input{
 			Schedule:        *cfg.Chaos,
-			Injections:      injector.Log(),
+			Injections:      r.inj.Log(),
 			Seconds:         res.Seconds,
 			Throughput:      res.Throughput,
 			MeanRTSec:       res.MeanRTSec,
@@ -526,12 +477,12 @@ func buildController(cfg ScenarioConfig) (controller.Controller, error) {
 		scaling.MinServers = 1
 		return controller.NewEC2AutoScale(scaling)
 	default:
-		return nil, fmt.Errorf("experiments: unknown controller kind %q", cfg.Kind)
+		return nil, fmt.Errorf("unknown controller kind %q", cfg.Kind)
 	}
 }
 
 // collectSeries reconstructs the per-second series from the bus logs.
-func collectSeries(fw *core.Framework, res *ScenarioResult, horizon time.Duration) error {
+func collectSeries(fw *core.Framework, res *ScenarioResult) error {
 	sysMsgs, err := fw.Bus().Fetch(monitor.TopicSystemMetrics, 0, 0)
 	if err != nil {
 		return fmt.Errorf("experiments: collect system series: %w", err)
@@ -571,31 +522,28 @@ func collectSeries(fw *core.Framework, res *ScenarioResult, horizon time.Duratio
 	if err != nil {
 		return fmt.Errorf("experiments: collect server series: %w", err)
 	}
-	type key struct {
-		sec  int
-		tier string
+	// Each tier's CPU series is the mean over its servers' samples in
+	// each second.
+	n := len(res.Seconds)
+	counts := make(map[string][]int, len(ntier.Tiers()))
+	for _, tierName := range ntier.Tiers() {
+		res.TierCPU[tierName] = make([]float64, n)
+		counts[tierName] = make([]int, n)
 	}
-	sums := make(map[key]float64)
-	counts := make(map[key]int)
 	for _, m := range srvMsgs {
 		s, ok := m.Value.(monitor.ServerSample)
-		if !ok {
-			continue
+		sec := int(s.At.Seconds()) - 1
+		if cpu := res.TierCPU[s.Tier]; ok && cpu != nil && sec >= 0 && sec < n {
+			cpu[sec] += s.CPUUtil
+			counts[s.Tier][sec]++
 		}
-		k := key{sec: int(s.At.Seconds()) - 1, tier: s.Tier}
-		sums[k] += s.CPUUtil
-		counts[k]++
 	}
-	n := len(res.Seconds)
-	for _, tierName := range ntier.Tiers() {
-		series := make([]float64, n)
-		for i := range series {
-			k := key{sec: i, tier: tierName}
-			if c := counts[k]; c > 0 {
-				series[i] = sums[k] / float64(c)
+	for tierName, cpu := range res.TierCPU {
+		for i, c := range counts[tierName] {
+			if c > 0 {
+				cpu[i] /= float64(c)
 			}
 		}
-		res.TierCPU[tierName] = series
 	}
 	// Trim the topology series to the same length.
 	for tierName, s := range res.TierCounts {
@@ -603,7 +551,6 @@ func collectSeries(fw *core.Framework, res *ScenarioResult, horizon time.Duratio
 			res.TierCounts[tierName] = s[:n]
 		}
 	}
-	_ = horizon
 	return nil
 }
 
@@ -637,9 +584,7 @@ type ScenarioSummary struct {
 // Summarize reduces a scenario result to its headline numbers.
 func (r *ScenarioResult) Summarize() ScenarioSummary {
 	s := ScenarioSummary{Kind: r.Kind, TotalCompleted: r.TotalCompleted}
-	var rts []float64
 	for _, rt := range r.MeanRTSec {
-		rts = append(rts, rt)
 		if rt > 1.0 {
 			s.SpikeSeconds++
 		}
@@ -647,36 +592,23 @@ func (r *ScenarioResult) Summarize() ScenarioSummary {
 			s.DegradedSeconds++
 		}
 	}
-	sum := metrics.Summarize(rts)
+	sum := metrics.Summarize(r.MeanRTSec)
 	s.MeanRTSec = sum.Mean
 	s.MaxRTSec = sum.Max
-	s.P95OfP95Sec = metricsP95(r.P95RTSec)
+	s.P95OfP95Sec = metrics.Summarize(r.P95RTSec).P95
+	// One sample per second, so the counts sum to VM-seconds.
 	for _, c := range r.TierCounts[ntier.TierApp] {
-		if c > s.MaxAppServers {
-			s.MaxAppServers = c
-		}
+		s.MaxAppServers = max(s.MaxAppServers, c)
+		s.VMSeconds += float64(c)
 	}
 	for _, c := range r.TierCounts[ntier.TierDB] {
-		if c > s.MaxDBServers {
-			s.MaxDBServers = c
-		}
-	}
-	for _, tierName := range []string{ntier.TierApp, ntier.TierDB} {
-		for _, c := range r.TierCounts[tierName] {
-			s.VMSeconds += float64(c) // one sample per second
-		}
+		s.MaxDBServers = max(s.MaxDBServers, c)
+		s.VMSeconds += float64(c)
 	}
 	if s.VMSeconds > 0 {
 		s.RequestsPerVMSecond = float64(r.TotalCompleted) / s.VMSeconds
 	}
 	return s
-}
-
-func metricsP95(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	return metrics.Summarize(values).P95
 }
 
 // ErrNoData is returned by renderers on empty results.

@@ -13,18 +13,18 @@ import (
 	"dcm/internal/model"
 	"dcm/internal/resilience"
 	"dcm/internal/rng"
-	"dcm/internal/sim"
 	"dcm/internal/workload"
 )
 
 // The graph experiment drives an arbitrary service-graph topology — by
 // default a 5-node fan-out microservice app — with the workload library's
 // bursty open-loop arrivals, optional mid-run chaos (a replica crash and a
-// later replacement), and optional per-node DCM controllers steering each
-// armed node's thread pool to its Equation 7 optimum. It is the
-// demonstration that every per-node construct the chain experiments
-// calibrated (Eq. 5 laws, resilience, invariants, the controller) composes
-// on a DAG.
+// later replacement), and an optional threads ticker that sets each armed
+// node's thread pool to the Equation 7 optimum N_b of its configured law.
+// The ticker is not the paper's DCM loop: it monitors nothing and fits
+// nothing. The experiment demonstrates that every per-node construct the
+// chain experiments calibrated (Eq. 5 laws, resilience, invariants)
+// composes on a DAG.
 
 // GraphConfig parameterizes the graph experiment. The zero value selects
 // the built-in fanout5 topology under calibrated defaults.
@@ -42,13 +42,14 @@ type GraphConfig struct {
 	Horizon time.Duration
 	// Timeout is the per-request deadline and basic-class SLA (default 1 s).
 	Timeout time.Duration
-	// Chaos injects failures: the busiest non-entry node loses one replica
-	// at Horizon/3 (crash, in-flight work lost) and gains a replacement at
-	// 2*Horizon/3.
+	// Chaos injects failures: the first non-entry node in declaration
+	// order loses one replica at Horizon/3 (crash, in-flight work lost)
+	// and gains a replacement at 2*Horizon/3.
 	Chaos bool
-	// Controllers arms the per-node DCM loop on every node whose spec sets
-	// Controller: every graphControlPeriod the node's thread pool is
-	// steered to the Equation 7 optimum of its burst law.
+	// Controllers arms a threads ticker on every node whose spec sets
+	// Controller: every graphControlPeriod it sets the node's thread pool
+	// to the Equation 7 optimum N_b of the node's configured law. It does
+	// no monitoring and no model fitting.
 	Controllers bool
 	// Invariants attaches the runtime invariant checker (whole-graph and
 	// per-node conservation, async ledger, pool accounting) and sweeps once
@@ -68,7 +69,7 @@ func (c *GraphConfig) defaults() {
 	}
 }
 
-// graphControlPeriod is the per-node controllers' actuation period.
+// graphControlPeriod is the threads ticker's period.
 const graphControlPeriod = 5 * time.Second
 
 // Fanout5Spec is the built-in 5-node fan-out microservice app: a gateway
@@ -79,8 +80,8 @@ const graphControlPeriod = 5 * time.Second
 func Fanout5Spec() graph.Spec {
 	web := model.Params{S0: 4e-4, Alpha: 5e-7, Beta: 1e-10, Gamma: 1}
 	// The composite Tomcat-like law (interior optimum N_b ≈ 20) — the shape
-	// §V-A's training run measures — so the armed controllers have a real
-	// optimum to steer to.
+	// §V-A's training run measures — so the armed nodes have a real
+	// optimum to be set to.
 	app := model.Params{S0: 4.64e-3, Alpha: 8.08e-4, Beta: 9.46e-6, Gamma: 1}
 	db := model.Params{S0: 6.867e-4, Alpha: 4.814e-4, Beta: 1.576e-7, Gamma: 1}
 	return graph.Spec{
@@ -142,7 +143,7 @@ type GraphResult struct {
 	AsyncInFlight int                       `json:"asyncInFlight,omitempty"`
 	// Chaos log entries ("t=40s fail catalog-1"), empty without chaos.
 	ChaosLog []string `json:"chaosLog,omitempty"`
-	// ControllerTargets maps armed nodes to their final steered threads.
+	// ControllerTargets maps armed nodes to the threads the ticker set.
 	ControllerTargets map[string]int `json:"controllerTargets,omitempty"`
 	Events            uint64         `json:"events"`
 	Wall              time.Duration  `json:"wall"`
@@ -162,32 +163,10 @@ func RunGraph(cfg GraphConfig) (GraphResult, error) {
 		}
 	}
 
-	eng := sim.NewEngine()
-	root := rng.New(cfg.Seed)
-
 	res, err := resilience.Preset("full", cfg.Timeout)
 	if err != nil {
 		return GraphResult{}, fmt.Errorf("experiments: graph resilience: %w", err)
 	}
-	app, err := graph.New(eng, root.Split("graph"), graph.Config{
-		Spec:       spec,
-		Policy:     lb.LeastConnections,
-		Resilience: *res,
-		Classes: []graph.Class{
-			{Name: "premium", Priority: 1, SLO: cfg.Timeout / 2},
-			{Name: "basic"},
-		},
-	})
-	if err != nil {
-		return GraphResult{}, fmt.Errorf("experiments: graph app: %w", err)
-	}
-	var chk *invariant.Checker
-	if cfg.Invariants {
-		chk = invariant.New()
-		app.SetInvariantChecker(chk)
-		invariant.AttachEngine(chk, eng)
-	}
-
 	peak := 4 * cfg.Rate
 	wspec := workload.WorkloadSpec{
 		Name: "graph-bursty",
@@ -205,94 +184,72 @@ func RunGraph(cfg GraphConfig) (GraphResult, error) {
 			{Name: "basic", Weight: 0.8},
 		},
 	}
-	if err := wspec.Validate(); err != nil {
-		return GraphResult{}, fmt.Errorf("experiments: graph workload spec: %w", err)
-	}
-	gen, err := wspec.Build(eng, root.Split("wl"), app)
-	if err != nil {
-		return GraphResult{}, fmt.Errorf("experiments: graph workload: %w", err)
-	}
-	ol := gen.(*workload.OpenLoopGen)
 
-	// Chaos: crash one replica of the busiest steerable non-entry node at
-	// Horizon/3, add a replacement at 2/3 — the graph must reroute, absorb
-	// the lost in-flight work, and rebalance when capacity returns.
 	var chaosLog []string
-	if cfg.Chaos {
-		victim := ""
-		for _, name := range app.NodeNames() {
-			if name == spec.Entry {
-				continue
-			}
-			if victim == "" {
-				victim = name
-			}
-		}
-		if victim != "" {
-			eng.Schedule(cfg.Horizon/3, func() {
-				ms := app.Members(victim)
-				if len(ms) == 0 {
-					return
-				}
-				name := ms[len(ms)-1].Name()
-				if err := app.FailMember(victim, name); err == nil {
-					chaosLog = append(chaosLog,
-						fmt.Sprintf("t=%v fail %s", eng.Now().Round(time.Second), name))
-				}
-			})
-			eng.Schedule(2*cfg.Horizon/3, func() {
-				if m, err := app.AddMember(victim, ""); err == nil {
-					chaosLog = append(chaosLog,
-						fmt.Sprintf("t=%v add %s", eng.Now().Round(time.Second), m.Name()))
-				}
-			})
-		}
-	}
-
-	// Per-node DCM controllers: each period, steer armed nodes' thread
-	// pools to the Equation 7 optimum of their burst law.
 	targets := make(map[string]int)
-	if cfg.Controllers {
-		for _, ns := range spec.Nodes {
-			if !ns.Controller {
-				continue
+	r, err := assemble(runPlan{
+		seed: cfg.Seed,
+		graph: &graph.Config{
+			Spec:       spec,
+			Policy:     lb.LeastConnections,
+			Resilience: *res,
+			Classes: []graph.Class{
+				{Name: "premium", Priority: 1, SLO: cfg.Timeout / 2},
+				{Name: "basic"},
+			},
+		},
+		chk: checker(cfg.Invariants),
+		wire: func(r *run) error {
+			if cfg.Chaos {
+				scheduleGraphChaos(r, spec.Entry, cfg.Horizon, &chaosLog)
 			}
-			name, m := ns.Name, ns.Model
-			_ = eng.Ticker(graphControlPeriod, func() {
-				nb, ok := m.OptimalConcurrencyInt()
-				if !ok || nb < 1 {
-					return
+			// The threads ticker: each period, set every armed node's
+			// thread pool to the N_b of its configured law.
+			if cfg.Controllers {
+				for _, ns := range spec.Nodes {
+					if !ns.Controller {
+						continue
+					}
+					name, m := ns.Name, ns.Model
+					_ = r.eng.Ticker(graphControlPeriod, func() {
+						nb, ok := m.OptimalConcurrencyInt()
+						if !ok || nb < 1 {
+							return
+						}
+						targets[name] = nb
+						_ = r.app.SetNodeThreads(name, nb)
+					})
 				}
-				targets[name] = nb
-				_ = app.SetNodeThreads(name, nb)
-			})
-		}
+			}
+			return nil
+		},
+		load: func(r *run, src *rng.Rand) (workload.Generator, error) {
+			return wspec.Build(r.eng, src, r.app)
+		},
+		horizon: cfg.Horizon,
+	})
+	if err != nil {
+		return GraphResult{}, fmt.Errorf("experiments: graph: %w", err)
 	}
-
-	ol.Start()
-	start := time.Now()
-	if err := eng.Run(cfg.Horizon); err != nil {
-		return GraphResult{}, fmt.Errorf("experiments: graph run: %w", err)
-	}
-	ol.Stop()
+	app := r.app
+	ol := r.gen.(*workload.OpenLoopGen)
 
 	out := GraphResult{
-		Topology:     spec.Name,
-		Entry:        spec.Entry,
-		Rate:         cfg.Rate,
-		PeakRate:     peak,
-		Horizon:      cfg.Horizon,
-		Scheduled:    ol.Scheduled(),
-		Goodput:      app.TotalGood(),
-		Completed:    app.TotalCompletions(),
-		Errors:       app.TotalErrors(),
-		Dispositions: app.Dispositions(),
-		ChaosLog:     chaosLog,
-		Events:       eng.Processed(),
-		Wall:         time.Since(start),
-	}
-	if len(targets) > 0 {
-		out.ControllerTargets = targets
+		Topology:            spec.Name,
+		Entry:               spec.Entry,
+		Rate:                cfg.Rate,
+		PeakRate:            peak,
+		Horizon:             cfg.Horizon,
+		Scheduled:           ol.Scheduled(),
+		Goodput:             app.TotalGood(),
+		Completed:           app.TotalCompletions(),
+		Errors:              app.TotalErrors(),
+		Dispositions:        app.Dispositions(),
+		ChaosLog:            chaosLog,
+		ControllerTargets:   targets,
+		Events:              r.eng.Processed(),
+		Wall:                r.wall,
+		InvariantViolations: r.violations,
 	}
 	st := app.TakeStats()
 	ledger := app.NodeVisits()
@@ -320,12 +277,39 @@ func RunGraph(cfg GraphConfig) (GraphResult, error) {
 		out.Nodes = append(out.Nodes, row)
 	}
 	out.AsyncSpawned, out.AsyncDone, out.AsyncInFlight = app.AsyncLedger()
-	if chk != nil {
-		app.CheckInvariants()
-		invariant.CheckEngine(chk, eng)
-		out.InvariantViolations = chk.Violations()
-	}
 	return out, nil
+}
+
+// scheduleGraphChaos crashes one replica of the first non-entry node in
+// declaration order at horizon/3 and adds a replacement at 2*horizon/3:
+// the graph must reroute, absorb the lost in-flight work, and rebalance
+// when capacity returns. Each injection is appended to log.
+func scheduleGraphChaos(r *run, entry string, horizon time.Duration, log *[]string) {
+	victim := ""
+	for _, name := range r.app.NodeNames() {
+		if name != entry {
+			victim = name
+			break
+		}
+	}
+	if victim == "" {
+		return
+	}
+	r.eng.Schedule(horizon/3, func() {
+		ms := r.app.Members(victim)
+		if len(ms) == 0 {
+			return
+		}
+		name := ms[len(ms)-1].Name()
+		if err := r.app.FailMember(victim, name); err == nil {
+			*log = append(*log, fmt.Sprintf("t=%v fail %s", r.eng.Now().Round(time.Second), name))
+		}
+	})
+	r.eng.Schedule(2*horizon/3, func() {
+		if m, err := r.app.AddMember(victim, ""); err == nil {
+			*log = append(*log, fmt.Sprintf("t=%v add %s", r.eng.Now().Round(time.Second), m.Name()))
+		}
+	})
 }
 
 // RenderGraph renders the run summary plus the per-node ledger table.

@@ -133,63 +133,50 @@ func RunMillionSmoke(cfg MillionSmokeConfig) (MillionSmokeResult, error) {
 	}
 	horizon := tr.Duration()
 
-	eng := sim.NewEngine()
-	root := rng.New(cfg.Seed)
-	target := newFixedLatencyTarget(eng, millionServiceTime)
-	wl, err := workload.NewTraceDriven(eng, root.Split("wl"), target, tr, millionThinkTime, time.Second)
-	if err != nil {
-		return MillionSmokeResult{}, fmt.Errorf("experiments: million smoke workload: %w", err)
-	}
-
-	var chk *invariant.Checker
-	if cfg.Invariants {
-		chk = invariant.New()
-		invariant.AttachEngine(chk, eng)
-	}
-
 	res := MillionSmokeResult{
 		Trace:     tr.Name(),
 		PeakUsers: tr.MaxUsers(),
 		Horizon:   horizon,
 	}
-	stopSample := eng.Ticker(time.Second, func() {
-		if p := eng.Pending(); p > res.PeakPending {
-			res.PeakPending = p
-		}
-		if l := wl.Loop().Live(); l > res.PeakLive {
-			res.PeakLive = l
-		}
+	var wl *workload.TraceDriven
+	r, err := assemble(runPlan{
+		seed: cfg.Seed,
+		chk:  checker(cfg.Invariants),
+		// The peak sampler and the sweep ticker start before the workload,
+		// so each tick reads the state before that second's trace step.
+		wire: func(r *run) error {
+			r.eng.Ticker(time.Second, func() {
+				if p := r.eng.Pending(); p > res.PeakPending {
+					res.PeakPending = p
+				}
+				if l := wl.Loop().Live(); l > res.PeakLive {
+					res.PeakLive = l
+				}
+			})
+			if r.chk != nil {
+				r.eng.Ticker(millionCheckEvery, r.sweep)
+			}
+			return nil
+		},
+		load: func(r *run, src *rng.Rand) (workload.Generator, error) {
+			var err error
+			wl, err = workload.NewTraceDriven(r.eng, src, newFixedLatencyTarget(r.eng, millionServiceTime),
+				tr, millionThinkTime, time.Second)
+			return wl, err
+		},
+		horizon: horizon,
 	})
-	var stopSweep func()
-	if chk != nil {
-		stopSweep = eng.Ticker(millionCheckEvery, func() {
-			invariant.CheckEngine(chk, eng)
-			res.Sweeps++
-		})
+	if err != nil {
+		return MillionSmokeResult{}, fmt.Errorf("experiments: million smoke: %w", err)
 	}
-
-	wl.Start()
-	start := time.Now()
-	if err := eng.Run(horizon); err != nil {
-		return MillionSmokeResult{}, fmt.Errorf("experiments: million smoke run: %w", err)
-	}
-	res.Wall = time.Since(start)
-	wl.Stop()
-	stopSample()
-	if stopSweep != nil {
-		stopSweep()
-	}
-
-	res.Events = eng.Processed()
+	res.Wall = r.wall
+	res.Events = r.eng.Processed()
 	res.Completed = wl.Loop().TotalCompleted()
 	if res.Wall > 0 {
 		res.EventsPerSec = float64(res.Events) / res.Wall.Seconds()
 	}
-	if chk != nil {
-		invariant.CheckEngine(chk, eng)
-		res.Sweeps++
-		res.InvariantViolations = chk.Violations()
-	}
+	res.Sweeps = r.sweeps
+	res.InvariantViolations = r.violations
 	return res, nil
 }
 

@@ -10,10 +10,8 @@ import (
 	"dcm/internal/invariant"
 	"dcm/internal/metrics"
 	"dcm/internal/ntier"
-	"dcm/internal/policy"
 	"dcm/internal/resilience"
 	"dcm/internal/rng"
-	"dcm/internal/sim"
 	"dcm/internal/workload"
 )
 
@@ -143,13 +141,6 @@ func RunFlashCrowd(cfg OpenLoopConfig) (OpenLoopResult, error) {
 
 func runOpenLoop(cfg OpenLoopConfig, flash bool) (OpenLoopResult, error) {
 	spec := cfg.spec(flash)
-	if err := spec.Validate(); err != nil {
-		return OpenLoopResult{}, fmt.Errorf("experiments: open loop spec: %w", err)
-	}
-
-	eng := sim.NewEngine()
-	root := rng.New(cfg.Seed)
-
 	res, err := resilience.Preset("full", openLoopTimeout)
 	if err != nil {
 		return OpenLoopResult{}, fmt.Errorf("experiments: open loop resilience: %w", err)
@@ -168,69 +159,39 @@ func runOpenLoop(cfg OpenLoopConfig, flash bool) (OpenLoopResult, error) {
 			QueryDemand: c.QueryDemand,
 		}
 	}
-	app, err := ntier.New(eng, root.Split("app"), appCfg)
+	r, err := assemble(runPlan{
+		seed:  cfg.Seed,
+		chain: &appCfg,
+		chk:   checker(cfg.Invariants),
+		load: func(r *run, src *rng.Rand) (workload.Generator, error) {
+			return spec.Build(r.eng, src, r.app)
+		},
+		degrade: cfg.Degrade,
+		horizon: cfg.Horizon,
+	})
 	if err != nil {
-		return OpenLoopResult{}, fmt.Errorf("experiments: open loop app: %w", err)
-	}
-	var chk *invariant.Checker
-	if cfg.Invariants {
-		chk = invariant.New()
-		app.SetInvariantChecker(chk)
-		invariant.AttachEngine(chk, eng)
+		return OpenLoopResult{}, fmt.Errorf("experiments: open loop: %w", err)
 	}
 
-	gen, err := spec.Build(eng, root.Split("wl"), app)
-	if err != nil {
-		return OpenLoopResult{}, fmt.Errorf("experiments: open loop workload: %w", err)
-	}
-	ol := gen.(*workload.OpenLoopGen)
-
-	// The degrade supervisor rides on top of the open-loop run: no rng
-	// draws, no effect until its detectors fire.
-	var sup *degrade.Supervisor
-	if cfg.Degrade {
-		sup, err = degrade.ForApp(eng, app, nil, nil, degrade.FromRules(policy.Default().Degrade))
-		if err != nil {
-			return OpenLoopResult{}, fmt.Errorf("experiments: open loop degrade: %w", err)
-		}
-		sup.CaptureTimeline(cfg.Horizon)
-		sup.Start()
-	}
-
-	ol.Start()
-	start := time.Now()
-	if err := eng.Run(cfg.Horizon); err != nil {
-		return OpenLoopResult{}, fmt.Errorf("experiments: open loop run: %w", err)
-	}
-	ol.Stop()
-
+	ol := r.gen.(*workload.OpenLoopGen)
 	out := OpenLoopResult{
-		Name:         spec.Name,
-		BaseRate:     cfg.Rate,
-		Horizon:      cfg.Horizon,
-		Scheduled:    ol.Scheduled(),
-		Thinned:      ol.Thinned(),
-		Goodput:      app.TotalGood(),
-		Completed:    app.TotalCompletions(),
-		Errors:       app.TotalErrors(),
-		Dispositions: app.Dispositions(),
-		Classes:      app.ClassStats(),
-		Events:       eng.Processed(),
-		Wall:         time.Since(start),
+		Name:                spec.Name,
+		BaseRate:            cfg.Rate,
+		Horizon:             cfg.Horizon,
+		Scheduled:           ol.Scheduled(),
+		Thinned:             ol.Thinned(),
+		Goodput:             r.app.TotalGood(),
+		Completed:           r.app.TotalCompletions(),
+		Errors:              r.app.TotalErrors(),
+		Dispositions:        r.app.Dispositions(),
+		Classes:             r.app.ClassStats(),
+		Events:              r.eng.Processed(),
+		Wall:                r.wall,
+		InvariantViolations: r.violations,
+		Degrade:             r.degrade,
 	}
 	if flash {
 		out.PeakRate = spec.Arrivals.PeakRate
-	}
-	if sup != nil {
-		sup.Stop()
-		rep := sup.Report()
-		rep.BrownoutSheds = app.BrownoutSheds()
-		out.Degrade = &rep
-	}
-	if chk != nil {
-		app.CheckInvariants()
-		invariant.CheckEngine(chk, eng)
-		out.InvariantViolations = chk.Violations()
 	}
 	return out, nil
 }

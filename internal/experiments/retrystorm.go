@@ -6,17 +6,14 @@ import (
 	"time"
 
 	"dcm/internal/chaos"
-	"dcm/internal/cloud"
 	"dcm/internal/controller"
 	"dcm/internal/degrade"
 	"dcm/internal/invariant"
 	"dcm/internal/metrics"
 	"dcm/internal/ntier"
-	"dcm/internal/policy"
 	"dcm/internal/resilience"
 	"dcm/internal/rng"
 	"dcm/internal/runner"
-	"dcm/internal/sim"
 	"dcm/internal/workload"
 )
 
@@ -162,98 +159,60 @@ func RunRetryStormVariant(cfg RetryStormConfig, variant string) (RetryStormResul
 		return RetryStormResult{}, err
 	}
 
-	eng := sim.NewEngine()
-	root := rng.New(cfg.Seed)
-
 	appCfg := ntier.DefaultConfig()
 	appCfg.AppServers = 2
 	appCfg.Resilience = *res
-	app, err := ntier.New(eng, root.Split("app"), appCfg)
-	if err != nil {
-		return RetryStormResult{}, fmt.Errorf("experiments: retry storm app: %w", err)
-	}
-	var chk *invariant.Checker
-	if cfg.Invariants {
-		chk = invariant.New()
-		app.SetInvariantChecker(chk)
-		invariant.AttachEngine(chk, eng)
-	}
-
-	// The degraded-server fault targets "app-1" by name so every rung
-	// degrades the same Tomcat regardless of rng stream differences.
-	sched := chaos.Schedule{Name: "retry-storm", Faults: []chaos.Fault{{
-		Kind:     chaos.KindDegrade,
-		At:       cfg.DegradeAt,
-		Duration: cfg.DegradeFor,
-		Tier:     ntier.TierApp,
-		VM:       "app-1",
-		Factor:   retryStormDegradeFactor,
-	}}}
-	hv := cloud.NewHypervisor(eng, 15*time.Second)
-	inj, err := chaos.NewInjector(eng, root.Split("chaos"), app, hv, nil, sched)
-	if err != nil {
-		return RetryStormResult{}, fmt.Errorf("experiments: retry storm chaos: %w", err)
-	}
-	inj.Install()
-
-	wl, err := workload.NewClosedLoop(eng, root.Split("wl"), app, workload.ClosedLoopConfig{
-		Users:     cfg.Users,
-		ThinkTime: retryStormThinkTime,
+	r, err := assemble(runPlan{
+		seed:  cfg.Seed,
+		chain: &appCfg,
+		chk:   checker(cfg.Invariants),
+		// The degraded-server fault targets "app-1" by name so every rung
+		// degrades the same Tomcat regardless of rng stream differences.
+		chaos: &chaos.Schedule{Name: "retry-storm", Faults: []chaos.Fault{{
+			Kind:     chaos.KindDegrade,
+			At:       cfg.DegradeAt,
+			Duration: cfg.DegradeFor,
+			Tier:     ntier.TierApp,
+			VM:       "app-1",
+			Factor:   retryStormDegradeFactor,
+		}}},
+		retry: &res.Retry,
+		load: func(r *run, src *rng.Rand) (workload.Generator, error) {
+			wl, err := workload.NewClosedLoop(r.eng, src, r.app, workload.ClosedLoopConfig{
+				Users:     cfg.Users,
+				ThinkTime: retryStormThinkTime,
+			})
+			if err != nil {
+				return nil, err
+			}
+			wl.SetRetrier(r.ret)
+			return wl, nil
+		},
+		// The degrade rung attaches the self-healing supervisor on top of
+		// the retries preset. The supervisor draws no randomness, so the
+		// rng split order of every other rung is untouched.
+		degrade: variant == RetryStormDegradeVariant,
+		horizon: cfg.Horizon,
 	})
 	if err != nil {
-		return RetryStormResult{}, fmt.Errorf("experiments: retry storm workload: %w", err)
+		return RetryStormResult{}, fmt.Errorf("experiments: retry storm: %w", err)
 	}
-	var ret *resilience.Retrier
-	if res.Retry.Enabled() {
-		ret, err = resilience.NewRetrier(res.Retry, root.Split("retry"))
-		if err != nil {
-			return RetryStormResult{}, fmt.Errorf("experiments: retry storm retrier: %w", err)
-		}
-		wl.SetRetrier(ret)
-	}
-	// The degrade rung attaches the self-healing supervisor on top of the
-	// full preset. The supervisor draws no randomness, so the rng split
-	// order of every other rung is untouched.
-	var sup *degrade.Supervisor
-	var audit *controller.AuditLog
-	if variant == RetryStormDegradeVariant {
-		audit = controller.NewAuditLog()
-		sup, err = degrade.ForApp(eng, app, ret, audit, degrade.FromRules(policy.Default().Degrade))
-		if err != nil {
-			return RetryStormResult{}, fmt.Errorf("experiments: retry storm degrade: %w", err)
-		}
-		sup.CaptureTimeline(cfg.Horizon)
-		sup.Start()
-	}
-	wl.Start()
-
-	if err := eng.Run(cfg.Horizon); err != nil {
-		return RetryStormResult{}, fmt.Errorf("experiments: retry storm run: %w", err)
-	}
-	wl.Stop()
 
 	out := RetryStormResult{
-		Variant:          variant,
-		Goodput:          app.TotalGood(),
-		GoodputPerSecond: float64(app.TotalGood()) / cfg.Horizon.Seconds(),
-		Completed:        app.TotalCompletions(),
-		Errors:           app.TotalErrors(),
-		Retries:          wl.TotalRetries(),
-		Dispositions:     app.Dispositions(),
+		Variant:             variant,
+		Goodput:             r.app.TotalGood(),
+		GoodputPerSecond:    float64(r.app.TotalGood()) / cfg.Horizon.Seconds(),
+		Completed:           r.app.TotalCompletions(),
+		Errors:              r.app.TotalErrors(),
+		Retries:             r.gen.(*workload.ClosedLoop).TotalRetries(),
+		Dispositions:        r.app.Dispositions(),
+		InvariantViolations: r.violations,
+		Degrade:             r.degrade,
 	}
-	if sup != nil {
-		sup.Stop()
-		rep := sup.Report()
-		rep.BrownoutSheds = app.BrownoutSheds()
-		out.Degrade = &rep
+	if r.degrade != nil {
 		out.PreFaultGoodputPS, out.TailGoodputPS, out.RecoveryRatio =
-			recoveryMetrics(rep.Timeline, cfg.DegradeAt, cfg.Horizon)
-		out.AuditCodes = audit.CodeCounts()
-	}
-	if chk != nil {
-		app.CheckInvariants()
-		invariant.CheckEngine(chk, eng)
-		out.InvariantViolations = chk.Violations()
+			recoveryMetrics(r.degrade.Timeline, cfg.DegradeAt, cfg.Horizon)
+		out.AuditCodes = r.audit.CodeCounts()
 	}
 	return out, nil
 }

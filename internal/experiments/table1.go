@@ -52,12 +52,18 @@ func TrainTomcatModel(seed uint64, concurrencies []int, measure time.Duration) (
 		obs = append(obs, model.Observation{Concurrency: float64(n), Throughput: m.Throughput})
 	}
 	paperTomcat, _ := model.TableI()
-	res, err := model.Train(obs, model.TrainOptions{Servers: 1, KnownS0: paperTomcat.S0})
+	return trainRow("tomcat", obs, paperTomcat.S0)
+}
+
+// trainRow fits Equation 7 to one tier's observations, with S0 anchored
+// to the paper's Table I value.
+func trainRow(tier string, obs []model.Observation, knownS0 float64) (Table1Row, error) {
+	res, err := model.Train(obs, model.TrainOptions{Servers: 1, KnownS0: knownS0})
 	if err != nil {
-		return Table1Row{}, fmt.Errorf("experiments: tomcat training: %w", err)
+		return Table1Row{}, fmt.Errorf("experiments: %s training: %w", tier, err)
 	}
 	return Table1Row{
-		Tier:          "tomcat",
+		Tier:          tier,
 		Params:        res.Params,
 		RSquared:      res.RSquared,
 		OptimalN:      res.OptimalN,
@@ -107,18 +113,7 @@ func TrainMySQLModel(seed uint64, concurrencies []int, measure time.Duration) (T
 		})
 	}
 	_, paperMySQL := model.TableI()
-	res, err := model.Train(obs, model.TrainOptions{Servers: 1, KnownS0: paperMySQL.S0})
-	if err != nil {
-		return Table1Row{}, fmt.Errorf("experiments: mysql training: %w", err)
-	}
-	return Table1Row{
-		Tier:          "mysql",
-		Params:        res.Params,
-		RSquared:      res.RSquared,
-		OptimalN:      res.OptimalN,
-		MaxThroughput: res.MaxThroughput,
-		Observations:  obs,
-	}, nil
+	return trainRow("mysql", obs, paperMySQL.S0)
 }
 
 // Table1 runs both trainings.

@@ -105,9 +105,10 @@ type NodeSpec struct {
 	// the reference stream (cache kind only; both must be set together).
 	CacheSize int `json:"cacheSize,omitempty"`
 	KeySpace  int `json:"keySpace,omitempty"`
-	// Controller arms a per-node DCM soft-resource controller in the graph
-	// experiment: the node's thread pool is steered to its model optimum
-	// N_b instead of staying at the static allocation.
+	// Controller arms the graph experiment's threads ticker on the node:
+	// every period the node's thread pool is set to its configured law's
+	// optimum N_b instead of staying at the static allocation. The ticker
+	// does no monitoring and no model fitting.
 	Controller bool `json:"controller,omitempty"`
 }
 
