@@ -27,7 +27,10 @@ import (
 // composes on a DAG.
 
 // GraphConfig parameterizes the graph experiment. The zero value selects
-// the built-in fanout5 topology under calibrated defaults.
+// the built-in fanout5 topology under calibrated defaults. The app runs
+// the "full" resilience preset minus its client retries: the open-loop
+// generator takes no retrier and the graph never reads Resilience.Retry,
+// so a failed request is never reissued.
 type GraphConfig struct {
 	// Seed drives all randomness.
 	Seed uint64
@@ -185,6 +188,13 @@ func RunGraph(cfg GraphConfig) (GraphResult, error) {
 		},
 	}
 
+	// The app's classes are the workload's, in the workload's order: the
+	// generator injects class i of the spec as class i of the app.
+	classes := make([]graph.Class, len(wspec.Classes))
+	for i, c := range wspec.Classes {
+		classes[i] = graph.Class{Name: c.Name, Priority: c.Priority, SLO: c.SLO()}
+	}
+
 	var chaosLog []string
 	targets := make(map[string]int)
 	r, err := assemble(runPlan{
@@ -193,10 +203,7 @@ func RunGraph(cfg GraphConfig) (GraphResult, error) {
 			Spec:       spec,
 			Policy:     lb.LeastConnections,
 			Resilience: *res,
-			Classes: []graph.Class{
-				{Name: "premium", Priority: 1, SLO: cfg.Timeout / 2},
-				{Name: "basic"},
-			},
+			Classes:    classes,
 		},
 		chk: checker(cfg.Invariants),
 		wire: func(r *run) error {

@@ -36,7 +36,9 @@ const (
 )
 
 // OpenLoopConfig parameterizes the open-loop experiments. The zero value
-// selects calibrated defaults (see defaults).
+// selects calibrated defaults (see defaults). The app runs the "full"
+// resilience preset minus its client retries: the open-loop generator
+// takes no retrier, so a failed request is never reissued.
 type OpenLoopConfig struct {
 	// Seed drives all randomness.
 	Seed uint64

@@ -9,7 +9,11 @@
 // Scheduled events live in one of two structures. Bounded-horizon delays
 // — the overwhelming majority: think times, deadlines, retry backoffs,
 // monitor ticks — go into a hierarchical timer wheel (wheel.go) at O(1)
-// per schedule. A hand-rolled 4-ary min-heap specialized to *Event (no
+// per schedule. Its upper-level slots, the ones that cascade, can each
+// hold four interleaved lists: once the wheel has held more events than
+// fit in a core's L2 cache it spreads them over the four, so a cascade
+// through the cache-cold arena keeps four misses in flight rather than
+// one. A hand-rolled 4-ary min-heap specialized to *Event (no
 // interface boxing, no per-sift index maintenance) is the firing
 // frontier: due wheel slots are flushed into it, it holds events beyond
 // the wheel's ~1.2-hour horizon, and its pop order is the engine's total
@@ -544,50 +548,65 @@ func (e *Engine) VerifyHeap() error {
 }
 
 // verifyWheel checks the wheel tier: every stored event is linked in the
-// slot its (tick, frontier) placement demands, occupancy bits mirror
-// slot emptiness, counts and the next-tick lower bound hold, and no
+// slot its (tick, frontier) placement demands and, above level 0, in way
+// 0 or the way its seq picks; occupancy bits mirror slot emptiness, counts and the next-tick lower bound hold, and no
 // wheel event also sits on the free list or in the heap.
 func (e *Engine) verifyWheel(onFreeList map[*Event]bool) error {
 	w := &e.wh
 	if w.dead < 0 || w.dead > w.count {
 		return fmt.Errorf("sim: wheel dead count %d out of range [0,%d]", w.dead, w.count)
 	}
+	if w.wayMask != 0 && w.wayMask != wheelWays-1 {
+		return fmt.Errorf("sim: wheel way mask %d, want 0 or %d", w.wayMask, wheelWays-1)
+	}
 	inWheel := make(map[*Event]bool)
 	stored, cancelled := 0, 0
 	for lvl := 0; lvl < wheelLevels; lvl++ {
 		for s := uint64(0); s < wheelSlots; s++ {
 			occupied := w.occ[lvl][s>>6]&(1<<(s&63)) != 0
-			if (w.slots[lvl][s] != nil) != occupied {
+			empty := true
+			for way := 0; way < waysAt(lvl); way++ {
+				empty = empty && *w.head(lvl, s, way) == nil
+			}
+			if empty == occupied {
 				return fmt.Errorf("sim: wheel level %d slot %d occupancy bit %v disagrees with list", lvl, s, occupied)
 			}
-			for ev := w.slots[lvl][s]; ev != nil; ev = ev.next {
-				if inWheel[ev] {
-					return fmt.Errorf("sim: wheel level %d slot %d links an event twice", lvl, s)
-				}
-				inWheel[ev] = true
-				stored++
-				if ev.cancelled {
-					cancelled++
-				}
-				if !ev.inWheel {
-					return fmt.Errorf("sim: wheel level %d slot %d event not marked inWheel", lvl, s)
-				}
-				if ev.at < e.now {
-					return fmt.Errorf("sim: wheel level %d slot %d event at %v, before clock %v", lvl, s, ev.at, e.now)
-				}
-				ti := tickOf(ev.at)
-				if ti < w.cur {
-					return fmt.Errorf("sim: wheel level %d slot %d event tick %d behind frontier %d", lvl, s, ti, w.cur)
-				}
-				if ti < w.next {
-					return fmt.Errorf("sim: wheel level %d slot %d event tick %d below next-tick bound %d", lvl, s, ti, w.next)
-				}
-				if wantLvl := levelFor(ti, w.cur); wantLvl != lvl || slotOf(ti, lvl) != s {
-					return fmt.Errorf("sim: wheel event at %v placed at level %d slot %d, want level %d slot %d",
-						ev.at, lvl, s, wantLvl, slotOf(ti, wantLvl))
-				}
-				if onFreeList[ev] {
-					return fmt.Errorf("sim: wheel level %d slot %d event is also on the free list", lvl, s)
+			for way := 0; way < waysAt(lvl); way++ {
+				for ev := *w.head(lvl, s, way); ev != nil; ev = ev.next {
+					if inWheel[ev] {
+						return fmt.Errorf("sim: wheel level %d slot %d links an event twice", lvl, s)
+					}
+					inWheel[ev] = true
+					stored++
+					if ev.cancelled {
+						cancelled++
+					}
+					if !ev.inWheel {
+						return fmt.Errorf("sim: wheel level %d slot %d event not marked inWheel", lvl, s)
+					}
+					if ev.at < e.now {
+						return fmt.Errorf("sim: wheel level %d slot %d event at %v, before clock %v", lvl, s, ev.at, e.now)
+					}
+					ti := tickOf(ev.at)
+					if ti < w.cur {
+						return fmt.Errorf("sim: wheel level %d slot %d event tick %d behind frontier %d", lvl, s, ti, w.cur)
+					}
+					if ti < w.next {
+						return fmt.Errorf("sim: wheel level %d slot %d event tick %d below next-tick bound %d", lvl, s, ti, w.next)
+					}
+					if wantLvl := levelFor(ti, w.cur); wantLvl != lvl || slotOf(ti, lvl) != s {
+						return fmt.Errorf("sim: wheel event at %v placed at level %d slot %d, want level %d slot %d",
+							ev.at, lvl, s, wantLvl, slotOf(ti, wantLvl))
+					}
+					// Way 0 also holds events placed before the wheel
+					// first spread over the ways.
+					if want := ev.seq & w.wayMask; way != 0 && uint64(way) != want {
+						return fmt.Errorf("sim: wheel event seq %d placed in level %d slot %d way %d, want way %d",
+							ev.seq, lvl, s, way, want)
+					}
+					if onFreeList[ev] {
+						return fmt.Errorf("sim: wheel level %d slot %d event is also on the free list", lvl, s)
+					}
 				}
 			}
 		}

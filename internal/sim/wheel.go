@@ -17,12 +17,28 @@
 //
 // Slots are singly-linked LIFO lists threaded through Event.next (an
 // event is on exactly one of: a slot list, the heap, the free list), so
-// the wheel allocates nothing. Per-level occupancy bitmaps let the
-// advance loop jump over empty slots, keeping sparse schedules (one
-// monitor tick per simulated second) as cheap as dense ones. Canceled
-// events are dropped lazily at flush/cascade time; when they dominate
-// the wheel a compaction sweep reclaims them in one pass, mirroring the
-// heap's lazy compaction.
+// the wheel allocates nothing. A slot on levels 1–3 can hold wheelWays
+// independent lists. Those slots are the ones that cascade: a think time
+// parks on level 2 and moves down twice, a millisecond service timer
+// parks on level 1 and moves down once. At 10⁶ pending events the arena
+// is far larger than the caches, so every link a cascade follows is a
+// miss, and on one list each miss waits for the one before it. Once the
+// wheel has held more events than fit in a core's L2 cache
+// (wheelWaysFrom), an event joins the way its seq picks, and a cascade
+// drains the ways round-robin, keeping up to wheelWays misses in flight
+// at once. Below that every event joins way 0, which is laid out as one
+// contiguous array per level, so a small simulation touches exactly the
+// memory a single-list wheel does: its cascades hit in cache anyway, and
+// the extra lists would only spread its slot heads over more cache
+// lines. Level 0 keeps a single list per slot: its slots are one tick
+// wide and flushed soon after the cascade that filled them, so their
+// events are still warm. The order of events within a slot never
+// mattered — the heap decides it — so the ways leave the pop stream
+// unchanged. Per-level occupancy bitmaps let the advance loop jump over
+// empty slots, keeping sparse schedules (one monitor tick per simulated
+// second) as cheap as dense ones. Canceled events are dropped lazily at
+// flush/cascade time; when they dominate the wheel a compaction sweep
+// reclaims them in one pass, mirroring the heap's lazy compaction.
 package sim
 
 import "math/bits"
@@ -42,6 +58,13 @@ const (
 	wheelSlots     = 1 << wheelLevelBits
 	wheelSlotMask  = wheelSlots - 1
 	wheelLevels    = 4
+	// wheelWays is the number of lists per slot on levels 1 and up; a
+	// power of two, so an event's way is seq&(wheelWays-1).
+	wheelWays = 4
+	// wheelWaysFrom is the stored-event count at which the wheel starts
+	// spreading events over the ways: 2^15 events of 48 B are 1.5 MB,
+	// about one core's L2 cache.
+	wheelWaysFrom = 1 << 15
 	// wheelMaxTick is the first tick index past the wheel's total span;
 	// events at or beyond it overflow to the far-future heap tier.
 	wheelMaxTick = uint64(1) << (wheelLevelBits * wheelLevels)
@@ -60,11 +83,8 @@ func tickOf(t Time) uint64 { return uint64(t) >> wheelTickShift }
 // wheel is the engine's bounded-horizon event tier. The zero value is
 // ready to use (cur 0, next noTick).
 type wheel struct {
-	// slots holds the head of each slot's LIFO event list, linked through
-	// Event.next.
-	slots [wheelLevels][wheelSlots]*Event
 	// occ is the per-level occupancy bitmap: bit s of level l is set iff
-	// slots[l][s] is non-empty.
+	// some list of slot s at level l is non-empty.
 	occ [wheelLevels][wheelSlots / 64]uint64
 	// cur is the flush frontier: every event with tick < cur has left the
 	// wheel. Events scheduled for ticks < cur go straight to the heap.
@@ -77,6 +97,15 @@ type wheel struct {
 	// fire at (noTick when empty) — the advance fast path compares it
 	// against the needed tick and skips the bitmap scan entirely.
 	next uint64
+	// wayMask picks an event's way on levels 1 and up as seq&wayMask: 0
+	// until count first reaches wheelWaysFrom, wheelWays-1 from then on.
+	wayMask uint64
+	// slot0 holds the head of each level-0 slot's LIFO event list,
+	// linked through Event.next.
+	slot0 [wheelSlots]*Event
+	// upper holds the list heads of levels 1 and up: upper[l-1][way][s]
+	// heads way `way` of level l's slot s.
+	upper [wheelLevels - 1][wheelWays][wheelSlots]*Event
 }
 
 // levelFor returns the level an event at tick ti belongs to given the
@@ -109,6 +138,22 @@ func blockStart(ti uint64, lvl int) uint64 {
 	return ti &^ (uint64(1)<<(lvl*wheelLevelBits) - 1)
 }
 
+// waysAt returns the number of lists a slot at level lvl has.
+func waysAt(lvl int) int {
+	if lvl == 0 {
+		return 1
+	}
+	return wheelWays
+}
+
+// head returns the head of list `way` of slot s at level lvl.
+func (w *wheel) head(lvl int, s uint64, way int) **Event {
+	if lvl == 0 {
+		return &w.slot0[s]
+	}
+	return &w.upper[lvl-1][way][s]
+}
+
 // place links ev into the slot for tick ti, or reports false when ti is
 // past the wheel's horizon (the caller sends it to the heap). ti must be
 // >= w.cur.
@@ -118,24 +163,22 @@ func (w *wheel) place(ev *Event, ti uint64) bool {
 		return false
 	}
 	s := slotOf(ti, lvl)
-	ev.next = w.slots[lvl][s]
+	head := &w.slot0[s]
+	if lvl > 0 {
+		head = &w.upper[lvl-1][ev.seq&w.wayMask][s]
+	}
+	ev.next = *head
 	ev.inWheel = true
-	w.slots[lvl][s] = ev
+	*head = ev
 	w.occ[lvl][s>>6] |= 1 << (s & 63)
 	w.count++
+	if w.count == wheelWaysFrom {
+		w.wayMask = wheelWays - 1
+	}
 	if lb := blockStart(ti, lvl); lb < w.next {
 		w.next = lb
 	}
 	return true
-}
-
-// take unlinks and returns slot s of level lvl, clearing its occupancy
-// bit.
-func (w *wheel) take(lvl int, s uint64) *Event {
-	head := w.slots[lvl][s]
-	w.slots[lvl][s] = nil
-	w.occ[lvl][s>>6] &^= 1 << (s & 63)
-	return head
 }
 
 // firstOccupied returns the lowest occupied slot index >= from at level
@@ -157,9 +200,8 @@ func (w *wheel) firstOccupied(lvl int, from uint64) int {
 // pushDown restores the placement invariant after the frontier moved:
 // any level>=1 slot that now covers cur's own block holds events whose
 // ticks share a smaller block with cur, so they cascade to lower levels.
-// Canceled events are reclaimed instead of cascading. Levels are walked
-// top-down so a level-3 cascade can feed the level-2 slot that is itself
-// about to cascade.
+// Levels are walked top-down so a level-3 cascade can feed the level-2
+// slot that is itself about to cascade.
 func (e *Engine) pushDown() {
 	w := &e.wh
 	for lvl := wheelLevels - 1; lvl >= 1; lvl-- {
@@ -167,20 +209,91 @@ func (e *Engine) pushDown() {
 		if w.occ[lvl][s>>6]&(1<<(s&63)) == 0 {
 			continue
 		}
-		ev := w.take(lvl, s)
-		for ev != nil {
-			next := ev.next
-			w.count--
-			if ev.cancelled {
-				w.dead--
-				ev.inWheel = false
-				e.release(ev)
-			} else {
-				w.place(ev, tickOf(ev.at)) // always lands: same block as cur
+		w.occ[lvl][s>>6] &^= 1 << (s & 63)
+		ways := &w.upper[lvl-1]
+		if w.wayMask == 0 {
+			// Every event is in way 0; the other ways were never used.
+			// The cascade is spelled out rather than called: a small
+			// simulation cascades from cache, and there a call per event
+			// is a measurable share of its schedule/fire cost.
+			ev := ways[0][s]
+			ways[0][s] = nil
+			for ev != nil {
+				next := ev.next
+				w.count--
+				if ev.cancelled {
+					w.dead--
+					ev.inWheel = false
+					e.release(ev)
+				} else {
+					w.place(ev, tickOf(ev.at)) // always lands: same block as cur
+				}
+				ev = next
 			}
-			ev = next
+			continue
+		}
+		var h [wheelWays]*Event
+		for i := range h {
+			h[i] = ways[i][s]
+			ways[i][s] = nil
+		}
+		e.drain(&h)
+	}
+}
+
+// drain cascades every event of one slot's ways. While two or more ways
+// are non-empty it takes one event from each in turn, so their cache
+// misses overlap instead of queuing behind one another; the last
+// non-empty way is walked with the plain loop. The set of non-empty ways
+// is a bit mask built without branches, since which ways a sparse slot
+// uses is random.
+func (e *Engine) drain(h *[wheelWays]*Event) {
+	var live uint
+	for i, ev := range h {
+		live |= nonNil(ev) << i
+	}
+	for live&(live-1) != 0 {
+		for r := live; r != 0; r &= r - 1 {
+			i := bits.TrailingZeros(r)
+			ev := h[i]
+			if h[i] = ev.next; h[i] == nil {
+				live &^= 1 << i
+			}
+			e.cascade(ev)
 		}
 	}
+	if live == 0 {
+		return
+	}
+	for ev := h[bits.TrailingZeros(live)]; ev != nil; {
+		next := ev.next
+		e.cascade(ev)
+		ev = next
+	}
+}
+
+// nonNil is 1 for a non-nil event and 0 for nil; the compiler turns it
+// into a flag set, not a branch.
+func nonNil(ev *Event) uint {
+	if ev != nil {
+		return 1
+	}
+	return 0
+}
+
+// cascade moves ev, just unlinked from a level>=1 slot that reached the
+// frontier's block, down to the level its tick now belongs to, or
+// reclaims it when it was canceled.
+func (e *Engine) cascade(ev *Event) {
+	w := &e.wh
+	w.count--
+	if ev.cancelled {
+		w.dead--
+		ev.inWheel = false
+		e.release(ev)
+		return
+	}
+	w.place(ev, tickOf(ev.at)) // always lands: same block as cur
 }
 
 // flushSlot0 moves every event of the due level-0 slot for tick ti into
@@ -188,7 +301,10 @@ func (e *Engine) pushDown() {
 // the tick is decided exactly.
 func (e *Engine) flushSlot0(ti uint64) {
 	w := &e.wh
-	ev := w.take(0, ti&wheelSlotMask)
+	s := ti & wheelSlotMask
+	ev := w.slot0[s]
+	w.slot0[s] = nil
+	w.occ[0][s>>6] &^= 1 << (s & 63)
 	for ev != nil {
 		next := ev.next
 		w.count--
@@ -288,23 +404,27 @@ func (e *Engine) maybeCompactWheel() {
 			for b != 0 {
 				s := uint64(word<<6) + uint64(bits.TrailingZeros64(b))
 				b &= b - 1
-				var live *Event
-				ev := w.slots[lvl][s]
-				for ev != nil {
-					next := ev.next
-					if ev.cancelled {
-						w.count--
-						w.dead--
-						ev.inWheel = false
-						e.release(ev)
-					} else {
-						ev.next = live
-						live = ev
+				empty := true
+				for way := 0; way < waysAt(lvl); way++ {
+					head := w.head(lvl, s, way)
+					var live *Event
+					for ev := *head; ev != nil; {
+						next := ev.next
+						if ev.cancelled {
+							w.count--
+							w.dead--
+							ev.inWheel = false
+							e.release(ev)
+						} else {
+							ev.next = live
+							live = ev
+						}
+						ev = next
 					}
-					ev = next
+					*head = live
+					empty = empty && live == nil
 				}
-				w.slots[lvl][s] = live
-				if live == nil {
+				if empty {
 					w.occ[lvl][word] &^= 1 << (s & 63)
 				}
 			}

@@ -99,31 +99,42 @@ func (m *diffModel) run(horizon Time, fire func(id int)) {
 	}
 }
 
-// randSpanDelay draws delays spread across every wheel tier — the
-// current tick, each level's span, and past the wheel's total horizon —
-// so placement, cascades and the overflow-to-heap path are all
-// exercised. Spans are derived from the wheel constants so the
-// distribution tracks the tick size.
-func randSpanDelay(r *rand.Rand) time.Duration {
-	span := func(lvl int) int64 {
+// spanDelay maps a delay class and a magnitude to a delay spread across
+// every wheel tier — the current tick, each level's span, and past the
+// wheel's total horizon — so placement, cascades and the overflow-to-heap
+// path are all exercised. Spans are derived from the wheel constants so
+// the distribution tracks the tick size.
+func spanDelay(class byte, mag uint64) time.Duration {
+	span := func(lvl int) uint64 {
 		return 1 << (wheelTickShift + lvl*wheelLevelBits)
 	}
-	switch r.Intn(12) {
+	switch class % 12 {
 	case 0:
 		return 0
 	case 1: // sub-tick: lands in the heap (current tick already flushed)
-		return time.Duration(r.Int63n(span(0)))
+		return time.Duration(mag % span(0))
 	case 2, 3, 4, 5: // level 0 span
-		return time.Duration(r.Int63n(span(1)))
+		return time.Duration(mag % span(1))
 	case 6, 7: // level 1 span
-		return time.Duration(r.Int63n(span(2)))
+		return time.Duration(mag % span(2))
 	case 8: // level 2 span
-		return time.Duration(r.Int63n(span(3)))
+		return time.Duration(mag % span(3))
 	case 9, 10: // level 3 span
-		return time.Duration(r.Int63n(span(4)))
+		return time.Duration(mag % span(4))
 	default: // beyond the wheel horizon: must overflow to the heap
-		return time.Duration(span(4)) + time.Duration(r.Int63n(span(3)))
+		return time.Duration(span(4) + mag%span(3))
 	}
+}
+
+// advanceStep maps a step class and a magnitude to a clock advance, in
+// jumps from sub-millisecond to multi-day so level cascades, slot
+// boundaries and the overflow tier are all crossed.
+func advanceStep(class byte, mag uint64) time.Duration {
+	limit := [...]time.Duration{
+		time.Millisecond, 100 * time.Millisecond, 100 * time.Millisecond,
+		10 * time.Second, time.Hour, 100 * time.Hour,
+	}[class%6]
+	return time.Duration(mag % uint64(limit))
 }
 
 // rearmDelay derives a deterministic per-id delay so engine and model
@@ -134,147 +145,226 @@ func rearmDelay(id int) time.Duration {
 
 func shouldRearm(id int) bool { return id%3 == 0 }
 
+// A differential op is diffOpSize bytes: the first packs the op's kind
+// (mod diffKinds) and class (div diffKinds), the second seeds its
+// magnitude (see opMag). Two bytes keep fuzz inputs short: the fuzzer
+// minimizes every input that finds new coverage, in time quadratic in
+// its length.
+const diffOpSize = 2
+
+// opMag spreads an op's magnitude byte over 64 bits, mixed with the op's
+// position so repeated bytes still draw different delays and ids
+// (splitmix64's finalizer).
+func opMag(step int, b byte) uint64 {
+	z := uint64(step)<<8 | uint64(b)
+	z += 0x9E3779B97F4A7C15
+	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	return z ^ z>>31
+}
+
+const (
+	opSchedule  = iota // schedule a fresh event after spanDelay(class, mag)
+	opDuplicate        // schedule a fresh event after the previous delay: same-time ordering
+	opCancel           // cancel id mag%ids (fired ids make it a no-op)
+	opRearm            // cancel id mag%ids and schedule a replacement
+	opAdvance          // run both to the horizon moved by advanceStep(class, mag)
+	diffKinds
+)
+
+// diffOps encodes TestWheelDifferentialRandom's workload for one seed:
+// segs segments of 40–160 schedule/cancel/rearm ops, each closed by an
+// advance.
+func diffOps(seed int64, segs int) []byte {
+	r := rand.New(rand.NewSource(seed))
+	var ops []byte
+	op := func(kind, class int) {
+		ops = append(ops, byte(class*diffKinds+kind), byte(r.Intn(256)))
+	}
+	for seg := 0; seg < segs; seg++ {
+		for i, n := 0, 40+r.Intn(120); i < n; i++ {
+			switch {
+			case r.Intn(4) == 0:
+				op(opCancel, 0)
+			case r.Intn(8) == 0:
+				op(opRearm, r.Intn(12))
+			case r.Intn(6) == 0:
+				op(opDuplicate, 0)
+			default:
+				op(opSchedule, r.Intn(12))
+			}
+		}
+		op(opAdvance, r.Intn(6))
+	}
+	return ops
+}
+
+// diffHarness drives the wheel-backed engine and the container/heap
+// reference through one op sequence and demands the same firing order,
+// clock and pending count from both.
+type diffHarness struct {
+	t         testing.TB
+	eng       *Engine
+	model     *diffModel
+	got, want []int
+	timers    map[int]Timer
+	// Ids are allocated in fire order on each side, so they stay aligned
+	// exactly as long as the firing orders match — the property under
+	// test.
+	engNext, refNext int
+	lastDelay        time.Duration
+	horizon          Time
+}
+
+// newDiffHarness starts a harness; spread starts the engine's wheel
+// spreading events over the ways at once, as it does by itself past
+// wheelWaysFrom stored events.
+func newDiffHarness(t testing.TB, spread bool) *diffHarness {
+	h := &diffHarness{t: t, eng: NewEngine(), model: newDiffModel(), timers: make(map[int]Timer)}
+	if spread {
+		h.eng.wh.wayMask = wheelWays - 1
+	}
+	h.eng.SetViolationHook(func(rule, detail string) {
+		t.Errorf("engine violation %s: %s", rule, detail)
+	})
+	return h
+}
+
+// scheduleEng schedules id on the engine; its callback records the fire
+// and replays the deterministic rearm rule.
+func (h *diffHarness) scheduleEng(id int, delay time.Duration) {
+	h.timers[id] = h.eng.Schedule(delay, func() {
+		h.got = append(h.got, id)
+		if shouldRearm(id) {
+			nid := h.engNext
+			h.engNext++
+			h.scheduleEng(nid, rearmDelay(nid))
+		}
+	})
+}
+
+func (h *diffHarness) fireRef(id int) {
+	h.want = append(h.want, id)
+	if shouldRearm(id) {
+		nid := h.refNext
+		h.refNext++
+		h.model.schedule(nid, h.model.now+rearmDelay(nid))
+	}
+}
+
+func (h *diffHarness) schedule(d time.Duration) {
+	h.lastDelay = d
+	id := h.engNext
+	h.engNext++
+	h.refNext++
+	h.scheduleEng(id, d)
+	h.model.schedule(id, h.model.now+d)
+}
+
+// apply runs one encoded op on both sides.
+func (h *diffHarness) apply(step int, op []byte) {
+	class, mag := op[0]/diffKinds, opMag(step, op[1])
+	switch op[0] % diffKinds {
+	case opSchedule:
+		h.schedule(spanDelay(class, mag))
+	case opDuplicate:
+		h.schedule(h.lastDelay)
+	case opCancel, opRearm:
+		if h.engNext == 0 {
+			break
+		}
+		id := int(mag % uint64(h.engNext))
+		h.timers[id].Cancel()
+		h.model.cancel(id)
+		if op[0]%diffKinds == opRearm {
+			h.schedule(spanDelay(class, mag>>32))
+		}
+	case opAdvance:
+		h.horizon += advanceStep(class, mag)
+		h.advance(step, h.horizon)
+	}
+	if got, want := h.eng.Pending(), h.model.live; got != want {
+		h.t.Fatalf("op %d: pending %d, reference %d", step, got, want)
+	}
+}
+
+// advance runs both sides to horizon and compares everything they fired,
+// their clocks, and the engine's structure.
+func (h *diffHarness) advance(step int, horizon Time) {
+	t := h.t
+	if err := h.eng.Run(horizon); err != nil {
+		t.Fatalf("op %d: %v", step, err)
+	}
+	h.model.run(horizon, h.fireRef)
+	if len(h.got) != len(h.want) {
+		t.Fatalf("op %d: engine fired %d events, reference %d", step, len(h.got), len(h.want))
+	}
+	for i := range h.got {
+		if h.got[i] != h.want[i] {
+			t.Fatalf("op %d: firing order diverges at %d: engine id %d, reference id %d",
+				step, i, h.got[i], h.want[i])
+		}
+	}
+	if h.eng.Now() != h.model.now {
+		t.Fatalf("op %d: clock %v, reference %v", step, h.eng.Now(), h.model.now)
+	}
+	if err := h.eng.VerifyHeap(); err != nil {
+		t.Fatalf("op %d: %v", step, err)
+	}
+}
+
+// runDiffOps applies every whole op in ops, then drains both sides,
+// far-future overflow events included.
+func runDiffOps(t testing.TB, ops []byte, spread bool) {
+	h := newDiffHarness(t, spread)
+	step := 0
+	for ; (step+1)*diffOpSize <= len(ops); step++ {
+		h.apply(step, ops[step*diffOpSize:(step+1)*diffOpSize])
+	}
+	h.advance(step, 1<<62)
+	if p := h.eng.Pending(); p != 0 {
+		t.Fatalf("drain: %d events still pending", p)
+	}
+}
+
 // TestWheelDifferentialRandom is the main property test: a randomized
 // schedule/cancel/rearm workload driven simultaneously through the
 // wheel-backed engine and the container/heap reference, advancing the
 // clock in jumps from sub-millisecond to multi-day so level cascades,
 // slot boundaries and the overflow tier are all crossed. Firing order,
 // clock, and pending counts must match exactly at every step, and the
-// engine must verify structurally clean throughout.
+// engine must verify structurally clean throughout. Each seed runs once
+// with every event in way 0 and once spread over the ways.
 func TestWheelDifferentialRandom(t *testing.T) {
 	t.Parallel()
 	for seed := int64(1); seed <= 6; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			runDifferential(t, seed)
+			runDiffOps(t, diffOps(seed, 25), false)
+			runDiffOps(t, diffOps(seed, 25), true)
 		})
 	}
 }
 
-func runDifferential(t *testing.T, seed int64) {
-	r := rand.New(rand.NewSource(seed))
-	eng := NewEngine()
-	eng.SetViolationHook(func(rule, detail string) {
-		t.Errorf("engine violation %s: %s", rule, detail)
+// FuzzWheelDifferential decodes the fuzz input into a schedule, cancel,
+// rearm and advance op sequence (diffOpSize bytes per op) and runs it
+// through the engine and the reference model, which must agree at every
+// step, both with every event in way 0 and spread over the ways. The
+// seed corpus is TestWheelDifferentialRandom's workloads, cut to one
+// segment each.
+func FuzzWheelDifferential(f *testing.F) {
+	const maxOps = 512
+	for seed := int64(1); seed <= 6; seed++ {
+		f.Add(diffOps(seed, 1))
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > maxOps*diffOpSize {
+			ops = ops[:maxOps*diffOpSize]
+		}
+		runDiffOps(t, ops, false)
+		runDiffOps(t, ops, true)
 	})
-	model := newDiffModel()
-
-	var (
-		got, want []int
-		engTimers = make(map[int]Timer)
-		engNext   int
-		refNext   int
-	)
-	// Engine-side scheduler: records the firing order and replays the
-	// deterministic rearm rule. Ids are allocated in fire order, so they
-	// stay aligned with the model's exactly as long as orders match —
-	// which is the property under test.
-	var scheduleEng func(id int, delay time.Duration)
-	scheduleEng = func(id int, delay time.Duration) {
-		engTimers[id] = eng.Schedule(delay, func() {
-			got = append(got, id)
-			if shouldRearm(id) {
-				nid := engNext
-				engNext++
-				scheduleEng(nid, rearmDelay(nid))
-			}
-		})
-	}
-	var fireRef func(id int)
-	fireRef = func(id int) {
-		want = append(want, id)
-		if shouldRearm(id) {
-			nid := refNext
-			refNext++
-			model.schedule(nid, model.now+rearmDelay(nid))
-		}
-	}
-
-	horizon := Time(0)
-	var lastDelay time.Duration
-	for seg := 0; seg < 25; seg++ {
-		if engNext != refNext {
-			t.Fatalf("segment %d: id counters diverged (engine %d, model %d)", seg, engNext, refNext)
-		}
-		nops := 40 + r.Intn(120)
-		for i := 0; i < nops; i++ {
-			if r.Intn(4) == 0 && engNext > 0 {
-				// Cancel a random id; already-fired ids make this a no-op
-				// in both systems (the engine via its generation stamp).
-				id := r.Intn(engNext)
-				engTimers[id].Cancel()
-				model.cancel(id)
-				continue
-			}
-			d := randSpanDelay(r)
-			if r.Intn(6) == 0 {
-				d = lastDelay // duplicate timestamp: pins same-time ordering
-			}
-			lastDelay = d
-			id := engNext
-			engNext++
-			refNext++
-			scheduleEng(id, d)
-			model.schedule(id, model.now+d)
-		}
-
-		switch r.Intn(6) {
-		case 0:
-			horizon += time.Duration(r.Int63n(int64(time.Millisecond)))
-		case 1, 2:
-			horizon += time.Duration(r.Int63n(int64(100 * time.Millisecond)))
-		case 3:
-			horizon += time.Duration(r.Int63n(int64(10 * time.Second)))
-		case 4:
-			horizon += time.Duration(r.Int63n(int64(time.Hour)))
-		default:
-			horizon += time.Duration(r.Int63n(int64(100 * time.Hour)))
-		}
-		if err := eng.Run(horizon); err != nil {
-			t.Fatalf("segment %d: %v", seg, err)
-		}
-		model.run(horizon, fireRef)
-
-		if len(got) != len(want) {
-			t.Fatalf("segment %d: engine fired %d events, reference %d", seg, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("segment %d: firing order diverges at %d: engine id %d, reference id %d",
-					seg, i, got[i], want[i])
-			}
-		}
-		if eng.Now() != model.now {
-			t.Fatalf("segment %d: clock %v, reference %v", seg, eng.Now(), model.now)
-		}
-		if eng.Pending() != model.live {
-			t.Fatalf("segment %d: pending %d, reference %d", seg, eng.Pending(), model.live)
-		}
-		if err := eng.VerifyHeap(); err != nil {
-			t.Fatalf("segment %d: %v", seg, err)
-		}
-	}
-
-	// Drain everything, including far-future overflow events.
-	if err := eng.Run(1 << 62); err != nil {
-		t.Fatal(err)
-	}
-	model.run(1<<62, fireRef)
-	if len(got) != len(want) {
-		t.Fatalf("drain: engine fired %d events, reference %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("drain: firing order diverges at %d: engine id %d, reference id %d", i, got[i], want[i])
-		}
-	}
-	if eng.Pending() != 0 {
-		t.Fatalf("drain: %d events still pending", eng.Pending())
-	}
-	if err := eng.VerifyHeap(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestWheelHeapEquivalenceBoundaries drives one deterministic workload —
@@ -352,6 +442,125 @@ func TestWheelHeapEquivalenceBoundaries(t *testing.T) {
 	}
 }
 
+// TestWheelDenseCascade fills slots on every upper level with dozens of
+// events in each of their ways, cancels a third of them across the ways,
+// forces a compaction sweep between cascades, and pins the firing order
+// to a heap-only engine's. The engine verifies clean at every stop. A
+// first batch of wheelWaysFrom canceled events switches the wheel to
+// spreading events over the ways, the way a large simulation does.
+func TestWheelDenseCascade(t *testing.T) {
+	t.Parallel()
+	const perSlot = 96
+	build := func(e *Engine) (fired []int, live int) {
+		wheel := !e.heapOnly
+		var timers []Timer
+		cancel := func(i int) {
+			timers[i].Cancel()
+			live--
+		}
+		add := func(at Time) {
+			id := len(timers)
+			timers = append(timers, e.ScheduleAt(at, func() { fired = append(fired, id) }))
+			live++
+		}
+		// dense schedules perSlot events into level-lvl slots 1–3 of the
+		// frontier's block, spread over the slot's ticks with repeated
+		// timestamps, and cancels every third one.
+		dense := func(lvl int) {
+			from := len(timers)
+			block := tickOf(e.Now()) >> ((lvl + 1) * wheelLevelBits) << ((lvl + 1) * wheelLevelBits)
+			for slot := uint64(1); slot <= 3; slot++ {
+				start := block + slot<<(lvl*wheelLevelBits)
+				for k := uint64(0); k < perSlot; k++ {
+					ti := start + k*37%(1<<(lvl*wheelLevelBits))
+					add(Time(ti<<wheelTickShift) + Time(k%3))
+				}
+			}
+			for i := from + 1; i < len(timers); i += 3 {
+				cancel(i)
+			}
+		}
+		stop := func(at Time) {
+			if err := e.Run(at); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.VerifyHeap(); err != nil {
+				t.Fatalf("stop at %v: %v", at, err)
+			}
+		}
+		for i := 0; i < wheelWaysFrom; i++ {
+			add(Time(7<<(3*wheelLevelBits+wheelTickShift)) + Time(i))
+		}
+		if wheel && e.wh.wayMask != wheelWays-1 {
+			t.Fatalf("way mask %d after %d stored events, want %d", e.wh.wayMask, wheelWaysFrom, wheelWays-1)
+		}
+		for i := range timers {
+			cancel(i)
+		}
+		for lvl := 1; lvl < wheelLevels; lvl++ {
+			dense(lvl)
+		}
+		if wheel {
+			for lvl := 1; lvl < wheelLevels; lvl++ {
+				for slot := uint64(1); slot <= 3; slot++ {
+					n := 0
+					for way := 0; way < wheelWays; way++ {
+						head := *e.wh.head(lvl, slot, way)
+						if head == nil {
+							t.Fatalf("level %d slot %d way %d empty", lvl, slot, way)
+						}
+						for ev := head; ev != nil; ev = ev.next {
+							n++
+						}
+					}
+					if n != perSlot {
+						t.Fatalf("level %d slot %d holds %d events, want %d", lvl, slot, n, perSlot)
+					}
+				}
+			}
+		}
+		// Cascade level-1 slots 1 and 2, dropping their canceled events.
+		stop(Time(3 << (wheelLevelBits + wheelTickShift)))
+		// A ring of watchdogs nearly all canceled tips the wheel into a
+		// dead majority: the sweep compacts the dense slots still parked
+		// on levels 1–3 before they cascade.
+		from := len(timers)
+		for i := 0; i < 400; i++ {
+			add(Time(5<<(3*wheelLevelBits+wheelTickShift)) + Time(i))
+		}
+		deadBefore := e.wh.dead
+		for i := from; i < len(timers); i++ {
+			if i%10 != 0 {
+				cancel(i)
+			}
+		}
+		if wheel && e.wh.dead >= deadBefore+360 {
+			t.Fatalf("no compaction: wheel dead count %d", e.wh.dead)
+		}
+		stop(Time(3 << (2*wheelLevelBits + wheelTickShift)))
+		// Mid-run, against a moved frontier: more dense level-1 slots.
+		dense(1)
+		stop(Time(3 << (3*wheelLevelBits + wheelTickShift)))
+		stop(1 << 62)
+		return fired, live
+	}
+	wheelFired, live := build(NewEngine())
+	heapEng := NewEngine()
+	heapEng.SetHeapOnly(true)
+	heapFired, _ := build(heapEng)
+	if len(wheelFired) != len(heapFired) {
+		t.Fatalf("wheel fired %d events, heap-only %d", len(wheelFired), len(heapFired))
+	}
+	for i := range wheelFired {
+		if wheelFired[i] != heapFired[i] {
+			t.Fatalf("firing order diverges at %d: wheel id %d, heap-only id %d", i, wheelFired[i], heapFired[i])
+		}
+	}
+	if len(wheelFired) != live {
+		t.Fatalf("%d events fired, want the %d never canceled", len(wheelFired), live)
+	}
+}
+
 // TestWheelCompaction is the wheel twin of TestLazyCompaction: a mass
 // cancel of events parked across wheel levels must trigger the
 // majority-dead sweep, shrink the stored population, and reclaim the
@@ -419,24 +628,42 @@ func TestWheelCompaction(t *testing.T) {
 // TestVerifyHeapDetectsCorruption for the heap tier.
 func TestVerifyWheelDetectsCorruption(t *testing.T) {
 	t.Parallel()
+	// load parks 20 events on levels 1 and 2, spread over the ways.
 	load := func() *Engine {
 		e := NewEngine()
+		e.wh.wayMask = wheelWays - 1
 		for i := 0; i < 10; i++ {
 			e.Schedule(time.Duration(i+1)*time.Millisecond, func() {})
 			e.Schedule(time.Duration(i+1)*time.Second, func() {})
 		}
 		return e
 	}
-	// firstSlot returns some occupied slot's coordinates.
-	firstSlot := func(e *Engine) (int, uint64) {
+	// emptySlot reports whether every list of slot s at level lvl is empty.
+	emptySlot := func(e *Engine, lvl int, s uint64) bool {
+		for way := 0; way < waysAt(lvl); way++ {
+			if *e.wh.head(lvl, s, way) != nil {
+				return false
+			}
+		}
+		return true
+	}
+	// firstSlot returns the first occupied slot's coordinates and its
+	// first non-empty list head.
+	firstSlot := func(e *Engine) (lvl int, s uint64, head **Event) {
 		for lvl := 0; lvl < wheelLevels; lvl++ {
 			for s := uint64(0); s < wheelSlots; s++ {
-				if e.wh.slots[lvl][s] != nil {
-					return lvl, s
+				for way := 0; way < waysAt(lvl); way++ {
+					if h := e.wh.head(lvl, s, way); *h != nil {
+						return lvl, s, h
+					}
 				}
 			}
 		}
 		panic("no occupied slot in loaded engine")
+	}
+	first := func(e *Engine) *Event {
+		_, _, head := firstSlot(e)
+		return *head
 	}
 	cases := []struct {
 		name    string
@@ -444,44 +671,62 @@ func TestVerifyWheelDetectsCorruption(t *testing.T) {
 		want    string
 	}{
 		{"dead-count-out-of-range", func(e *Engine) { e.wh.dead = e.wh.count + 1 }, "wheel dead count"},
+		{"way-mask-out-of-range", func(e *Engine) { e.wh.wayMask = 1 }, "way mask"},
 		{"occupancy-bit-cleared", func(e *Engine) {
-			lvl, s := firstSlot(e)
+			lvl, s, _ := firstSlot(e)
 			e.wh.occ[lvl][s>>6] &^= 1 << (s & 63)
 		}, "occupancy bit"},
-		{"inwheel-flag-cleared", func(e *Engine) {
-			lvl, s := firstSlot(e)
-			e.wh.slots[lvl][s].inWheel = false
-		}, "not marked inWheel"},
-		{"dead-miscount", func(e *Engine) {
-			lvl, s := firstSlot(e)
-			e.wh.slots[lvl][s].cancelled = true
-		}, "dead count is"},
+		{"occupancy-bit-set-all-ways-empty", func(e *Engine) {
+			// A level-1 slot none of the load's events use.
+			s := uint64(wheelSlots - 1)
+			if !emptySlot(e, 1, s) {
+				panic("level-1 slot expected empty")
+			}
+			e.wh.occ[1][s>>6] |= 1 << (s & 63)
+		}, "occupancy bit true disagrees"},
+		{"inwheel-flag-cleared", func(e *Engine) { first(e).inWheel = false }, "not marked inWheel"},
+		{"dead-miscount", func(e *Engine) { first(e).cancelled = true }, "dead count is"},
 		{"event-behind-frontier", func(e *Engine) {
 			e.wh.cur += wheelMaxTick // frontier teleports past everything
 		}, "behind frontier"},
 		{"next-bound-violated", func(e *Engine) {
-			lvl, s := firstSlot(e)
-			e.wh.next = tickOf(e.wh.slots[lvl][s].at) + 1
+			e.wh.next = tickOf(first(e).at) + 1
 		}, "below next-tick bound"},
 		{"misplaced-event", func(e *Engine) {
-			lvl, s := firstSlot(e)
-			ev := e.wh.take(lvl, s)
-			rest := ev.next
-			ev.next = nil
-			// Relink the head into a guaranteed-wrong slot of the same level.
-			wrong := (s + 7) & wheelSlotMask
-			ev.next = e.wh.slots[lvl][wrong]
-			e.wh.slots[lvl][wrong] = ev
-			e.wh.occ[lvl][wrong>>6] |= 1 << (wrong & 63)
-			if rest != nil {
-				e.wh.slots[lvl][s] = rest
-				e.wh.occ[lvl][s>>6] |= 1 << (s & 63)
+			lvl, s, head := firstSlot(e)
+			ev := *head
+			*head = ev.next
+			if emptySlot(e, lvl, s) {
+				e.wh.occ[lvl][s>>6] &^= 1 << (s & 63)
 			}
+			// Relink it into a guaranteed-wrong slot of the same level,
+			// in the way its seq picks there.
+			wrong := (s + 7) & wheelSlotMask
+			dst := e.wh.head(lvl, wrong, int(ev.seq&e.wh.wayMask))
+			ev.next = *dst
+			*dst = ev
+			e.wh.occ[lvl][wrong>>6] |= 1 << (wrong & 63)
 		}, "placed at level"},
+		{"misplaced-in-way-3", func(e *Engine) {
+			// Move a level-1 event whose seq picks another way into way
+			// 3 of the same slot.
+			for s := uint64(0); s < wheelSlots; s++ {
+				for way := 0; way < 3; way++ {
+					if h := e.wh.head(1, s, way); *h != nil {
+						ev := *h
+						*h = ev.next
+						w3 := e.wh.head(1, s, 3)
+						ev.next = *w3
+						*w3 = ev
+						return
+					}
+				}
+			}
+			panic("no level-1 event outside way 3")
+		}, "way 3, want way"},
 		{"count-mismatch", func(e *Engine) { e.wh.count++ }, "count is"},
 		{"wheel-event-on-free-list", func(e *Engine) {
-			lvl, s := firstSlot(e)
-			ev := e.wh.slots[lvl][s]
+			ev := first(e)
 			ev.next = e.free
 			e.free = ev
 		}, "also on the free list"},
@@ -492,8 +737,7 @@ func TestVerifyWheelDetectsCorruption(t *testing.T) {
 			e.queue[0].ev.inWheel = true
 		}, "marked inWheel"},
 		{"event-in-both-tiers", func(e *Engine) {
-			lvl, s := firstSlot(e)
-			ev := e.wh.slots[lvl][s]
+			ev := first(e)
 			e.push(heapEntry{at: ev.at, seq: ev.seq, ev: ev})
 		}, "also in the wheel"},
 	}
