@@ -411,12 +411,17 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 
 // tierLatencySummaries condenses the per-tier histograms accumulated on
 // the application's current members (servers removed by scale-in take
-// their share of the counts with them).
+// their share of the counts with them). A tier left with no members (its
+// last VM crashed and was never replaced) summarizes to zeros.
 func tierLatencySummaries(app *graph.App) []TierHistogramSummary {
 	out := make([]TierHistogramSummary, 0, len(ntier.Tiers()))
 	for _, tierName := range ntier.Tiers() {
 		hs, err := app.NodeHistograms(tierName)
 		if err != nil {
+			continue
+		}
+		if hs.ServiceTime == nil {
+			out = append(out, TierHistogramSummary{Tier: tierName})
 			continue
 		}
 		s := TierHistogramSummary{
