@@ -11,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"dcm/internal/chaos"
+	"dcm/internal/controller"
 	"dcm/internal/model"
 	"dcm/internal/policy"
 )
@@ -270,5 +272,86 @@ func TestPolicyEquivalenceScenarios(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAuditLogDigestPins pins the sha256 of every controller's full JSONL
+// audit log — the views, action and hold codes, reason strings and hold
+// details, in order — on the reference scenario, and of three controllers
+// under the bundled kitchen-sink chaos schedule (crashes, blackouts and
+// partitions drive the re-provisioning, blackout-hold and clamp paths).
+// The VM-level scaling rules must reproduce every byte of these logs.
+func TestAuditLogDigestPins(t *testing.T) {
+	t.Parallel()
+	if testing.Short() {
+		t.Skip("full scenario runs in -short mode")
+	}
+	sched, err := chaos.Builtin("kitchen-sink")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		kind   ControllerKind
+		chaos  bool
+		digest string
+	}{
+		{ControllerDCM, false, "d275bedd58252ef1880c60a60abc4e61384f3e345c5f254e2d99a73783154bba"},
+		{ControllerEC2, false, "c5edbabff550ad8bb2463fb42ae67b51daadaa3e74ad89f6e35972ae7b43cbbd"},
+		{ControllerDCMSoftOnly, false, "94130c042e2d05d1ec10849d65655d8057f85ef5d512b00c5a562907328e89f0"},
+		{ControllerNone, false, "b5c34154ad61a1a3e1ebe49ad17266c179a5c7e356c8672c8357b6d18b5a80ba"},
+		{ControllerDCMPredictive, false, "d7b314484eec342a802d795514a45bad81ac87787a0fdaa2fc93d20337034a25"},
+		{ControllerEC2Predictive, false, "c74725233d27e884e106f5fd147abbac07302b1d6a78be1ad2e9a2845e0c5678"},
+		{ControllerTargetTracking, false, "de817f29f078185e26768f36ee9a625cea68f71cff55459043ca58105ebe8403"},
+		{ControllerEC2, true, "698cd78b1762dea04d8bcf2d329b3a0e919d862eb3247283756fe49375518227"},
+		{ControllerDCMPredictive, true, "0832c8f52eff82a62a1f32bf9a33103927bccf60110c414c8ee18dbcfc7eb5de"},
+		{ControllerTargetTracking, true, "25133d6c54d08d036f30ea5a8230f264268afff7285a22b557c35fc68b3fcf89"},
+	}
+	codes := make([]map[controller.ReasonCode]bool, len(cases))
+	t.Run("runs", func(t *testing.T) {
+		for i, c := range cases {
+			i, c := i, c
+			name := string(c.kind)
+			if c.chaos {
+				name += "/kitchen-sink"
+			}
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				cfg := ScenarioConfig{Seed: 42, Kind: c.kind, Audit: true}
+				if c.chaos {
+					cfg.Chaos = &sched
+				}
+				res, err := RunScenario(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if err := res.DecisionLog().WriteJSONL(&buf); err != nil {
+					t.Fatal(err)
+				}
+				sum := sha256.Sum256(buf.Bytes())
+				if got := hex.EncodeToString(sum[:]); got != c.digest {
+					t.Errorf("audit-log digest = %s, want %s", got, c.digest)
+				}
+				seen := map[controller.ReasonCode]bool{}
+				for _, cc := range res.DecisionLog().CodeCounts() {
+					seen[cc.Code] = true
+				}
+				codes[i] = seen
+			})
+		}
+	})
+	for _, want := range []controller.ReasonCode{
+		controller.CodeCrashReprovision, controller.CodeNoDataHold,
+		controller.CodeLaunchInFlight, controller.CodeCPUHigh,
+		controller.CodeAwaitingLow, controller.CodeCPULowSustained,
+		controller.CodeTargetAbove,
+	} {
+		found := false
+		for _, seen := range codes {
+			found = found || seen[want]
+		}
+		if !found {
+			t.Errorf("no pinned audit log contains %s", want)
+		}
 	}
 }
