@@ -138,7 +138,7 @@ func TestAuditHoldCodesOnVMLevel(t *testing.T) {
 	t.Parallel()
 	p := DefaultPolicy()
 	p.MaxServers = 2
-	vm, err := newVMLevel(p)
+	vm, err := newThresholdRule(p, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,15 @@
 //     topology (or anything else) has driven the current allocation away
 //     from the optimum (§IV).
 //
+// A third, TargetTracking, is a stronger hardware-only baseline.
+//
+// The VM-level scaling rules themselves live here: the threshold rule
+// shared by EC2AutoScale and DCM (optionally with a Holt forecast, see
+// predict.go) and the target-tracking rule read SystemView.Tiers directly
+// and decide in this package's own Action, Hold and ReasonCode types, so
+// every decision and reason code is declared once. internal/policy only
+// supplies the rule parameters they read.
+//
 // Controllers are pure decision functions over a SystemView; the actuators
 // (internal/actuator) carry decisions out. That separation makes every
 // policy unit-testable without a running simulation.
@@ -126,80 +135,176 @@ type Controller interface {
 // from it.
 func DefaultPolicy() policy.ScalingRules { return policy.Default().Scaling }
 
-// observationsOf converts a SystemView's tier stats into the policy
-// evaluators' input form. Presence in the map is what marks a tier Seen.
-func observationsOf(view SystemView) map[string]policy.TierObservation {
-	obs := make(map[string]policy.TierObservation, len(view.Tiers))
-	for name, ts := range view.Tiers {
-		obs[name] = policy.TierObservation{
-			Seen:    true,
-			Ready:   ts.Ready,
-			Live:    ts.Live,
-			MeanCPU: ts.MeanCPU,
-			Crashed: ts.Crashed,
-			NoData:  ts.NoData,
-		}
-	}
-	return obs
+// thresholdRule is the shared VM-level scaling rule ("resource-usage
+// driven", §IV): the threshold policy of policy.ScalingRules ("quick
+// start, slow turn off") with crash re-provisioning and blackout holds.
+// Both EC2AutoScale and DCM use it verbatim. It carries the consecutive-low
+// counters between periods and, when predictive, one Holt smoother per
+// scalable tier.
+type thresholdRule struct {
+	rules  policy.ScalingRules
+	lowRun lowRuns
+	// forecast holds the Holt smoothers of predictive scale-out (see
+	// predict.go); nil means reactive.
+	forecast map[string]*holt
 }
 
-// splitVerdicts partitions evaluator verdicts into the controller's
-// action and hold records, preserving order within each class.
-func splitVerdicts(verdicts []policy.Verdict) ([]Action, []Hold) {
+func newThresholdRule(rules policy.ScalingRules, predictive bool) (*thresholdRule, error) {
+	if err := rules.Validate(); err != nil {
+		return nil, err
+	}
+	r := &thresholdRule{rules: rules, lowRun: lowRuns{}}
+	if predictive {
+		r.forecast = make(map[string]*holt)
+	}
+	return r, nil
+}
+
+// evaluate returns the period's VM-level scaling actions, plus a Hold for
+// every tier it explicitly decided to leave alone, in tier order. The
+// holds change nothing about the decisions; they exist so the audit log
+// can explain inaction.
+func (r *thresholdRule) evaluate(view SystemView) ([]Action, []Hold) {
 	var actions []Action
 	var holds []Hold
-	for _, v := range verdicts {
-		switch v.Kind {
-		case policy.VerdictScaleOut, policy.VerdictScaleIn:
-			typ := ActionScaleOut
-			if v.Kind == policy.VerdictScaleIn {
-				typ = ActionScaleIn
+	for _, tierName := range r.rules.ScalableTiers {
+		ts, seen := view.Tiers[tierName]
+		if !seen {
+			holds = append(holds, Hold{Tier: tierName, Code: CodeTierUnseen})
+			continue
+		}
+		cpu := r.cpu(tierName, ts)
+		// Dead capacity first: the hypervisor census is authoritative even
+		// when monitoring is dark, and a crashed VM must be replaced now —
+		// waiting for the survivors' CPU to climb costs a full control
+		// period of degraded service per crash.
+		if ts.Crashed > 0 {
+			r.lowRun[tierName] = 0
+			n := min(ts.Crashed, r.rules.MaxServers-ts.Live)
+			for i := 0; i < n; i++ {
+				actions = append(actions, Action{
+					Type: ActionScaleOut,
+					Tier: tierName,
+					Code: CodeCrashReprovision,
+					Reason: fmt.Sprintf("re-provision %d crashed VM(s) (census: %d serving)",
+						ts.Crashed, ts.Ready),
+				})
+			}
+			if n < ts.Crashed {
+				holds = append(holds, Hold{Tier: tierName, Code: CodeMaxServersClamp,
+					Detail: fmt.Sprintf("%d of %d replacements dropped: %d live at max %d",
+						ts.Crashed-n, ts.Crashed, ts.Live, r.rules.MaxServers)})
+			}
+			continue
+		}
+		// A blackout period carries no usable utilization signal: hold the
+		// current topology rather than treat "no samples" as "0% CPU" and
+		// start a spurious scale-in countdown on stale data.
+		if ts.NoData {
+			holds = append(holds, Hold{Tier: tierName, Code: CodeNoDataHold,
+				Detail: "no monitoring samples this period"})
+			continue
+		}
+		switch {
+		case cpu > r.rules.UpperCPU:
+			r.lowRun[tierName] = 0
+			// "Quick start": trigger on a single hot period — but never
+			// stack launches while one VM is already provisioning.
+			if ts.Live > ts.Ready {
+				holds = append(holds, Hold{Tier: tierName, Code: CodeLaunchInFlight,
+					Detail: fmt.Sprintf("%d live > %d ready", ts.Live, ts.Ready)})
+				continue
+			}
+			if ts.Live >= r.rules.MaxServers {
+				holds = append(holds, Hold{Tier: tierName, Code: CodeAtMaxServers,
+					Detail: fmt.Sprintf("cpu %.0f%% high with %d live at max %d",
+						cpu*100, ts.Live, r.rules.MaxServers)})
+				continue
 			}
 			actions = append(actions, Action{
-				Type:   typ,
-				Tier:   v.Tier,
-				Code:   ReasonCode(v.Code),
-				Reason: v.Reason,
+				Type: ActionScaleOut,
+				Tier: tierName,
+				Code: CodeCPUHigh,
+				Reason: fmt.Sprintf("cpu %.0f%% > %.0f%% upper bound",
+					cpu*100, r.rules.UpperCPU*100),
+			})
+		case cpu < r.rules.LowerCPU:
+			// "Slow turn off": require consecutive quiet periods, and
+			// never remove a VM while another change is in flight.
+			if hold, wait := r.lowRun.quiet(tierName, ts, r.rules.LowerConsecutive); wait {
+				holds = append(holds, hold)
+				continue
+			}
+			if ts.Ready <= r.rules.MinServers {
+				holds = append(holds, Hold{Tier: tierName, Code: CodeAtMinServers,
+					Detail: fmt.Sprintf("%d ready at min %d", ts.Ready, r.rules.MinServers)})
+				continue
+			}
+			actions = append(actions, Action{
+				Type: ActionScaleIn,
+				Tier: tierName,
+				Code: CodeCPULowSustained,
+				Reason: fmt.Sprintf("cpu < %.0f%% for %d consecutive periods",
+					r.rules.LowerCPU*100, r.rules.LowerConsecutive),
 			})
 		default:
-			holds = append(holds, Hold{Tier: v.Tier, Code: ReasonCode(v.Code), Detail: v.Reason})
+			r.lowRun[tierName] = 0
+			holds = append(holds, Hold{Tier: tierName, Code: CodeSteady})
 		}
 	}
 	return actions, holds
 }
 
-// vmLevel is the shared VM-level scaling logic ("resource-usage driven",
-// §IV): both controllers use it verbatim. The decision procedure itself
-// lives in internal/policy as a declarative rule evaluator; this adapter
-// only translates between SystemView and the evaluator's observation form.
-type vmLevel struct {
-	eval *policy.ScalingEvaluator
-}
-
-func newVMLevel(rules policy.ScalingRules) (*vmLevel, error) {
-	eval, err := policy.NewScalingEvaluator(rules)
-	if err != nil {
-		return nil, err
+// cpu returns the tier's utilization as the rule reads it: the measured
+// mean, or — when predictive — max(measured, forecast one setup horizon
+// ahead), so a rising trend triggers the scale-out early while scale-in
+// still requires the measured utilization itself to stay low (forecasts
+// never accelerate removals, only additions: the predictive analogue of
+// "quick start, slow turn off"). Every measured period feeds the smoother,
+// crash periods included; a blackout period carries no measurement, and
+// feeding its zero CPU in would fabricate a collapsing trend.
+func (r *thresholdRule) cpu(tierName string, ts TierStats) float64 {
+	if r.forecast == nil || ts.NoData {
+		return ts.MeanCPU
 	}
-	return &vmLevel{eval: eval}, nil
+	sm := r.forecast[tierName]
+	if sm == nil {
+		sm = newHolt(0, 0) // the default smoothing, alpha 0.5 and beta 0.3
+		r.forecast[tierName] = sm
+	}
+	sm.observe(ts.MeanCPU)
+	if f := sm.forecast(predictiveHorizon); f > ts.MeanCPU {
+		return f
+	}
+	return ts.MeanCPU
 }
 
-// evaluate returns VM-level scaling actions for one period, plus a Hold
-// for every tier it explicitly decided to leave alone. The holds change
-// nothing about the decisions; they exist so the audit log can explain
-// inaction.
-func (v *vmLevel) evaluate(view SystemView) ([]Action, []Hold) {
-	return splitVerdicts(v.eval.Evaluate(observationsOf(view)))
-}
+// lowRuns counts each tier's consecutive below-target periods: the "slow
+// turn off" state both VM-level rules carry between periods.
+type lowRuns map[string]int
 
-// scaler is the VM-level decision procedure (reactive or predictive).
-type scaler interface {
-	evaluate(view SystemView) ([]Action, []Hold)
+// quiet advances a tier's countdown for one below-target period and
+// reports whether scale-in must wait, with the hold that says why. A VM in
+// flight resets the countdown; once need periods have passed it restarts
+// and the caller may remove a VM.
+func (l lowRuns) quiet(tierName string, ts TierStats, need int) (Hold, bool) {
+	if ts.Live != ts.Ready {
+		l[tierName] = 0
+		return Hold{Tier: tierName, Code: CodeLaunchInFlight,
+			Detail: fmt.Sprintf("%d live != %d ready", ts.Live, ts.Ready)}, true
+	}
+	l[tierName]++
+	if l[tierName] < need {
+		return Hold{Tier: tierName, Code: CodeAwaitingLow,
+			Detail: fmt.Sprintf("quiet period %d of %d", l[tierName], need)}, true
+	}
+	l[tierName] = 0
+	return Hold{}, false
 }
 
 // EC2AutoScale is the hardware-only baseline controller.
 type EC2AutoScale struct {
-	vm    scaler
+	vm    *thresholdRule
 	audit *AuditLog
 }
 
@@ -207,7 +312,7 @@ var _ Controller = (*EC2AutoScale)(nil)
 
 // NewEC2AutoScale builds the baseline controller.
 func NewEC2AutoScale(rules policy.ScalingRules) (*EC2AutoScale, error) {
-	vm, err := newVMLevel(rules)
+	vm, err := newThresholdRule(rules, false)
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +322,7 @@ func NewEC2AutoScale(rules policy.ScalingRules) (*EC2AutoScale, error) {
 // NewPredictiveEC2AutoScale builds the baseline with Holt-forecast
 // scale-out (see predict.go).
 func NewPredictiveEC2AutoScale(rules policy.ScalingRules) (*EC2AutoScale, error) {
-	vm, err := newPredictiveVMLevel(rules)
+	vm, err := newThresholdRule(rules, true)
 	if err != nil {
 		return nil, err
 	}
@@ -234,15 +339,13 @@ func (c *EC2AutoScale) EnableAudit(log *AuditLog) { c.audit = log }
 // are never touched.
 func (c *EC2AutoScale) Evaluate(view SystemView) []Action {
 	actions, holds := c.vm.evaluate(view)
-	if c.audit != nil {
-		c.audit.add(Decision{
-			At:         view.At,
-			Controller: c.Name(),
-			View:       view,
-			Actions:    actions,
-			Holds:      holds,
-		})
-	}
+	c.audit.add(Decision{
+		At:         view.At,
+		Controller: c.Name(),
+		View:       view,
+		Actions:    actions,
+		Holds:      holds,
+	})
 	return actions
 }
 
@@ -277,7 +380,7 @@ const onlineRefitPeriods = 4
 
 // DCM is the paper's two-level controller.
 type DCM struct {
-	vm    scaler
+	vm    *thresholdRule
 	cfg   DCMConfig
 	audit *AuditLog
 
@@ -302,7 +405,7 @@ var _ Controller = (*DCM)(nil)
 
 // NewDCM builds the DCM controller.
 func NewDCM(cfg DCMConfig) (*DCM, error) {
-	vm, err := newVMLevel(cfg.Policy)
+	vm, err := newThresholdRule(cfg.Policy, cfg.Predictive)
 	if err != nil {
 		return nil, err
 	}
@@ -319,13 +422,6 @@ func NewDCM(cfg DCMConfig) (*DCM, error) {
 		return nil, fmt.Errorf("controller: mysql model: %w", model.ErrNoOptimum)
 	}
 	c := &DCM{vm: vm, cfg: cfg}
-	if cfg.Predictive {
-		pvm, err := newPredictiveVMLevel(cfg.Policy)
-		if err != nil {
-			return nil, err
-		}
-		c.vm = pvm
-	}
 	if cfg.OnlineTraining {
 		c.appTrainers = make(map[epoch]*model.OnlineTrainer)
 		c.dbTrainers = make(map[epoch]*model.OnlineTrainer)

@@ -53,6 +53,8 @@ func findAction(actions []Action, typ ActionType, tier string) *Action {
 	return nil
 }
 
+// TestPolicyValidation: every controller constructor, and so every
+// VM-level rule, rejects invalid rules with policy.ErrBadRules.
 func TestPolicyValidation(t *testing.T) {
 	t.Parallel()
 	bad := []func(*policy.ScalingRules){
@@ -89,6 +91,12 @@ func TestPolicyValidation(t *testing.T) {
 			if err := build(); !errors.Is(err, policy.ErrBadRules) {
 				t.Errorf("case %d, %s: err = %v, want policy.ErrBadRules", i, name, err)
 			}
+		}
+	}
+	// The target-tracking rule also validates its setpoint.
+	for _, target := range []float64{0, 1.5} {
+		if _, err := NewTargetTracking(DefaultPolicy(), policy.TargetRules{TargetCPU: target}); !errors.Is(err, policy.ErrBadRules) {
+			t.Errorf("target %v: err = %v, want policy.ErrBadRules", target, err)
 		}
 	}
 }
@@ -586,16 +594,6 @@ func TestTargetTrackingScaleInIsConservative(t *testing.T) {
 
 func TestTargetTrackingGuards(t *testing.T) {
 	t.Parallel()
-	for _, target := range []float64{0, 1.5} {
-		if _, err := NewTargetTracking(DefaultPolicy(), policy.TargetRules{TargetCPU: target}); !errors.Is(err, policy.ErrBadRules) {
-			t.Fatalf("target %v: err = %v, want policy.ErrBadRules", target, err)
-		}
-	}
-	bad := DefaultPolicy()
-	bad.MinServers = 0
-	if _, err := NewTargetTracking(bad, policy.Default().Target); err == nil {
-		t.Fatal("bad policy accepted")
-	}
 	c, err := NewTargetTracking(DefaultPolicy(), policy.Default().Target)
 	if err != nil {
 		t.Fatal(err)

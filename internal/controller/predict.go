@@ -10,9 +10,8 @@ package controller
 // the control-period + preparation-period delay behind the ramp of a
 // burst. Everything else — thresholds, "slow turn off", the APP-agent —
 // is unchanged, so predictive DCM isolates exactly the value of
-// anticipation.
-
-import "dcm/internal/policy"
+// anticipation. The forecast is an optional part of the threshold rule
+// (thresholdRule.cpu in controller.go).
 
 // holt is Holt's linear (double) exponential smoothing.
 type holt struct {
@@ -61,50 +60,3 @@ func (h *holt) forecast(steps float64) float64 {
 // predictiveHorizon is the forecast lookahead in control periods: one
 // preparation period plus one control period.
 const predictiveHorizon = 2
-
-// predictiveVMLevel wraps the threshold VM level with Holt forecasting.
-type predictiveVMLevel struct {
-	vm        *vmLevel
-	smoothers map[string]*holt
-}
-
-func newPredictiveVMLevel(rules policy.ScalingRules) (*predictiveVMLevel, error) {
-	vm, err := newVMLevel(rules)
-	if err != nil {
-		return nil, err
-	}
-	return &predictiveVMLevel{vm: vm, smoothers: make(map[string]*holt)}, nil
-}
-
-// evaluate runs the reactive policy on a view whose per-tier CPU has been
-// replaced by max(current, forecast): a rising trend triggers the
-// scale-out early, while scale-in still requires the measured utilization
-// itself to stay low (forecasts never accelerate removals, only
-// additions — the predictive analogue of "quick start, slow turn off").
-func (p *predictiveVMLevel) evaluate(view SystemView) ([]Action, []Hold) {
-	adjusted := SystemView{
-		At:         view.At,
-		Tiers:      make(map[string]TierStats, len(view.Tiers)),
-		Allocation: view.Allocation,
-	}
-	for name, ts := range view.Tiers {
-		// Blackout periods carry no measurement: feeding their zero CPU
-		// into the smoother would fabricate a collapsing trend. Pass the
-		// tier through untouched; the reactive level holds it anyway.
-		if ts.NoData {
-			adjusted.Tiers[name] = ts
-			continue
-		}
-		sm := p.smoothers[name]
-		if sm == nil {
-			sm = newHolt(0, 0) // the default smoothing, alpha 0.5 and beta 0.3
-			p.smoothers[name] = sm
-		}
-		sm.observe(ts.MeanCPU)
-		if f := sm.forecast(predictiveHorizon); f > ts.MeanCPU {
-			ts.MeanCPU = f
-		}
-		adjusted.Tiers[name] = ts
-	}
-	return p.vm.evaluate(adjusted)
-}

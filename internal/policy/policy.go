@@ -2,8 +2,10 @@
 // hand-tunable rule of the controllers and the soft-resource planner — CPU
 // thresholds with consecutive-window guards, capacity floors and ceilings,
 // spare-headroom scaling, concurrency clamps, target-tracking setpoints and
-// retry-budget knobs — expressed as typed rule structs that load from JSON,
-// validate with actionable errors, and evaluate deterministically.
+// retry-budget knobs — expressed as typed rule structs that load from
+// strict JSON and validate with actionable errors. The package holds rule
+// parameters only; the decisions made with them are internal/controller's
+// (the VM-level scaling rules) and internal/model's (the planner).
 //
 // The package is a leaf below internal/controller and internal/model: the
 // controllers and the planner read these rule types directly, and there is
@@ -14,8 +16,8 @@
 // behaviour it produces.
 //
 // Rules are also the search space of internal/autotune: its knobs address
-// the scalar fields here by name, which turns the controller from a fixed
-// artifact into a searchable design space.
+// the scalar fields here by name and score each candidate rule set by
+// running scenarios with it.
 package policy
 
 import (
