@@ -23,7 +23,6 @@ var apiAllowlist = map[string]string{
 	"graph.(*App).CorruptNodeInFlightForTest": "test hook: invariant tests corrupt one node's ledger from another package",
 	"sim.(*Engine).SetHeapOnly":               "the heap reference tests run the engine without its timer wheel",
 	"sim.(*Engine).SetEventLimit":             "benchmarks raise the runaway-event cap so b.N events fit in one run",
-	"server.BasisActive":                      "zero value of server.Basis; configs select it by leaving the field unset",
 	"server.(*Server).DegradeFactor":          "chaos tests read a degrade fault's live factor on the victim server",
 	"monitor.(*Fleet).Blackout":               "chaos tests read whether overlapping blackout faults keep monitoring dark",
 	"trace.(*Trace).Scale":                    "experiments.ExampleRunScenario scales the bursty trace to half its users",

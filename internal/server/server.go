@@ -59,14 +59,6 @@ type Config struct {
 	ThrashKnee int
 	ThrashCoef float64
 	ThrashCap  float64
-	// Basis selects which concurrency N the Equation 5 law sees. The
-	// default, BasisActive, counts every admitted (thread-holding)
-	// request. BasisExecuting counts only requests currently in a CPU
-	// burst — threads blocked on a downstream tier do not contend for the
-	// CPU, which is how real SMT contention behaves and is essential for
-	// tiers (like Tomcat) whose threads spend much of their life waiting
-	// on the database.
-	Basis ContentionBasis
 	// Distribution selects the burst-duration distribution around the
 	// Equation 5 mean: deterministic (default) or exponential. Exponential
 	// service makes the station BCMP-compatible, which the MVA
@@ -106,17 +98,6 @@ const (
 	DistExponential
 )
 
-// ContentionBasis selects the concurrency measure for Equation 5.
-type ContentionBasis int
-
-// Contention bases.
-const (
-	// BasisActive charges contention for every admitted request.
-	BasisActive ContentionBasis = iota
-	// BasisExecuting charges contention only for requests in a CPU burst.
-	BasisExecuting
-)
-
 // Errors returned by New.
 var (
 	ErrBadConfig = errors.New("server: invalid config")
@@ -138,7 +119,6 @@ type Server struct {
 	thrashCoef float64
 	thrashCap  float64
 	degrade    float64 // multiplier on the S0 work term; 1 = healthy
-	basis      ContentionBasis
 	executing  int
 	betaOnConf bool
 	configured int
@@ -202,7 +182,6 @@ func New(eng *sim.Engine, rnd *rng.Rand, cfg Config) (*Server, error) {
 		thrashCoef: cfg.ThrashCoef,
 		thrashCap:  cfg.ThrashCap,
 		degrade:    1,
-		basis:      cfg.Basis,
 		betaOnConf: cfg.BetaOnConfigured,
 		dist:       cfg.Distribution,
 		svcTimes:   metrics.NewHistogram(svcTimeBounds),
@@ -455,9 +434,6 @@ func (b *burst) end() {
 // noise. demand scales the S0 work term.
 func (s *Server) burstDuration(demand float64) time.Duration {
 	n := s.Active()
-	if s.basis == BasisExecuting {
-		n = s.executing // includes the burst being started
-	}
 	base := s.params.ServiceTime(float64(n)) + (demand-1)*s.params.S0
 	if s.degrade > 1 {
 		// Degraded hardware inflates the per-burst work term S0 (scaled by

@@ -656,39 +656,6 @@ func TestAccessors(t *testing.T) {
 	}
 }
 
-func TestBasisExecutingIgnoresBlockedSessions(t *testing.T) {
-	t.Parallel()
-	eng := sim.NewEngine()
-	srv, err := New(eng, rng.New(4).Split("s"), Config{
-		Name:     "e",
-		Model:    linearParams,
-		PoolSize: 8,
-		Basis:    BasisExecuting,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Hold 5 sessions without executing (simulating threads blocked
-	// downstream), then run one burst: its duration must be S*(1), not
-	// S*(6), because only it is runnable.
-	for i := 0; i < 5; i++ {
-		srv.Acquire(func(*Session) {})
-	}
-	var done sim.Time
-	srv.Acquire(func(sess *Session) {
-		sess.Exec(func() {
-			done = eng.Now()
-			sess.Release()
-		})
-	})
-	if err := eng.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if done != 10*time.Millisecond {
-		t.Fatalf("burst with 5 blocked peers took %v, want S0 = 10ms", done)
-	}
-}
-
 func TestBetaOnConfiguredCrosstalk(t *testing.T) {
 	t.Parallel()
 	// beta large enough to observe; alpha zero for clean numbers.
