@@ -137,19 +137,21 @@ type App struct {
 	edgeByKey  map[string]*edge
 	entry      *node
 
-	completions metrics.Counter
-	errored     metrics.Counter
-	rts         metrics.MeanAccumulator
-	rtWindow    []float64
-	inFlight    int
+	rts      metrics.MeanAccumulator
+	rtWindow []float64
+	inFlight int
 
 	defaultPr resolvedProfile
 
 	reqTracer *trace.RequestTracer
 
 	// Resilience state; each member carries its own breaker.
-	res  resilience.Config
-	disp metrics.DispositionCounts
+	res resilience.Config
+
+	// disp is the app's one request tally: every finished request's
+	// outcome, completions and failures alike. lastDisp is its value at
+	// the previous TakeStats, so interval counts are differences.
+	disp, lastDisp metrics.DispositionCounts
 
 	// Per-class accounting (empty / nil without Classes).
 	classes       []classState
@@ -182,12 +184,8 @@ type App struct {
 	freeReqs *request
 	freeHops *hop
 
-	chk      *invariant.Checker
-	timedOut metrics.Counter
-	rejected metrics.Counter
-	shed     metrics.Counter
-	brkOpen  metrics.Counter
-	good     metrics.Counter
+	chk  *invariant.Checker
+	good metrics.Counter
 }
 
 // New builds the application with cfg's topology. rnd must be a dedicated
@@ -658,10 +656,10 @@ func (a *App) SetEdgePoolSize(from, to string, v int) error {
 func (a *App) InFlight() int { return a.inFlight }
 
 // TotalCompletions returns the lifetime number of completed requests.
-func (a *App) TotalCompletions() uint64 { return a.completions.Total() }
+func (a *App) TotalCompletions() uint64 { return a.disp.OK }
 
 // TotalErrors returns the lifetime number of failed requests.
-func (a *App) TotalErrors() uint64 { return a.errored.Total() }
+func (a *App) TotalErrors() uint64 { return a.disp.Failed() }
 
 // TotalGood returns the lifetime number of good completions — requests
 // that finished within the resilience config's goodput SLA. Zero when

@@ -144,13 +144,13 @@ func (a *App) pickClass() int {
 
 // classState is the mutable per-class accumulator.
 type classState struct {
-	injected    uint64
-	inFlight    int
-	completions uint64
-	errored     uint64
-	good        uint64
-	rtSum       float64
-	disp        metrics.DispositionCounts
+	injected uint64
+	inFlight int
+	good     uint64
+	rtSum    float64
+	// disp is the class's one outcome tally; Completions and Errors
+	// derive from it.
+	disp metrics.DispositionCounts
 	// bshed counts the class's brownout front-door sheds (a subset of the
 	// class's Shed dispositions).
 	bshed uint64
@@ -188,14 +188,14 @@ func (a *App) ClassStats() []ClassStat {
 			Priority:     c.Priority,
 			Injected:     st.injected,
 			InFlight:     st.inFlight,
-			Completions:  st.completions,
-			Errors:       st.errored,
+			Completions:  st.disp.OK,
+			Errors:       st.disp.Failed(),
 			Good:         st.good,
 			Dispositions: st.disp,
 			BrownoutShed: st.bshed,
 		}
-		if st.completions > 0 {
-			out[i].MeanRTms = st.rtSum / float64(st.completions) * 1000
+		if st.disp.OK > 0 {
+			out[i].MeanRTms = st.rtSum / float64(st.disp.OK) * 1000
 		}
 	}
 	return out

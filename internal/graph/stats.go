@@ -36,18 +36,20 @@ type Stats struct {
 // starts a new interval.
 func (a *App) TakeStats() Stats {
 	mean, _ := a.rts.TakeMean()
+	now, prev := a.disp, a.lastDisp
+	a.lastDisp = now
 	st := Stats{
-		Completions:   a.completions.TakeDelta(),
-		Errors:        a.errored.TakeDelta(),
+		Completions:   now.OK - prev.OK,
+		Errors:        now.Failed() - prev.Failed(),
 		MeanRTSeconds: mean,
 		NodeResidence: make(map[string]float64, len(a.nodes)),
 		RT:            metrics.SummarizeInPlace(a.rtWindow),
 		InFlight:      a.inFlight,
 		Good:          a.good.TakeDelta(),
-		TimedOut:      a.timedOut.TakeDelta(),
-		Rejected:      a.rejected.TakeDelta(),
-		Shed:          a.shed.TakeDelta(),
-		BreakerOpen:   a.brkOpen.TakeDelta(),
+		TimedOut:      now.TimedOut - prev.TimedOut,
+		Rejected:      now.Rejected - prev.Rejected,
+		Shed:          now.Shed - prev.Shed,
+		BreakerOpen:   now.BreakerOpen - prev.BreakerOpen,
 	}
 	for _, n := range a.nodes {
 		m, _ := n.res.TakeMean()

@@ -225,21 +225,6 @@ func (a *App) breakerRecord(m *Member, disp metrics.Disposition) {
 	}
 }
 
-// tally folds one finished request's disposition into the app counters.
-func (a *App) tally(d metrics.Disposition) {
-	a.disp.Observe(d)
-	switch d {
-	case metrics.DispositionTimeout:
-		a.timedOut.Inc(1)
-	case metrics.DispositionRejected:
-		a.rejected.Inc(1)
-	case metrics.DispositionShed:
-		a.shed.Inc(1)
-	case metrics.DispositionBreakerOpen:
-		a.brkOpen.Inc(1)
-	}
-}
-
 // Inject sends one request through the graph's entry node. done
 // (optional) is invoked on completion with the end-to-end response time
 // and whether the request succeeded. With weighted classes configured,
@@ -322,9 +307,8 @@ func (r *request) finish(disp metrics.Disposition) {
 		kind = trace.EventFail
 	}
 	a.reqTracer.Record(r.id, kind, "", "", a.eng.Now())
-	a.tally(disp)
+	a.disp.Observe(disp)
 	if ok {
-		a.completions.Inc(1)
 		a.rts.Observe(rt.Seconds())
 		a.rtWindow = append(a.rtWindow, rt.Seconds())
 		if a.res.Enabled() {
@@ -332,15 +316,12 @@ func (r *request) finish(disp metrics.Disposition) {
 				a.good.Inc(1)
 			}
 		}
-	} else {
-		a.errored.Inc(1)
 	}
 	if r.cls != nil {
 		st := &a.classes[r.class]
 		st.inFlight--
 		st.disp.Observe(disp)
 		if ok {
-			st.completions++
 			st.rtSum += rt.Seconds()
 			// The class SLO overrides the global goodput SLA; without
 			// one, fall back to the resilience-wide threshold.
@@ -351,8 +332,6 @@ func (r *request) finish(disp metrics.Disposition) {
 			if sla <= 0 || rt <= sla {
 				st.good++
 			}
-		} else {
-			st.errored++
 		}
 	} else {
 		a.unclassedDisp.Observe(disp)
