@@ -255,30 +255,6 @@ func (r *thresholdRule) evaluate(view SystemView) ([]Action, []Hold) {
 	return actions, holds
 }
 
-// cpu returns the tier's utilization as the rule reads it: the measured
-// mean, or — when predictive — max(measured, forecast one setup horizon
-// ahead), so a rising trend triggers the scale-out early while scale-in
-// still requires the measured utilization itself to stay low (forecasts
-// never accelerate removals, only additions: the predictive analogue of
-// "quick start, slow turn off"). Every measured period feeds the smoother,
-// crash periods included; a blackout period carries no measurement, and
-// feeding its zero CPU in would fabricate a collapsing trend.
-func (r *thresholdRule) cpu(tierName string, ts TierStats) float64 {
-	if r.forecast == nil || ts.NoData {
-		return ts.MeanCPU
-	}
-	sm := r.forecast[tierName]
-	if sm == nil {
-		sm = newHolt(0, 0) // the default smoothing, alpha 0.5 and beta 0.3
-		r.forecast[tierName] = sm
-	}
-	sm.observe(ts.MeanCPU)
-	if f := sm.forecast(predictiveHorizon); f > ts.MeanCPU {
-		return f
-	}
-	return ts.MeanCPU
-}
-
 // lowRuns counts each tier's consecutive below-target periods: the "slow
 // turn off" state both VM-level rules carry between periods.
 type lowRuns map[string]int

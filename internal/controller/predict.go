@@ -10,8 +10,8 @@ package controller
 // the control-period + preparation-period delay behind the ramp of a
 // burst. Everything else — thresholds, "slow turn off", the APP-agent —
 // is unchanged, so predictive DCM isolates exactly the value of
-// anticipation. The forecast is an optional part of the threshold rule
-// (thresholdRule.cpu in controller.go).
+// anticipation. The forecast is an optional part of the threshold rule:
+// thresholdRule.cpu below.
 
 // holt is Holt's linear (double) exponential smoothing.
 type holt struct {
@@ -60,3 +60,27 @@ func (h *holt) forecast(steps float64) float64 {
 // predictiveHorizon is the forecast lookahead in control periods: one
 // preparation period plus one control period.
 const predictiveHorizon = 2
+
+// cpu returns the tier's utilization as the rule reads it: the measured
+// mean, or — when predictive — max(measured, forecast one setup horizon
+// ahead), so a rising trend triggers the scale-out early while scale-in
+// still requires the measured utilization itself to stay low (forecasts
+// never accelerate removals, only additions: the predictive analogue of
+// "quick start, slow turn off"). Every measured period feeds the smoother,
+// crash periods included; a blackout period carries no measurement, and
+// feeding its zero CPU in would fabricate a collapsing trend.
+func (r *thresholdRule) cpu(tierName string, ts TierStats) float64 {
+	if r.forecast == nil || ts.NoData {
+		return ts.MeanCPU
+	}
+	sm := r.forecast[tierName]
+	if sm == nil {
+		sm = newHolt(0, 0) // the default smoothing, alpha 0.5 and beta 0.3
+		r.forecast[tierName] = sm
+	}
+	sm.observe(ts.MeanCPU)
+	if f := sm.forecast(predictiveHorizon); f > ts.MeanCPU {
+		return f
+	}
+	return ts.MeanCPU
+}
