@@ -69,7 +69,7 @@ func run() error {
 		for _, m := range app.Members(tierName) {
 			s := m.Server().TakeSample()
 			fmt.Printf("  %-6s %-7s cpu %5.1f%%  concurrency %6.1f\n",
-				tierName, m.Name(), s.Utilization*100, s.MeanConcurrency)
+				tierName, m.Name(), s.Utilization*100, s.MeanHeld)
 		}
 	}
 

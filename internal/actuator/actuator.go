@@ -266,13 +266,6 @@ func (va *VMAgent) pickVictim(tier string) string {
 	return ""
 }
 
-// Records returns a copy of the actuation log.
-func (va *VMAgent) Records() []Record {
-	out := make([]Record, len(va.records))
-	copy(out, va.records)
-	return out
-}
-
 func (va *VMAgent) record(kind, tier, vm, detail string) {
 	va.records = append(va.records, Record{
 		At:     va.eng.Now(),
@@ -322,11 +315,4 @@ func (aa *AppAgent) Apply(target model.Allocation) {
 		Kind:   "allocate",
 		Detail: fmt.Sprintf("%s -> %s", current, ntier.Allocation(aa.app)),
 	})
-}
-
-// Records returns a copy of the actuation log.
-func (aa *AppAgent) Records() []Record {
-	out := make([]Record, len(aa.records))
-	copy(out, aa.records)
-	return out
 }

@@ -102,7 +102,7 @@ func TestScaleOutJoinsAfterPrep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Server().PoolSize() != 10 || m.Pool().Size() != 10 {
+	if m.Server().TakeSample().Size != 10 || m.Pool().TakeSample().Size != 10 {
 		t.Fatal("new server has wrong soft allocation")
 	}
 }

@@ -247,14 +247,6 @@ func (b *Bus) Fetch(topic string, offset int64, limit int) ([]Message, error) {
 	return t.fetch(offset, limit), nil
 }
 
-// Close shuts the bus down; subsequent operations return ErrClosed.
-func (b *Bus) Close() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.closed = true
-	b.topics = nil
-}
-
 // Consumer reads a topic sequentially, tracking its own offset — the
 // analogue of a Kafka consumer-group member for one topic.
 type Consumer struct {
@@ -333,6 +325,3 @@ func (c *Consumer) Next() (msg Message, ok bool, err error) {
 	t.trim()
 	return msg, true, nil
 }
-
-// Offset returns the consumer's next-read position.
-func (c *Consumer) Offset() int64 { return c.offset }

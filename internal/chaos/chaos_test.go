@@ -244,7 +244,7 @@ func TestInjectConnLeakWindow(t *testing.T) {
 	leaked := map[int]int{}
 	for _, sec := range []int{5, 15, 35} {
 		sec := sec
-		eng.Schedule(time.Duration(sec)*time.Second, func() { leaked[sec] = pool.Leaked() })
+		eng.Schedule(time.Duration(sec)*time.Second, func() { leaked[sec] = pool.TakeSample().Leaked })
 	}
 	if err := eng.Run(time.Minute); err != nil {
 		t.Fatal(err)
@@ -264,7 +264,7 @@ func TestInjectConnLeakPermanent(t *testing.T) {
 	if err := eng.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if got := app.Members(ntier.TierApp)[0].Pool().Leaked(); got != 4 {
+	if got := app.Members(ntier.TierApp)[0].Pool().TakeSample().Leaked; got != 4 {
 		t.Fatalf("leaked = %d at end of run", got)
 	}
 }
@@ -393,6 +393,37 @@ func TestAnalyzeUnrecovered(t *testing.T) {
 	fr := rep.Faults[0]
 	if !fr.Impacted || fr.Recovered || fr.TTRSeconds != -1 {
 		t.Fatalf("verdict = %+v", fr)
+	}
+}
+
+// TestAnalyzeCountsFailingSeconds checks that a second which failed any
+// request violates the SLO whatever its mean response time, counted once
+// when it is also slow. From t=30 the tier has nothing left serving: no
+// request completes, so the mean RT reads 0, and every one fails.
+func TestAnalyzeCountsFailingSeconds(t *testing.T) {
+	t.Parallel()
+	in := Input{Schedule: Schedule{Name: "dead-tier", Faults: []Fault{
+		{Kind: KindVMCrash, At: 30 * time.Second, Tier: ntier.TierApp},
+	}}}
+	for sec := 1; sec <= 90; sec++ {
+		tp, rt, errs := 100.0, 0.1, 0.0
+		if sec >= 20 && sec <= 24 {
+			rt = 2.5 // five slow seconds
+		}
+		if sec >= 23 && sec <= 26 {
+			errs = 3 // two of them also failing, then two more
+		}
+		if sec >= 30 {
+			tp, rt, errs = 0, 0, 50 // 61 seconds failing everything
+		}
+		in.Seconds = append(in.Seconds, float64(sec))
+		in.Throughput = append(in.Throughput, tp)
+		in.MeanRTSec = append(in.MeanRTSec, rt)
+		in.Errors = append(in.Errors, errs)
+	}
+	rep := Analyze(in)
+	if want := 5.0 + 2 + 61; rep.SLOViolationSeconds != want {
+		t.Fatalf("SLO violation seconds = %v, want %v", rep.SLOViolationSeconds, want)
 	}
 }
 

@@ -12,7 +12,8 @@ import (
 // recovered once the mean throughput over a trailing recoveryWindowSec
 // clears recoveryFraction of that baseline. A second whose mean response
 // time exceeds sloRTSeconds (the knee the paper's Fig. 5 commentary treats
-// as unacceptable) counts toward the SLO violation.
+// as unacceptable), or in which any request failed, counts toward the SLO
+// violation.
 const (
 	baselineWindowSec = 30
 	recoveryWindowSec = 5
@@ -21,14 +22,16 @@ const (
 )
 
 // Input is the measured run a Report is computed from: aligned per-second
-// series (Seconds is the time axis; gaps in it are monitoring blackouts)
-// plus the totals the simulator counted directly.
+// series (Seconds is the time axis; gaps in it are monitoring blackouts;
+// Errors counts each second's failed requests) plus the totals the
+// simulator counted directly.
 type Input struct {
 	Schedule        Schedule
 	Injections      []Injection
 	Seconds         []float64
 	Throughput      []float64
 	MeanRTSec       []float64
+	Errors          []float64
 	ErroredRequests uint64
 }
 
@@ -55,7 +58,9 @@ type Report struct {
 	Scenario string        `json:"scenario"`
 	Faults   []FaultReport `json:"faults"`
 	// SLOViolationSeconds is how long the system's mean response time
-	// exceeded the SLO.
+	// exceeded the SLO or requests failed: a failed request is a missed
+	// SLO, and a tier with nothing left serving completes nothing whose
+	// response time could show it.
 	SLOViolationSeconds float64 `json:"sloViolationSeconds"`
 	// BlindSeconds is how long the monitoring pipeline published nothing
 	// (gaps in the per-second series).
@@ -140,12 +145,15 @@ func analyzeFault(f Fault, in Input) FaultReport {
 	return fr
 }
 
-// sloViolation sums the seconds whose mean RT exceeded the SLO.
+// sloViolation sums the seconds whose mean RT exceeded the SLO or that
+// failed any request.
 func sloViolation(in Input) float64 {
 	spacing := axisSpacing(in.Seconds)
 	total := 0.0
-	for i, rt := range in.MeanRTSec {
-		if i < len(in.Seconds) && rt > sloRTSeconds {
+	for i := range in.Seconds {
+		slow := i < len(in.MeanRTSec) && in.MeanRTSec[i] > sloRTSeconds
+		failed := i < len(in.Errors) && in.Errors[i] > 0
+		if slow || failed {
 			total += spacing
 		}
 	}

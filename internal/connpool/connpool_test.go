@@ -185,9 +185,6 @@ func TestSample(t *testing.T) {
 	if s.Grants != 2 {
 		t.Fatalf("grants = %d", s.Grants)
 	}
-	if s.MeanWaitSeconds < 0.9 || s.MeanWaitSeconds > 1.1 {
-		t.Fatalf("mean wait = %v, want ~1s (0s and 2s averaged)", s.MeanWaitSeconds)
-	}
 	// Held for 2s of the 4s interval → mean 0.5.
 	if s.MeanHeld < 0.45 || s.MeanHeld > 0.55 {
 		t.Fatalf("mean held = %v", s.MeanHeld)

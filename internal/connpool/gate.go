@@ -42,10 +42,8 @@ type Gate[E, X any] struct {
 	// grace is the backlog a SetMaxWaiters shrink grandfathered: legal
 	// until the queue drains under the cap (see queueCap).
 	grace int
-	peak  int
 
 	occupancy                   metrics.TimeWeighted // Held + Leaked
-	waits                       metrics.MeanAccumulator
 	timeouts, rejections, sheds metrics.Counter
 	depths, grantWaits          *metrics.Histogram // nil unless the Kind keeps them
 
@@ -116,9 +114,6 @@ func NewGate[E, X any](eng *sim.Engine, kind *Kind[E, X], name string, size int,
 // Name returns the gate's name.
 func (g *Gate[E, X]) Name() string { return g.name }
 
-// Size returns the configured number of units.
-func (g *Gate[E, X]) Size() int { return g.l.Size }
-
 // InUse returns the units held by granted acquisitions, leaked ones
 // excluded, so a drain waiting for zero completes under a leak.
 func (g *Gate[E, X]) InUse() int { return g.l.Held }
@@ -126,14 +121,8 @@ func (g *Gate[E, X]) InUse() int { return g.l.Held }
 // Waiting returns the number of live queued acquisitions.
 func (g *Gate[E, X]) Waiting() int { return len(g.queue) - g.head - g.l.Dead }
 
-// Leaked returns the number of units currently consumed by Leak.
-func (g *Gate[E, X]) Leaked() int { return g.l.Leaked }
-
 // Free returns the admission headroom Size - InUse - Leaked.
 func (g *Gate[E, X]) Free() int { return g.l.Size - g.l.Held - g.l.Leaked }
-
-// Ledger returns the gate's accounting.
-func (g *Gate[E, X]) Ledger() *Ledger { return &g.l }
 
 // DepthHistogram returns the queue depths arrivals saw (nil if not kept).
 func (g *Gate[E, X]) DepthHistogram() *metrics.Histogram { return g.depths }
@@ -261,9 +250,6 @@ func (g *Gate[E, X]) AcquireDeadlineCritical(req uint64, deadline sim.Time, crit
 		w.timer = g.eng.Schedule(deadline-now, w.expire)
 	}
 	g.enqueue(rec)
-	if g.Waiting() > g.peak {
-		g.peak = g.Waiting()
-	}
 }
 
 // take returns a record for a new acquisition, from the free list when
@@ -323,10 +309,8 @@ func (g *Gate[E, X]) grant(rec *E, w *Waiter[E, X]) {
 		}
 	}
 	g.occupancy.Set(now, float64(g.l.Held+g.l.Leaked))
-	wait := (now - w.enqueueAt).Seconds()
-	g.waits.Observe(wait)
 	if g.grantWaits != nil {
-		g.grantWaits.Observe(wait)
+		g.grantWaits.Observe((now - w.enqueueAt).Seconds())
 	}
 	g.tracer.Record(w.req, g.kind.Exit, g.tier, g.name, now)
 	fn := w.fn
@@ -334,10 +318,9 @@ func (g *Gate[E, X]) grant(rec *E, w *Waiter[E, X]) {
 	fn(rec, metrics.DispositionOK)
 }
 
-// fail completes a waiter without a unit. Its wait still counts toward
-// the mean wait (it waited all the same), not the grant histogram.
+// fail completes a waiter without a unit. Its wait is not a grant wait,
+// so the grant histogram does not see it.
 func (g *Gate[E, X]) fail(w *Waiter[E, X], disp metrics.Disposition) {
-	g.waits.Observe((g.eng.Now() - w.enqueueAt).Seconds())
 	fn := w.fn
 	w.fn = nil
 	fn(nil, disp)
@@ -476,9 +459,6 @@ func (g *Gate[E, X]) queueCap() int {
 	return g.maxWaiters
 }
 
-// MaxWaiters returns the waiter cap (0 = unbounded).
-func (g *Gate[E, X]) MaxWaiters() int { return g.maxWaiters }
-
 // SetMaxWaiters bounds the queue: an arrival finding n waiters is
 // rejected with DispositionRejected; n <= 0 removes the bound. A cap below
 // the live backlog evicts nobody: the backlog is grandfathered until it
@@ -498,41 +478,33 @@ func (g *Gate[E, X]) SetMaxWaiters(n int) {
 }
 
 // Sample reports one monitoring interval of gate metrics. InUse,
-// Waiting, Leaked and Size are instantaneous; Peak is the largest Waiting
-// in the interval; MeanHeld is the time-weighted mean of held plus leaked
-// units; MeanWaitSeconds averages the waits of the interval's grants and
-// failures. TimedOut, Rejected and Shed count its resilience outcomes.
+// Waiting, Leaked and Size are instantaneous; MeanHeld is the
+// time-weighted mean of held plus leaked units. Grants, TimedOut,
+// Rejected and Shed count the interval's outcomes.
 type Sample struct {
-	Grants          uint64  `json:"grants"`
-	MeanWaitSeconds float64 `json:"meanWaitSeconds"`
-	MeanHeld        float64 `json:"meanHeld"`
-	InUse           int     `json:"inUse"`
-	Waiting         int     `json:"waiting"`
-	Peak            int     `json:"peak,omitempty"`
-	Leaked          int     `json:"leaked,omitempty"`
-	Size            int     `json:"size"`
-	TimedOut        uint64  `json:"timedOut,omitempty"`
-	Rejected        uint64  `json:"rejected,omitempty"`
-	Shed            uint64  `json:"shed,omitempty"`
+	Grants   uint64  `json:"grants"`
+	MeanHeld float64 `json:"meanHeld"`
+	InUse    int     `json:"inUse"`
+	Waiting  int     `json:"waiting"`
+	Leaked   int     `json:"leaked,omitempty"`
+	Size     int     `json:"size"`
+	TimedOut uint64  `json:"timedOut,omitempty"`
+	Rejected uint64  `json:"rejected,omitempty"`
+	Shed     uint64  `json:"shed,omitempty"`
 }
 
 // TakeSample returns the metrics accumulated since the previous call and
 // starts a new interval.
 func (g *Gate[E, X]) TakeSample() Sample {
-	wait, _ := g.waits.TakeMean()
-	s := Sample{
-		Grants:          g.l.Grants.TakeDelta(),
-		MeanWaitSeconds: wait,
-		MeanHeld:        g.occupancy.TakeAverage(g.eng.Now()),
-		InUse:           g.l.Held,
-		Waiting:         g.Waiting(),
-		Peak:            g.peak,
-		Leaked:          g.l.Leaked,
-		Size:            g.l.Size,
-		TimedOut:        g.timeouts.TakeDelta(),
-		Rejected:        g.rejections.TakeDelta(),
-		Shed:            g.sheds.TakeDelta(),
+	return Sample{
+		Grants:   g.l.Grants.TakeDelta(),
+		MeanHeld: g.occupancy.TakeAverage(g.eng.Now()),
+		InUse:    g.l.Held,
+		Waiting:  g.Waiting(),
+		Leaked:   g.l.Leaked,
+		Size:     g.l.Size,
+		TimedOut: g.timeouts.TakeDelta(),
+		Rejected: g.rejections.TakeDelta(),
+		Shed:     g.sheds.TakeDelta(),
 	}
-	g.peak = g.Waiting()
-	return s
 }

@@ -174,27 +174,8 @@ func (r *thresholdRule) evaluate(view SystemView) ([]Action, []Hold) {
 			continue
 		}
 		cpu := r.cpu(tierName, ts)
-		// Dead capacity first: the hypervisor census is authoritative even
-		// when monitoring is dark, and a crashed VM must be replaced now —
-		// waiting for the survivors' CPU to climb costs a full control
-		// period of degraded service per crash.
-		if ts.Crashed > 0 {
-			r.lowRun[tierName] = 0
-			n := min(ts.Crashed, r.rules.MaxServers-ts.Live)
-			for i := 0; i < n; i++ {
-				actions = append(actions, Action{
-					Type: ActionScaleOut,
-					Tier: tierName,
-					Code: CodeCrashReprovision,
-					Reason: fmt.Sprintf("re-provision %d crashed VM(s) (census: %d serving)",
-						ts.Crashed, ts.Ready),
-				})
-			}
-			if n < ts.Crashed {
-				holds = append(holds, Hold{Tier: tierName, Code: CodeMaxServersClamp,
-					Detail: fmt.Sprintf("%d of %d replacements dropped: %d live at max %d",
-						ts.Crashed-n, ts.Crashed, ts.Live, r.rules.MaxServers)})
-			}
+		var crashed bool
+		if actions, holds, crashed = r.lowRun.reprovision(r.rules, tierName, ts, actions, holds); crashed {
 			continue
 		}
 		// A blackout period carries no usable utilization signal: hold the
@@ -258,6 +239,37 @@ func (r *thresholdRule) evaluate(view SystemView) ([]Action, []Hold) {
 // lowRuns counts each tier's consecutive below-target periods: the "slow
 // turn off" state both VM-level rules carry between periods.
 type lowRuns map[string]int
+
+// reprovision is both VM-level rules' answer to dead capacity, decided
+// before anything else: the hypervisor census is authoritative even when
+// monitoring is dark or the tier has no VM left serving, and a crashed VM
+// must be replaced now — waiting for the survivors' CPU to climb costs a
+// full control period of degraded service per crash. It appends one
+// crash-reprovision scale-out per crashed VM up to MaxServers and a
+// max-servers-clamp hold for the rest, restarts the tier's quiet count,
+// and reports false, appending nothing, when the tier lost no VM.
+func (l lowRuns) reprovision(rules policy.ScalingRules, tierName string, ts TierStats, actions []Action, holds []Hold) ([]Action, []Hold, bool) {
+	if ts.Crashed <= 0 {
+		return actions, holds, false
+	}
+	l[tierName] = 0
+	n := min(ts.Crashed, rules.MaxServers-ts.Live)
+	for i := 0; i < n; i++ {
+		actions = append(actions, Action{
+			Type: ActionScaleOut,
+			Tier: tierName,
+			Code: CodeCrashReprovision,
+			Reason: fmt.Sprintf("re-provision %d crashed VM(s) (census: %d serving)",
+				ts.Crashed, ts.Ready),
+		})
+	}
+	if n < ts.Crashed {
+		holds = append(holds, Hold{Tier: tierName, Code: CodeMaxServersClamp,
+			Detail: fmt.Sprintf("%d of %d replacements dropped: %d live at max %d",
+				ts.Crashed-n, ts.Crashed, ts.Live, rules.MaxServers)})
+	}
+	return actions, holds, true
+}
 
 // quiet advances a tier's countdown for one below-target period and
 // reports whether scale-in must wait, with the hold that says why. A VM in

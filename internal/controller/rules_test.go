@@ -209,6 +209,21 @@ func TestVMLevelRules(t *testing.T) {
 			},
 		},
 		{
+			// The app tier's only VM crashed: the census shows nothing
+			// serving, yet the crash is replaced at once, as the threshold
+			// rule does; while the replacement boots the tier is unseen.
+			name:   "target/crash-reprovision",
+			decide: func(t *testing.T) decideFunc { return targetDecide(t, DefaultPolicy()) },
+			periods: []period{
+				{view: tiers(&TierStats{Crashed: 1}, midDB),
+					actions: []Action{{Type: ActionScaleOut, Tier: app, Code: CodeCrashReprovision,
+						Reason: "re-provision 1 crashed VM(s) (census: 0 serving)"}},
+					holds: []Hold{steadyDB}},
+				{view: tiers(&TierStats{Live: 1}, midDB),
+					holds: []Hold{{Tier: app, Code: CodeTierUnseen}, steadyDB}},
+			},
+		},
+		{
 			name:   "target/launch-in-flight",
 			decide: func(t *testing.T) decideFunc { return targetDecide(t, DefaultPolicy()) },
 			periods: []period{

@@ -16,10 +16,11 @@ import (
 //
 // scaling out immediately and scaling in only after the desired capacity
 // has stayed below the current one for LowerConsecutive periods (target
-// tracking's own conservative scale-in). Like EC2AutoScale it never touches
-// soft resources, so comparing it against DCM shows that even a smarter
-// hardware-only policy cannot fix a concurrency misallocation. The rule
-// reads policy.TargetRules' setpoint and the shared capacity bounds of
+// tracking's own conservative scale-in). Crashed VMs are re-provisioned
+// first, exactly as the threshold rule does. Like EC2AutoScale it never
+// touches soft resources, so comparing it against DCM shows that even a
+// smarter hardware-only policy cannot fix a concurrency misallocation. The
+// rule reads policy.TargetRules' setpoint and the shared capacity bounds of
 // policy.ScalingRules; its consecutive-low counters are its only state.
 type TargetTracking struct {
 	rules  policy.ScalingRules
@@ -55,6 +56,11 @@ func (c *TargetTracking) Evaluate(view SystemView) []Action {
 	var holds []Hold
 	for _, tierName := range c.rules.ScalableTiers {
 		ts, seen := view.Tiers[tierName]
+		// A crash is replaced even when it took the tier's last VM.
+		var crashed bool
+		if actions, holds, crashed = c.lowRun.reprovision(c.rules, tierName, ts, actions, holds); crashed {
+			continue
+		}
 		if !seen || ts.Ready == 0 {
 			holds = append(holds, Hold{Tier: tierName, Code: CodeTierUnseen})
 			continue

@@ -172,12 +172,6 @@ func (f *Framework) Fleet() *monitor.Fleet { return f.fleet }
 // VMAgent returns the VM-level actuator.
 func (f *Framework) VMAgent() *actuator.VMAgent { return f.vmAgent }
 
-// AppAgent returns the soft-resource actuator.
-func (f *Framework) AppAgent() *actuator.AppAgent { return f.appAgent }
-
-// Controller returns the active policy.
-func (f *Framework) Controller() controller.Controller { return f.ctrl }
-
 // GuardStats returns the sensor guard's lifetime filtering tally (zero
 // value when no guard is installed).
 func (f *Framework) GuardStats() monitor.GuardStats {

@@ -123,8 +123,14 @@ func TestDCMAppliesOptimalAllocationAtFirstPeriod(t *testing.T) {
 	if got := ntier.Allocation(app); got != want {
 		t.Fatalf("allocation after first period = %v, want %v", got, want)
 	}
-	if len(fw.AppAgent().Records()) == 0 {
-		t.Fatal("app agent has no record")
+	var allocations int
+	for _, rec := range fw.Actions() {
+		if rec.Action.Type == controller.ActionSetAllocation {
+			allocations++
+		}
+	}
+	if allocations == 0 {
+		t.Fatalf("no allocation action dispatched: %+v", fw.Actions())
 	}
 }
 
@@ -233,7 +239,7 @@ func TestAccessors(t *testing.T) {
 	t.Parallel()
 	_, _, fw := newSystem(t, ec2Controller(t))
 	if fw.Bus() == nil || fw.Hypervisor() == nil || fw.Fleet() == nil ||
-		fw.VMAgent() == nil || fw.AppAgent() == nil || fw.Controller() == nil {
+		fw.VMAgent() == nil {
 		t.Fatal("nil accessor")
 	}
 }

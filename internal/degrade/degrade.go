@@ -440,9 +440,6 @@ func (s *Supervisor) exitBrownout(now time.Duration) {
 	}
 }
 
-// Active reports whether a brownout episode is open.
-func (s *Supervisor) Active() bool { return s.hyst.active }
-
 // Report returns the supervisor's lifetime record. The returned slices
 // alias the supervisor's own (callers marshal, they do not mutate).
 func (s *Supervisor) Report() Report {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -402,6 +401,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 			Seconds:         res.Seconds,
 			Throughput:      res.Throughput,
 			MeanRTSec:       res.MeanRTSec,
+			Errors:          res.Errors,
 			ErroredRequests: res.TotalErrors,
 		})
 		res.Chaos = &rep
@@ -615,9 +615,6 @@ func (r *ScenarioResult) Summarize() ScenarioSummary {
 	}
 	return s
 }
-
-// ErrNoData is returned by renderers on empty results.
-var ErrNoData = errors.New("experiments: no data")
 
 // RenderScenarioComparison renders the DCM-vs-baseline headline table
 // (the quantitative content of Fig. 5).

@@ -38,7 +38,7 @@ func TestInvariantsScenarioByteIdentical(t *testing.T) {
 		{
 			name: "chaos-dcm-1234",
 			cfg:  ScenarioConfig{Seed: 1234, Kind: ControllerDCM, Chaos: &sched, Invariants: true},
-			want: "5aa04c68c34ddffe64803daa4df1afbb7a2269f6489957781c0ddfb667580baf",
+			want: "9ef5ab7150c587637a58bb1abbdb114e8b70fb557d409c77da12426be8821444",
 		},
 		{
 			name: "plain-ec2-42",

@@ -304,7 +304,7 @@ func TestAuditLogDigestPins(t *testing.T) {
 		{ControllerTargetTracking, false, "de817f29f078185e26768f36ee9a625cea68f71cff55459043ca58105ebe8403"},
 		{ControllerEC2, true, "698cd78b1762dea04d8bcf2d329b3a0e919d862eb3247283756fe49375518227"},
 		{ControllerDCMPredictive, true, "0832c8f52eff82a62a1f32bf9a33103927bccf60110c414c8ee18dbcfc7eb5de"},
-		{ControllerTargetTracking, true, "25133d6c54d08d036f30ea5a8230f264268afff7285a22b557c35fc68b3fcf89"},
+		{ControllerTargetTracking, true, "8a9529076e67d4c31ca978c03fc5180ff9daefdc38ba942ad6c87f342c806e64"},
 	}
 	codes := make([]map[controller.ReasonCode]bool, len(cases))
 	t.Run("runs", func(t *testing.T) {

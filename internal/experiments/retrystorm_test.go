@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
 	"time"
@@ -115,7 +116,7 @@ func TestDeadlinePropagation(t *testing.T) {
 	}
 	arrive := map[uint64]time.Duration{}
 	checked := 0
-	for _, ev := range res.RequestTracer().Events() {
+	for _, ev := range tracedEvents(t, res.RequestTracer()) {
 		if ev.Kind == trace.EventArrive {
 			arrive[ev.Req] = ev.At
 			continue
@@ -134,4 +135,23 @@ func TestDeadlinePropagation(t *testing.T) {
 		t.Fatal("no traced events to check")
 	}
 	_ = metrics.DispositionTimeout
+}
+
+// tracedEvents returns the events tr recorded, in recording order, read
+// back from its JSONL export.
+func tracedEvents(t *testing.T, tr *trace.RequestTracer) []trace.Event {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var out []trace.Event
+	for dec := json.NewDecoder(&buf); dec.More(); {
+		var ev trace.Event
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, ev)
+	}
+	return out
 }

@@ -25,9 +25,6 @@ func (a *App) SetBrownoutShed(ratio float64) {
 	}
 }
 
-// BrownoutShed returns the live front-door shed ratio.
-func (a *App) BrownoutShed() float64 { return a.brownoutShed }
-
 // brownoutTake decides one arrival: the accumulator gains the shed ratio
 // per arrival and sheds on every whole token, so a ratio of 0.5 sheds
 // exactly every second best-effort request — deterministic, no rng.

@@ -42,9 +42,6 @@ func (c *lruCache) Access(key uint64) bool {
 	return false
 }
 
-// Len returns the number of resident keys.
-func (c *lruCache) Len() int { return len(c.entries) }
-
 func (c *lruCache) pushFront(e *lruEntry) {
 	e.prev = nil
 	e.next = c.head

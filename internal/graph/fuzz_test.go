@@ -204,9 +204,9 @@ func FuzzTopology(f *testing.F) {
 		}
 		// Everything injected must be accounted for at the horizon.
 		d := app.Dispositions()
-		if d.Total()+uint64(app.InFlight()) != uint64(inject) {
+		if d.Total()+uint64(app.inFlight) != uint64(inject) {
 			t.Fatalf("request leak: injected %d, dispositions %d, in flight %d",
-				inject, d.Total(), app.InFlight())
+				inject, d.Total(), app.inFlight)
 		}
 	})
 }

@@ -286,11 +286,6 @@ func New(eng *sim.Engine, rnd *rng.Rand, cfg Config) (*App, error) {
 	return a, nil
 }
 
-// Config returns the application's configuration. Live soft-resource
-// state (threads, pool sizes) is on the nodes and edges; see NodeThreads
-// and EdgePoolSize.
-func (a *App) Config() Config { return a.cfg }
-
 // NodeNames lists the node names in declaration order.
 func (a *App) NodeNames() []string {
 	out := make([]string, len(a.nodes))
@@ -651,9 +646,6 @@ func (a *App) SetEdgePoolSize(from, to string, v int) error {
 	a.refreshConfigured()
 	return nil
 }
-
-// InFlight returns the number of requests currently inside the system.
-func (a *App) InFlight() int { return a.inFlight }
 
 // TotalCompletions returns the lifetime number of completed requests.
 func (a *App) TotalCompletions() uint64 { return a.disp.OK }

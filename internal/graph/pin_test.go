@@ -90,8 +90,8 @@ func runWalkPin(t *testing.T, c walkPinCase, tr *trace.RequestTracer) (string, *
 		t.Fatal(err)
 	}
 	requireClean(t, app, chk)
-	if app.InFlight() != 0 {
-		t.Fatalf("%d requests still in flight after the drain", app.InFlight())
+	if app.inFlight != 0 {
+		t.Fatalf("%d requests still in flight after the drain", app.inFlight)
 	}
 
 	writeJSON(t, h, app.Dispositions())

@@ -22,13 +22,14 @@ func stateHook(br *resilience.Breaker) func(from, to resilience.BreakerState) {
 	return *(*func(from, to resilience.BreakerState))(unsafe.Pointer(f.UnsafeAddr()))
 }
 
-// tripBreaker records failures until the member's breaker opens.
+// tripBreaker records failures until the member's breaker opens, which
+// refuses attempts for its cooldown.
 func tripBreaker(t *testing.T, now time.Duration, m *Member) {
 	t.Helper()
-	for i := 0; i < 100 && m.breaker.State() != resilience.StateOpen; i++ {
+	for i := 0; i < 100 && m.breaker.Ready(now); i++ {
 		m.breaker.Record(now, false)
 	}
-	if m.breaker.State() != resilience.StateOpen {
+	if m.breaker.Ready(now) {
 		t.Fatalf("%s: breaker did not open", m.Name())
 	}
 }
@@ -141,8 +142,8 @@ func TestMemberRegistryLifecycle(t *testing.T) {
 	if reborn == crashed || reborn.breaker == crashed.breaker {
 		t.Fatal("re-added member reuses the crashed member's record or breaker")
 	}
-	if s := reborn.breaker.State(); s != resilience.StateClosed {
-		t.Fatalf("re-added member's breaker is %v, want closed", s)
+	if !reborn.breaker.Ready(eng.Now()) {
+		t.Fatal("re-added member's breaker refuses attempts, want a fresh closed one")
 	}
 	if m := add(""); m.Name() != "app-4" {
 		t.Fatalf("auto-named member after re-add %q, want app-4", m.Name())

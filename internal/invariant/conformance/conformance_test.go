@@ -110,7 +110,7 @@ func TestEq7AtModelOptimum(t *testing.T) {
 			if !ok {
 				t.Fatalf("params %+v have no interior optimum", p)
 			}
-			got, chk := stationRun(t, p, server.DistDeterministic, nb, nb, 0, 1)
+			got, chk := stationRun(t, p, server.ServiceDistribution(0), nb, nb, 0, 1)
 			requireClean(t, chk)
 			want := p.Throughput(float64(nb), 1)
 			if err := relErr(got, want); err > 0.05 {

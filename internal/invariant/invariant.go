@@ -21,7 +21,9 @@ import (
 )
 
 // Rule names the structural law a violation broke. The set is small and
-// closed so tests can assert on specific rules.
+// closed so tests can assert on specific rules. The event core's own two
+// rules, sim.RuleEventOrder and sim.RuleTimerGeneration, arrive through
+// AttachEngine's hook as Rule values of the same names.
 type Rule string
 
 const (
@@ -31,13 +33,6 @@ const (
 	// RulePoolAccounting: thread/connection pool grants = releases +
 	// held (+ leaked), occupancy never negative, caps respected.
 	RulePoolAccounting Rule = "pool-accounting"
-	// RuleEventOrder: the event heap must fire events in nondecreasing
-	// timestamp order.
-	RuleEventOrder Rule = "event-order"
-	// RuleTimerGeneration: a timer handle's generation may never exceed
-	// its event slot's generation (a handle "from the future" means the
-	// free-list recycled a live event).
-	RuleTimerGeneration Rule = "timer-generation"
 	// RuleHeap: the 4-ary heap's structural self-check failed (heap
 	// property, dead-entry accounting, free-list disjointness).
 	RuleHeap Rule = "heap"
@@ -89,10 +84,6 @@ type Checker struct {
 
 // New returns an enabled checker.
 func New() *Checker { return &Checker{} }
-
-// Enabled reports whether the checker records anything; callers on hot
-// paths should instead guard with a plain `chk != nil` comparison.
-func (c *Checker) Enabled() bool { return c != nil }
 
 // Violatef records a violation of rule at component `where`, stamped
 // with simulated time at. req is an optional request id (0 = none).
@@ -174,19 +165,6 @@ func (c *Checker) Violations() []Violation {
 	out := make([]Violation, len(c.violations))
 	copy(out, c.violations)
 	return out
-}
-
-// Err summarizes the checker's state as a single error, nil when clean.
-func (c *Checker) Err() error {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.total == 0 {
-		return nil
-	}
-	return fmt.Errorf("invariant: %d violation(s), first: %s", c.total, c.violations[0])
 }
 
 // Render formats violations one per line for reports and CLI output.

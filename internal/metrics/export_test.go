@@ -2,7 +2,10 @@ package metrics
 
 import (
 	"fmt"
+	"math"
+	"sort"
 	"strings"
+	"time"
 )
 
 // Used only by this package's tests; no production code calls these.
@@ -60,3 +63,71 @@ func Sparkline(values []float64, width int) string {
 	}
 	return b.String()
 }
+
+// Buckets returns (upperBound, count) pairs including the +Inf overflow
+// bucket (reported with math.Inf(1) as its bound).
+func (h *Histogram) Buckets() []BucketCount {
+	out := make([]BucketCount, len(h.counts))
+	for i, c := range h.counts {
+		bound := math.Inf(1)
+		if i < len(h.bounds) {
+			bound = h.bounds[i]
+		}
+		out[i] = BucketCount{UpperBound: bound, Count: c}
+	}
+	return out
+}
+
+// BucketCount is one histogram bucket.
+type BucketCount struct {
+	UpperBound float64 `json:"le"`
+	Count      uint64  `json:"count"`
+}
+
+// Render draws a vertical ASCII view of the non-empty buckets, one row per
+// bucket with a proportional bar — the report-rendering form.
+func (h *Histogram) Render(width int) string {
+	if width < 1 {
+		width = 40
+	}
+	var peak uint64
+	for _, c := range h.counts {
+		if c > peak {
+			peak = c
+		}
+	}
+	var b strings.Builder
+	for i, c := range h.counts {
+		if c == 0 {
+			continue
+		}
+		label := "+Inf"
+		if i < len(h.bounds) {
+			label = fmt.Sprintf("%.4g", h.bounds[i])
+		}
+		bar := 0
+		if peak > 0 {
+			bar = int(float64(width) * float64(c) / float64(peak))
+			if bar == 0 {
+				bar = 1
+			}
+		}
+		fmt.Fprintf(&b, "  <= %-8s %8d %s\n", label, c, strings.Repeat("#", bar))
+	}
+	return b.String()
+}
+
+// At returns the i-th sample.
+func (s *Series) At(i int) Sample { return s.samples[i] }
+
+// Window returns the samples with from <= At < to.
+func (s *Series) Window(from, to time.Duration) []Sample {
+	lo := sort.Search(len(s.samples), func(i int) bool { return s.samples[i].At >= from })
+	hi := sort.Search(len(s.samples), func(i int) bool { return s.samples[i].At >= to })
+	out := make([]Sample, hi-lo)
+	copy(out, s.samples[lo:hi])
+	return out
+}
+
+// Min returns the smallest observed value (exact, not bucketed).
+func (h *Histogram) Min() float64 { return h.min }

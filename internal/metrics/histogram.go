@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"strings"
 )
 
 // Histogram is a fixed-bucket histogram for high-volume per-event
@@ -111,8 +110,7 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.count)
 }
 
-// Min and Max return the extreme observed values (exact, not bucketed).
-func (h *Histogram) Min() float64 { return h.min }
+// Max returns the largest observed value (exact, not bucketed).
 func (h *Histogram) Max() float64 { return h.max }
 
 // Quantile estimates the q-quantile (0 <= q <= 1) by linear interpolation
@@ -159,26 +157,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.max
 }
 
-// Buckets returns (upperBound, count) pairs including the +Inf overflow
-// bucket (reported with math.Inf(1) as its bound).
-func (h *Histogram) Buckets() []BucketCount {
-	out := make([]BucketCount, len(h.counts))
-	for i, c := range h.counts {
-		bound := math.Inf(1)
-		if i < len(h.bounds) {
-			bound = h.bounds[i]
-		}
-		out[i] = BucketCount{UpperBound: bound, Count: c}
-	}
-	return out
-}
-
-// BucketCount is one histogram bucket.
-type BucketCount struct {
-	UpperBound float64 `json:"le"`
-	Count      uint64  `json:"count"`
-}
-
 // String renders a compact one-line summary.
 func (h *Histogram) String() string {
 	if h.count == 0 {
@@ -186,37 +164,4 @@ func (h *Histogram) String() string {
 	}
 	return fmt.Sprintf("n=%d mean=%.4g min=%.4g p50=%.4g p95=%.4g p99=%.4g max=%.4g",
 		h.count, h.Mean(), h.min, h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99), h.max)
-}
-
-// Render draws a vertical ASCII view of the non-empty buckets, one row per
-// bucket with a proportional bar — the report-rendering form.
-func (h *Histogram) Render(width int) string {
-	if width < 1 {
-		width = 40
-	}
-	var peak uint64
-	for _, c := range h.counts {
-		if c > peak {
-			peak = c
-		}
-	}
-	var b strings.Builder
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		label := "+Inf"
-		if i < len(h.bounds) {
-			label = fmt.Sprintf("%.4g", h.bounds[i])
-		}
-		bar := 0
-		if peak > 0 {
-			bar = int(float64(width) * float64(c) / float64(peak))
-			if bar == 0 {
-				bar = 1
-			}
-		}
-		fmt.Fprintf(&b, "  <= %-8s %8d %s\n", label, c, strings.Repeat("#", bar))
-	}
-	return b.String()
 }

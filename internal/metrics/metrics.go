@@ -34,9 +34,6 @@ func NewSeries(name string) *Series {
 	return &Series{name: name}
 }
 
-// Name returns the series name.
-func (s *Series) Name() string { return s.name }
-
 // Grow pre-sizes the series for at least n additional samples, so a
 // recorder that knows its sampling rate and horizon up front (one sample
 // per control period, say) appends without reallocating mid-run.
@@ -73,22 +70,10 @@ func (s *Series) Clamped() uint64 { return s.clamped }
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.samples) }
 
-// At returns the i-th sample.
-func (s *Series) At(i int) Sample { return s.samples[i] }
-
 // Samples returns a copy of all samples.
 func (s *Series) Samples() []Sample {
 	out := make([]Sample, len(s.samples))
 	copy(out, s.samples)
-	return out
-}
-
-// Window returns the samples with from <= At < to.
-func (s *Series) Window(from, to time.Duration) []Sample {
-	lo := sort.Search(len(s.samples), func(i int) bool { return s.samples[i].At >= from })
-	hi := sort.Search(len(s.samples), func(i int) bool { return s.samples[i].At >= to })
-	out := make([]Sample, hi-lo)
-	copy(out, s.samples[lo:hi])
 	return out
 }
 

@@ -57,3 +57,16 @@ func (d Demand) PerServerDemand() float64 {
 	}
 	return d.VisitRatio * d.ServiceTime / float64(k)
 }
+
+// MaxThroughput returns Max(X_max) of Equation 8: the tier's throughput at
+// the optimal concurrency. When no interior optimum exists it returns 0.
+func (p Params) MaxThroughput(servers int) float64 {
+	nb, ok := p.OptimalConcurrency()
+	if !ok || servers < 1 {
+		return 0
+	}
+	return p.Throughput(nb, servers)
+}
+
+// Len returns the number of retained observations.
+func (t *OnlineTrainer) Len() int { return len(t.obs) }

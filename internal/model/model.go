@@ -90,16 +90,6 @@ func (p Params) OptimalConcurrencyInt() (nb int, ok bool) {
 	return n, true
 }
 
-// MaxThroughput returns Max(X_max) of Equation 8: the tier's throughput at
-// the optimal concurrency. When no interior optimum exists it returns 0.
-func (p Params) MaxThroughput(servers int) float64 {
-	nb, ok := p.OptimalConcurrency()
-	if !ok || servers < 1 {
-		return 0
-	}
-	return p.Throughput(nb, servers)
-}
-
 // Observation is one training point: measured saturated system throughput
 // at a given per-server request-processing concurrency.
 type Observation struct {

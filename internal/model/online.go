@@ -106,9 +106,6 @@ func (t *OnlineTrainer) Observe(concurrency, throughput float64) {
 	t.full = true
 }
 
-// Len returns the number of retained observations.
-func (t *OnlineTrainer) Len() int { return len(t.obs) }
-
 // Identifiable reports whether the retained observations span enough
 // distinct concurrency levels to support a fit.
 func (t *OnlineTrainer) Identifiable() bool {

@@ -4,6 +4,11 @@
 // response time, active thread count) every second and publishes them to
 // the intermediate storage server (internal/bus), from which the
 // optimization controller consumes them at its own rate.
+//
+// A per-VM ServerSample carries exactly At, VM, Tier, CPUUtil, Throughput
+// and ActiveThreads: the agent reads them off one server.TakeSample, and
+// nothing else has a reader. Response time is a whole-system quantity, so
+// it travels in the SystemSample one system agent publishes per interval.
 package monitor
 
 import (
@@ -26,7 +31,10 @@ const (
 )
 
 // ServerSample is one per-VM measurement interval, the unit the paper's
-// monitoring agents ship to Kafka every second.
+// monitoring agents ship to Kafka every second. It carries what the
+// control loop reads and nothing more: the view aggregation in
+// internal/core, the sensor Guard and the experiments' per-tier CPU
+// series.
 type ServerSample struct {
 	At   time.Duration `json:"at"`
 	VM   string        `json:"vm"`
@@ -35,27 +43,9 @@ type ServerSample struct {
 	CPUUtil float64 `json:"cpuUtil"`
 	// Throughput is the server's completed bursts per second.
 	Throughput float64 `json:"throughput"`
-	// MeanServiceSeconds is the mean burst duration.
-	MeanServiceSeconds float64 `json:"meanServiceSeconds"`
 	// ActiveThreads is the time-weighted mean request-processing
 	// concurrency — the paper's "active threads number".
 	ActiveThreads float64 `json:"activeThreads"`
-	// MeanQueueWaitSeconds is the mean time requests admitted in the
-	// interval spent queued for a thread.
-	MeanQueueWaitSeconds float64 `json:"meanQueueWaitSeconds"`
-	// QueueLen is the instantaneous thread-pool queue length; QueuePeak is
-	// the peak length since the previous sample.
-	QueueLen  int `json:"queueLen"`
-	QueuePeak int `json:"queuePeak"`
-	// PoolSize is the thread pool size at sampling time.
-	PoolSize int `json:"poolSize"`
-	// ConnPoolSize and ConnWaiting describe the server's DB connection
-	// pool (app tier only; zero elsewhere). ConnInUse excludes leaked
-	// connections, which ConnLeaked counts separately.
-	ConnPoolSize int `json:"connPoolSize"`
-	ConnWaiting  int `json:"connWaiting"`
-	ConnInUse    int `json:"connInUse"`
-	ConnLeaked   int `json:"connLeaked,omitempty"`
 }
 
 // SystemSample is one whole-system measurement interval.
@@ -66,15 +56,12 @@ type SystemSample struct {
 	// MeanRTSeconds and P95RTSeconds summarize end-to-end response times.
 	MeanRTSeconds float64 `json:"meanRTSeconds"`
 	P95RTSeconds  float64 `json:"p95RTSeconds"`
-	MaxRTSeconds  float64 `json:"maxRTSeconds"`
 	// MeanAppResidence and MeanDBResidence attribute latency to tiers
 	// (the app and db nodes' graph.Stats.NodeResidence).
 	MeanAppResidence float64 `json:"meanAppResidence"`
 	MeanDBResidence  float64 `json:"meanDBResidence"`
 	// Errors is failed requests in the interval.
 	Errors uint64 `json:"errors"`
-	// InFlight is the instantaneous number of requests in the system.
-	InFlight int `json:"inFlight"`
 }
 
 // ErrBadFleet is returned for invalid fleet construction or attachment.
@@ -153,27 +140,14 @@ func (f *Fleet) Attach(tierName, vmName string) error {
 		return fmt.Errorf("monitor: attach: %w", err)
 	}
 	stop := f.eng.Ticker(f.interval, func() {
-		srv := member.Server()
-		s := srv.TakeSample()
+		s := member.Server().TakeSample()
 		sample := ServerSample{
-			At:                   f.eng.Now(),
-			VM:                   vmName,
-			Tier:                 tierName,
-			CPUUtil:              s.Utilization,
-			Throughput:           float64(s.Completions) / f.interval.Seconds(),
-			MeanServiceSeconds:   s.MeanExecSeconds,
-			ActiveThreads:        s.MeanConcurrency,
-			MeanQueueWaitSeconds: s.MeanQueueWaitSeconds,
-			QueueLen:             s.QueueLen,
-			QueuePeak:            s.QueuePeak,
-			PoolSize:             s.PoolSize,
-		}
-		if pool := member.Pool(); pool != nil {
-			ps := pool.TakeSample()
-			sample.ConnPoolSize = ps.Size
-			sample.ConnWaiting = ps.Waiting
-			sample.ConnInUse = ps.InUse
-			sample.ConnLeaked = ps.Leaked
+			At:            f.eng.Now(),
+			VM:            vmName,
+			Tier:          tierName,
+			CPUUtil:       s.Utilization,
+			Throughput:    float64(s.Completions) / f.interval.Seconds(),
+			ActiveThreads: s.MeanHeld,
 		}
 		// During a blackout the sample is taken (draining the server's
 		// interval accumulators, as a real agent would) but never shipped.
@@ -207,11 +181,9 @@ func (f *Fleet) publishSystem() {
 		Throughput:       float64(st.Completions) / f.interval.Seconds(),
 		MeanRTSeconds:    st.MeanRTSeconds,
 		P95RTSeconds:     st.RT.P95,
-		MaxRTSeconds:     st.RT.Max,
 		MeanAppResidence: st.NodeResidence[ntier.TierApp],
 		MeanDBResidence:  st.NodeResidence[ntier.TierDB],
 		Errors:           st.Errors,
-		InFlight:         st.InFlight,
 	}
 	_, _ = f.b.Publish(TopicSystemMetrics, "system", sample)
 }

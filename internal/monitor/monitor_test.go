@@ -83,9 +83,6 @@ func TestFleetPublishesPerServerSamples(t *testing.T) {
 		if s.VM == "" || s.At == 0 {
 			t.Fatalf("sample missing metadata: %+v", s)
 		}
-		if s.Tier == ntier.TierApp && s.ConnPoolSize != 10 {
-			t.Fatalf("app sample conn pool = %d", s.ConnPoolSize)
-		}
 	}
 	if byTier["web"] != 10 || byTier["app"] != 10 || byTier["db"] != 10 {
 		t.Fatalf("samples by tier = %v", byTier)
@@ -101,6 +98,73 @@ func TestFleetPublishesPerServerSamples(t *testing.T) {
 	}
 	if !sawBusyApp {
 		t.Fatal("no busy app-tier sample observed under load")
+	}
+}
+
+// TestAgentSampleMatchesServer checks what an agent publishes against
+// the server it samples: each ServerSample's Throughput, ActiveThreads
+// and CPUUtil must equal the interval's burst completions per second,
+// the thread gate's MeanHeld and the CPU Utilization that a twin run at
+// the same seed reads with server.TakeSample on the same cadence.
+func TestAgentSampleMatchesServer(t *testing.T) {
+	t.Parallel()
+	load := func(app *graph.App) {
+		var cycle func()
+		cycle = func() { app.Inject(func(time.Duration, bool) { cycle() }) }
+		for i := 0; i < 40; i++ {
+			cycle()
+		}
+	}
+
+	eng, b, app, fleet := setup(t)
+	if err := fleet.Start(); err != nil {
+		t.Fatal(err)
+	}
+	load(app)
+	if err := eng.Run(8 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	msgs, err := b.Fetch(TopicServerMetrics, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The twin samples every server in the order Start attaches agents.
+	twinEng, _, twinApp, _ := setup(t)
+	var want []ServerSample
+	for _, tierName := range twinApp.NodeNames() {
+		for _, m := range twinApp.Members(tierName) {
+			srv, vm := m.Server(), m.Name()
+			twinEng.Ticker(time.Second, func() {
+				s := srv.TakeSample()
+				want = append(want, ServerSample{At: twinEng.Now(), VM: vm, Tier: tierName,
+					CPUUtil: s.Utilization, Throughput: float64(s.Completions), ActiveThreads: s.MeanHeld})
+			})
+		}
+	}
+	load(twinApp)
+	if err := twinEng.Run(8 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	if len(msgs) != len(want) || len(want) != 24 {
+		t.Fatalf("published %d samples, twin took %d, want 3 servers x 8 seconds", len(msgs), len(want))
+	}
+	var busy int
+	for i, m := range msgs {
+		got, ok := m.Value.(ServerSample)
+		if !ok {
+			t.Fatalf("payload type %T", m.Value)
+		}
+		if got != want[i] {
+			t.Fatalf("sample %d = %+v, twin read %+v", i, got, want[i])
+		}
+		if got.Throughput > 0 && got.ActiveThreads > 0 && got.CPUUtil > 0 {
+			busy++
+		}
+	}
+	if busy == 0 {
+		t.Fatal("no sample saw load; the comparison is vacuous")
 	}
 }
 
@@ -276,10 +340,11 @@ func TestBlackoutSuppressesPublishing(t *testing.T) {
 }
 
 // endOffset is the offset one past the last message published to topic.
+// The monitor's topics keep every message here, so it is their count.
 func endOffset(b *bus.Bus, topic string) int64 {
-	c := b.NewConsumer(topic, 0)
-	if _, err := c.Poll(0); err != nil {
+	msgs, err := b.Fetch(topic, 0, 0)
+	if err != nil {
 		panic(err)
 	}
-	return c.Offset()
+	return int64(len(msgs))
 }

@@ -49,9 +49,10 @@ func TestClassDefaultsFilled(t *testing.T) {
 	cfg := fastConfig()
 	cfg.QueriesPerRequest = 3
 	cfg.Classes = []RequestClass{{Name: "a"}, {Name: "b", Queries: 1, AppDemand: 2}}
-	_, app := newApp(t, cfg)
-	// The filled defaults reach the graph as each class's demand profile.
-	got := app.Config().Classes
+	newApp(t, cfg)
+	// New hands the graph each class's demand profile with the defaults
+	// filled.
+	got := classProfiles(cfg.Classes, cfg.QueriesPerRequest)
 	const queries = TierApp + "->" + TierDB
 	if p := got[0].Profile; p.NodeDemand[TierApp] != 1 || p.EdgeVisits[queries] != 3 || p.NodeDemand[TierDB] != 1 {
 		t.Fatalf("class a defaults not filled: %+v", p)

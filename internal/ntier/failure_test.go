@@ -49,8 +49,8 @@ func TestFailServerFailsQueuedAndInFlight(t *testing.T) {
 	if app.TotalErrors() != uint64(results[false]) {
 		t.Fatalf("error accounting mismatch: %d vs %v", app.TotalErrors(), results)
 	}
-	if app.InFlight() != 0 {
-		t.Fatalf("in-flight leak: %d", app.InFlight())
+	if n := app.TakeStats().InFlight; n != 0 {
+		t.Fatalf("in-flight leak: %d", n)
 	}
 }
 
@@ -132,8 +132,8 @@ func TestFailDBServerMidQuery(t *testing.T) {
 	if okCount == 0 {
 		t.Fatal("no request survived on db-2")
 	}
-	if app.InFlight() != 0 {
-		t.Fatalf("in-flight leak: %d", app.InFlight())
+	if n := app.TakeStats().InFlight; n != 0 {
+		t.Fatalf("in-flight leak: %d", n)
 	}
 }
 
@@ -168,8 +168,8 @@ func TestCrashUnderSaturationNoLeak(t *testing.T) {
 	if done != total {
 		t.Fatalf("completion conservation broken: %d of %d", done, total)
 	}
-	if app.InFlight() != 0 {
-		t.Fatalf("in-flight leak: %d", app.InFlight())
+	if n := app.TakeStats().InFlight; n != 0 {
+		t.Fatalf("in-flight leak: %d", n)
 	}
 	if app.TotalCompletions()+app.TotalErrors() != total {
 		t.Fatalf("accounting: %d + %d != %d", app.TotalCompletions(), app.TotalErrors(), total)
@@ -249,8 +249,8 @@ func TestConservationUnderChurnProperty(t *testing.T) {
 			t.Logf("seed %d: done %d of %d", seed, done, total)
 			return false
 		}
-		if app.InFlight() != 0 {
-			t.Logf("seed %d: in flight %d", seed, app.InFlight())
+		if n := app.TakeStats().InFlight; n != 0 {
+			t.Logf("seed %d: in flight %d", seed, n)
 			return false
 		}
 		if app.TotalCompletions()+app.TotalErrors() != total {

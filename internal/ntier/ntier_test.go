@@ -100,8 +100,8 @@ func TestRequestFlowCompletes(t *testing.T) {
 	app.Inject(func(rt time.Duration, ok bool) {
 		gotRT, gotOK, calls = rt, ok, calls+1
 	})
-	if app.InFlight() != 1 {
-		t.Fatalf("in flight = %d", app.InFlight())
+	if n := app.TakeStats().InFlight; n != 1 {
+		t.Fatalf("in flight = %d", n)
 	}
 	if err := eng.Run(time.Second); err != nil {
 		t.Fatal(err)
@@ -119,8 +119,8 @@ func TestRequestFlowCompletes(t *testing.T) {
 	if app.TotalCompletions() != 1 || app.TotalErrors() != 0 {
 		t.Fatalf("completions=%d errors=%d", app.TotalCompletions(), app.TotalErrors())
 	}
-	if app.InFlight() != 0 {
-		t.Fatalf("in flight after completion = %d", app.InFlight())
+	if n := app.TakeStats().InFlight; n != 0 {
+		t.Fatalf("in flight after completion = %d", n)
 	}
 }
 
@@ -237,14 +237,14 @@ func TestSoftResourceActuation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range app.Members(TierApp) {
-		if m.Server().PoolSize() != 7 {
-			t.Fatalf("app pool = %d", m.Server().PoolSize())
+		if n := m.Server().TakeSample().Size; n != 7 {
+			t.Fatalf("app pool = %d", n)
 		}
-		if m.Pool().Size() != 4 {
-			t.Fatalf("conn pool = %d", m.Pool().Size())
+		if n := m.Pool().TakeSample().Size; n != 4 {
+			t.Fatalf("conn pool = %d", n)
 		}
 	}
-	if app.Members(TierWeb)[0].Server().PoolSize() != 33 {
+	if app.Members(TierWeb)[0].Server().TakeSample().Size != 33 {
 		t.Fatal("web threads not applied")
 	}
 	if got := Allocation(app).String(); got != "33/7/4" {
@@ -255,7 +255,7 @@ func TestSoftResourceActuation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Server().PoolSize() != 7 || m.Pool().Size() != 4 {
+	if m.Server().TakeSample().Size != 7 || m.Pool().TakeSample().Size != 4 {
 		t.Fatal("new server did not inherit current allocation")
 	}
 
@@ -270,15 +270,15 @@ func TestSoftResourceActuation(t *testing.T) {
 		t.Fatalf("clamped allocation = %q", got)
 	}
 	for _, m := range app.Members(TierApp) {
-		if m.Server().PoolSize() != 1 || m.Pool().Size() != 1 {
-			t.Fatalf("%s: pools = %d/%d, want clamped 1/1", m.Name(), m.Server().PoolSize(), m.Pool().Size())
+		if threads, conns := m.Server().TakeSample().Size, m.Pool().TakeSample().Size; threads != 1 || conns != 1 {
+			t.Fatalf("%s: pools = %d/%d, want clamped 1/1", m.Name(), threads, conns)
 		}
 	}
 	m, err = app.AddMember(TierApp, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Server().PoolSize() != 1 || m.Pool().Size() != 1 {
+	if m.Server().TakeSample().Size != 1 || m.Pool().TakeSample().Size != 1 {
 		t.Fatal("new server did not inherit the clamped allocation")
 	}
 }

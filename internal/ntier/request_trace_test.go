@@ -1,6 +1,8 @@
 package ntier
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -60,9 +62,9 @@ func TestRequestTracerEndToEnd(t *testing.T) {
 }
 
 // kinds returns the event kinds recorded for request req, in order.
-func kinds(tr *trace.RequestTracer, req uint64) []trace.EventKind {
+func kinds(t *testing.T, tr *trace.RequestTracer, req uint64) []trace.EventKind {
 	var out []trace.EventKind
-	for _, ev := range tr.Events() {
+	for _, ev := range tracedEvents(t, tr) {
 		if ev.Req == req {
 			out = append(out, ev.Kind)
 		}
@@ -84,7 +86,7 @@ func TestTraceFailedRequest(t *testing.T) {
 	if err := eng.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	got := kinds(tr, 1)
+	got := kinds(t, tr, 1)
 	if len(got) == 0 || got[len(got)-1] != trace.EventFail {
 		t.Fatalf("events %v, want a trailing %s", got, trace.EventFail)
 	}
@@ -108,7 +110,8 @@ func TestTraceServletName(t *testing.T) {
 	if err := eng.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	for _, ev := range tr.Events() {
+	events := tracedEvents(t, tr)
+	for _, ev := range events {
 		if ev.Kind == trace.EventClass {
 			if ev.Req != 1 || ev.Class != "OnlyOne" {
 				t.Fatalf("class event %+v, want request 1 tagged OnlyOne", ev)
@@ -116,7 +119,7 @@ func TestTraceServletName(t *testing.T) {
 			return
 		}
 	}
-	t.Fatalf("no %s event in %v", trace.EventClass, tr.Events())
+	t.Fatalf("no %s event in %v", trace.EventClass, events)
 }
 
 // TestTracingDoesNotPerturbSimulation is the unit-level determinism check
@@ -224,4 +227,23 @@ func TestDrainCompletesUnderConnLeak(t *testing.T) {
 	if err := app.RemoveMember(TierApp, victim.Name()); err != nil {
 		t.Fatalf("remove after drain: %v", err)
 	}
+}
+
+// tracedEvents returns the events tr recorded, in recording order, read
+// back from its JSONL export.
+func tracedEvents(t *testing.T, tr *trace.RequestTracer) []trace.Event {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var out []trace.Event
+	for dec := json.NewDecoder(&buf); dec.More(); {
+		var ev trace.Event
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, ev)
+	}
+	return out
 }

@@ -155,11 +155,6 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	}
 }
 
-// State returns the current state (after lazily applying the cooldown:
-// an open breaker whose cooldown has elapsed reports half-open readiness
-// via Ready, but stays open until an Attempt transitions it).
-func (b *Breaker) State() BreakerState { return b.state }
-
 // advance rotates the window to now, clearing buckets that aged out.
 func (b *Breaker) advance(now time.Duration) {
 	abs := int64(now / b.bucket)

@@ -14,3 +14,8 @@ func (r *Retrier) BudgetScale() float64 { return r.scale }
 func (r *Retrier) ClassDebits() (critical, bestEffort uint64) {
 	return r.critDebits, r.beDebits
 }
+
+// State returns the current state (after lazily applying the cooldown:
+// an open breaker whose cooldown has elapsed reports half-open readiness
+// via Ready, but stays open until an Attempt transitions it).
+func (b *Breaker) State() BreakerState { return b.state }

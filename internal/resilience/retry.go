@@ -107,9 +107,6 @@ func NewRetrier(pol RetryPolicy, rnd *rng.Rand) (*Retrier, error) {
 	return &Retrier{pol: pol, rnd: rnd, tokens: pol.BudgetBurst, scale: 1}, nil
 }
 
-// Policy returns the retrier's policy.
-func (r *Retrier) Policy() RetryPolicy { return r.pol }
-
 // Stats returns the lifetime retry accounting.
 func (r *Retrier) Stats() RetryStats { return r.stats }
 

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"slices"
 	"testing"
 	"time"
@@ -53,7 +55,7 @@ var gateKinds = []struct {
 			release: func(rec any) { rec.(*Session).Release() },
 			kill:    srv.Kill,
 			waiting: srv.QueueLen,
-			ledger:  srv.threads.Ledger(),
+			ledger:  gateLedger(srv.threads),
 			check:   srv.CheckInvariant,
 		}
 	}},
@@ -77,19 +79,38 @@ var gateKinds = []struct {
 			release: func(rec any) { rec.(*connpool.Conn).Release() },
 			kill:    p.Kill,
 			waiting: p.Waiting,
-			ledger:  p.Ledger(),
+			ledger:  gateLedger(p),
 			check:   p.CheckInvariant,
 		}
 	}},
 }
 
 // kinds returns the event kinds tr recorded for req, in order.
-func kinds(tr *trace.RequestTracer, req uint64) []trace.EventKind {
+func kinds(t *testing.T, tr *trace.RequestTracer, req uint64) []trace.EventKind {
 	var out []trace.EventKind
-	for _, e := range tr.Events() {
+	for _, e := range tracedEvents(t, tr) {
 		if e.Req == req {
 			out = append(out, e.Kind)
 		}
+	}
+	return out
+}
+
+// tracedEvents returns the events tr recorded, in recording order, read
+// back from its JSONL export.
+func tracedEvents(t *testing.T, tr *trace.RequestTracer) []trace.Event {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var out []trace.Event
+	for dec := json.NewDecoder(&buf); dec.More(); {
+		var ev trace.Event
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, ev)
 	}
 	return out
 }
@@ -119,13 +140,13 @@ func TestGateRejectionRecordsNoOpeningEvent(t *testing.T) {
 			if !slices.Equal(refused, []metrics.Disposition{metrics.DispositionRejected}) {
 				t.Fatalf("refusals = %v, want one rejection", refused)
 			}
-			if got := kinds(tr, 3); !slices.Equal(got, []trace.EventKind{trace.EventReject}) {
+			if got := kinds(t, tr, 3); !slices.Equal(got, []trace.EventKind{trace.EventReject}) {
 				t.Errorf("rejected acquisition recorded %v, want only %s", got, trace.EventReject)
 			}
-			if got := kinds(tr, 2); !slices.Equal(got, []trace.EventKind{k.enter}) {
+			if got := kinds(t, tr, 2); !slices.Equal(got, []trace.EventKind{k.enter}) {
 				t.Errorf("queued acquisition recorded %v, want %s", got, k.enter)
 			}
-			if got := kinds(tr, 1); len(got) != 2 || got[0] != k.enter {
+			if got := kinds(t, tr, 1); len(got) != 2 || got[0] != k.enter {
 				t.Errorf("granted acquisition recorded %v, want %s then its grant", got, k.enter)
 			}
 		})

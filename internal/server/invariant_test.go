@@ -57,13 +57,13 @@ func TestCheckInvariantDetectsCorruption(t *testing.T) {
 		corrupt func(s *Server)
 		want    string
 	}{
-		{"negative-active", func(s *Server) { s.threads.Ledger().Held = -1 }, "negative"},
+		{"negative-active", func(s *Server) { gateLedger(s.threads).Held = -1 }, "negative"},
 		{"executing-above-active", func(s *Server) { s.executing = s.Active() + 1 }, "executing"},
-		{"zero-pool", func(s *Server) { s.threads.Ledger().Size = 0 }, "pool size"},
-		{"grant-ledger-drift", func(s *Server) { s.threads.Ledger().Grants.Inc(1) }, "grants"},
-		{"release-ledger-drift", func(s *Server) { s.threads.Ledger().Releases++ }, "grants"},
+		{"zero-pool", func(s *Server) { gateLedger(s.threads).Size = 0 }, "pool size"},
+		{"grant-ledger-drift", func(s *Server) { gateLedger(s.threads).Grants.Inc(1) }, "grants"},
+		{"release-ledger-drift", func(s *Server) { gateLedger(s.threads).Releases++ }, "grants"},
 		{"queue-dead-overflow", func(s *Server) {
-			l := s.threads.Ledger()
+			l := gateLedger(s.threads)
 			l.Dead += s.QueueLen() + 1 // one more dead slot than the queue has
 		}, "queueDead"},
 	}
@@ -99,7 +99,7 @@ func TestCheckerRecordsNegativeActiveOnRelease(t *testing.T) {
 	srv.SetInvariantChecker(chk)
 	var sess *Session
 	srv.Acquire(func(s *Session) { sess = s })
-	srv.threads.Ledger().Held = 0 // corrupt: the ledger forgets the grant
+	gateLedger(srv.threads).Held = 0 // corrupt: the ledger forgets the grant
 	sess.Release()
 	vs := chk.Violations()
 	if len(vs) != 1 || vs[0].Rule != invariant.RulePoolAccounting {

@@ -92,8 +92,8 @@ type ServiceDistribution int
 
 // Service distributions.
 const (
-	// DistDeterministic uses the Equation 5 mean exactly.
-	DistDeterministic ServiceDistribution = iota
+	// distDeterministic uses the Equation 5 mean exactly (the zero value).
+	distDeterministic ServiceDistribution = iota
 	// DistExponential draws exponentially with the Equation 5 mean.
 	DistExponential
 )
@@ -126,7 +126,6 @@ type Server struct {
 
 	cpu         metrics.BusyTracker
 	completions metrics.Counter
-	execTimes   metrics.MeanAccumulator
 	preempts    metrics.Counter // bursts cut short by the deadline
 	svcTimes    *metrics.Histogram
 
@@ -279,12 +278,6 @@ func (sess *Session) Gen() uint64 { return sess.w.Gen() }
 // Name returns the server name.
 func (s *Server) Name() string { return s.name }
 
-// Params returns the server's service-time law.
-func (s *Server) Params() model.Params { return s.params }
-
-// PoolSize returns the current thread pool size.
-func (s *Server) PoolSize() int { return s.threads.Size() }
-
 // Active returns the number of admitted (thread-holding) requests.
 func (s *Server) Active() int { return s.threads.InUse() }
 
@@ -340,9 +333,6 @@ func (s *Server) AcquireDeadlineCritical(req uint64, deadline sim.Time, critical
 // Growing admits waiters at once; shrinking never interrupts in-flight
 // requests, the pool drains down to the new size as they complete.
 func (s *Server) SetPoolSize(n int) { s.threads.Resize(n) }
-
-// MaxQueue returns the current admission cap (0 = unbounded).
-func (s *Server) MaxQueue() int { return s.threads.MaxWaiters() }
 
 // SetMaxQueue changes the admission cap at runtime (0 = unbounded). A cap
 // below the live backlog evicts nobody; new arrivals meet it at once.
@@ -420,7 +410,6 @@ func (b *burst) end() {
 		s.tracer.Record(sess.w.Req(), trace.EventTimeout, s.tier, s.name, s.eng.Now())
 	} else {
 		s.completions.Inc(1)
-		s.execTimes.Observe(d.Seconds())
 		s.svcTimes.Observe(d.Seconds())
 		s.tracer.Record(sess.w.Req(), trace.EventServiceEnd, s.tier, s.name, s.eng.Now())
 	}
@@ -492,47 +481,25 @@ func (sess *Session) Release() {
 }
 
 // Sample is one monitoring interval's worth of server metrics — what the
-// paper's fine-grained monitoring agent reports every second. Completions
-// counts the interval's finished CPU bursts and MeanExecSeconds is their
-// mean duration (0 when none); Utilization is the CPU busy fraction. The
-// thread fields are the pool's connpool.Sample under their server names:
-// MeanQueueWaitSeconds, MeanConcurrency (time-weighted active threads),
-// Active, QueueLen, QueuePeak and PoolSize. TimedOut (queued, at grant or
-// mid-burst), Rejected and Shed count resilience outcomes and are absent
-// from JSON when zero.
+// paper's fine-grained monitoring agent reports every second. It is the
+// thread pool's connpool.Sample (MeanHeld is the time-weighted count of
+// active threads) plus what the server adds: Completions counts the
+// interval's finished CPU bursts, Utilization is the CPU busy fraction,
+// and TimedOut also counts bursts the deadline preempted.
 type Sample struct {
-	Completions          uint64  `json:"completions"`
-	MeanExecSeconds      float64 `json:"meanExecSeconds"`
-	MeanQueueWaitSeconds float64 `json:"meanQueueWaitSeconds"`
-	Utilization          float64 `json:"utilization"`
-	MeanConcurrency      float64 `json:"meanConcurrency"`
-	Active               int     `json:"active"`
-	QueueLen             int     `json:"queueLen"`
-	QueuePeak            int     `json:"queuePeak"`
-	PoolSize             int     `json:"poolSize"`
-	TimedOut             uint64  `json:"timedOut,omitempty"`
-	Rejected             uint64  `json:"rejected,omitempty"`
-	Shed                 uint64  `json:"shed,omitempty"`
+	connpool.Sample
+	Completions uint64  `json:"completions"`
+	Utilization float64 `json:"utilization"`
 }
 
 // TakeSample returns the metrics accumulated since the previous TakeSample
 // call and starts a new interval.
 func (s *Server) TakeSample() Sample {
-	now := s.eng.Now()
-	execMean, _ := s.execTimes.TakeMean()
 	t := s.threads.TakeSample()
+	t.TimedOut += s.preempts.TakeDelta()
 	return Sample{
-		Completions:          s.completions.TakeDelta(),
-		MeanExecSeconds:      execMean,
-		MeanQueueWaitSeconds: t.MeanWaitSeconds,
-		Utilization:          s.cpu.TakeUtilization(now),
-		MeanConcurrency:      t.MeanHeld,
-		Active:               t.InUse,
-		QueueLen:             t.Waiting,
-		QueuePeak:            t.Peak,
-		PoolSize:             t.Size,
-		TimedOut:             t.TimedOut + s.preempts.TakeDelta(),
-		Rejected:             t.Rejected,
-		Shed:                 t.Shed,
+		Sample:      t,
+		Completions: s.completions.TakeDelta(),
+		Utilization: s.cpu.TakeUtilization(s.eng.Now()),
 	}
 }

@@ -317,14 +317,11 @@ func TestSampleThroughputAndUtilization(t *testing.T) {
 	if s.Utilization < 0.95 || s.Utilization > 1.0 {
 		t.Fatalf("utilization = %v, want ~1", s.Utilization)
 	}
-	if math.Abs(s.MeanExecSeconds-0.010) > 0.001 {
-		t.Fatalf("mean exec = %v, want ~10ms", s.MeanExecSeconds)
+	if s.MeanHeld < 0.9 || s.MeanHeld > 1.01 {
+		t.Fatalf("mean concurrency = %v, want ~1", s.MeanHeld)
 	}
-	if s.MeanConcurrency < 0.9 || s.MeanConcurrency > 1.01 {
-		t.Fatalf("mean concurrency = %v, want ~1", s.MeanConcurrency)
-	}
-	if s.PoolSize != 1 {
-		t.Fatalf("pool size = %d", s.PoolSize)
+	if s.Size != 1 {
+		t.Fatalf("pool size = %d", s.Size)
 	}
 }
 
@@ -335,7 +332,7 @@ func TestSampleIdleServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := srv.TakeSample()
-	if s.Completions != 0 || s.Utilization != 0 || s.Active != 0 {
+	if s.Completions != 0 || s.Utilization != 0 || s.InUse != 0 {
 		t.Fatalf("idle sample = %+v", s)
 	}
 }
@@ -359,27 +356,6 @@ func TestSampleIntervalsIndependent(t *testing.T) {
 	second := srv.TakeSample()
 	if second.Completions != 0 || second.Utilization != 0 {
 		t.Fatalf("second interval not reset: %+v", second)
-	}
-}
-
-func TestQueuePeakTracking(t *testing.T) {
-	t.Parallel()
-	eng, srv := newServer(t, 1)
-	for i := 0; i < 5; i++ {
-		srv.Acquire(func(sess *Session) {
-			sess.Exec(func() { sess.Release() })
-		})
-	}
-	if err := eng.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	s := srv.TakeSample()
-	if s.QueuePeak != 4 {
-		t.Fatalf("queue peak = %d, want 4", s.QueuePeak)
-	}
-	s2 := srv.TakeSample()
-	if s2.QueuePeak != 0 {
-		t.Fatalf("queue peak not reset: %d", s2.QueuePeak)
 	}
 }
 

@@ -97,16 +97,6 @@ func (t Timer) Cancel() {
 	}
 }
 
-// Pending reports whether the event is still scheduled to fire: it has
-// neither fired nor been canceled.
-func (t Timer) Pending() bool {
-	return t.ev != nil && t.ev.gen == t.gen && !t.ev.cancelled
-}
-
-// At returns the virtual time the event was scheduled for (zero for the
-// zero Timer).
-func (t Timer) At() Time { return t.at }
-
 // heapEntry is one queue slot. The full sort key (at, seq) is stored
 // inline so sift comparisons walk the contiguous heap array and never
 // chase *Event pointers — on the schedule/fire hot path that pointer
@@ -146,8 +136,8 @@ type Engine struct {
 	vhook func(rule, detail string)
 }
 
-// Violation rule names passed to the hook installed by SetViolationHook.
-// They mirror internal/invariant's rule constants without importing it.
+// Violation rule names passed to the hook installed by SetViolationHook;
+// internal/invariant records them as its Rule values of the same names.
 const (
 	RuleEventOrder      = "event-order"
 	RuleTimerGeneration = "timer-generation"

@@ -82,3 +82,13 @@ type ClassBreakdown struct {
 	// reached a terminal done/fail event.
 	RT metrics.Summary `json:"rt"`
 }
+
+// Events returns the retained events in recording order.
+func (t *RequestTracer) Events() []Event {
+	if t == nil {
+		return nil
+	}
+	out := make([]Event, len(t.events))
+	copy(out, t.events)
+	return out
+}

@@ -143,16 +143,6 @@ func (t *RequestTracer) Dropped() uint64 {
 	return t.dropped
 }
 
-// Events returns the retained events in recording order.
-func (t *RequestTracer) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	out := make([]Event, len(t.events))
-	copy(out, t.events)
-	return out
-}
-
 // WriteJSONL writes one JSON object per line per event.
 func (t *RequestTracer) WriteJSONL(w io.Writer) error {
 	if t == nil {

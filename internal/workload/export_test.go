@@ -1,6 +1,10 @@
 package workload
 
-import "math"
+import (
+	"math"
+
+	"dcm/internal/trace"
+)
 
 // Used only by this package's tests; no production code calls these.
 
@@ -34,3 +38,9 @@ func (d DistSpec) MeanSeconds() float64 {
 		return d.Mean
 	}
 }
+
+// Users returns the desired user population.
+func (c *ClosedLoop) Users() int { return c.want }
+
+// Trace returns the trace being replayed.
+func (t *TraceDriven) Trace() *trace.Trace { return t.trace }

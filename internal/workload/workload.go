@@ -195,9 +195,6 @@ func (c *ClosedLoop) Stop() {
 	c.want = 0
 }
 
-// Users returns the desired user population.
-func (c *ClosedLoop) Users() int { return c.want }
-
 // Live returns the number of users still cycling (lags Users after a
 // downward adjustment until users finish their current cycle).
 func (c *ClosedLoop) Live() int { return c.live }
@@ -370,6 +367,3 @@ func (t *TraceDriven) Stop() {
 
 // Loop exposes the underlying closed loop (for stats).
 func (t *TraceDriven) Loop() *ClosedLoop { return t.loop }
-
-// Trace returns the trace being replayed.
-func (t *TraceDriven) Trace() *trace.Trace { return t.trace }
