@@ -10,11 +10,13 @@ import (
 // configurations no other digest test covers: the graph runner with its
 // chaos crash, node threads ticker and checker, a second topology file,
 // both open-loop curves (the flash crowd under the degrade supervisor),
-// the retry-storm degrade rung, and the checked million-user smoke. The
+// the retry-storm degrade rung, the Fig. 5 scenario under the weighted
+// servlet mix, and the checked million-user smoke. The
 // wall-clock fields are zeroed before hashing; everything else is a pure
 // function of the configuration.
 func TestRunnerDigestPins(t *testing.T) {
 	t.Parallel()
+	tr := shortTrace(t)
 	cases := []struct {
 		name string
 		want string
@@ -65,6 +67,16 @@ func TestRunnerDigestPins(t *testing.T) {
 				if err == nil && (r.Degrade == nil || len(r.Degrade.Episodes) == 0 || r.Retries == 0) {
 					err = fmt.Errorf("degrade report %+v, %d retries: want a brownout episode and retries",
 						r.Degrade, r.Retries)
+				}
+				return r, err
+			}},
+		{"scenario-servlet-mix",
+			"4224c81b991f6fef6c54dcce5760a26eaa4957f749798e01a70db3dc17b658c6",
+			func() (any, error) {
+				r, err := RunScenario(ScenarioConfig{Seed: 27, Kind: ControllerDCM, Trace: tr,
+					ServletMix: true, NoiseSigma: 0.1, Audit: true})
+				if err == nil && len(r.Decisions) == 0 {
+					err = fmt.Errorf("no audited decisions: want the controller's audit log")
 				}
 				return r, err
 			}},
