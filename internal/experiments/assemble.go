@@ -27,6 +27,18 @@ import (
 // order, so the order of the steps that schedule (wire hook, chaos,
 // degrade supervisor, workload start, sampler) does too.
 
+// appClasses is the app's class list for a workload's class mix, in the
+// mix's order: the generator injects class i of the spec as class i of the
+// app. The generator draws the weights, so the app's classes carry none,
+// and each runs at the topology's default demand.
+func appClasses(spec workload.WorkloadSpec) []graph.Class {
+	classes := make([]graph.Class, len(spec.Classes))
+	for i, c := range spec.Classes {
+		classes[i] = graph.Class{Name: c.Name, Priority: c.Priority, SLO: c.SLO()}
+	}
+	return classes
+}
+
 // runPlan is what one run asks of the assembler. The hooks receive the run
 // being assembled.
 type runPlan struct {

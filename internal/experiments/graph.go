@@ -188,13 +188,6 @@ func RunGraph(cfg GraphConfig) (GraphResult, error) {
 		},
 	}
 
-	// The app's classes are the workload's, in the workload's order: the
-	// generator injects class i of the spec as class i of the app.
-	classes := make([]graph.Class, len(wspec.Classes))
-	for i, c := range wspec.Classes {
-		classes[i] = graph.Class{Name: c.Name, Priority: c.Priority, SLO: c.SLO()}
-	}
-
 	var chaosLog []string
 	targets := make(map[string]int)
 	r, err := assemble(runPlan{
@@ -203,7 +196,7 @@ func RunGraph(cfg GraphConfig) (GraphResult, error) {
 			Spec:       spec,
 			Policy:     lb.LeastConnections,
 			Resilience: *res,
-			Classes:    classes,
+			Classes:    appClasses(wspec),
 		},
 		chk: checker(cfg.Invariants),
 		wire: func(r *run) error {

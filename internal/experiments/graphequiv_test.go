@@ -105,9 +105,9 @@ func TestGraphDirectMatchesFacade(t *testing.T) {
 		}},
 		{name: "traffic-classes", mutate: func(c *ntier.Config) {
 			c.Resilience = *full
-			c.Classes = []ntier.RequestClass{
+			c.Classes = []graph.Class{
 				{Name: "premium", Priority: 1, SLO: 150 * time.Millisecond},
-				{Name: "basic", Queries: 3},
+				{Name: "basic", Profile: graph.Profile{EdgeVisits: map[string]int{"app->db": 3}}},
 			}
 		}, classes: 2},
 	}
@@ -169,38 +169,13 @@ func directGraphConfig(cfg ntier.Config) graph.Config {
 		cfg.QueriesPerRequest,
 		cfg.WebServers, cfg.AppServers, cfg.DBServers,
 		cfg.DBThrashKnee, cfg.DBThrashCoef, cfg.DBThrashCap)
-	gc := graph.Config{
+	return graph.Config{
 		Spec:       spec,
 		NoiseSigma: cfg.NoiseSigma,
 		Policy:     cfg.Policy,
 		Resilience: cfg.Resilience,
+		Classes:    cfg.Classes,
 	}
-	for _, c := range cfg.Classes {
-		// ntier.New fills class demand defaults during translation; mirror
-		// the filled values here. Weighted classes (the servlet mix) keep
-		// their weights, so Inject draws them.
-		appDemand, queries, queryDemand := c.AppDemand, c.Queries, c.QueryDemand
-		if appDemand == 0 {
-			appDemand = 1
-		}
-		if queries == 0 {
-			queries = cfg.QueriesPerRequest
-		}
-		if queryDemand == 0 {
-			queryDemand = 1
-		}
-		gc.Classes = append(gc.Classes, graph.Class{
-			Name:     c.Name,
-			Priority: c.Priority,
-			SLO:      c.SLO,
-			Weight:   c.Weight,
-			Profile: graph.Profile{
-				NodeDemand: map[string]float64{"app": appDemand, "db": queryDemand},
-				EdgeVisits: map[string]int{"app->db": queries},
-			},
-		})
-	}
-	return gc
 }
 
 // TestGraphChainDigestPinned freezes the direct-graph chain run itself:

@@ -150,17 +150,7 @@ func runOpenLoop(cfg OpenLoopConfig, flash bool) (OpenLoopResult, error) {
 	appCfg := ntier.DefaultConfig()
 	appCfg.AppServers = cfg.AppServers
 	appCfg.Resilience = *res
-	appCfg.Classes = make([]ntier.RequestClass, len(spec.Classes))
-	for i, c := range spec.Classes {
-		appCfg.Classes[i] = ntier.RequestClass{
-			Name:        c.Name,
-			Priority:    c.Priority,
-			SLO:         c.SLO(),
-			AppDemand:   c.AppDemand,
-			Queries:     c.Queries,
-			QueryDemand: c.QueryDemand,
-		}
-	}
+	appCfg.Classes = appClasses(spec)
 	r, err := assemble(runPlan{
 		seed:  cfg.Seed,
 		chain: &appCfg,

@@ -244,8 +244,8 @@ func (a *App) Inject(done func(rt time.Duration, ok bool)) {
 // backend instead of rotating. A classless, sessionless call is
 // byte-identical to Inject.
 func (a *App) InjectClass(class int, session uint64, done func(rt time.Duration, ok bool)) {
-	if a.classWeight > 0 && (class < 0 || class >= len(a.classProfiles)) {
-		class = a.pickClass()
+	if a.classDraw != nil && (class < 0 || class >= len(a.classProfiles)) {
+		class = a.classDraw.Pick(a.rnd)
 	}
 	r := a.newRequest()
 	r.start = a.eng.Now()

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"dcm/internal/graph"
 	"dcm/internal/invariant"
 	"dcm/internal/mva"
 	"dcm/internal/ntier"
@@ -26,11 +27,30 @@ func TestClassWeightedMVAConformance(t *testing.T) {
 		t.Skip("long steady-state run")
 	}
 	cfg := ntier.DefaultConfig()
-	classes := []ntier.RequestClass{
-		{Name: "light", Queries: 1},
-		{Name: "heavy", AppDemand: 1.5, Queries: 3, QueryDemand: 1.5},
+	const queries = ntier.TierApp + "->" + ntier.TierDB
+	classes := []graph.Class{
+		{Name: "light", Profile: graph.Profile{EdgeVisits: map[string]int{queries: 1}}},
+		{Name: "heavy", Profile: graph.Profile{
+			NodeDemand: map[string]float64{ntier.TierApp: 1.5, ntier.TierDB: 1.5},
+			EdgeVisits: map[string]int{queries: 3},
+		}},
 	}
 	cfg.Classes = classes
+	// The model reads each class's knobs from the profile the app runs:
+	// a node demand the profile leaves out is 1.0, and a query count it
+	// leaves out is the chain's QueriesPerRequest.
+	demand := func(c graph.Class, node string) float64 {
+		if d, ok := c.Profile.NodeDemand[node]; ok {
+			return d
+		}
+		return 1
+	}
+	visits := func(c graph.Class) float64 {
+		if v, ok := c.Profile.EdgeVisits[queries]; ok {
+			return float64(v)
+		}
+		return float64(cfg.QueriesPerRequest)
+	}
 	const (
 		users = 600
 		think = time.Second
@@ -97,9 +117,9 @@ func TestClassWeightedMVAConformance(t *testing.T) {
 		if p == 0 {
 			t.Fatalf("class %s saw no traffic", c.Name)
 		}
-		appDemand += p * c.AppDemand
-		dbVisits += p * float64(c.Queries)
-		dbWeighted += p * float64(c.Queries) * c.QueryDemand
+		appDemand += p * demand(c, ntier.TierApp)
+		dbVisits += p * visits(c)
+		dbWeighted += p * visits(c) * demand(c, ntier.TierDB)
 	}
 	dbDemand := dbWeighted / dbVisits // per-visit scale, visit-weighted
 	got /= measure.Seconds()

@@ -17,14 +17,14 @@ func TestClassValidation(t *testing.T) {
 	t.Parallel()
 	eng := sim.NewEngine()
 	r := rng.New(1)
-	bad := [][]RequestClass{
+	bad := [][]graph.Class{
 		{{Name: ""}},
 		{{Name: "a"}, {Name: "a"}},
 		{{Name: "a", Priority: -1}},
 		{{Name: "a", SLO: -time.Second}},
-		{{Name: "a", AppDemand: -1}},
-		{{Name: "a", Queries: -1}},
-		{{Name: "a", QueryDemand: -0.5}},
+		{servlet("a", 0, -1, 0, 0)},
+		{servlet("a", 0, 0, -1, 0)},
+		{servlet("a", 0, 0, 0, -0.5)},
 	}
 	for i, classes := range bad {
 		cfg := fastConfig()
@@ -37,28 +37,35 @@ func TestClassValidation(t *testing.T) {
 	// A class set is either picked by the workload (no weights) or drawn
 	// by weight (the servlet mix); mixing the two forms is rejected.
 	cfg := fastConfig()
-	cfg.Classes = []RequestClass{{Name: "a"}, {Name: "s", Weight: 1}}
+	cfg.Classes = []graph.Class{{Name: "a"}, {Name: "s", Weight: 1}}
 	if _, err := New(eng, r, cfg); !errors.Is(err, graph.ErrBadClass) ||
 		!strings.Contains(err.Error(), "all zero or all positive") {
 		t.Errorf("unweighted+weighted: err = %v, want mixed-weights graph.ErrBadClass", err)
 	}
 }
 
+// TestClassDefaultsFilled: a class whose profile leaves a knob out runs
+// it at the chain's default, so an empty profile issues QueriesPerRequest
+// queries per request, and an explicit query count overrides that.
 func TestClassDefaultsFilled(t *testing.T) {
 	t.Parallel()
 	cfg := fastConfig()
 	cfg.QueriesPerRequest = 3
-	cfg.Classes = []RequestClass{{Name: "a"}, {Name: "b", Queries: 1, AppDemand: 2}}
-	newApp(t, cfg)
-	// New hands the graph each class's demand profile with the defaults
-	// filled.
-	got := classProfiles(cfg.Classes, cfg.QueriesPerRequest)
-	const queries = TierApp + "->" + TierDB
-	if p := got[0].Profile; p.NodeDemand[TierApp] != 1 || p.EdgeVisits[queries] != 3 || p.NodeDemand[TierDB] != 1 {
-		t.Fatalf("class a defaults not filled: %+v", p)
-	}
-	if p := got[1].Profile; p.NodeDemand[TierApp] != 2 || p.EdgeVisits[queries] != 1 {
-		t.Fatalf("class b overrides lost: %+v", p)
+	cfg.Classes = []graph.Class{{Name: "a"}, servlet("b", 0, 2, 1, 0)}
+	eng, app := newApp(t, cfg)
+	db := app.Members(TierDB)[0].Server()
+	for _, tc := range []struct {
+		class, bursts int
+	}{{0, 30}, {1, 10}} {
+		for i := 0; i < 10; i++ {
+			app.InjectClass(tc.class, 0, nil)
+		}
+		if err := eng.Run(eng.Now() + time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		if got := db.TakeSample().Completions; got != uint64(tc.bursts) {
+			t.Errorf("class %s: db bursts = %d, want %d", cfg.Classes[tc.class].Name, got, tc.bursts)
+		}
 	}
 }
 
@@ -68,7 +75,7 @@ func TestClassDefaultsFilled(t *testing.T) {
 func TestInjectClassTallies(t *testing.T) {
 	t.Parallel()
 	cfg := fastConfig()
-	cfg.Classes = []RequestClass{
+	cfg.Classes = []graph.Class{
 		{Name: "premium", Priority: 1, SLO: 2 * time.Second},
 		{Name: "basic"},
 	}
@@ -130,7 +137,7 @@ func TestInjectClassTallies(t *testing.T) {
 func TestInjectClassOutOfRange(t *testing.T) {
 	t.Parallel()
 	cfg := fastConfig()
-	cfg.Classes = []RequestClass{{Name: "only"}}
+	cfg.Classes = []graph.Class{{Name: "only"}}
 	eng, app := newApp(t, cfg)
 	chk := invariant.New()
 	app.SetInvariantChecker(chk)
@@ -157,9 +164,9 @@ func TestInjectClassOutOfRange(t *testing.T) {
 func TestClassDemandProfiles(t *testing.T) {
 	t.Parallel()
 	cfg := fastConfig()
-	cfg.Classes = []RequestClass{
-		{Name: "light", Queries: 1},
-		{Name: "heavy", AppDemand: 4, Queries: 6, QueryDemand: 2},
+	cfg.Classes = []graph.Class{
+		servlet("light", 0, 0, 1, 0),
+		servlet("heavy", 0, 4, 6, 2),
 	}
 	eng, app := newApp(t, cfg)
 	for i := 0; i < 50; i++ {
@@ -195,10 +202,9 @@ func TestCriticalClassNotShed(t *testing.T) {
 	// Both classes are deliberately heavy (20 queries at 4x demand each,
 	// roughly 55 ms of DB work per request) so 400 req/s of offered load
 	// is several times the four-connection DB tier's capacity.
-	cfg.Classes = []RequestClass{
-		{Name: "premium", Priority: 1, Queries: 20, QueryDemand: 4},
-		{Name: "basic", Queries: 20, QueryDemand: 4},
-	}
+	critical := servlet("premium", 0, 0, 20, 4)
+	critical.Priority = 1
+	cfg.Classes = []graph.Class{critical, servlet("basic", 0, 0, 20, 4)}
 	eng, app := newApp(t, cfg)
 	chk := invariant.New()
 	app.SetInvariantChecker(chk)

@@ -13,11 +13,12 @@
 //
 // The chain is the 3-node case of internal/graph (graph.ChainSpec). This
 // package holds only what is specific to the paper's chain: the tier
-// names, the Table I calibration, the request classes (the servlet mix
-// among them), and their translation into a graph config. New returns the
-// graph engine itself; callers drive it through the graph API, naming the
-// tiers as nodes. The sha256 digest regressions in internal/experiments pin that
-// the translation reproduces the chain's event and rng stream bit for bit.
+// names, the Table I calibration and the RUBBoS servlet mix, whose
+// classes are graph.Class values profiled over the chain's nodes. New
+// returns the graph engine itself; callers drive it through the graph
+// API, naming the tiers as nodes. The sha256 digest regressions in
+// internal/experiments pin that the chain reproduces its event and rng
+// stream bit for bit.
 package ntier
 
 import (
@@ -56,16 +57,17 @@ type Config struct {
 	// paper controls MySQL concurrency from upstream pools instead.
 	DBMaxConns int
 	// QueriesPerRequest is the DB visit ratio V_db (the paper's example
-	// workload issues 2 queries per HTTP request). It is the classless
-	// flow's visit ratio and the default for a class with 0 Queries.
+	// workload issues 2 queries per HTTP request). It is the app→db
+	// edge's visit ratio, which a class's profile may override.
 	QueriesPerRequest int
 	// Classes, when non-empty, enables request classes, each with its own
-	// priority, SLO and demand profile and its own per-class tallies.
+	// priority, SLO and demand profile over the chain's nodes and its own
+	// per-class tallies; New hands them to graph.New unchanged.
 	// Unweighted classes are picked per request by the workload and
 	// injected through InjectClass; weighted ones are drawn by Inject
 	// (§II-A's RUBBoS servlet mix, DefaultServlets). Empty keeps the
 	// single uniform class the calibration uses.
-	Classes []RequestClass
+	Classes []graph.Class
 	// WebServers, AppServers, DBServers are the initial #W/#A/#D.
 	WebServers, AppServers, DBServers int
 	// NoiseSigma adds mean-one lognormal noise to every burst.
@@ -144,36 +146,6 @@ func chainSpec(cfg Config) graph.Spec {
 		cfg.DBThrashKnee, cfg.DBThrashCoef, cfg.DBThrashCap)
 }
 
-// classProfiles translates the request classes into graph classes,
-// filling the demand defaults: a class's app demand scales the app node,
-// its query demand the db node, and its query count the app→db visit
-// ratio. graph.New validates the result.
-func classProfiles(classes []RequestClass, queriesDefault int) []graph.Class {
-	out := make([]graph.Class, len(classes))
-	for i, c := range classes {
-		if c.AppDemand == 0 {
-			c.AppDemand = 1
-		}
-		if c.Queries == 0 {
-			c.Queries = queriesDefault
-		}
-		if c.QueryDemand == 0 {
-			c.QueryDemand = 1
-		}
-		out[i] = graph.Class{
-			Name:     c.Name,
-			Priority: c.Priority,
-			SLO:      c.SLO,
-			Weight:   c.Weight,
-			Profile: graph.Profile{
-				NodeDemand: map[string]float64{TierApp: c.AppDemand, TierDB: c.QueryDemand},
-				EdgeVisits: map[string]int{TierApp + "->" + TierDB: c.Queries},
-			},
-		}
-	}
-	return out
-}
-
 // New validates cfg and builds the chain as a 3-node service graph with
 // cfg's initial topology. rnd must be a dedicated stream.
 func New(eng *sim.Engine, rnd *rng.Rand, cfg Config) (*graph.App, error) {
@@ -205,7 +177,7 @@ func New(eng *sim.Engine, rnd *rng.Rand, cfg Config) (*graph.App, error) {
 		NoiseSigma: cfg.NoiseSigma,
 		Policy:     cfg.Policy,
 		Resilience: cfg.Resilience,
-		Classes:    classProfiles(cfg.Classes, cfg.QueriesPerRequest),
+		Classes:    cfg.Classes,
 	})
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"dcm/internal/graph"
 	"dcm/internal/rng"
 	"dcm/internal/sim"
 	"dcm/internal/trace"
@@ -102,7 +103,7 @@ func TestTraceFailedRequest(t *testing.T) {
 func TestTraceServletName(t *testing.T) {
 	t.Parallel()
 	cfg := fastConfig()
-	cfg.Classes = []RequestClass{{Name: "OnlyOne", Weight: 1, AppDemand: 1, Queries: 1, QueryDemand: 1}}
+	cfg.Classes = []graph.Class{servlet("OnlyOne", 1, 1, 1, 1)}
 	eng, app := newApp(t, cfg)
 	tr := trace.NewRequestTracer(0)
 	app.SetRequestTracer(tr)

@@ -135,3 +135,32 @@ func (r *Rand) BoundedPareto(alpha, lo, hi float64) float64 {
 	ha := math.Pow(hi, alpha)
 	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
 }
+
+// Weighted draws indexes in proportion to fixed weights: one Float64
+// scaled by the total weight, compared against the cumulative weights.
+type Weighted struct {
+	cum []float64 // cumulative weights, summed left to right
+}
+
+// NewWeighted returns a draw over weights, which must be non-empty and
+// positive; callers own their validation.
+func NewWeighted(weights []float64) *Weighted {
+	cum := make([]float64, len(weights))
+	total := 0.0
+	for i, w := range weights {
+		total += w
+		cum[i] = total
+	}
+	return &Weighted{cum: cum}
+}
+
+// Pick draws one index from r (one Float64, zero allocations).
+func (w *Weighted) Pick(r *Rand) int {
+	u := r.Float64() * w.cum[len(w.cum)-1]
+	for i, c := range w.cum {
+		if u < c {
+			return i
+		}
+	}
+	return len(w.cum) - 1
+}

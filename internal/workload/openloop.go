@@ -10,9 +10,11 @@ import (
 )
 
 // Class is one traffic class as the generators see it: a weighted slice of
-// the stream, optionally with its own think-time law. The class at index i
-// is injected as class i — the spec keeps generator classes and the
-// application's RequestClass list aligned by construction.
+// the stream, optionally with its own think-time law. It is the compiled
+// form of a ClassSpec, with the spec's think-time DistSpec built into a
+// Sampler. The class at index i is injected as class i; the experiments
+// build the application's graph.Class list from the same spec, in the
+// same order.
 type Class struct {
 	Name string
 	// Weight is the class's share of traffic (normalized over the mix).
@@ -26,14 +28,13 @@ type Class struct {
 	Think Sampler
 }
 
-// classPicker draws classes by cumulative weight with one uniform draw.
-type classPicker struct {
-	cum []float64 // cumulative weights, cum[len-1] == total
-}
-
-func newClassPicker(classes []Class) (*classPicker, error) {
-	cum := make([]float64, len(classes))
-	total := 0.0
+// newClassPicker checks a class mix and returns the weighted draw over
+// it.
+func newClassPicker(classes []Class) (*rng.Weighted, error) {
+	if len(classes) == 0 {
+		return nil, fmt.Errorf("%w: empty class mix", ErrBadWorkload)
+	}
+	weights := make([]float64, len(classes))
 	for i, c := range classes {
 		if c.Name == "" {
 			return nil, fmt.Errorf("%w: class %d has no name", ErrBadWorkload, i)
@@ -41,24 +42,9 @@ func newClassPicker(classes []Class) (*classPicker, error) {
 		if c.Weight <= 0 {
 			return nil, fmt.Errorf("%w: class %q weight %v", ErrBadWorkload, c.Name, c.Weight)
 		}
-		total += c.Weight
-		cum[i] = total
+		weights[i] = c.Weight
 	}
-	if len(cum) == 0 {
-		return nil, fmt.Errorf("%w: empty class mix", ErrBadWorkload)
-	}
-	return &classPicker{cum: cum}, nil
-}
-
-// pick draws one class index (one uniform draw, zero allocations).
-func (p *classPicker) pick(rnd *rng.Rand) int {
-	u := rnd.Uniform(0, p.cum[len(p.cum)-1])
-	for i, c := range p.cum {
-		if u < c {
-			return i
-		}
-	}
-	return len(p.cum) - 1
+	return rng.NewWeighted(weights), nil
 }
 
 // RateCurve is a time-varying arrival rate in requests per second.
@@ -142,7 +128,7 @@ type OpenLoopGen struct {
 	max    float64
 	thin   bool // curve is time-varying: thin candidates
 
-	picker *classPicker
+	picker *rng.Weighted
 
 	started   bool
 	stopped   bool
@@ -220,7 +206,7 @@ func (o *OpenLoopGen) arrive() {
 	o.scheduled++
 	cls := -1
 	if o.picker != nil {
-		cls = o.picker.pick(o.rnd)
+		cls = o.picker.Pick(o.rnd)
 	}
 	o.target.InjectClass(cls, 0, ignoreOutcome)
 	o.scheduleGap()

@@ -106,9 +106,10 @@ type BurstySpec struct {
 }
 
 // ClassSpec is one traffic class of the mix: its share of the request
-// stream plus the treatment and demand knobs the application layer maps
-// onto its own per-class config. Class order in the spec defines the class
-// indices the generator passes to InjectClass.
+// stream plus the treatment knobs the application layer maps onto its own
+// per-class config. A class's cost is not part of the mix; it lives in
+// the application's per-class demand profile. Class order in the spec
+// defines the class indices the generator passes to InjectClass.
 type ClassSpec struct {
 	// Name identifies the class.
 	Name string `json:"name"`
@@ -118,11 +119,6 @@ type ClassSpec struct {
 	Priority int `json:"priority,omitempty"`
 	// SLOSeconds is the class goodput threshold (0 = the global SLA).
 	SLOSeconds float64 `json:"sloSeconds,omitempty"`
-	// AppDemand, Queries and QueryDemand shape the class's work profile
-	// (0 = application defaults).
-	AppDemand   float64 `json:"appDemand,omitempty"`
-	Queries     int     `json:"queries,omitempty"`
-	QueryDemand float64 `json:"queryDemand,omitempty"`
 	// Think overrides the workload think-time law for this class
 	// (closed kind only).
 	Think *DistSpec `json:"think,omitempty"`
@@ -323,8 +319,6 @@ func validateClassSpecs(classes []ClassSpec, kind string) error {
 			return fmt.Errorf("workload: class %q: priority must be >= 0 (got %d)", c.Name, c.Priority)
 		case c.SLOSeconds < 0:
 			return fmt.Errorf("workload: class %q: sloSeconds must be >= 0 (got %v)", c.Name, c.SLOSeconds)
-		case c.AppDemand < 0 || c.Queries < 0 || c.QueryDemand < 0:
-			return fmt.Errorf("workload: class %q: negative demand", c.Name)
 		}
 		seen[c.Name] = true
 		if c.Think != nil {

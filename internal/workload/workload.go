@@ -99,7 +99,7 @@ type ClosedLoop struct {
 	// Class-mix state (nil/zero without classes). Classless users all
 	// share the one record in classless.
 	classes   []Class
-	picker    *classPicker
+	picker    *rng.Weighted
 	classless user
 	think     Sampler // think-law override (nil = exponential ThinkTime)
 	sessions  uint64  // next session id
@@ -221,7 +221,7 @@ func (c *ClosedLoop) SetUsers(n int) {
 			// Class mode: the user draws a class and a session id at spawn
 			// and keeps both for life — a premium user stays premium, and
 			// the session key pins their requests to one backend.
-			cls := c.picker.pick(c.rnd)
+			cls := c.picker.Pick(c.rnd)
 			c.sessions++
 			u = &user{c: c, cls: cls, session: c.sessions, critical: c.classes[cls].Priority > 0}
 		}
