@@ -34,7 +34,7 @@ type AgentMonitor interface {
 type Record struct {
 	At   time.Duration `json:"at"`
 	Kind string        `json:"kind"` // "launch", "ready", "drain", "remove",
-	// "allocate", "crash", "timeout", "retry", "give-up"
+	// "crash", "timeout", "retry", "give-up"
 	Tier   string `json:"tier,omitempty"`
 	VM     string `json:"vm,omitempty"`
 	Detail string `json:"detail,omitempty"`
@@ -278,19 +278,17 @@ func (va *VMAgent) record(kind, tier, vm, detail string) {
 
 // AppAgent applies soft-resource allocations at runtime (§IV-B).
 type AppAgent struct {
-	eng     *sim.Engine
-	app     *graph.App
-	records []Record
+	app *graph.App
 }
 
 // NewAppAgent builds an APP-agent for the paper's chain as ntier.New
 // builds it: Apply drives its web and app nodes' threads and its pooled
 // app→db edge.
-func NewAppAgent(eng *sim.Engine, app *graph.App) (*AppAgent, error) {
-	if eng == nil || app == nil {
+func NewAppAgent(app *graph.App) (*AppAgent, error) {
+	if app == nil {
 		return nil, fmt.Errorf("%w: nil dependency", ErrBadAgent)
 	}
-	return &AppAgent{eng: eng, app: app}, nil
+	return &AppAgent{app: app}, nil
 }
 
 // Apply reconfigures the system to the target allocation. Only knobs that
@@ -298,9 +296,6 @@ func NewAppAgent(eng *sim.Engine, app *graph.App) (*AppAgent, error) {
 // (pool shrinks drain gracefully).
 func (aa *AppAgent) Apply(target model.Allocation) {
 	current := ntier.Allocation(aa.app)
-	if target == current {
-		return
-	}
 	if target.WebThreadsPerServer > 0 && target.WebThreadsPerServer != current.WebThreadsPerServer {
 		_ = aa.app.SetNodeThreads(ntier.TierWeb, target.WebThreadsPerServer)
 	}
@@ -310,9 +305,4 @@ func (aa *AppAgent) Apply(target model.Allocation) {
 	if target.DBConnsPerAppServer > 0 && target.DBConnsPerAppServer != current.DBConnsPerAppServer {
 		_ = aa.app.SetEdgePoolSize(ntier.TierApp, ntier.TierDB, target.DBConnsPerAppServer)
 	}
-	aa.records = append(aa.records, Record{
-		At:     aa.eng.Now(),
-		Kind:   "allocate",
-		Detail: fmt.Sprintf("%s -> %s", current, ntier.Allocation(aa.app)),
-	})
 }

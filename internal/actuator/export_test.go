@@ -8,10 +8,3 @@ func (va *VMAgent) Records() []Record {
 	copy(out, va.records)
 	return out
 }
-
-// Records returns a copy of the actuation log.
-func (aa *AppAgent) Records() []Record {
-	out := make([]Record, len(aa.records))
-	copy(out, aa.records)
-	return out
-}

@@ -7,19 +7,17 @@
 // positions.
 //
 // Each topic log is one power-of-two ring of messages with dense offsets.
-// Like a Kafka topic, a topic has a retention policy, chosen when it is
-// declared with CreateTopic:
+// Like a Kafka topic, a topic has a retention policy:
 //
-//   - unbounded (0, and every topic created implicitly by Publish): the
-//     ring doubles when full and keeps every message, so a reader can
-//     re-read the whole log from offset 0 after a run;
-//   - bounded (n > 0): the ring keeps the newest n messages and each
-//     publish past n overwrites the oldest in place;
-//   - retain-until-read (RetainUntilRead): the ring keeps only messages
-//     some consumer of the topic has not yet read. The consumers act as
-//     the gating sequences of a Disruptor-style ring buffer: every read
-//     trims the log up to the lowest offset among them, so the log holds
-//     what is in flight, not everything that was ever published.
+//   - unbounded (every topic created implicitly by Publish): the ring
+//     doubles when full and keeps every message, so a reader can re-read
+//     the whole log from offset 0 after a run;
+//   - retain-until-read (every topic declared with CreateTopic): the ring
+//     keeps only messages some consumer of the topic has not yet read.
+//     The consumers act as the gating sequences of a Disruptor-style ring
+//     buffer: every read trims the log up to the lowest offset among
+//     them, so the log holds what is in flight, not everything that was
+//     ever published.
 //
 // Reading an offset below a topic's retention horizon resumes at the
 // first retained message, as Kafka's auto.offset.reset=earliest does.
@@ -48,25 +46,14 @@ type Message struct {
 	Value any
 }
 
-// Errors returned by the bus.
-var (
-	ErrClosed       = errors.New("bus: closed")
-	ErrUnknownTopic = errors.New("bus: unknown topic")
-)
-
-// RetainUntilRead is the retention argument to CreateTopic that keeps a
-// message only until every consumer registered on the topic has read it.
-// A consumer is registered when it is created on a declared topic, or on
-// its first read once the topic exists; a topic with no registered
-// consumer keeps everything.
-const RetainUntilRead = -1
+// ErrUnknownTopic is returned by Fetch for a topic that does not exist.
+var ErrUnknownTopic = errors.New("bus: unknown topic")
 
 // Bus is an in-memory, multi-topic, append-only message log.
 // The zero value is ready to use.
 type Bus struct {
 	mu     sync.Mutex
 	topics map[string]*topicLog
-	closed bool
 }
 
 // topicLog is one topic's retained messages, held in a ring.
@@ -80,10 +67,10 @@ type topicLog struct {
 	// base is the offset of the first retained message, i.e. the number
 	// of messages retention has discarded.
 	base int64
-	// retention is a retained-length bound (> 0), 0 for unbounded, or
-	// RetainUntilRead.
-	retention int
-	// consumers gate a RetainUntilRead topic.
+	// untilRead marks a retain-until-read topic; otherwise the topic
+	// keeps everything.
+	untilRead bool
+	// consumers gate a retain-until-read topic.
 	consumers []*Consumer
 }
 
@@ -92,27 +79,19 @@ func New() *Bus {
 	return &Bus{topics: make(map[string]*topicLog)}
 }
 
-// CreateTopic declares a topic's retention: retain > 0 keeps the newest
-// retain messages, 0 keeps everything and RetainUntilRead keeps what its
-// consumers have not read (any other negative value means 0). Creating an
-// existing topic only tightens or loosens its retention. Publishing to an
-// undeclared topic creates it implicitly with unlimited retention.
-func (b *Bus) CreateTopic(topic string, retain int) error {
+// CreateTopic declares a retain-until-read topic: it keeps a message only
+// until every consumer registered on it has read it. A consumer is
+// registered when it is created on a declared topic, or on its first read
+// once the topic exists; a topic with no registered consumer keeps
+// everything. Declaring an existing topic makes it retain-until-read and
+// drops what its consumers have already read. Publishing to an undeclared
+// topic creates it implicitly with unlimited retention.
+func (b *Bus) CreateTopic(topic string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.closed {
-		return ErrClosed
-	}
 	t := b.topic(topic)
-	if retain < 0 && retain != RetainUntilRead {
-		retain = 0
-	}
-	t.retention = retain
-	if retain > 0 && t.n > retain {
-		t.drop(t.n - retain)
-	}
+	t.untilRead = true
 	t.trim()
-	return nil
 }
 
 // topic returns the named topic log, creating it if needed.
@@ -135,12 +114,8 @@ func (t *topicLog) end() int64 { return t.base + int64(t.n) }
 // slot returns the i-th retained message's place in the ring.
 func (t *topicLog) slot(i int) *Message { return &t.ring[(t.head+i)&(len(t.ring)-1)] }
 
-// push appends m, dropping the oldest message of a full bounded topic and
-// doubling a full ring otherwise.
+// push appends m, doubling a full ring.
 func (t *topicLog) push(m Message) {
-	if t.retention > 0 && t.n == t.retention {
-		t.drop(1)
-	}
 	if t.n == len(t.ring) {
 		ring := make([]Message, max(2*len(t.ring), 1))
 		t.copyTo(ring[:t.n], 0)
@@ -161,10 +136,10 @@ func (t *topicLog) drop(k int) {
 	t.base += int64(k)
 }
 
-// trim drops what every registered consumer of a RetainUntilRead topic
+// trim drops what every registered consumer of a retain-until-read topic
 // has read.
 func (t *topicLog) trim() {
-	if t.retention != RetainUntilRead || len(t.consumers) == 0 {
+	if !t.untilRead || len(t.consumers) == 0 {
 		return
 	}
 	low := t.end()
@@ -213,12 +188,9 @@ func (t *topicLog) fetch(offset int64, limit int) []Message {
 }
 
 // Publish appends a message to topic and returns its offset.
-func (b *Bus) Publish(topic, key string, value any) (int64, error) {
+func (b *Bus) Publish(topic, key string, value any) int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.closed {
-		return 0, ErrClosed
-	}
 	t := b.topic(topic)
 	offset := t.end()
 	t.push(Message{
@@ -227,7 +199,7 @@ func (b *Bus) Publish(topic, key string, value any) (int64, error) {
 		Key:    key,
 		Value:  value,
 	})
-	return offset, nil
+	return offset
 }
 
 // Fetch returns up to limit messages from topic starting at offset
@@ -237,9 +209,6 @@ func (b *Bus) Publish(topic, key string, value any) (int64, error) {
 func (b *Bus) Fetch(topic string, offset int64, limit int) ([]Message, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.closed {
-		return nil, ErrClosed
-	}
 	t, ok := b.topics[topic]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTopic, topic)
@@ -284,44 +253,38 @@ func (c *Consumer) attach() bool {
 // Poll returns up to limit new messages (limit <= 0 for all available) and
 // advances the consumer offset past them. A consumer on an as-yet-unknown
 // topic simply reads nothing.
-func (c *Consumer) Poll(limit int) ([]Message, error) {
+func (c *Consumer) Poll(limit int) []Message {
 	b := c.bus
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.closed {
-		return nil, ErrClosed
-	}
 	if !c.attach() {
-		return nil, nil
+		return nil
 	}
 	msgs := c.log.fetch(c.offset, limit)
 	if len(msgs) > 0 {
 		c.offset = msgs[len(msgs)-1].Offset + 1
 		c.log.trim()
 	}
-	return msgs, nil
+	return msgs
 }
 
 // Next returns the next message and advances the consumer offset past
 // it, as Poll(1) does but without building a slice. ok is false when no
 // new message is buffered, including on an as-yet-unknown topic.
-func (c *Consumer) Next() (msg Message, ok bool, err error) {
+func (c *Consumer) Next() (msg Message, ok bool) {
 	b := c.bus
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.closed {
-		return Message{}, false, ErrClosed
-	}
 	if !c.attach() {
-		return Message{}, false, nil
+		return Message{}, false
 	}
 	t := c.log
 	i := t.index(c.offset)
 	if i == t.n {
-		return Message{}, false, nil
+		return Message{}, false
 	}
 	msg = *t.slot(i)
 	c.offset = msg.Offset + 1
 	t.trim()
-	return msg, true, nil
+	return msg, true
 }

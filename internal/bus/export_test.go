@@ -43,13 +43,5 @@ func (b *Bus) ringLen(topic string) int {
 	return 0
 }
 
-// Close shuts the bus down; subsequent operations return ErrClosed.
-func (b *Bus) Close() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.closed = true
-	b.topics = nil
-}
-
 // Offset returns the consumer's next-read position.
 func (c *Consumer) Offset() int64 { return c.offset }

@@ -34,10 +34,6 @@ type Config struct {
 	MonitorInterval time.Duration
 	// PrepDelay is the VM preparation period (paper: 15 s).
 	PrepDelay time.Duration
-	// BusRetention bounds each bus topic (0 keeps everything; experiments
-	// that inspect raw samples want everything, long production runs
-	// don't).
-	BusRetention int
 	// Guard, when non-nil, installs the sensor guard in front of view
 	// aggregation: stale samples are rejected, non-monotonic timestamps
 	// clamped and flagged, outlying CPU readings median-filtered, and
@@ -106,14 +102,6 @@ func New(eng *sim.Engine, app *graph.App, ctrl controller.Controller, cfg Config
 	cfg = cfg.withDefaults()
 
 	b := bus.New()
-	if cfg.BusRetention > 0 {
-		if err := b.CreateTopic(monitor.TopicServerMetrics, cfg.BusRetention); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		if err := b.CreateTopic(monitor.TopicSystemMetrics, cfg.BusRetention); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-	}
 	fleet, err := monitor.NewFleet(eng, b, app, cfg.MonitorInterval)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -123,7 +111,7 @@ func New(eng *sim.Engine, app *graph.App, ctrl controller.Controller, cfg Config
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	appAgent, err := actuator.NewAppAgent(eng, app)
+	appAgent, err := actuator.NewAppAgent(app)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -270,42 +258,39 @@ func (f *Framework) buildView() controller.SystemView {
 	}
 	aggs := make(map[string]*agg, 3)
 
-	msgs, err := f.serverC.Poll(0)
-	if err == nil {
-		for _, m := range msgs {
-			s, ok := m.Value.(monitor.ServerSample)
-			if !ok {
-				continue
-			}
-			tierName, ok := accepting[s.VM]
-			if !ok {
-				continue
-			}
-			// The sensor guard vets every sample the controllers will see:
-			// stale ones are dropped, repairable ones (clock steps, CPU
-			// glitches) fixed in place on the local copy.
-			if f.guard != nil && !f.guard.AdmitServer(f.eng.Now(), &s) {
-				continue
-			}
-			a := aggs[tierName]
-			if a == nil {
-				a = &agg{}
-				aggs[tierName] = a
-			}
-			a.cpuSum += s.CPUUtil
-			a.activeSum += s.ActiveThreads
-			a.tpSum += s.Throughput
-			if s.CPUUtil > a.maxCPU {
-				a.maxCPU = s.CPUUtil
-			}
-			a.n++
-			// Keep the fine-grained per-VM operating point for online
-			// model estimation (§III-C).
-			a.points = append(a.points, model.Observation{
-				Concurrency: s.ActiveThreads,
-				Throughput:  s.Throughput,
-			})
+	for _, m := range f.serverC.Poll(0) {
+		s, ok := m.Value.(monitor.ServerSample)
+		if !ok {
+			continue
 		}
+		tierName, ok := accepting[s.VM]
+		if !ok {
+			continue
+		}
+		// The sensor guard vets every sample the controllers will see:
+		// stale ones are dropped, repairable ones (clock steps, CPU
+		// glitches) fixed in place on the local copy.
+		if f.guard != nil && !f.guard.AdmitServer(f.eng.Now(), &s) {
+			continue
+		}
+		a := aggs[tierName]
+		if a == nil {
+			a = &agg{}
+			aggs[tierName] = a
+		}
+		a.cpuSum += s.CPUUtil
+		a.activeSum += s.ActiveThreads
+		a.tpSum += s.Throughput
+		if s.CPUUtil > a.maxCPU {
+			a.maxCPU = s.CPUUtil
+		}
+		a.n++
+		// Keep the fine-grained per-VM operating point for online
+		// model estimation (§III-C).
+		a.points = append(a.points, model.Observation{
+			Concurrency: s.ActiveThreads,
+			Throughput:  s.Throughput,
+		})
 	}
 	periods := f.cfg.ControlPeriod.Seconds() / f.cfg.MonitorInterval.Seconds()
 	for tierName, a := range aggs {
@@ -355,20 +340,17 @@ func (f *Framework) buildView() controller.SystemView {
 		p95          float64
 		n            int
 	)
-	sysMsgs, err := f.systemC.Poll(0)
-	if err == nil {
-		for _, m := range sysMsgs {
-			s, ok := m.Value.(monitor.SystemSample)
-			if !ok {
-				continue
-			}
-			tpSum += s.Throughput
-			rtSum += s.MeanRTSeconds
-			if s.P95RTSeconds > p95 {
-				p95 = s.P95RTSeconds
-			}
-			n++
+	for _, m := range f.systemC.Poll(0) {
+		s, ok := m.Value.(monitor.SystemSample)
+		if !ok {
+			continue
 		}
+		tpSum += s.Throughput
+		rtSum += s.MeanRTSeconds
+		if s.P95RTSeconds > p95 {
+			p95 = s.P95RTSeconds
+		}
+		n++
 	}
 	if n > 0 {
 		view.Throughput = tpSum / float64(n)

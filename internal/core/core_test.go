@@ -244,39 +244,6 @@ func TestAccessors(t *testing.T) {
 	}
 }
 
-func TestBusRetentionConfig(t *testing.T) {
-	t.Parallel()
-	eng := sim.NewEngine()
-	app, err := ntier.New(eng, rng.New(9).Split("a"), ntier.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := &viewRecorder{Controller: ec2Controller(t)}
-	fw, err := New(eng, app, rec, Config{BusRetention: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Run(time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	// 3 servers x 60 samples published, but only 5 retained.
-	msgs, err := fw.Bus().Fetch("metrics.server", 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(msgs) > 5 {
-		t.Fatalf("retention ignored: %d messages", len(msgs))
-	}
-	// The control loop still works off its consumer (offsets reset to
-	// earliest): views exist and have tier data.
-	if len(rec.views) == 0 {
-		t.Fatal("no views with retention enabled")
-	}
-}
-
 // TestControllerReplacesCrashedServer injects a crash mid-run: the
 // survivor saturates, its CPU crosses the threshold, and the VM-level
 // controller launches a replacement — self-healing without any dedicated

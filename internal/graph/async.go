@@ -34,16 +34,7 @@ func (a *App) fireAsync(e *edge, visits int, prof *resolvedProfile) {
 	for i := 0; i < visits; i++ {
 		a.asyncSpawned++
 		a.asyncInFlight++
-		m := a.newAsyncMsg(prof.name)
-		if _, err := a.bs.Publish(e.topic, e.key, m); err != nil {
-			// Topic was created at build time; a failed publish means the
-			// bus was closed under us. Account the delivery as errored so
-			// the async ledger still conserves.
-			a.freeAsyncMsg(m)
-			a.asyncInFlight--
-			a.asyncDisp.Observe(metrics.DispositionError)
-			continue
-		}
+		a.bs.Publish(e.topic, e.key, a.newAsyncMsg(prof.name))
 		r := a.newRequest()
 		r.async = e
 		r.prof = prof
@@ -89,8 +80,8 @@ func (a *App) freeAsyncMsg(m *asyncMsg) {
 // parent request has already moved on.
 func (r *request) deliver() {
 	a := r.a
-	msg, ok, err := r.async.consumer.Next()
-	if err != nil || !ok {
+	msg, ok := r.async.consumer.Next()
+	if !ok {
 		// Nothing buffered (another delivery raced us to the record);
 		// conservation-wise this spawn still completes.
 		r.finish(metrics.DispositionError)

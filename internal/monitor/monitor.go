@@ -156,7 +156,7 @@ func (f *Fleet) Attach(tierName, vmName string) error {
 		}
 		// A full bus is a monitoring failure, not an application failure:
 		// drop the sample.
-		_, _ = f.b.Publish(TopicServerMetrics, vmName, sample)
+		f.b.Publish(TopicServerMetrics, vmName, sample)
 	})
 	f.agents[vmName] = stop
 	return nil
@@ -185,7 +185,7 @@ func (f *Fleet) publishSystem() {
 		MeanDBResidence:  st.NodeResidence[ntier.TierDB],
 		Errors:           st.Errors,
 	}
-	_, _ = f.b.Publish(TopicSystemMetrics, "system", sample)
+	f.b.Publish(TopicSystemMetrics, "system", sample)
 }
 
 // Stop halts all agents.
