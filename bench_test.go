@@ -390,8 +390,7 @@ func BenchmarkEndToEndRequest(b *testing.B) {
 // within 1,024 messages.
 func BenchmarkBusPublish(b *testing.B) {
 	bus := busPkg.New()
-	bus.CreateTopic("t")
-	c := bus.NewConsumer("t", 0)
+	c := bus.NewConsumer("t")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bus.Publish("t", "k", i)

@@ -23,8 +23,8 @@
 //   - internal/policy — the declarative scaling, planner and
 //     target-tracking rules every controller and the planner read;
 //   - internal/controller, internal/actuator, internal/core — the DCM and
-//     EC2-AutoScale controllers, the two actuators, and the assembled
-//     framework;
+//     EC2-AutoScale controllers, the VM-agent (the APP-agent is
+//     ntier.SetAllocation), and the assembled framework;
 //   - internal/experiments — one harness per table and figure of the
 //     paper's evaluation.
 //

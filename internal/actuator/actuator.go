@@ -1,12 +1,10 @@
-// Package actuator implements the two actuators of the DCM architecture
-// (§IV, Fig. 3):
-//
-//   - the VM-agent, which starts new VMs (with the paper's 15-second
-//     preparation period) and drains and removes idle ones, rebalancing
-//     the tier's load balancer in both directions;
-//   - the APP-agent, which performs fine-grained runtime adaptation of the
-//     soft-resource allocations (Tomcat thread pools and DB connection
-//     pools) without interrupting in-flight requests.
+// Package actuator implements the VM-agent of the DCM architecture (§IV,
+// Fig. 3), which starts new VMs (with the paper's 15-second preparation
+// period) and drains and removes idle ones, rebalancing the tier's load
+// balancer in both directions. The other actuator, the APP-agent, is
+// ntier.SetAllocation: it adapts the chain's soft-resource allocations
+// (Tomcat thread pools and DB connection pools) at runtime without
+// interrupting in-flight requests.
 package actuator
 
 import (
@@ -16,8 +14,6 @@ import (
 
 	"dcm/internal/cloud"
 	"dcm/internal/graph"
-	"dcm/internal/model"
-	"dcm/internal/ntier"
 	"dcm/internal/sim"
 )
 
@@ -274,35 +270,4 @@ func (va *VMAgent) record(kind, tier, vm, detail string) {
 		VM:     vm,
 		Detail: detail,
 	})
-}
-
-// AppAgent applies soft-resource allocations at runtime (§IV-B).
-type AppAgent struct {
-	app *graph.App
-}
-
-// NewAppAgent builds an APP-agent for the paper's chain as ntier.New
-// builds it: Apply drives its web and app nodes' threads and its pooled
-// app→db edge.
-func NewAppAgent(app *graph.App) (*AppAgent, error) {
-	if app == nil {
-		return nil, fmt.Errorf("%w: nil dependency", ErrBadAgent)
-	}
-	return &AppAgent{app: app}, nil
-}
-
-// Apply reconfigures the system to the target allocation. Only knobs that
-// actually change are touched; in-flight requests are never interrupted
-// (pool shrinks drain gracefully).
-func (aa *AppAgent) Apply(target model.Allocation) {
-	current := ntier.Allocation(aa.app)
-	if target.WebThreadsPerServer > 0 && target.WebThreadsPerServer != current.WebThreadsPerServer {
-		_ = aa.app.SetNodeThreads(ntier.TierWeb, target.WebThreadsPerServer)
-	}
-	if target.AppThreadsPerServer > 0 && target.AppThreadsPerServer != current.AppThreadsPerServer {
-		_ = aa.app.SetNodeThreads(ntier.TierApp, target.AppThreadsPerServer)
-	}
-	if target.DBConnsPerAppServer > 0 && target.DBConnsPerAppServer != current.DBConnsPerAppServer {
-		_ = aa.app.SetEdgePoolSize(ntier.TierApp, ntier.TierDB, target.DBConnsPerAppServer)
-	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"dcm/internal/cloud"
 	"dcm/internal/graph"
-	"dcm/internal/model"
 	"dcm/internal/ntier"
 	"dcm/internal/rng"
 	"dcm/internal/sim"
@@ -59,9 +58,6 @@ func TestNewAgentsValidation(t *testing.T) {
 	t.Parallel()
 	_, hv, app, _, _ := setup(t)
 	if _, err := NewVMAgent(nil, hv, app, nil); !errors.Is(err, ErrBadAgent) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := NewAppAgent(nil); !errors.Is(err, ErrBadAgent) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -225,31 +221,6 @@ func TestMonitorAttachFailureRecorded(t *testing.T) {
 	last := recs[len(recs)-1]
 	if last.Detail == "" {
 		t.Fatalf("attach failure not recorded: %+v", recs)
-	}
-}
-
-func TestAppAgentApply(t *testing.T) {
-	t.Parallel()
-	_, _, app, _, _ := setup(t)
-	aa, err := NewAppAgent(app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := model.Allocation{WebThreadsPerServer: 500, AppThreadsPerServer: 20, DBConnsPerAppServer: 36}
-	aa.Apply(target)
-	if got := ntier.Allocation(app); got != target {
-		t.Fatalf("allocation = %v, want %v", got, target)
-	}
-	// Idempotent: applying the same target is a no-op.
-	aa.Apply(target)
-	if got := ntier.Allocation(app); got != target {
-		t.Fatalf("reapplied allocation = %v, want %v", got, target)
-	}
-	// Zero fields leave the knob untouched.
-	aa.Apply(model.Allocation{AppThreadsPerServer: 25})
-	got := ntier.Allocation(app)
-	if got.AppThreadsPerServer != 25 || got.WebThreadsPerServer != 500 || got.DBConnsPerAppServer != 36 {
-		t.Fatalf("partial apply = %v", got)
 	}
 }
 

@@ -3,13 +3,12 @@ package bus
 import "testing"
 
 // BenchmarkBusPublishNext measures one publish and one Next on a
-// retain-until-read topic, the graph's async-edge path: the read trims
+// topic with one consumer, the graph's async-edge path: the read trims
 // the message, so the ring reuses one slot and the cycle allocates
 // nothing.
 func BenchmarkBusPublishNext(b *testing.B) {
 	bs := New()
-	bs.CreateTopic("t")
-	c := bs.NewConsumer("t", 0)
+	c := bs.NewConsumer("t")
 	payload := new(int) // a pointer boxes into the interface for free
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,7 +1,6 @@
 package bus
 
 import (
-	"errors"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -10,15 +9,14 @@ import (
 func TestPublishFetch(t *testing.T) {
 	t.Parallel()
 	b := New()
+	c := b.NewConsumer("metrics")
 	for i := 0; i < 5; i++ {
 		if off := b.Publish("metrics", "vm1", i); off != int64(i) {
 			t.Fatalf("offset = %d, want %d", off, i)
 		}
 	}
-	msgs, err := b.Fetch("metrics", 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c.SeekTo(2)
+	msgs := c.Poll(0)
 	if len(msgs) != 3 {
 		t.Fatalf("got %d messages, want 3", len(msgs))
 	}
@@ -33,59 +31,53 @@ func TestPublishFetch(t *testing.T) {
 func TestFetchLimit(t *testing.T) {
 	t.Parallel()
 	b := New()
+	c := b.NewConsumer("t")
 	for i := 0; i < 10; i++ {
 		b.Publish("t", "", i)
 	}
-	msgs, err := b.Fetch("t", 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(msgs) != 4 {
+	if msgs := c.Poll(4); len(msgs) != 4 {
 		t.Fatalf("limit ignored: %d", len(msgs))
 	}
 }
 
+// TestFetchUnknownTopic: a consumer on a topic nothing was published to
+// reads nothing, and creating it leaves the topic empty.
 func TestFetchUnknownTopic(t *testing.T) {
 	t.Parallel()
 	b := New()
-	if _, err := b.Fetch("nope", 0, 0); !errors.Is(err, ErrUnknownTopic) {
-		t.Fatalf("err = %v", err)
+	c := b.NewConsumer("nope")
+	if m, ok := c.Next(); ok {
+		t.Fatalf("read %+v from an empty topic", m)
+	}
+	if got := b.EndOffset("nope"); got != 0 {
+		t.Fatalf("EndOffset = %d, want 0", got)
 	}
 }
 
 func TestFetchPastEnd(t *testing.T) {
 	t.Parallel()
 	b := New()
+	c := b.NewConsumer("t")
 	b.Publish("t", "", 1)
-	msgs, err := b.Fetch("t", 99, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(msgs) != 0 {
+	c.SeekTo(99)
+	if msgs := c.Poll(0); len(msgs) != 0 {
 		t.Fatalf("got %d messages past end", len(msgs))
 	}
 }
 
-// TestRetention: a retain-until-read topic drops what its consumer has
-// read, and a fetch below the retention horizon resumes at the earliest
-// retained message.
+// TestRetention: a topic drops what its consumer has read, and the rest
+// stays in offset order.
 func TestRetention(t *testing.T) {
 	t.Parallel()
 	b := New()
-	b.CreateTopic("t")
-	c := b.NewConsumer("t", 0)
+	c := b.NewConsumer("t")
 	for i := 0; i < 10; i++ {
 		b.Publish("t", "", i)
 	}
 	if got := len(c.Poll(7)); got != 7 {
 		t.Fatalf("polled %d, want 7", got)
 	}
-	// Only offsets 7, 8, 9 retained; a fetch from 0 resets to earliest.
-	msgs, err := b.Fetch("t", 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(msgs) != 3 || msgs[0].Offset != 7 {
+	if msgs := b.retained("t"); len(msgs) != 3 || msgs[0].Offset != 7 {
 		t.Fatalf("retained = %+v", msgs)
 	}
 	if got := b.EndOffset("t"); got != 10 {
@@ -93,29 +85,23 @@ func TestRetention(t *testing.T) {
 	}
 }
 
-// TestCreateTopicTightensRetention: declaring a topic that Publish
-// created keeps everything until then, and drops what its consumer has
-// already read once declared.
-func TestCreateTopicTightensRetention(t *testing.T) {
+// TestConsumerReadsReleaseEverything: a consumer registered on a fresh
+// topic that reads every message with Next leaves nothing retained. A
+// topic that keeps what its only consumer has read fails it.
+func TestConsumerReadsReleaseEverything(t *testing.T) {
 	t.Parallel()
 	b := New()
-	c := b.NewConsumer("t", 0)
+	c := b.NewConsumer("fresh")
 	for i := 0; i < 10; i++ {
-		b.Publish("t", "", i)
+		b.Publish("fresh", "", i)
 	}
-	if got := len(c.Poll(8)); got != 8 {
-		t.Fatalf("polled %d, want 8", got)
+	for i := 0; i < 10; i++ {
+		if m, ok := c.Next(); !ok || m.Offset != int64(i) {
+			t.Fatalf("read %d: %+v ok=%v", i, m, ok)
+		}
 	}
-	if msgs, err := b.Fetch("t", 0, 0); err != nil || len(msgs) != 10 {
-		t.Fatalf("undeclared topic retained %d (err %v), want all 10", len(msgs), err)
-	}
-	b.CreateTopic("t")
-	msgs, err := b.Fetch("t", 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(msgs) != 2 || msgs[0].Offset != 8 {
-		t.Fatalf("retained after tighten = %+v", msgs)
+	if got := len(b.retained("fresh")); got != 0 {
+		t.Fatalf("retained %d messages after every read, want 0", got)
 	}
 }
 
@@ -130,7 +116,7 @@ func TestTopics(t *testing.T) {
 	t.Parallel()
 	b := New()
 	b.Publish("a", "", 1)
-	b.CreateTopic("b")
+	b.NewConsumer("b")
 	names := b.Topics()
 	if len(names) != 2 {
 		t.Fatalf("Topics = %v", names)
@@ -141,13 +127,16 @@ func TestZeroValueUsable(t *testing.T) {
 	t.Parallel()
 	var b Bus
 	b.Publish("t", "", 1)
+	if m, ok := b.NewConsumer("t").Next(); !ok || m.Value != 1 {
+		t.Fatalf("read %+v ok=%v", m, ok)
+	}
 }
 
 func TestConsumerPoll(t *testing.T) {
 	t.Parallel()
 	b := New()
-	c := b.NewConsumer("m", 0)
-	// Unknown topic: nothing, no error.
+	c := b.NewConsumer("m")
+	// Empty topic: nothing, no error.
 	if msgs := c.Poll(0); len(msgs) != 0 {
 		t.Fatalf("poll empty: %v", msgs)
 	}
@@ -173,7 +162,8 @@ func TestConsumerSeekTo(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		b.Publish("m", "", i)
 	}
-	c := b.NewConsumer("m", b.EndOffset("m"))
+	c := b.NewConsumer("m")
+	c.SeekTo(b.EndOffset("m"))
 	if msgs := c.Poll(0); len(msgs) != 0 {
 		t.Fatalf("tail consumer read old messages: %v", msgs)
 	}
@@ -187,28 +177,30 @@ func TestConsumerSeekTo(t *testing.T) {
 	}
 }
 
-// TestConsumerSurvivesRetention: a consumer that starts below the
-// retention horizon resumes at the earliest retained message.
+// TestConsumerSurvivesRetention: a consumer registered after others have
+// trimmed the topic starts at the earliest retained message.
 func TestConsumerSurvivesRetention(t *testing.T) {
 	t.Parallel()
 	b := New()
-	b.CreateTopic("m")
-	first := b.NewConsumer("m", 0)
+	first := b.NewConsumer("m")
 	for i := 0; i < 10; i++ {
 		b.Publish("m", "", i)
 	}
 	first.Poll(8)
-	// The late consumer's first read registers it; until then the first
-	// consumer alone trimmed offsets 0..7.
-	msgs := b.NewConsumer("m", 0).Poll(0)
+	late := b.NewConsumer("m")
+	if late.Offset() != 8 {
+		t.Fatalf("late consumer starts at %d, want 8", late.Offset())
+	}
+	msgs := late.Poll(0)
 	if len(msgs) != 2 || msgs[0].Offset != 8 {
-		t.Fatalf("consumer did not reset to earliest: %+v", msgs)
+		t.Fatalf("consumer did not start at earliest: %+v", msgs)
 	}
 }
 
 func TestConcurrentPublishers(t *testing.T) {
 	t.Parallel()
 	b := New()
+	c := b.NewConsumer("t")
 	const (
 		producers = 8
 		perProd   = 200
@@ -227,11 +219,7 @@ func TestConcurrentPublishers(t *testing.T) {
 	if got := b.EndOffset("t"); got != producers*perProd {
 		t.Fatalf("EndOffset = %d, want %d", got, producers*perProd)
 	}
-	msgs, err := b.Fetch("t", 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, m := range msgs {
+	for i, m := range c.Poll(0) {
 		if m.Offset != int64(i) {
 			t.Fatalf("offset %d at position %d", m.Offset, i)
 		}
@@ -243,8 +231,8 @@ func TestConcurrentConsumerAndProducer(t *testing.T) {
 	b := New()
 	const total = 1000
 	done := make(chan int, 1)
+	c := b.NewConsumer("t")
 	go func() {
-		c := b.NewConsumer("t", 0)
 		seen := 0
 		for seen < total {
 			seen += len(c.Poll(0))
@@ -259,30 +247,15 @@ func TestConcurrentConsumerAndProducer(t *testing.T) {
 	}
 }
 
-// retentionModes are the two retention policies a topic can have: kept
-// whole when Publish creates it, retain-until-read when CreateTopic
-// declares it. TestConsumerNextMatchesPoll runs over each.
-var retentionModes = []struct {
-	name    string
-	declare bool
-}{
-	{"unbounded", false},
-	{"until-read", true},
-}
-
-// TestOffsetsContiguousProperty: published offsets are dense and fetchable
-// in order under every retention mode, with reads interleaved, and each
-// mode retains exactly what it promises: everything, or what the consumer
-// has not read.
+// TestOffsetsContiguousProperty: published offsets are dense and retained
+// in order with reads interleaved, and the topic retains exactly what its
+// consumer has not read.
 func TestOffsetsContiguousProperty(t *testing.T) {
 	t.Parallel()
-	prop := func(countRaw uint8, declare bool, readRaw uint8) bool {
+	prop := func(countRaw uint8, readRaw uint8) bool {
 		count := int(countRaw%64) + 1
 		b := New()
-		if declare {
-			b.CreateTopic("t")
-		}
-		c := b.NewConsumer("t", 0)
+		c := b.NewConsumer("t")
 		read := 0
 		for i := 0; i < count; i++ {
 			if off := b.Publish("t", "", i); off != int64(i) {
@@ -295,40 +268,47 @@ func TestOffsetsContiguousProperty(t *testing.T) {
 				}
 			}
 		}
-		msgs, err := b.Fetch("t", 0, 0)
-		if err != nil || len(msgs) == 0 && !declare {
-			return false
-		}
+		msgs := b.retained("t")
 		for i, m := range msgs {
 			if m.Offset != int64(count-len(msgs)+i) || m.Value != int(m.Offset) {
 				return false
 			}
 		}
-		want := count
-		if declare {
-			want = count - int(c.Offset())
-		}
-		return len(msgs) == want && int(c.Offset()) == read
+		return len(msgs) == count-read && int(c.Offset()) == read
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// retentionModes are the two ways the one retention rule plays out for
+// the readers of a topic. Under "unbounded" an idle consumer that never
+// reads is registered too, so it gates retention at offset 0 and the log
+// keeps everything; under "until-read" only the readers are registered,
+// so their reads trim the log. TestConsumerNextMatchesPoll runs over each.
+var retentionModes = []struct {
+	name string
+	idle bool
+}{
+	{"unbounded", true},
+	{"until-read", false},
+}
+
 // TestConsumerNextMatchesPoll drives two consumers over one topic, one by
 // Next and one by Poll(1), under each retention mode. Publishes come in
 // varying bursts. Every read must return the same message, the next one
-// in offset order, and leave both consumers at the same offset, and Next
-// must allocate nothing. Neither the test nor its modes run in parallel,
-// so no other test's allocations reach the allocation count.
+// in offset order, and leave both consumers at the same offset; the topic
+// must end holding what its mode promises; and Next must allocate
+// nothing. Neither the test nor its modes run in parallel, so no other
+// test's allocations reach the allocation count.
 func TestConsumerNextMatchesPoll(t *testing.T) {
 	for _, mode := range retentionModes {
 		t.Run(mode.name, func(t *testing.T) {
 			b := New()
-			if mode.declare {
-				b.CreateTopic("m")
+			next, poll := b.NewConsumer("m"), b.NewConsumer("m")
+			if mode.idle {
+				b.NewConsumer("m")
 			}
-			next, poll := b.NewConsumer("m", 0), b.NewConsumer("m", 0)
 			check := func(step string) {
 				t.Helper()
 				from := next.Offset()
@@ -362,16 +342,20 @@ func TestConsumerNextMatchesPoll(t *testing.T) {
 			if next.Offset() != b.EndOffset("m") {
 				t.Fatalf("Next consumer at %d, topic end %d", next.Offset(), b.EndOffset("m"))
 			}
-			if _, ok := b.NewConsumer("absent", 0).Next(); ok {
-				t.Fatal("unknown topic: read a message, want nothing")
+			want := 0
+			if mode.idle {
+				want = int(b.EndOffset("m"))
 			}
-			if mode.declare {
-				b.CreateTopic("all")
+			if got := len(b.retained("m")); got != want {
+				t.Fatalf("topic retains %d messages after the drain, want %d", got, want)
+			}
+			all := b.NewConsumer("all")
+			if mode.idle {
+				b.NewConsumer("all")
 			}
 			for i := 0; i < 200; i++ {
 				b.Publish("all", "k", i)
 			}
-			all := b.NewConsumer("all", 0)
 			allocs := testing.AllocsPerRun(100, func() {
 				if _, ok := all.Next(); !ok {
 					t.Fatal("Next: nothing buffered")
@@ -384,15 +368,14 @@ func TestConsumerNextMatchesPoll(t *testing.T) {
 	}
 }
 
-// TestRingWrapsUnderRetention keeps a retain-until-read topic's consumer a
-// few messages behind its publisher, so the ring wraps many times without
-// growing. Offsets stay contiguous, and Fetch reads in order across the
-// seam.
+// TestRingWrapsUnderRetention keeps a topic's consumer a few messages
+// behind its publisher, so the ring wraps many times without growing.
+// Offsets stay contiguous, and the retained messages read in order across
+// the seam.
 func TestRingWrapsUnderRetention(t *testing.T) {
 	t.Parallel()
 	b := New()
-	b.CreateTopic("lagged")
-	lagged := b.NewConsumer("lagged", 0)
+	lagged := b.NewConsumer("lagged")
 	const total = 100
 	for i := 0; i < total; i++ {
 		if off := b.Publish("lagged", "", i); off != int64(i) {
@@ -406,10 +389,7 @@ func TestRingWrapsUnderRetention(t *testing.T) {
 			}
 		}
 		lo := lagged.Offset()
-		msgs, err := b.Fetch("lagged", 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		msgs := b.retained("lagged")
 		if int64(len(msgs)) != int64(i)+1-lo {
 			t.Fatalf("after %d: retained %d, want %d", i, len(msgs), int64(i)+1-lo)
 		}
@@ -418,50 +398,37 @@ func TestRingWrapsUnderRetention(t *testing.T) {
 				t.Fatalf("after %d: message %d is %+v, want offset %d", i, j, m, lo+int64(j))
 			}
 		}
-		// A limited fetch from the middle crosses the seam too.
-		if len(msgs) >= 3 {
-			mid, err := b.Fetch("lagged", lo+1, 2)
-			if err != nil || len(mid) != 2 || mid[0] != msgs[1] || mid[1] != msgs[2] {
-				t.Fatalf("after %d: Fetch(%d, 2) = %+v, %v", i, lo+1, mid, err)
-			}
-		}
 	}
 	if got := b.ringLen("lagged"); got != 4 {
-		t.Fatalf("until-read ring grew to %d slots, want 4 for a backlog of at most 4", got)
+		t.Fatalf("ring grew to %d slots, want 4 for a backlog of at most 4", got)
 	}
 }
 
-// TestRetainUntilReadLowWaterMark: a retain-until-read topic keeps
-// everything its slowest registered consumer has not read, trims as that
-// consumer catches up, and keeps everything while no consumer is
-// registered. A consumer made before the topic exists registers on its
-// first read.
+// TestRetainUntilReadLowWaterMark: a topic keeps everything its slowest
+// registered consumer has not read, trims as that consumer catches up,
+// and keeps everything while no consumer is registered. A consumer made
+// before anything is published gates the topic from the start.
 func TestRetainUntilReadLowWaterMark(t *testing.T) {
 	t.Parallel()
 	b := New()
-	early := b.NewConsumer("q", 0) // the topic does not exist yet
-	b.CreateTopic("q")
-	publish := func(k int) {
+	publish := func(topic string, k int) {
 		for i := 0; i < k; i++ {
-			b.Publish("q", "", i)
+			b.Publish(topic, "", i)
 		}
 	}
-	retained := func() (int, int64) {
+	retained := func(topic string) (int, int64) {
 		t.Helper()
-		msgs, err := b.Fetch("q", 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		msgs := b.retained(topic)
 		if len(msgs) == 0 {
-			return 0, b.EndOffset("q")
+			return 0, b.EndOffset(topic)
 		}
 		return len(msgs), msgs[0].Offset
 	}
-	publish(6)
-	if n, _ := retained(); n != 6 {
+	publish("q", 6)
+	if n, _ := retained("q"); n != 6 {
 		t.Fatalf("no consumer registered: retained %d, want all 6", n)
 	}
-	fast, slow := b.NewConsumer("q", 0), b.NewConsumer("q", 0)
+	fast, slow := b.NewConsumer("q"), b.NewConsumer("q")
 	for i := 0; i < 5; i++ {
 		if _, ok := fast.Next(); !ok {
 			t.Fatalf("fast read %d failed", i)
@@ -470,27 +437,29 @@ func TestRetainUntilReadLowWaterMark(t *testing.T) {
 	if _, ok := slow.Next(); !ok {
 		t.Fatal("slow read failed")
 	}
-	if n, lo := retained(); n != 5 || lo != 1 {
+	if n, lo := retained("q"); n != 5 || lo != 1 {
 		t.Fatalf("slow consumer at 1: retained %d from %d, want 5 from 1", n, lo)
 	}
 	slow.Poll(3)
-	if n, lo := retained(); n != 2 || lo != 4 {
+	if n, lo := retained("q"); n != 2 || lo != 4 {
 		t.Fatalf("slow at 4, fast at 5: retained %d from %d, want 2 from 4", n, lo)
 	}
-	// The early consumer registers at its first read and resumes at the
-	// oldest retained message (offset 4); from then on it gates the
-	// topic as well.
-	if m, ok := early.Next(); !ok || m.Offset != 4 {
-		t.Fatalf("early consumer read %+v ok=%v, want offset 4", m, ok)
-	}
-	publish(4) // offsets 6..9
 	fast.Poll(0)
 	slow.Poll(0)
-	if n, lo := retained(); n != 5 || lo != 5 {
-		t.Fatalf("early at 5: retained %d from %d, want 5 from 5", n, lo)
+	if n, _ := retained("q"); n != 0 {
+		t.Fatalf("all consumers drained: retained %d, want 0", n)
+	}
+
+	// A consumer registered on an empty topic gates it although it never
+	// reads: the other consumer's reads trim nothing.
+	early, reader := b.NewConsumer("e"), b.NewConsumer("e")
+	publish("e", 4)
+	reader.Poll(0)
+	if n, lo := retained("e"); n != 4 || lo != 0 {
+		t.Fatalf("idle early consumer: retained %d from %d, want 4 from 0", n, lo)
 	}
 	early.Poll(0)
-	if n, _ := retained(); n != 0 {
-		t.Fatalf("all consumers drained: retained %d, want 0", n)
+	if n, _ := retained("e"); n != 0 {
+		t.Fatalf("both consumers drained: retained %d, want 0", n)
 	}
 }

@@ -43,5 +43,19 @@ func (b *Bus) ringLen(topic string) int {
 	return 0
 }
 
+// retained returns a copy of topic's retained messages, oldest first (nil
+// for an unknown topic).
+func (b *Bus) retained(topic string) []Message {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	t, ok := b.topics[topic]
+	if !ok || t.n == 0 {
+		return nil
+	}
+	out := make([]Message, t.n)
+	t.copyTo(out, 0)
+	return out
+}
+
 // Offset returns the consumer's next-read position.
 func (c *Consumer) Offset() int64 { return c.offset }

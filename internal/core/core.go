@@ -78,11 +78,10 @@ type Framework struct {
 	ctrl controller.Controller
 	cfg  Config
 
-	b        *bus.Bus
-	hv       *cloud.Hypervisor
-	fleet    *monitor.Fleet
-	vmAgent  *actuator.VMAgent
-	appAgent *actuator.AppAgent
+	b       *bus.Bus
+	hv      *cloud.Hypervisor
+	fleet   *monitor.Fleet
+	vmAgent *actuator.VMAgent
 
 	serverC *bus.Consumer
 	systemC *bus.Consumer
@@ -111,10 +110,6 @@ func New(eng *sim.Engine, app *graph.App, ctrl controller.Controller, cfg Config
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	appAgent, err := actuator.NewAppAgent(app)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
 	// Adopt the application's seed servers into the hypervisor so every
 	// serving server is census-visible: a crashed seed server must show up
 	// in CountCrashedServing just like a crashed scaled-out VM.
@@ -138,10 +133,9 @@ func New(eng *sim.Engine, app *graph.App, ctrl controller.Controller, cfg Config
 		hv:          hv,
 		fleet:       fleet,
 		vmAgent:     vmAgent,
-		appAgent:    appAgent,
 		guard:       guard,
-		serverC:     b.NewConsumer(monitor.TopicServerMetrics, 0),
-		systemC:     b.NewConsumer(monitor.TopicSystemMetrics, 0),
+		serverC:     b.NewConsumer(monitor.TopicServerMetrics),
+		systemC:     b.NewConsumer(monitor.TopicSystemMetrics),
 		prevCrashed: make(map[string]int),
 	}, nil
 }
@@ -209,7 +203,7 @@ func (f *Framework) controlStep() {
 				rec.Err = err.Error()
 			}
 		case controller.ActionSetAllocation:
-			f.appAgent.Apply(action.Allocation)
+			ntier.SetAllocation(f.app, action.Allocation)
 		default:
 			rec.Err = fmt.Sprintf("unknown action type %v", action.Type)
 		}

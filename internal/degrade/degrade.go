@@ -6,24 +6,27 @@
 // recovery never flaps.
 //
 // The detectors watch three signatures of the retry-storm failure mode
-// (PR 4's experiment, §II of the paper's motivation):
+// (the retry-storm experiment, §II of the paper's motivation):
 //
 //   - goodput collapse: good completions per offered request falling
 //     under CollapseRatio while offered load stays non-trivial — work is
 //     arriving but almost none of it completes within the SLA;
 //   - queue-depth gradient: the mean observed queue depth growing by more
-//     than QueueGradient across the detector window — the backlog
+//     than QueueGradient across a five-tick window — the backlog
 //     build-up that precedes the metastable regime;
 //   - retry amplification: retry attempts per completion exceeding
 //     RetryAmplification — load multiplying itself faster than it drains.
+//
+// The thresholds, hysteresis and brownout strengths are the fields of
+// policy.DegradeRules, which New takes as they are.
 //
 // Everything is deterministic and rng-free: the supervisor differences
 // lifetime counters on a fixed tick, the brownout shed uses an
 // error-diffusion accumulator inside internal/ntier, and a supervisor
 // that is never constructed (or never fires) leaves a run byte-identical.
-// The package is a leaf: it sees the application only through the Probes
-// and Actions function bundles, so it unit-tests and benchmarks without
-// an App and creates no import cycles.
+// The supervisor sees the application only through the Probes and
+// Actions function bundles, so it unit-tests and benchmarks without an
+// App; ForApp binds the bundles to a running graph.App.
 package degrade
 
 import (
@@ -38,88 +41,10 @@ import (
 // ErrBadConfig is returned for invalid supervisor construction.
 var ErrBadConfig = errors.New("degrade: invalid config")
 
-// Config parameterizes the supervisor. Build one from policy rules with
-// FromRules; the zero value is invalid (no detectors armed).
-type Config struct {
-	// Period is the detector tick interval.
-	Period time.Duration
-	// Warmup suppresses detection (but not observation) for the run's
-	// first Warmup of simulated time, so a closed-loop population ramping
-	// up — a burst of simultaneous first requests — is not mistaken for
-	// collapse. Timeline points are still recorded and the queue-gradient
-	// baseline still primes during warmup.
-	Warmup time.Duration
-	// CollapseRatio, MinOfferedPerSecond, RetryAmplification and
-	// QueueGradient arm the three detectors (zero disarms each; see the
-	// package comment for their meaning).
-	CollapseRatio       float64
-	MinOfferedPerSecond float64
-	RetryAmplification  float64
-	QueueGradient       float64
-	// EnterTicks consecutive unhealthy ticks enter brownout; ExitTicks
-	// consecutive healthy ticks and at least MinDwell since entry exit it.
-	EnterTicks int
-	ExitTicks  int
-	MinDwell   time.Duration
-	// ShedRatio, RetryBudgetScale and AdmissionScale are the brownout
-	// actions applied on entry and restored on exit.
-	ShedRatio        float64
-	RetryBudgetScale float64
-	AdmissionScale   float64
-	// WindowTicks is the queue-gradient comparison window (default 5).
-	WindowTicks int
-}
-
-// FromRules converts validated policy rules into a supervisor config.
-func FromRules(r policy.DegradeRules) Config {
-	return Config{
-		Period:              time.Duration(r.PeriodSeconds * float64(time.Second)),
-		Warmup:              time.Duration(r.WarmupSeconds * float64(time.Second)),
-		CollapseRatio:       r.CollapseRatio,
-		MinOfferedPerSecond: r.MinOfferedPerSecond,
-		RetryAmplification:  r.RetryAmplification,
-		QueueGradient:       r.QueueGradient,
-		EnterTicks:          r.EnterTicks,
-		ExitTicks:           r.ExitTicks,
-		MinDwell:            time.Duration(r.MinDwellSeconds * float64(time.Second)),
-		ShedRatio:           r.ShedRatio,
-		RetryBudgetScale:    r.RetryBudgetScale,
-		AdmissionScale:      r.AdmissionScale,
-	}
-}
-
-// validate rejects configs that cannot run and fills defaults.
-func (c *Config) validate() error {
-	if c.CollapseRatio <= 0 && c.RetryAmplification <= 0 && c.QueueGradient <= 0 {
-		return fmt.Errorf("%w: no detector armed", ErrBadConfig)
-	}
-	if c.Period <= 0 {
-		return fmt.Errorf("%w: period %v must be > 0", ErrBadConfig, c.Period)
-	}
-	if c.Warmup < 0 {
-		return fmt.Errorf("%w: warmup %v negative", ErrBadConfig, c.Warmup)
-	}
-	if c.EnterTicks < 1 || c.ExitTicks < 1 {
-		return fmt.Errorf("%w: hysteresis ticks %d/%d must be >= 1",
-			ErrBadConfig, c.EnterTicks, c.ExitTicks)
-	}
-	if c.MinDwell < 0 {
-		return fmt.Errorf("%w: min dwell %v negative", ErrBadConfig, c.MinDwell)
-	}
-	if c.ShedRatio < 0 || c.ShedRatio > 1 {
-		return fmt.Errorf("%w: shed ratio %v outside [0, 1]", ErrBadConfig, c.ShedRatio)
-	}
-	if c.RetryBudgetScale < 0 || c.RetryBudgetScale > 1 {
-		return fmt.Errorf("%w: retry budget scale %v outside [0, 1]", ErrBadConfig, c.RetryBudgetScale)
-	}
-	if c.AdmissionScale < 0 || c.AdmissionScale > 1 {
-		return fmt.Errorf("%w: admission scale %v outside [0, 1]", ErrBadConfig, c.AdmissionScale)
-	}
-	if c.WindowTicks <= 0 {
-		c.WindowTicks = 5
-	}
-	return nil
-}
+// windowTicks is the queue-gradient detector's comparison window: a
+// tick's mean queue depth is judged against the mean windowTicks ticks
+// earlier.
+const windowTicks = 5
 
 // Probes is the supervisor's read surface: lifetime counters it
 // differences per tick. Injected counts arrivals, Good counts completions
@@ -200,9 +125,12 @@ type Report struct {
 // actions through hysteresis. Single-goroutine, simulation-thread only.
 type Supervisor struct {
 	eng     *sim.Engine
-	cfg     Config
+	rules   policy.DegradeRules
 	probes  Probes
 	actions Actions
+	// period and warmup are rules.PeriodSeconds and rules.WarmupSeconds
+	// as durations.
+	period, warmup time.Duration
 
 	// Previous-tick counter snapshots.
 	prevInjected  uint64
@@ -229,33 +157,48 @@ type Supervisor struct {
 	stop func()
 }
 
-// New builds a supervisor. It schedules nothing until Start.
-func New(eng *sim.Engine, cfg Config, probes Probes, actions Actions) (*Supervisor, error) {
+// New builds a supervisor from degrade rules that pass
+// policy.DegradeRules.Validate and arm at least one detector. It
+// schedules nothing until Start.
+func New(eng *sim.Engine, rules policy.DegradeRules, probes Probes, actions Actions) (*Supervisor, error) {
 	if eng == nil {
 		return nil, fmt.Errorf("%w: nil engine", ErrBadConfig)
 	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
+	if err := rules.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadConfig, err)
+	}
+	if !rules.Enabled() {
+		return nil, fmt.Errorf("%w: no detector armed", ErrBadConfig)
+	}
+	period := seconds(rules.PeriodSeconds)
+	if period <= 0 {
+		// A tick shorter than the clock's resolution would never fire.
+		return nil, fmt.Errorf("%w: period %v s rounds to zero", ErrBadConfig, rules.PeriodSeconds)
 	}
 	return &Supervisor{
 		eng:     eng,
-		cfg:     cfg,
+		rules:   rules,
 		probes:  probes,
 		actions: actions,
-		qWindow: make([]float64, cfg.WindowTicks),
+		period:  period,
+		warmup:  seconds(rules.WarmupSeconds),
+		qWindow: make([]float64, windowTicks),
 		hyst: hysteresis{
-			EnterTicks: cfg.EnterTicks,
-			ExitTicks:  cfg.ExitTicks,
-			MinDwell:   cfg.MinDwell,
+			EnterTicks: rules.EnterTicks,
+			ExitTicks:  rules.ExitTicks,
+			MinDwell:   seconds(rules.MinDwellSeconds),
 		},
 	}, nil
 }
+
+// seconds converts a rules field in seconds to a duration.
+func seconds(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
 
 // CaptureTimeline pre-allocates and enables the per-tick timeline for a
 // run of the given horizon. Call before Start.
 func (s *Supervisor) CaptureTimeline(horizon time.Duration) {
 	s.captureTL = true
-	s.timeline = make([]TimelinePoint, 0, int(horizon/s.cfg.Period)+1)
+	s.timeline = make([]TimelinePoint, 0, int(horizon/s.period)+1)
 }
 
 // Start begins the detector ticker. Idempotent.
@@ -263,7 +206,7 @@ func (s *Supervisor) Start() {
 	if s.stop != nil {
 		return
 	}
-	s.stop = s.eng.Ticker(s.cfg.Period, s.tick)
+	s.stop = s.eng.Ticker(s.period, s.tick)
 }
 
 // Stop halts the ticker (open episodes stay open in the report).
@@ -278,7 +221,7 @@ func (s *Supervisor) Stop() {
 func (s *Supervisor) tick() {
 	s.ticks++
 	now := s.eng.Now()
-	secs := s.cfg.Period.Seconds()
+	secs := s.period.Seconds()
 
 	var offered, good, completed, retries uint64
 	if s.probes.Injected != nil {
@@ -331,7 +274,7 @@ func (s *Supervisor) tick() {
 	}
 
 	reason := s.detect(pt, offered, sheds, qObs, qMean)
-	if now <= s.cfg.Warmup {
+	if now <= s.warmup {
 		// Warmup: observe (the gradient baseline keeps priming inside
 		// detect) but never flag — the closed-loop startup burst is not a
 		// collapse.
@@ -374,24 +317,24 @@ func (s *Supervisor) detect(pt TimelinePoint, offered, sheds, qObs uint64, qMean
 	if admittedPS < 0 {
 		admittedPS = 0
 	}
-	if s.cfg.CollapseRatio > 0 && admittedPS >= s.cfg.MinOfferedPerSecond && offered > sheds {
-		if pt.GoodPS < s.cfg.CollapseRatio*admittedPS {
+	if s.rules.CollapseRatio > 0 && admittedPS >= s.rules.MinOfferedPerSecond && offered > sheds {
+		if pt.GoodPS < s.rules.CollapseRatio*admittedPS {
 			add("goodput-collapse")
 		}
 	}
-	if s.cfg.RetryAmplification > 0 && pt.RetryAmp > s.cfg.RetryAmplification {
+	if s.rules.RetryAmplification > 0 && pt.RetryAmp > s.rules.RetryAmplification {
 		add("retry-amplification")
 	}
-	if s.cfg.QueueGradient > 0 && s.probes.QueueDepth != nil {
+	if s.rules.QueueGradient > 0 && s.probes.QueueDepth != nil {
 		// Compare this tick's mean depth against the window baseline from
-		// WindowTicks ago. The baseline needs a small floor so an empty
+		// windowTicks ago. The baseline needs a small floor so an empty
 		// system warming up (0 -> 1) does not register as infinite growth.
 		if s.qFilled {
 			base := s.qWindow[s.qNext]
 			if base < 1 {
 				base = 1
 			}
-			if qObs > 0 && qMean > base*s.cfg.QueueGradient {
+			if qObs > 0 && qMean > base*s.rules.QueueGradient {
 				add("queue-gradient")
 			}
 		}
@@ -408,13 +351,13 @@ func (s *Supervisor) detect(pt TimelinePoint, offered, sheds, qObs uint64, qMean
 func (s *Supervisor) enterBrownout(now time.Duration, reason string) {
 	s.episodes = append(s.episodes, Episode{EnterAt: now, Reason: reason})
 	if s.actions.Shed != nil {
-		s.actions.Shed(s.cfg.ShedRatio)
+		s.actions.Shed(s.rules.ShedRatio)
 	}
 	if s.actions.Admission != nil {
-		s.actions.Admission(s.cfg.AdmissionScale)
+		s.actions.Admission(s.rules.AdmissionScale)
 	}
 	if s.actions.RetryScale != nil {
-		s.actions.RetryScale(s.cfg.RetryBudgetScale)
+		s.actions.RetryScale(s.rules.RetryBudgetScale)
 	}
 	if s.actions.Note != nil {
 		s.actions.Note(now, true, reason)

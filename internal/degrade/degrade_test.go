@@ -24,7 +24,7 @@ type harness struct {
 	notes                           []string
 }
 
-func newHarness(t *testing.T, cfg Config) *harness {
+func newHarness(t *testing.T, cfg policy.DegradeRules) *harness {
 	t.Helper()
 	h := &harness{eng: sim.NewEngine()}
 	probes := Probes{
@@ -57,15 +57,16 @@ func newHarness(t *testing.T, cfg Config) *harness {
 
 // run starts the supervisor and replays script (one call per period,
 // scheduled just before each detector tick) for len(script) periods.
-func (h *harness) run(cfg Config, script []func(*harness)) {
+func (h *harness) run(script []func(*harness)) {
+	period := h.sup.period
 	for i, fn := range script {
 		fn := fn
-		at := time.Duration(i+1)*cfg.Period - time.Millisecond
+		at := time.Duration(i+1)*period - time.Millisecond
 		h.eng.Schedule(at, func() { fn(h) })
 	}
-	h.sup.CaptureTimeline(time.Duration(len(script)) * cfg.Period)
+	h.sup.CaptureTimeline(time.Duration(len(script)) * period)
 	h.sup.Start()
-	h.eng.Run(time.Duration(len(script)) * cfg.Period)
+	h.eng.Run(time.Duration(len(script)) * period)
 	h.sup.Stop()
 }
 
@@ -88,16 +89,16 @@ func collapsed(h *harness) {
 	h.qCount += 100
 }
 
-func baseConfig() Config {
-	return Config{
-		Period:              time.Second,
+func baseRules() policy.DegradeRules {
+	return policy.DegradeRules{
+		PeriodSeconds:       1,
 		CollapseRatio:       0.5,
 		MinOfferedPerSecond: 20,
 		RetryAmplification:  1.5,
 		QueueGradient:       2,
 		EnterTicks:          2,
 		ExitTicks:           2,
-		MinDwell:            0,
+		MinDwellSeconds:     0,
 		ShedRatio:           0.4,
 		RetryBudgetScale:    0.25,
 		AdmissionScale:      0.5,
@@ -113,11 +114,11 @@ func script(n int, fn func(*harness)) []func(*harness) {
 }
 
 func TestCollapseDetectorEntersAndExits(t *testing.T) {
-	cfg := baseConfig()
+	cfg := baseRules()
 	h := newHarness(t, cfg)
 	sc := append(script(3, healthy), script(4, collapsed)...)
 	sc = append(sc, script(5, healthy)...)
-	h.run(cfg, sc)
+	h.run(sc)
 
 	rep := h.sup.Report()
 	if len(rep.Episodes) != 1 {
@@ -153,7 +154,7 @@ func TestCollapseDetectorEntersAndExits(t *testing.T) {
 }
 
 func TestRetryAmplificationDetector(t *testing.T) {
-	cfg := baseConfig()
+	cfg := baseRules()
 	cfg.CollapseRatio = 0 // isolate the retry detector
 	cfg.QueueGradient = 0
 	h := newHarness(t, cfg)
@@ -163,7 +164,7 @@ func TestRetryAmplificationDetector(t *testing.T) {
 		h.completed += 100
 		h.retries += 200 // 2 retries per completion > 1.5
 	}
-	h.run(cfg, append(script(2, healthy), script(3, stormy)...))
+	h.run(append(script(2, healthy), script(3, stormy)...))
 	rep := h.sup.Report()
 	if len(rep.Episodes) != 1 || rep.Episodes[0].Reason != "retry-amplification" {
 		t.Fatalf("episodes = %+v, want one retry-amplification entry", rep.Episodes)
@@ -171,10 +172,9 @@ func TestRetryAmplificationDetector(t *testing.T) {
 }
 
 func TestQueueGradientDetector(t *testing.T) {
-	cfg := baseConfig()
+	cfg := baseRules()
 	cfg.CollapseRatio = 0
 	cfg.RetryAmplification = 0
-	cfg.WindowTicks = 3
 	cfg.EnterTicks = 1
 	h := newHarness(t, cfg)
 	depth := 5.0
@@ -186,7 +186,7 @@ func TestQueueGradientDetector(t *testing.T) {
 		h.qSum += 100 * depth
 		h.qCount += 100
 	}
-	h.run(cfg, append(script(4, healthy), script(4, ramp)...))
+	h.run(append(script(4, healthy), script(4, ramp)...))
 	rep := h.sup.Report()
 	if len(rep.Episodes) == 0 || rep.Episodes[0].Reason != "queue-gradient" {
 		t.Fatalf("episodes = %+v, want a queue-gradient entry", rep.Episodes)
@@ -197,10 +197,10 @@ func TestQueueGradientDetector(t *testing.T) {
 // closed-loop ramp: the same collapsed ticks that enter brownout after
 // warmup must not enter during it.
 func TestWarmupSuppressesStartupTransient(t *testing.T) {
-	cfg := baseConfig()
-	cfg.Warmup = 5 * time.Second
+	cfg := baseRules()
+	cfg.WarmupSeconds = 5
 	h := newHarness(t, cfg)
-	h.run(cfg, append(script(4, collapsed), script(4, healthy)...))
+	h.run(append(script(4, collapsed), script(4, healthy)...))
 	rep := h.sup.Report()
 	if len(rep.Episodes) != 0 {
 		t.Fatalf("episodes = %+v, want none (collapse entirely inside warmup)", rep.Episodes)
@@ -209,7 +209,7 @@ func TestWarmupSuppressesStartupTransient(t *testing.T) {
 		t.Errorf("unhealthy ticks = %d, want 0 during warmup", rep.UnhealthyTicks)
 	}
 	h2 := newHarness(t, cfg)
-	h2.run(cfg, append(script(6, healthy), script(4, collapsed)...))
+	h2.run(append(script(6, healthy), script(4, collapsed)...))
 	if rep2 := h2.sup.Report(); len(rep2.Episodes) != 1 {
 		t.Fatalf("episodes after warmup = %+v, want 1", rep2.Episodes)
 	}
@@ -219,7 +219,7 @@ func TestWarmupSuppressesStartupTransient(t *testing.T) {
 // brownout sheds itself must not count as collapse evidence, otherwise
 // the controller's own action keeps it locked in brownout forever.
 func TestShedCorrectedOfferedLoad(t *testing.T) {
-	cfg := baseConfig()
+	cfg := baseRules()
 	cfg.RetryAmplification = 0
 	cfg.QueueGradient = 0
 	cfg.ExitTicks = 1
@@ -234,7 +234,7 @@ func TestShedCorrectedOfferedLoad(t *testing.T) {
 	}
 	sc := append(script(2, healthy), script(3, collapsed)...)
 	sc = append(sc, script(4, shedding)...)
-	h.run(cfg, sc)
+	h.run(sc)
 	rep := h.sup.Report()
 	if len(rep.Episodes) != 1 {
 		t.Fatalf("episodes = %+v, want 1", rep.Episodes)
@@ -303,67 +303,33 @@ func TestHysteresisNeverOscillatesFasterThanDwell(t *testing.T) {
 func TestConfigValidate(t *testing.T) {
 	cases := []struct {
 		name   string
-		mutate func(*Config)
+		mutate func(*policy.DegradeRules)
 	}{
-		{"no detector", func(c *Config) {
+		{"no detector", func(c *policy.DegradeRules) {
 			c.CollapseRatio, c.RetryAmplification, c.QueueGradient = 0, 0, 0
 		}},
-		{"zero period", func(c *Config) { c.Period = 0 }},
-		{"negative warmup", func(c *Config) { c.Warmup = -time.Second }},
-		{"zero enter ticks", func(c *Config) { c.EnterTicks = 0 }},
-		{"zero exit ticks", func(c *Config) { c.ExitTicks = 0 }},
-		{"negative dwell", func(c *Config) { c.MinDwell = -time.Second }},
-		{"shed ratio above 1", func(c *Config) { c.ShedRatio = 1.5 }},
-		{"retry scale above 1", func(c *Config) { c.RetryBudgetScale = 2 }},
-		{"admission scale negative", func(c *Config) { c.AdmissionScale = -0.1 }},
+		{"zero period", func(c *policy.DegradeRules) { c.PeriodSeconds = 0 }},
+		{"sub-nanosecond period", func(c *policy.DegradeRules) { c.PeriodSeconds = 1e-12 }},
+		{"negative warmup", func(c *policy.DegradeRules) { c.WarmupSeconds = -1 }},
+		{"zero enter ticks", func(c *policy.DegradeRules) { c.EnterTicks = 0 }},
+		{"zero exit ticks", func(c *policy.DegradeRules) { c.ExitTicks = 0 }},
+		{"negative dwell", func(c *policy.DegradeRules) { c.MinDwellSeconds = -1 }},
+		{"shed ratio above 1", func(c *policy.DegradeRules) { c.ShedRatio = 1.5 }},
+		{"retry scale above 1", func(c *policy.DegradeRules) { c.RetryBudgetScale = 2 }},
+		{"admission scale negative", func(c *policy.DegradeRules) { c.AdmissionScale = -0.1 }},
 	}
 	for _, tc := range cases {
-		cfg := baseConfig()
+		cfg := baseRules()
 		tc.mutate(&cfg)
 		if _, err := New(sim.NewEngine(), cfg, Probes{}, Actions{}); !errors.Is(err, ErrBadConfig) {
 			t.Errorf("%s: err = %v, want ErrBadConfig", tc.name, err)
 		}
 	}
-	if _, err := New(nil, baseConfig(), Probes{}, Actions{}); !errors.Is(err, ErrBadConfig) {
+	if _, err := New(nil, baseRules(), Probes{}, Actions{}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("nil engine: err = %v, want ErrBadConfig", err)
 	}
-}
-
-func TestFromRulesMapsEveryKnob(t *testing.T) {
-	r := policy.DegradeRules{
-		PeriodSeconds:       2,
-		WarmupSeconds:       7,
-		CollapseRatio:       0.55,
-		MinOfferedPerSecond: 30,
-		RetryAmplification:  1.25,
-		QueueGradient:       3,
-		EnterTicks:          4,
-		ExitTicks:           6,
-		MinDwellSeconds:     25,
-		ShedRatio:           0.35,
-		RetryBudgetScale:    0.2,
-		AdmissionScale:      0.4,
-	}
-	got := FromRules(r)
-	want := Config{
-		Period:              2 * time.Second,
-		Warmup:              7 * time.Second,
-		CollapseRatio:       0.55,
-		MinOfferedPerSecond: 30,
-		RetryAmplification:  1.25,
-		QueueGradient:       3,
-		EnterTicks:          4,
-		ExitTicks:           6,
-		MinDwell:            25 * time.Second,
-		ShedRatio:           0.35,
-		RetryBudgetScale:    0.2,
-		AdmissionScale:      0.4,
-	}
-	if got != want {
-		t.Errorf("FromRules = %+v, want %+v", got, want)
-	}
-	if !policy.Default().Degrade.Enabled() {
-		t.Errorf("default degrade rules must arm at least one detector")
+	if _, err := New(sim.NewEngine(), policy.Default().Degrade, Probes{}, Actions{}); err != nil {
+		t.Errorf("default rules: %v", err)
 	}
 }
 
@@ -382,7 +348,7 @@ func BenchmarkDegradeTick(b *testing.B) {
 		Sheds:      func() uint64 { return sheds },
 		QueueDepth: func() (float64, uint64) { return qSum, qCount },
 	}
-	cfg := baseConfig()
+	cfg := baseRules()
 	sup, err := New(eng, cfg, probes, Actions{})
 	if err != nil {
 		b.Fatal(err)

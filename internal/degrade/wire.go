@@ -6,6 +6,7 @@ import (
 	"dcm/internal/controller"
 	"dcm/internal/graph"
 	"dcm/internal/ntier"
+	"dcm/internal/policy"
 	"dcm/internal/resilience"
 	"dcm/internal/sim"
 )
@@ -17,7 +18,7 @@ import (
 // audit log (when one is given) under the brownout reason codes. retrier
 // and audit may be nil.
 func ForApp(eng *sim.Engine, app *graph.App, ret *resilience.Retrier,
-	audit *controller.AuditLog, cfg Config) (*Supervisor, error) {
+	audit *controller.AuditLog, rules policy.DegradeRules) (*Supervisor, error) {
 	probes := Probes{
 		Injected:  app.TotalInjected,
 		Good:      app.TotalGood,
@@ -46,5 +47,5 @@ func ForApp(eng *sim.Engine, app *graph.App, ret *resilience.Retrier,
 			audit.Note(at, "degrade", []controller.Hold{{Code: code, Detail: reason}})
 		}
 	}
-	return New(eng, cfg, probes, actions)
+	return New(eng, rules, probes, actions)
 }

@@ -138,7 +138,7 @@ func assemble(p runPlan) (*run, error) {
 	var sup *degrade.Supervisor
 	if p.degrade {
 		r.audit = controller.NewAuditLog()
-		if sup, err = degrade.ForApp(r.eng, r.app, r.ret, r.audit, degrade.FromRules(policy.Default().Degrade)); err != nil {
+		if sup, err = degrade.ForApp(r.eng, r.app, r.ret, r.audit, policy.Default().Degrade); err != nil {
 			return nil, fmt.Errorf("degrade: %w", err)
 		}
 		sup.CaptureTimeline(p.horizon)

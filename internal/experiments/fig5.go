@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"dcm/internal/bus"
 	"dcm/internal/chaos"
 	"dcm/internal/cloud"
 	"dcm/internal/controller"
@@ -291,6 +292,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 
 	var fw *core.Framework
 	var loop *workload.ClosedLoop
+	var col *seriesCollector
 	r, err := assemble(runPlan{
 		seed:  cfg.Seed,
 		chain: &appCfg,
@@ -316,6 +318,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 			}); err != nil {
 				return fmt.Errorf("framework: %w", err)
 			}
+			col = newSeriesCollector(fw.Bus(), res, expectSamples)
 			if err := fw.Start(); err != nil {
 				return fmt.Errorf("start: %w", err)
 			}
@@ -343,14 +346,16 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 			return wl, nil
 		},
 		// Per-second topology sampler (server counts incl. provisioning
-		// VMs). The invariant sweep piggybacks on this existing tick so
-		// checking adds no events of its own — the event stream (and so the
-		// result bytes) is identical with the checker on or off.
+		// VMs). The series collector's drain and the invariant sweep
+		// piggyback on this existing tick so neither adds events of its
+		// own — the event stream (and so the result bytes) is identical
+		// with the checker on or off.
 		sample: func(r *run) {
 			for _, tierName := range ntier.Tiers() {
 				count := r.app.MemberCount(tierName) + fw.VMAgent().Pending(tierName)
 				res.TierCounts[tierName] = append(res.TierCounts[tierName], count)
 			}
+			col.drain()
 			r.sweep()
 		},
 		horizon: horizon,
@@ -359,10 +364,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		return nil, fmt.Errorf("experiments: scenario: %w", err)
 	}
 	fw.Stop()
-
-	if err := collectSeries(fw, res); err != nil {
-		return nil, err
-	}
+	col.finish()
 	res.Users = make([]int, len(res.Seconds))
 	for i, s := range res.Seconds {
 		if cfg.Bursty != nil {
@@ -486,30 +488,56 @@ func buildController(cfg ScenarioConfig) (controller.Controller, error) {
 	}
 }
 
-// collectSeries reconstructs the per-second series from the bus logs.
-func collectSeries(fw *core.Framework, res *ScenarioResult) error {
-	sysMsgs, err := fw.Bus().Fetch(monitor.TopicSystemMetrics, 0, 0)
-	if err != nil {
-		return fmt.Errorf("experiments: collect system series: %w", err)
+// seriesCollector builds the per-second Fig. 5 series as one more
+// consumer of the monitoring stream: it reads both monitor topics at the
+// pace of the run, so the bus retains only the samples no consumer has
+// read yet rather than the whole run.
+type seriesCollector struct {
+	res      *ScenarioResult
+	sys, srv *bus.Consumer
+	// axis is the time axis. It goes through a metrics.Series so
+	// out-of-order bus delivery is clamped AND counted — the clamp total
+	// lands on the result instead of being silently absorbed.
+	axis *metrics.Series
+	// counts is each tier's number of server samples per second; the
+	// result's TierCPU holds their CPU sums until finish divides.
+	counts map[string][]int
+}
+
+// newSeriesCollector registers the collector's consumers on b and sizes
+// every series for the expected number of one-second samples.
+func newSeriesCollector(b *bus.Bus, res *ScenarioResult, expect int) *seriesCollector {
+	c := &seriesCollector{
+		res:    res,
+		sys:    b.NewConsumer(monitor.TopicSystemMetrics),
+		srv:    b.NewConsumer(monitor.TopicServerMetrics),
+		axis:   metrics.NewSeries("system"),
+		counts: make(map[string][]int, len(ntier.Tiers())),
 	}
-	// One sample per bus message at most: size every series once. The time
-	// axis goes through a metrics.Series so out-of-order bus delivery is
-	// clamped AND counted — the clamp total lands on the result instead of
-	// being silently absorbed.
-	axis := metrics.NewSeries("system")
-	axis.Grow(len(sysMsgs))
-	res.Throughput = make([]float64, 0, len(sysMsgs))
-	res.MeanRTSec = make([]float64, 0, len(sysMsgs))
-	res.P95RTSec = make([]float64, 0, len(sysMsgs))
-	res.Errors = make([]float64, 0, len(sysMsgs))
-	res.AppResSec = make([]float64, 0, len(sysMsgs))
-	res.DBResSec = make([]float64, 0, len(sysMsgs))
-	for _, m := range sysMsgs {
-		s, ok := m.Value.(monitor.SystemSample)
-		if !ok {
+	c.axis.Grow(expect)
+	res.Throughput = make([]float64, 0, expect)
+	res.MeanRTSec = make([]float64, 0, expect)
+	res.P95RTSec = make([]float64, 0, expect)
+	res.Errors = make([]float64, 0, expect)
+	res.AppResSec = make([]float64, 0, expect)
+	res.DBResSec = make([]float64, 0, expect)
+	for _, tierName := range ntier.Tiers() {
+		res.TierCPU[tierName] = make([]float64, 0, expect)
+		c.counts[tierName] = make([]int, 0, expect)
+	}
+	return c
+}
+
+// drain reads every sample published since the previous drain, in
+// message order.
+func (c *seriesCollector) drain() {
+	res := c.res
+	for m, ok := c.sys.Next(); ok; m, ok = c.sys.Next() {
+		s, isSample := m.Value.(monitor.SystemSample)
+		if !isSample {
 			continue
 		}
-		axis.Append(s.At, s.Throughput)
+		c.axis.Append(s.At, s.Throughput)
 		res.Throughput = append(res.Throughput, s.Throughput)
 		res.MeanRTSec = append(res.MeanRTSec, s.MeanRTSeconds)
 		res.P95RTSec = append(res.P95RTSec, s.P95RTSeconds)
@@ -517,38 +545,48 @@ func collectSeries(fw *core.Framework, res *ScenarioResult) error {
 		res.AppResSec = append(res.AppResSec, s.MeanAppResidence)
 		res.DBResSec = append(res.DBResSec, s.MeanDBResidence)
 	}
-	res.Seconds = make([]float64, 0, axis.Len())
-	for _, sm := range axis.Samples() {
+	for m, ok := c.srv.Next(); ok; m, ok = c.srv.Next() {
+		s, isSample := m.Value.(monitor.ServerSample)
+		sec := int(s.At.Seconds()) - 1
+		cpu, counts := res.TierCPU[s.Tier], c.counts[s.Tier]
+		if !isSample || cpu == nil || sec < 0 {
+			continue
+		}
+		for len(cpu) <= sec {
+			cpu, counts = append(cpu, 0), append(counts, 0)
+		}
+		cpu[sec] += s.CPUUtil
+		counts[sec]++
+		res.TierCPU[s.Tier], c.counts[s.Tier] = cpu, counts
+	}
+}
+
+// finish drains what the run left unread and completes the series: the
+// time axis, and each tier's CPU series as the mean over its servers'
+// samples in each second, aligned to the axis.
+func (c *seriesCollector) finish() {
+	c.drain()
+	res := c.res
+	res.Seconds = make([]float64, 0, c.axis.Len())
+	for _, sm := range c.axis.Samples() {
 		res.Seconds = append(res.Seconds, sm.At.Seconds())
 	}
-	res.SeriesClamped += axis.Clamped()
-
-	srvMsgs, err := fw.Bus().Fetch(monitor.TopicServerMetrics, 0, 0)
-	if err != nil {
-		return fmt.Errorf("experiments: collect server series: %w", err)
-	}
-	// Each tier's CPU series is the mean over its servers' samples in
-	// each second.
+	res.SeriesClamped += c.axis.Clamped()
 	n := len(res.Seconds)
-	counts := make(map[string][]int, len(ntier.Tiers()))
-	for _, tierName := range ntier.Tiers() {
-		res.TierCPU[tierName] = make([]float64, n)
-		counts[tierName] = make([]int, n)
-	}
-	for _, m := range srvMsgs {
-		s, ok := m.Value.(monitor.ServerSample)
-		sec := int(s.At.Seconds()) - 1
-		if cpu := res.TierCPU[s.Tier]; ok && cpu != nil && sec >= 0 && sec < n {
-			cpu[sec] += s.CPUUtil
-			counts[s.Tier][sec]++
-		}
-	}
 	for tierName, cpu := range res.TierCPU {
-		for i, c := range counts[tierName] {
-			if c > 0 {
-				cpu[i] /= float64(c)
+		counts := c.counts[tierName]
+		if len(cpu) > n {
+			cpu, counts = cpu[:n], counts[:n]
+		}
+		for len(cpu) < n {
+			cpu, counts = append(cpu, 0), append(counts, 0)
+		}
+		for i, k := range counts {
+			if k > 0 {
+				cpu[i] /= float64(k)
 			}
 		}
+		res.TierCPU[tierName] = cpu
 	}
 	// Trim the topology series to the same length.
 	for tierName, s := range res.TierCounts {
@@ -556,7 +594,6 @@ func collectSeries(fw *core.Framework, res *ScenarioResult) error {
 			res.TierCounts[tierName] = s[:n]
 		}
 	}
-	return nil
 }
 
 // ScenarioSummary condenses a run for comparison.

@@ -44,19 +44,43 @@ type graphSnapshot struct {
 	Good        uint64
 	Disp        metrics.DispositionCounts
 	Visits      map[string]graph.NodeVisitStat
-	Stats       graph.Stats
+	Stats       pinnedStats
+}
+
+// pinnedStats is graph.Stats in the JSON layout TestGraphChainDigestPinned
+// was captured with: the interval stats, then the in-flight gauge and the
+// interval's resilience outcome counts, which graph.Stats no longer
+// carries. snapshotGraph's TakeStats covers the whole run, so the
+// lifetime tallies are the interval's.
+type pinnedStats struct {
+	graph.Stats
+	InFlight    int    `json:"inFlight"`
+	Good        uint64 `json:"good,omitempty"`
+	TimedOut    uint64 `json:"timedOut,omitempty"`
+	Rejected    uint64 `json:"rejected,omitempty"`
+	Shed        uint64 `json:"shed,omitempty"`
+	BreakerOpen uint64 `json:"breakerOpen,omitempty"`
 }
 
 func snapshotGraph(eng *sim.Engine, g *graph.App) graphSnapshot {
+	d := g.Dispositions()
 	return graphSnapshot{
 		Processed:   eng.Processed(),
 		Injected:    g.TotalInjected(),
 		Completions: g.TotalCompletions(),
 		Errors:      g.TotalErrors(),
 		Good:        g.TotalGood(),
-		Disp:        g.Dispositions(),
+		Disp:        d,
 		Visits:      g.NodeVisits(),
-		Stats:       g.TakeStats(),
+		Stats: pinnedStats{
+			Stats:       g.TakeStats(),
+			InFlight:    int(g.TotalInjected() - d.Total()),
+			Good:        g.TotalGood(),
+			TimedOut:    d.TimedOut,
+			Rejected:    d.Rejected,
+			Shed:        d.Shed,
+			BreakerOpen: d.BreakerOpen,
+		},
 	}
 }
 

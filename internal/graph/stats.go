@@ -19,17 +19,6 @@ type Stats struct {
 	NodeResidence map[string]float64 `json:"nodeResidence,omitempty"`
 	// RT is the full response-time summary for the interval.
 	RT metrics.Summary `json:"rt"`
-	// InFlight is the instantaneous number of requests in the system.
-	InFlight int `json:"inFlight"`
-	// Resilience outcome counts for requests finished in the interval
-	// (subsets of Errors, except Good which is the subset of Completions
-	// within the goodput SLA). All zero — and absent from JSON — when
-	// resilience is disabled.
-	Good        uint64 `json:"good,omitempty"`
-	TimedOut    uint64 `json:"timedOut,omitempty"`
-	Rejected    uint64 `json:"rejected,omitempty"`
-	Shed        uint64 `json:"shed,omitempty"`
-	BreakerOpen uint64 `json:"breakerOpen,omitempty"`
 }
 
 // TakeStats returns system metrics accumulated since the previous call and
@@ -44,12 +33,6 @@ func (a *App) TakeStats() Stats {
 		MeanRTSeconds: mean,
 		NodeResidence: make(map[string]float64, len(a.nodes)),
 		RT:            metrics.SummarizeInPlace(a.rtWindow),
-		InFlight:      a.inFlight,
-		Good:          a.good.TakeDelta(),
-		TimedOut:      now.TimedOut - prev.TimedOut,
-		Rejected:      now.Rejected - prev.Rejected,
-		Shed:          now.Shed - prev.Shed,
-		BreakerOpen:   now.BreakerOpen - prev.BreakerOpen,
 	}
 	for _, n := range a.nodes {
 		m, _ := n.res.TakeMean()

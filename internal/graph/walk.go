@@ -313,7 +313,7 @@ func (r *request) finish(disp metrics.Disposition) {
 		a.rtWindow = append(a.rtWindow, rt.Seconds())
 		if a.res.Enabled() {
 			if sla := a.res.GoodputSLA(); sla <= 0 || rt <= sla {
-				a.good.Inc(1)
+				a.good++
 			}
 		}
 	}

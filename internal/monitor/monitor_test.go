@@ -51,6 +51,7 @@ func TestNewFleetValidation(t *testing.T) {
 func TestFleetPublishesPerServerSamples(t *testing.T) {
 	t.Parallel()
 	eng, b, app, fleet := setup(t)
+	srv := b.NewConsumer(TopicServerMetrics)
 	if err := fleet.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +67,7 @@ func TestFleetPublishesPerServerSamples(t *testing.T) {
 	if err := eng.Run(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	msgs, err := b.Fetch(TopicServerMetrics, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	msgs := srv.Poll(0)
 	if len(msgs) != 30 {
 		t.Fatalf("server samples = %d, want 3 servers x 10 seconds", len(msgs))
 	}
@@ -117,6 +115,7 @@ func TestAgentSampleMatchesServer(t *testing.T) {
 	}
 
 	eng, b, app, fleet := setup(t)
+	srv := b.NewConsumer(TopicServerMetrics)
 	if err := fleet.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -124,10 +123,7 @@ func TestAgentSampleMatchesServer(t *testing.T) {
 	if err := eng.Run(8 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	msgs, err := b.Fetch(TopicServerMetrics, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	msgs := srv.Poll(0)
 
 	// The twin samples every server in the order Start attaches agents.
 	twinEng, _, twinApp, _ := setup(t)
@@ -171,6 +167,7 @@ func TestAgentSampleMatchesServer(t *testing.T) {
 func TestFleetPublishesSystemSamples(t *testing.T) {
 	t.Parallel()
 	eng, b, app, fleet := setup(t)
+	sys := b.NewConsumer(TopicSystemMetrics)
 	if err := fleet.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -180,10 +177,7 @@ func TestFleetPublishesSystemSamples(t *testing.T) {
 	if err := eng.Run(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	msgs, err := b.Fetch(TopicSystemMetrics, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	msgs := sys.Poll(0)
 	if len(msgs) != 5 {
 		t.Fatalf("system samples = %d", len(msgs))
 	}
@@ -199,6 +193,7 @@ func TestFleetPublishesSystemSamples(t *testing.T) {
 func TestStartIdempotent(t *testing.T) {
 	t.Parallel()
 	eng, b, _, fleet := setup(t)
+	srv := b.NewConsumer(TopicServerMetrics)
 	if err := fleet.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -208,11 +203,7 @@ func TestStartIdempotent(t *testing.T) {
 	if err := eng.Run(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	msgs, err := b.Fetch(TopicServerMetrics, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(msgs) != 6 {
+	if msgs := srv.Poll(0); len(msgs) != 6 {
 		t.Fatalf("double start duplicated agents: %d samples", len(msgs))
 	}
 }
@@ -220,6 +211,7 @@ func TestStartIdempotent(t *testing.T) {
 func TestAttachDetach(t *testing.T) {
 	t.Parallel()
 	eng, b, app, fleet := setup(t)
+	srv := b.NewConsumer(TopicServerMetrics)
 	if err := fleet.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -246,15 +238,11 @@ func TestAttachDetach(t *testing.T) {
 	if fleet.AgentCount() != 3 {
 		t.Fatalf("agents after detach = %d", fleet.AgentCount())
 	}
-	before := endOffset(b, TopicServerMetrics)
+	srv.Poll(0) // skip what was published before the detach
 	if err := eng.Run(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	msgs, err := b.Fetch(TopicServerMetrics, before, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range msgs {
+	for _, m := range srv.Poll(0) {
 		if m.Key == "app-2" {
 			t.Fatal("detached agent still publishing")
 		}
@@ -264,6 +252,7 @@ func TestAttachDetach(t *testing.T) {
 func TestStopHaltsPublishing(t *testing.T) {
 	t.Parallel()
 	eng, b, _, fleet := setup(t)
+	srv, sys := b.NewConsumer(TopicServerMetrics), b.NewConsumer(TopicSystemMetrics)
 	if err := fleet.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -274,19 +263,21 @@ func TestStopHaltsPublishing(t *testing.T) {
 	if fleet.AgentCount() != 0 {
 		t.Fatalf("agents after stop = %d", fleet.AgentCount())
 	}
-	before := endOffset(b, TopicServerMetrics)
-	beforeSys := endOffset(b, TopicSystemMetrics)
+	if len(srv.Poll(0)) == 0 || len(sys.Poll(0)) == 0 {
+		t.Fatal("fleet published nothing before Stop")
+	}
 	if err := eng.Run(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if endOffset(b, TopicServerMetrics) != before || endOffset(b, TopicSystemMetrics) != beforeSys {
-		t.Fatal("fleet published after Stop")
+	if n, m := len(srv.Poll(0)), len(sys.Poll(0)); n != 0 || m != 0 {
+		t.Fatalf("fleet published %d server and %d system samples after Stop", n, m)
 	}
 }
 
 func TestBlackoutSuppressesPublishing(t *testing.T) {
 	t.Parallel()
 	eng, b, _, fleet := setup(t)
+	srv, sys := b.NewConsumer(TopicServerMetrics), b.NewConsumer(TopicSystemMetrics)
 	if err := fleet.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -298,12 +289,8 @@ func TestBlackoutSuppressesPublishing(t *testing.T) {
 	}
 	fleet.Stop()
 
-	msgs, err := b.Fetch(TopicSystemMetrics, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	seen := map[int]bool{}
-	for _, m := range msgs {
+	for _, m := range sys.Poll(0) {
 		s, ok := m.Value.(SystemSample)
 		if !ok {
 			continue
@@ -324,11 +311,7 @@ func TestBlackoutSuppressesPublishing(t *testing.T) {
 		}
 	}
 
-	srvMsgs, err := b.Fetch(TopicServerMetrics, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range srvMsgs {
+	for _, m := range srv.Poll(0) {
 		s, ok := m.Value.(ServerSample)
 		if !ok {
 			continue
@@ -337,14 +320,4 @@ func TestBlackoutSuppressesPublishing(t *testing.T) {
 			t.Errorf("server sample for %s published at %ds during the blackout", s.VM, sec)
 		}
 	}
-}
-
-// endOffset is the offset one past the last message published to topic.
-// The monitor's topics keep every message here, so it is their count.
-func endOffset(b *bus.Bus, topic string) int64 {
-	msgs, err := b.Fetch(topic, 0, 0)
-	if err != nil {
-		panic(err)
-	}
-	return int64(len(msgs))
 }

@@ -49,7 +49,7 @@ func TestFailServerFailsQueuedAndInFlight(t *testing.T) {
 	if app.TotalErrors() != uint64(results[false]) {
 		t.Fatalf("error accounting mismatch: %d vs %v", app.TotalErrors(), results)
 	}
-	if n := app.TakeStats().InFlight; n != 0 {
+	if n := inFlight(app); n != 0 {
 		t.Fatalf("in-flight leak: %d", n)
 	}
 }
@@ -132,7 +132,7 @@ func TestFailDBServerMidQuery(t *testing.T) {
 	if okCount == 0 {
 		t.Fatal("no request survived on db-2")
 	}
-	if n := app.TakeStats().InFlight; n != 0 {
+	if n := inFlight(app); n != 0 {
 		t.Fatalf("in-flight leak: %d", n)
 	}
 }
@@ -168,7 +168,7 @@ func TestCrashUnderSaturationNoLeak(t *testing.T) {
 	if done != total {
 		t.Fatalf("completion conservation broken: %d of %d", done, total)
 	}
-	if n := app.TakeStats().InFlight; n != 0 {
+	if n := inFlight(app); n != 0 {
 		t.Fatalf("in-flight leak: %d", n)
 	}
 	if app.TotalCompletions()+app.TotalErrors() != total {
@@ -249,7 +249,7 @@ func TestConservationUnderChurnProperty(t *testing.T) {
 			t.Logf("seed %d: done %d of %d", seed, done, total)
 			return false
 		}
-		if n := app.TakeStats().InFlight; n != 0 {
+		if n := inFlight(app); n != 0 {
 			t.Logf("seed %d: in flight %d", seed, n)
 			return false
 		}

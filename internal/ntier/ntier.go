@@ -13,8 +13,10 @@
 //
 // The chain is the 3-node case of internal/graph (graph.ChainSpec). This
 // package holds only what is specific to the paper's chain: the tier
-// names, the Table I calibration and the RUBBoS servlet mix, whose
-// classes are graph.Class values profiled over the chain's nodes. New
+// names, the Table I calibration, the RUBBoS servlet mix, whose classes
+// are graph.Class values profiled over the chain's nodes, and the mapping
+// of the paper's three soft-resource knobs onto the chain's nodes, read
+// by Allocation and written by SetAllocation (the APP-agent). New
 // returns the graph engine itself; callers drive it through the graph
 // API, naming the tiers as nodes. The sha256 digest regressions in
 // internal/experiments pin that the chain reproduces its event and rng
@@ -194,5 +196,23 @@ func Allocation(g *graph.App) model.Allocation {
 		WebThreadsPerServer: web,
 		AppThreadsPerServer: app,
 		DBConnsPerAppServer: conns,
+	}
+}
+
+// SetAllocation is the APP-agent's actuation (§IV-B): it sets g's
+// soft-resource allocation through the same mapping Allocation reads.
+// Only knobs that target sets (> 0) and that differ from g's current
+// value are touched; in-flight requests are never interrupted (pool
+// shrinks drain gracefully).
+func SetAllocation(g *graph.App, target model.Allocation) {
+	current := Allocation(g)
+	if target.WebThreadsPerServer > 0 && target.WebThreadsPerServer != current.WebThreadsPerServer {
+		_ = g.SetNodeThreads(TierWeb, target.WebThreadsPerServer)
+	}
+	if target.AppThreadsPerServer > 0 && target.AppThreadsPerServer != current.AppThreadsPerServer {
+		_ = g.SetNodeThreads(TierApp, target.AppThreadsPerServer)
+	}
+	if target.DBConnsPerAppServer > 0 && target.DBConnsPerAppServer != current.DBConnsPerAppServer {
+		_ = g.SetEdgePoolSize(TierApp, TierDB, target.DBConnsPerAppServer)
 	}
 }

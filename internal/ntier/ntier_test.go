@@ -30,6 +30,12 @@ func newApp(t *testing.T, cfg Config) (*sim.Engine, *graph.App) {
 	return eng, app
 }
 
+// inFlight is app's request population: injected requests the
+// disposition tally has not accounted for yet.
+func inFlight(app *graph.App) uint64 {
+	return app.TotalInjected() - app.Dispositions().Total()
+}
+
 func TestDefaultAppConfigUsable(t *testing.T) {
 	t.Parallel()
 	cfg := DefaultConfig()
@@ -100,7 +106,7 @@ func TestRequestFlowCompletes(t *testing.T) {
 	app.Inject(func(rt time.Duration, ok bool) {
 		gotRT, gotOK, calls = rt, ok, calls+1
 	})
-	if n := app.TakeStats().InFlight; n != 1 {
+	if n := inFlight(app); n != 1 {
 		t.Fatalf("in flight = %d", n)
 	}
 	if err := eng.Run(time.Second); err != nil {
@@ -119,7 +125,7 @@ func TestRequestFlowCompletes(t *testing.T) {
 	if app.TotalCompletions() != 1 || app.TotalErrors() != 0 {
 		t.Fatalf("completions=%d errors=%d", app.TotalCompletions(), app.TotalErrors())
 	}
-	if n := app.TakeStats().InFlight; n != 0 {
+	if n := inFlight(app); n != 0 {
 		t.Fatalf("in flight after completion = %d", n)
 	}
 }
@@ -280,6 +286,27 @@ func TestSoftResourceActuation(t *testing.T) {
 	}
 	if m.Server().TakeSample().Size != 1 || m.Pool().TakeSample().Size != 1 {
 		t.Fatal("new server did not inherit the clamped allocation")
+	}
+}
+
+func TestSetAllocation(t *testing.T) {
+	t.Parallel()
+	_, app := newApp(t, fastConfig())
+	target := model.Allocation{WebThreadsPerServer: 500, AppThreadsPerServer: 20, DBConnsPerAppServer: 36}
+	SetAllocation(app, target)
+	if got := Allocation(app); got != target {
+		t.Fatalf("allocation = %v, want %v", got, target)
+	}
+	// Idempotent: applying the same target is a no-op.
+	SetAllocation(app, target)
+	if got := Allocation(app); got != target {
+		t.Fatalf("reapplied allocation = %v, want %v", got, target)
+	}
+	// Zero fields leave the knob untouched.
+	SetAllocation(app, model.Allocation{AppThreadsPerServer: 25})
+	got := Allocation(app)
+	if got.AppThreadsPerServer != 25 || got.WebThreadsPerServer != 500 || got.DBConnsPerAppServer != 36 {
+		t.Fatalf("partial apply = %v", got)
 	}
 }
 
