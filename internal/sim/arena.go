@@ -8,8 +8,8 @@
 // three populations against the slab total.
 package sim
 
-// eventSlabSize is the number of events carved per slab. 256 events
-// (~16 KiB) amortizes warm-up allocation without stranding much memory
+// eventSlabSize is the number of events carved per slab. 256 events of
+// 32 B (8 KiB) amortize warm-up allocation without stranding much memory
 // on small simulations.
 const eventSlabSize = 256
 
@@ -30,13 +30,11 @@ func (e *Engine) alloc() *Event {
 	return &slab[0]
 }
 
-// release retires an event's storage to the free list. Bumping the
-// generation first invalidates every outstanding Timer for it.
+// release retires an event's storage to the free list. Clearing fn makes
+// a late Cancel through an outstanding Timer a no-op; the event's next
+// schedule stamps a new seq, which invalidates the Timer outright.
 func (e *Engine) release(ev *Event) {
-	ev.gen++
 	ev.fn = nil
-	ev.cancelled = false
-	ev.inWheel = false
 	ev.next = e.free
 	e.free = ev
 }

@@ -167,8 +167,8 @@ func TestFreeListReuse(t *testing.T) {
 	if tm2.ev != first {
 		t.Fatal("fired event storage was not recycled by the next Schedule")
 	}
-	if tm2.gen == tm1.gen {
-		t.Fatal("recycled event kept its generation; stale handles would stay live")
+	if tm2.seq <= tm1.seq {
+		t.Fatal("recycled event kept its seq; stale handles would stay live")
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		e.Schedule(time.Millisecond, sink)
@@ -186,7 +186,7 @@ func TestFreeListReuse(t *testing.T) {
 func sink() {}
 
 // TestStaleTimerCannotTouchRecycledEvent is the safety property the
-// generation stamp exists for: canceling a Timer whose event already fired
+// handle's seq stamp exists for: canceling a Timer whose event already fired
 // must not cancel the unrelated event now occupying the recycled storage.
 func TestStaleTimerCannotTouchRecycledEvent(t *testing.T) {
 	t.Parallel()

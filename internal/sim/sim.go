@@ -22,9 +22,13 @@
 // — the pop stream is byte-identical to a heap-only engine's.
 //
 // Fired or canceled events are recycled through slab-allocated arenas
-// (arena.go) instead of being left to the garbage collector. Canceled
-// events are removed lazily in both tiers; when they dominate a tier it
-// is compacted in one pass. On the schedule/fire hot path the engine
+// (arena.go) instead of being left to the garbage collector. An Event is
+// 32 bytes — time, seq, callback, link — so a million pending events
+// take 32 MB. The schedule seq doubles as the generation stamp that
+// keeps stale Timer handles harmless, and a nil callback marks a
+// canceled event. Canceled events are removed lazily in both tiers;
+// when they make up the majority of all queued events, one pass
+// compacts both tiers. On the schedule/fire hot path the engine
 // performs zero allocations at steady state.
 package sim
 
@@ -39,62 +43,57 @@ type Time = time.Duration
 
 // Event is one scheduled callback, owned by the engine. Its storage is
 // recycled after it fires or is canceled, so external code never holds a
-// *Event directly — Schedule returns a generation-stamped Timer handle
-// that stays safe to use after the event completed.
+// *Event directly — Schedule returns a Timer handle that stays safe to
+// use after the event completed.
+//
+// Event is 32 bytes: two fit in a cache line and none straddles one.
+// seq rises on every schedule and is never reused, so it doubles as the
+// generation stamp Timer handles check. A queued event with a nil fn is
+// canceled (the engine never queues a nil callback), and the free list
+// holds only nil-fn events.
 type Event struct {
-	at  Time
-	seq uint64 // tie-break so equal-time events fire in schedule order
-	fn  func()
-
-	// gen is bumped every time the event's storage is retired to the free
-	// list; Timer handles carry the generation they were issued with, so a
-	// stale handle can never touch a recycled event.
-	gen       uint64
-	next      *Event // free-list or wheel-slot link
-	cancelled bool
-	inWheel   bool // event is linked into a wheel slot, not the heap
+	at   Time
+	seq  uint64 // schedule order: the tie-break at equal times and the generation stamp
+	fn   func()
+	next *Event // free-list or wheel-slot link
 }
 
 // Timer is a cancellable handle to a scheduled event. It is a small value
 // type; the zero Timer is inert (Cancel is a no-op, Pending reports
 // false). Unlike a raw pointer, a Timer remains safe to use after its
-// event fired: the engine recycles event storage, and the generation stamp
-// makes operations on completed events harmless no-ops.
+// event fired: the engine recycles event storage, and a recycled event
+// carries a later seq than the handle, which makes operations through
+// the handle harmless no-ops.
 type Timer struct {
 	eng *Engine
 	ev  *Event
-	gen uint64
-	at  Time
+	seq uint64
 }
 
 // Cancel prevents a pending event from firing. Canceling an event that
 // already fired, was already canceled, or was never scheduled (the zero
 // Timer) is a no-op.
 func (t Timer) Cancel() {
-	if t.ev == nil {
+	ev := t.ev
+	if ev == nil {
 		return
 	}
-	if t.ev.gen != t.gen {
-		// A handle generation behind the event's is a legally stale timer
-		// (the event fired and its storage was recycled); a handle AHEAD
+	if ev.seq != t.seq {
+		// A handle behind its event is a legally stale timer (the event
+		// fired and a later schedule reused its storage); a handle AHEAD
 		// of the event means the free list recycled a live event.
-		if t.gen > t.ev.gen && t.eng != nil && t.eng.vhook != nil {
+		if t.seq > ev.seq && t.eng.vhook != nil {
 			t.eng.vhook(RuleTimerGeneration, fmt.Sprintf(
-				"timer generation %d ahead of event generation %d", t.gen, t.ev.gen))
+				"timer seq %d ahead of event seq %d", t.seq, ev.seq))
 		}
 		return
 	}
-	if t.ev.cancelled {
-		return
+	if ev.fn == nil {
+		return // already fired or canceled
 	}
-	t.ev.cancelled = true
-	if t.ev.inWheel {
-		t.eng.wh.dead++
-		t.eng.maybeCompactWheel()
-	} else {
-		t.eng.dead++
-		t.eng.maybeCompact()
-	}
+	ev.fn = nil
+	t.eng.dead++
+	t.eng.maybeCompact()
 }
 
 // heapEntry is one queue slot. The full sort key (at, seq) is stored
@@ -114,7 +113,7 @@ type Engine struct {
 	now     Time
 	seq     uint64
 	queue   []heapEntry
-	dead    int    // canceled events still sitting in the heap queue
+	dead    int    // canceled events still queued in either tier
 	free    *Event // recycled events, linked through Event.next
 	slabs   [][]Event
 	wh      wheel
@@ -215,7 +214,7 @@ func (e *Engine) ScheduleAt(at Time, fn func()) Timer {
 	ev.fn = fn
 	e.seq++
 	e.enqueue(ev)
-	return Timer{eng: e, ev: ev, gen: ev.gen, at: at}
+	return Timer{eng: e, ev: ev, seq: ev.seq}
 }
 
 // enqueue stores a freshly stamped event in the tier that owns its
@@ -295,20 +294,20 @@ func (e *Engine) Run(horizon Time) error {
 		}
 		e.pop()
 		ev := next.ev
-		if ev.cancelled {
+		fn := ev.fn
+		if fn == nil {
 			e.dead--
 			e.release(ev)
 			continue
 		}
-		fn := ev.fn
 		if e.vhook != nil && next.at < e.now {
 			e.vhook(RuleEventOrder, fmt.Sprintf(
 				"event fired at %v with clock already at %v", next.at, e.now))
 		}
 		e.now = next.at
 		// Recycle before firing so the rearm pattern (fire → schedule)
-		// reuses this event's storage; fn was copied out above and the
-		// generation bump in release invalidates stale Timers.
+		// reuses this event's storage; fn was copied out above, and the
+		// next schedule's seq invalidates stale Timers.
 		e.release(ev)
 		e.processed++
 		if e.processed > e.maxEvents {
@@ -325,7 +324,7 @@ func (e *Engine) Run(horizon Time) error {
 // Pending returns the number of live events still queued in either tier
 // (canceled events awaiting lazy removal are not counted).
 func (e *Engine) Pending() int {
-	return len(e.queue) - e.dead + e.wh.count - e.wh.dead
+	return len(e.queue) + e.wh.count - e.dead
 }
 
 // Ticker invokes fn every period, starting one period from now, until the
@@ -474,16 +473,16 @@ func (e *Engine) heapify() {
 // VerifyHeap runs the engine's O(n) structural self-check across both
 // timer tiers and the arena: the 4-ary heap property over (at, seq), no
 // queued event in the past, entry sort keys consistent with their
-// events, dead-entry accounting, wheel slot placement and occupancy
-// bitmaps, the flush-frontier and next-tick bounds, pairwise
-// disjointness of heap, wheel and free list, and the arena balance
-// (every slab-allocated event on exactly one of the three). It is
-// read-only and intended for periodic or end-of-run invariant sweeps,
-// not hot paths.
+// events, the dead count equal to the canceled (nil-fn) events queued in
+// both tiers, wheel slot placement and occupancy bitmaps, the
+// flush-frontier and next-tick bounds, pairwise disjointness of heap,
+// wheel and free list, and the arena balance (every slab-allocated event
+// on exactly one of the three). It is read-only and intended for
+// periodic or end-of-run invariant sweeps, not hot paths.
 func (e *Engine) VerifyHeap() error {
 	q := e.queue
-	if e.dead < 0 || e.dead > len(q) {
-		return fmt.Errorf("sim: dead count %d out of range [0,%d]", e.dead, len(q))
+	if stored := len(q) + e.wh.count; e.dead < 0 || e.dead > stored {
+		return fmt.Errorf("sim: dead count %d out of range [0,%d]", e.dead, stored)
 	}
 	cancelled := 0
 	for i := range q {
@@ -498,7 +497,7 @@ func (e *Engine) VerifyHeap() error {
 		if en.at < e.now {
 			return fmt.Errorf("sim: queue[%d] scheduled at %v, before clock %v", i, en.at, e.now)
 		}
-		if en.ev.cancelled {
+		if en.ev.fn == nil {
 			cancelled++
 		}
 		if i > 0 {
@@ -507,9 +506,6 @@ func (e *Engine) VerifyHeap() error {
 				return fmt.Errorf("sim: heap property violated at index %d (parent %d)", i, parent)
 			}
 		}
-	}
-	if cancelled != e.dead {
-		return fmt.Errorf("sim: %d cancelled entries in queue but dead count is %d", cancelled, e.dead)
 	}
 	onFreeList := make(map[*Event]bool)
 	for ev := e.free; ev != nil; ev = ev.next {
@@ -523,8 +519,12 @@ func (e *Engine) VerifyHeap() error {
 			return fmt.Errorf("sim: queue[%d] event is also on the free list", i)
 		}
 	}
-	if err := e.verifyWheel(onFreeList); err != nil {
+	wheelCancelled, err := e.verifyWheel(onFreeList)
+	if err != nil {
 		return err
+	}
+	if cancelled += wheelCancelled; cancelled != e.dead {
+		return fmt.Errorf("sim: %d cancelled events queued but dead count is %d", cancelled, e.dead)
 	}
 	total := 0
 	for _, slab := range e.slabs {
@@ -539,18 +539,17 @@ func (e *Engine) VerifyHeap() error {
 
 // verifyWheel checks the wheel tier: every stored event is linked in the
 // slot its (tick, frontier) placement demands and, above level 0, in way
-// 0 or the way its seq picks; occupancy bits mirror slot emptiness, counts and the next-tick lower bound hold, and no
-// wheel event also sits on the free list or in the heap.
-func (e *Engine) verifyWheel(onFreeList map[*Event]bool) error {
+// 0 or the way its seq picks; occupancy bits mirror slot emptiness, the
+// count and the next-tick lower bound hold, and no wheel event also sits
+// on the free list or in the heap. It returns the number of canceled
+// events the wheel stores.
+func (e *Engine) verifyWheel(onFreeList map[*Event]bool) (cancelled int, err error) {
 	w := &e.wh
-	if w.dead < 0 || w.dead > w.count {
-		return fmt.Errorf("sim: wheel dead count %d out of range [0,%d]", w.dead, w.count)
-	}
 	if w.wayMask != 0 && w.wayMask != wheelWays-1 {
-		return fmt.Errorf("sim: wheel way mask %d, want 0 or %d", w.wayMask, wheelWays-1)
+		return 0, fmt.Errorf("sim: wheel way mask %d, want 0 or %d", w.wayMask, wheelWays-1)
 	}
 	inWheel := make(map[*Event]bool)
-	stored, cancelled := 0, 0
+	stored := 0
 	for lvl := 0; lvl < wheelLevels; lvl++ {
 		for s := uint64(0); s < wheelSlots; s++ {
 			occupied := w.occ[lvl][s>>6]&(1<<(s&63)) != 0
@@ -559,92 +558,88 @@ func (e *Engine) verifyWheel(onFreeList map[*Event]bool) error {
 				empty = empty && *w.head(lvl, s, way) == nil
 			}
 			if empty == occupied {
-				return fmt.Errorf("sim: wheel level %d slot %d occupancy bit %v disagrees with list", lvl, s, occupied)
+				return 0, fmt.Errorf("sim: wheel level %d slot %d occupancy bit %v disagrees with list", lvl, s, occupied)
 			}
 			for way := 0; way < waysAt(lvl); way++ {
 				for ev := *w.head(lvl, s, way); ev != nil; ev = ev.next {
 					if inWheel[ev] {
-						return fmt.Errorf("sim: wheel level %d slot %d links an event twice", lvl, s)
+						return 0, fmt.Errorf("sim: wheel level %d slot %d links an event twice", lvl, s)
 					}
 					inWheel[ev] = true
 					stored++
-					if ev.cancelled {
+					if ev.fn == nil {
 						cancelled++
 					}
-					if !ev.inWheel {
-						return fmt.Errorf("sim: wheel level %d slot %d event not marked inWheel", lvl, s)
-					}
 					if ev.at < e.now {
-						return fmt.Errorf("sim: wheel level %d slot %d event at %v, before clock %v", lvl, s, ev.at, e.now)
+						return 0, fmt.Errorf("sim: wheel level %d slot %d event at %v, before clock %v", lvl, s, ev.at, e.now)
 					}
 					ti := tickOf(ev.at)
 					if ti < w.cur {
-						return fmt.Errorf("sim: wheel level %d slot %d event tick %d behind frontier %d", lvl, s, ti, w.cur)
+						return 0, fmt.Errorf("sim: wheel level %d slot %d event tick %d behind frontier %d", lvl, s, ti, w.cur)
 					}
 					if ti < w.next {
-						return fmt.Errorf("sim: wheel level %d slot %d event tick %d below next-tick bound %d", lvl, s, ti, w.next)
+						return 0, fmt.Errorf("sim: wheel level %d slot %d event tick %d below next-tick bound %d", lvl, s, ti, w.next)
 					}
 					if wantLvl := levelFor(ti, w.cur); wantLvl != lvl || slotOf(ti, lvl) != s {
-						return fmt.Errorf("sim: wheel event at %v placed at level %d slot %d, want level %d slot %d",
+						return 0, fmt.Errorf("sim: wheel event at %v placed at level %d slot %d, want level %d slot %d",
 							ev.at, lvl, s, wantLvl, slotOf(ti, wantLvl))
 					}
 					// Way 0 also holds events placed before the wheel
 					// first spread over the ways.
 					if want := ev.seq & w.wayMask; way != 0 && uint64(way) != want {
-						return fmt.Errorf("sim: wheel event seq %d placed in level %d slot %d way %d, want way %d",
+						return 0, fmt.Errorf("sim: wheel event seq %d placed in level %d slot %d way %d, want way %d",
 							ev.seq, lvl, s, way, want)
 					}
 					if onFreeList[ev] {
-						return fmt.Errorf("sim: wheel level %d slot %d event is also on the free list", lvl, s)
+						return 0, fmt.Errorf("sim: wheel level %d slot %d event is also on the free list", lvl, s)
 					}
 				}
 			}
 		}
 	}
 	if stored != w.count {
-		return fmt.Errorf("sim: wheel stores %d events but count is %d", stored, w.count)
-	}
-	if cancelled != w.dead {
-		return fmt.Errorf("sim: %d cancelled events in wheel but dead count is %d", cancelled, w.dead)
+		return 0, fmt.Errorf("sim: wheel stores %d events but count is %d", stored, w.count)
 	}
 	for i := range e.queue {
 		if inWheel[e.queue[i].ev] {
-			return fmt.Errorf("sim: queue[%d] event is also in the wheel", i)
-		}
-		if e.queue[i].ev.inWheel {
-			return fmt.Errorf("sim: queue[%d] event marked inWheel", i)
+			return 0, fmt.Errorf("sim: queue[%d] event is also in the wheel", i)
 		}
 	}
-	return nil
+	return cancelled, nil
 }
 
-// heapCompactionThreshold is the minimum number of dead entries before a
-// heap compaction pass is considered (small queues are cheaper to drain
-// lazily). The wheel tier has its own identical knob,
-// wheelCompactionThreshold.
+// heapCompactionThreshold is the minimum number of dead events, both
+// tiers together, before a compaction pass is considered (small
+// populations are cheaper to drain lazily).
 const heapCompactionThreshold = 64
 
-// maybeCompact rebuilds the queue without canceled events once they make
-// up the majority — the watchdog-heavy pattern where nearly every
-// scheduled deadline is canceled would otherwise keep sift paths
-// needlessly deep.
+// maybeCompact drops canceled events from both tiers once they make up
+// the majority of everything queued — the watchdog-heavy pattern where
+// nearly every scheduled deadline is canceled long before it is due
+// would otherwise keep sift paths needlessly deep and pin the canceled
+// events' storage until the frontier reaches them.
 func (e *Engine) maybeCompact() {
-	if e.dead < heapCompactionThreshold || e.dead <= len(e.queue)/2 {
+	if e.dead < heapCompactionThreshold || e.dead <= (len(e.queue)+e.wh.count)/2 {
 		return
 	}
 	q := e.queue
 	live := q[:0]
 	for _, en := range q {
-		if en.ev.cancelled {
+		if en.ev.fn == nil {
 			e.release(en.ev)
 		} else {
 			live = append(live, en)
 		}
 	}
-	for i := len(live); i < len(q); i++ {
-		q[i] = heapEntry{}
+	if len(live) < len(q) {
+		for i := len(live); i < len(q); i++ {
+			q[i] = heapEntry{}
+		}
+		e.queue = live
+		e.heapify()
 	}
-	e.queue = live
+	if e.wh.count > 0 {
+		e.compactWheel()
+	}
 	e.dead = 0
-	e.heapify()
 }

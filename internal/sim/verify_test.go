@@ -74,7 +74,10 @@ func TestVerifyHeapDetectsCorruption(t *testing.T) {
 			last := len(e.queue) - 1
 			e.queue[0], e.queue[last] = e.queue[last], e.queue[0]
 		}, "heap property"},
-		{"dead-miscount", func(e *Engine) { e.queue[1].ev.cancelled = true }, "dead count is"},
+		// A canceled (nil-fn) event the dead count misses, and a dead
+		// count that includes a live event.
+		{"dead-miscount", func(e *Engine) { e.queue[1].ev.fn = nil }, "dead count is"},
+		{"dead-overcount", func(e *Engine) { e.dead++ }, "dead count is"},
 		{"queue-event-on-free-list", func(e *Engine) {
 			e.queue[4].ev.next = e.free
 			e.free = e.queue[4].ev
@@ -120,15 +123,15 @@ func TestViolationHookEventOrder(t *testing.T) {
 }
 
 // TestViolationHookTimerGeneration fires the timer-generation self-check:
-// a Timer handle stamped with a generation ahead of its event's can only
-// exist if the free list recycled a live event.
+// a Timer handle stamped with a seq ahead of its event's can only exist
+// if the free list recycled a live event.
 func TestViolationHookTimerGeneration(t *testing.T) {
 	t.Parallel()
 	e := NewEngine()
 	var got []string
 	e.SetViolationHook(func(rule, detail string) { got = append(got, rule) })
 	tm := e.Schedule(time.Millisecond, func() {})
-	tm.gen++ // corrupt: a handle from the future
+	tm.seq++ // corrupt: a handle from the future
 	tm.Cancel()
 	if len(got) != 1 || got[0] != RuleTimerGeneration {
 		t.Fatalf("hook calls = %v, want one %s violation", got, RuleTimerGeneration)

@@ -37,8 +37,8 @@
 // unchanged. Per-level occupancy bitmaps let the advance loop jump over
 // empty slots, keeping sparse schedules (one monitor tick per simulated
 // second) as cheap as dense ones. Canceled events are dropped lazily at
-// flush/cascade time; when they dominate the wheel a compaction sweep
-// reclaims them in one pass, mirroring the heap's lazy compaction.
+// flush/cascade time; when they dominate the engine's queued events the
+// heap's compaction pass sweeps them out of the wheel too.
 package sim
 
 import "math/bits"
@@ -62,17 +62,13 @@ const (
 	// power of two, so an event's way is seq&(wheelWays-1).
 	wheelWays = 4
 	// wheelWaysFrom is the stored-event count at which the wheel starts
-	// spreading events over the ways: 2^15 events of 48 B are 1.5 MB,
-	// about one core's L2 cache.
+	// spreading events over the ways: 2^15 events of 32 B are 1 MiB,
+	// within one core's L2 cache (1–2 MiB on current x86 and arm64
+	// server cores), so the arena outgrows L2 soon after.
 	wheelWaysFrom = 1 << 15
 	// wheelMaxTick is the first tick index past the wheel's total span;
 	// events at or beyond it overflow to the far-future heap tier.
 	wheelMaxTick = uint64(1) << (wheelLevelBits * wheelLevels)
-
-	// wheelCompactionThreshold is the minimum number of canceled events
-	// sitting in wheel slots before a compaction sweep is considered,
-	// mirroring the heap's heapCompactionThreshold.
-	wheelCompactionThreshold = 64
 
 	noTick = ^uint64(0)
 )
@@ -89,10 +85,9 @@ type wheel struct {
 	// cur is the flush frontier: every event with tick < cur has left the
 	// wheel. Events scheduled for ticks < cur go straight to the heap.
 	cur uint64
-	// count is the number of events currently stored (including canceled
-	// ones awaiting lazy removal); dead counts just the canceled ones.
+	// count is the number of events currently stored, including canceled
+	// ones awaiting lazy removal (the engine's dead count covers those).
 	count int
-	dead  int
 	// next is a lower bound on the earliest tick any stored event can
 	// fire at (noTick when empty) — the advance fast path compares it
 	// against the needed tick and skips the bitmap scan entirely.
@@ -168,7 +163,6 @@ func (w *wheel) place(ev *Event, ti uint64) bool {
 		head = &w.upper[lvl-1][ev.seq&w.wayMask][s]
 	}
 	ev.next = *head
-	ev.inWheel = true
 	*head = ev
 	w.occ[lvl][s>>6] |= 1 << (s & 63)
 	w.count++
@@ -221,9 +215,8 @@ func (e *Engine) pushDown() {
 			for ev != nil {
 				next := ev.next
 				w.count--
-				if ev.cancelled {
-					w.dead--
-					ev.inWheel = false
+				if ev.fn == nil {
+					e.dead--
 					e.release(ev)
 				} else {
 					w.place(ev, tickOf(ev.at)) // always lands: same block as cur
@@ -287,9 +280,8 @@ func nonNil(ev *Event) uint {
 func (e *Engine) cascade(ev *Event) {
 	w := &e.wh
 	w.count--
-	if ev.cancelled {
-		w.dead--
-		ev.inWheel = false
+	if ev.fn == nil {
+		e.dead--
 		e.release(ev)
 		return
 	}
@@ -308,10 +300,9 @@ func (e *Engine) flushSlot0(ti uint64) {
 	for ev != nil {
 		next := ev.next
 		w.count--
-		ev.inWheel = false
 		ev.next = nil
-		if ev.cancelled {
-			w.dead--
+		if ev.fn == nil {
+			e.dead--
 			e.release(ev)
 		} else {
 			e.push(heapEntry{at: ev.at, seq: ev.seq, ev: ev})
@@ -389,15 +380,11 @@ func (e *Engine) wheelAdvance(horizonTick uint64) {
 	}
 }
 
-// maybeCompactWheel sweeps canceled events out of every slot once they
-// make up the majority — the watchdog pattern where nearly every
-// scheduled deadline is canceled long before its slot comes due would
-// otherwise pin their storage until the frontier reaches it.
-func (e *Engine) maybeCompactWheel() {
+// compactWheel is the wheel half of maybeCompact: it sweeps canceled
+// events out of every occupied slot, releasing their storage. The caller
+// resets the engine's dead count.
+func (e *Engine) compactWheel() {
 	w := &e.wh
-	if w.dead < wheelCompactionThreshold || w.dead <= w.count/2 {
-		return
-	}
 	for lvl := 0; lvl < wheelLevels; lvl++ {
 		for word := range w.occ[lvl] {
 			b := w.occ[lvl][word]
@@ -410,10 +397,8 @@ func (e *Engine) maybeCompactWheel() {
 					var live *Event
 					for ev := *head; ev != nil; {
 						next := ev.next
-						if ev.cancelled {
+						if ev.fn == nil {
 							w.count--
-							w.dead--
-							ev.inWheel = false
 							e.release(ev)
 						} else {
 							ev.next = live

@@ -164,17 +164,25 @@ func opMag(step int, b byte) uint64 {
 }
 
 const (
-	opSchedule  = iota // schedule a fresh event after spanDelay(class, mag)
-	opDuplicate        // schedule a fresh event after the previous delay: same-time ordering
-	opCancel           // cancel id mag%ids (fired ids make it a no-op)
-	opRearm            // cancel id mag%ids and schedule a replacement
-	opAdvance          // run both to the horizon moved by advanceStep(class, mag)
+	opSchedule    = iota // schedule a fresh event after spanDelay(class, mag)
+	opDuplicate          // schedule a fresh event after the previous delay: same-time ordering
+	opCancel             // cancel id mag%ids (fired ids make it a no-op)
+	opRearm              // cancel id mag%ids and schedule a replacement
+	opAdvance            // run both to the horizon moved by advanceStep(class, mag)
+	opCancelTwice        // cancel id mag%ids twice through one handle
+	opCancelStale        // cancel a fired id whose storage a live event reused
 	diffKinds
 )
 
+// staleProbes bounds opCancelStale's search for a fired id whose event
+// storage a later, still pending schedule took over.
+const staleProbes = 64
+
 // diffOps encodes TestWheelDifferentialRandom's workload for one seed:
 // segs segments of 40–160 schedule/cancel/rearm ops, each closed by an
-// advance.
+// advance. Some cancels go twice through one handle or through a stale
+// handle whose storage a later schedule reused: neither may touch a live
+// event or the dead count.
 func diffOps(seed int64, segs int) []byte {
 	r := rand.New(rand.NewSource(seed))
 	var ops []byte
@@ -190,6 +198,10 @@ func diffOps(seed int64, segs int) []byte {
 				op(opRearm, r.Intn(12))
 			case r.Intn(6) == 0:
 				op(opDuplicate, 0)
+			case r.Intn(12) == 0:
+				op(opCancelTwice, 0)
+			case r.Intn(12) == 0:
+				op(opCancelStale, 0)
 			default:
 				op(opSchedule, r.Intn(12))
 			}
@@ -263,21 +275,36 @@ func (h *diffHarness) schedule(d time.Duration) {
 
 // apply runs one encoded op on both sides.
 func (h *diffHarness) apply(step int, op []byte) {
-	class, mag := op[0]/diffKinds, opMag(step, op[1])
-	switch op[0] % diffKinds {
+	kind, class, mag := op[0]%diffKinds, op[0]/diffKinds, opMag(step, op[1])
+	switch kind {
 	case opSchedule:
 		h.schedule(spanDelay(class, mag))
 	case opDuplicate:
 		h.schedule(h.lastDelay)
-	case opCancel, opRearm:
+	case opCancel, opRearm, opCancelTwice:
 		if h.engNext == 0 {
 			break
 		}
 		id := int(mag % uint64(h.engNext))
 		h.timers[id].Cancel()
+		if kind == opCancelTwice {
+			h.timers[id].Cancel()
+		}
 		h.model.cancel(id)
-		if op[0]%diffKinds == opRearm {
+		if kind == opRearm {
 			h.schedule(spanDelay(class, mag>>32))
+		}
+	case opCancelStale:
+		// The reference has nothing to do: the id already fired. The
+		// pending check below catches a cancel that reached the live
+		// event now in the id's storage.
+		for k := 0; k < staleProbes && k < h.engNext; k++ {
+			id := int((mag + uint64(k)) % uint64(h.engNext))
+			tm := h.timers[id]
+			if it := h.model.items[id]; it != nil && it.fired && tm.ev.seq != tm.seq && tm.ev.fn != nil {
+				tm.Cancel()
+				break
+			}
 		}
 	case opAdvance:
 		h.horizon += advanceStep(class, mag)
@@ -348,7 +375,8 @@ func TestWheelDifferentialRandom(t *testing.T) {
 }
 
 // FuzzWheelDifferential decodes the fuzz input into a schedule, cancel,
-// rearm and advance op sequence (diffOpSize bytes per op) and runs it
+// rearm, double-cancel, stale-cancel and advance op sequence (diffOpSize
+// bytes per op) and runs it
 // through the engine and the reference model, which must agree at every
 // step, both with every event in way 0 and spread over the ways. The
 // seed corpus is TestWheelDifferentialRandom's workloads, cut to one
@@ -528,14 +556,14 @@ func TestWheelDenseCascade(t *testing.T) {
 		for i := 0; i < 400; i++ {
 			add(Time(5<<(3*wheelLevelBits+wheelTickShift)) + Time(i))
 		}
-		deadBefore := e.wh.dead
+		deadBefore := e.dead
 		for i := from; i < len(timers); i++ {
 			if i%10 != 0 {
 				cancel(i)
 			}
 		}
-		if wheel && e.wh.dead >= deadBefore+360 {
-			t.Fatalf("no compaction: wheel dead count %d", e.wh.dead)
+		if wheel && e.dead >= deadBefore+360 {
+			t.Fatalf("no compaction: dead count %d", e.dead)
 		}
 		stop(Time(3 << (2*wheelLevelBits + wheelTickShift)))
 		// Mid-run, against a moved frontier: more dense level-1 slots.
@@ -589,13 +617,13 @@ func TestWheelCompaction(t *testing.T) {
 	}
 	// Compaction runs during the cancel loop each time the dead majority
 	// crosses the threshold; only a sub-threshold residue may stay lazy.
-	if e.wh.dead >= wheelCompactionThreshold {
-		t.Fatalf("wheel dead count %d after mass cancel, want < %d", e.wh.dead, wheelCompactionThreshold)
+	if e.dead >= heapCompactionThreshold {
+		t.Fatalf("dead count %d after mass cancel, want < %d", e.dead, heapCompactionThreshold)
 	}
-	if want := n - cancelled + e.wh.dead; e.wh.count != want {
+	if want := n - cancelled + e.dead; e.wh.count != want {
 		t.Fatalf("wheel count %d after compaction, want %d", e.wh.count, want)
 	}
-	if got, want := freeListLen(e), freeBefore+cancelled-e.wh.dead; got != want {
+	if got, want := freeListLen(e), freeBefore+cancelled-e.dead; got != want {
 		t.Fatalf("free list has %d events, want %d reclaimed", got, want)
 	}
 	if err := e.VerifyHeap(); err != nil {
@@ -670,7 +698,7 @@ func TestVerifyWheelDetectsCorruption(t *testing.T) {
 		corrupt func(e *Engine)
 		want    string
 	}{
-		{"dead-count-out-of-range", func(e *Engine) { e.wh.dead = e.wh.count + 1 }, "wheel dead count"},
+		{"dead-count-out-of-range", func(e *Engine) { e.dead = e.wh.count + 1 }, "dead count"},
 		{"way-mask-out-of-range", func(e *Engine) { e.wh.wayMask = 1 }, "way mask"},
 		{"occupancy-bit-cleared", func(e *Engine) {
 			lvl, s, _ := firstSlot(e)
@@ -684,8 +712,10 @@ func TestVerifyWheelDetectsCorruption(t *testing.T) {
 			}
 			e.wh.occ[1][s>>6] |= 1 << (s & 63)
 		}, "occupancy bit true disagrees"},
-		{"inwheel-flag-cleared", func(e *Engine) { first(e).inWheel = false }, "not marked inWheel"},
-		{"dead-miscount", func(e *Engine) { first(e).cancelled = true }, "dead count is"},
+		// A canceled (nil-fn) event the dead count misses, and a dead
+		// count that includes a live event.
+		{"dead-miscount", func(e *Engine) { first(e).fn = nil }, "dead count is"},
+		{"dead-overcount", func(e *Engine) { e.dead++ }, "dead count is"},
 		{"event-behind-frontier", func(e *Engine) {
 			e.wh.cur += wheelMaxTick // frontier teleports past everything
 		}, "behind frontier"},
@@ -730,12 +760,6 @@ func TestVerifyWheelDetectsCorruption(t *testing.T) {
 			ev.next = e.free
 			e.free = ev
 		}, "also on the free list"},
-		{"queue-event-marked-inwheel", func(e *Engine) {
-			// An overflow event lives in the heap; flagging it inWheel is a
-			// cross-tier inconsistency.
-			e.Schedule(Time(wheelMaxTick<<wheelTickShift)+time.Hour, func() {})
-			e.queue[0].ev.inWheel = true
-		}, "marked inWheel"},
 		{"event-in-both-tiers", func(e *Engine) {
 			ev := first(e)
 			e.push(heapEntry{at: ev.at, seq: ev.seq, ev: ev})
