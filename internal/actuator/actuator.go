@@ -39,7 +39,7 @@ type Record struct {
 // ErrBadAgent is returned for invalid agent construction.
 var ErrBadAgent = errors.New("actuator: invalid agent")
 
-// Launch-retry defaults: a launch that dies (or stalls past the watchdog
+// Launch-retry policy: a launch that dies (or stalls past the watchdog
 // deadline) is retried with exponential backoff, bounded so a broken
 // substrate cannot trap the agent in a launch loop.
 const (
@@ -65,10 +65,7 @@ type VMAgent struct {
 	pending map[string]int // tier -> launches not yet serving
 	records []Record
 
-	launches       map[string]*pendingLaunch // vm name -> in-flight launch
-	maxRetries     int
-	retryBackoff   time.Duration
-	watchdogFactor float64
+	launches map[string]*pendingLaunch // vm name -> in-flight launch
 }
 
 // NewVMAgent builds a VM-agent. mon may be nil. The agent subscribes to
@@ -81,15 +78,12 @@ func NewVMAgent(eng *sim.Engine, hv *cloud.Hypervisor, app *graph.App, mon Agent
 		return nil, fmt.Errorf("%w: nil dependency", ErrBadAgent)
 	}
 	va := &VMAgent{
-		eng:            eng,
-		hv:             hv,
-		app:            app,
-		mon:            mon,
-		pending:        make(map[string]int),
-		launches:       make(map[string]*pendingLaunch),
-		maxRetries:     defaultMaxLaunchRetries,
-		retryBackoff:   defaultRetryBackoff,
-		watchdogFactor: defaultWatchdogFactor,
+		eng:      eng,
+		hv:       hv,
+		app:      app,
+		mon:      mon,
+		pending:  make(map[string]int),
+		launches: make(map[string]*pendingLaunch),
 	}
 	hv.OnCrash(va.handleCrash)
 	return va, nil
@@ -150,9 +144,8 @@ func (va *VMAgent) launch(tier string, attempt int) (string, error) {
 		return "", fmt.Errorf("actuator: scale out %s: %w", tier, err)
 	}
 	va.launches[name] = pl
-	if va.watchdogFactor > 0 && va.hv.PrepDelay() > 0 {
-		deadline := time.Duration(float64(va.hv.PrepDelay()) * va.watchdogFactor)
-		pl.watchdog = va.eng.Schedule(deadline, func() { va.launchTimedOut(name, pl) })
+	if prep := va.hv.PrepDelay(); prep > 0 {
+		pl.watchdog = va.eng.Schedule(prep*defaultWatchdogFactor, func() { va.launchTimedOut(name, pl) })
 	}
 	detail := ""
 	if attempt > 0 {
@@ -173,7 +166,7 @@ func (va *VMAgent) launchTimedOut(name string, pl *pendingLaunch) {
 	va.pending[pl.tier]--
 	_ = va.hv.Terminate(vm)
 	va.record("timeout", pl.tier, name,
-		fmt.Sprintf("still provisioning after %.0fx prep delay; abandoning instance", va.watchdogFactor))
+		fmt.Sprintf("still provisioning after %dx prep delay; abandoning instance", defaultWatchdogFactor))
 	va.retry(pl.tier, pl.attempt+1)
 }
 
@@ -207,11 +200,11 @@ func (va *VMAgent) handleCrash(vm *cloud.VM) {
 // retry schedules the next launch attempt with exponential backoff, up to
 // the retry bound.
 func (va *VMAgent) retry(tier string, attempt int) {
-	if attempt > va.maxRetries {
+	if attempt > defaultMaxLaunchRetries {
 		va.record("give-up", tier, "", fmt.Sprintf("launch abandoned after %d attempts", attempt))
 		return
 	}
-	delay := va.retryBackoff << (attempt - 1)
+	delay := defaultRetryBackoff << (attempt - 1)
 	va.eng.Schedule(delay, func() {
 		if _, err := va.launch(tier, attempt); err != nil {
 			va.record("retry", tier, "", "relaunch failed: "+err.Error())

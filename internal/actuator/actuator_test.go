@@ -312,7 +312,6 @@ func TestLaunchWatchdogAbandonsSlowBoot(t *testing.T) {
 func TestLaunchGivesUpAfterMaxRetries(t *testing.T) {
 	t.Parallel()
 	eng, hv, app, _, va := setup(t)
-	va.maxRetries, va.retryBackoff, va.watchdogFactor = 1, 2*time.Second, 4
 	if _, err := va.ScaleOut(ntier.TierApp); err != nil {
 		t.Fatal(err)
 	}

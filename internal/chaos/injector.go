@@ -69,20 +69,17 @@ func NewInjector(eng *sim.Engine, rnd *rng.Rand, app *graph.App, hv *cloud.Hyper
 	return in, nil
 }
 
-// Install schedules every fault on the engine in one batch. Install is
-// idempotent.
+// Install schedules every fault on the engine, in schedule order at equal
+// times. Install is idempotent.
 func (in *Injector) Install() {
 	if in.installed {
 		return
 	}
 	in.installed = true
 	now := in.eng.Now()
-	items := make([]sim.BatchItem, len(in.sched.Faults))
 	for i, f := range in.sched.Faults {
-		i, f := i, f
-		items[i] = sim.BatchItem{At: now + f.At, Fn: func() { in.inject(i, f) }}
+		in.eng.ScheduleAt(now+f.At, func() { in.inject(i, f) })
 	}
-	in.eng.ScheduleBatch(items)
 }
 
 // Log returns a copy of the injection audit log.

@@ -65,10 +65,6 @@ type TierStats struct {
 	// aggregates are zeros that mean "unknown", not "idle". Controllers
 	// must not mistake the one for the other.
 	NoData bool `json:"noData,omitempty"`
-	// Smoothed marks aggregates carried over from the last live period by
-	// the sensor guard during a short blackout: good enough to hold
-	// steady-state decisions, not fresh enough to train models on.
-	Smoothed bool `json:"smoothed,omitempty"`
 }
 
 // SystemView is everything a controller sees at one control period.
@@ -521,12 +517,9 @@ func (c *DCM) observeAndRefit(view SystemView) {
 	dbTrainer := c.trainerFor(c.dbTrainers, key)
 
 	feed := func(trainer *model.OnlineTrainer, ts TierStats, limit float64) {
-		if ts.NoData || ts.Smoothed {
+		if ts.NoData {
 			// A blackout period has no operating points; the zero
-			// aggregates are not observations. Smoothed periods carry
-			// held-over aggregates from before the blackout — good enough
-			// to steer on, but training on them would duplicate stale
-			// points into the fit.
+			// aggregates are not observations.
 			return
 		}
 		if len(ts.Points) > 0 {

@@ -34,12 +34,6 @@ type Config struct {
 	MonitorInterval time.Duration
 	// PrepDelay is the VM preparation period (paper: 15 s).
 	PrepDelay time.Duration
-	// Guard, when non-nil, installs the sensor guard in front of view
-	// aggregation: stale samples are rejected, non-monotonic timestamps
-	// clamped and flagged, outlying CPU readings median-filtered, and
-	// short monitor blackouts bridged with Smoothed aggregates. Nil keeps
-	// the pipeline byte-identical to the pre-guard behaviour.
-	Guard *monitor.GuardConfig
 }
 
 // withDefaults fills in the paper's parameters.
@@ -86,8 +80,6 @@ type Framework struct {
 	serverC *bus.Consumer
 	systemC *bus.Consumer
 
-	guard *monitor.Guard
-
 	actions     []ActionRecord
 	stop        func()
 	prevCrashed map[string]int // tier -> crashed-serving census at last view
@@ -120,10 +112,6 @@ func New(eng *sim.Engine, app *graph.App, ctrl controller.Controller, cfg Config
 			}
 		}
 	}
-	var guard *monitor.Guard
-	if cfg.Guard != nil {
-		guard = monitor.NewGuard(*cfg.Guard)
-	}
 	return &Framework{
 		eng:         eng,
 		app:         app,
@@ -133,7 +121,6 @@ func New(eng *sim.Engine, app *graph.App, ctrl controller.Controller, cfg Config
 		hv:          hv,
 		fleet:       fleet,
 		vmAgent:     vmAgent,
-		guard:       guard,
 		serverC:     b.NewConsumer(monitor.TopicServerMetrics),
 		systemC:     b.NewConsumer(monitor.TopicSystemMetrics),
 		prevCrashed: make(map[string]int),
@@ -153,15 +140,6 @@ func (f *Framework) Fleet() *monitor.Fleet { return f.fleet }
 
 // VMAgent returns the VM-level actuator.
 func (f *Framework) VMAgent() *actuator.VMAgent { return f.vmAgent }
-
-// GuardStats returns the sensor guard's lifetime filtering tally (zero
-// value when no guard is installed).
-func (f *Framework) GuardStats() monitor.GuardStats {
-	if f.guard == nil {
-		return monitor.GuardStats{}
-	}
-	return f.guard.Stats()
-}
 
 // Start begins monitoring and the control loop. Start is idempotent.
 func (f *Framework) Start() error {
@@ -261,12 +239,6 @@ func (f *Framework) buildView() controller.SystemView {
 		if !ok {
 			continue
 		}
-		// The sensor guard vets every sample the controllers will see:
-		// stale ones are dropped, repairable ones (clock steps, CPU
-		// glitches) fixed in place on the local copy.
-		if f.guard != nil && !f.guard.AdmitServer(f.eng.Now(), &s) {
-			continue
-		}
 		a := aggs[tierName]
 		if a == nil {
 			a = &agg{}
@@ -297,33 +269,12 @@ func (f *Framework) buildView() controller.SystemView {
 		ts.Throughput = a.tpSum / periods
 		ts.Points = a.points
 		view.Tiers[tierName] = ts
-		if f.guard != nil {
-			f.guard.RecordTier(tierName, monitor.TierAggregate{
-				MeanCPU:    ts.MeanCPU,
-				MaxCPU:     ts.MaxCPU,
-				MeanActive: ts.MeanActive,
-				Throughput: ts.Throughput,
-			})
-		}
 	}
 	// Tiers with accepting servers but zero samples this period are dark
 	// (monitor blackout), not idle: mark them so controllers hold rather
-	// than misread the zero aggregates. With the sensor guard installed,
-	// short blackouts are bridged with the last live aggregates instead —
-	// flagged Smoothed so model training still skips them.
+	// than misread the zero aggregates.
 	for tierName, ts := range view.Tiers {
 		if _, sampled := aggs[tierName]; !sampled && ts.Ready > 0 {
-			if f.guard != nil {
-				if agg, ok := f.guard.FillDark(tierName); ok {
-					ts.MeanCPU = agg.MeanCPU
-					ts.MaxCPU = agg.MaxCPU
-					ts.MeanActive = agg.MeanActive
-					ts.Throughput = agg.Throughput
-					ts.Smoothed = true
-					view.Tiers[tierName] = ts
-					continue
-				}
-			}
 			ts.NoData = true
 			view.Tiers[tierName] = ts
 		}

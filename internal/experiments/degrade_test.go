@@ -7,9 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"dcm/internal/chaos"
 	"dcm/internal/controller"
-	"dcm/internal/monitor"
 )
 
 // TestDegradeDisabledIsByteIdentical pins the marshalled results of a
@@ -203,42 +201,5 @@ func TestFlashCrowdDegradeShedsOnlyBasic(t *testing.T) {
 	}
 	if basic.bshed != fc.Degrade.BrownoutSheds {
 		t.Errorf("class shed sum %d != total %d", basic.bshed, fc.Degrade.BrownoutSheds)
-	}
-}
-
-// TestSensorGuardBridgesMonitorBlackout runs the DCM controller through
-// the builtin monitor-blackout schedule with the sensor guard installed:
-// the guard must bridge the first dark periods with held aggregates
-// (Smoothed) instead of handing the controller NoData, and the run must
-// report the guard's tally. The same run without a guard reports none.
-func TestSensorGuardBridgesMonitorBlackout(t *testing.T) {
-	t.Parallel()
-	sched, err := chaos.Builtin("monitor-blackout")
-	if err != nil {
-		t.Fatal(err)
-	}
-	guarded, err := RunScenario(ScenarioConfig{
-		Seed: 1234, Kind: ControllerDCM, Chaos: &sched,
-		Horizon: 300 * time.Second,
-		Sensor:  &monitor.GuardConfig{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if guarded.SensorStats == nil {
-		t.Fatal("SensorStats missing with a sensor guard installed")
-	}
-	if guarded.SensorStats.Smoothed == 0 {
-		t.Errorf("guard stats = %+v, want Smoothed > 0 across the 45 s blackout", *guarded.SensorStats)
-	}
-	bare, err := RunScenario(ScenarioConfig{
-		Seed: 1234, Kind: ControllerDCM, Chaos: &sched,
-		Horizon: 300 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bare.SensorStats != nil {
-		t.Errorf("SensorStats = %+v without a guard, want omitted", *bare.SensorStats)
 	}
 }

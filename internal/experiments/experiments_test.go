@@ -260,6 +260,13 @@ func TestScenarioSeriesConsistency(t *testing.T) {
 	if n == 0 {
 		t.Fatal("no samples")
 	}
+	// The system agent is one ticker: one sample per simulated second,
+	// stamped at the end of the second it covers.
+	for i, s := range res.Seconds {
+		if s != float64(i+1) {
+			t.Fatalf("Seconds[%d] = %v, want %d", i, s, i+1)
+		}
+	}
 	for _, series := range [][]float64{res.Throughput, res.MeanRTSec, res.P95RTSec} {
 		if len(series) != n {
 			t.Fatalf("series length %d != %d", len(series), n)

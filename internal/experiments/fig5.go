@@ -119,13 +119,6 @@ type ScenarioConfig struct {
 	// end of the run, and any violations land on the result. Checking is
 	// read-only — an Invariants run is byte-identical to a plain one.
 	Invariants bool
-	// Sensor, when non-nil, installs the control-plane sensor guard
-	// (monitor.Guard) in front of view aggregation: stale samples are
-	// rejected, non-monotonic timestamps clamped and flagged, outlying
-	// CPU readings median-filtered, and short monitor blackouts bridged
-	// with Smoothed aggregates the model trainers skip. nil keeps the
-	// pipeline byte-identical to the unguarded one.
-	Sensor *monitor.GuardConfig
 }
 
 // ScenarioResult holds the per-second series Fig. 5 plots plus the
@@ -167,10 +160,6 @@ type ScenarioResult struct {
 	// TierLatency summarizes the always-on per-tier histograms (queue
 	// depth, service time, conn-pool wait) over the run, in tier order.
 	TierLatency []TierHistogramSummary `json:"tierLatency"`
-	// SeriesClamped counts out-of-order samples the series collector had
-	// to clamp — non-zero means the bus delivered samples out of time
-	// order.
-	SeriesClamped uint64 `json:"seriesClamped,omitempty"`
 	// LatencyBreakdown is the per-tier latency decomposition reconstructed
 	// from the request trace (CaptureTrace runs only).
 	LatencyBreakdown []trace.TierBreakdown `json:"latencyBreakdown,omitempty"`
@@ -188,9 +177,6 @@ type ScenarioResult struct {
 	// checker), so enabling the checker never changes the marshaled bytes
 	// of a correct run.
 	InvariantViolations []invariant.Violation `json:"invariantViolations,omitempty"`
-	// SensorStats is the sensor guard's filtering tally (Sensor runs
-	// only; nil otherwise).
-	SensorStats *monitor.GuardStats `json:"sensorStats,omitempty"`
 
 	tracer *trace.RequestTracer
 	audit  *controller.AuditLog
@@ -314,7 +300,6 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 				ControlPeriod:   cfg.ControlPeriod,
 				MonitorInterval: time.Second,
 				PrepDelay:       cfg.PrepDelay,
-				Guard:           cfg.Sensor,
 			}); err != nil {
 				return fmt.Errorf("framework: %w", err)
 			}
@@ -390,10 +375,6 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	}
 	if res.audit != nil {
 		res.Decisions = res.audit.Decisions()
-	}
-	if cfg.Sensor != nil {
-		stats := fw.GuardStats()
-		res.SensorStats = &stats
 	}
 	res.InvariantViolations = r.violations
 	if r.inj != nil {
@@ -495,10 +476,6 @@ func buildController(cfg ScenarioConfig) (controller.Controller, error) {
 type seriesCollector struct {
 	res      *ScenarioResult
 	sys, srv *bus.Consumer
-	// axis is the time axis. It goes through a metrics.Series so
-	// out-of-order bus delivery is clamped AND counted — the clamp total
-	// lands on the result instead of being silently absorbed.
-	axis *metrics.Series
 	// counts is each tier's number of server samples per second; the
 	// result's TierCPU holds their CPU sums until finish divides.
 	counts map[string][]int
@@ -511,10 +488,9 @@ func newSeriesCollector(b *bus.Bus, res *ScenarioResult, expect int) *seriesColl
 		res:    res,
 		sys:    b.NewConsumer(monitor.TopicSystemMetrics),
 		srv:    b.NewConsumer(monitor.TopicServerMetrics),
-		axis:   metrics.NewSeries("system"),
 		counts: make(map[string][]int, len(ntier.Tiers())),
 	}
-	c.axis.Grow(expect)
+	res.Seconds = make([]float64, 0, expect)
 	res.Throughput = make([]float64, 0, expect)
 	res.MeanRTSec = make([]float64, 0, expect)
 	res.P95RTSec = make([]float64, 0, expect)
@@ -537,7 +513,7 @@ func (c *seriesCollector) drain() {
 		if !isSample {
 			continue
 		}
-		c.axis.Append(s.At, s.Throughput)
+		res.Seconds = append(res.Seconds, s.At.Seconds())
 		res.Throughput = append(res.Throughput, s.Throughput)
 		res.MeanRTSec = append(res.MeanRTSec, s.MeanRTSeconds)
 		res.P95RTSec = append(res.P95RTSec, s.P95RTSeconds)
@@ -561,17 +537,12 @@ func (c *seriesCollector) drain() {
 	}
 }
 
-// finish drains what the run left unread and completes the series: the
-// time axis, and each tier's CPU series as the mean over its servers'
-// samples in each second, aligned to the axis.
+// finish drains what the run left unread and completes each tier's CPU
+// series as the mean over its servers' samples in each second, aligned to
+// the time axis.
 func (c *seriesCollector) finish() {
 	c.drain()
 	res := c.res
-	res.Seconds = make([]float64, 0, c.axis.Len())
-	for _, sm := range c.axis.Samples() {
-		res.Seconds = append(res.Seconds, sm.At.Seconds())
-	}
-	res.SeriesClamped += c.axis.Clamped()
 	n := len(res.Seconds)
 	for tierName, cpu := range res.TierCPU {
 		counts := c.counts[tierName]
@@ -684,12 +655,7 @@ func RenderTierLatency(r *ScenarioResult) string {
 			fmtF(s.QueueDepthP95, 1), fmtF(s.QueueDepthMax, 0),
 			fmt.Sprintf("%d", s.PoolWaitCount), fmtF(s.PoolWaitP95*1e3, 2))
 	}
-	out := tb.String()
-	if r.SeriesClamped > 0 {
-		out += fmt.Sprintf("WARNING: %d out-of-order samples clamped during series collection\n",
-			r.SeriesClamped)
-	}
-	return out
+	return tb.String()
 }
 
 // RenderScenarioSeries renders one run's per-second series (downsampled)

@@ -125,6 +125,13 @@ func TestScenarioAuditExplainsChaos(t *testing.T) {
 	if nodataHolds == 0 {
 		t.Error("no nodata holds audited")
 	}
+	// The system agent is one ticker, so the time axis strictly increases,
+	// across the blackout too.
+	for i := 1; i < len(res.Seconds); i++ {
+		if res.Seconds[i] <= res.Seconds[i-1] {
+			t.Fatalf("time axis not increasing at %d: %v after %v", i, res.Seconds[i], res.Seconds[i-1])
+		}
+	}
 	// Each audited control period records the DCM planner's inputs.
 	if d := res.Decisions[len(res.Decisions)-1]; d.TomcatModel == nil || d.MySQLModel == nil {
 		t.Error("planner model snapshot missing from decisions")

@@ -3,23 +3,13 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
-	"time"
 )
 
 // Used only by this package's tests; no production code calls these.
 
 // Busy reports whether the resource is busy now.
 func (b *BusyTracker) Busy() bool { return b.nesting > 0 }
-
-// Last returns the most recent sample and whether one exists.
-func (s *Series) Last() (Sample, bool) {
-	if len(s.samples) == 0 {
-		return Sample{}, false
-	}
-	return s.samples[len(s.samples)-1], true
-}
 
 // LinearBuckets returns n ascending bounds start, start+width, ... — the
 // usual layout for small-integer distributions such as queue depths.
@@ -115,18 +105,6 @@ func (h *Histogram) Render(width int) string {
 		fmt.Fprintf(&b, "  <= %-8s %8d %s\n", label, c, strings.Repeat("#", bar))
 	}
 	return b.String()
-}
-
-// At returns the i-th sample.
-func (s *Series) At(i int) Sample { return s.samples[i] }
-
-// Window returns the samples with from <= At < to.
-func (s *Series) Window(from, to time.Duration) []Sample {
-	lo := sort.Search(len(s.samples), func(i int) bool { return s.samples[i].At >= from })
-	hi := sort.Search(len(s.samples), func(i int) bool { return s.samples[i].At >= to })
-	out := make([]Sample, hi-lo)
-	copy(out, s.samples[lo:hi])
-	return out
 }
 
 // Min returns the smallest observed value (exact, not bucketed).

@@ -4,33 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 )
-
-// TestSeriesClampedCount is the regression test for the silent-clamp bug:
-// out-of-order appends used to be absorbed invisibly; they must now be
-// counted and reported.
-func TestSeriesClampedCount(t *testing.T) {
-	t.Parallel()
-	s := NewSeries("x")
-	if s.Clamped() != 0 {
-		t.Fatalf("fresh series clamped = %d", s.Clamped())
-	}
-	s.Append(5*time.Second, 1)
-	s.Append(3*time.Second, 2) // out of order → clamped
-	s.Append(5*time.Second, 3) // equal timestamp is fine
-	s.Append(4*time.Second, 4) // out of order → clamped
-	s.Append(6*time.Second, 5)
-	if s.Clamped() != 2 {
-		t.Fatalf("clamped = %d, want 2", s.Clamped())
-	}
-	// The clamped samples must still be in order.
-	for i := 1; i < s.Len(); i++ {
-		if s.At(i).At < s.At(i-1).At {
-			t.Fatalf("series out of order at %d", i)
-		}
-	}
-}
 
 func TestPercentileEdgeCases(t *testing.T) {
 	t.Parallel()

@@ -1,6 +1,8 @@
-// Package metrics provides the time-series primitives used by the
-// fine-grained resource monitor: append-only series of timestamped samples,
-// windowed aggregation, and percentile summaries.
+// Package metrics provides the measurement primitives used by the
+// fine-grained resource monitor and the experiments: per-interval
+// counters and accumulators (counts, means, time-weighted averages, busy
+// time), histograms, percentile summaries, request-disposition tallies,
+// and the text tables and charts the reports render.
 //
 // The package is deliberately simulation-agnostic — timestamps are plain
 // time.Duration offsets — so it is equally usable for recording real
@@ -14,68 +16,6 @@ import (
 	"strings"
 	"time"
 )
-
-// Sample is one timestamped observation.
-type Sample struct {
-	At    time.Duration `json:"at"`
-	Value float64       `json:"value"`
-}
-
-// Series is an append-only sequence of samples ordered by time. The zero
-// value is an empty series ready for use.
-type Series struct {
-	name    string
-	samples []Sample
-	clamped uint64
-}
-
-// NewSeries returns an empty named series.
-func NewSeries(name string) *Series {
-	return &Series{name: name}
-}
-
-// Grow pre-sizes the series for at least n additional samples, so a
-// recorder that knows its sampling rate and horizon up front (one sample
-// per control period, say) appends without reallocating mid-run.
-func (s *Series) Grow(n int) {
-	if n <= 0 {
-		return
-	}
-	if free := cap(s.samples) - len(s.samples); free < n {
-		grown := make([]Sample, len(s.samples), len(s.samples)+n)
-		copy(grown, s.samples)
-		s.samples = grown
-	}
-}
-
-// Append adds a sample. Samples must be appended in non-decreasing time
-// order; out-of-order appends are clamped to the last timestamp so the
-// series stays sorted (a monitor never produces them, but a defensive
-// caller should not corrupt query results). Each clamp is counted and
-// reported by Clamped, so ordering bugs upstream stay visible instead of
-// being silently absorbed.
-func (s *Series) Append(at time.Duration, v float64) {
-	if n := len(s.samples); n > 0 && at < s.samples[n-1].At {
-		at = s.samples[n-1].At
-		s.clamped++
-	}
-	s.samples = append(s.samples, Sample{At: at, Value: v})
-}
-
-// Clamped returns the number of appends whose timestamp was out of order
-// and had to be clamped to keep the series sorted. A non-zero count means
-// the producer delivered samples out of time order.
-func (s *Series) Clamped() uint64 { return s.clamped }
-
-// Len returns the number of samples.
-func (s *Series) Len() int { return len(s.samples) }
-
-// Samples returns a copy of all samples.
-func (s *Series) Samples() []Sample {
-	out := make([]Sample, len(s.samples))
-	copy(out, s.samples)
-	return out
-}
 
 // Summary describes a set of observations.
 type Summary struct {

@@ -9,95 +9,6 @@ import (
 	"time"
 )
 
-func TestSeriesAppendAndWindow(t *testing.T) {
-	t.Parallel()
-	s := NewSeries("tp")
-	for i := 0; i < 10; i++ {
-		s.Append(time.Duration(i)*time.Second, float64(i))
-	}
-	if s.Len() != 10 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	w := s.Window(3*time.Second, 6*time.Second)
-	if len(w) != 3 {
-		t.Fatalf("window size = %d, want 3", len(w))
-	}
-	if w[0].Value != 3 || w[2].Value != 5 {
-		t.Fatalf("window = %v", w)
-	}
-}
-
-func TestSeriesWindowHalfOpen(t *testing.T) {
-	t.Parallel()
-	s := NewSeries("x")
-	s.Append(time.Second, 1)
-	s.Append(2*time.Second, 2)
-	w := s.Window(time.Second, 2*time.Second)
-	if len(w) != 1 || w[0].Value != 1 {
-		t.Fatalf("half-open window wrong: %v", w)
-	}
-}
-
-func TestSeriesOutOfOrderClamped(t *testing.T) {
-	t.Parallel()
-	s := NewSeries("x")
-	s.Append(5*time.Second, 1)
-	s.Append(3*time.Second, 2) // out of order
-	if s.At(1).At != 5*time.Second {
-		t.Fatalf("out-of-order sample not clamped: %v", s.At(1))
-	}
-}
-
-func TestSeriesGrow(t *testing.T) {
-	t.Parallel()
-	s := NewSeries("x")
-	s.Append(time.Second, 1)
-	s.Grow(999)
-	if s.Len() != 1 || s.At(0).Value != 1 {
-		t.Fatalf("Grow changed contents: len=%d", s.Len())
-	}
-	// All 999 reserved appends must reuse the grown buffer.
-	grown := s.samples[:1]
-	for i := 0; i < 999; i++ {
-		s.Append(time.Duration(i+2)*time.Second, float64(i))
-	}
-	if s.Len() != 1000 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	if &grown[0] != &s.samples[0] {
-		t.Fatal("Append reallocated despite Grow reservation")
-	}
-	s.Grow(0)
-	s.Grow(-5) // no-ops
-	if s.Len() != 1000 {
-		t.Fatalf("Len after no-op Grow = %d", s.Len())
-	}
-}
-
-func TestSeriesLast(t *testing.T) {
-	t.Parallel()
-	s := NewSeries("x")
-	if _, ok := s.Last(); ok {
-		t.Fatal("empty series reported a last sample")
-	}
-	s.Append(time.Second, 42)
-	last, ok := s.Last()
-	if !ok || last.Value != 42 {
-		t.Fatalf("Last = %v, %v", last, ok)
-	}
-}
-
-func TestSeriesSamplesIsCopy(t *testing.T) {
-	t.Parallel()
-	s := NewSeries("x")
-	s.Append(time.Second, 1)
-	got := s.Samples()
-	got[0].Value = 99
-	if s.At(0).Value != 1 {
-		t.Fatal("Samples returned a view into internal state")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	t.Parallel()
 	sum := Summarize([]float64{1, 2, 3, 4, 5})

@@ -33,8 +33,7 @@ const (
 // ServerSample is one per-VM measurement interval, the unit the paper's
 // monitoring agents ship to Kafka every second. It carries what the
 // control loop reads and nothing more: the view aggregation in
-// internal/core, the sensor Guard and the experiments' per-tier CPU
-// series.
+// internal/core and the experiments' per-tier CPU series.
 type ServerSample struct {
 	At   time.Duration `json:"at"`
 	VM   string        `json:"vm"`
@@ -154,8 +153,6 @@ func (f *Fleet) Attach(tierName, vmName string) error {
 		if f.blackout {
 			return
 		}
-		// A full bus is a monitoring failure, not an application failure:
-		// drop the sample.
 		f.b.Publish(TopicServerMetrics, vmName, sample)
 	})
 	f.agents[vmName] = stop

@@ -336,35 +336,22 @@ func TestCompactionBelowThresholdIsLazy(t *testing.T) {
 	}
 }
 
-// TestScheduleBatch checks both batch paths (heapify for large batches,
-// per-item sift for small batches into a big queue) against sequential
-// Schedule semantics: argument order is the tie-break at equal times.
-func TestScheduleBatch(t *testing.T) {
+// TestScheduleAtTieOrder checks ScheduleAt against the reference heap
+// under heavy ties: schedule order is the tie-break at equal times, and a
+// nil callback is never queued.
+func TestScheduleAtTieOrder(t *testing.T) {
 	t.Parallel()
 	e := NewEngine()
-	var got []int
-	items := make([]BatchItem, 0, 300)
-	for i := 0; i < 300; i++ {
-		id := i
-		at := time.Duration(i%7) * time.Second // heavy ties
-		items = append(items, BatchItem{At: at, Fn: func() { got = append(got, id) }})
-	}
-	e.ScheduleBatch(items) // large batch into empty queue: heapify path
-	small := make([]BatchItem, 0, 10)
-	for i := 0; i < 10; i++ {
-		id := 300 + i
-		small = append(small, BatchItem{At: time.Duration(i%7) * time.Second, Fn: func() { got = append(got, id) }})
-	}
-	e.ScheduleBatch(small)                                   // small batch into big queue: sift-up path
-	e.ScheduleBatch(nil)                                     // no-op
-	e.ScheduleBatch([]BatchItem{{At: time.Second, Fn: nil}}) // nil fn skipped
-
 	ref := &refEngine{}
-	for i := 0; i < 300; i++ {
-		ref.schedule(time.Duration(i%7)*time.Second, i)
+	var got []int
+	for i := 0; i < 310; i++ {
+		id := i
+		at := time.Duration(i%7) * time.Second
+		e.ScheduleAt(at, func() { got = append(got, id) })
+		ref.schedule(at, id)
 	}
-	for i := 0; i < 10; i++ {
-		ref.schedule(time.Duration(i%7)*time.Second, 300+i)
+	if tm := e.ScheduleAt(time.Second, nil); tm != (Timer{}) {
+		t.Fatalf("nil callback returned a live timer %+v", tm)
 	}
 	if err := e.Run(time.Minute); err != nil {
 		t.Fatal(err)
@@ -375,25 +362,30 @@ func TestScheduleBatch(t *testing.T) {
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("batch fire order diverges at %d: got %d want %d", i, got[i], want[i])
+			t.Fatalf("fire order diverges at %d: got %d want %d", i, got[i], want[i])
 		}
 	}
 }
 
-// TestScheduleBatchClampsPast checks past timestamps are clamped to now,
-// matching ScheduleAt.
-func TestScheduleBatchClampsPast(t *testing.T) {
+// TestScheduleAtClampsPast checks a past timestamp is clamped to now and
+// fires after the events already due at now.
+func TestScheduleAtClampsPast(t *testing.T) {
 	t.Parallel()
 	e := NewEngine()
+	var order []string
 	var at Time
 	e.Schedule(10*time.Second, func() {
-		e.ScheduleBatch([]BatchItem{{At: time.Second, Fn: func() { at = e.Now() }}})
+		e.ScheduleAt(time.Second, func() { at = e.Now(); order = append(order, "past") })
 	})
+	e.Schedule(10*time.Second, func() { order = append(order, "due") })
 	if err := e.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	if at != 10*time.Second {
-		t.Fatalf("past batch item fired at %v, want 10s", at)
+		t.Fatalf("past event fired at %v, want 10s", at)
+	}
+	if len(order) != 2 || order[0] != "due" || order[1] != "past" {
+		t.Fatalf("fire order = %v, want [due past]", order)
 	}
 }
 

@@ -230,36 +230,6 @@ func (e *Engine) enqueue(ev *Event) {
 	e.push(heapEntry{at: ev.at, seq: ev.seq, ev: ev})
 }
 
-// BatchItem pairs a callback with its absolute fire time for ScheduleBatch.
-type BatchItem struct {
-	At Time
-	Fn func()
-}
-
-// ScheduleBatch schedules all items in one pass — the fast path for
-// installing a precomputed schedule (e.g. a fault scenario) in bulk.
-// Items keep their argument order as the tie-break at equal times; nil
-// callbacks are skipped. Each item is an O(1) wheel insert (bulk
-// schedules are almost always bounded-horizon), so the batch costs O(n)
-// with no heap rebuild.
-func (e *Engine) ScheduleBatch(items []BatchItem) {
-	for _, it := range items {
-		if it.Fn == nil {
-			continue
-		}
-		at := it.At
-		if at < e.now {
-			at = e.now
-		}
-		ev := e.alloc()
-		ev.at = at
-		ev.seq = e.seq
-		ev.fn = it.Fn
-		e.seq++
-		e.enqueue(ev)
-	}
-}
-
 // Stop makes Run return after the currently executing event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
